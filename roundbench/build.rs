@@ -1,0 +1,17 @@
+//! Records the compiler version and build profile for the result stamp.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
+    let version = Command::new(&rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |v| v.trim().to_owned());
+    println!("cargo:rustc-env=ROUNDBENCH_RUSTC={version}");
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".to_owned());
+    println!("cargo:rustc-env=ROUNDBENCH_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
