@@ -16,8 +16,8 @@
 //! same engine workload uninstrumented, with the no-op recorder, and with
 //! the sharded recorder — the "disabled instrumentation is free" claim as
 //! a number; `--assert-overhead X` turns that claim into an exit code by
-//! failing when the triple leaves the envelope (noop within `X`× of
-//! baseline, sharded within `10·X`×). A `conformance` section reports
+//! failing when the triple leaves the envelope (noop and sharded both
+//! within `X`× of baseline). A `conformance` section reports
 //! live zoo conformance at batch scale with every online verdict
 //! cross-checked against offline prefix replay.
 
@@ -835,8 +835,10 @@ fn check_schema(text: &str) -> Result<(), String> {
 /// Asserts the report's overhead triple sits inside the envelope:
 /// `noop_ns` within `factor`× of `baseline_ns` (disabled instrumentation
 /// must be near-free; `factor` is slack for nanosecond-scale timer
-/// noise), and `sharded_ns` within `10·factor`× (the live recorder does
-/// real work, so it gets an order of magnitude more headroom).
+/// noise), and `sharded_ns` within `factor`× too (the live recorder
+/// buffers a run's samples and applies them to its dense store in one
+/// flush, so a fully recorded run — recorder construction included —
+/// stays within a small multiple of the bare one).
 fn assert_overhead(text: &str, factor: u64) -> Result<(), String> {
     let root = json::parse(text).map_err(|e| e.to_string())?;
     let overhead = root.get("overhead").ok_or("missing object `overhead`")?;
@@ -855,11 +857,10 @@ fn assert_overhead(text: &str, factor: u64) -> Result<(), String> {
              (allowed {factor}x)"
         ));
     }
-    if sharded > baseline * factor * 10 {
+    if sharded > baseline * factor {
         return Err(format!(
             "sharded recorder overhead out of envelope: {sharded}ns vs {baseline}ns baseline \
-             (allowed {}x)",
-            factor * 10
+             (allowed {factor}x)"
         ));
     }
     Ok(())

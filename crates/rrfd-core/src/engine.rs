@@ -20,8 +20,18 @@ use crate::idset::IdSet;
 use crate::pattern::{FaultPattern, RoundFaults};
 use crate::predicate::{validate_round, PatternViolation, RrfdPredicate};
 use crate::trace::{RunTrace, TraceBuilder, TraceOutcome};
-use rrfd_obs::{names, Labels, Obs, SpanKind, SpanPhase};
+use rrfd_obs::{names, Labels, MetricId, Obs, RoundSpan, RunObs, SpanKind, SpanPhase, SpanRecord};
 use std::fmt;
+
+const ROUNDS: MetricId = MetricId::of(names::ENGINE_ROUNDS);
+const MESSAGES_EMITTED: MetricId = MetricId::of(names::ENGINE_MESSAGES_EMITTED);
+const MESSAGES_RECEIVED: MetricId = MetricId::of(names::ENGINE_MESSAGES_RECEIVED);
+const DELIVERIES_SHARED: MetricId = MetricId::of(names::ENGINE_DELIVERIES_SHARED);
+const HEARD_SIZE: MetricId = MetricId::of(names::ENGINE_HEARD_SIZE);
+const SUSPICION_SIZE: MetricId = MetricId::of(names::ENGINE_SUSPICION_SIZE);
+const DECISIONS: MetricId = MetricId::of(names::ENGINE_DECISIONS);
+const VIOLATIONS: MetricId = MetricId::of(names::ENGINE_VIOLATIONS);
+const ROUND_LATENCY: MetricId = MetricId::of(names::ENGINE_ROUND_LATENCY);
 
 /// A round-by-round fault detector, viewed as an adversary: at each round it
 /// chooses the suspicion sets `D(i,r)` for every process, constrained (and
@@ -314,8 +324,11 @@ impl Engine {
     /// Attaches an observability handle. Every run then records
     /// round-structured metrics — rounds, message counts, `|D(i,r)|` and
     /// `|S(i,r)|` size histograms, decisions, round latency — under the
-    /// `rrfd_engine_*` names. The default is [`Obs::noop`], which records
-    /// nothing and costs one branch per call site.
+    /// `rrfd_engine_*` names. Each run buffers its samples and spans and
+    /// hands them to the recorder in one flush when it finishes (or is
+    /// dropped), so a snapshot taken mid-run does not yet show that run.
+    /// The default is [`Obs::noop`], which records nothing, allocates no
+    /// buffer, and costs one branch per call site.
     #[must_use]
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -496,7 +509,9 @@ impl Engine {
         Ok(EngineRun {
             n: self.n,
             max_rounds: self.max_rounds,
-            obs: self.obs.clone(),
+            // Room for two rounds: each records four samples per process
+            // plus three, and three spans plus one per decision.
+            obs: RunObs::with_capacity(self.obs.clone(), 2 * (4 * n + 3), 2 * 3 + n + 1),
             instance: self.instance,
             run_start_ns: self.obs.now_ns(),
             round_hook: None,
@@ -573,7 +588,10 @@ pub struct FinishedRun<O: Clone, M> {
 pub struct EngineRun<P: RoundProtocol, D, Q> {
     n: SystemSize,
     max_rounds: u32,
-    obs: Obs,
+    /// The run's buffered handle: every sample and span of the run
+    /// reaches the recorder in one flush when the run finishes (or is
+    /// dropped unfinished).
+    obs: RunObs,
     instance: u64,
     run_start_ns: u64,
     round_hook: Option<RoundHook>,
@@ -658,13 +676,9 @@ where
         self.messages.clear();
         self.messages
             .extend(self.protocols.iter_mut().map(|p| Some(p.emit(round))));
+        self.obs.add(ROUNDS, Labels::round(round_no), 1);
         self.obs
-            .add(names::ENGINE_ROUNDS, Labels::round(round_no), 1);
-        self.obs.add(
-            names::ENGINE_MESSAGES_EMITTED,
-            Labels::round(round_no),
-            n as u64,
-        );
+            .add(MESSAGES_EMITTED, Labels::round(round_no), n as u64);
         self.obs.close_span(
             self.instance,
             SpanKind::Phase(SpanPhase::Emit),
@@ -676,21 +690,13 @@ where
         // The detector chooses and the engine validates D(·, r).
         let faults = self.detector.next_round(round, &self.pattern);
         if let Err(violation) = validate_round(&self.model, &self.pattern, &faults) {
-            self.obs
-                .add(names::ENGINE_VIOLATIONS, Labels::round(round_no), 1);
+            self.obs.add(VIOLATIONS, Labels::round(round_no), 1);
             if let Some(RoundHook(hook)) = self.round_hook.as_mut() {
                 // The hook sees the violating round too — it is exactly
                 // what a captured trace records as evidence.
                 hook(&faults);
             }
-            self.obs.round_exit(names::ENGINE_ROUND_LATENCY, span);
-            self.obs.close_span(
-                self.instance,
-                SpanKind::Round,
-                round_no,
-                None,
-                span.start_ns(),
-            );
+            self.close_round(round_no, span);
             // Keep the offending round in the trace: it is the evidence.
             if let Some(t) = self.trace.as_mut() {
                 t.record_violating_round(faults);
@@ -713,20 +719,12 @@ where
             let heard_set = delivery.heard_from();
             if self.obs.is_enabled() {
                 let labels = Labels::process_round(i, round_no);
-                self.obs.add(
-                    names::ENGINE_MESSAGES_RECEIVED,
-                    labels,
-                    heard_set.len() as u64,
-                );
-                self.obs.add(
-                    names::ENGINE_DELIVERIES_SHARED,
-                    labels,
-                    heard_set.len() as u64,
-                );
+                let heard_len = heard_set.len() as u64;
+                self.obs.add(MESSAGES_RECEIVED, labels, heard_len);
+                self.obs.add(DELIVERIES_SHARED, labels, heard_len);
+                self.obs.observe(HEARD_SIZE, labels, heard_len);
                 self.obs
-                    .observe(names::ENGINE_HEARD_SIZE, labels, heard_set.len() as u64);
-                self.obs
-                    .observe(names::ENGINE_SUSPICION_SIZE, labels, suspected.len() as u64);
+                    .observe(SUSPICION_SIZE, labels, suspected.len() as u64);
             }
             if let Some(h) = heard.as_mut() {
                 h.push(heard_set);
@@ -739,11 +737,8 @@ where
                     if let Some(t) = self.trace.as_mut() {
                         t.record_decision(me, round);
                     }
-                    self.obs.add(
-                        names::ENGINE_DECISIONS,
-                        Labels::process_round(i, round_no),
-                        1,
-                    );
+                    self.obs
+                        .add(DECISIONS, Labels::process_round(i, round_no), 1);
                     self.obs.close_span(
                         self.instance,
                         SpanKind::Phase(SpanPhase::Decide),
@@ -769,14 +764,7 @@ where
             hook(&faults);
         }
         self.pattern.push(faults);
-        self.obs.round_exit(names::ENGINE_ROUND_LATENCY, span);
-        self.obs.close_span(
-            self.instance,
-            SpanKind::Round,
-            round_no,
-            None,
-            span.start_ns(),
-        );
+        self.close_round(round_no, span);
         self.next_round = round_no + 1;
 
         if self.decisions.iter().all(Option::is_some) {
@@ -821,9 +809,24 @@ where
         }
     }
 
+    /// Ends round `round_no`: its latency observation and its span share
+    /// one clock read.
+    fn close_round(&mut self, round_no: u32, span: RoundSpan) {
+        let end_ns = self.obs.round_exit(ROUND_LATENCY, span);
+        self.obs.record_span(SpanRecord {
+            instance: self.instance,
+            kind: SpanKind::Round,
+            round: round_no,
+            process: None,
+            start_ns: span.start_ns(),
+            end_ns,
+        });
+    }
+
     fn finish(&mut self, result: Result<RunReport<P::Output>, EngineError>, outcome: TraceOutcome) {
         self.obs
             .close_span(self.instance, SpanKind::Run, 0, None, self.run_start_ns);
+        self.obs.flush();
         self.finished_trace = self.trace.take().map(|t| t.finish(outcome));
         self.done = Some(result);
     }
@@ -1400,6 +1403,78 @@ mod tests {
             .run(protos, &mut det, &AnyPattern::new(size))
             .unwrap();
         assert!(engine.obs.spans().is_empty());
+    }
+
+    #[test]
+    fn runs_flush_their_samples_when_they_finish() {
+        use rrfd_obs::names;
+
+        let size = n(3);
+        let obs = Obs::logical();
+        let protos: Vec<_> = (0..3).map(|_| DecideAfter::new(2)).collect();
+        let det = FixedDetector {
+            n: size,
+            per_round: vec![],
+        };
+        let mut run = Engine::new(size)
+            .obs(obs.clone())
+            .start(protos, det, AnyPattern::new(size))
+            .unwrap();
+        assert_eq!(run.step(), EngineStep::Running);
+        // Mid-run, the round sits in the run's buffer, not the recorder.
+        assert!(run.obs.pending() > 0);
+        assert_eq!(obs.snapshot().counter_total(names::ENGINE_ROUNDS), 0);
+        assert!(obs.spans().is_empty());
+        assert_eq!(run.step(), EngineStep::Finished);
+        assert_eq!(run.obs.pending(), 0);
+        assert_eq!(obs.snapshot().counter_total(names::ENGINE_ROUNDS), 2);
+        assert_eq!(obs.spans().len(), 2 * 3 + 3 + 1);
+    }
+
+    #[test]
+    fn a_run_dropped_mid_flight_still_reports_its_rounds() {
+        use rrfd_obs::{names, SpanKind};
+
+        let size = n(3);
+        let obs = Obs::logical();
+        let protos: Vec<_> = (0..3).map(|_| DecideAfter::new(5)).collect();
+        let det = FixedDetector {
+            n: size,
+            per_round: vec![],
+        };
+        let mut run = Engine::new(size)
+            .obs(obs.clone())
+            .start(protos, det, AnyPattern::new(size))
+            .unwrap();
+        assert_eq!(run.step(), EngineStep::Running);
+        assert_eq!(run.step(), EngineStep::Running);
+        drop(run);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter_total(names::ENGINE_ROUNDS), 2);
+        assert_eq!(snap.counter_total(names::ENGINE_MESSAGES_EMITTED), 6);
+        assert_eq!(snap.counter_total(names::ENGINE_MESSAGES_RECEIVED), 18);
+        let spans = obs.spans();
+        // Two rounds of (round + emit + deliver); no run span, since the
+        // run never finished.
+        assert_eq!(spans.len(), 2 * 3);
+        assert!(spans.iter().all(|s| s.kind != SpanKind::Run));
+    }
+
+    #[test]
+    fn noop_runs_allocate_no_buffer() {
+        let size = n(3);
+        let protos: Vec<_> = (0..3).map(|_| DecideAfter::new(3)).collect();
+        let det = FixedDetector {
+            n: size,
+            per_round: vec![],
+        };
+        let mut run = Engine::new(size)
+            .start(protos, det, AnyPattern::new(size))
+            .unwrap();
+        run.step();
+        run.step();
+        assert!(!run.obs.is_enabled(), "no buffer behind Obs::noop()");
+        assert_eq!(run.obs.pending(), 0);
     }
 
     #[test]

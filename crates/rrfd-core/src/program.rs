@@ -29,6 +29,7 @@
 use crate::id::{Round, SystemSize, MAX_PROCESSES};
 use crate::idset::IdSet;
 use crate::pattern::{FaultPattern, RoundFaults};
+use std::sync::Arc;
 
 /// One primitive, word-level fact about a candidate round (possibly relative
 /// to the history registers of a [`HistoryCtx`]).
@@ -202,10 +203,15 @@ impl RoundProfile {
     /// How many suspicion sets are strictly longer than `k`.
     #[must_use]
     pub fn count_longer(&self, k: usize) -> usize {
-        if k >= MAX_PROCESSES {
+        // No set is longer than `max_len`, so the histogram's tail past it
+        // is all zeros and need not be summed.
+        if k >= self.max_len {
             return 0;
         }
-        self.len_hist[k + 1..].iter().map(|&c| c as usize).sum()
+        self.len_hist[k + 1..=self.max_len]
+            .iter()
+            .map(|&c| c as usize)
+            .sum()
     }
 }
 
@@ -451,10 +457,12 @@ impl PredicateProgram {
 ///
 /// Slots mirror an external predicate family index-for-index; a `None` slot
 /// marks a predicate that declined to compile and stays on the dyn path.
+/// The programs are shared: cloning a batch (say, a fresh one used as a
+/// per-run template) copies only its history registers.
 #[derive(Debug, Clone)]
 pub struct ProgramBatch {
     n: SystemSize,
-    slots: Vec<Option<PredicateProgram>>,
+    slots: Arc<[Option<PredicateProgram>]>,
     compiled: u128,
     ctx: HistoryCtx,
     evals: u64,
@@ -482,7 +490,7 @@ impl ProgramBatch {
         let ctx = HistoryCtx::for_programs(n, slots.iter().flatten());
         ProgramBatch {
             n,
-            slots,
+            slots: slots.into(),
             compiled,
             ctx,
             evals: 0,

@@ -41,8 +41,14 @@ use rrfd_core::{
     RrfdPredicate, RunReport, RunTrace, SystemSize,
 };
 use rrfd_models::conformance::{ConformanceMonitor, ConformanceVerdict};
-use rrfd_obs::{names, FlightRecorder, Labels, Obs, DEFAULT_FLIGHT_ROUNDS};
+use rrfd_obs::{names, FlightRecorder, Labels, MetricId, Obs, RunObs, DEFAULT_FLIGHT_ROUNDS};
 use std::sync::{Arc, Mutex};
+
+const INSTANCES: MetricId = MetricId::of(names::POOL_INSTANCES);
+const ERRORS: MetricId = MetricId::of(names::POOL_ERRORS);
+const ROUNDS: MetricId = MetricId::of(names::POOL_ROUNDS);
+const ROUND_LATENCY: MetricId = MetricId::of(names::POOL_ROUND_LATENCY);
+const BUFFER_REUSES: MetricId = MetricId::of(names::POOL_BUFFER_REUSES);
 
 /// The zoo resilience parameter pool conformance monitors use: every
 /// monitored instance is checked against `zoo(n, 1)` — the weakest
@@ -117,6 +123,25 @@ pub struct InstanceConformance {
 }
 
 impl InstanceConformance {
+    /// The summary of a finished monitor, with `names[i]` the name of its
+    /// predicate `i`: equal to [`InstanceConformance::from_verdict`] of
+    /// its verdict, without building the verdict.
+    fn from_monitor(monitor: &ConformanceMonitor, names: &[String]) -> Self {
+        InstanceConformance {
+            strongest: monitor
+                .strongest_satisfied()
+                .map(|idx| (names[idx].clone(), monitor.ranks()[idx])),
+            violations: names
+                .iter()
+                .enumerate()
+                .filter_map(|(idx, name)| {
+                    let round = monitor.first_violation(idx)?;
+                    Some((name.clone(), round.get()))
+                })
+                .collect(),
+        }
+    }
+
     fn from_verdict(verdict: &ConformanceVerdict) -> Self {
         InstanceConformance {
             strongest: verdict
@@ -411,12 +436,12 @@ trait Lane: Send {
     fn admit(
         &mut self,
         budget: usize,
-        obs: &Obs,
+        obs: &mut RunObs,
         shard: usize,
         flight: Option<&mut ShardFlight>,
     ) -> usize;
     /// Steps every live run one round, retiring finished ones.
-    fn sweep(&mut self, obs: &Obs, shard: usize, flight: Option<&mut ShardFlight>);
+    fn sweep(&mut self, obs: &mut RunObs, shard: usize, flight: Option<&mut ShardFlight>);
     /// Live (admitted, unfinished) instances.
     fn live(&self) -> usize;
     /// Queued (not yet admitted) instances.
@@ -446,7 +471,10 @@ struct ClassLane<C: InstanceClass> {
     spare_cap: usize,
     keep_results: bool,
     capture_traces: bool,
-    conformance: bool,
+    /// The lane's conformance template, when [`PoolConfig::conformance`]
+    /// is on: one zoo monitor built per lane and cloned per instance,
+    /// plus its predicate names, computed once.
+    conformance: Option<(ConformanceMonitor, Vec<String>)>,
     totals: LaneTotals,
 }
 
@@ -457,6 +485,16 @@ impl<C: InstanceClass> ClassLane<C> {
         let engine = Engine::new(class.system_size())
             .max_rounds(class.max_rounds())
             .obs(config.obs.clone());
+        let conformance = config.conformance.then(|| {
+            let template = ConformanceMonitor::zoo(class.system_size(), CONF_ZOO_F);
+            let names = template
+                .verdict()
+                .statuses
+                .into_iter()
+                .map(|status| status.name)
+                .collect();
+            (template, names)
+        });
         ClassLane {
             class,
             engine,
@@ -466,7 +504,7 @@ impl<C: InstanceClass> ClassLane<C> {
             spare_cap: config.window,
             keep_results: config.keep_results,
             capture_traces: config.capture_traces,
-            conformance: config.conformance,
+            conformance,
             totals: LaneTotals {
                 class_index,
                 completed: 0,
@@ -483,7 +521,7 @@ impl<C: InstanceClass> ClassLane<C> {
         id: u64,
         run: EngineRun<C::P, C::D, C::Q>,
         monitor: Option<Arc<Mutex<ConformanceMonitor>>>,
-        obs: &Obs,
+        obs: &mut RunObs,
         shard: usize,
         flight: Option<&mut ShardFlight>,
     ) {
@@ -493,9 +531,9 @@ impl<C: InstanceClass> ClassLane<C> {
             Ok(report) => {
                 self.totals.completed += 1;
                 self.totals.rounds += u64::from(report.rounds_executed);
-                obs.add(names::POOL_INSTANCES, Labels::process(shard), 1);
+                obs.add(INSTANCES, Labels::process(shard), 1);
                 obs.add(
-                    names::POOL_ROUNDS,
+                    ROUNDS,
                     Labels::process(shard),
                     u64::from(report.rounds_executed),
                 );
@@ -509,7 +547,7 @@ impl<C: InstanceClass> ClassLane<C> {
             }
             Err(error) => {
                 self.totals.errored += 1;
-                obs.add(names::POOL_ERRORS, Labels::process(shard), 1);
+                obs.add(ERRORS, Labels::process(shard), 1);
                 if let Some(f) = flight {
                     f.note(format!(
                         "instance {id} ({}) errored: {error}",
@@ -522,12 +560,13 @@ impl<C: InstanceClass> ClassLane<C> {
                 }
             }
         }
-        let conformance = monitor.map(|monitor| {
+        let names = self.conformance.as_ref().map(|(_, names)| names.as_slice());
+        let conformance = monitor.zip(names).map(|(monitor, names)| {
             let mon = monitor
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            mon.record(obs);
-            InstanceConformance::from_verdict(&mon.verdict())
+            mon.record(obs.obs());
+            InstanceConformance::from_monitor(&mon, names)
         });
         if let (Some(conf), Some(summary)) = (self.totals.conf.as_mut(), conformance.as_ref()) {
             conf.absorb(summary);
@@ -548,18 +587,18 @@ impl<C: InstanceClass> ClassLane<C> {
     }
 }
 
-/// Builds instance `id`'s live zoo monitor and installs the round hook
-/// that feeds it.
+/// Installs the round hook that feeds `monitor`, instance `id`'s live zoo
+/// monitor, and returns the monitor's shared handle.
 fn attach_monitor<P, D, Q>(
     run: &mut EngineRun<P, D, Q>,
-    n: SystemSize,
+    monitor: ConformanceMonitor,
 ) -> Arc<Mutex<ConformanceMonitor>>
 where
     P: RoundProtocol,
     D: FaultDetector,
     Q: RrfdPredicate,
 {
-    let monitor = Arc::new(Mutex::new(ConformanceMonitor::zoo(n, CONF_ZOO_F)));
+    let monitor = Arc::new(Mutex::new(monitor));
     let sink = Arc::clone(&monitor);
     run.set_round_hook(RoundHook::new(move |faults| {
         sink.lock()
@@ -591,7 +630,7 @@ where
     fn admit(
         &mut self,
         budget: usize,
-        obs: &Obs,
+        obs: &mut RunObs,
         shard: usize,
         mut flight: Option<&mut ShardFlight>,
     ) -> usize {
@@ -608,7 +647,7 @@ where
                 let buffer = match self.spares.pop() {
                     Some(spare) => {
                         if spare.capacity() > 0 {
-                            obs.add(names::POOL_BUFFER_REUSES, Labels::process(shard), 1);
+                            obs.add(BUFFER_REUSES, Labels::process(shard), 1);
                         }
                         spare
                     }
@@ -622,7 +661,8 @@ where
                     run.set_instance(id);
                     let monitor = self
                         .conformance
-                        .then(|| attach_monitor(&mut run, self.class.system_size()));
+                        .as_ref()
+                        .map(|(template, _)| attach_monitor(&mut run, template.clone()));
                     if let Some(f) = flight.as_deref_mut() {
                         f.note(format!("admit instance {id} ({})", self.class.name()));
                     }
@@ -633,7 +673,7 @@ where
                     // Unreachable (classes build exactly n protocols),
                     // but total: record the instance as errored.
                     self.totals.errored += 1;
-                    obs.add(names::POOL_ERRORS, Labels::process(shard), 1);
+                    obs.add(ERRORS, Labels::process(shard), 1);
                     if self.keep_results {
                         self.totals.results.push(InstanceResult {
                             instance: id,
@@ -650,7 +690,7 @@ where
         admitted
     }
 
-    fn sweep(&mut self, obs: &Obs, shard: usize, mut flight: Option<&mut ShardFlight>) {
+    fn sweep(&mut self, obs: &mut RunObs, shard: usize, mut flight: Option<&mut ShardFlight>) {
         let timed = obs.is_enabled();
         for key in 0..self.slab.slot_count() {
             let finished = match self.slab.get_mut(key) {
@@ -658,11 +698,8 @@ where
                     let outcome = if timed {
                         let start = obs.now_ns();
                         let outcome = active.run.step();
-                        obs.observe(
-                            names::POOL_ROUND_LATENCY,
-                            Labels::GLOBAL,
-                            obs.now_ns().saturating_sub(start),
-                        );
+                        let elapsed = obs.now_ns().saturating_sub(start);
+                        obs.observe(ROUND_LATENCY, Labels::GLOBAL, elapsed);
                         outcome
                     } else {
                         active.run.step()
@@ -746,7 +783,10 @@ fn run_shard(
     config: &PoolConfig,
     shard: usize,
 ) -> (Vec<LaneTotals>, Vec<String>) {
-    let obs = &config.obs;
+    // The shard's own samples (per-shard counters, step latencies) are
+    // buffered and flushed when the shard drains; each instance's engine
+    // run and conformance record flush their own buffers.
+    let mut obs = RunObs::new(config.obs.clone());
     let mut flight = config.flight.then(ShardFlight::new);
     loop {
         let live: usize = lanes.iter().map(|l| l.live()).sum();
@@ -755,10 +795,10 @@ fn run_shard(
             if budget == 0 {
                 break;
             }
-            budget -= lane.admit(budget, obs, shard, flight.as_mut());
+            budget -= lane.admit(budget, &mut obs, shard, flight.as_mut());
         }
         for lane in &mut lanes {
-            lane.sweep(obs, shard, flight.as_mut());
+            lane.sweep(&mut obs, shard, flight.as_mut());
         }
         if let Some(f) = flight.as_mut() {
             f.sweep += 1;
@@ -768,6 +808,7 @@ fn run_shard(
             break;
         }
     }
+    obs.flush();
     let dumps = flight.map_or_else(Vec::new, |f| f.dumps);
     (lanes.into_iter().map(Lane::into_totals).collect(), dumps)
 }
@@ -927,9 +968,12 @@ fn run_one<C: InstanceClass>(class: &C, id: u64, config: &PoolConfig) -> Instanc
         }
     };
     run.set_instance(id);
-    let monitor = config
-        .conformance
-        .then(|| attach_monitor(&mut run, class.system_size()));
+    let monitor = config.conformance.then(|| {
+        attach_monitor(
+            &mut run,
+            ConformanceMonitor::zoo(class.system_size(), CONF_ZOO_F),
+        )
+    });
     let finished = run.run_to_completion();
     let conformance = monitor.map(|monitor| {
         let mon = monitor

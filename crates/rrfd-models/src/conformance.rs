@@ -22,7 +22,15 @@ use rrfd_core::{
     FaultPattern, IdSet, PatternViolation, ProgramBatch, Round, RoundFaults, RoundProfile,
     RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
 };
-use rrfd_obs::{names, Labels, Obs};
+use rrfd_obs::{names, Labels, MetricId, Obs, RunBuffer};
+use std::sync::Arc;
+
+const ROUNDS: MetricId = MetricId::of(names::CONF_ROUNDS);
+const CHECKS: MetricId = MetricId::of(names::CONF_CHECKS);
+const COMPILED_EVALS: MetricId = MetricId::of(names::PRED_COMPILED_EVALS);
+const SATISFIED: MetricId = MetricId::of(names::CONF_SATISFIED);
+const FIRST_VIOLATION: MetricId = MetricId::of(names::CONF_FIRST_VIOLATION);
+const STRONGEST: MetricId = MetricId::of(names::CONF_STRONGEST);
 
 /// The status of one monitored predicate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,17 +81,27 @@ impl ConformanceVerdict {
     }
 }
 
-/// An online checker evaluating a predicate family against a live run,
-/// one round of suspicions at a time.
-pub struct ConformanceMonitor {
+/// The predicate family a monitor checks, with its strength ranks; shared
+/// by every clone of the monitor.
+struct Family {
     predicates: Vec<SharedPredicate>,
     ranks: Vec<usize>,
+}
+
+/// An online checker evaluating a predicate family against a live run,
+/// one round of suspicions at a time.
+///
+/// Cloning is cheap: the family and its compiled programs are shared,
+/// and only the per-run state (history, violations, history registers)
+/// is copied. A fresh monitor is therefore a template — build one per
+/// family and clone it for each run, as the batch pool does per lane.
+#[derive(Clone)]
+pub struct ConformanceMonitor {
+    family: Arc<Family>,
     history: FaultPattern,
-    /// Per predicate: the round it first rejected, plus that round's
-    /// faults (kept for the certificate; the history also retains them,
-    /// but a later monitor user must not need to know the round number
-    /// to rebuild the witness).
-    violations: Vec<Option<(Round, RoundFaults)>>,
+    /// Per predicate: the round it first rejected (that round's faults
+    /// stay in the history, which the certificate replays).
+    violations: Vec<Option<Round>>,
     /// The compiled predicate plane: one slot per predicate, batch-
     /// evaluated per round. `None` for families larger than the 128-slot
     /// verdict word (those stay entirely on the dyn path).
@@ -92,10 +110,11 @@ pub struct ConformanceMonitor {
 
 impl std::fmt::Debug for ConformanceMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let violations = self.violations.iter().filter(|v| v.is_some()).count();
         f.debug_struct("ConformanceMonitor")
-            .field("predicates", &self.predicates.len())
+            .field("predicates", &self.family.predicates.len())
             .field("rounds_observed", &self.rounds_observed())
-            .field("violations", &self.verdict().violations())
+            .field("violations", &violations)
             .finish()
     }
 }
@@ -140,8 +159,7 @@ impl ConformanceMonitor {
         let batch =
             (predicates.len() <= 128).then(|| ProgramBatch::new(n, compile_family(&predicates)));
         ConformanceMonitor {
-            predicates,
-            ranks,
+            family: Arc::new(Family { predicates, ranks }),
             history: FaultPattern::new(n),
             violations,
             batch,
@@ -193,16 +211,16 @@ impl ConformanceMonitor {
                 }
             }
         } else {
-            for idx in 0..self.predicates.len() {
+            for idx in 0..self.family.predicates.len() {
                 if self.violations[idx].is_none() && self.dyn_rejects(idx, round) {
-                    self.violations[idx] = Some((round_no, round.clone()));
+                    self.violations[idx] = Some(round_no);
                 }
             }
         }
         while rejected != 0 {
             let idx = rejected.trailing_zeros() as usize;
             rejected &= rejected - 1;
-            self.violations[idx] = Some((round_no, round.clone()));
+            self.violations[idx] = Some(round_no);
         }
         self.history.push(round.clone());
     }
@@ -210,7 +228,7 @@ impl ConformanceMonitor {
     /// The dyn fallback seam: one virtual `admits` call against the full
     /// recorded history, used only for predicates without a compiled slot.
     fn dyn_rejects(&self, idx: usize, round: &RoundFaults) -> bool {
-        !self.predicates[idx].admits(&self.history, round)
+        !self.family.predicates[idx].admits(&self.history, round)
     }
 
     /// Total compiled-plane program evaluations performed so far (the
@@ -226,16 +244,45 @@ impl ConformanceMonitor {
         ConformanceVerdict {
             rounds_observed: self.rounds_observed(),
             statuses: self
+                .family
                 .predicates
                 .iter()
                 .enumerate()
                 .map(|(idx, p)| PredicateStatus {
                     name: p.name(),
-                    rank: self.ranks[idx],
-                    first_violation: self.violations[idx].as_ref().map(|(r, _)| *r),
+                    rank: self.family.ranks[idx],
+                    first_violation: self.first_violation(idx),
                 })
                 .collect(),
         }
+    }
+
+    /// Strength rank per predicate, in family order (lower = stronger).
+    #[must_use]
+    pub fn ranks(&self) -> &[usize] {
+        &self.family.ranks
+    }
+
+    /// The first round predicate `idx` rejected; `None` while it holds
+    /// (or when `idx` is out of range).
+    #[must_use]
+    pub fn first_violation(&self, idx: usize) -> Option<Round> {
+        *self.violations.get(idx)?
+    }
+
+    /// The family index of the strongest (lowest-rank) predicate still
+    /// satisfied — the predicate [`ConformanceVerdict::strongest_satisfied`]
+    /// reports — found without building a verdict.
+    #[must_use]
+    pub fn strongest_satisfied(&self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (idx, violation) in self.violations.iter().enumerate() {
+            let rank = self.family.ranks[idx];
+            if violation.is_none() && best.is_none_or(|b| rank < self.family.ranks[b]) {
+                best = Some(idx);
+            }
+        }
+        best
     }
 
     /// A replayable certificate for predicate `idx`'s violation, or
@@ -247,12 +294,13 @@ impl ConformanceMonitor {
     /// the recorded round.
     #[must_use]
     pub fn certificate(&self, idx: usize) -> Option<RunTrace> {
-        let (round_no, faults) = self.violations.get(idx)?.as_ref()?;
+        let round_no = self.first_violation(idx)?;
+        let faults = self.history.round(round_no)?;
         let n = self.system_size();
         let universe = IdSet::universe(n);
         let mut builder = TraceBuilder::new(n);
         for (r, prefix_faults) in self.history.iter() {
-            if r >= *round_no {
+            if r >= round_no {
                 break;
             }
             let heard = n
@@ -264,8 +312,8 @@ impl ConformanceMonitor {
         builder.record_violating_round(faults.clone());
         Some(builder.finish(TraceOutcome::Violation(
             PatternViolation::PredicateRejected {
-                predicate: self.predicates[idx].name(),
-                round: *round_no,
+                predicate: self.family.predicates[idx].name(),
+                round: round_no,
             },
         )))
     }
@@ -274,47 +322,41 @@ impl ConformanceMonitor {
     /// The predicate is identified by its family index carried in the
     /// `process` label — a documented, bounded reuse of the label schema
     /// (the zoo has 13 members; the label was sized for process counts).
+    /// The samples are buffered and reach the recorder in one flush.
     pub fn record(&self, obs: &Obs) {
         if !obs.is_enabled() {
             return;
         }
-        obs.add(
-            names::CONF_ROUNDS,
-            Labels::GLOBAL,
-            u64::from(self.rounds_observed()),
-        );
+        let mut buffer = RunBuffer::with_capacity(4 + 2 * self.violations.len(), 0);
+        buffer.add(ROUNDS, Labels::GLOBAL, u64::from(self.rounds_observed()));
         let checks: u64 = self
             .violations
             .iter()
             .map(|v| match v {
                 // A violated predicate was checked once per round up to
                 // and including its violating round…
-                Some((r, _)) => u64::from(r.get()),
+                Some(r) => u64::from(r.get()),
                 // …a live one, every round.
                 None => u64::from(self.rounds_observed()),
             })
             .sum();
-        obs.add(names::CONF_CHECKS, Labels::GLOBAL, checks);
-        obs.add(
-            names::PRED_COMPILED_EVALS,
-            Labels::GLOBAL,
-            self.compiled_evals(),
-        );
+        buffer.add(CHECKS, Labels::GLOBAL, checks);
+        buffer.add(COMPILED_EVALS, Labels::GLOBAL, self.compiled_evals());
         for (idx, violation) in self.violations.iter().enumerate() {
             let labels = Labels::process(idx);
             match violation {
-                Some((round, _)) => {
-                    obs.gauge(names::CONF_SATISFIED, labels, 0);
-                    obs.gauge(names::CONF_FIRST_VIOLATION, labels, i64::from(round.get()));
+                Some(round) => {
+                    buffer.gauge(SATISFIED, labels, 0);
+                    buffer.gauge(FIRST_VIOLATION, labels, i64::from(round.get()));
                 }
-                None => obs.gauge(names::CONF_SATISFIED, labels, 1),
+                None => buffer.gauge(SATISFIED, labels, 1),
             }
         }
         let strongest = self
-            .verdict()
             .strongest_satisfied()
-            .map_or(-1, |s| s.rank as i64);
-        obs.gauge(names::CONF_STRONGEST, Labels::GLOBAL, strongest);
+            .map_or(-1, |idx| self.family.ranks[idx] as i64);
+        buffer.gauge(STRONGEST, Labels::GLOBAL, strongest);
+        obs.flush(&mut buffer);
     }
 }
 
@@ -448,6 +490,40 @@ mod tests {
             snap.get(names::CONF_STRONGEST, Labels::GLOBAL),
             Some(&rrfd_obs::MetricValue::Gauge(expected))
         );
+    }
+
+    #[test]
+    fn strongest_satisfied_matches_the_verdict() {
+        let rounds = [suspect(0, 2), RoundFaults::none(n3()), suspect(1, 0)];
+        let mut mon = ConformanceMonitor::zoo(n3(), 1);
+        for rf in &rounds {
+            mon.observe(rf);
+            let verdict = mon.verdict();
+            let expected = verdict.strongest_satisfied().map(|s| s.rank);
+            let strongest = mon.strongest_satisfied();
+            assert_eq!(strongest.map(|idx| mon.ranks()[idx]), expected);
+            if let Some(idx) = strongest {
+                assert_eq!(verdict.statuses[idx].name, zoo(n3(), 1)[idx].name());
+            }
+        }
+    }
+
+    #[test]
+    fn clones_of_a_fresh_monitor_are_independent_runs() {
+        let template = ConformanceMonitor::zoo(n3(), 1);
+        let mut a = template.clone();
+        let mut b = template.clone();
+        a.observe(&suspect(0, 2));
+        a.observe(&RoundFaults::none(n3()));
+        b.observe(&RoundFaults::none(n3()));
+        let mut fresh = ConformanceMonitor::zoo(n3(), 1);
+        fresh.observe(&suspect(0, 2));
+        fresh.observe(&RoundFaults::none(n3()));
+        assert_eq!(a.verdict(), fresh.verdict());
+        assert_eq!(a.compiled_evals(), fresh.compiled_evals());
+        assert_eq!(b.verdict().violations(), 0);
+        assert_eq!(template.rounds_observed(), 0);
+        assert_eq!(template.compiled_evals(), 0);
     }
 
     #[test]

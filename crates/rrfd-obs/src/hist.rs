@@ -28,6 +28,14 @@ pub const BUCKET_BOUNDS: [u64; 16] = [
     1_073_741_824,
 ];
 
+/// The bucket of `value`: the smallest `k` with `value ≤ 4^k`, or the
+/// overflow slot. `4^k ≥ value` exactly when `2k ≥ bits(value − 1)`, so the
+/// index is half the bit length of `value − 1`, rounded up.
+fn bucket_index(value: u64) -> usize {
+    let bits = (u64::BITS - value.saturating_sub(1).leading_zeros()) as usize;
+    bits.div_ceil(2).min(BUCKET_BOUNDS.len())
+}
+
 /// A live histogram: per-bucket counts plus total count and sum. The last
 /// slot counts observations above [`BUCKET_BOUNDS`]'s largest bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,13 +64,20 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
-        let idx = BUCKET_BOUNDS
-            .iter()
-            .position(|&bound| value <= bound)
-            .unwrap_or(BUCKET_BOUNDS.len());
-        self.counts[idx] += 1;
+        self.counts[bucket_index(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
+    }
+
+    /// Adds every observation of `other` into `self`, bucket by bucket.
+    /// Count and sum saturate, so merging the histograms of any split of
+    /// a sample equals observing the whole sample.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine = mine.saturating_add(*theirs);
+        }
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// Total number of observations.
@@ -185,6 +200,34 @@ mod tests {
         let snap = Histogram::new().snapshot();
         assert_eq!(snap.quantile(0.5), None);
         assert_eq!(snap.mean(), None);
+    }
+
+    #[test]
+    fn bucket_index_agrees_with_a_scan_of_the_bounds() {
+        let scan = |value: u64| {
+            BUCKET_BOUNDS
+                .iter()
+                .position(|&bound| value <= bound)
+                .unwrap_or(BUCKET_BOUNDS.len())
+        };
+        for &bound in &BUCKET_BOUNDS {
+            for value in [bound - 1, bound, bound + 1, bound * 2] {
+                assert_eq!(bucket_index(value), scan(value), "value {value}");
+            }
+        }
+        for value in [0, u64::MAX, u64::MAX - 1, 1 << 62] {
+            assert_eq!(bucket_index(value), scan(value), "value {value}");
+        }
+    }
+
+    #[test]
+    fn merge_saturates_count_and_sum() {
+        let mut a = Histogram::new();
+        a.observe(u64::MAX);
+        let b = a.clone();
+        a.merge(&b);
+        assert_eq!(a.count(), 2);
+        assert_eq!(a.sum(), u64::MAX);
     }
 
     #[test]

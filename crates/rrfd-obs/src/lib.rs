@@ -22,8 +22,10 @@
 //!    in the dependency graph so every substrate can use it.
 //!
 //! The flow: instrumented code records through an [`Obs`] handle (a
-//! [`Recorder`] plus a [`Clock`]); a [`Snapshot`] is taken at the end of a
-//! run; the snapshot exports to JSONL ([`Snapshot::to_jsonl`]) or
+//! [`Recorder`] plus a [`Clock`]), or through a [`RunObs`] that buffers a
+//! whole run's samples — keyed by dense [`MetricId`]s — and flushes them
+//! in one recorder call when the run ends; a [`Snapshot`] is taken at the
+//! end of a run; the snapshot exports to JSONL ([`Snapshot::to_jsonl`]) or
 //! Prometheus text format ([`Snapshot::to_prometheus`], `rrfd_`-prefixed,
 //! exemplar-free, file-targeted — no network); `rrfd-analyze -- stats`
 //! renders per-round tables from the same data.
@@ -31,18 +33,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod buffer;
 mod clock;
 mod export;
 pub mod flight;
 mod hist;
 pub mod json;
+mod metric;
 pub mod names;
 mod recorder;
 pub mod span;
 
+pub use buffer::{RunBuffer, RunObs, Sample, SampleValue};
 pub use clock::{Clock, LogicalClock, WallClock};
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_ROUNDS};
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_BOUNDS};
+pub use metric::MetricId;
 pub use recorder::{Entry, Labels, MetricValue, NoopRecorder, Recorder, ShardedRecorder, Snapshot};
 pub use span::{SpanKind, SpanPhase, SpanRecord};
 
@@ -134,6 +140,7 @@ impl Obs {
 
     /// `true` unless this is the no-op handle.
     #[must_use]
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
@@ -161,12 +168,14 @@ impl Obs {
 
     /// Reads the clock (0 when disabled). Prefer spans over raw reads.
     #[must_use]
+    #[inline]
     pub fn now_ns(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
     }
 
     /// Opens a round span at `labels`; time it with [`Obs::round_exit`].
     #[must_use]
+    #[inline]
     pub fn round_enter(&self, labels: Labels) -> RoundSpan {
         RoundSpan {
             start_ns: self.now_ns(),
@@ -219,6 +228,17 @@ impl Obs {
                 start_ns,
                 end_ns: inner.clock.now_ns(),
             });
+        }
+    }
+
+    /// Hands a run's buffered samples and spans to the recorder in one
+    /// [`Recorder::flush`] call, leaving `buffer` empty (the no-op handle
+    /// just empties it). Most callers buffer through a [`RunObs`], which
+    /// flushes by itself.
+    pub fn flush(&self, buffer: &mut RunBuffer) {
+        match &self.inner {
+            Some(inner) => inner.recorder.flush(buffer),
+            None => buffer.clear(),
         }
     }
 

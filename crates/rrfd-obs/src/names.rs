@@ -182,3 +182,96 @@ pub const LATTICE_MEMO_HITS: &str = "rrfd_lattice_memo_hits_total";
 /// Counter: predicate pairs the lattice had to search because the memo
 /// was absent, stale, or fingerprint-mismatched.
 pub const LATTICE_MEMO_MISSES: &str = "rrfd_lattice_memo_misses_total";
+
+// -- the registry ------------------------------------------------------------
+
+/// Every name above, in declaration order: the closed registry that
+/// [`crate::MetricId`] interns. A name's position here is its dense id, so
+/// recorders index per-metric tables by it instead of hashing strings.
+/// New names must be appended here too (a unit test checks that every
+/// constant of this module is listed exactly once).
+pub const ALL: [&str; 60] = [
+    ENGINE_ROUNDS,
+    ENGINE_MESSAGES_EMITTED,
+    ENGINE_MESSAGES_RECEIVED,
+    ENGINE_SUSPICION_SIZE,
+    ENGINE_HEARD_SIZE,
+    ENGINE_DECISIONS,
+    ENGINE_ROUND_LATENCY,
+    ENGINE_VIOLATIONS,
+    ENGINE_DELIVERIES_SHARED,
+    ENGINE_MSG_BYTES_CLONED,
+    RUNTIME_MESSAGES_EMITTED,
+    RUNTIME_GATHERS,
+    RUNTIME_DETECTS,
+    RUNTIME_DELIVERIES,
+    RUNTIME_MESSAGES_RECEIVED,
+    RUNTIME_DECISIONS,
+    RUNTIME_STATE_ACCESSES,
+    RUNTIME_ROUND_LATENCY,
+    RUNTIME_GATHER_TIMEOUTS,
+    RUNTIME_ERR_VIOLATION,
+    RUNTIME_ERR_WRONG_COUNT,
+    RUNTIME_ERR_ROUND_LIMIT,
+    RUNTIME_ERR_PROCESS_DIED,
+    RUNTIME_ERR_PROCESS_PANICKED,
+    RUNTIME_ERR_CHANNEL_CLOSED,
+    SIM_SCHED_EVENTS,
+    SIM_STEPS,
+    SIM_CRASHES,
+    SIM_DELIVERIES,
+    SIM_BRANCHING,
+    SIM_SCHED_DEPTH,
+    EXPLORE_SCHEDULES,
+    EXPLORE_DECISION_POINTS,
+    EXPLORE_MAX_DEPTH,
+    EXPLORE_PRUNED_HASH,
+    EXPLORE_PRUNED_SYMMETRY,
+    EXPLORE_WORKERS,
+    EXPLORE_SPLITS,
+    EXPLORE_MEMO_ENTRIES,
+    EXPLORE_MEMO_BYTES,
+    EXPLORE_MEMO_SATURATED,
+    EXPLORE_MEMO_DEGRADED,
+    EXPLORE_GRAPHS,
+    EXPLORE_REVISITS,
+    EXPLORE_STEALS,
+    EXPLORE_SLEEP_BLOCKED,
+    POOL_INSTANCES,
+    POOL_ERRORS,
+    POOL_ROUNDS,
+    POOL_ROUND_LATENCY,
+    POOL_BUFFER_REUSES,
+    POOL_SHARDS,
+    CONF_ROUNDS,
+    CONF_CHECKS,
+    CONF_SATISFIED,
+    CONF_FIRST_VIOLATION,
+    CONF_STRONGEST,
+    PRED_COMPILED_EVALS,
+    LATTICE_MEMO_HITS,
+    LATTICE_MEMO_MISSES,
+];
+
+#[cfg(test)]
+mod tests {
+    use super::ALL;
+
+    #[test]
+    fn every_name_is_registered_once() {
+        let source = include_str!("names.rs");
+        let declared: Vec<&str> = source
+            .lines()
+            .filter_map(|line| line.strip_prefix("pub const "))
+            .filter_map(|rest| rest.split_once(": &str = \""))
+            .filter_map(|(_, value)| value.split_once('"'))
+            .map(|(value, _)| value)
+            .collect();
+        assert_eq!(declared.len(), ALL.len());
+        assert_eq!(declared, ALL.to_vec(), "ALL lists the names in order");
+        let mut sorted = ALL.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), ALL.len(), "names are distinct");
+    }
+}

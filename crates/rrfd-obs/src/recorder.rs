@@ -3,19 +3,24 @@
 //! The [`Recorder`] trait is the single sink interface; instrumented code
 //! holds it behind an [`crate::Obs`] handle. Two implementations ship:
 //! [`NoopRecorder`] (the disabled default) and [`ShardedRecorder`], a
-//! "lock-free-enough" store — samples hash to one of a fixed set of
-//! shards, each a small mutex-guarded map, so concurrent writers from the
-//! threaded runtime rarely contend. Determinism comes at snapshot time,
-//! not record time: [`Recorder::snapshot`] sorts every entry by
+//! dense store. Registered metrics are interned into [`MetricId`]s, and
+//! each metric's slots sit in a table indexed by `(round, process)`, so
+//! recording a sample indexes arrays instead of hashing a string. The
+//! store is striped by thread, so concurrent writers (the pool's shards,
+//! the threaded runtime's process threads) take different locks, and a
+//! run's buffered samples arrive in one [`Recorder::flush`] under one
+//! lock. Determinism comes at snapshot time, not record time:
+//! [`Recorder::snapshot`] merges the stripes and sorts every entry by
 //! `(metric, process, round)`, so physical recording order never leaks
 //! into an export.
 
+use crate::buffer::{RunBuffer, SampleValue};
 use crate::hist::{Histogram, HistogramSnapshot};
+use crate::metric::MetricId;
 use crate::span::{self, SpanRecord};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The label schema every sample carries: which process (if any) and
 /// which round (0 = not round-scoped). Bounded cardinality by
@@ -164,6 +169,26 @@ pub trait Recorder: Send + Sync + std::fmt::Debug {
     fn spans(&self) -> Vec<SpanRecord> {
         Vec::new()
     }
+    /// Takes every sample and span of a run's `buffer`, leaving it empty
+    /// (its allocation kept). The default replays each sample through
+    /// [`Recorder::add`], [`Recorder::gauge`] or [`Recorder::observe`] in
+    /// recording order, then each span through [`Recorder::record_span`],
+    /// so a recorder that implements only the required methods still sees
+    /// every sample exactly as if it had been recorded unbuffered.
+    fn flush(&self, buffer: &mut RunBuffer) {
+        for sample in buffer.samples() {
+            let (metric, labels) = (sample.metric().name(), sample.labels());
+            match sample.value() {
+                SampleValue::Add(delta) => self.add(metric, labels, delta),
+                SampleValue::Gauge(value) => self.gauge(metric, labels, value),
+                SampleValue::Observe(value) => self.observe(metric, labels, value),
+            }
+        }
+        for span in buffer.spans() {
+            self.record_span(*span);
+        }
+        buffer.clear();
+    }
 }
 
 /// The disabled recorder: drops everything.
@@ -179,149 +204,332 @@ impl Recorder for NoopRecorder {
     }
 }
 
-/// One live slot in a shard. A metric's kind is fixed by its first sample;
-/// mismatched operations on an existing slot are ignored rather than
-/// panicking (the lint pass keeps `panic!` out of library code, and a
-/// metrics layer must never take a run down).
-#[derive(Debug)]
+/// One live slot. A slot's kind is fixed by its first sample; mismatched
+/// operations on an existing slot are ignored rather than panicking (the
+/// lint pass keeps `panic!` out of library code, and a metrics layer must
+/// never take a run down).
+#[derive(Debug, Clone, Copy, Default)]
 enum Slot {
+    #[default]
+    Empty,
     Counter(u64),
-    Gauge(i64),
-    Hist(Histogram),
+    /// A gauge level plus the recorder-wide stamp of its write, which
+    /// orders writes that landed in different stripes.
+    Gauge {
+        value: i64,
+        stamp: u64,
+    },
+    /// An index into the owning table's histogram arena.
+    Hist(usize),
 }
 
-const SHARDS: usize = 16;
+/// Labels at or beyond these bounds live in a table's sparse map instead
+/// of its dense slots, so one outlandish label cannot allocate millions of
+/// empty slots.
+const DENSE_ROUNDS: usize = 1 << 16;
+const DENSE_PROCESSES: usize = 1 << 10;
 
-/// The default enabled recorder: samples hash to one of `SHARDS`
-/// mutex-guarded maps keyed by `(metric, labels)`. Contention is limited
-/// to samples that collide on a shard; the maps are only merged (and
-/// sorted) at snapshot time.
-#[derive(Debug)]
-pub struct ShardedRecorder {
-    shards: Vec<Mutex<HashMap<(&'static str, Labels), Slot>>>,
-    /// Span storage, sharded by instance so the pool's parallel shards
-    /// (each driving a distinct instance range) rarely contend.
-    span_shards: Vec<Mutex<Vec<SpanRecord>>>,
+/// The narrowest row a per-process table starts with: room for 15
+/// processes before a row has to widen.
+const MIN_PROCESS_ROW: usize = 16;
+
+/// One metric's slots, in one flat vector of rows: the slot for
+/// `(round, process slot)` is `slots[round * row + process slot]`, where
+/// process slot 0 is "no process" and slot `p + 1` is process `p`. A
+/// round-only metric keeps rows of one slot; the first per-process sample
+/// widens rows to [`MIN_PROCESS_ROW`] (or the next power of two that fits).
+/// Rows grow on first use; nothing is preallocated. Histograms live in an
+/// arena beside the slots, so a new histogram is not an allocation of its
+/// own.
+#[derive(Debug, Clone, Default)]
+struct Table {
+    slots: Vec<Slot>,
+    row: usize,
+    hists: Vec<Histogram>,
+    sparse: BTreeMap<Labels, Slot>,
 }
 
-impl Default for ShardedRecorder {
-    fn default() -> Self {
-        ShardedRecorder {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            span_shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+impl Table {
+    fn slot(&mut self, labels: Labels) -> &mut Slot {
+        let round = labels.round as usize;
+        let process = labels.process.map_or(0, |p| p as usize + 1);
+        if round >= DENSE_ROUNDS || process >= DENSE_PROCESSES {
+            return self.sparse.entry(labels).or_default();
+        }
+        if process >= self.row {
+            self.widen(process);
+        }
+        let index = round * self.row + process;
+        if self.slots.len() <= index {
+            self.slots.resize((round + 1) * self.row, Slot::Empty);
+        }
+        &mut self.slots[index]
+    }
+
+    /// Re-lays the slots out with rows wide enough for `process`.
+    fn widen(&mut self, process: usize) {
+        let row = match (self.row, process) {
+            (0, 0) => 1,
+            _ => (process + 1).next_power_of_two().max(MIN_PROCESS_ROW),
+        };
+        let mut slots = Vec::new();
+        // An empty table has no rows, whatever the chunk size.
+        for old_row in self.slots.chunks(self.row.max(1)) {
+            slots.extend_from_slice(old_row);
+            slots.resize(slots.len() + row - old_row.len(), Slot::Empty);
+        }
+        self.slots = slots;
+        self.row = row;
+    }
+
+    fn apply(&mut self, labels: Labels, value: SampleValue, stamps: &AtomicU64) {
+        let next_hist = self.hists.len();
+        let slot = self.slot(labels);
+        match (*slot, value) {
+            (Slot::Empty, SampleValue::Add(delta)) => *slot = Slot::Counter(delta),
+            (Slot::Counter(v), SampleValue::Add(delta)) => {
+                *slot = Slot::Counter(v.saturating_add(delta));
+            }
+            (Slot::Empty | Slot::Gauge { .. }, SampleValue::Gauge(value)) => {
+                *slot = Slot::Gauge {
+                    value,
+                    stamp: stamps.fetch_add(1, Ordering::Relaxed),
+                };
+            }
+            (Slot::Empty, SampleValue::Observe(value)) => {
+                *slot = Slot::Hist(next_hist);
+                let mut h = Histogram::new();
+                h.observe(value);
+                if self.hists.capacity() == 0 {
+                    // A row's worth up front: its slots tend to fill together.
+                    self.hists.reserve_exact(self.row);
+                }
+                self.hists.push(h);
+            }
+            (Slot::Hist(at), SampleValue::Observe(value)) => self.hists[at].observe(value),
+            _ => {}
+        }
+    }
+
+    /// Every non-empty slot with its labels.
+    fn slots(&self) -> impl Iterator<Item = (Labels, Slot)> + '_ {
+        let row = self.row.max(1);
+        let dense = self.slots.iter().enumerate().map(move |(index, slot)| {
+            let labels = Labels {
+                process: (index % row).checked_sub(1).map(|p| p as u32),
+                round: (index / row) as u32,
+            };
+            (labels, *slot)
+        });
+        dense
+            .chain(self.sparse.iter().map(|(labels, slot)| (*labels, *slot)))
+            .filter(|(_, slot)| !matches!(slot, Slot::Empty))
+    }
+
+    fn value(&self, slot: Slot) -> Option<MetricValue> {
+        match slot {
+            Slot::Empty => None,
+            Slot::Counter(v) => Some(MetricValue::Counter(v)),
+            Slot::Gauge { value, .. } => Some(MetricValue::Gauge(value)),
+            Slot::Hist(at) => Some(MetricValue::Histogram(self.hists[at].snapshot())),
+        }
+    }
+
+    /// Folds another stripe's table for the same metric into this one:
+    /// counters add, the later-stamped gauge wins, histograms merge, and a
+    /// slot whose kinds disagree keeps this table's kind.
+    fn merge(&mut self, other: &Table) {
+        for (labels, theirs) in other.slots() {
+            let next_hist = self.hists.len();
+            let mine = self.slot(labels);
+            match (*mine, theirs) {
+                (Slot::Empty, Slot::Hist(at)) => {
+                    *mine = Slot::Hist(next_hist);
+                    self.hists.push(other.hists[at].clone());
+                }
+                (Slot::Empty, _) => *mine = theirs,
+                (Slot::Counter(a), Slot::Counter(b)) => *mine = Slot::Counter(a.saturating_add(b)),
+                (Slot::Gauge { stamp: a, .. }, Slot::Gauge { stamp: b, .. }) if b > a => {
+                    *mine = theirs;
+                }
+                (Slot::Hist(a), Slot::Hist(b)) => self.hists[a].merge(&other.hists[b]),
+                _ => {}
+            }
         }
     }
 }
 
+/// One stripe of the store: a table per registered metric (indexed by
+/// [`MetricId`], grown on first use), tables for unregistered names in
+/// first-use order, and the spans recorded into this stripe.
+#[derive(Debug, Default)]
+struct Stripe {
+    tables: Vec<Table>,
+    unregistered: Vec<(&'static str, Table)>,
+    spans: Vec<SpanRecord>,
+}
+
+impl Stripe {
+    fn table(&mut self, id: MetricId) -> &mut Table {
+        if self.tables.is_empty() {
+            self.tables.resize_with(MetricId::COUNT, Table::default);
+        }
+        &mut self.tables[id.index()]
+    }
+
+    fn unregistered_table(&mut self, name: &'static str) -> &mut Table {
+        let at = match self.unregistered.iter().position(|(n, _)| *n == name) {
+            Some(at) => at,
+            None => {
+                self.unregistered.push((name, Table::default()));
+                self.unregistered.len() - 1
+            }
+        };
+        &mut self.unregistered[at].1
+    }
+
+    /// Folds another stripe's metrics (not its spans) into this one.
+    fn merge(&mut self, other: &Stripe) {
+        if self.tables.len() < other.tables.len() {
+            self.tables.resize_with(other.tables.len(), Table::default);
+        }
+        for (mine, theirs) in self.tables.iter_mut().zip(&other.tables) {
+            mine.merge(theirs);
+        }
+        for (name, table) in &other.unregistered {
+            self.unregistered_table(name).merge(table);
+        }
+    }
+
+    /// Every non-empty slot as a snapshot row, unsorted.
+    fn entries(&self) -> Vec<Entry> {
+        let registered = self
+            .tables
+            .iter()
+            .enumerate()
+            .map(|(index, table)| (crate::names::ALL[index], table));
+        let unregistered = self.unregistered.iter().map(|(name, table)| (*name, table));
+        let mut entries = Vec::new();
+        for (metric, table) in registered.chain(unregistered) {
+            for (labels, slot) in table.slots() {
+                if let Some(value) = table.value(slot) {
+                    entries.push(Entry {
+                        metric: metric.to_owned(),
+                        labels,
+                        value,
+                    });
+                }
+            }
+        }
+        entries
+    }
+}
+
+const STRIPES: usize = 16;
+
+/// Hands each thread a stripe, round-robin in order of first use.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+/// Locks a stripe. Stripes hold plain data that no panic can leave half
+/// written, so a poisoned lock is still safe to use.
+fn lock(stripe: &Mutex<Stripe>) -> MutexGuard<'_, Stripe> {
+    stripe.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    static THREAD_STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+}
+
+/// The default enabled recorder: a dense store striped by thread.
+///
+/// Each stripe holds one table per metric, indexed by `(round, process)`
+/// (see the module docs); a thread always records into the same stripe,
+/// so up to `STRIPES` threads never share a lock. A snapshot merges the
+/// stripes — counters add, histograms merge bucket-wise, and of two gauge
+/// writes to one key the later one wins — and sorts the result.
+#[derive(Debug, Default)]
+pub struct ShardedRecorder {
+    stripes: [Mutex<Stripe>; STRIPES],
+    /// Stamps gauge writes so last-write-wins holds across stripes.
+    gauge_stamps: AtomicU64,
+}
+
 impl ShardedRecorder {
-    /// An empty recorder.
+    /// An empty recorder: one value with no heap allocation; its tables
+    /// grow as samples arrive.
     #[must_use]
     pub fn new() -> Self {
         ShardedRecorder::default()
     }
 
-    fn shard(
-        &self,
-        metric: &'static str,
-        labels: Labels,
-    ) -> &Mutex<HashMap<(&'static str, Labels), Slot>> {
-        let mut hasher = DefaultHasher::new();
-        metric.hash(&mut hasher);
-        labels.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
+    /// The calling thread's stripe, locked.
+    fn stripe(&self) -> MutexGuard<'_, Stripe> {
+        lock(&self.stripes[THREAD_STRIPE.with(|stripe| *stripe)])
     }
 
-    fn with_slot(
-        &self,
-        metric: &'static str,
-        labels: Labels,
-        make: impl FnOnce() -> Slot,
-        update: impl FnOnce(&mut Slot),
-    ) {
-        let mut map = self
-            .shard(metric, labels)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let slot = map.entry((metric, labels)).or_insert_with(make);
-        update(slot);
+    fn record(&self, metric: &'static str, labels: Labels, value: SampleValue) {
+        let id = MetricId::lookup(metric);
+        let mut stripe = self.stripe();
+        let table = match id {
+            Some(id) => stripe.table(id),
+            None => stripe.unregistered_table(metric),
+        };
+        table.apply(labels, value, &self.gauge_stamps);
     }
 }
 
 impl Recorder for ShardedRecorder {
     fn add(&self, metric: &'static str, labels: Labels, delta: u64) {
-        self.with_slot(
-            metric,
-            labels,
-            || Slot::Counter(0),
-            |slot| {
-                if let Slot::Counter(v) = slot {
-                    *v = v.saturating_add(delta);
-                }
-            },
-        );
+        self.record(metric, labels, SampleValue::Add(delta));
     }
 
     fn gauge(&self, metric: &'static str, labels: Labels, value: i64) {
-        self.with_slot(
-            metric,
-            labels,
-            || Slot::Gauge(0),
-            |slot| {
-                if let Slot::Gauge(v) = slot {
-                    *v = value;
-                }
-            },
-        );
+        self.record(metric, labels, SampleValue::Gauge(value));
     }
 
     fn observe(&self, metric: &'static str, labels: Labels, value: u64) {
-        self.with_slot(
-            metric,
-            labels,
-            || Slot::Hist(Histogram::new()),
-            |slot| {
-                if let Slot::Hist(h) = slot {
-                    h.observe(value);
-                }
-            },
-        );
+        self.record(metric, labels, SampleValue::Observe(value));
     }
 
     fn snapshot(&self) -> Snapshot {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            let map = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (&(metric, labels), slot) in map.iter() {
-                let value = match slot {
-                    Slot::Counter(v) => MetricValue::Counter(*v),
-                    Slot::Gauge(v) => MetricValue::Gauge(*v),
-                    Slot::Hist(h) => MetricValue::Histogram(h.snapshot()),
-                };
-                entries.push(Entry {
-                    metric: metric.to_owned(),
-                    labels,
-                    value,
-                });
-            }
+        let mut merged = Stripe::default();
+        for stripe in &self.stripes {
+            merged.merge(&lock(stripe));
         }
-        Snapshot::from_entries(entries)
+        Snapshot::from_entries(merged.entries())
     }
 
     fn record_span(&self, span: SpanRecord) {
-        let mut shard = self.span_shards[(span.instance as usize) % SHARDS]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        shard.push(span);
+        self.stripe().spans.push(span);
     }
 
     fn spans(&self) -> Vec<SpanRecord> {
-        let mut all = Vec::new();
-        for shard in &self.span_shards {
-            let spans = shard.lock().unwrap_or_else(|e| e.into_inner());
-            all.extend_from_slice(&spans);
+        // Every stripe is held for the one copy into canonical order. No
+        // other path holds two stripes, and this one locks in index order,
+        // so concurrent exports cannot deadlock.
+        let stripes: Vec<MutexGuard<'_, Stripe>> = self.stripes.iter().map(lock).collect();
+        let parts: Vec<&[SpanRecord]> = stripes.iter().map(|s| s.spans.as_slice()).collect();
+        span::sorted_canonical(&parts)
+    }
+
+    fn flush(&self, buffer: &mut RunBuffer) {
+        {
+            let mut stripe = self.stripe();
+            for sample in buffer.samples() {
+                stripe.table(sample.metric()).apply(
+                    sample.labels(),
+                    sample.value(),
+                    &self.gauge_stamps,
+                );
+            }
+            stripe.spans.extend_from_slice(buffer.spans());
+            // Sorting the run's spans here, on the flushing thread, leaves
+            // the export's canonical sort a linear pass over them (a stable
+            // pre-sort by the same key cannot change the final order).
+            let flushed = stripe.spans.len() - buffer.spans().len();
+            stripe.spans[flushed..].sort_by_key(span::canonical_key);
         }
-        span::sort_canonical(&mut all);
-        all
+        buffer.clear();
     }
 }
 
@@ -420,6 +628,106 @@ mod tests {
         }
         let snap = rec.snapshot();
         assert_eq!(snap.counter_total("c"), 4000);
+    }
+
+    #[test]
+    fn rows_widen_without_losing_slots() {
+        let rec = ShardedRecorder::new();
+        // Round-only samples first (one-slot rows), then per-process ones
+        // that force a re-layout, then a process past the first width.
+        rec.add("w", Labels::round(1), 1);
+        rec.add("w", Labels::round(3), 3);
+        rec.add("w", Labels::process_round(0, 2), 20);
+        rec.add("w", Labels::process_round(40, 3), 403);
+        rec.observe("h", Labels::process_round(2, 1), 5);
+        rec.observe("h", Labels::process_round(30, 1), 7);
+        let snap = rec.snapshot();
+        let counter = |labels| snap.get("w", labels).cloned();
+        assert_eq!(counter(Labels::round(1)), Some(MetricValue::Counter(1)));
+        assert_eq!(counter(Labels::round(3)), Some(MetricValue::Counter(3)));
+        assert_eq!(
+            counter(Labels::process_round(0, 2)),
+            Some(MetricValue::Counter(20))
+        );
+        assert_eq!(
+            counter(Labels::process_round(40, 3)),
+            Some(MetricValue::Counter(403))
+        );
+        assert_eq!(snap.counter_total("w"), 427);
+        for (process, value) in [(2, 5), (30, 7)] {
+            let Some(MetricValue::Histogram(h)) = snap.get("h", Labels::process_round(process, 1))
+            else {
+                panic!("expected a histogram at process {process}");
+            };
+            assert_eq!((h.count, h.sum), (1, value));
+        }
+        assert_eq!(snap.entries().len(), 6);
+    }
+
+    #[test]
+    fn outlandish_labels_fall_back_to_the_sparse_map() {
+        let rec = ShardedRecorder::new();
+        let far = Labels::process_round(1 << 20, u32::MAX);
+        rec.add(crate::names::ENGINE_ROUNDS, far, 2);
+        rec.add(crate::names::ENGINE_ROUNDS, far, 3);
+        rec.add(crate::names::ENGINE_ROUNDS, Labels::round(1), 1);
+        let snap = rec.snapshot();
+        assert_eq!(
+            snap.get(crate::names::ENGINE_ROUNDS, far),
+            Some(&MetricValue::Counter(5))
+        );
+        assert_eq!(snap.counter_total(crate::names::ENGINE_ROUNDS), 6);
+    }
+
+    #[test]
+    fn stripes_merge_counters_histograms_and_the_latest_gauge() {
+        use std::sync::Arc;
+        let rec = Arc::new(ShardedRecorder::new());
+        // Sequential writers on distinct threads: each thread records into
+        // its own stripe, and the later gauge write must win the merge.
+        for value in [1i64, 2, 3] {
+            let rec = Arc::clone(&rec);
+            std::thread::spawn(move || {
+                rec.gauge("g", Labels::GLOBAL, value);
+                rec.add("c", Labels::process(0), 10);
+                rec.observe("h", Labels::GLOBAL, 4);
+            })
+            .join()
+            .expect("writer thread");
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.get("g", Labels::GLOBAL), Some(&MetricValue::Gauge(3)));
+        assert_eq!(snap.counter_total("c"), 30);
+        let Some(MetricValue::Histogram(h)) = snap.get("h", Labels::GLOBAL) else {
+            panic!("expected a histogram");
+        };
+        assert_eq!((h.count, h.sum), (3, 12));
+    }
+
+    #[test]
+    fn flush_applies_a_buffer_like_individual_calls() {
+        use crate::{names, MetricId, RunBuffer};
+        let id = MetricId::of(names::CONF_SATISFIED);
+        let mut buffer = RunBuffer::new();
+        buffer.gauge(id, Labels::process(1), 1);
+        buffer.gauge(id, Labels::process(1), 0);
+        buffer.add(MetricId::of(names::CONF_ROUNDS), Labels::GLOBAL, 4);
+        buffer.observe(MetricId::of(names::POOL_ROUND_LATENCY), Labels::GLOBAL, 9);
+        let batched = ShardedRecorder::new();
+        batched.flush(&mut buffer);
+        assert!(buffer.is_empty(), "flushing empties the buffer");
+        let single = ShardedRecorder::new();
+        single.gauge(names::CONF_SATISFIED, Labels::process(1), 1);
+        single.gauge(names::CONF_SATISFIED, Labels::process(1), 0);
+        single.add(names::CONF_ROUNDS, Labels::GLOBAL, 4);
+        single.observe(names::POOL_ROUND_LATENCY, Labels::GLOBAL, 9);
+        assert_eq!(batched.snapshot(), single.snapshot());
+        assert_eq!(
+            batched
+                .snapshot()
+                .get(names::CONF_SATISFIED, Labels::process(1)),
+            Some(&MetricValue::Gauge(0))
+        );
     }
 
     #[test]

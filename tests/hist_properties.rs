@@ -12,6 +12,9 @@
 //!    exact ceiling-nearest-rank quantile of the raw sample — the
 //!    tightest upper bound the bucket layout can express — and `None`
 //!    precisely when the exact quantile overflows the largest bound.
+//! 3. **Merging is observing.** Merging the histograms of any split of a
+//!    sample equals observing the whole sample in one histogram — the
+//!    property the recorder's stripe merge relies on.
 
 use proptest::prelude::*;
 use rrfd::obs::{Histogram, BUCKET_BOUNDS};
@@ -106,5 +109,32 @@ proptest! {
             (None, Some(b)) => prop_assert!(false, "q{lo} overflowed but q{hi}={b} did not"),
             _ => {}
         }
+    }
+
+    #[test]
+    fn merging_the_parts_of_any_split_equals_observing_the_whole(
+        values in prop::collection::vec(any::<u64>(), 0..120),
+        cuts in prop::collection::vec(0usize..=120, 0..6),
+    ) {
+        let mut whole = Histogram::new();
+        for &v in &values {
+            whole.observe(v);
+        }
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(values.len())).collect();
+        bounds.push(0);
+        bounds.push(values.len());
+        bounds.sort_unstable();
+        let mut merged = Histogram::new();
+        for pair in bounds.windows(2) {
+            let mut part = Histogram::new();
+            for &v in &values[pair[0]..pair[1]] {
+                part.observe(v);
+            }
+            merged.merge(&part);
+        }
+        prop_assert_eq!(merged.count(), whole.count());
+        prop_assert_eq!(merged.sum(), whole.sum());
+        prop_assert_eq!(merged.snapshot(), whole.snapshot());
+        prop_assert_eq!(merged, whole);
     }
 }
