@@ -3,10 +3,10 @@
 //! A [`VectorClock`] over `k` actors orders events by causality: event `a`
 //! happens-before event `b` exactly when `a`'s clock is pointwise ≤ `b`'s.
 //! The race checker in `rrfd-analyze` uses clocks over
-//! `coordinator + processes`; the DPOR explorer in `rrfd-sims` uses clocks
-//! over the process universe of one simulated run. Both need the same four
-//! operations — `tick`, `join`, `le`, `concurrent_with` — so the type lives
-//! here, on the crate every other layer already depends on.
+//! `coordinator + processes`; the DPOR execution graph's test oracle uses
+//! clocks over the process universe of one simulated run. Both need the
+//! same operations — `tick`, `join`, `le`, `concurrent_with` — so the type
+//! lives here, on the crate every other layer already depends on.
 
 /// A vector clock over a fixed universe of `k` actors.
 ///

@@ -3,18 +3,17 @@
 //!
 //! One complete run of a simulator is recorded as a sequence of events,
 //! each carrying the shared-state footprint ([`Access`]) its application
-//! reported and a [`VectorClock`] positioning it in the happens-before
-//! partial order. Two events *conflict* when swapping them can change the
-//! run's outcome; happens-before is the transitive closure of program
-//! order and conflict order. Everything the DPOR driver derives from a
-//! run — the class identity, the race list, the revisit prefixes — is
-//! computed from this partial order, never from the incidental order in
-//! which the run happened to be executed. That makes the derived data a
-//! pure function of the trace class, which is what keeps the exploration
-//! deterministic across worker counts.
+//! reported; per event, the graph keeps the set of events that happen
+//! before it as a bit row. Two events *conflict* when swapping them can
+//! change the run's outcome; happens-before is the transitive closure of
+//! program order and conflict order. Everything the DPOR driver derives
+//! from a run — the class identity, the race list, the revisit prefixes —
+//! is computed from this partial order, never from the incidental order
+//! in which the run happened to be executed. That makes the derived data
+//! a pure function of the trace class, which is what keeps the
+//! exploration deterministic across worker counts.
 
 use crate::trace::SchedEvent;
-use rrfd_core::hb::VectorClock;
 use rrfd_core::ProcessId;
 use std::fmt;
 
@@ -129,8 +128,7 @@ impl Access {
 }
 
 /// One event of a recorded execution: the scheduler event itself, the
-/// process it names, the footprint its application reported, and its
-/// position in happens-before.
+/// process it names, and the footprint its application reported.
 #[derive(Debug, Clone)]
 pub struct ExecEvent<E> {
     /// The scheduler event, replayable through the simulator.
@@ -139,19 +137,50 @@ pub struct ExecEvent<E> {
     pub pid: ProcessId,
     /// The shared-state footprint the application reported.
     pub access: Access,
-    /// Vector clock: `a.clock.le(&b.clock)` iff `a` happens-before `b`
-    /// (or `a == b`).
-    pub clock: VectorClock,
+}
+
+/// Words of a bit row over `bits` events.
+fn words(bits: usize) -> usize {
+    bits.div_ceil(64)
+}
+
+fn bit(row: &[u64], i: usize) -> bool {
+    row[i / 64] >> (i % 64) & 1 == 1
+}
+
+fn set_bit(row: &mut [u64], i: usize) {
+    row[i / 64] |= 1 << (i % 64);
+}
+
+/// The indices of the set bits of `row`, ascending.
+fn ones(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// A recorded execution with its happens-before order, built
 /// incrementally as events are applied.
+///
+/// Happens-before is stored as one bit row per event: bit `i` of event
+/// `k`'s row is set iff `i →hb k`. Every edge runs from an earlier event
+/// to a later one, so event `k`'s row needs only `k` bits; the rows are
+/// packed back to back in one flat buffer.
 #[derive(Debug, Clone)]
 pub struct ExecutionGraph<E> {
     n: usize,
     events: Vec<ExecEvent<E>>,
-    /// Clock of each process's latest event (zero before its first).
-    proc_clocks: Vec<VectorClock>,
+    /// Every event's strict-predecessor row, back to back.
+    rows: Vec<u64>,
+    /// Where each event's row starts in `rows`.
+    row_start: Vec<usize>,
 }
 
 impl<E: SchedEvent> ExecutionGraph<E> {
@@ -161,7 +190,8 @@ impl<E: SchedEvent> ExecutionGraph<E> {
         ExecutionGraph {
             n,
             events: Vec::new(),
-            proc_clocks: vec![VectorClock::zero(n); n],
+            rows: Vec::new(),
+            row_start: Vec::new(),
         }
     }
 
@@ -183,105 +213,132 @@ impl<E: SchedEvent> ExecutionGraph<E> {
         self.events.is_empty()
     }
 
-    /// Records an applied event. Its clock is the join of the process's
-    /// program-order predecessor and every earlier conflicting event,
-    /// ticked at `pid` — so `le` between clocks decides happens-before.
+    /// Event `k`'s strict-predecessor row.
+    fn row(&self, k: usize) -> &[u64] {
+        let start = self.row_start[k];
+        &self.rows[start..start + words(k)]
+    }
+
+    /// Records an applied event. Its predecessors are its program-order
+    /// predecessor and every earlier conflicting event of another
+    /// process, each together with its own predecessors. Priors are
+    /// scanned newest first, so a prior that is already a predecessor
+    /// brings nothing new and is skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pid` is not one of the graph's `n` processes.
     pub fn push(&mut self, event: E, pid: ProcessId, access: Access) {
-        let mut clock = self.proc_clocks[pid.index()].clone();
-        for prior in &self.events {
-            if prior.pid != pid && prior.access.conflicts(access) {
-                clock.join(&prior.clock);
+        assert!(
+            pid.index() < self.n,
+            "process {pid:?} outside a graph over {} processes",
+            self.n
+        );
+        let k = self.events.len();
+        let start = self.rows.len();
+        self.rows.resize(start + words(k), 0);
+        let (earlier, row) = self.rows.split_at_mut(start);
+        for (m, prior) in self.events.iter().enumerate().rev() {
+            if bit(row, m) || !(prior.pid == pid || prior.access.conflicts(access)) {
+                continue;
             }
+            let from = self.row_start[m];
+            for (w, &word) in row.iter_mut().zip(&earlier[from..from + words(m)]) {
+                *w |= word;
+            }
+            set_bit(row, m);
         }
-        clock.tick(pid.index());
-        self.proc_clocks[pid.index()] = clock.clone();
-        self.events.push(ExecEvent {
-            event,
-            pid,
-            access,
-            clock,
-        });
+        self.row_start.push(start);
+        self.events.push(ExecEvent { event, pid, access });
     }
 
     /// Whether event `i` happens-before event `j` (strict: `false` when
     /// `i == j`).
     #[must_use]
     pub fn hb(&self, i: usize, j: usize) -> bool {
-        i != j && self.events[i].clock.le(&self.events[j].clock)
+        i < j && bit(self.row(j), i)
     }
 
     /// The canonical linearization of this run's trace class: a greedy
     /// topological sort of happens-before that always emits the
     /// hb-available event of the smallest process id. Within a process,
     /// program order forces a chain, so at most one event per process is
-    /// available at a time and the choice is unambiguous.
+    /// available at a time — its next unemitted event, available once
+    /// all of its predecessors are emitted — and the choice is
+    /// unambiguous.
     ///
     /// Two runs in the same Mazurkiewicz class have the same event set
     /// and the same happens-before order, hence the same canonical
-    /// linearization — its digest identifies the class, and data derived
-    /// from it is a pure function of the class.
+    /// linearization — it identifies the class, and data derived from it
+    /// is a pure function of the class.
     #[must_use]
     pub fn canonical_order(&self) -> Vec<usize> {
         let len = self.events.len();
-        let mut emitted = vec![false; len];
+        let next_of = |p: usize, from: usize| {
+            (from..len)
+                .find(|&m| self.events[m].pid.index() == p)
+                .unwrap_or(len)
+        };
+        let mut next: Vec<usize> = (0..self.n).map(|p| next_of(p, 0)).collect();
+        let mut emitted = vec![0u64; words(len)];
         let mut order = Vec::with_capacity(len);
         for _ in 0..len {
-            let mut best: Option<usize> = None;
-            for j in 0..len {
-                if emitted[j] {
-                    continue;
-                }
-                let ready = (0..len).all(|i| emitted[i] || !self.hb(i, j));
-                if !ready {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let (bp, jp) = (self.events[b].pid.index(), self.events[j].pid.index());
-                        jp < bp || (jp == bp && j < b)
-                    }
-                };
-                if better {
-                    best = Some(j);
-                }
-            }
-            let next = best.expect("happens-before must stay acyclic");
-            emitted[next] = true;
-            order.push(next);
+            let available = (0..self.n).find(|&p| {
+                next[p] < len
+                    && self
+                        .row(next[p])
+                        .iter()
+                        .zip(&emitted)
+                        .all(|(&pred, &done)| pred & !done == 0)
+            });
+            let Some(p) = available else {
+                unreachable!("happens-before must stay acyclic");
+            };
+            let j = next[p];
+            set_bit(&mut emitted, j);
+            order.push(j);
+            next[p] = next_of(p, j + 1);
         }
         order
     }
 
     /// Reversible races of this run, as index pairs `(i, j)` into
-    /// [`ExecutionGraph::events`]: conflicting events of different
-    /// processes with `i` happens-before `j` and no third event between
-    /// them in the order (`i →hb k →hb j`). Reversing such a pair is the
-    /// smallest perturbation that reaches a different trace class; races
-    /// with an intermediary are reached transitively by reversing the
-    /// smaller races first.
+    /// [`ExecutionGraph::events`], sorted: conflicting events of
+    /// different processes with `i` happens-before `j` and no third
+    /// event between them in the order (`i →hb k →hb j`). Reversing such
+    /// a pair is the smallest perturbation that reaches a different
+    /// trace class; races with an intermediary are reached transitively
+    /// by reversing the smaller races first.
     ///
     /// The definition mentions only the partial order, so the race list
     /// is the same for every linearization of the class.
     #[must_use]
     pub fn reversible_races(&self) -> Vec<(usize, usize)> {
-        let len = self.events.len();
         let mut races = Vec::new();
-        for i in 0..len {
-            for j in 0..len {
-                if i == j
-                    || self.events[i].pid == self.events[j].pid
-                    || !self.events[i].access.conflicts(self.events[j].access)
-                    || !self.hb(i, j)
-                {
-                    continue;
-                }
-                let mediated = (0..len).any(|k| k != i && k != j && self.hb(i, k) && self.hb(k, j));
-                if !mediated {
-                    races.push((i, j));
+        // Predecessors of `j`'s predecessors: exactly the events `i`
+        // with some `i →hb k →hb j`.
+        let mut mediated = vec![0u64; words(self.events.len())];
+        for (j, later) in self.events.iter().enumerate() {
+            let row = self.row(j);
+            let mediated = &mut mediated[..row.len()];
+            mediated.fill(0);
+            for k in ones(row) {
+                for (m, &word) in mediated.iter_mut().zip(self.row(k)) {
+                    *m |= word;
                 }
             }
+            races.extend(
+                ones(row)
+                    .filter(|&i| {
+                        let earlier = &self.events[i];
+                        earlier.pid != later.pid
+                            && earlier.access.conflicts(later.access)
+                            && !bit(mediated, i)
+                    })
+                    .map(|i| (i, j)),
+            );
         }
+        races.sort_unstable();
         races
     }
 

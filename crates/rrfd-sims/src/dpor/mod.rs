@@ -5,18 +5,20 @@
 //! order of commuting steps and reach the same outcome. This module
 //! rebuilds exploration around **execution graphs**: a completed run is
 //! a set of events partially ordered by happens-before (program order
-//! plus conflict order, tracked with the same vector clocks the race
-//! checker in `rrfd-analyze` uses — [`rrfd_core::hb`]). Runs with the
-//! same graph form one *Mazurkiewicz trace class* and are outcome-
+//! plus conflict order, kept as one predecessor bit row per event). Runs
+//! with the same graph form one *Mazurkiewicz trace class* and are outcome-
 //! equivalent, so the explorer visits **one representative per class**:
 //!
 //! 1. A work item is an event-sequence *revisit prefix*. Processing it
 //!    replays the prefix and extends it deterministically (always the
 //!    first enabled option) to a maximal run.
-//! 2. The run's class identity is the digest of its **canonical
-//!    linearization** (greedy smallest-pid topological sort of
-//!    happens-before). Already-seen classes are dropped — the sleep-set
-//!    role, counted in [`ExploreStats::sleep_set_blocked`].
+//! 2. The run's class identity is its **canonical linearization**
+//!    (greedy smallest-pid topological sort of happens-before). The
+//!    search keeps one dedup structure, the *revisit tree*: a trie over
+//!    event sequences shared by all workers. Walking the canonical
+//!    linearization through it and marking the end node is the class
+//!    check; already-marked classes are dropped — the sleep-set role,
+//!    counted in [`ExploreStats::sleep_set_blocked`].
 //! 3. A fresh class is checked, then expanded: every *reversible race*
 //!    (adjacent-in-happens-before conflict between different processes)
 //!    yields a revisit prefix that schedules the second event without
@@ -24,9 +26,12 @@
 //!    enabled crash the deterministic extension skipped yields a
 //!    *choice* prefix. Children are derived from the canonical form, so
 //!    they are a pure function of the class.
-//! 4. Fresh prefixes (deduplicated again, by content) become new work
-//!    items, distributed over a vendored work-stealing deque pool
-//!    ([`StealPool`]).
+//! 4. Each child is located in the revisit tree relative to the class's
+//!    canonical path (a depth plus a short tail), and is queued only if
+//!    its end node was not queued before. Only fresh children are built
+//!    into prefixes; they become new work items, distributed over a
+//!    vendored work-stealing deque pool ([`StealPool`]). The tree's lock
+//!    covers trie walks only — nothing is formatted or hashed under it.
 //!
 //! Because the explored set is the closure of a pure `children`
 //! function, every reported number except [`ExploreStats::steals`] and
@@ -59,6 +64,10 @@ use revisit::{drive_dpor, DporTarget};
 use rrfd_core::ProcessId;
 use rrfd_obs::Obs;
 
+/// Environment variable overriding the default worker count
+/// ([`DporConfig::from_env`]).
+pub const WORKERS_ENV: &str = "RRFD_EXPLORE_WORKERS";
+
 /// Configuration of a DPOR exploration.
 #[derive(Debug, Clone)]
 pub struct DporConfig {
@@ -79,12 +88,12 @@ impl DporConfig {
         }
     }
 
-    /// Worker count from the `RRFD_EXPLORE_WORKERS` environment variable
+    /// Worker count from the [`WORKERS_ENV`] environment variable
     /// (shared with the legacy parallel explorer), falling back to the
     /// machine's available parallelism.
     #[must_use]
     pub fn from_env() -> Self {
-        let workers = std::env::var(crate::explore_par::WORKERS_ENV)
+        let workers = std::env::var(WORKERS_ENV)
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&w| w >= 1)
@@ -303,7 +312,7 @@ where
 /// A violated predicate is found by this search **iff** the exhaustive
 /// walk finds one — all members of a class produce the same run report —
 /// and the returned certificate replays to the same violation. Requires
-/// no state digests: class identity is an event-sequence digest, so
+/// no state digests: class identity is an event sequence, so
 /// oracle-bearing protocols explore soundly.
 ///
 /// # Errors

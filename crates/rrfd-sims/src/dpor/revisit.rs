@@ -19,12 +19,12 @@
 
 use super::graph::{Access, EventLine, ExecutionGraph};
 use super::pool::StealPool;
-use crate::digest::{DigestMemo, DigestWriter, StateKey};
+use crate::digest::{DigestWriter, StateKey};
 use crate::explore::{Counterexample, ExploreStats};
 use crate::trace::{SchedEvent, ScheduleTrace};
 use rrfd_core::ProcessId;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What the DPOR driver needs from an execution state. The contract
 /// mirrors the legacy explorer's `Explorable`, minus state digests (DPOR
@@ -84,8 +84,8 @@ impl<E: SchedEvent> std::fmt::Display for DporError<E> {
 impl<E: SchedEvent> std::error::Error for DporError<E> {}
 
 /// Digest of an event sequence through its trace-line encoding: the
-/// class identity of a canonical linearization, and the dedup key of a
-/// proposed revisit prefix.
+/// key of a failing class's canonical linearization, compared across
+/// failing classes to pick the counterexample.
 fn events_key<E: SchedEvent>(events: impl IntoIterator<Item = E>) -> StateKey {
     let mut w = DigestWriter::new();
     for event in events {
@@ -94,6 +94,133 @@ fn events_key<E: SchedEvent>(events: impl IntoIterator<Item = E>) -> StateKey {
         w.write_bytes(line.as_bytes());
     }
     w.finish()
+}
+
+/// One node of the [`RevisitTree`]: the event sequence spelled by the
+/// edges from the root.
+#[derive(Debug)]
+struct Node<E> {
+    children: Vec<(E, u32)>,
+    /// The sequence was proposed as a revisit prefix and queued.
+    queued: bool,
+    /// The sequence is the canonical linearization of an explored class.
+    class: bool,
+}
+
+impl<E> Node<E> {
+    const EMPTY: Node<E> = Node {
+        children: Vec::new(),
+        queued: false,
+        class: false,
+    };
+}
+
+/// The one dedup structure of the search: a trie over event sequences,
+/// shared by every worker behind one mutex. A class is explored once
+/// because its canonical linearization's end node is marked `class` once;
+/// a revisit prefix is queued once because its end node is marked
+/// `queued` once. Children are located relative to their parent class's
+/// canonical path, so proposing one walks only its tail. Nothing is
+/// formatted or hashed while the lock is held.
+#[derive(Debug)]
+struct RevisitTree<E> {
+    nodes: Vec<Node<E>>,
+    /// Class plus queued marks set: the deduplicated entries.
+    marks: usize,
+}
+
+impl<E: SchedEvent> RevisitTree<E> {
+    fn new() -> Self {
+        RevisitTree {
+            nodes: vec![Node::EMPTY],
+            marks: 0,
+        }
+    }
+
+    /// The child of `node` along `event`, created if absent.
+    fn step(&mut self, node: u32, event: E) -> u32 {
+        let edges = &self.nodes[node as usize].children;
+        if let Some(&(_, child)) = edges.iter().find(|(e, _)| *e == event) {
+            return child;
+        }
+        let child = self.nodes.len();
+        assert!(child <= u32::MAX as usize, "revisit tree outgrew u32 ids");
+        self.nodes.push(Node::EMPTY);
+        self.nodes[node as usize]
+            .children
+            .push((event, child as u32));
+        child as u32
+    }
+
+    /// Walks `canon` from the root, recording the node after each
+    /// prefix in `path` (`path[d]` spells `canon[..d]`), and marks the
+    /// end as a class. Returns whether the class is new.
+    fn mark_class(&mut self, canon: &[E], path: &mut Vec<u32>) -> bool {
+        path.push(0);
+        for &event in canon {
+            let next = self.step(path[path.len() - 1], event);
+            path.push(next);
+        }
+        let end = path[canon.len()] as usize;
+        set(&mut self.nodes[end].class, &mut self.marks)
+    }
+
+    /// Marks the proposal `canon[..depth] ++ tail`, given the canonical
+    /// `path`, as queued. Returns whether it was not queued before.
+    fn mark_queued(&mut self, path: &[u32], depth: usize, tail: &[E]) -> bool {
+        let end = tail
+            .iter()
+            .fold(path[depth], |node, &event| self.step(node, event));
+        set(&mut self.nodes[end as usize].queued, &mut self.marks)
+    }
+
+    /// Bytes the tree occupies: its nodes and their edges (every node
+    /// but the root is one edge's target).
+    fn bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<Node<E>>()
+            + (self.nodes.len() - 1) * std::mem::size_of::<(E, u32)>()
+    }
+}
+
+/// Sets a node's mark and counts it; returns whether it was clear.
+fn set(mark: &mut bool, marks: &mut usize) -> bool {
+    let fresh = !std::mem::replace(mark, true);
+    *marks += usize::from(fresh);
+    fresh
+}
+
+/// The child prefixes one class proposes, each `canon[..depth] ++ tail`
+/// relative to the class's canonical linearization `canon`. Tails are
+/// stored back to back.
+#[derive(Debug)]
+struct Proposals<E> {
+    tails: Vec<E>,
+    /// `(depth, end)` per proposal; its tail ends at `tails[end]`, and
+    /// starts where the previous one ended.
+    spans: Vec<(usize, usize)>,
+}
+
+impl<E: Copy> Proposals<E> {
+    fn new() -> Self {
+        Proposals {
+            tails: Vec::new(),
+            spans: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, depth: usize, tail: impl IntoIterator<Item = E>) {
+        self.tails.extend(tail);
+        self.spans.push((depth, self.tails.len()));
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, &[E])> {
+        let mut start = 0;
+        self.spans.iter().map(move |&(depth, end)| {
+            let tail = &self.tails[start..end];
+            start = end;
+            (depth, tail)
+        })
+    }
 }
 
 /// A counterexample keyed by its class's canonical digest; the minimal
@@ -119,8 +246,7 @@ where
     T: DporTarget + Send + Sync,
     F: Fn(&T::Report) -> Result<(), String> + Sync,
 {
-    let class_memo = Mutex::new(DigestMemo::new());
-    let prefix_memo = Mutex::new(DigestMemo::new());
+    let tree = Mutex::new(RevisitTree::new());
     let fold = Mutex::new(Fold::<T::Event> {
         stats: ExploreStats::default(),
         cex: None,
@@ -130,14 +256,7 @@ where
 
     let pool = StealPool::new(config.workers);
     let pool_stats = pool.run(vec![Vec::<T::Event>::new()], |prefix, spawn| {
-        let item = process_item(
-            root,
-            check,
-            &prefix,
-            &class_memo,
-            &classes_seen,
-            max_classes,
-        );
+        let item = process_item(root, check, &prefix, &tree, &classes_seen, max_classes);
         let mut fold = fold.lock().expect("fold mutex poisoned");
         fold.stats = fold.stats.merged(item.stats);
         if let Some((key, cex)) = item.cex {
@@ -149,31 +268,16 @@ where
                 fold.cex = Some((key, cex));
             }
         }
-        // Failing classes spawn no children, so `item.children` is empty
-        // for them; dedup proposed prefixes before they enter the pool.
-        let mut prefixes = prefix_memo.lock().expect("prefix memo poisoned");
-        for child in item.children {
-            if prefixes
-                .insert(events_key(child.iter().copied()))
-                .is_fresh()
-            {
-                fold.stats.revisits += 1;
-                spawn.push(child);
-            } else {
-                fold.stats.sleep_set_blocked += 1;
-            }
-        }
+        drop(fold);
+        spawn.extend(item.children);
     });
 
     let mut fold = fold.into_inner().expect("fold mutex poisoned");
     fold.stats.workers = pool_stats.workers;
     fold.stats.steals = pool_stats.steals;
-    {
-        let classes = class_memo.lock().expect("class memo poisoned");
-        let prefixes = prefix_memo.lock().expect("prefix memo poisoned");
-        fold.stats.memo_entries = classes.len() + prefixes.len();
-        fold.stats.memo_bytes = classes.bytes() + prefixes.bytes();
-    }
+    let tree = tree.into_inner().unwrap_or_else(PoisonError::into_inner);
+    fold.stats.memo_entries = tree.marks;
+    fold.stats.memo_bytes = tree.bytes();
     fold.stats.record(&config.obs);
 
     match fold.cex {
@@ -186,11 +290,19 @@ where
 }
 
 /// Per-item outcome: effort totals, an optional keyed counterexample,
-/// and the raw (not yet deduplicated) child prefixes.
+/// and the fresh (already deduplicated) child prefixes.
 struct ItemOutcome<E> {
     stats: ExploreStats,
     cex: Option<KeyedCex<E>>,
     children: Vec<Vec<E>>,
+}
+
+/// Locks the revisit tree. Every update leaves the trie valid at each
+/// step (a node is pushed before the edge that reaches it; a mark is one
+/// write), so a lock poisoned by another worker's panic is recovered —
+/// the pool re-raises that panic once every worker stops.
+fn lock<E>(tree: &Mutex<RevisitTree<E>>) -> MutexGuard<'_, RevisitTree<E>> {
+    tree.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Replays `prefix`, extends it deterministically to a maximal run,
@@ -200,7 +312,7 @@ fn process_item<T, F>(
     root: &T,
     check: &F,
     prefix: &[T::Event],
-    class_memo: &Mutex<DigestMemo>,
+    tree: &Mutex<RevisitTree<T::Event>>,
     classes_seen: &AtomicUsize,
     max_classes: usize,
 ) -> ItemOutcome<T::Event>
@@ -245,16 +357,11 @@ where
     stats.max_depth = graph.len();
 
     // One representative per Mazurkiewicz class: the canonical
-    // linearization's digest is the class identity.
+    // linearization's end node in the revisit tree is the class.
     let canon = graph.canonical_order();
-    let class_key = events_key(canon.iter().map(|&i| graph.events()[i].event));
-    let class_bytes: Box<[u8]> = class_key.bytes().into();
-    if class_memo
-        .lock()
-        .expect("class memo poisoned")
-        .insert(class_key)
-        .is_duplicate()
-    {
+    let canon_events: Vec<T::Event> = canon.iter().map(|&k| graph.events()[k].event).collect();
+    let mut path = Vec::with_capacity(canon.len() + 1);
+    if !lock(tree).mark_class(&canon_events, &mut path) {
         stats.sleep_set_blocked += 1;
         return out(stats, None, Vec::new());
     }
@@ -267,19 +374,38 @@ where
     );
 
     if let Err(message) = check(&state.report()) {
+        let key: Box<[u8]> = events_key(canon_events.iter().copied()).bytes().into();
         let cex = Box::new(Counterexample {
             choices,
             schedule: ScheduleTrace::from_events(graph.events().iter().map(|e| e.event).collect()),
             message,
             stats: ExploreStats::default(), // overwritten with the fold
         });
-        return out(stats, Some((class_bytes, cex)), Vec::new());
+        return out(stats, Some((key, cex)), Vec::new());
     }
 
-    let mut children = race_reversal_prefixes(&graph, &canon);
+    let mut proposals = Proposals::new();
+    race_reversal_prefixes(&graph, &canon, &mut proposals);
     if T::HAS_ALTERNATIVES {
-        children.extend(alternative_prefixes(root, &graph, &canon));
+        alternative_prefixes(root, &canon_events, &mut proposals);
     }
+    // Dedup proposed prefixes before they enter the pool; only fresh ones
+    // are built.
+    let fresh: Vec<bool> = {
+        let mut tree = lock(tree);
+        proposals
+            .iter()
+            .map(|(depth, tail)| tree.mark_queued(&path, depth, tail))
+            .collect()
+    };
+    let children: Vec<Vec<T::Event>> = proposals
+        .iter()
+        .zip(fresh)
+        .filter(|&(_, fresh)| fresh)
+        .map(|((depth, tail), _)| [&canon_events[..depth], tail].concat())
+        .collect();
+    stats.revisits += children.len() as u64;
+    stats.sleep_set_blocked += (proposals.spans.len() - children.len()) as u64;
     out(stats, None, children)
 }
 
@@ -291,32 +417,21 @@ where
 fn race_reversal_prefixes<E: SchedEvent>(
     graph: &ExecutionGraph<E>,
     canon: &[usize],
-) -> Vec<Vec<E>> {
+    proposals: &mut Proposals<E>,
+) {
     let mut pos = vec![0usize; canon.len()];
     for (p, &orig) in canon.iter().enumerate() {
         pos[orig] = p;
     }
     let mut races = graph.reversible_races();
     races.sort_by_key(|&(i, j)| (pos[i], pos[j]));
-    races
-        .into_iter()
-        .map(|(i, j)| {
-            let (ci, cj) = (pos[i], pos[j]);
-            debug_assert!(ci < cj, "canonical order must linearize happens-before");
-            let mut prefix: Vec<E> = canon[..ci]
-                .iter()
-                .map(|&k| graph.events()[k].event)
-                .collect();
-            prefix.extend(
-                canon[ci + 1..cj]
-                    .iter()
-                    .filter(|&&k| !graph.hb(i, k))
-                    .map(|&k| graph.events()[k].event),
-            );
-            prefix.push(graph.events()[j].event);
-            prefix
-        })
-        .collect()
+    for (i, j) in races {
+        let (ci, cj) = (pos[i], pos[j]);
+        debug_assert!(ci < cj, "canonical order must linearize happens-before");
+        let between = canon[ci + 1..cj].iter().filter(|&&k| !graph.hb(i, k));
+        let tail = between.chain([&j]).map(|&k| graph.events()[k].event);
+        proposals.push(ci, tail);
+    }
 }
 
 /// Revisit prefixes from data-nondeterministic alternatives (crashes):
@@ -328,21 +443,14 @@ fn race_reversal_prefixes<E: SchedEvent>(
 /// schedule space.
 fn alternative_prefixes<T: DporTarget>(
     root: &T,
-    graph: &ExecutionGraph<T::Event>,
-    canon: &[usize],
-) -> Vec<Vec<T::Event>> {
-    let mut children = Vec::new();
+    canon: &[T::Event],
+    proposals: &mut Proposals<T::Event>,
+) {
     let mut state = root.clone();
-    let mut replayed: Vec<T::Event> = Vec::with_capacity(canon.len());
-    for &k in canon {
+    for (depth, &event) in canon.iter().enumerate() {
         for alt in state.alternatives() {
-            let mut child = replayed.clone();
-            child.push(alt);
-            children.push(child);
+            proposals.push(depth, [alt]);
         }
-        let event = graph.events()[k].event;
         state.apply_traced(event);
-        replayed.push(event);
     }
-    children
 }

@@ -65,9 +65,12 @@ pub struct ExploreStats {
     /// the sequential explorers — they never split).
     pub wall_splits: usize,
     /// Distinct states the converged-state memos retained, summed over
-    /// jobs (`0` for the sequential explorers and with pruning off).
+    /// jobs (`0` for the sequential explorers and with pruning off). For
+    /// the DPOR explorer: the marks in its revisit tree, one per explored
+    /// class plus one per queued revisit prefix.
     pub memo_entries: usize,
-    /// Encoding bytes the memos retained, summed over jobs.
+    /// Encoding bytes the memos retained, summed over jobs. For the DPOR
+    /// explorer: the bytes of its revisit tree's nodes and edges.
     pub memo_bytes: usize,
     /// `true` when any job's memo hit its entry or byte cap and degraded
     /// to not inserting (fewer prunes, never a wrong prune).

@@ -52,8 +52,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable overriding the default worker count
-/// ([`ParConfig::from_env`]).
-pub const WORKERS_ENV: &str = "RRFD_EXPLORE_WORKERS";
+/// ([`ParConfig::from_env`]); defined by the DPOR explorer, whose
+/// [`crate::dpor::DporConfig::from_env`] reads it too.
+pub use crate::dpor::WORKERS_ENV;
 
 /// Configuration of a parallel exploration.
 #[derive(Debug, Clone)]
