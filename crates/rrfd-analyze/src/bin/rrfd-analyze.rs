@@ -4,7 +4,7 @@
 //!
 //! Exit status: `0` clean, `1` findings or mismatch, `2` usage error.
 
-use rrfd_analyze::{lattice, lint, memo, races, stats};
+use rrfd_analyze::{lattice, lint, races, stats};
 use rrfd_core::SystemSize;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,17 +18,15 @@ errors; --json switches stdout to a machine-readable object.
 commands:
   lattice [--depth N] [--n N] [--f F] [--workers W]
           [--no-compiled] [--explorer legacy|par|dpor]
-          [--memo PATH | --no-memo] [--check | --update]
-          [--file PATH] [--json]
+          [--check | --update] [--file PATH] [--json]
       Compute the predicate-implication lattice over the standard zoo
       (default n=3, f=1, depth 4) and print it as markdown (or as an
       `rrfd-lattice v1` JSON object with --json). By default the pairs
       are decided by one shared prefix-trie walk on the compiled
-      predicate plane, reusing the witness memo at --memo (default
-      .rrfd-lattice-memo; pairs whose predicate fingerprints still match
-      are trusted or re-verified instead of re-searched, and the memo
-      file is refreshed after the run — byte-identical when warm).
-      --no-memo skips the memo; --no-compiled falls back to the legacy
+      predicate plane: each trie node evaluates one round per class of
+      rounds the compiled programs cannot tell apart, and each refuted
+      pair's witness is found on the compiled programs in the per-pair
+      search's order. --no-compiled falls back to the legacy
       per-pair dyn searches, run on W threads (default:
       RRFD_EXPLORE_WORKERS, else the machine's parallelism) scheduled by
       --explorer: `dpor` (default) distributes the refutation searches
@@ -134,15 +132,7 @@ const LATTICE_END: &str = "<!-- lattice:end -->";
 
 fn run_lattice(args: &[String]) -> ExitCode {
     let mut rest = args.to_vec();
-    type LatticeArgs = (
-        u32,
-        usize,
-        usize,
-        usize,
-        String,
-        Option<String>,
-        Option<String>,
-    );
+    type LatticeArgs = (u32, usize, usize, usize, String, Option<String>);
     let parsed = (|| -> Result<LatticeArgs, String> {
         let depth = match take_value(&mut rest, "--depth")? {
             Some(v) => v.parse().map_err(|_| format!("bad --depth {v:?}"))?,
@@ -166,10 +156,9 @@ fn run_lattice(args: &[String]) -> ExitCode {
             None => "dpor".to_owned(),
         };
         let file = take_value(&mut rest, "--file")?;
-        let memo = take_value(&mut rest, "--memo")?;
-        Ok((depth, n, f, workers, explorer, file, memo))
+        Ok((depth, n, f, workers, explorer, file))
     })();
-    let (depth, n, f, workers, explorer, file, memo_arg) = match parsed {
+    let (depth, n, f, workers, explorer, file) = match parsed {
         Ok(p) => p,
         Err(e) => return usage_error(&e),
     };
@@ -177,7 +166,6 @@ fn run_lattice(args: &[String]) -> ExitCode {
     let update = take_flag(&mut rest, "--update");
     let json = take_flag(&mut rest, "--json");
     let compiled = !take_flag(&mut rest, "--no-compiled");
-    let no_memo = take_flag(&mut rest, "--no-memo");
     if let Some(extra) = rest.first() {
         return usage_error(&format!("unexpected argument {extra:?}"));
     }
@@ -187,48 +175,17 @@ fn run_lattice(args: &[String]) -> ExitCode {
     if json && (check || update) {
         return usage_error("--json renders to stdout; it cannot combine with --check/--update");
     }
-    if no_memo && memo_arg.is_some() {
-        return usage_error("--memo and --no-memo are mutually exclusive");
-    }
-    if !compiled && memo_arg.is_some() {
-        return usage_error("--memo needs the compiled plane (drop --no-compiled)");
-    }
     let Ok(n) = SystemSize::new(n) else {
         return usage_error("--n must be at least 1");
     };
 
     let zoo = lattice::zoo(n, f);
     let computed = if compiled {
-        let memo_path = (!no_memo)
-            .then(|| PathBuf::from(memo_arg.unwrap_or_else(|| memo::DEFAULT_MEMO_PATH.to_owned())));
-        let prior = memo_path.as_deref().and_then(memo::LatticeMemo::load);
         eprintln!(
-            "computing the implication lattice (n={}, f={f}, depth {depth}, compiled plane, \
-             memo {})...",
-            n.get(),
-            match (&memo_path, &prior) {
-                (None, _) => "off".to_owned(),
-                (Some(p), None) => format!("cold at {}", p.display()),
-                (Some(p), Some(_)) => format!("warm at {}", p.display()),
-            }
+            "computing the implication lattice (n={}, f={f}, depth {depth}, compiled plane)...",
+            n.get()
         );
-        let (computed, fresh, stats) = memo::compute_with_memo(&zoo, depth, prior.as_ref());
-        eprintln!(
-            "memo: {} of {} pairs reused, {} searched",
-            stats.hits, stats.pairs, stats.misses
-        );
-        if let Some(path) = &memo_path {
-            let rendered = fresh.render();
-            let stale = std::fs::read_to_string(path).map_or(true, |cur| cur != rendered);
-            if stale {
-                if let Err(e) = std::fs::write(path, &rendered) {
-                    eprintln!("warning: cannot refresh memo {}: {e}", path.display());
-                } else {
-                    eprintln!("memo refreshed at {}", path.display());
-                }
-            }
-        }
-        computed
+        lattice::Lattice::compute_compiled(&zoo, depth)
     } else {
         eprintln!(
             "computing the implication lattice (n={}, f={f}, depth {depth}, {workers} \

@@ -18,8 +18,8 @@
 //! bound is a real check, not a heuristic.
 
 use rrfd_core::{
-    FaultPattern, HistoryCtx, PatternViolation, PredicateProgram, Round, RoundFaults, RoundProfile,
-    RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
+    FaultPattern, HistoryCtx, PatternViolation, PredicateProgram, ProgOp, Round, RoundFaults,
+    RoundProfile, RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
 };
 use rrfd_models::enumerate::all_rounds;
 /// The zoo family and its boxed element type now live in `rrfd-models`
@@ -134,7 +134,8 @@ pub struct Lattice {
     matrix: Vec<Vec<bool>>,
     n: SystemSize,
     max_rounds: u32,
-    /// Counterexamples for every refuted pair, keyed by `(i, j)`.
+    /// Counterexamples for every refuted pair, keyed by `(i, j)` and
+    /// sorted by key (every constructor folds pairs in that order).
     counterexamples: Vec<((usize, usize), LatticeCounterexample)>,
 }
 
@@ -313,18 +314,20 @@ impl Lattice {
     /// `admits`. Here each shared prefix is visited **once** for all
     /// pairs: a `u128` legality mask tracks which predicates still admit
     /// the prefix, compiled programs ([`RrfdPredicate::compile`]) are
-    /// evaluated against one [`RoundProfile`] per candidate round (static
-    /// programs are precomputed into per-round verdict masks before the
+    /// evaluated against one [`RoundProfile`] per class of observably
+    /// equivalent candidate rounds (see [`ProgOp::history_key`]; static
+    /// programs are precomputed into per-class verdict masks before the
     /// walk starts), and a subtree is abandoned as soon as it can no
     /// longer refute any still-open pair. Predicates that decline to
     /// compile fall back to their dyn `admits` exactly.
     ///
-    /// The resulting matrix — and therefore every rendering — is
+    /// The result — matrix, rendering and every counterexample — is
     /// identical to [`Lattice::compute`]: a pair is refuted here iff a
     /// jointly-legal prefix extends to a round `A` admits and `B`
-    /// rejects, which is the legacy search's termination condition.
-    /// Witness patterns may differ (the first one found differs between
-    /// traversal orders) but are equally valid counterexamples.
+    /// rejects, which is the legacy search's termination condition, and
+    /// each refuted pair's witness is then found by the legacy search's
+    /// own depth-first order (on the compiled programs when both
+    /// endpoints compiled, through [`implies`] otherwise).
     ///
     /// # Panics
     ///
@@ -332,18 +335,6 @@ impl Lattice {
     /// has more than 128 members (legality is packed into a `u128`).
     #[must_use]
     pub fn compute_compiled(predicates: &[SharedPredicate], max_rounds: u32) -> Self {
-        Lattice::compute_compiled_seeded(predicates, max_rounds, SeedVerdicts::default())
-    }
-
-    /// The seeded core of [`Lattice::compute_compiled`]: pairs decided by
-    /// the witness memo (`crate::memo`) are excluded from the search up
-    /// front, so a warm run only walks the subtrees that can still decide
-    /// something.
-    pub(crate) fn compute_compiled_seeded(
-        predicates: &[SharedPredicate],
-        max_rounds: u32,
-        seed: SeedVerdicts,
-    ) -> Self {
         let first = predicates
             .first()
             .unwrap_or_else(|| panic!("lattice needs at least one predicate"));
@@ -377,25 +368,7 @@ impl Lattice {
             }
         }
         let base_ctx = HistoryCtx::for_programs(n, programs.iter().flatten());
-        // Static programs never read the history: decide them once per
-        // candidate round, before the walk.
-        let static_adm: Vec<u128> = profiles
-            .iter()
-            .map(|profile| {
-                let mut mask = 0u128;
-                let mut todo = static_mask;
-                while todo != 0 {
-                    let i = todo.trailing_zeros() as usize;
-                    todo &= todo - 1;
-                    if let Some(program) = &programs[i] {
-                        if program.eval(&base_ctx, profile) {
-                            mask |= 1u128 << i;
-                        }
-                    }
-                }
-                mask
-            })
-            .collect();
+        let classes = round_classes(&profiles, &programs, static_mask, dyn_mask != 0, &base_ctx);
 
         let all_mask: u128 = if len == 128 {
             !0u128
@@ -403,23 +376,17 @@ impl Lattice {
             (1u128 << len) - 1
         };
         let mut pending: Vec<u128> = (0..len).map(|i| all_mask & !(1u128 << i)).collect();
-        for &(i, j) in &seed.implies {
-            pending[i] &= !(1u128 << j);
-        }
-        for &((i, j), _) in &seed.witnesses {
-            pending[i] &= !(1u128 << j);
-        }
 
         // Static × static pairs are prefix-independent: `i ⇒ j` is refuted
         // iff some single round is admitted by `i` and rejected by `j`,
-        // which the precomputed per-round masks answer directly — those
+        // which the precomputed per-class masks answer directly — those
         // pairs never enter the walk at all.
         let mut refuted: Vec<(usize, usize)> = Vec::new();
         let mut static_true: Vec<u128> = vec![0u128; len];
         if max_rounds >= 1 {
-            for &adm in &static_adm {
-                let rej = static_mask & !adm;
-                let mut admitters = static_mask & adm;
+            for class in &classes {
+                let rej = static_mask & !class.static_adm;
+                let mut admitters = static_mask & class.static_adm;
                 while admitters != 0 {
                     let i = admitters.trailing_zeros() as usize;
                     admitters &= admitters - 1;
@@ -450,7 +417,7 @@ impl Lattice {
             rounds: &rounds,
             profiles: &profiles,
             programs: &programs,
-            static_adm: &static_adm,
+            classes: &classes,
             dynamic_mask,
             dyn_mask,
             max_rounds,
@@ -468,9 +435,6 @@ impl Lattice {
         for (i, row) in matrix.iter_mut().enumerate() {
             row[i] = true;
         }
-        for &(i, j) in &seed.implies {
-            matrix[i][j] = true;
-        }
         // Pairs still pending after an exhaustive walk were never refuted
         // within the bound: they imply, exactly as in the legacy search.
         for (i, row) in pending.iter().enumerate() {
@@ -481,18 +445,29 @@ impl Lattice {
                 matrix[i][j] = true;
             }
         }
-        // Canonical witnesses: re-derive each refuted pair's counterexample
-        // through the legacy per-pair search. Refutation searches
-        // short-circuit at the first witness, so this is cheap — and it
-        // makes the recorded witnesses independent of walk order, state
-        // merging, and memo seeding: exactly what `Lattice::compute` would
-        // have stored.
-        let mut counterexamples = seed.witnesses;
-        for (i, j) in refuted {
-            let cex = implies(predicates[i].as_ref(), predicates[j].as_ref(), max_rounds)
-                .expect_err("the shared-trie walk refuted this pair, so a witness exists");
-            counterexamples.push(((i, j), cex));
-        }
+        // Canonical witnesses: each refuted pair's counterexample is the
+        // first one the legacy per-pair search meets, so the recorded
+        // witnesses are independent of walk order and state merging —
+        // exactly what `Lattice::compute` would have stored.
+        let witnesses = WitnessSearch {
+            n,
+            rounds: &rounds,
+            profiles: &profiles,
+            base_ctx: &base_ctx,
+            max_rounds,
+        };
+        let mut counterexamples: Vec<_> = refuted
+            .into_iter()
+            .map(|(i, j)| {
+                let outcome = match (&programs[i], &programs[j]) {
+                    (Some(a), Some(b)) => witnesses.implies(a, b, &names[j]),
+                    _ => implies(predicates[i].as_ref(), predicates[j].as_ref(), max_rounds),
+                };
+                let cex = outcome
+                    .expect_err("the shared-trie walk refuted this pair, so a witness exists");
+                ((i, j), cex)
+            })
+            .collect();
         counterexamples.sort_by_key(|&((i, j), _)| (i, j));
         Lattice {
             names,
@@ -519,9 +494,9 @@ impl Lattice {
     #[must_use]
     pub fn counterexample(&self, i: usize, j: usize) -> Option<&LatticeCounterexample> {
         self.counterexamples
-            .iter()
-            .find(|((a, b), _)| (*a, *b) == (i, j))
-            .map(|(_, cex)| cex)
+            .binary_search_by_key(&(i, j), |&(pair, _)| pair)
+            .ok()
+            .map(|k| &self.counterexamples[k].1)
     }
 
     /// Groups the predicates into equivalence classes (mutual implication),
@@ -680,14 +655,64 @@ impl Lattice {
     }
 }
 
-/// Pairs pre-decided by the witness memo (`crate::memo`), fed into
-/// [`Lattice::compute_compiled_seeded`] so the walk skips them.
-#[derive(Default)]
-pub(crate) struct SeedVerdicts {
-    /// Off-diagonal pairs `(i, j)` with `P_i ⇒ P_j` trusted from the memo.
-    pub implies: Vec<(usize, usize)>,
-    /// Re-verified refutation witnesses, keyed by `(i, j)`.
-    pub witnesses: Vec<((usize, usize), LatticeCounterexample)>,
+/// One class of observably equivalent candidate rounds: the rounds agree
+/// on every static program's verdict, on every static op the dynamic
+/// programs contain, and on [`ProgOp::history_key`], so every compiled
+/// program judges them alike in every context and absorbing any of them
+/// yields the same registers.
+struct RoundClass {
+    /// Index of the class's first round, the one the walk evaluates.
+    rep: usize,
+    /// Verdict mask of the static programs on this class.
+    static_adm: u128,
+}
+
+/// Quotients the candidate rounds into [`RoundClass`]es, in order of
+/// first member. With a dyn-fallback predicate in the family every round
+/// is its own class: the fallback reads the raw round.
+fn round_classes(
+    profiles: &[RoundProfile],
+    programs: &[Option<PredicateProgram>],
+    static_mask: u128,
+    singletons: bool,
+    base_ctx: &HistoryCtx,
+) -> Vec<RoundClass> {
+    let mut inner_ops: Vec<ProgOp> = Vec::new();
+    for program in programs.iter().flatten().filter(|p| !p.is_static()) {
+        for &op in program.clauses().iter().flatten() {
+            if op.is_static() && !inner_ops.contains(&op) {
+                inner_ops.push(op);
+            }
+        }
+    }
+    let mut classes = Vec::new();
+    let mut keys = std::collections::HashSet::new();
+    for (rep, profile) in profiles.iter().enumerate() {
+        let mut static_adm = 0u128;
+        let mut todo = static_mask;
+        while todo != 0 {
+            let i = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            if programs[i]
+                .as_ref()
+                .is_some_and(|p| p.eval(base_ctx, profile))
+            {
+                static_adm |= 1u128 << i;
+            }
+        }
+        if !singletons {
+            let inner: Vec<bool> = inner_ops
+                .iter()
+                .map(|op| op.eval(base_ctx, profile))
+                .collect();
+            let key = (static_adm, inner, ProgOp::history_key(profile));
+            if !keys.insert(key) {
+                continue;
+            }
+        }
+        classes.push(RoundClass { rep, static_adm });
+    }
+    classes
 }
 
 /// The merge key of one trie node: compiled programs can observe the
@@ -706,17 +731,17 @@ struct StateKey {
 
 /// The depth-first shared-trie walk behind [`Lattice::compute_compiled`]:
 /// one traversal of the jointly-legal prefix trie decides every still-open
-/// implication pair at once. Witnesses are *not* collected here — refuted
-/// pairs are re-derived canonically through [`implies`] afterwards, which
-/// short-circuits on the first counterexample and is therefore cheap.
+/// implication pair at once. Each node evaluates one round per
+/// [`RoundClass`] and expands each distinct child once. Witnesses are
+/// *not* collected here — refuted pairs are re-derived canonically by
+/// [`WitnessSearch`] afterwards.
 struct TrieWalker<'a> {
     n: SystemSize,
     predicates: &'a [SharedPredicate],
     rounds: &'a [RoundFaults],
     profiles: &'a [RoundProfile],
     programs: &'a [Option<PredicateProgram>],
-    /// Per-round verdict masks of the static (history-free) programs.
-    static_adm: &'a [u128],
+    classes: &'a [RoundClass],
     /// Compiled programs that do read the history registers.
     dynamic_mask: u128,
     /// Predicates that declined to compile: exact dyn fallback.
@@ -756,11 +781,11 @@ impl TrieWalker<'_> {
         pattern
     }
 
-    /// Visits one trie node: evaluates every legal predicate against every
-    /// candidate round (recording refutations of open pairs), then recurses
-    /// into extensions that can still decide something. `ctx` holds the
-    /// history registers of the current prefix; recursion depth is bounded
-    /// by `max_rounds`.
+    /// Visits one trie node: evaluates every legal predicate against one
+    /// round per class (recording refutations of open pairs), then
+    /// recurses into the extensions that can still decide something.
+    /// `ctx` holds the history registers of the current prefix; recursion
+    /// depth is bounded by `max_rounds`.
     fn walk(&mut self, ctx: &HistoryCtx, legal: u128, depth: u32) {
         if depth >= self.max_rounds || !self.open_pair(legal) {
             return;
@@ -786,8 +811,14 @@ impl TrieWalker<'_> {
             }
         }
         let prefix = (dyn_live != 0).then(|| self.prefix_pattern());
-        for (r_idx, profile) in self.profiles.iter().enumerate() {
-            let mut adm = self.static_adm[r_idx] & legal;
+        let expand = depth + 1 < self.max_rounds;
+        // Children as (round, legality). Absorbing a round reads only its
+        // union, so without a live dyn fallback a child is determined by
+        // (union, legality) and each distinct one is expanded once.
+        let mut children: Vec<(usize, u128)> = Vec::new();
+        for class in self.classes {
+            let profile = &self.profiles[class.rep];
+            let mut adm = class.static_adm & legal;
             let mut todo = legal & self.dynamic_mask;
             while todo != 0 {
                 let i = todo.trailing_zeros() as usize;
@@ -803,7 +834,7 @@ impl TrieWalker<'_> {
                 while todo != 0 {
                     let i = todo.trailing_zeros() as usize;
                     todo &= todo - 1;
-                    if self.predicates[i].admits(prefix, &self.rounds[r_idx]) {
+                    if self.predicates[i].admits(prefix, &self.rounds[class.rep]) {
                         adm |= 1u128 << i;
                     }
                 }
@@ -825,14 +856,96 @@ impl TrieWalker<'_> {
                 }
             }
             let child = legal & adm;
-            if depth + 1 < self.max_rounds && self.open_pair(child) {
-                let mut child_ctx = ctx.clone();
-                child_ctx.absorb_profile(profile);
-                self.prefix_rounds.push(r_idx);
-                self.walk(&child_ctx, child, depth + 1);
-                self.prefix_rounds.pop();
+            let union = profile.union();
+            let duplicate = dyn_live == 0
+                && children
+                    .iter()
+                    .any(|&(r, c)| c == child && self.profiles[r].union() == union);
+            if expand && !duplicate {
+                children.push((class.rep, child));
             }
         }
+        for (r_idx, child) in children {
+            if !self.open_pair(child) {
+                continue;
+            }
+            let mut child_ctx = ctx.clone();
+            child_ctx.absorb_profile(&self.profiles[r_idx]);
+            self.prefix_rounds.push(r_idx);
+            self.walk(&child_ctx, child, depth + 1);
+            self.prefix_rounds.pop();
+        }
+    }
+}
+
+/// The compiled-plane twin of [`implies`]: the same stack discipline and
+/// the same round order, driven by compiled programs and a [`HistoryCtx`]
+/// instead of dyn `admits`. Compilation is exact, so the first witness it
+/// meets is the one [`implies`] returns.
+struct WitnessSearch<'a> {
+    n: SystemSize,
+    rounds: &'a [RoundFaults],
+    profiles: &'a [RoundProfile],
+    /// Empty-history registers for every program of the family.
+    base_ctx: &'a HistoryCtx,
+    max_rounds: u32,
+}
+
+impl WitnessSearch<'_> {
+    /// [`implies`] on compiled programs: `Err` holds the first `a`-legal
+    /// pattern `b` rejects at its final round, in [`implies`]'s search
+    /// order; `b_name` names the rejecting predicate.
+    fn implies(
+        &self,
+        a: &PredicateProgram,
+        b: &PredicateProgram,
+        b_name: &str,
+    ) -> Result<(), LatticeCounterexample> {
+        // Prefixes are nodes of a parent-linked arena (node 0 is the empty
+        // prefix); the stack holds `(node, depth)`. Longer prefixes that
+        // reach the depth bound are never pushed: `implies` pops them
+        // without looking at them.
+        let mut nodes: Vec<(usize, usize)> = vec![(usize::MAX, usize::MAX)];
+        let mut stack = vec![(0usize, 0u32)];
+        let mut path: Vec<usize> = Vec::new();
+        while let Some((node, depth)) = stack.pop() {
+            if depth >= self.max_rounds {
+                continue;
+            }
+            path.clear();
+            let mut at = node;
+            while at != 0 {
+                path.push(nodes[at].1);
+                at = nodes[at].0;
+            }
+            path.reverse();
+            let mut ctx = self.base_ctx.clone();
+            for &r in &path {
+                ctx.absorb_profile(&self.profiles[r]);
+            }
+            for (r, profile) in self.profiles.iter().enumerate() {
+                if !a.eval(&ctx, profile) {
+                    continue;
+                }
+                if !b.eval(&ctx, profile) {
+                    let mut pattern = FaultPattern::new(self.n);
+                    for &p in path.iter().chain([&r]) {
+                        pattern.push(self.rounds[p].clone());
+                    }
+                    let rejected_round = Round::new(pattern.rounds() as u32);
+                    return Err(LatticeCounterexample {
+                        pattern,
+                        rejected_round,
+                        rejecting_predicate: b_name.to_owned(),
+                    });
+                }
+                if depth + 1 < self.max_rounds {
+                    nodes.push((node, r));
+                    stack.push((nodes.len() - 1, depth + 1));
+                }
+            }
+        }
+        Ok(())
     }
 }
 

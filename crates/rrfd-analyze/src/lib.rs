@@ -6,11 +6,11 @@
 //!   enumeration of fault patterns, producing a machine-checked Hasse
 //!   diagram of the paper's submodel lattice and replayable
 //!   counterexample certificates for the non-implications. The default
-//!   backend walks one compiled-plane prefix trie shared by all pairs;
-//!   [`memo`] persists per-pair outcomes to an on-disk witness memo
-//!   (`.rrfd-lattice-memo`) keyed by behavioral fingerprints, so warm
-//!   runs only re-search pairs whose predicates changed (refutations
-//!   are always re-verified against their recorded witness).
+//!   backend walks one compiled-plane prefix trie shared by all pairs,
+//!   evaluating one round per class of rounds the compiled programs
+//!   cannot tell apart and expanding each distinct child once; witnesses
+//!   are then found on the compiled programs in the per-pair search's
+//!   own order, so they match [`lattice::implies`] byte for byte.
 //! * [`races`] — rebuilds happens-before over captured `rrfd-trace v1` /
 //!   `rrfd-events v1` traces with vector clocks, reporting covering
 //!   violations, cross-round reordering and data races.
@@ -43,7 +43,6 @@ pub mod jsonout;
 pub mod lattice;
 pub mod legacy;
 pub mod lint;
-pub mod memo;
 pub mod passes;
 pub mod races;
 pub mod stats;

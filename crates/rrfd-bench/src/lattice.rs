@@ -1,18 +1,16 @@
 //! The bench reporter's `lattice` section: compiled-plane lattice
-//! computation against the legacy dyn-dispatch search, and warm-memo
-//! reuse against a cold run.
+//! computation against the legacy dyn-dispatch search.
 //!
-//! Three comparisons back the section:
+//! Three measurements back the section:
 //!
 //! 1. **Compiled vs dyn lattice** at depth 3 — [`Lattice::compute`]
 //!    (per-pair DFS, dyn `admits` in the inner loop) against
 //!    [`Lattice::compute_compiled`] (one shared prefix trie, packed
-//!    `u128` verdict masks, static-pair precomputation, state-merged
-//!    subtrees). The matrices are asserted equal before either time is
-//!    reported.
-//! 2. **Cold vs warm memo** at depth 4 — `compute_with_memo` from
-//!    scratch against a re-run seeded with the memo the cold run
-//!    produced (every pair reused, only fingerprints recomputed).
+//!    `u128` verdict masks, one round per observable class, static-pair
+//!    precomputation, state-merged subtrees). The matrices are asserted
+//!    equal before either time is reported.
+//! 2. **Compiled lattice at depth 4** — the CLI's default depth,
+//!    best of several from-scratch runs.
 //! 3. **Conformance monitoring** — the per-round cost of a
 //!    [`ConformanceMonitor`] over the zoo with the compiled plane on,
 //!    against the same family wrapped to decline compilation
@@ -21,7 +19,6 @@
 use std::time::Instant;
 
 use rrfd_analyze::lattice::Lattice;
-use rrfd_analyze::memo::{compute_with_memo, LatticeMemo};
 use rrfd_core::{FaultPattern, IdSet, ProcessId, RoundFaults, RrfdPredicate, SystemSize};
 use rrfd_models::conformance::ConformanceMonitor;
 use rrfd_models::zoo::{zoo, SharedPredicate};
@@ -57,12 +54,9 @@ pub struct LatticeSection {
     pub compiled_depth3_ns: u64,
     /// `dyn_depth3_ns / compiled_depth3_ns`, ×100.
     pub speedup_x100: u64,
-    /// Compiled walk from scratch, depth 4, wall nanoseconds.
+    /// Compiled walk from scratch, depth 4, wall nanoseconds (best of
+    /// several runs).
     pub depth4_cold_ns: u64,
-    /// Depth-4 re-run seeded with the cold run's memo, wall nanoseconds.
-    pub depth4_warm_ns: u64,
-    /// `depth4_cold_ns / depth4_warm_ns`, ×100.
-    pub warm_speedup_x100: u64,
     /// Dyn-path conformance monitoring, nanoseconds per observed round.
     pub conformance_dyn_ns_per_round: u64,
     /// Compiled-plane conformance monitoring, nanoseconds per round.
@@ -116,16 +110,15 @@ where
     total / (reps as u64 * stream.len() as u64).max(1)
 }
 
-/// Runs every comparison and asserts the section's own acceptance floor:
-/// the compiled depth-3 walk at least 10× the dyn search, the warm memo
-/// re-run at least 5× the cold run. A regression that melts those
-/// ratios fails report generation rather than silently shipping a
-/// slower plane.
+/// Runs every measurement and asserts the section's own acceptance
+/// floor: the compiled depth-3 walk at least 10× the dyn search. A
+/// regression that melts that ratio fails report generation rather than
+/// silently shipping a slower plane.
 ///
 /// # Panics
 ///
 /// Panics when the compiled and legacy depth-3 matrices disagree, or
-/// when either speedup floor is missed.
+/// when the speedup floor is missed.
 #[must_use]
 pub fn measure_lattice(quick: bool) -> LatticeSection {
     let n = SystemSize::new(3).expect("3 is a valid system size");
@@ -154,22 +147,13 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
     );
     let speedup_x100 = dyn_depth3_ns * 100 / compiled_depth3_ns;
 
-    // 2. Cold vs warm memo, depth 4.
-    let start = Instant::now();
-    let (cold, memo, cold_stats) = compute_with_memo(&zoo(n, f), 4, None);
-    let depth4_cold_ns = nanos(start).max(1);
-    assert_eq!(cold_stats.hits, 0, "a cold run has nothing to reuse");
-    let warm_reps = if quick { 3 } else { 10 };
-    let mut depth4_warm_ns = u64::MAX;
-    for _ in 0..warm_reps {
-        let prior: Option<LatticeMemo> = LatticeMemo::parse(&memo.render());
+    // 2. Compiled lattice at the CLI's default depth.
+    let mut depth4_cold_ns = u64::MAX;
+    for _ in 0..compiled_reps {
         let start = Instant::now();
-        let (warm, _, warm_stats) = compute_with_memo(&zoo(n, f), 4, prior.as_ref());
-        depth4_warm_ns = depth4_warm_ns.min(nanos(start).max(1));
-        assert_eq!(warm_stats.misses, 0, "a warm run searches nothing");
-        assert_eq!(warm.render_json(), cold.render_json());
+        let _ = Lattice::compute_compiled(&zoo(n, f), 4);
+        depth4_cold_ns = depth4_cold_ns.min(nanos(start).max(1));
     }
-    let warm_speedup_x100 = depth4_cold_ns * 100 / depth4_warm_ns;
 
     // 3. Conformance monitoring, dyn vs compiled, same stream.
     let stream = conformance_stream(n, 24);
@@ -194,11 +178,6 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
         "compiled depth-3 lattice fell under the 10x floor: \
          dyn {dyn_depth3_ns}ns vs compiled {compiled_depth3_ns}ns ({speedup_x100}/100x)"
     );
-    assert!(
-        warm_speedup_x100 >= 500,
-        "warm memo re-run fell under the 5x floor: \
-         cold {depth4_cold_ns}ns vs warm {depth4_warm_ns}ns ({warm_speedup_x100}/100x)"
-    );
 
     LatticeSection {
         n: n.get(),
@@ -207,8 +186,6 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
         compiled_depth3_ns,
         speedup_x100,
         depth4_cold_ns,
-        depth4_warm_ns,
-        warm_speedup_x100,
         conformance_dyn_ns_per_round,
         conformance_compiled_ns_per_round,
     }
@@ -221,7 +198,6 @@ pub fn render_lattice_line(section: &LatticeSection) -> String {
     format!(
         "  \"lattice\": {{\"n\": {}, \"f\": {}, \"dyn_depth3_ns\": {}, \
          \"compiled_depth3_ns\": {}, \"speedup_x100\": {}, \"depth4_cold_ns\": {}, \
-         \"depth4_warm_ns\": {}, \"warm_speedup_x100\": {}, \
          \"conformance_dyn_ns_per_round\": {}, \"conformance_compiled_ns_per_round\": {}}},",
         section.n,
         section.f,
@@ -229,8 +205,6 @@ pub fn render_lattice_line(section: &LatticeSection) -> String {
         section.compiled_depth3_ns,
         section.speedup_x100,
         section.depth4_cold_ns,
-        section.depth4_warm_ns,
-        section.warm_speedup_x100,
         section.conformance_dyn_ns_per_round,
         section.conformance_compiled_ns_per_round,
     )
@@ -273,8 +247,6 @@ mod tests {
             compiled_depth3_ns: 2_000_000,
             speedup_x100: 20_000,
             depth4_cold_ns: 20_000_000,
-            depth4_warm_ns: 2_000_000,
-            warm_speedup_x100: 1_000,
             conformance_dyn_ns_per_round: 900,
             conformance_compiled_ns_per_round: 300,
         };

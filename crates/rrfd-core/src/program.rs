@@ -126,6 +126,17 @@ impl ProgOp {
             }
         }
     }
+
+    /// The profile fields read by the non-static arms of [`ProgOp::eval`]
+    /// (and by [`HistoryCtx::absorb_profile`]): the round's union, its
+    /// self-suspects and its sticky core. Two rounds with equal keys and
+    /// equal static-op verdicts get equal verdicts from every op in every
+    /// context, which is what lets the lattice walk evaluate one round per
+    /// class. An op that reads another field must add it here.
+    #[must_use]
+    pub fn history_key(profile: &RoundProfile) -> [IdSet; 3] {
+        [profile.union, profile.self_suspects, profile.sticky_core]
+    }
 }
 
 /// Prefix-independent, word-level summary of one candidate `RoundFaults`,
@@ -639,6 +650,122 @@ mod tests {
         assert!(!both.eval(&ctx, &selfish));
         assert!(either.eval(&ctx, &too_big)); // self-trust clause still holds
         assert!(either.eval(&ctx, &selfish)); // cardinality clause still holds
+    }
+
+    /// Every op at every parameter that matters at `n = 3`. The match is
+    /// exhaustive on purpose: a new variant fails to compile until it is
+    /// listed here.
+    fn every_op() -> Vec<ProgOp> {
+        let mut ops = vec![
+            ProgOp::SelfTrustFresh,
+            ProgOp::SelfTrustNever,
+            ProgOp::IdenticalViews,
+            ProgOp::ContainmentChain,
+            ProgOp::AntiSymmetric,
+            ProgOp::PrevUnionSticky,
+        ];
+        for k in 0..=3 {
+            ops.extend([
+                ProgOp::FootprintAtMost(k),
+                ProgOp::PerProcAtMost(k),
+                ProgOp::UnionAtMost(k),
+                ProgOp::UncertaintyAtMost(k),
+            ]);
+            for slow in 0..=3 {
+                ops.push(ProgOp::SlowBound { fast: k, slow });
+            }
+        }
+        for stabilization in 1..=3 {
+            ops.push(ProgOp::ImmortalSurvives {
+                stabilization: Round::new(stabilization),
+            });
+        }
+        for op in &ops {
+            match op {
+                ProgOp::SelfTrustFresh
+                | ProgOp::SelfTrustNever
+                | ProgOp::FootprintAtMost(_)
+                | ProgOp::PerProcAtMost(_)
+                | ProgOp::SlowBound { .. }
+                | ProgOp::UnionAtMost(_)
+                | ProgOp::UncertaintyAtMost(_)
+                | ProgOp::IdenticalViews
+                | ProgOp::ContainmentChain
+                | ProgOp::AntiSymmetric
+                | ProgOp::PrevUnionSticky
+                | ProgOp::ImmortalSurvives { .. } => {}
+            }
+        }
+        ops
+    }
+
+    #[test]
+    fn rounds_sharing_a_history_key_get_equal_verdicts_from_every_op() {
+        let n = n3();
+        let subsets: Vec<IdSet> = (0..8u128).map(IdSet::from_bits).collect();
+        let proper: Vec<IdSet> = subsets[..7].to_vec();
+        let mut rounds = Vec::new();
+        for &a in &proper {
+            for &b in &proper {
+                for &c in &proper {
+                    rounds.push(RoundFaults::from_sets(n, vec![a, b, c]));
+                }
+            }
+        }
+        assert_eq!(rounds.len(), 343);
+        let ops = every_op();
+        // Every register file a prefix can reach: any cumulative and
+        // previous union, any immortal register (shared by the three
+        // stabilization rounds), and round counts on both sides of each
+        // stabilization.
+        let mut contexts = Vec::new();
+        for absorbed in 0..=4 {
+            for &cum in &subsets {
+                for &prev_union in &subsets {
+                    for &register in &subsets {
+                        contexts.push(HistoryCtx {
+                            n,
+                            rounds: absorbed,
+                            cum,
+                            prev_union,
+                            unions: Vec::new(),
+                            immortal: (1..=3).map(|s| (Round::new(s), register)).collect(),
+                        });
+                    }
+                }
+            }
+        }
+        let base = HistoryCtx::for_programs(n, []);
+        let mut reps: std::collections::HashMap<(Vec<bool>, [IdSet; 3]), usize> =
+            std::collections::HashMap::new();
+        let mut checked = 0;
+        for (idx, round) in rounds.iter().enumerate() {
+            let profile = RoundProfile::of(round);
+            let statics: Vec<bool> = ops
+                .iter()
+                .filter(|op| op.is_static())
+                .map(|op| op.eval(&base, &profile))
+                .collect();
+            let key = (statics, ProgOp::history_key(&profile));
+            let rep = *reps.entry(key).or_insert(idx);
+            if rep == idx {
+                continue;
+            }
+            let rep_profile = RoundProfile::of(&rounds[rep]);
+            for ctx in &contexts {
+                for op in &ops {
+                    assert_eq!(
+                        op.eval(ctx, &profile),
+                        op.eval(ctx, &rep_profile),
+                        "{op:?} splits {round:?} from {:?} under {ctx:?}",
+                        rounds[rep]
+                    );
+                }
+            }
+            checked += 1;
+        }
+        assert!(reps.len() < rounds.len(), "some rounds must share a class");
+        assert_eq!(reps.len() + checked, rounds.len());
     }
 
     #[test]

@@ -168,20 +168,11 @@ pub const CONF_STRONGEST: &str = "rrfd_conformance_strongest_rank";
 // -- compiled predicate plane (rrfd-core::program, rrfd-analyze lattice) -----
 //
 // The compiled plane lowers predicates to word-level programs evaluated
-// in batch (DESIGN.md §17); the lattice's refutation-witness memo
-// (`.rrfd-lattice-memo`) lets warm re-runs verify recorded witnesses
-// instead of re-searching the bounded pattern space.
+// in batch (DESIGN.md §17).
 
 /// Counter: compiled predicate-program evaluations performed in place of
 /// dyn `admits` dispatch (conformance monitor batches, lattice walks).
 pub const PRED_COMPILED_EVALS: &str = "rrfd_predicate_compiled_evals_total";
-/// Counter: predicate pairs whose lattice verdict was satisfied from the
-/// on-disk witness memo (witness re-verified or implication trusted
-/// under a matching fingerprint) instead of re-searched.
-pub const LATTICE_MEMO_HITS: &str = "rrfd_lattice_memo_hits_total";
-/// Counter: predicate pairs the lattice had to search because the memo
-/// was absent, stale, or fingerprint-mismatched.
-pub const LATTICE_MEMO_MISSES: &str = "rrfd_lattice_memo_misses_total";
 
 // -- the registry ------------------------------------------------------------
 
@@ -190,7 +181,7 @@ pub const LATTICE_MEMO_MISSES: &str = "rrfd_lattice_memo_misses_total";
 /// recorders index per-metric tables by it instead of hashing strings.
 /// New names must be appended here too (a unit test checks that every
 /// constant of this module is listed exactly once).
-pub const ALL: [&str; 60] = [
+pub const ALL: [&str; 58] = [
     ENGINE_ROUNDS,
     ENGINE_MESSAGES_EMITTED,
     ENGINE_MESSAGES_RECEIVED,
@@ -249,8 +240,6 @@ pub const ALL: [&str; 60] = [
     CONF_FIRST_VIOLATION,
     CONF_STRONGEST,
     PRED_COMPILED_EVALS,
-    LATTICE_MEMO_HITS,
-    LATTICE_MEMO_MISSES,
 ];
 
 #[cfg(test)]

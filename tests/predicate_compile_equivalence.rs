@@ -2,8 +2,10 @@
 //! every zoo predicate, the [`PredicateProgram`] returned by
 //! [`RrfdPredicate::compile`] must produce the same verdict as the dyn
 //! `admits` path on every input — well formed or not — and the lattice
-//! computed on the compiled plane must render byte-identically to the
-//! legacy per-pair search, memoized or cold.
+//! computed on the compiled plane must equal the legacy per-pair search
+//! in matrix, rendering and every witness — also when some predicates
+//! decline to compile. `admits_pattern` is pinned to stay linear on both
+//! paths.
 
 use proptest::prelude::*;
 use rrfd::core::{
@@ -11,9 +13,10 @@ use rrfd::core::{
     SystemSize,
 };
 use rrfd::models::enumerate::all_rounds;
-use rrfd::models::zoo::{zoo, ZOO_SIZE};
-use rrfd_analyze::lattice::Lattice;
-use rrfd_analyze::memo::{compute_with_memo, LatticeMemo};
+use rrfd::models::predicates::{AsyncResilient, Crash, SendOmission};
+use rrfd::models::zoo::{zoo, SharedPredicate, ZOO_SIZE};
+use rrfd_analyze::lattice::{certificate, Lattice};
+use std::cell::Cell;
 
 fn n3() -> SystemSize {
     SystemSize::new(3).expect("3 is a valid system size")
@@ -139,27 +142,233 @@ fn compiled_admits_pattern_matches_the_dyn_walk() {
 #[test]
 fn compiled_lattice_renders_byte_identically_to_legacy() {
     let family = zoo(n3(), 1);
-    let legacy = Lattice::compute(&family, 2);
-    let compiled = Lattice::compute_compiled(&family, 2);
-    assert_eq!(legacy.render_markdown(), compiled.render_markdown());
-    assert_eq!(legacy.render_json(), compiled.render_json());
+    assert_same_lattice(
+        &Lattice::compute(&family, 2),
+        &Lattice::compute_compiled(&family, 2),
+    );
+}
+
+/// Forwards dyn `admits` but declines to compile, so every evaluator
+/// keeps the predicate on the dyn path.
+struct DynOnly(SharedPredicate);
+
+impl RrfdPredicate for DynOnly {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn system_size(&self) -> SystemSize {
+        self.0.system_size()
+    }
+    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
+        self.0.admits(history, round)
+    }
+}
+
+/// A dyn-only predicate that rejects one exact round: `round` itself, or
+/// with `after` set, any round that follows it.
+struct Tripwire {
+    round: RoundFaults,
+    after: bool,
+}
+
+impl RrfdPredicate for Tripwire {
+    fn name(&self) -> String {
+        format!("tripwire({:?}, after: {})", self.round, self.after)
+    }
+    fn system_size(&self) -> SystemSize {
+        self.round.system_size()
+    }
+    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
+        if self.after {
+            history.last() != Some(&self.round)
+        } else {
+            round != &self.round
+        }
+    }
+}
+
+/// Matrix, rendering, and every witness of two lattices over one family.
+fn assert_same_lattice(expected: &Lattice, actual: &Lattice) {
+    assert_eq!(expected.render_markdown(), actual.render_markdown());
+    assert_eq!(expected.render_json(), actual.render_json());
+    let len = expected.names().len();
+    for i in 0..len {
+        for j in 0..len {
+            assert_eq!(
+                expected.implies_at(i, j),
+                actual.implies_at(i, j),
+                "({i},{j})"
+            );
+            let witness = |l: &Lattice| l.counterexample(i, j).map(|c| certificate(c).to_string());
+            assert_eq!(witness(expected), witness(actual), "({i},{j}) witness");
+        }
+    }
 }
 
 #[test]
-fn memoized_lattice_renders_byte_identically_cold_and_warm() {
-    let family = zoo(n3(), 1);
-    let (cold, memo, cold_stats) = compute_with_memo(&family, 3, None);
-    assert_eq!(cold_stats.hits, 0);
-    let prior = LatticeMemo::parse(&memo.render()).expect("a fresh memo must parse");
-    let (warm, warm_memo, warm_stats) = compute_with_memo(&family, 3, Some(&prior));
-    assert_eq!(warm_stats.misses, 0, "warm run re-searched pairs");
-    assert_eq!(warm_stats.hits, cold_stats.pairs);
-    assert_eq!(cold.render_markdown(), warm.render_markdown());
-    assert_eq!(cold.render_json(), warm.render_json());
+fn mixed_family_with_a_dyn_fallback_matches_the_legacy_search() {
+    // The eventually-strong model stays dyn: pairs with it as an endpoint
+    // take their witness from the dyn `implies`.
+    let family: Vec<SharedPredicate> = zoo(n3(), 1)
+        .into_iter()
+        .map(|p| {
+            if p.name().starts_with('◊') {
+                Box::new(DynOnly(p)) as SharedPredicate
+            } else {
+                p
+            }
+        })
+        .collect();
     assert_eq!(
-        memo.render(),
-        warm_memo.render(),
-        "memo must be byte-stable"
+        family.iter().filter(|p| p.compile().is_none()).count(),
+        1,
+        "exactly one zoo member is wrapped"
+    );
+    assert_same_lattice(
+        &Lattice::compute(&family, 3),
+        &Lattice::compute_compiled(&family, 3),
+    );
+}
+
+#[test]
+fn dyn_fallbacks_see_every_round_and_every_prefix() {
+    // `p1 → p0` and `p2 → p0` agree on everything the compiled programs
+    // read, so they share a round class and a child union; each tripwire
+    // is refuted only through its own round. A walk that evaluated one
+    // round per class (direct tripwires), or merged children by union
+    // (`after` tripwires), while a dyn fallback is legal would miss a
+    // refutation.
+    let n = n3();
+    let only = |suspect: usize| {
+        let mut round = RoundFaults::none(n);
+        round.set(ProcessId::new(suspect), IdSet::singleton(ProcessId::new(0)));
+        round
+    };
+    for after in [false, true] {
+        let mut family: Vec<SharedPredicate> = vec![Box::new(AsyncResilient::new(n, 1))];
+        for suspect in [1, 2] {
+            family.push(Box::new(Tripwire {
+                round: only(suspect),
+                after,
+            }));
+        }
+        let compiled = Lattice::compute_compiled(&family, 2);
+        assert_same_lattice(&Lattice::compute(&family, 2), &compiled);
+        for (j, tripwire) in family.iter().enumerate().skip(1) {
+            assert!(
+                !compiled.implies_at(0, j),
+                "{} must be refuted",
+                tripwire.name()
+            );
+        }
+    }
+}
+
+/// Counts `admits` calls made through the dyn path.
+struct CountingPredicate<P> {
+    inner: P,
+    calls: Cell<u64>,
+}
+
+impl<P: RrfdPredicate> RrfdPredicate for CountingPredicate<P> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn system_size(&self) -> SystemSize {
+        self.inner.system_size()
+    }
+    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.admits(history, round)
+    }
+    // No `compile` override: stays on the dyn path, so `admits_pattern`
+    // exercises the default prefix-incremental fallback.
+}
+
+#[test]
+fn dyn_admits_pattern_is_linear_in_rounds() {
+    // The regression this pins: the default `admits_pattern` once
+    // re-sliced the pattern per round (O(r²) clones); it must call
+    // `admits` exactly once per round of an admitted pattern, and stop
+    // at the first rejection.
+    let n = n3();
+    let counting = CountingPredicate {
+        inner: SendOmission::new(n, 2),
+        calls: Cell::new(0),
+    };
+
+    let suspicious = {
+        let mut r = RoundFaults::none(n);
+        r.set(ProcessId::new(0), IdSet::singleton(ProcessId::new(2)));
+        r
+    };
+    let mut admitted = FaultPattern::new(n);
+    for _ in 0..16 {
+        admitted.push(suspicious.clone());
+    }
+    assert!(counting.admits_pattern(&admitted));
+    assert_eq!(
+        counting.calls.get(),
+        16,
+        "one admits call per round, no quadratic re-walk"
+    );
+
+    // Early rejection stops the walk immediately.
+    let counting = CountingPredicate {
+        inner: Crash::new(n, 0), // f = 0: any suspicion rejects
+        calls: Cell::new(0),
+    };
+    let mut rejected = FaultPattern::new(n);
+    rejected.push(RoundFaults::none(n));
+    rejected.push(suspicious.clone());
+    rejected.push(suspicious.clone());
+    rejected.push(suspicious);
+    assert!(!counting.admits_pattern(&rejected));
+    assert_eq!(
+        counting.calls.get(),
+        2,
+        "the walk must stop at the first rejecting round"
+    );
+}
+
+#[test]
+fn compiled_admits_pattern_bypasses_dyn_admits_entirely() {
+    /// Forwards `compile` too: the program path must leave the dyn
+    /// counter untouched.
+    struct CompiledCounting<P> {
+        inner: P,
+        calls: Cell<u64>,
+    }
+    impl<P: RrfdPredicate> RrfdPredicate for CompiledCounting<P> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn system_size(&self) -> SystemSize {
+            self.inner.system_size()
+        }
+        fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.admits(history, round)
+        }
+        fn compile(&self) -> Option<rrfd::core::PredicateProgram> {
+            self.inner.compile()
+        }
+    }
+
+    let n = n3();
+    let counting = CompiledCounting {
+        inner: SendOmission::new(n, 2),
+        calls: Cell::new(0),
+    };
+    let mut pattern = FaultPattern::new(n);
+    for _ in 0..12 {
+        pattern.push(RoundFaults::none(n));
+    }
+    assert!(counting.admits_pattern(&pattern));
+    assert_eq!(
+        counting.calls.get(),
+        0,
+        "compiled predicates answer admits_pattern without dyn admits"
     );
 }
 
