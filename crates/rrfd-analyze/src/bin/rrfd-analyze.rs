@@ -6,6 +6,7 @@
 
 use rrfd_analyze::{lattice, lint, races, stats};
 use rrfd_core::SystemSize;
+use rrfd_models::enumerate::MAX_ENUMERATION_SIZE;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -16,23 +17,16 @@ Every subcommand exits 0 when clean, 1 on findings/drift, 2 on usage
 errors; --json switches stdout to a machine-readable object.
 
 commands:
-  lattice [--depth N] [--n N] [--f F] [--workers W]
-          [--no-compiled] [--explorer legacy|par|dpor]
-          [--check | --update] [--file PATH] [--json]
+  lattice [--depth N] [--n N] [--f F] [--check | --update] [--file PATH]
+          [--json]
       Compute the predicate-implication lattice over the standard zoo
-      (default n=3, f=1, depth 4) and print it as markdown (or as an
-      `rrfd-lattice v1` JSON object with --json). By default the pairs
-      are decided by one shared prefix-trie walk on the compiled
-      predicate plane: each trie node evaluates one round per class of
-      rounds the compiled programs cannot tell apart, and each refuted
-      pair's witness is found on the compiled programs in the per-pair
-      search's order. --no-compiled falls back to the legacy
-      per-pair dyn searches, run on W threads (default:
-      RRFD_EXPLORE_WORKERS, else the machine's parallelism) scheduled by
-      --explorer: `dpor` (default) distributes the refutation searches
-      over the DPOR work-stealing deque pool, `par` uses the legacy
-      shared claim counter, `legacy` runs them sequentially. Every path
-      renders the identical lattice. With --check, compare against the
+      (default n=3, f=1, depth 4; the zoo needs 3 <= n <= 5 and 2f < n)
+      and print it as markdown (or as an `rrfd-lattice v1` JSON object
+      with --json). The pairs are decided by one shared prefix-trie walk
+      on the compiled predicate plane: each trie node evaluates one round
+      per class of rounds the compiled programs cannot tell apart, and
+      each refuted pair's witness is found on the compiled programs in
+      the per-pair search's order. With --check, compare against the
       `<!-- lattice:begin -->` block in PATH (default EXPERIMENTS.md)
       and fail on drift; with --update, rewrite the block.
 
@@ -89,16 +83,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Default worker count for parallel analyses: `RRFD_EXPLORE_WORKERS`,
-/// else the machine's available parallelism.
-fn default_workers() -> usize {
-    std::env::var("RRFD_EXPLORE_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("{message}\n");
     eprint!("{USAGE}");
@@ -132,7 +116,7 @@ const LATTICE_END: &str = "<!-- lattice:end -->";
 
 fn run_lattice(args: &[String]) -> ExitCode {
     let mut rest = args.to_vec();
-    type LatticeArgs = (u32, usize, usize, usize, String, Option<String>);
+    type LatticeArgs = (u32, usize, usize, Option<String>);
     let parsed = (|| -> Result<LatticeArgs, String> {
         let depth = match take_value(&mut rest, "--depth")? {
             Some(v) => v.parse().map_err(|_| format!("bad --depth {v:?}"))?,
@@ -146,26 +130,16 @@ fn run_lattice(args: &[String]) -> ExitCode {
             Some(v) => v.parse().map_err(|_| format!("bad --f {v:?}"))?,
             None => 1,
         };
-        let workers = match take_value(&mut rest, "--workers")? {
-            Some(v) => v.parse().map_err(|_| format!("bad --workers {v:?}"))?,
-            None => default_workers(),
-        };
-        let explorer = match take_value(&mut rest, "--explorer")? {
-            Some(v) if ["legacy", "par", "dpor"].contains(&v.as_str()) => v,
-            Some(v) => return Err(format!("bad --explorer {v:?} (legacy, par, or dpor)")),
-            None => "dpor".to_owned(),
-        };
         let file = take_value(&mut rest, "--file")?;
-        Ok((depth, n, f, workers, explorer, file))
+        Ok((depth, n, f, file))
     })();
-    let (depth, n, f, workers, explorer, file) = match parsed {
+    let (depth, n, f, file) = match parsed {
         Ok(p) => p,
         Err(e) => return usage_error(&e),
     };
     let check = take_flag(&mut rest, "--check");
     let update = take_flag(&mut rest, "--update");
     let json = take_flag(&mut rest, "--json");
-    let compiled = !take_flag(&mut rest, "--no-compiled");
     if let Some(extra) = rest.first() {
         return usage_error(&format!("unexpected argument {extra:?}"));
     }
@@ -175,29 +149,25 @@ fn run_lattice(args: &[String]) -> ExitCode {
     if json && (check || update) {
         return usage_error("--json renders to stdout; it cannot combine with --check/--update");
     }
-    let Ok(n) = SystemSize::new(n) else {
-        return usage_error("--n must be at least 1");
-    };
-
-    let zoo = lattice::zoo(n, f);
-    let computed = if compiled {
-        eprintln!(
-            "computing the implication lattice (n={}, f={f}, depth {depth}, compiled plane)...",
-            n.get()
-        );
-        lattice::Lattice::compute_compiled(&zoo, depth)
-    } else {
-        eprintln!(
-            "computing the implication lattice (n={}, f={f}, depth {depth}, {workers} \
-             worker(s), {explorer} explorer)...",
-            n.get()
-        );
-        match explorer.as_str() {
-            "legacy" => lattice::Lattice::compute(&zoo, depth),
-            "par" => lattice::Lattice::compute_par(&zoo, depth, workers.max(1)),
-            _ => lattice::Lattice::compute_stealing(&zoo, depth, workers.max(1)),
+    // The zoo's own preconditions (see `zoo`'s `# Panics`), checked here
+    // so a bad size is a usage error rather than a constructor panic.
+    let n = match SystemSize::new(n) {
+        Ok(size) if (3..=MAX_ENUMERATION_SIZE).contains(&n) => size,
+        _ => {
+            return usage_error(&format!(
+                "--n must be between 3 and {MAX_ENUMERATION_SIZE} for the zoo"
+            ))
         }
     };
+    if f > (n.get() - 1) / 2 {
+        return usage_error("--f must satisfy 2f < n for the zoo");
+    }
+
+    eprintln!(
+        "computing the implication lattice (n={}, f={f}, depth {depth}, compiled plane)...",
+        n.get()
+    );
+    let computed = lattice::Lattice::compute_compiled(&lattice::zoo(n, f), depth);
     if json {
         print!("{}", computed.render_json());
         return ExitCode::SUCCESS;

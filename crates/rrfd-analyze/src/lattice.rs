@@ -27,7 +27,6 @@ use rrfd_models::enumerate::all_rounds;
 /// re-exported here so lattice callers keep their import paths.
 pub use rrfd_models::zoo::{zoo, SharedPredicate};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A witness that `A ⇏ B`: an `A`-legal pattern whose final round `B`
 /// rejects (every proper prefix is legal for both).
@@ -135,199 +134,34 @@ pub struct Lattice {
     n: SystemSize,
     max_rounds: u32,
     /// Counterexamples for every refuted pair, keyed by `(i, j)` and
-    /// sorted by key (every constructor folds pairs in that order).
+    /// sorted by key.
     counterexamples: Vec<((usize, usize), LatticeCounterexample)>,
 }
 
 impl Lattice {
     /// Computes the implication matrix over `predicates` with patterns of
-    /// at most `max_rounds` rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the family is empty or spans different system sizes.
-    #[must_use]
-    pub fn compute(predicates: &[SharedPredicate], max_rounds: u32) -> Self {
-        Lattice::compute_par(predicates, max_rounds, 1)
-    }
-
-    /// As [`Lattice::compute`], but deciding the `len × len` implication
-    /// pairs on up to `workers` threads (each pair is an independent
-    /// bounded-exhaustive search). Results are folded in pair order, so
-    /// the computed lattice — matrix, counterexamples, rendering — is
-    /// identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the family is empty or spans different system sizes.
-    #[must_use]
-    pub fn compute_par(predicates: &[SharedPredicate], max_rounds: u32, workers: usize) -> Self {
-        let first = predicates
-            .first()
-            .unwrap_or_else(|| panic!("lattice needs at least one predicate"));
-        let n = first.system_size();
-        let names: Vec<String> = predicates.iter().map(|p| p.name()).collect();
-        let len = predicates.len();
-        let pairs: Vec<(usize, usize)> = (0..len)
-            .flat_map(|i| (0..len).map(move |j| (i, j)))
-            .collect();
-
-        let decide = |&(i, j): &(usize, usize)| {
-            if i == j {
-                Ok(())
-            } else {
-                implies(predicates[i].as_ref(), predicates[j].as_ref(), max_rounds)
-            }
-        };
-
-        let worker_count = workers.clamp(1, pairs.len().max(1));
-        let mut slots: Vec<Option<Result<(), LatticeCounterexample>>> = Vec::new();
-        slots.resize_with(pairs.len(), || None);
-        if worker_count <= 1 {
-            for (k, pair) in pairs.iter().enumerate() {
-                slots[k] = Some(decide(pair));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let pairs_ref = &pairs;
-            let collected: Vec<Vec<(usize, Result<(), LatticeCounterexample>)>> =
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..worker_count)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut local = Vec::new();
-                                loop {
-                                    let k = next.fetch_add(1, Ordering::Relaxed);
-                                    if k >= pairs_ref.len() {
-                                        break;
-                                    }
-                                    local.push((k, decide(&pairs_ref[k])));
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(local) => local,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect()
-                });
-            for (k, outcome) in collected.into_iter().flatten() {
-                slots[k] = Some(outcome);
-            }
-        }
-
-        let mut matrix = vec![vec![false; len]; len];
-        let mut counterexamples = Vec::new();
-        for (k, slot) in slots.into_iter().enumerate() {
-            let (i, j) = pairs[k];
-            match slot {
-                Some(Ok(())) => matrix[i][j] = true,
-                Some(Err(cex)) => counterexamples.push(((i, j), cex)),
-                None => unreachable!("every pair is claimed exactly once"),
-            }
-        }
-        Lattice {
-            names,
-            matrix,
-            n,
-            max_rounds,
-            counterexamples,
-        }
-    }
-
-    /// As [`Lattice::compute_par`], but distributing the implication
-    /// pairs over the DPOR explorer's work-stealing deque pool
-    /// ([`rrfd_sims::dpor::StealPool`]) instead of a shared claim
-    /// counter. Refutation searches vary wildly in cost — a false
-    /// implication can fail on the first pattern while a true one
-    /// enumerates the whole bounded space — which is exactly the load
-    /// shape stealing balances and static claiming does not. Results are
-    /// folded by pair index, so the computed lattice is identical to
-    /// [`Lattice::compute`] at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the family is empty or spans different system sizes.
-    #[must_use]
-    pub fn compute_stealing(
-        predicates: &[SharedPredicate],
-        max_rounds: u32,
-        workers: usize,
-    ) -> Self {
-        use std::sync::Mutex;
-
-        let first = predicates
-            .first()
-            .unwrap_or_else(|| panic!("lattice needs at least one predicate"));
-        let n = first.system_size();
-        let names: Vec<String> = predicates.iter().map(|p| p.name()).collect();
-        let len = predicates.len();
-        let pairs: Vec<(usize, usize)> = (0..len)
-            .flat_map(|i| (0..len).map(move |j| (i, j)))
-            .collect();
-
-        let mut slots: Vec<Option<Result<(), LatticeCounterexample>>> = Vec::new();
-        slots.resize_with(pairs.len(), || None);
-        let slots_shared = Mutex::new(slots);
-        let pool = rrfd_sims::dpor::StealPool::new(workers.clamp(1, pairs.len().max(1)));
-        pool.run(
-            pairs.iter().copied().enumerate().collect(),
-            |(k, (i, j)), _spawn| {
-                let outcome = if i == j {
-                    Ok(())
-                } else {
-                    implies(predicates[i].as_ref(), predicates[j].as_ref(), max_rounds)
-                };
-                slots_shared.lock().expect("slot mutex poisoned")[k] = Some(outcome);
-            },
-        );
-        let slots = slots_shared.into_inner().expect("slot mutex poisoned");
-
-        let mut matrix = vec![vec![false; len]; len];
-        let mut counterexamples = Vec::new();
-        for (k, slot) in slots.into_iter().enumerate() {
-            let (i, j) = pairs[k];
-            match slot {
-                Some(Ok(())) => matrix[i][j] = true,
-                Some(Err(cex)) => counterexamples.push(((i, j), cex)),
-                None => unreachable!("the pool drains every seeded pair"),
-            }
-        }
-        Lattice {
-            names,
-            matrix,
-            n,
-            max_rounds,
-            counterexamples,
-        }
-    }
-
-    /// As [`Lattice::compute`], but on the compiled predicate plane: one
+    /// at most `max_rounds` rounds, on the compiled predicate plane: one
     /// shared prefix trie instead of `len²` independent pair searches.
     ///
-    /// The legacy path re-enumerates the `A ∧ B`-legal prefixes for every
-    /// pair, re-walking each history prefix per candidate round inside
-    /// `admits`. Here each shared prefix is visited **once** for all
-    /// pairs: a `u128` legality mask tracks which predicates still admit
-    /// the prefix, compiled programs ([`RrfdPredicate::compile`]) are
-    /// evaluated against one [`RoundProfile`] per class of observably
+    /// A per-pair search would re-enumerate the `A ∧ B`-legal prefixes for
+    /// every pair, re-walking each history prefix per candidate round
+    /// inside `admits`. Here each shared prefix is visited **once** for
+    /// all pairs: a `u128` legality mask tracks which predicates still
+    /// admit the prefix, compiled programs ([`RrfdPredicate::compile`])
+    /// are evaluated against one [`RoundProfile`] per class of observably
     /// equivalent candidate rounds (see [`ProgOp::history_key`]; static
     /// programs are precomputed into per-class verdict masks before the
     /// walk starts), and a subtree is abandoned as soon as it can no
     /// longer refute any still-open pair. Predicates that decline to
     /// compile fall back to their dyn `admits` exactly.
     ///
-    /// The result — matrix, rendering and every counterexample — is
-    /// identical to [`Lattice::compute`]: a pair is refuted here iff a
+    /// The result — matrix and every counterexample — is identical to
+    /// deciding each pair with [`implies`]: a pair is refuted here iff a
     /// jointly-legal prefix extends to a round `A` admits and `B`
-    /// rejects, which is the legacy search's termination condition, and
-    /// each refuted pair's witness is then found by the legacy search's
-    /// own depth-first order (on the compiled programs when both
-    /// endpoints compiled, through [`implies`] otherwise).
+    /// rejects, which is [`implies`]'s termination condition, and each
+    /// refuted pair's witness is then found in [`implies`]'s own
+    /// depth-first order (on the compiled programs when both endpoints
+    /// compiled, through [`implies`] itself otherwise).
     ///
     /// # Panics
     ///
@@ -436,7 +270,7 @@ impl Lattice {
             row[i] = true;
         }
         // Pairs still pending after an exhaustive walk were never refuted
-        // within the bound: they imply, exactly as in the legacy search.
+        // within the bound: they imply, exactly as in the per-pair search.
         for (i, row) in pending.iter().enumerate() {
             let mut row = *row | static_true[i];
             while row != 0 {
@@ -446,9 +280,8 @@ impl Lattice {
             }
         }
         // Canonical witnesses: each refuted pair's counterexample is the
-        // first one the legacy per-pair search meets, so the recorded
-        // witnesses are independent of walk order and state merging —
-        // exactly what `Lattice::compute` would have stored.
+        // first one `implies` meets, so the recorded witnesses are
+        // independent of walk order and state merging.
         let witnesses = WitnessSearch {
             n,
             rounds: &rounds,
@@ -1070,7 +903,7 @@ mod tests {
             Box::new(KUncertainty::new(n, 1)),
             Box::new(IdenticalViews::new(n)),
         ];
-        let lattice = Lattice::compute(&family, 1);
+        let lattice = Lattice::compute_compiled(&family, 1);
         for i in 0..family.len() {
             assert!(lattice.implies_at(i, i));
         }
@@ -1094,41 +927,36 @@ mod tests {
             Box::new(Crash::new(n, 1)),
             Box::new(SendOmission::new(n, 1)),
         ];
-        let lattice = Lattice::compute(&family, 1);
+        let lattice = Lattice::compute_compiled(&family, 1);
         let one = lattice.render_markdown();
-        let two = Lattice::compute(&family, 1).render_markdown();
+        let two = Lattice::compute_compiled(&family, 1).render_markdown();
         assert_eq!(one, two);
         assert!(one.contains("✓"), "{one}");
         assert!(one.contains("Hasse cover edges"), "{one}");
     }
 
     #[test]
-    fn parallel_compute_matches_sequential_at_every_worker_count() {
-        let n = n3();
-        let family = zoo(n, 1);
-        let sequential = Lattice::compute(&family, 1).render_markdown();
-        for workers in [2, 4, 16] {
-            let parallel = Lattice::compute_par(&family, 1, workers).render_markdown();
-            assert_eq!(parallel, sequential, "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn compiled_walk_matches_the_legacy_matrix_and_rendering() {
+        // The per-pair search is `implies` on every ordered pair; the
+        // shared-trie walk must reproduce its verdicts and witnesses.
         let n = n3();
         let family = zoo(n, 1);
-        let legacy = Lattice::compute(&family, 2);
         let compiled = Lattice::compute_compiled(&family, 2);
-        assert_eq!(legacy.render_markdown(), compiled.render_markdown());
-        assert_eq!(legacy.render_json(), compiled.render_json());
         for i in 0..family.len() {
             for j in 0..family.len() {
-                if compiled.implies_at(i, j) {
+                let per_pair = if i == j {
+                    Ok(())
+                } else {
+                    implies(family[i].as_ref(), family[j].as_ref(), 2)
+                };
+                assert_eq!(compiled.implies_at(i, j), per_pair.is_ok(), "({i},{j})");
+                let Err(expected) = per_pair else {
                     continue;
-                }
+                };
                 let cex = compiled
                     .counterexample(i, j)
                     .expect("every refuted pair carries a witness");
+                assert_eq!(cex.pattern, expected.pattern, "({i},{j})");
                 assert!(
                     family[i].admits_pattern(&cex.pattern),
                     "({i},{j}): witness must be legal for the antecedent"
@@ -1155,16 +983,5 @@ mod tests {
         let trace = certificate(cex);
         let reparsed: RunTrace = trace.to_string().parse().unwrap();
         assert_eq!(reparsed, trace);
-    }
-
-    #[test]
-    fn stealing_compute_matches_sequential_at_every_worker_count() {
-        let n = n3();
-        let family = zoo(n, 1);
-        let sequential = Lattice::compute(&family, 1).render_markdown();
-        for workers in [1, 2, 8] {
-            let stolen = Lattice::compute_stealing(&family, 1, workers).render_markdown();
-            assert_eq!(stolen, sequential, "workers = {workers}");
-        }
     }
 }

@@ -41,7 +41,6 @@
 
 pub mod jsonout;
 pub mod lattice;
-pub mod legacy;
 pub mod lint;
 pub mod passes;
 pub mod races;

@@ -14,7 +14,7 @@
 //! One entry per line, `#` comments:
 //!
 //! ```text
-//! round-closure crates/rrfd-sims/src/digest.rs fp:90f2a6f41f7b3a21  # keys probed, never iterated
+//! round-closure crates/rrfd-core/src/engine.rs fp:1773953f5bcbc801  # the Delivery carrier
 //! panic-family  crates/rrfd-core/src/task.rs   2                    # legacy budget (count)
 //! ```
 //!

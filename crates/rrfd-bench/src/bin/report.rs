@@ -36,11 +36,7 @@ use rrfd_protocols::kset::{FloodMin, OneRoundKSet, SnapshotKSet};
 use rrfd_protocols::s_consensus::SRotatingConsensus;
 use rrfd_protocols::semi_sync_consensus::TwoStepConsensus;
 use rrfd_runtime::{MetricsSink, ThreadedEngine};
-use rrfd_sims::digest::{DigestWriter, StateDigest};
 use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
-use rrfd_sims::explore::explore_schedules_checked;
-#[allow(deprecated)] // legacy baseline for the dpor section until removal
-use rrfd_sims::explore_par::{explore_shared_mem_par, no_fingerprint, ParConfig};
 use rrfd_sims::instrument::Instrumented;
 use rrfd_sims::semi_sync::{RandomSemiSync, SemiSyncSim};
 use rrfd_sims::shared_mem::{Action, MemProcess, Observation, RandomScheduler, SharedMemSim};
@@ -205,97 +201,14 @@ fn time_samples(samples: usize, run: impl Fn()) -> Vec<u64> {
     times
 }
 
-/// The explorer head-to-head workload: an id-symmetric snapshot protocol
-/// (write a constant, snapshot twice, decide on the last view) whose
-/// 12-event schedule tree has `12!/(4!)³ = 34650` interleavings but only a
-/// handful of distinct states — exactly the shape where the parallel
-/// explorer's converged-state memoization should pay off over the
-/// sequential re-run walker.
-#[derive(Debug, Clone)]
-struct SweepSnap {
-    phase: u8,
-    seen: u64,
-}
-
-impl MemProcess<u64> for SweepSnap {
-    type Output = u64;
-    fn step(&mut self, obs: Observation<u64>) -> Action<u64, u64> {
-        self.phase += 1;
-        match obs {
-            Observation::Start => Action::Write { bank: 0, value: 7 },
-            Observation::Written => Action::Snapshot { bank: 0 },
-            Observation::SnapshotView(view) => {
-                self.seen = view.iter().flatten().count() as u64;
-                if self.phase < 4 {
-                    Action::Snapshot { bank: 0 }
-                } else {
-                    Action::Decide(self.seen)
-                }
-            }
-            other => panic!("unexpected observation {other:?}"),
-        }
-    }
-}
-
-impl StateDigest for SweepSnap {
-    fn digest(&self, w: &mut DigestWriter) {
-        self.phase.digest(w);
-        self.seen.digest(w);
-    }
-}
-
-struct ExploreRow {
-    sequential_ns: u64,
-    parallel_ns: u64,
-    workers: usize,
-    speedup_x100: u64,
-}
-
-/// Times the sequential re-run explorer against the parallel pruned one on
-/// the same envelope (crash-free, full schedule tree) and reports the
-/// speedup as an integer percentage ratio.
-// Keeps timing the legacy explorer as the dpor section's baseline until
-// `explore_par` is removed.
-#[allow(deprecated)]
-fn measure_explore(samples: usize) -> ExploreRow {
-    let size = n(3);
-    let sim = SharedMemSim::new(size, 1).with_snapshots();
-    let make = || {
-        (0..3)
-            .map(|_| SweepSnap { phase: 0, seen: 0 })
-            .collect::<Vec<_>>()
-    };
-    let seq_times = time_samples(samples, || {
-        let stats = explore_schedules_checked(&sim, make, |_| Ok(()), 50_000).expect("seq explore");
-        assert_eq!(stats.schedules, 34_650);
-    });
-    let workers = 4;
-    let config = ParConfig::new(workers).split_depth(2);
-    let par_times = time_samples(samples, || {
-        let stats = explore_shared_mem_par(&sim, make, |_| Ok(()), no_fingerprint, &config)
-            .expect("par explore");
-        assert!(stats.pruned_by_hash > 0, "memoization must fire");
-    });
-    let sequential_ns = quantile(&seq_times, 0.5);
-    let parallel_ns = quantile(&par_times, 0.5).max(1);
-    ExploreRow {
-        sequential_ns,
-        parallel_ns,
-        workers,
-        speedup_x100: sequential_ns * 100 / parallel_ns,
-    }
-}
-
-/// The DPOR head-to-head workload: a full-information ring at `n = 6`.
+/// The DPOR workload: a full-information ring at `n = 6`.
 /// Each process floods its value through three write rounds (one SWMR
 /// bank per round), then reads its ring successor's final-round cell and
 /// decides on what it saw. The 30-event schedule tree is astronomically
 /// large (`30!/(5!)⁶` interleavings), but only the six write/read pairs
 /// on the last bank conflict — so the DPOR explorer collapses the whole
 /// tree into 63 Mazurkiewicz classes (the 2⁶ miss/see combinations minus
-/// the all-miss one, which the ring makes cyclically infeasible) while
-/// `explore_par` has to memoize its way across every distinct phase
-/// vector.
+/// the all-miss one, which the ring makes cyclically infeasible).
 #[derive(Debug, Clone)]
 struct RingFlood {
     id: u8,
@@ -326,33 +239,18 @@ impl MemProcess<u64> for RingFlood {
     }
 }
 
-impl StateDigest for RingFlood {
-    fn digest(&self, w: &mut DigestWriter) {
-        self.id.digest(w);
-        self.phase.digest(w);
-    }
-}
-
 struct DporRow {
     schedules: usize,
     revisits: u64,
     sleep_set_blocked: u64,
-    par_ns: u64,
     workers_1_ns: u64,
     workers_4_ns: u64,
     workers_8_ns: u64,
-    speedup_vs_par_x100: u64,
-    schedules_pruned_ratio_x100: u64,
 }
 
-/// Times the DPOR explorer against the legacy memoizing parallel one on
-/// the [`RingFlood`] envelope. `speedup_vs_par_x100` compares the two at
-/// the same worker count (4); `schedules_pruned_ratio_x100` is the
-/// schedule-tree work `explore_par` did (completed schedules plus memo
-/// prunes) over the trace classes DPOR visited — the reduction factor the
-/// acceptance bar pins at ≥ 5×.
-// Keeps the legacy explorer as the comparison baseline until removal.
-#[allow(deprecated)]
+/// Times the DPOR explorer on the [`RingFlood`] envelope at 1, 4 and 8
+/// workers, after pinning its class count: the ring has exactly 63
+/// Mazurkiewicz classes, so any other count is a reduction bug.
 fn measure_dpor(samples: usize) -> DporRow {
     let size = n(6);
     let sim = SharedMemSim::new(size, 3);
@@ -362,15 +260,6 @@ fn measure_dpor(samples: usize) -> DporRow {
             .collect::<Vec<_>>()
     };
     let ok = |_: &_| Ok(());
-
-    let par_config = ParConfig::new(4).split_depth(2).max_schedules(5_000_000);
-    let par_stats = std::cell::RefCell::new(None);
-    let par_times = time_samples(samples, || {
-        let stats = explore_shared_mem_par(&sim, make, ok, no_fingerprint, &par_config)
-            .expect("par ring explore");
-        par_stats.borrow_mut().get_or_insert(stats);
-    });
-    let par_stats = par_stats.into_inner().expect("par stats captured");
 
     let mut dpor_stats = None;
     let mut dpor_ns = |workers: usize| {
@@ -393,26 +282,14 @@ fn measure_dpor(samples: usize) -> DporRow {
     let workers_4_ns = dpor_ns(4);
     let workers_8_ns = dpor_ns(8);
     let stats = dpor_stats.expect("dpor stats captured");
-
-    let par_ns = quantile(&par_times, 0.5);
-    let par_tree = par_stats.schedules as u64 + par_stats.pruned_by_hash;
-    let ratio = par_tree * 100 / (stats.schedules.max(1) as u64);
-    assert!(
-        ratio >= 500,
-        "DPOR must prune ≥5× vs explore_par (got {ratio} x100: \
-         par tree {par_tree}, dpor classes {})",
-        stats.schedules
-    );
+    assert_eq!(stats.schedules, 63, "the ring has exactly 63 trace classes");
     DporRow {
         schedules: stats.schedules,
         revisits: stats.revisits,
         sleep_set_blocked: stats.sleep_set_blocked,
-        par_ns,
         workers_1_ns,
         workers_4_ns,
         workers_8_ns,
-        speedup_vs_par_x100: par_ns * 100 / workers_4_ns,
-        schedules_pruned_ratio_x100: ratio,
     }
 }
 
@@ -543,14 +420,9 @@ fn run_report(quick: bool) -> String {
         0.5,
     );
 
-    // Explorer head-to-head: sequential re-run walker vs the parallel,
-    // memoizing one, same envelope.
+    // The DPOR class explorer on the full-info ring, at 1, 4 and 8
+    // workers.
     let explore_samples = if quick { 3 } else { 7 };
-    eprintln!("measuring explorer speedup ({explore_samples} samples per walker)...");
-    let explore = measure_explore(explore_samples);
-
-    // Exploration v2 head-to-head: the DPOR class explorer against the
-    // legacy memoizing parallel walker on the full-info ring.
     eprintln!("measuring dpor explorer ({explore_samples} samples per cell)...");
     let dpor = measure_dpor(explore_samples);
 
@@ -606,23 +478,14 @@ fn run_report(quick: bool) -> String {
          \"sharded_ns\": {sharded}}},\n"
     ));
     out.push_str(&format!(
-        "  \"explore\": {{\"sequential_ns\": {}, \"parallel_ns\": {}, \"workers\": {}, \
-         \"speedup_x100\": {}}},\n",
-        explore.sequential_ns, explore.parallel_ns, explore.workers, explore.speedup_x100,
-    ));
-    out.push_str(&format!(
         "  \"dpor\": {{\"schedules\": {}, \"revisits\": {}, \"sleep_set_blocked\": {}, \
-         \"par_ns\": {}, \"workers_1_ns\": {}, \"workers_4_ns\": {}, \"workers_8_ns\": {}, \
-         \"speedup_vs_par_x100\": {}, \"schedules_pruned_ratio_x100\": {}}},\n",
+         \"workers_1_ns\": {}, \"workers_4_ns\": {}, \"workers_8_ns\": {}}},\n",
         dpor.schedules,
         dpor.revisits,
         dpor.sleep_set_blocked,
-        dpor.par_ns,
         dpor.workers_1_ns,
         dpor.workers_4_ns,
         dpor.workers_8_ns,
-        dpor.speedup_vs_par_x100,
-        dpor.schedules_pruned_ratio_x100,
     ));
     out.push_str(&render_throughput_line(&throughput));
     out.push('\n');
@@ -700,24 +563,14 @@ fn check_schema(text: &str) -> Result<(), String> {
             .and_then(json::Json::as_u64)
             .ok_or_else(|| format!("overhead: missing integer `{field}`"))?;
     }
-    let explore = root.get("explore").ok_or("missing object `explore`")?;
-    for field in ["sequential_ns", "parallel_ns", "workers", "speedup_x100"] {
-        explore
-            .get(field)
-            .and_then(json::Json::as_u64)
-            .ok_or_else(|| format!("explore: missing integer `{field}`"))?;
-    }
     let dpor = root.get("dpor").ok_or("missing object `dpor`")?;
     for field in [
         "schedules",
         "revisits",
         "sleep_set_blocked",
-        "par_ns",
         "workers_1_ns",
         "workers_4_ns",
         "workers_8_ns",
-        "speedup_vs_par_x100",
-        "schedules_pruned_ratio_x100",
     ] {
         dpor.get(field)
             .and_then(json::Json::as_u64)

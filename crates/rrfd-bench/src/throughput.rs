@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn splice_inserts_before_msg_plane_when_missing() {
-        let report = "{\n  \"explore\": {},\n  \"msg_plane\": [\n  ]\n}\n";
+        let report = "{\n  \"dpor\": {},\n  \"msg_plane\": [\n  ]\n}\n";
         let line = render_throughput_line(&sample_row());
         let updated = splice_throughput(report, &line).unwrap();
         let tp = updated

@@ -859,7 +859,7 @@ pub fn run_batch(mix: &MixSpec, instances: u64, config: &PoolConfig) -> BatchRep
                 .map(|(shard, lanes)| scope.spawn(move || run_shard(lanes, config, shard)))
                 .collect();
             // Drain every shard before re-raising a panic (same
-            // containment the parallel explorer uses): no shard thread
+            // containment the DPOR steal pool uses): no shard thread
             // may outlive the unwind.
             let mut collected = Vec::with_capacity(shards);
             let mut first_panic = None;

@@ -10,15 +10,21 @@
 
 use rrfd_core::{FaultPattern, IdSet, ProcessId, RoundFaults, RrfdPredicate, SystemSize};
 
+/// The largest system size [`all_rounds`] enumerates: the space is
+/// `2^(n²)`, and enumeration beyond `n = 5` is a mistake.
+pub const MAX_ENUMERATION_SIZE: usize = 5;
+
 /// Iterates over **every** well-formed round (each `D(i,r) ⊊ S`) of a
 /// system of `n` processes.
 ///
 /// # Panics
 ///
-/// Panics for `n > 5` — the space is `2^(n²)` and enumeration beyond
-/// `n = 5` is a mistake.
+/// Panics for `n >` [`MAX_ENUMERATION_SIZE`].
 pub fn all_rounds(n: SystemSize) -> impl Iterator<Item = RoundFaults> {
-    assert!(n.get() <= 5, "exhaustive enumeration is for n ≤ 5");
+    assert!(
+        n.get() <= MAX_ENUMERATION_SIZE,
+        "exhaustive enumeration is for n ≤ 5"
+    );
     let procs = n.get();
     let subsets = 1u64 << procs; // 2^n bitmaps per process
     let total = subsets.pow(procs as u32);

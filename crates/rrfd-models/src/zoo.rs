@@ -53,8 +53,9 @@ pub const ZOO_STRENGTH_RANK: [usize; ZOO_SIZE] = [
 ///
 /// # Panics
 ///
-/// Panics when `f` is not a legal resilience for `n` (the individual
-/// constructors check).
+/// Panics unless `n ≥ 3` (System B needs `f_B < t` with `2t < n`) and
+/// `2f < n` (◊S needs a correct majority); the individual constructors
+/// check.
 #[must_use]
 pub fn zoo(n: SystemSize, f: usize) -> Vec<SharedPredicate> {
     let t = n.get().div_ceil(2) - 1; // largest t with 2t < n

@@ -6,8 +6,15 @@
 //! any count or nanosecond total the workspace records in one run).
 //! Strings support the standard escapes; `\u` escapes outside the BMP are
 //! not combined into surrogate pairs (the workspace never emits them).
+//! Arrays and objects nest at most [`MAX_DEPTH`] levels deep, so hostile
+//! input gets a [`JsonError`] instead of exhausting the stack.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`parse`] accepts. The workspace's
+/// own exports nest three or four levels; the cap bounds the parser's
+/// recursion on hostile input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,11 +123,13 @@ impl std::error::Error for JsonError {}
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -134,6 +143,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -174,8 +185,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -375,6 +397,22 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         let err = parse("nope").unwrap_err();
         assert_eq!(err.offset, 0);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(2_000_000);
+        let err = parse(&arrays).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+
+        let objects = format!("{{\"metric\":{}", "{\"k\":".repeat(2_000_000));
+        let err = parse(&objects).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+
+        // Exactly at the cap still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

@@ -88,27 +88,13 @@ pub const EXPLORE_SCHEDULES: &str = "rrfd_explore_schedules_total";
 pub const EXPLORE_DECISION_POINTS: &str = "rrfd_explore_decision_points_total";
 /// Gauge: deepest decision sequence any explored schedule reached.
 pub const EXPLORE_MAX_DEPTH: &str = "rrfd_explore_max_depth";
-/// Counter: subtrees skipped by converged-state memoization
-/// (`explore_par` hash pruning).
-pub const EXPLORE_PRUNED_HASH: &str = "rrfd_explore_pruned_by_hash_total";
-/// Counter: branches skipped by process-id symmetry reduction
-/// (`explore_par`, opt-in).
-pub const EXPLORE_PRUNED_SYMMETRY: &str = "rrfd_explore_pruned_by_symmetry_total";
 /// Gauge: worker threads the exploration ran on.
 pub const EXPLORE_WORKERS: &str = "rrfd_explore_workers";
-/// Counter: independent subtree jobs the schedule tree was split into.
-pub const EXPLORE_SPLITS: &str = "rrfd_explore_splits_total";
-/// Gauge: distinct states the converged-state memos retained, summed over
-/// jobs (`0` with pruning off or for the sequential explorers).
+/// Gauge: marks in the DPOR explorer's revisit tree (`0` for the
+/// sequential explorers).
 pub const EXPLORE_MEMO_ENTRIES: &str = "rrfd_explore_memo_entries";
-/// Gauge: state-encoding bytes the memos retained, summed over jobs.
+/// Gauge: bytes of the DPOR explorer's revisit tree.
 pub const EXPLORE_MEMO_BYTES: &str = "rrfd_explore_memo_bytes";
-/// Gauge: `1` when any job's memo hit its entry or byte cap and stopped
-/// inserting (degraded pruning), else `0`.
-pub const EXPLORE_MEMO_SATURATED: &str = "rrfd_explore_memo_saturated";
-/// Counter: fresh states the memo caps refused to retain (degrade-path
-/// re-explorations — distinct from, and never inflating, hash prunes).
-pub const EXPLORE_MEMO_DEGRADED: &str = "rrfd_explore_memo_degraded_total";
 /// Counter: maximal execution graphs the DPOR explorer ran to completion
 /// (one per Mazurkiewicz trace class reached).
 pub const EXPLORE_GRAPHS: &str = "rrfd_explore_graphs_total";
@@ -181,7 +167,7 @@ pub const PRED_COMPILED_EVALS: &str = "rrfd_predicate_compiled_evals_total";
 /// recorders index per-metric tables by it instead of hashing strings.
 /// New names must be appended here too (a unit test checks that every
 /// constant of this module is listed exactly once).
-pub const ALL: [&str; 58] = [
+pub const ALL: [&str; 53] = [
     ENGINE_ROUNDS,
     ENGINE_MESSAGES_EMITTED,
     ENGINE_MESSAGES_RECEIVED,
@@ -216,14 +202,9 @@ pub const ALL: [&str; 58] = [
     EXPLORE_SCHEDULES,
     EXPLORE_DECISION_POINTS,
     EXPLORE_MAX_DEPTH,
-    EXPLORE_PRUNED_HASH,
-    EXPLORE_PRUNED_SYMMETRY,
     EXPLORE_WORKERS,
-    EXPLORE_SPLITS,
     EXPLORE_MEMO_ENTRIES,
     EXPLORE_MEMO_BYTES,
-    EXPLORE_MEMO_SATURATED,
-    EXPLORE_MEMO_DEGRADED,
     EXPLORE_GRAPHS,
     EXPLORE_REVISITS,
     EXPLORE_STEALS,

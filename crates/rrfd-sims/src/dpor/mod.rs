@@ -1,11 +1,11 @@
 //! Dynamic partial-order reduction (DPOR): exploration v2.
 //!
-//! The legacy explorers ([`crate::explore`], [`crate::explore_par`])
-//! enumerate scheduler *interleavings*; most of them differ only in the
-//! order of commuting steps and reach the same outcome. This module
-//! rebuilds exploration around **execution graphs**: a completed run is
-//! a set of events partially ordered by happens-before (program order
-//! plus conflict order, kept as one predecessor bit row per event). Runs
+//! The sequential explorers ([`crate::explore`]) enumerate scheduler
+//! *interleavings*; most of them differ only in the order of commuting
+//! steps and reach the same outcome. This module rebuilds exploration
+//! around **execution graphs**: a completed run is a set of events
+//! partially ordered by happens-before (program order plus conflict
+//! order, kept as one predecessor bit row per event). Runs
 //! with the same graph form one *Mazurkiewicz trace class* and are outcome-
 //! equivalent, so the explorer visits **one representative per class**:
 //!
@@ -38,12 +38,11 @@
 //! the configured worker count is identical across worker counts, and
 //! the counterexample — the failing class with the smallest canonical
 //! key — is too. Certificates remain replayable
-//! [`crate::trace::ScheduleTrace`]s, interchangeable with the legacy
+//! [`crate::trace::ScheduleTrace`]s, interchangeable with the sequential
 //! explorers' output.
 //!
-//! Unlike the legacy memoized walker, DPOR never digests *states*, only
-//! event sequences — so it soundly explores protocols with opaque oracle
-//! state that [`crate::explore_par`] could not memoize.
+//! DPOR never digests *states*, only event sequences — so it soundly
+//! explores protocols with opaque oracle state.
 
 pub mod graph;
 pub mod pool;
@@ -88,9 +87,8 @@ impl DporConfig {
         }
     }
 
-    /// Worker count from the [`WORKERS_ENV`] environment variable
-    /// (shared with the legacy parallel explorer), falling back to the
-    /// machine's available parallelism.
+    /// Worker count from the [`WORKERS_ENV`] environment variable,
+    /// falling back to the machine's available parallelism.
     #[must_use]
     pub fn from_env() -> Self {
         let workers = std::env::var(WORKERS_ENV)
@@ -101,9 +99,8 @@ impl DporConfig {
         DporConfig::new(workers)
     }
 
-    /// Overrides the trace-class guard (the analogue of the legacy
-    /// explorers' `max_runs`/`max_schedules`, counting classes instead
-    /// of interleavings).
+    /// Overrides the trace-class guard (the analogue of the sequential
+    /// explorers' `max_runs`, counting classes instead of interleavings).
     #[must_use]
     pub fn max_schedules(mut self, max: usize) -> Self {
         self.max_schedules = max;

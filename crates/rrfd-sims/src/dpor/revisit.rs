@@ -26,11 +26,11 @@ use rrfd_core::ProcessId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// What the DPOR driver needs from an execution state. The contract
-/// mirrors the legacy explorer's `Explorable`, minus state digests (DPOR
-/// identifies classes by event sequences, so it works on protocols whose
-/// states are not soundly digestible) and plus traced application: every
-/// apply reports the [`Access`] footprint it left behind.
+/// What the DPOR driver needs from an execution state: enabled options,
+/// reports, and traced application — every apply reports the [`Access`]
+/// footprint it left behind. No state digests: DPOR identifies classes by
+/// event sequences, so it works on protocols whose states are not
+/// soundly digestible.
 pub(crate) trait DporTarget: Sized + Clone {
     /// Scheduler event type, replayable through [`ScheduleTrace`].
     type Event: SchedEvent + Send + Sync;

@@ -1,12 +1,13 @@
 //! Exhaustive schedule exploration for the shared-memory simulator.
 //!
 //! For small systems the *entire* tree of interleavings is enumerable:
-//! [`explore_schedules`] performs a depth-first walk over every scheduler
-//! decision sequence (which runnable process steps next, crash-free),
-//! running the protocol to completion on each path and handing every
-//! outcome to a checker. This turns sampled "holds under 50 seeds" tests
-//! into genuine proofs-by-enumeration for two- and three-process
-//! instances — the adopt-commit and immediate-snapshot test-suites use it.
+//! [`explore_schedules_checked`] performs a depth-first walk over every
+//! scheduler decision sequence (which runnable process steps next,
+//! crash-free), running the protocol to completion on each path and
+//! handing every outcome to a checker. This turns sampled "holds under
+//! 50 seeds" tests into genuine proofs-by-enumeration for two- and
+//! three-process instances — the adopt-commit and immediate-snapshot
+//! test-suites use it.
 //!
 //! Every decision sequence visited is also recorded as a
 //! [`ScheduleTrace`]; when a check fails, the walker hands back a
@@ -18,7 +19,6 @@ use crate::shared_mem::{MemEvent, MemProcess, MemRunReport, MemScheduler, Shared
 use crate::trace::{Recording, SchedEvent, ScheduleTrace};
 use rrfd_core::IdSet;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A scheduler that replays a fixed choice prefix (indices into the sorted
 /// runnable set) and picks the first runnable process beyond it, recording
@@ -52,35 +52,19 @@ pub struct ExploreStats {
     pub decision_points: u64,
     /// The deepest decision sequence any schedule reached.
     pub max_depth: usize,
-    /// Subtrees skipped because their root state had already been visited
-    /// (converged-state memoization; `0` for the sequential explorers).
-    pub pruned_by_hash: u64,
-    /// Branches skipped by process-id symmetry reduction (`0` unless the
-    /// parallel explorer runs with symmetry enabled).
-    pub pruned_by_symmetry: u64,
     /// Worker threads the search ran on (`1` for the sequential
     /// explorers).
     pub workers: usize,
-    /// Independent subtree jobs the schedule tree was split into (`0` for
-    /// the sequential explorers — they never split).
-    pub wall_splits: usize,
-    /// Distinct states the converged-state memos retained, summed over
-    /// jobs (`0` for the sequential explorers and with pruning off). For
-    /// the DPOR explorer: the marks in its revisit tree, one per explored
-    /// class plus one per queued revisit prefix.
+    /// Marks in the DPOR explorer's revisit tree: one per explored class
+    /// plus one per queued revisit prefix (`0` for the sequential
+    /// explorers).
     pub memo_entries: usize,
-    /// Encoding bytes the memos retained, summed over jobs. For the DPOR
-    /// explorer: the bytes of its revisit tree's nodes and edges.
+    /// Bytes of the DPOR explorer's revisit tree, nodes and edges (`0`
+    /// for the sequential explorers).
     pub memo_bytes: usize,
-    /// `true` when any job's memo hit its entry or byte cap and degraded
-    /// to not inserting (fewer prunes, never a wrong prune).
-    pub memo_saturated: bool,
-    /// Fresh states the memo caps refused to retain — re-explorations the
-    /// degrade path paid for. Kept separate from `pruned_by_hash` so the
-    /// cap's cost is visible instead of inflating the prune count.
-    pub memo_degraded: u64,
     /// Maximal execution graphs the DPOR explorer ran to completion — one
-    /// per Mazurkiewicz trace class reached (`0` for the legacy explorers).
+    /// per Mazurkiewicz trace class reached (`0` for the sequential
+    /// explorers).
     pub graphs_explored: u64,
     /// Race-reversal revisits the DPOR explorer scheduled.
     pub revisits: u64,
@@ -97,23 +81,18 @@ pub struct ExploreStats {
 impl ExploreStats {
     /// Combines the totals of two disjoint parts of one search. The
     /// operation is associative and commutative (sums and maxima), so
-    /// per-worker stats can be folded in any grouping; the parallel
-    /// explorer folds them in fixed job order to keep the result
-    /// byte-identical across runs.
+    /// per-item stats can be folded in any grouping and order: the DPOR
+    /// explorer folds them as work items complete and still reports the
+    /// same totals on every run.
     #[must_use]
     pub fn merged(self, other: ExploreStats) -> ExploreStats {
         ExploreStats {
             schedules: self.schedules + other.schedules,
             decision_points: self.decision_points + other.decision_points,
             max_depth: self.max_depth.max(other.max_depth),
-            pruned_by_hash: self.pruned_by_hash + other.pruned_by_hash,
-            pruned_by_symmetry: self.pruned_by_symmetry + other.pruned_by_symmetry,
             workers: self.workers.max(other.workers),
-            wall_splits: self.wall_splits + other.wall_splits,
             memo_entries: self.memo_entries + other.memo_entries,
             memo_bytes: self.memo_bytes + other.memo_bytes,
-            memo_saturated: self.memo_saturated || other.memo_saturated,
-            memo_degraded: self.memo_degraded + other.memo_degraded,
             graphs_explored: self.graphs_explored + other.graphs_explored,
             revisits: self.revisits + other.revisits,
             steals: self.steals + other.steals,
@@ -139,25 +118,10 @@ impl ExploreStats {
             Labels::GLOBAL,
             i64::try_from(self.max_depth).unwrap_or(i64::MAX),
         );
-        obs.add(
-            names::EXPLORE_PRUNED_HASH,
-            Labels::GLOBAL,
-            self.pruned_by_hash,
-        );
-        obs.add(
-            names::EXPLORE_PRUNED_SYMMETRY,
-            Labels::GLOBAL,
-            self.pruned_by_symmetry,
-        );
         obs.gauge(
             names::EXPLORE_WORKERS,
             Labels::GLOBAL,
             i64::try_from(self.workers).unwrap_or(i64::MAX),
-        );
-        obs.add(
-            names::EXPLORE_SPLITS,
-            Labels::GLOBAL,
-            self.wall_splits as u64,
         );
         obs.gauge(
             names::EXPLORE_MEMO_ENTRIES,
@@ -168,16 +132,6 @@ impl ExploreStats {
             names::EXPLORE_MEMO_BYTES,
             Labels::GLOBAL,
             i64::try_from(self.memo_bytes).unwrap_or(i64::MAX),
-        );
-        obs.gauge(
-            names::EXPLORE_MEMO_SATURATED,
-            Labels::GLOBAL,
-            i64::from(self.memo_saturated),
-        );
-        obs.add(
-            names::EXPLORE_MEMO_DEGRADED,
-            Labels::GLOBAL,
-            self.memo_degraded,
         );
         obs.add(names::EXPLORE_GRAPHS, Labels::GLOBAL, self.graphs_explored);
         obs.add(names::EXPLORE_REVISITS, Labels::GLOBAL, self.revisits);
@@ -213,15 +167,6 @@ impl<E: SchedEvent> fmt::Display for Counterexample<E> {
         writeln!(f, "scheduler choices: {:?}", self.choices)?;
         write!(f, "replayable schedule:\n{}", self.schedule)
     }
-}
-
-/// Converts a caught panic payload into a displayable message.
-fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 /// Enumerates every schedule of `sim` over fresh processes from `make`,
@@ -306,50 +251,12 @@ where
     }
 }
 
-/// Panicking front-end to [`explore_schedules_checked`]: `check` signals
-/// failure by panicking (e.g. `assert!`), and the panic is re-raised with
-/// the failing schedule appended, so a test log always carries a
-/// replayable trace. Returns the number of schedules explored.
-///
-/// # Panics
-///
-/// Panics if the exploration exceeds `max_runs` schedules, or re-raises
-/// `check` panics annotated with the [`Counterexample`].
-#[deprecated(
-    since = "0.2.0",
-    note = "panics instead of returning the counterexample; use \
-            `explore_schedules_checked`, which yields a replayable \
-            `Counterexample` as a typed error"
-)]
-pub fn explore_schedules<V, P, F, G>(
-    sim: &SharedMemSim,
-    make: G,
-    mut check: F,
-    max_runs: usize,
-) -> usize
-where
-    V: Clone,
-    P: MemProcess<V>,
-    G: Fn() -> Vec<P>,
-    F: FnMut(&MemRunReport<P, V>),
-{
-    match explore_schedules_checked(
-        sim,
-        make,
-        |report| catch_unwind(AssertUnwindSafe(|| check(report))).map_err(payload_message),
-        max_runs,
-    ) {
-        Ok(stats) => stats.schedules,
-        Err(cex) => panic!("{cex}"),
-    }
-}
-
 /// Exhaustive exploration for the semi-synchronous simulator, including
 /// crash choices: at every decision point the walker tries stepping each
 /// live process and, while `crash_budget` allows, crashing each live
 /// process.
 pub mod semi_sync {
-    use super::{catch_unwind, payload_message, AssertUnwindSafe, Counterexample, ExploreStats};
+    use super::{Counterexample, ExploreStats};
     use crate::semi_sync::{
         SemiSyncEvent, SemiSyncProcess, SemiSyncReport, SemiSyncScheduler, SemiSyncSim,
     };
@@ -465,44 +372,6 @@ pub mod semi_sync {
             prefix = full;
         }
     }
-
-    /// Panicking front-end to [`explore_semi_sync_checked`]: `check`
-    /// panics on failure and the panic is re-raised with the failing
-    /// schedule appended. Returns the number of schedules explored.
-    ///
-    /// # Panics
-    ///
-    /// Panics past `max_runs` schedules, or re-raises `check` panics
-    /// annotated with the [`Counterexample`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "panics instead of returning the counterexample; use \
-                `explore_semi_sync_checked`, which yields a replayable \
-                `Counterexample` as a typed error"
-    )]
-    pub fn explore_semi_sync<P, F, G>(
-        sim: &SemiSyncSim,
-        max_crashes: usize,
-        make: G,
-        mut check: F,
-        max_runs: usize,
-    ) -> usize
-    where
-        P: SemiSyncProcess,
-        G: Fn() -> Vec<P>,
-        F: FnMut(&SemiSyncReport<P>),
-    {
-        match explore_semi_sync_checked(
-            sim,
-            max_crashes,
-            make,
-            |report| catch_unwind(AssertUnwindSafe(|| check(report))).map_err(payload_message),
-            max_runs,
-        ) {
-            Ok(stats) => stats.schedules,
-            Err(cex) => panic!("{cex}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -547,21 +416,22 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the panicking front-end is what's under test
     fn enumerates_all_interleavings_of_two_three_step_processes() {
         let n = SystemSize::new(2).unwrap();
         let sim = SharedMemSim::new(n, 1);
         let mut outcomes = std::collections::BTreeSet::new();
-        let runs = explore_schedules(
+        let stats = explore_schedules_checked(
             &sim,
             make_pair,
             |report| {
                 outcomes.insert((report.outputs[0].unwrap(), report.outputs[1].unwrap()));
+                Ok(())
             },
             1000,
-        );
+        )
+        .unwrap();
         // Two processes, three steps each: C(6,3) = 20 interleavings.
-        assert_eq!(runs, 20);
+        assert_eq!(stats.schedules, 20);
         // Classic register analysis: at least one process must see the
         // other's write; both-None is unreachable.
         assert!(!outcomes.contains(&(None, None)));
@@ -573,7 +443,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the panicking front-end is what's under test
     fn single_process_has_one_schedule() {
         let n = SystemSize::new(1).unwrap();
         let sim = SharedMemSim::new(n, 1);
@@ -591,17 +460,16 @@ mod tests {
             }
         }
 
-        let runs = explore_schedules(&sim, || vec![Solo], |_| {}, 10);
-        assert_eq!(runs, 1);
+        let stats = explore_schedules_checked(&sim, || vec![Solo], |_| Ok(()), 10).unwrap();
+        assert_eq!(stats.schedules, 1);
     }
 
     #[test]
     #[should_panic(expected = "exceeded 5 runs")]
-    #[allow(deprecated)] // the panicking front-end is what's under test
     fn run_guard_fires() {
         let n = SystemSize::new(2).unwrap();
         let sim = SharedMemSim::new(n, 1);
-        let _ = explore_schedules(&sim, make_pair, |_| {}, 5);
+        let _ = explore_schedules_checked(&sim, make_pair, |_| Ok(()), 5);
     }
 
     #[test]
@@ -640,37 +508,6 @@ mod tests {
             "{shown}"
         );
         assert!(shown.contains("rrfd-sched v1"), "{shown}");
-    }
-
-    #[test]
-    #[allow(deprecated)] // the panicking front-end is what's under test
-    fn failing_check_panics_with_the_schedule_attached() {
-        let n = SystemSize::new(2).unwrap();
-        let sim = SharedMemSim::new(n, 1);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            explore_schedules(
-                &sim,
-                make_pair,
-                |report| {
-                    assert!(
-                        !report.outputs.iter().any(|o| o == &Some(None)),
-                        "someone missed the other's write"
-                    );
-                },
-                1000,
-            )
-        }))
-        .unwrap_err();
-        let message = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("panic carries a formatted message");
-        assert!(
-            message.contains("someone missed the other's write"),
-            "{message}"
-        );
-        assert!(message.contains("replayable schedule:"), "{message}");
-        assert!(message.contains("rrfd-sched v1"), "{message}");
     }
 
     #[test]

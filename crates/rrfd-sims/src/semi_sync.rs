@@ -18,7 +18,6 @@
 //! simulator in `rrfd-protocols::semi_sync_consensus` and stress-tested
 //! against random schedules.
 
-use crate::digest::{DigestWriter, StateDigest};
 use rrfd_core::{Control, IdSet, ProcessId, SystemSize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -221,7 +220,7 @@ impl SemiSyncSim {
 
 /// The state of one semi-synchronous run, advanced one scheduler event at
 /// a time — the incremental form [`SemiSyncSim::run`] loops over, and the
-/// parallel explorer clones at decision points.
+/// one the DPOR explorer ([`crate::dpor`]) drives event by event.
 #[derive(Debug)]
 pub struct SemiSyncExecution<P: SemiSyncProcess> {
     sim: SemiSyncSim,
@@ -384,29 +383,6 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
             crashed: self.crashed,
             total_steps: self.total_steps,
             processes: self.processes,
-        }
-    }
-
-    /// Writes the canonical encoding of everything that can still
-    /// influence the run's outcome: inbox contents (sender order matters —
-    /// a step consumes its whole inbox in arrival order), outputs with
-    /// their per-process step counts, the crash set, the step counters,
-    /// and the protocol states. Unlike shared memory there is no opaque
-    /// oracle state, so every semi-synchronous execution is digestible.
-    pub fn digest_into(&self, w: &mut DigestWriter)
-    where
-        P: StateDigest,
-        P::Msg: StateDigest,
-        P::Output: StateDigest,
-    {
-        self.inboxes.digest(w);
-        self.outputs.digest(w);
-        self.step_counts.digest(w);
-        self.crashed.digest(w);
-        w.write_u64(self.total_steps);
-        w.write_len(self.processes.len());
-        for p in &self.processes {
-            p.digest(w);
         }
     }
 }

@@ -15,7 +15,6 @@
 //! deterministic given the scheduler, so any run can be replayed from a
 //! seed.
 
-use crate::digest::{DigestWriter, StateDigest};
 use rrfd_core::{IdSet, ProcessId, SystemSize};
 use std::fmt;
 
@@ -374,10 +373,9 @@ impl SharedMemSim {
 }
 
 /// The state of one shared-memory run, advanced one scheduler event at a
-/// time. [`SharedMemSim::run`] is a loop over this object; the parallel
-/// explorer ([`crate::explore_par`]) instead *clones* it at every decision
-/// point, turning the schedule tree into an explicit-state search in which
-/// shared prefixes are executed once instead of once per schedule.
+/// time. [`SharedMemSim::run`] is a loop over this object; the DPOR
+/// explorer ([`crate::dpor`]) drives it event by event through
+/// [`MemExecution::apply_traced`].
 #[derive(Debug)]
 pub struct MemExecution<P: MemProcess<V>, V> {
     sim: SharedMemSim,
@@ -564,56 +562,6 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
             steps: self.steps,
             processes: self.processes,
             marker: std::marker::PhantomData,
-        }
-    }
-
-    /// `false` when the state cannot be soundly digested: k-set oracle
-    /// objects carry an opaque RNG whose state the digest cannot observe,
-    /// so two executions holding oracles must never be identified.
-    #[must_use]
-    pub fn supports_digest(&self) -> bool {
-        self.oracles.is_empty()
-    }
-
-    /// Writes the canonical encoding of everything that can still
-    /// influence the run's outcome: bank contents, pending observations,
-    /// outputs, the crash set, the step counter, and the protocol states.
-    /// Callers must check [`MemExecution::supports_digest`] first.
-    pub fn digest_into(&self, w: &mut DigestWriter)
-    where
-        P: StateDigest,
-        P::Output: StateDigest,
-        V: StateDigest,
-    {
-        self.cells.digest(w);
-        self.pending.digest(w);
-        self.outputs.digest(w);
-        self.crashed.digest(w);
-        w.write_u64(self.steps);
-        w.write_len(self.processes.len());
-        for p in &self.processes {
-            p.digest(w);
-        }
-    }
-}
-
-impl<V: StateDigest> StateDigest for Observation<V> {
-    fn digest(&self, w: &mut DigestWriter) {
-        match self {
-            Observation::Start => w.write_u8(0),
-            Observation::Written => w.write_u8(1),
-            Observation::Value(v) => {
-                w.write_u8(2);
-                v.digest(w);
-            }
-            Observation::SnapshotView(view) => {
-                w.write_u8(3);
-                view.digest(w);
-            }
-            Observation::Chosen(v) => {
-                w.write_u8(4);
-                v.digest(w);
-            }
         }
     }
 }

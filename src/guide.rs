@@ -89,7 +89,7 @@
 //! * **§4.2 adopt-commit**:
 //!   [`AdoptCommitMachine`](crate::protocols::adopt_commit::AdoptCommitMachine),
 //!   verified over *all* 3432 two-process interleavings via
-//!   [`explore_schedules`](crate::sims::explore::explore_schedules).
+//!   [`explore_schedules_checked`](crate::sims::explore::explore_schedules_checked).
 //! * **Theorem 4.3** (crash rounds via adopt-commit):
 //!   [`run_crash_simulation`](crate::protocols::sync_sim::run_crash_simulation)
 //!   — three asynchronous phases per simulated round, with the extracted

@@ -21,10 +21,9 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-/// One instruction of the scripted protocol (same interpreter as the
-/// legacy suite in `explore_equivalence.rs`, minus the `StateDigest`
-/// bound — the DPOR explorer keys trace classes on event sequences, so
-/// it needs no digest at all).
+/// One instruction of the scripted protocol. The DPOR explorer keys
+/// trace classes on event sequences, so the interpreter needs no state
+/// digest at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
     /// Write this value to the process's own cell of bank 0.

@@ -58,8 +58,7 @@ fn explore(workers: usize) -> ExploreStats {
 fn render(stats: &ExploreStats) -> String {
     format!(
         "schedules {}\ngraphs_explored {}\nrevisits {}\nsleep_set_blocked {}\n\
-         decision_points {}\nmax_depth {}\nmemo_entries {}\npruned_by_hash {}\n\
-         pruned_by_symmetry {}\nwall_splits {}\nmemo_saturated {}\nmemo_degraded {}\n",
+         decision_points {}\nmax_depth {}\nmemo_entries {}\n",
         stats.schedules,
         stats.graphs_explored,
         stats.revisits,
@@ -67,11 +66,6 @@ fn render(stats: &ExploreStats) -> String {
         stats.decision_points,
         stats.max_depth,
         stats.memo_entries,
-        stats.pruned_by_hash,
-        stats.pruned_by_symmetry,
-        stats.wall_splits,
-        stats.memo_saturated,
-        stats.memo_degraded,
     )
 }
 

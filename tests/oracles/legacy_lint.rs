@@ -4,8 +4,9 @@
 //! The `tests/static_analysis.rs` goldens prove that the five ported
 //! passes (`panic-family`, `wall-clock`, `obs`, `direct-index`,
 //! `msg-clone`) reproduce this scanner's findings on the frozen fixture
-//! tree under `tests/fixtures/static_analysis/`. Do not extend this
-//! module — new rules belong in `passes`.
+//! tree under `tests/fixtures/static_analysis/`. It lives under `tests/`
+//! as a test oracle only, and is not part of any library. Do not extend
+//! it — new rules belong in `rrfd_analyze::passes`.
 //!
 //! Known limitations the lexer framework fixes: raw strings are not
 //! understood, `#[cfg(test)]` detection is substring-based, fences were
@@ -60,8 +61,6 @@ pub struct LintFinding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// The offending source line, trimmed.
-    pub excerpt: String,
 }
 
 /// The fence lists the legacy scanner hard-coded (the framework reads
@@ -105,7 +104,6 @@ pub fn scan_file(crate_name: &str, rel_path: &str, text: &str, out: &mut Vec<Lin
                 kind,
                 path: rel_path.to_owned(),
                 line: line_no,
-                excerpt: raw.trim().to_owned(),
             });
         };
         if code.contains(".unwrap()") || code.contains(".expect(") || code.contains("panic!") {

@@ -2,10 +2,10 @@
 //! every zoo predicate, the [`PredicateProgram`] returned by
 //! [`RrfdPredicate::compile`] must produce the same verdict as the dyn
 //! `admits` path on every input — well formed or not — and the lattice
-//! computed on the compiled plane must equal the legacy per-pair search
-//! in matrix, rendering and every witness — also when some predicates
-//! decline to compile. `admits_pattern` is pinned to stay linear on both
-//! paths.
+//! computed on the compiled plane must equal the per-pair dyn search (the
+//! oracle [`dyn_lattice`], one public `implies` call per ordered pair) in
+//! matrix and every witness — also when some predicates decline to
+//! compile. `admits_pattern` is pinned to stay linear on both paths.
 
 use proptest::prelude::*;
 use rrfd::core::{
@@ -15,7 +15,7 @@ use rrfd::core::{
 use rrfd::models::enumerate::all_rounds;
 use rrfd::models::predicates::{AsyncResilient, Crash, SendOmission};
 use rrfd::models::zoo::{zoo, SharedPredicate, ZOO_SIZE};
-use rrfd_analyze::lattice::{certificate, Lattice};
+use rrfd_analyze::lattice::{certificate, implies, Lattice};
 use std::cell::Cell;
 
 fn n3() -> SystemSize {
@@ -142,10 +142,7 @@ fn compiled_admits_pattern_matches_the_dyn_walk() {
 #[test]
 fn compiled_lattice_renders_byte_identically_to_legacy() {
     let family = zoo(n3(), 1);
-    assert_same_lattice(
-        &Lattice::compute(&family, 2),
-        &Lattice::compute_compiled(&family, 2),
-    );
+    assert_matches_dyn_search(&family, 2);
 }
 
 /// Forwards dyn `admits` but declines to compile, so every evaluator
@@ -187,22 +184,41 @@ impl RrfdPredicate for Tripwire {
     }
 }
 
-/// Matrix, rendering, and every witness of two lattices over one family.
-fn assert_same_lattice(expected: &Lattice, actual: &Lattice) {
-    assert_eq!(expected.render_markdown(), actual.render_markdown());
-    assert_eq!(expected.render_json(), actual.render_json());
-    let len = expected.names().len();
-    for i in 0..len {
-        for j in 0..len {
-            assert_eq!(
-                expected.implies_at(i, j),
-                actual.implies_at(i, j),
-                "({i},{j})"
-            );
-            let witness = |l: &Lattice| l.counterexample(i, j).map(|c| certificate(c).to_string());
-            assert_eq!(witness(expected), witness(actual), "({i},{j}) witness");
+/// The per-pair dyn search: `implies` on every ordered pair, each pair
+/// searched on its own with dyn `admits` in the inner loop. Entry
+/// `[i][j]` is `None` when `i ⇒ j` within `depth` rounds, else the
+/// certificate text of the first witness the search meets.
+fn dyn_lattice(family: &[SharedPredicate], depth: u32) -> Vec<Vec<Option<String>>> {
+    (0..family.len())
+        .map(|i| {
+            (0..family.len())
+                .map(|j| {
+                    if i == j {
+                        return None;
+                    }
+                    implies(family[i].as_ref(), family[j].as_ref(), depth)
+                        .err()
+                        .map(|cex| certificate(&cex).to_string())
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The compiled lattice of `family` equals the [`dyn_lattice`] oracle in
+/// every matrix cell and every witness certificate.
+fn assert_matches_dyn_search(family: &[SharedPredicate], depth: u32) -> Lattice {
+    let compiled = Lattice::compute_compiled(family, depth);
+    for (i, row) in dyn_lattice(family, depth).into_iter().enumerate() {
+        for (j, expected) in row.into_iter().enumerate() {
+            assert_eq!(compiled.implies_at(i, j), expected.is_none(), "({i},{j})");
+            let witness = compiled
+                .counterexample(i, j)
+                .map(|c| certificate(c).to_string());
+            assert_eq!(witness, expected, "({i},{j}) witness");
         }
     }
+    compiled
 }
 
 #[test]
@@ -224,10 +240,7 @@ fn mixed_family_with_a_dyn_fallback_matches_the_legacy_search() {
         1,
         "exactly one zoo member is wrapped"
     );
-    assert_same_lattice(
-        &Lattice::compute(&family, 3),
-        &Lattice::compute_compiled(&family, 3),
-    );
+    assert_matches_dyn_search(&family, 3);
 }
 
 #[test]
@@ -252,8 +265,7 @@ fn dyn_fallbacks_see_every_round_and_every_prefix() {
                 after,
             }));
         }
-        let compiled = Lattice::compute_compiled(&family, 2);
-        assert_same_lattice(&Lattice::compute(&family, 2), &compiled);
+        let compiled = assert_matches_dyn_search(&family, 2);
         for (j, tripwire) in family.iter().enumerate().skip(1) {
             assert!(
                 !compiled.implies_at(0, j),

@@ -4,14 +4,16 @@
 //!   fires all nine passes (and the unfenced fixture crate fires none
 //!   of the fence-gated ones);
 //! * the five lexer-ported lints reproduce the frozen line-oriented
-//!   scanner (`rrfd_analyze::legacy`) finding-for-finding on that tree;
+//!   scanner (`oracles/legacy_lint.rs`) finding-for-finding on that tree;
 //! * span fingerprints survive unrelated line insertions and expire
 //!   when the flagged code changes;
 //! * the allowlist lifecycle: malformed entries are parse errors, stale
 //!   entries are ratchet notices, and notices fail under `--strict`;
 //! * the real workspace plus `lint.allow` is clean under `--strict`.
 
-use rrfd_analyze::legacy;
+#[path = "oracles/legacy_lint.rs"]
+mod legacy;
+
 use rrfd_analyze::lint::{self, AllowSpec, Allowance};
 use rrfd_analyze::passes::{self, Finding};
 use rrfd_analyze::syntax::SourceFile;
