@@ -432,9 +432,12 @@ fn run_report(quick: bool) -> String {
     let msg_plane = measure_msg_plane(samples);
 
     // Batch throughput: the sharded pool against the sequential loop on
-    // the default tenant mix. `serve` re-measures this section at
+    // the default tenant mix, on at most 4 shards and never more shards
+    // than the host has cores. `serve` re-measures this section at
     // arbitrary scale and splices it back in.
-    let (tp_instances, tp_shards) = if quick { (2_000, 4) } else { (10_000, 4) };
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let tp_shards = cores.min(4);
+    let tp_instances = if quick { 2_000 } else { 10_000 };
     eprintln!("measuring batch throughput ({tp_instances} instances, {tp_shards} shards)...");
     let throughput = measure_throughput(&MixSpec::default_mix(), tp_instances, tp_shards, SEED);
 

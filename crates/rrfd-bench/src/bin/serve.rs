@@ -19,7 +19,8 @@
 //! the `rrfd-bench v1` schema reader; a missing file is a warning, not
 //! an error, so `serve` is usable standalone.
 //!
-//! `--quick` shrinks the default instance count for CI smoke runs.
+//! `--quick` shrinks the default instance count for CI smoke runs. The
+//! default shard count is 4, capped at the host's available parallelism.
 
 use rrfd_bench::{
     measure_conformance, measure_throughput, render_throughput_line, splice_throughput,
@@ -84,7 +85,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         },
-        None => 4,
+        None => std::thread::available_parallelism().map_or(1, |c| c.get().min(4)),
     };
     let mix = match mix_spec {
         Some(spec) => match MixSpec::parse(&spec) {

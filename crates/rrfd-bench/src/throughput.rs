@@ -34,7 +34,7 @@ pub struct ThroughputRow {
     pub sequential_ns: u64,
     /// `instances / batch_ns`, scaled to instances per second.
     pub instances_per_sec: u64,
-    /// p99 of one multiplexed engine step (one instance, one round), in
+    /// p99 of one pool engine step (one instance, one round), in
     /// wall nanoseconds, from the instrumented pass's histogram.
     pub p99_round_ns: u64,
     /// `sequential_ns * 100 / batch_ns` — `200` means the pool retired

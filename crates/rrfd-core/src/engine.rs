@@ -337,8 +337,9 @@ impl Engine {
 
     /// Sets the instance id stamped on this engine's causal spans. Span
     /// and parent ids are pure functions of `(instance, round, process)`,
-    /// so multiplexed substrates (the batch pool) give each admitted run
-    /// a distinct id to keep their span trees disjoint. Defaults to 0.
+    /// so substrates that run many instances into one recorder (the batch
+    /// pool) give each run a distinct id to keep their span trees
+    /// disjoint. Defaults to 0.
     #[must_use]
     pub fn instance(mut self, instance: u64) -> Self {
         self.instance = instance;
@@ -414,9 +415,9 @@ impl Engine {
 
     /// Starts a resumable run: the returned [`EngineRun`] executes one
     /// round per [`EngineRun::step`] call instead of running to
-    /// completion. This is the multiplexing seam the batch execution pool
-    /// is built on — one OS thread can round-robin thousands of
-    /// independent `EngineRun`s, each stepping a round at a time.
+    /// completion. The batch pool steps its runs this way so that it can
+    /// time each step; since runs own all their state, one thread may
+    /// also interleave any number of them.
     ///
     /// Unlike [`Engine::run`], the run owns its detector and model (use
     /// `&mut D` / `&Q` via the blanket impls to borrow instead).
@@ -462,9 +463,8 @@ impl Engine {
 
     /// [`Engine::start`] reusing a retired run's emission-table buffer
     /// (see [`FinishedRun::buffer`]): the new run's steady-state rounds
-    /// then allocate nothing even on their first round. This is the slab
-    /// lifecycle the batch pool's shards use to keep instance turnover
-    /// allocation-free.
+    /// then allocate nothing even on their first round. Each lane of the
+    /// batch pool hands its last run's buffer to its next run this way.
     ///
     /// # Errors
     ///
@@ -533,9 +533,9 @@ impl Engine {
 /// [`EngineRun::set_round_hook`]: called once per executed round with the
 /// validated (or, on the violation path, violating) suspicion sets —
 /// exactly the rounds a captured [`RunTrace`] would record. This is the
-/// seam the conformance monitor hangs off: substrates that multiplex runs
-/// (the batch pool) feed each instance's monitor without the engine
-/// knowing what a predicate zoo is.
+/// seam the conformance monitor hangs off: substrates that run many
+/// instances (the batch pool) feed each instance's monitor without the
+/// engine knowing what a predicate zoo is.
 pub struct RoundHook(Box<dyn FnMut(&RoundFaults) + Send>);
 
 impl RoundHook {
@@ -642,8 +642,8 @@ where
 
     /// Overrides the instance id stamped on this run's causal spans
     /// (normally inherited from [`Engine::instance`]). The pool calls this
-    /// per admitted instance so span trees from multiplexed runs stay
-    /// disjoint.
+    /// per instance so the span trees of its runs, which share one engine
+    /// per lane, stay disjoint.
     pub fn set_instance(&mut self, instance: u64) {
         self.instance = instance;
     }

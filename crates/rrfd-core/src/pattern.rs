@@ -195,6 +195,11 @@ impl FaultPattern {
         self.rounds.push(round);
     }
 
+    /// Forgets every recorded round, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.rounds.clear();
+    }
+
     /// The suspicion sets of round `r`, if recorded.
     #[must_use]
     pub fn round(&self, r: Round) -> Option<&RoundFaults> {

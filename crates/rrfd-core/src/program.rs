@@ -157,7 +157,9 @@ pub struct RoundProfile {
 impl RoundProfile {
     /// Profiles one round: one linear scan over the suspicion sets plus a
     /// pairwise containment check (the sets are `u128` words, so every
-    /// comparison is a couple of machine operations).
+    /// comparison is a couple of machine operations). Both pairwise checks
+    /// stop at their first counterexample, and identical views are a chain
+    /// without any check.
     #[must_use]
     pub fn of(round: &RoundFaults) -> Self {
         let n = round.system_size();
@@ -181,17 +183,15 @@ impl RoundProfile {
             max_len = max_len.max(len);
             len_hist[len] += 1;
             identical &= d == first;
-            for j in d.iter() {
-                antisym_ok &= !round.of(j).contains(i);
-            }
+            antisym_ok = antisym_ok && d.iter().all(|j| !round.of(j).contains(i));
         }
-        let mut chain_ok = true;
         let sets = round.as_slice();
-        for (a, da) in sets.iter().enumerate() {
-            for db in sets.iter().skip(a + 1) {
-                chain_ok &= da.is_subset(*db) || db.is_subset(*da);
-            }
-        }
+        let chain_ok = identical
+            || sets.iter().enumerate().all(|(a, da)| {
+                sets.iter()
+                    .skip(a + 1)
+                    .all(|db| da.is_subset(*db) || db.is_subset(*da))
+            });
         RoundProfile {
             union,
             intersection,
@@ -267,6 +267,20 @@ impl HistoryCtx {
             prev_union: IdSet::empty(),
             unions: Vec::new(),
             immortal,
+        }
+    }
+
+    /// Forgets every absorbed round, keeping the registered
+    /// stabilizations and every allocation: the context then equals a
+    /// fresh [`HistoryCtx::for_programs`] over the same programs.
+    pub fn reset(&mut self) {
+        self.rounds = 0;
+        self.cum = IdSet::empty();
+        self.prev_union = IdSet::empty();
+        self.unions.clear();
+        let universe = IdSet::universe(self.n);
+        for (_, register) in &mut self.immortal {
+            *register = universe;
         }
     }
 
@@ -572,6 +586,13 @@ impl ProgramBatch {
     /// Folds one profiled round into the shared history context.
     pub fn absorb_profile(&mut self, profile: &RoundProfile) {
         self.ctx.absorb_profile(profile);
+    }
+
+    /// Empties the history context and zeroes the evaluation count,
+    /// keeping the programs and every allocation.
+    pub fn reset(&mut self) {
+        self.ctx.reset();
+        self.evals = 0;
     }
 }
 

@@ -11,13 +11,11 @@
 //! * [`mix`] — weighted specifications of the tenant population
 //!   ([`MixSpec`]), parsed from compact spec strings, and the concrete
 //!   protocol/model/adversary classes they denote.
-//! * [`slab`] — the per-shard arena ([`Slab`]) holding live runs
-//!   cache-local with slot reuse.
-//! * [`pool`] — the sharded pool itself: [`run_batch`] multiplexes
-//!   instances over worker threads by stepping resumable
-//!   [`rrfd_core::EngineRun`]s one round at a time, recycling emission
-//!   buffers across instance turnover; [`run_sequential`] is the naive
-//!   one-`Engine::run`-per-instance baseline it is measured (and
+//! * [`pool`] — the sharded pool itself: [`run_batch`] splits instances
+//!   over worker threads, and each shard runs its instances to
+//!   completion one after another on per-lane state it reuses (engine,
+//!   emission buffer, conformance monitor); [`run_sequential`] is the
+//!   naive one-`Engine::run`-per-instance baseline it is measured (and
 //!   differentially tested) against.
 //!
 //! Everything is deterministic in `(mix, instances, seed)`: instance →
@@ -32,11 +30,9 @@
 
 pub mod mix;
 pub mod pool;
-pub mod slab;
 
 pub use mix::{ClassKind, ClassSpec, MixError, MixSpec, Stall};
 pub use pool::{
     run_batch, run_sequential, BatchReport, ClassConformance, ClassTotals, InstanceClass,
-    InstanceConformance, InstanceResult, PoolConfig, RunSummary, DEFAULT_WINDOW,
+    InstanceConformance, InstanceResult, PoolConfig, RunSummary,
 };
-pub use slab::Slab;

@@ -11,30 +11,30 @@
 //!    ([`run_sequential`]) agree on every instance's inputs, adversary
 //!    seed, and class without communicating, which is what makes the
 //!    differential suite possible.
-//! 2. **Instance multiplexing.** A shard does not run instances to
-//!    completion one by one; it holds a window of live
-//!    [`rrfd_core::EngineRun`]s in a [`Slab`] and
-//!    round-robins them one [`step`](rrfd_core::EngineRun::step) (= one
-//!    round) at a time. Long-running instances therefore cannot
-//!    head-of-line-block short ones, and a never-deciding instance is
-//!    bounded by its own round limit, not the shard's patience.
-//! 3. **Slab lifecycle.** Retiring a run returns its shared
-//!    emission-table buffer ([`rrfd_core::FinishedRun::buffer`]); the
-//!    lane stashes it and hands it to the next admission
-//!    ([`rrfd_core::Engine::start_with_buffer`]), so steady-state
-//!    instance turnover allocates no new round tables. The slab slot
-//!    itself is reused the same way.
+//! 2. **Run to completion.** Runs are communication-closed, so nothing
+//!    needs interleaving between them: a shard walks its ids class by
+//!    class (in mix order, ascending within a class) and steps each
+//!    [`rrfd_core::EngineRun`] to completion before starting the next.
+//!    A batch reports only when every instance has retired, so no
+//!    instance can observe another's latency; a never-deciding instance
+//!    is bounded by its own round limit.
+//! 3. **Per-lane reuse.** A lane — one class on one shard — keeps its
+//!    state across instances: one [`rrfd_core::Engine`], one spare
+//!    emission-table buffer ([`rrfd_core::FinishedRun::buffer`], handed
+//!    back through [`rrfd_core::Engine::start_with_buffer`]) and, with
+//!    conformance on, one [`ConformanceMonitor`] that is
+//!    [reset](ConformanceMonitor::reset) before each instance instead of
+//!    rebuilt. Steady-state instance turnover allocates no round tables
+//!    and no monitor state.
 //!
 //! Failure containment: an instance that ends in an
 //! [`EngineError`] (the mix's `stall` class ends in one by design) is
 //! retired and counted exactly like a deciding instance — the shard
-//! sweeps on. Nothing is unwrapped on the hot path.
+//! moves on. Nothing is unwrapped on the hot path.
 
 use crate::mix::{
-    ClassKind, ClassSpec, EarlyClass, FloodMinClass, KSetClass, MixSpec, SConsensusClass,
-    StallClass,
+    ClassKind, EarlyClass, FloodMinClass, KSetClass, MixSpec, SConsensusClass, StallClass,
 };
-use crate::slab::Slab;
 use rrfd_core::task::Value;
 use rrfd_core::{
     Engine, EngineError, EngineRun, EngineStep, FaultDetector, RoundHook, RoundProtocol,
@@ -42,7 +42,7 @@ use rrfd_core::{
 };
 use rrfd_models::conformance::{ConformanceMonitor, ConformanceVerdict};
 use rrfd_obs::{names, FlightRecorder, Labels, MetricId, Obs, RunObs, DEFAULT_FLIGHT_ROUNDS};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const INSTANCES: MetricId = MetricId::of(names::POOL_INSTANCES);
 const ERRORS: MetricId = MetricId::of(names::POOL_ERRORS);
@@ -219,7 +219,6 @@ pub struct BatchReport {
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     shards: usize,
-    window: usize,
     seed: u64,
     keep_results: bool,
     capture_traces: bool,
@@ -228,19 +227,14 @@ pub struct PoolConfig {
     obs: Obs,
 }
 
-/// Default per-shard admission window: live instances multiplexed per
-/// shard before admission pauses.
-pub const DEFAULT_WINDOW: usize = 64;
-
 impl PoolConfig {
     /// A configuration with `shards` worker threads (clamped to at
-    /// least one), the default admission window, seed 0, no result or
-    /// trace retention, and no observability.
+    /// least one), seed 0, no result or trace retention, and no
+    /// observability.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         PoolConfig {
             shards: shards.max(1),
-            window: DEFAULT_WINDOW,
             seed: 0,
             keep_results: false,
             capture_traces: false,
@@ -248,16 +242,6 @@ impl PoolConfig {
             flight: false,
             obs: Obs::noop(),
         }
-    }
-
-    /// Overrides the per-shard admission window (clamped to ≥ 1): how
-    /// many live instances a shard multiplexes before it stops
-    /// admitting. Larger windows amortize sweep overhead; smaller ones
-    /// bound peak state.
-    #[must_use]
-    pub fn window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
     }
 
     /// Sets the batch seed: instance inputs and adversary seeds derive
@@ -288,8 +272,8 @@ impl PoolConfig {
     }
 
     /// Attaches a live zoo conformance monitor to every instance: the
-    /// engine's round hook feeds each round's suspicions to a
-    /// per-instance [`ConformanceMonitor`] over `zoo(n, 1)`, and
+    /// engine's round hook feeds each round's suspicions to its lane's
+    /// [`ConformanceMonitor`] over `zoo(n, 1)`, reset per instance, and
     /// verdicts are folded per class into [`BatchReport::conformance`]
     /// (plus per-instance into kept results, and as
     /// `rrfd_conformance_*` metrics through the attached handle).
@@ -300,7 +284,7 @@ impl PoolConfig {
     }
 
     /// Arms the per-shard crash flight recorder: each shard keeps a
-    /// fixed-size ring of recent admission/retirement notes and, when an
+    /// fixed-size ring of recent start/retirement notes and, when an
     /// instance errors mid-batch, captures a post-mortem dump into
     /// [`BatchReport::flight_dumps`] (capped per shard — a stall-heavy
     /// mix errors by design).
@@ -366,13 +350,10 @@ fn weaker(a: i64, b: i64) -> bool {
 
 impl LaneConf {
     fn absorb(&mut self, summary: &InstanceConformance) {
-        let (rank, name) = summary
-            .strongest
-            .as_ref()
-            .map_or((-1, None), |(n, r)| (*r as i64, Some(n.clone())));
+        let rank = summary.strongest.as_ref().map_or(-1, |(_, r)| *r as i64);
         if self.instances == 0 || weaker(self.worst_rank, rank) {
             self.worst_rank = rank;
-            self.worst_name = name;
+            self.worst_name = summary.strongest.as_ref().map(|(name, _)| name.clone());
         }
         self.instances += 1;
         if summary.violations.is_empty() {
@@ -397,12 +378,12 @@ impl LaneConf {
     }
 }
 
-/// Per-shard crash flight recorder: a ring of recent admission and
-/// retirement notes (keyed by the shard's sweep counter) plus the dumps
+/// Per-shard crash flight recorder: a ring of recent start and
+/// retirement notes (keyed by the shard's step counter) plus the dumps
 /// captured when instances error.
 struct ShardFlight {
     recorder: FlightRecorder,
-    sweep: u32,
+    step: u32,
     dumps: Vec<String>,
     dump_cap: usize,
 }
@@ -411,14 +392,14 @@ impl ShardFlight {
     fn new() -> Self {
         ShardFlight {
             recorder: FlightRecorder::new(DEFAULT_FLIGHT_ROUNDS),
-            sweep: 1,
+            step: 1,
             dumps: Vec::new(),
             dump_cap: 8,
         }
     }
 
     fn note(&mut self, line: String) {
-        self.recorder.note(self.sweep, line);
+        self.recorder.note(self.step, line);
     }
 
     fn capture(&mut self, reason: &str) {
@@ -428,80 +409,67 @@ impl ShardFlight {
     }
 }
 
-/// The type-erased face of one (shard, class) lane: the shard loop
-/// admits and sweeps through this, monomorphized per class underneath.
-trait Lane: Send {
-    /// Admits up to `budget` queued instances into the slab; returns
-    /// how many were admitted.
-    fn admit(
-        &mut self,
-        budget: usize,
-        obs: &mut RunObs,
-        shard: usize,
-        flight: Option<&mut ShardFlight>,
-    ) -> usize;
-    /// Steps every live run one round, retiring finished ones.
-    fn sweep(&mut self, obs: &mut RunObs, shard: usize, flight: Option<&mut ShardFlight>);
-    /// Live (admitted, unfinished) instances.
-    fn live(&self) -> usize;
-    /// Queued (not yet admitted) instances.
-    fn pending(&self) -> usize;
-    /// Consumes the lane into its totals.
-    fn into_totals(self: Box<Self>) -> LaneTotals;
+/// What every lane of one shard shares: the shard's index, its buffered
+/// handle for the per-shard counters and step latencies, and its flight
+/// recorder.
+struct Shard {
+    index: usize,
+    obs: RunObs,
+    flight: Option<ShardFlight>,
 }
 
-struct ActiveRun<C: InstanceClass> {
-    id: u64,
-    run: EngineRun<C::P, C::D, C::Q>,
-    /// The instance's live zoo monitor, shared with the run's round
-    /// hook; `None` unless [`PoolConfig::conformance`] is on.
-    monitor: Option<Arc<Mutex<ConformanceMonitor>>>,
-}
-
-/// One class's instances on one shard.
+/// One class's instances on one shard, and the state they reuse.
 struct ClassLane<C: InstanceClass> {
     class: C,
     engine: Engine,
-    /// Queued instance ids, reversed so `pop()` admits in ascending
-    /// order.
-    queue: Vec<u64>,
-    slab: Slab<ActiveRun<C>>,
-    /// Retired runs' emission-table buffers, awaiting reuse.
-    spares: Vec<Vec<Option<<C::P as RoundProtocol>::Msg>>>,
-    spare_cap: usize,
+    /// The last retired run's emission-table buffer, for the next run.
+    spare: Vec<Option<<C::P as RoundProtocol>::Msg>>,
     keep_results: bool,
     capture_traces: bool,
-    /// The lane's conformance template, when [`PoolConfig::conformance`]
-    /// is on: one zoo monitor built per lane and cloned per instance,
-    /// plus its predicate names, computed once.
-    conformance: Option<(ConformanceMonitor, Vec<String>)>,
+    /// The lane's zoo monitor, when [`PoolConfig::conformance`] is on,
+    /// shared with the current run's round hook and reset before each
+    /// instance, plus its predicate names, computed once.
+    conformance: Option<(Arc<Mutex<ConformanceMonitor>>, Vec<String>)>,
     totals: LaneTotals,
 }
 
+/// Locks a monitor, poisoned or not: a panic mid-`observe` can only
+/// affect the run it panicked in, and the lane resets the monitor before
+/// the next one.
+fn lock(monitor: &Mutex<ConformanceMonitor>) -> MutexGuard<'_, ConformanceMonitor> {
+    monitor.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Installs the round hook that feeds `monitor` every round of `run`.
+fn feed<P, D, Q>(run: &mut EngineRun<P, D, Q>, monitor: &Arc<Mutex<ConformanceMonitor>>)
+where
+    P: RoundProtocol,
+    D: FaultDetector,
+    Q: RrfdPredicate,
+{
+    let sink = Arc::clone(monitor);
+    run.set_round_hook(RoundHook::new(move |faults| lock(&sink).observe(faults)));
+}
+
 impl<C: InstanceClass> ClassLane<C> {
-    fn new(class: C, class_index: usize, ids: Vec<u64>, config: &PoolConfig) -> Self {
-        let mut queue = ids;
-        queue.reverse();
+    fn new(class: C, class_index: usize, config: &PoolConfig) -> Self {
         let engine = Engine::new(class.system_size())
             .max_rounds(class.max_rounds())
             .obs(config.obs.clone());
         let conformance = config.conformance.then(|| {
-            let template = ConformanceMonitor::zoo(class.system_size(), CONF_ZOO_F);
-            let names = template
+            let monitor = ConformanceMonitor::zoo(class.system_size(), CONF_ZOO_F);
+            let names = monitor
                 .verdict()
                 .statuses
                 .into_iter()
                 .map(|status| status.name)
                 .collect();
-            (template, names)
+            (Arc::new(Mutex::new(monitor)), names)
         });
         ClassLane {
             class,
             engine,
-            queue,
-            slab: Slab::with_capacity(config.window.min(64)),
-            spares: Vec::new(),
-            spare_cap: config.window,
+            spare: Vec::new(),
             keep_results: config.keep_results,
             capture_traces: config.capture_traces,
             conformance,
@@ -516,28 +484,87 @@ impl<C: InstanceClass> ClassLane<C> {
         }
     }
 
-    fn retire(
-        &mut self,
-        id: u64,
-        run: EngineRun<C::P, C::D, C::Q>,
-        monitor: Option<Arc<Mutex<ConformanceMonitor>>>,
-        obs: &mut RunObs,
-        shard: usize,
-        flight: Option<&mut ShardFlight>,
-    ) {
+    /// Builds instance `id`, steps it to completion, and retires it.
+    fn run(&mut self, id: u64, shard: &mut Shard) {
+        let (protocols, detector, model) = self.class.build(id);
+        let started = if self.capture_traces {
+            // Tracing runs forgo buffer reuse: the trace is the expensive
+            // part anyway, and the differential suite is the only consumer.
+            self.engine.start_traced(protocols, detector, model)
+        } else {
+            let buffer = std::mem::take(&mut self.spare);
+            if buffer.capacity() > 0 {
+                shard
+                    .obs
+                    .add(BUFFER_REUSES, Labels::process(shard.index), 1);
+            }
+            self.engine
+                .start_with_buffer(protocols, detector, model, buffer)
+        };
+        let mut run = match started {
+            Ok(run) => run,
+            Err(error) => {
+                // Unreachable (classes build exactly n protocols), but
+                // total: record the instance as errored.
+                self.totals.errored += 1;
+                shard.obs.add(ERRORS, Labels::process(shard.index), 1);
+                if self.keep_results {
+                    self.totals.results.push(InstanceResult {
+                        instance: id,
+                        class: self.class.name(),
+                        shard: shard.index,
+                        outcome: Err(error),
+                        trace: None,
+                        conformance: None,
+                    });
+                }
+                return;
+            }
+        };
+        run.set_instance(id);
+        if let Some((monitor, _)) = &self.conformance {
+            lock(monitor).reset();
+            feed(&mut run, monitor);
+        }
+        if let Some(f) = shard.flight.as_mut() {
+            f.note(format!("start instance {id} ({})", self.class.name()));
+        }
+        // Steps run back to back, so one clock read ends a step and
+        // starts the next.
+        let mut last = shard.obs.now_ns();
+        loop {
+            let step = run.step();
+            if shard.obs.is_enabled() {
+                let now = shard.obs.now_ns();
+                let elapsed = now.saturating_sub(last);
+                shard.obs.observe(ROUND_LATENCY, Labels::GLOBAL, elapsed);
+                last = now;
+            }
+            if let Some(f) = shard.flight.as_mut() {
+                f.step = f.step.saturating_add(1);
+            }
+            if step == EngineStep::Finished {
+                break;
+            }
+        }
+        self.retire(id, run, shard);
+    }
+
+    fn retire(&mut self, id: u64, run: EngineRun<C::P, C::D, C::Q>, shard: &mut Shard) {
+        let index = shard.index;
         // Already finished: run_to_completion only dismantles.
         let finished = run.run_to_completion();
         match &finished.result {
             Ok(report) => {
                 self.totals.completed += 1;
                 self.totals.rounds += u64::from(report.rounds_executed);
-                obs.add(INSTANCES, Labels::process(shard), 1);
-                obs.add(
+                shard.obs.add(INSTANCES, Labels::process(index), 1);
+                shard.obs.add(
                     ROUNDS,
-                    Labels::process(shard),
+                    Labels::process(index),
                     u64::from(report.rounds_executed),
                 );
-                if let Some(f) = flight {
+                if let Some(f) = shard.flight.as_mut() {
                     f.note(format!(
                         "instance {id} ({}) decided after {} rounds",
                         self.class.name(),
@@ -547,65 +574,39 @@ impl<C: InstanceClass> ClassLane<C> {
             }
             Err(error) => {
                 self.totals.errored += 1;
-                obs.add(ERRORS, Labels::process(shard), 1);
-                if let Some(f) = flight {
+                shard.obs.add(ERRORS, Labels::process(index), 1);
+                if let Some(f) = shard.flight.as_mut() {
                     f.note(format!(
                         "instance {id} ({}) errored: {error}",
                         self.class.name()
                     ));
                     f.capture(&format!(
-                        "instance {id} ({}) errored mid-batch on shard {shard}: {error}",
+                        "instance {id} ({}) errored mid-batch on shard {index}: {error}",
                         self.class.name()
                     ));
                 }
             }
         }
-        let names = self.conformance.as_ref().map(|(_, names)| names.as_slice());
-        let conformance = monitor.zip(names).map(|(monitor, names)| {
-            let mon = monitor
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            mon.record(obs.obs());
-            InstanceConformance::from_monitor(&mon, names)
+        let conformance = self.conformance.as_ref().map(|(monitor, names)| {
+            let monitor = lock(monitor);
+            monitor.record(shard.obs.obs());
+            InstanceConformance::from_monitor(&monitor, names)
         });
         if let (Some(conf), Some(summary)) = (self.totals.conf.as_mut(), conformance.as_ref()) {
             conf.absorb(summary);
         }
-        if self.spares.len() < self.spare_cap {
-            self.spares.push(finished.buffer);
-        }
+        self.spare = finished.buffer;
         if self.keep_results {
             self.totals.results.push(InstanceResult {
                 instance: id,
                 class: self.class.name(),
-                shard,
+                shard: index,
                 outcome: summarize(finished.result),
                 trace: finished.trace,
                 conformance,
             });
         }
     }
-}
-
-/// Installs the round hook that feeds `monitor`, instance `id`'s live zoo
-/// monitor, and returns the monitor's shared handle.
-fn attach_monitor<P, D, Q>(
-    run: &mut EngineRun<P, D, Q>,
-    monitor: ConformanceMonitor,
-) -> Arc<Mutex<ConformanceMonitor>>
-where
-    P: RoundProtocol,
-    D: FaultDetector,
-    Q: RrfdPredicate,
-{
-    let monitor = Arc::new(Mutex::new(monitor));
-    let sink = Arc::clone(&monitor);
-    run.set_round_hook(RoundHook::new(move |faults| {
-        sink.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .observe(faults);
-    }));
-    monitor
 }
 
 fn summarize(result: Result<RunReport<Value>, EngineError>) -> Result<RunSummary, EngineError> {
@@ -619,198 +620,59 @@ fn summarize(result: Result<RunReport<Value>, EngineError>) -> Result<RunSummary
     })
 }
 
-impl<C> Lane for ClassLane<C>
-where
-    C: InstanceClass + Send,
-    C::P: Send,
-    <C::P as RoundProtocol>::Msg: Send,
-    C::D: Send,
-    C::Q: Send,
-{
-    fn admit(
-        &mut self,
-        budget: usize,
-        obs: &mut RunObs,
-        shard: usize,
-        mut flight: Option<&mut ShardFlight>,
-    ) -> usize {
-        let mut admitted = 0;
-        while admitted < budget {
-            let Some(id) = self.queue.pop() else { break };
-            let (protocols, detector, model) = self.class.build(id);
-            let started = if self.capture_traces {
-                // Tracing runs forgo buffer reuse: the trace is the
-                // expensive part anyway, and the differential suite is
-                // the only consumer.
-                self.engine.start_traced(protocols, detector, model)
-            } else {
-                let buffer = match self.spares.pop() {
-                    Some(spare) => {
-                        if spare.capacity() > 0 {
-                            obs.add(BUFFER_REUSES, Labels::process(shard), 1);
-                        }
-                        spare
-                    }
-                    None => Vec::new(),
-                };
-                self.engine
-                    .start_with_buffer(protocols, detector, model, buffer)
-            };
-            match started {
-                Ok(mut run) => {
-                    run.set_instance(id);
-                    let monitor = self
-                        .conformance
-                        .as_ref()
-                        .map(|(template, _)| attach_monitor(&mut run, template.clone()));
-                    if let Some(f) = flight.as_deref_mut() {
-                        f.note(format!("admit instance {id} ({})", self.class.name()));
-                    }
-                    self.slab.insert(ActiveRun { id, run, monitor });
-                    admitted += 1;
-                }
-                Err(error) => {
-                    // Unreachable (classes build exactly n protocols),
-                    // but total: record the instance as errored.
-                    self.totals.errored += 1;
-                    obs.add(ERRORS, Labels::process(shard), 1);
-                    if self.keep_results {
-                        self.totals.results.push(InstanceResult {
-                            instance: id,
-                            class: self.class.name(),
-                            shard,
-                            outcome: Err(error),
-                            trace: None,
-                            conformance: None,
-                        });
-                    }
-                }
-            }
-        }
-        admitted
-    }
-
-    fn sweep(&mut self, obs: &mut RunObs, shard: usize, mut flight: Option<&mut ShardFlight>) {
-        let timed = obs.is_enabled();
-        for key in 0..self.slab.slot_count() {
-            let finished = match self.slab.get_mut(key) {
-                Some(active) => {
-                    let outcome = if timed {
-                        let start = obs.now_ns();
-                        let outcome = active.run.step();
-                        let elapsed = obs.now_ns().saturating_sub(start);
-                        obs.observe(ROUND_LATENCY, Labels::GLOBAL, elapsed);
-                        outcome
-                    } else {
-                        active.run.step()
-                    };
-                    matches!(outcome, EngineStep::Finished)
-                }
-                None => false,
-            };
-            if finished {
-                if let Some(active) = self.slab.remove(key) {
-                    self.retire(
-                        active.id,
-                        active.run,
-                        active.monitor,
-                        obs,
-                        shard,
-                        flight.as_deref_mut(),
-                    );
-                }
-            }
-        }
-    }
-
-    fn live(&self) -> usize {
-        self.slab.live()
-    }
-
-    fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn into_totals(self: Box<Self>) -> LaneTotals {
-        self.totals
-    }
-}
-
-fn lane_for(
-    spec: &ClassSpec,
+/// Runs every id of one class on one shard, in order, on one lane.
+fn run_lane<C: InstanceClass>(
+    class: C,
     class_index: usize,
-    ids: Vec<u64>,
+    ids: &[u64],
     config: &PoolConfig,
-) -> Box<dyn Lane> {
-    match spec.kind {
-        ClassKind::KSet => Box::new(ClassLane::new(
-            KSetClass::new(*spec, config.seed),
-            class_index,
-            ids,
-            config,
-        )),
-        ClassKind::FloodMin => Box::new(ClassLane::new(
-            FloodMinClass::new(*spec, config.seed),
-            class_index,
-            ids,
-            config,
-        )),
-        ClassKind::SConsensus => Box::new(ClassLane::new(
-            SConsensusClass::new(*spec, config.seed),
-            class_index,
-            ids,
-            config,
-        )),
-        ClassKind::Early => Box::new(ClassLane::new(
-            EarlyClass::new(*spec, config.seed),
-            class_index,
-            ids,
-            config,
-        )),
-        ClassKind::Stall => Box::new(ClassLane::new(
-            StallClass::new(*spec),
-            class_index,
-            ids,
-            config,
-        )),
+    shard: &mut Shard,
+) -> LaneTotals {
+    let mut lane = ClassLane::new(class, class_index, config);
+    for &id in ids {
+        lane.run(id, shard);
     }
+    lane.totals
 }
 
-/// One shard's main loop: admit into the window, sweep every lane,
-/// repeat until every queued instance has been retired.
+/// One shard's work: its ids (`id ≡ index mod shards`), class by class
+/// in mix order, each instance run to completion before the next.
 fn run_shard(
-    mut lanes: Vec<Box<dyn Lane>>,
+    mix: &MixSpec,
+    instances: u64,
     config: &PoolConfig,
-    shard: usize,
+    index: usize,
 ) -> (Vec<LaneTotals>, Vec<String>) {
-    // The shard's own samples (per-shard counters, step latencies) are
-    // buffered and flushed when the shard drains; each instance's engine
-    // run and conformance record flush their own buffers.
-    let mut obs = RunObs::new(config.obs.clone());
-    let mut flight = config.flight.then(ShardFlight::new);
-    loop {
-        let live: usize = lanes.iter().map(|l| l.live()).sum();
-        let mut budget = config.window.saturating_sub(live);
-        for lane in &mut lanes {
-            if budget == 0 {
-                break;
-            }
-            budget -= lane.admit(budget, &mut obs, shard, flight.as_mut());
-        }
-        for lane in &mut lanes {
-            lane.sweep(&mut obs, shard, flight.as_mut());
-        }
-        if let Some(f) = flight.as_mut() {
-            f.sweep += 1;
-        }
-        let drained = lanes.iter().all(|l| l.live() == 0 && l.pending() == 0);
-        if drained {
-            break;
-        }
+    let mut per_class: Vec<Vec<u64>> = vec![Vec::new(); mix.classes().len()];
+    for id in (index as u64..instances).step_by(config.shards) {
+        per_class[mix.class_of(id)].push(id);
     }
-    obs.flush();
-    let dumps = flight.map_or_else(Vec::new, |f| f.dumps);
-    (lanes.into_iter().map(Lane::into_totals).collect(), dumps)
+    // The shard's own samples (per-shard counters, step latencies) are
+    // buffered and flushed when the shard is done; each instance's engine
+    // run and conformance record flush their own buffers.
+    let mut shard = Shard {
+        index,
+        obs: RunObs::new(config.obs.clone()),
+        flight: config.flight.then(ShardFlight::new),
+    };
+    let seed = config.seed;
+    let mut lanes = Vec::new();
+    for (class_index, (spec, ids)) in mix.classes().iter().zip(&per_class).enumerate() {
+        if ids.is_empty() {
+            continue;
+        }
+        let (i, ids, s) = (class_index, ids.as_slice(), &mut shard);
+        lanes.push(match spec.kind {
+            ClassKind::KSet => run_lane(KSetClass::new(*spec, seed), i, ids, config, s),
+            ClassKind::FloodMin => run_lane(FloodMinClass::new(*spec, seed), i, ids, config, s),
+            ClassKind::SConsensus => run_lane(SConsensusClass::new(*spec, seed), i, ids, config, s),
+            ClassKind::Early => run_lane(EarlyClass::new(*spec, seed), i, ids, config, s),
+            ClassKind::Stall => run_lane(StallClass::new(*spec), i, ids, config, s),
+        });
+    }
+    shard.obs.flush();
+    let dumps = shard.flight.map_or_else(Vec::new, |f| f.dumps);
+    (lanes, dumps)
 }
 
 /// Runs `instances` instances of `mix` across the configured shards.
@@ -825,38 +687,12 @@ pub fn run_batch(mix: &MixSpec, instances: u64, config: &PoolConfig) -> BatchRep
         .obs
         .gauge(names::POOL_SHARDS, Labels::GLOBAL, shards as i64);
 
-    // Deterministic assignment: shard s owns ids ≡ s (mod shards); each
-    // shard splits its ids into per-class queues in mix order.
-    let mut shard_lanes: Vec<Vec<Box<dyn Lane>>> = Vec::with_capacity(shards);
-    for s in 0..shards {
-        let mut per_class: Vec<Vec<u64>> = vec![Vec::new(); mix.classes().len()];
-        let mut id = s as u64;
-        while id < instances {
-            per_class[mix.class_of(id)].push(id);
-            id += shards as u64;
-        }
-        let lanes = mix
-            .classes()
-            .iter()
-            .enumerate()
-            .zip(per_class)
-            .filter(|(_, ids)| !ids.is_empty())
-            .map(|((index, spec), ids)| lane_for(spec, index, ids, config))
-            .collect();
-        shard_lanes.push(lanes);
-    }
-
     let shard_outputs: Vec<(Vec<LaneTotals>, Vec<String>)> = if shards <= 1 {
-        shard_lanes
-            .into_iter()
-            .map(|lanes| run_shard(lanes, config, 0))
-            .collect()
+        vec![run_shard(mix, instances, config, 0)]
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_lanes
-                .into_iter()
-                .enumerate()
-                .map(|(shard, lanes)| scope.spawn(move || run_shard(lanes, config, shard)))
+            let handles: Vec<_> = (0..shards)
+                .map(|shard| scope.spawn(move || run_shard(mix, instances, config, shard)))
                 .collect();
             // Drain every shard before re-raising a panic (same
             // containment the DPOR steal pool uses): no shard thread
@@ -969,16 +805,14 @@ fn run_one<C: InstanceClass>(class: &C, id: u64, config: &PoolConfig) -> Instanc
     };
     run.set_instance(id);
     let monitor = config.conformance.then(|| {
-        attach_monitor(
-            &mut run,
-            ConformanceMonitor::zoo(class.system_size(), CONF_ZOO_F),
-        )
+        let monitor = ConformanceMonitor::zoo(class.system_size(), CONF_ZOO_F);
+        let monitor = Arc::new(Mutex::new(monitor));
+        feed(&mut run, &monitor);
+        monitor
     });
     let finished = run.run_to_completion();
     let conformance = monitor.map(|monitor| {
-        let mon = monitor
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mon = lock(&monitor);
         mon.record(&config.obs);
         InstanceConformance::from_verdict(&mon.verdict())
     });
@@ -1101,7 +935,7 @@ mod tests {
         // A mix that is 1/2 stall: every shard interleaves failures
         // with successes and still retires everything.
         let mix = MixSpec::parse("stall:n=3:rounds=2:w=1,kset:n=4:k=1:w=1").unwrap();
-        let report = run_batch(&mix, 40, &PoolConfig::new(2).window(4));
+        let report = run_batch(&mix, 40, &PoolConfig::new(2));
         assert_eq!(report.completed, 20);
         assert_eq!(report.errored, 20);
     }
@@ -1109,24 +943,25 @@ mod tests {
     #[test]
     fn pool_metrics_are_recorded() {
         let obs = Obs::logical();
-        // A small window with deep per-class queues forces admission to
-        // interleave with retirement, so retired runs' emission buffers
-        // actually get recycled.
-        let config = PoolConfig::new(2).window(2).obs(obs.clone());
-        let report = run_batch(&mix(), 72, &config);
+        let (shards, instances) = (2usize, 72u64);
+        let config = PoolConfig::new(shards).obs(obs.clone());
+        let report = run_batch(&mix(), instances, &config);
         let snap = obs.snapshot();
         assert_eq!(snap.counter_total(names::POOL_INSTANCES), report.completed);
         assert_eq!(snap.counter_total(names::POOL_ERRORS), report.errored);
         assert_eq!(snap.counter_total(names::POOL_ROUNDS), report.rounds);
-        assert!(snap.counter_total(names::POOL_BUFFER_REUSES) > 0);
+        // Each lane (one class on one shard) starts its first instance on
+        // a fresh emission buffer and every later one on its spare.
+        let mut lanes = std::collections::BTreeSet::new();
+        for id in 0..instances {
+            lanes.insert((id % shards as u64, mix().class_of(id)));
+        }
+        assert_eq!(
+            snap.counter_total(names::POOL_BUFFER_REUSES),
+            instances - lanes.len() as u64
+        );
         let latency = snap.get(names::POOL_ROUND_LATENCY, Labels::GLOBAL);
         assert!(latency.is_some(), "per-step latency histogram missing");
-    }
-
-    #[test]
-    fn window_of_one_still_drains() {
-        let report = run_batch(&mix(), 9, &PoolConfig::new(1).window(1));
-        assert_eq!(report.completed + report.errored, 9);
     }
 
     #[test]
@@ -1196,7 +1031,7 @@ mod tests {
         // Every stall instance errors, so the armed flight recorder
         // must capture at least one dump per shard that saw one.
         let mix = MixSpec::parse("stall:n=3:rounds=2:w=1,kset:n=4:k=1:w=1").unwrap();
-        let report = run_batch(&mix, 20, &PoolConfig::new(2).window(4).flight(true));
+        let report = run_batch(&mix, 20, &PoolConfig::new(2).flight(true));
         assert!(report.errored > 0);
         assert!(!report.flight_dumps.is_empty());
         for dump in &report.flight_dumps {
@@ -1204,7 +1039,7 @@ mod tests {
             assert!(dump.contains("errored mid-batch on shard"), "{dump}");
         }
         // Unarmed runs carry none.
-        let quiet = run_batch(&mix, 20, &PoolConfig::new(2).window(4));
+        let quiet = run_batch(&mix, 20, &PoolConfig::new(2));
         assert!(quiet.flight_dumps.is_empty());
     }
 

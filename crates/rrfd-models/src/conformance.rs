@@ -22,7 +22,7 @@ use rrfd_core::{
     FaultPattern, IdSet, PatternViolation, ProgramBatch, Round, RoundFaults, RoundProfile,
     RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
 };
-use rrfd_obs::{names, Labels, MetricId, Obs, RunBuffer};
+use rrfd_obs::{names, Labels, MetricId, Obs, RunObs};
 use std::sync::Arc;
 
 const ROUNDS: MetricId = MetricId::of(names::CONF_ROUNDS);
@@ -93,8 +93,9 @@ struct Family {
 ///
 /// Cloning is cheap: the family and its compiled programs are shared,
 /// and only the per-run state (history, violations, history registers)
-/// is copied. A fresh monitor is therefore a template — build one per
-/// family and clone it for each run, as the batch pool does per lane.
+/// is copied. Reusing one is cheaper still: [`ConformanceMonitor::reset`]
+/// forgets the observed run but keeps every allocation, which is how the
+/// batch pool gives each lane one monitor for all its instances.
 #[derive(Clone)]
 pub struct ConformanceMonitor {
     family: Arc<Family>,
@@ -163,6 +164,18 @@ impl ConformanceMonitor {
             history: FaultPattern::new(n),
             violations,
             batch,
+        }
+    }
+
+    /// Forgets the observed run — history, violations, history registers
+    /// and evaluation count — keeping the family and every allocation:
+    /// afterwards the monitor behaves exactly like a fresh one over the
+    /// same family.
+    pub fn reset(&mut self) {
+        self.history.clear();
+        self.violations.fill(None);
+        if let Some(batch) = &mut self.batch {
+            batch.reset();
         }
     }
 
@@ -322,13 +335,14 @@ impl ConformanceMonitor {
     /// The predicate is identified by its family index carried in the
     /// `process` label — a documented, bounded reuse of the label schema
     /// (the zoo has 13 members; the label was sized for process counts).
-    /// The samples are buffered and reach the recorder in one flush.
+    /// The samples are buffered and reach the recorder in one flush when
+    /// the buffered handle drops.
     pub fn record(&self, obs: &Obs) {
         if !obs.is_enabled() {
             return;
         }
-        let mut buffer = RunBuffer::with_capacity(4 + 2 * self.violations.len(), 0);
-        buffer.add(ROUNDS, Labels::GLOBAL, u64::from(self.rounds_observed()));
+        let mut buffered = RunObs::with_capacity(obs.clone(), 4 + 2 * self.violations.len(), 0);
+        buffered.add(ROUNDS, Labels::GLOBAL, u64::from(self.rounds_observed()));
         let checks: u64 = self
             .violations
             .iter()
@@ -340,23 +354,22 @@ impl ConformanceMonitor {
                 None => u64::from(self.rounds_observed()),
             })
             .sum();
-        buffer.add(CHECKS, Labels::GLOBAL, checks);
-        buffer.add(COMPILED_EVALS, Labels::GLOBAL, self.compiled_evals());
+        buffered.add(CHECKS, Labels::GLOBAL, checks);
+        buffered.add(COMPILED_EVALS, Labels::GLOBAL, self.compiled_evals());
         for (idx, violation) in self.violations.iter().enumerate() {
             let labels = Labels::process(idx);
             match violation {
                 Some(round) => {
-                    buffer.gauge(SATISFIED, labels, 0);
-                    buffer.gauge(FIRST_VIOLATION, labels, i64::from(round.get()));
+                    buffered.gauge(SATISFIED, labels, 0);
+                    buffered.gauge(FIRST_VIOLATION, labels, i64::from(round.get()));
                 }
-                None => buffer.gauge(SATISFIED, labels, 1),
+                None => buffered.gauge(SATISFIED, labels, 1),
             }
         }
         let strongest = self
             .strongest_satisfied()
             .map_or(-1, |idx| self.family.ranks[idx] as i64);
-        buffer.gauge(STRONGEST, Labels::GLOBAL, strongest);
-        obs.flush(&mut buffer);
+        buffered.gauge(STRONGEST, Labels::GLOBAL, strongest);
     }
 }
 

@@ -8,7 +8,10 @@
 //! [`crate::Recorder::flush`] call. A [`RunObs`] pairs a buffer with its
 //! [`Obs`] handle and flushes at the points its owner chooses, on drop,
 //! and whenever the buffer reaches 4,096 samples, so a
-//! never-ending run cannot grow it without bound.
+//! never-ending run cannot grow it without bound. Buffers are recycled:
+//! a dropped [`RunObs`] returns its emptied buffer to a small per-thread
+//! free list, and the next one on that thread takes it from there, so
+//! back-to-back runs allocate no buffers once the list is warm.
 //!
 //! The flush is the only visibility point: a snapshot taken while a run
 //! is in flight excludes the samples the run has not flushed yet.
@@ -17,6 +20,7 @@ use crate::metric::MetricId;
 use crate::recorder::Labels;
 use crate::span::{SpanKind, SpanRecord};
 use crate::{Obs, RoundSpan};
+use std::cell::RefCell;
 
 /// One buffered sample's operation and value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,6 +92,44 @@ impl Sample {
 /// A buffer holding this many samples or spans is flushed by [`RunObs`]
 /// before it takes another.
 const FLUSH_AT: usize = 4096;
+
+/// Emptied buffers a thread keeps for its next [`RunObs`].
+const SPARE_BUFFERS: usize = 4;
+
+thread_local! {
+    static SPARES: RefCell<Vec<RunBuffer>> = const { RefCell::new(Vec::new()) };
+}
+
+/// An empty buffer with room for `samples` samples and `spans` spans:
+/// the calling thread's most recent spare when it has one.
+fn take_spare(samples: usize, spans: usize) -> RunBuffer {
+    let spare = SPARES
+        .try_with(|spares| spares.borrow_mut().pop())
+        .ok()
+        .flatten();
+    match spare {
+        Some(mut buffer) => {
+            buffer.samples.reserve(samples);
+            buffer.spans.reserve(spans);
+            buffer
+        }
+        None => RunBuffer::with_capacity(samples, spans),
+    }
+}
+
+/// Keeps `buffer` (emptied) for the calling thread's next [`RunObs`],
+/// unless the thread already holds [`SPARE_BUFFERS`] spares.
+fn give_back(mut buffer: RunBuffer) {
+    buffer.clear();
+    // Fails only while the thread is being torn down; the buffer is then
+    // simply dropped.
+    let _ = SPARES.try_with(|spares| {
+        let mut spares = spares.borrow_mut();
+        if spares.len() < SPARE_BUFFERS {
+            spares.push(buffer);
+        }
+    });
+}
 
 /// A run's pending samples and spans, in recording order.
 #[derive(Debug, Default, Clone)]
@@ -174,7 +216,8 @@ impl RunBuffer {
 
 /// An [`Obs`] handle with a per-run [`RunBuffer`]: the recording methods
 /// mirror [`Obs`]'s but append to the buffer, which reaches the recorder
-/// on [`RunObs::flush`], on drop, and every 4,096 samples. Over
+/// on [`RunObs::flush`], on drop, and every 4,096 samples. The buffer
+/// comes from the thread's free list and goes back to it on drop. Over
 /// [`Obs::noop`] there is no buffer at all and every call is one branch.
 #[derive(Debug, Default)]
 pub struct RunObs {
@@ -194,9 +237,7 @@ impl RunObs {
     /// `spans` spans — still only when `obs` is enabled.
     #[must_use]
     pub fn with_capacity(obs: Obs, samples: usize, spans: usize) -> Self {
-        let buffer = obs
-            .is_enabled()
-            .then(|| RunBuffer::with_capacity(samples, spans));
+        let buffer = obs.is_enabled().then(|| take_spare(samples, spans));
         RunObs { obs, buffer }
     }
 
@@ -234,6 +275,14 @@ impl RunObs {
     pub fn add(&mut self, metric: MetricId, labels: Labels, delta: u64) {
         if let Some(buffer) = self.buffer() {
             buffer.add(metric, labels, delta);
+        }
+    }
+
+    /// Buffers a gauge write.
+    #[inline]
+    pub fn gauge(&mut self, metric: MetricId, labels: Labels, value: i64) {
+        if let Some(buffer) = self.buffer() {
+            buffer.gauge(metric, labels, value);
         }
     }
 
@@ -322,6 +371,9 @@ impl RunObs {
 impl Drop for RunObs {
     fn drop(&mut self) {
         self.flush();
+        if let Some(buffer) = self.buffer.take() {
+            give_back(buffer);
+        }
     }
 }
 
@@ -380,6 +432,27 @@ mod tests {
             let mut run = RunObs::new(obs.clone());
             run.add(ROUNDS, Labels::round(3), 1);
         }
+        assert_eq!(obs.snapshot().counter_total(names::ENGINE_ROUNDS), 1);
+    }
+
+    #[test]
+    fn dropped_buffers_are_reused_by_the_next_handle_on_the_thread() {
+        let obs = Obs::logical();
+        let mut run = RunObs::with_capacity(obs.clone(), 1000, 0);
+        run.add(ROUNDS, Labels::GLOBAL, 1);
+        drop(run);
+        let reused = RunObs::new(obs.clone());
+        let buffer = reused.buffer.as_ref().expect("an enabled handle");
+        assert!(buffer.is_empty());
+        assert!(
+            buffer.samples.capacity() >= 1000,
+            "the spare was not reused"
+        );
+        let many: Vec<RunObs> = (0..SPARE_BUFFERS + 2)
+            .map(|_| RunObs::new(obs.clone()))
+            .collect();
+        drop(many);
+        assert_eq!(SPARES.with(|spares| spares.borrow().len()), SPARE_BUFFERS);
         assert_eq!(obs.snapshot().counter_total(names::ENGINE_ROUNDS), 1);
     }
 

@@ -119,11 +119,11 @@ pub const POOL_ERRORS: &str = "rrfd_pool_errors_total";
 /// shard (errored instances' partial rounds are not counted, matching
 /// the batch report's definition).
 pub const POOL_ROUNDS: &str = "rrfd_pool_rounds_total";
-/// Histogram: latency of one multiplexed engine step (one instance, one
-/// round) in clock ns. The batch harness reports its p99.
+/// Histogram: latency of one pool engine step (one instance, one round)
+/// in clock ns. The batch harness reports its p99.
 pub const POOL_ROUND_LATENCY: &str = "rrfd_pool_round_latency_ns";
-/// Counter: admissions that reused a retired run's emission-table
-/// buffer instead of allocating (the slab lifecycle at work), per shard.
+/// Counter: pool runs started on their lane's previous run's
+/// emission-table buffer instead of a fresh one, per shard.
 pub const POOL_BUFFER_REUSES: &str = "rrfd_pool_buffer_reuses_total";
 /// Gauge: shards the batch ran on.
 pub const POOL_SHARDS: &str = "rrfd_pool_shards";

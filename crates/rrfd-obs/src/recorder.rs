@@ -250,7 +250,25 @@ struct Table {
 }
 
 impl Table {
+    /// The slot for `labels`: straight from the dense slots when they
+    /// already cover it, from [`Table::slot_slow`] otherwise.
+    #[inline]
     fn slot(&mut self, labels: Labels) -> &mut Slot {
+        let round = labels.round as usize;
+        let process = labels.process.map_or(0, |p| p as usize + 1);
+        // The dense slots never reach round `DENSE_ROUNDS` and rows never
+        // exceed `DENSE_PROCESSES`, so a hit here is always a dense label.
+        let index = round.wrapping_mul(self.row).wrapping_add(process);
+        if process < self.row && index < self.slots.len() {
+            return &mut self.slots[index];
+        }
+        self.slot_slow(labels)
+    }
+
+    /// [`Table::slot`] for a label the dense slots do not cover yet: a
+    /// sparse label, or one that needs a wider row or another round.
+    #[cold]
+    fn slot_slow(&mut self, labels: Labels) -> &mut Slot {
         let round = labels.round as usize;
         let process = labels.process.map_or(0, |p| p as usize + 1);
         if round >= DENSE_ROUNDS || process >= DENSE_PROCESSES {
@@ -282,7 +300,8 @@ impl Table {
         self.row = row;
     }
 
-    fn apply(&mut self, labels: Labels, value: SampleValue, stamps: &AtomicU64) {
+    /// Applies one sample; a gauge write takes `*stamp` and advances it.
+    fn apply(&mut self, labels: Labels, value: SampleValue, stamp: &mut u64) {
         let next_hist = self.hists.len();
         let slot = self.slot(labels);
         match (*slot, value) {
@@ -293,8 +312,9 @@ impl Table {
             (Slot::Empty | Slot::Gauge { .. }, SampleValue::Gauge(value)) => {
                 *slot = Slot::Gauge {
                     value,
-                    stamp: stamps.fetch_add(1, Ordering::Relaxed),
+                    stamp: *stamp,
                 };
+                *stamp += 1;
             }
             (Slot::Empty, SampleValue::Observe(value)) => {
                 *slot = Slot::Hist(next_hist);
@@ -370,11 +390,16 @@ struct Stripe {
 }
 
 impl Stripe {
-    fn table(&mut self, id: MetricId) -> &mut Table {
+    /// The registered metrics' tables, indexed by [`MetricId::index`].
+    fn tables(&mut self) -> &mut [Table] {
         if self.tables.is_empty() {
             self.tables.resize_with(MetricId::COUNT, Table::default);
         }
-        &mut self.tables[id.index()]
+        &mut self.tables
+    }
+
+    fn table(&mut self, id: MetricId) -> &mut Table {
+        &mut self.tables()[id.index()]
     }
 
     fn unregistered_table(&mut self, name: &'static str) -> &mut Table {
@@ -450,7 +475,10 @@ thread_local! {
 #[derive(Debug, Default)]
 pub struct ShardedRecorder {
     stripes: [Mutex<Stripe>; STRIPES],
-    /// Stamps gauge writes so last-write-wins holds across stripes.
+    /// The next gauge stamp to hand out. Stamps order gauge writes so
+    /// last-write-wins holds across stripes; they are reserved under the
+    /// writing stripe's lock, one per direct write and one block per
+    /// flush.
     gauge_stamps: AtomicU64,
 }
 
@@ -467,6 +495,16 @@ impl ShardedRecorder {
         lock(&self.stripes[THREAD_STRIPE.with(|stripe| *stripe)])
     }
 
+    /// Reserves `count` consecutive gauge stamps and returns the first.
+    /// Called with the writing stripe locked, so a stripe's stamps rise in
+    /// the order its writes apply.
+    fn reserve_stamps(&self, count: u64) -> u64 {
+        if count == 0 {
+            return 0;
+        }
+        self.gauge_stamps.fetch_add(count, Ordering::Relaxed)
+    }
+
     fn record(&self, metric: &'static str, labels: Labels, value: SampleValue) {
         let id = MetricId::lookup(metric);
         let mut stripe = self.stripe();
@@ -474,7 +512,8 @@ impl ShardedRecorder {
             Some(id) => stripe.table(id),
             None => stripe.unregistered_table(metric),
         };
-        table.apply(labels, value, &self.gauge_stamps);
+        let mut stamp = self.reserve_stamps(u64::from(matches!(value, SampleValue::Gauge(_))));
+        table.apply(labels, value, &mut stamp);
     }
 }
 
@@ -515,12 +554,15 @@ impl Recorder for ShardedRecorder {
     fn flush(&self, buffer: &mut RunBuffer) {
         {
             let mut stripe = self.stripe();
+            let gauges = buffer
+                .samples()
+                .iter()
+                .filter(|sample| matches!(sample.value(), SampleValue::Gauge(_)))
+                .count();
+            let mut stamp = self.reserve_stamps(gauges as u64);
+            let tables = stripe.tables();
             for sample in buffer.samples() {
-                stripe.table(sample.metric()).apply(
-                    sample.labels(),
-                    sample.value(),
-                    &self.gauge_stamps,
-                );
+                tables[sample.metric().index()].apply(sample.labels(), sample.value(), &mut stamp);
             }
             stripe.spans.extend_from_slice(buffer.spans());
             // Sorting the run's spans here, on the flushing thread, leaves
@@ -728,6 +770,36 @@ mod tests {
                 .get(names::CONF_SATISFIED, Labels::process(1)),
             Some(&MetricValue::Gauge(0))
         );
+    }
+
+    #[test]
+    fn the_later_of_two_flushes_wins_a_gauge() {
+        use crate::{names, MetricId, RunBuffer};
+        use std::sync::Arc;
+        let id = MetricId::of(names::CONF_STRONGEST);
+        let rec = Arc::new(ShardedRecorder::new());
+        // One flush per thread, in sequence: each thread writes its own
+        // stripe, and each flush reserves one block of stamps for its
+        // three gauge writes. The second, smaller value must win.
+        for value in [7i64, 3] {
+            let rec = Arc::clone(&rec);
+            std::thread::spawn(move || {
+                let mut buffer = RunBuffer::new();
+                buffer.gauge(id, Labels::process(0), value);
+                buffer.gauge(id, Labels::GLOBAL, value - 1);
+                buffer.gauge(id, Labels::GLOBAL, value);
+                rec.flush(&mut buffer);
+            })
+            .join()
+            .expect("flushing thread");
+        }
+        let snap = rec.snapshot();
+        for labels in [Labels::GLOBAL, Labels::process(0)] {
+            assert_eq!(
+                snap.get(names::CONF_STRONGEST, labels),
+                Some(&MetricValue::Gauge(3))
+            );
+        }
     }
 
     #[test]

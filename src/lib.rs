@@ -20,8 +20,9 @@
 //!   real OS threads with a coordinator fault detector.
 //! * [`pool`] — the multi-tenant batch execution engine: thousands of
 //!   independent protocol instances (mixed protocols, sizes, adversaries)
-//!   multiplexed round-by-round across a sharded worker pool, with slab
-//!   slot and emission-buffer reuse (DESIGN.md §13).
+//!   split across a sharded worker pool, each run to completion on
+//!   per-lane state that is reused, not rebuilt: engine, emission buffer
+//!   and conformance monitor (DESIGN.md §13).
 //! * [`obs`] — round-structured observability: deterministic counters,
 //!   gauges, and histograms keyed by `(metric, process, round)`, with
 //!   JSONL and Prometheus exporters and a pluggable clock.

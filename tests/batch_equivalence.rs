@@ -1,10 +1,10 @@
 //! Differential proof that the multi-tenant batch pool is behaviorally
 //! invisible.
 //!
-//! The pool multiplexes many [`rrfd::core::EngineRun`]s over few threads,
-//! recycles emission buffers across instance turnover, and interleaves
-//! admissions with retirements — none of which may change what any single
-//! instance computes. These tests pit [`rrfd::pool::run_batch`] against
+//! The pool runs many [`rrfd::core::EngineRun`]s on few threads, each
+//! shard one instance after another on per-lane state it reuses: emission
+//! buffers and conformance monitors carry over from one instance to the
+//! next — none of which may change what any single instance computes. These tests pit [`rrfd::pool::run_batch`] against
 //! [`rrfd::pool::run_sequential`] — the naive one-`Engine::run`-per-
 //! instance loop — and demand *exact* equality per instance: same
 //! decision summary or same [`EngineError`], and byte-identical
@@ -15,7 +15,7 @@
 //! neighbors.
 
 use rrfd::core::EngineError;
-use rrfd::pool::{run_batch, run_sequential, BatchReport, MixSpec, PoolConfig};
+use rrfd::pool::{run_batch, run_sequential, BatchReport, InstanceResult, MixSpec, PoolConfig};
 
 /// Runs batch and sequential on the same `(mix, instances, seed)` with
 /// full result and trace retention, and diffs them instance by instance.
@@ -81,23 +81,33 @@ fn single_class_mixes_are_trace_identical() {
 }
 
 #[test]
-fn tiny_window_does_not_change_behavior() {
-    // Window 1 maximizes admission/retirement interleaving (every
-    // emission buffer is recycled immediately); the instances must not
-    // notice.
+fn reused_lanes_are_byte_identical_to_sequential_at_every_shard_count() {
+    // With conformance on, every lane resets one monitor per instance;
+    // the verdicts, traces and outcomes must be exactly the sequential
+    // baseline's, whose every instance gets a fresh monitor.
     let mix = MixSpec::default_mix();
-    let tight = PoolConfig::new(2)
-        .window(1)
-        .seed(5)
-        .keep_results(true)
-        .capture_traces(true);
-    let roomy = PoolConfig::new(2)
-        .seed(5)
-        .keep_results(true)
-        .capture_traces(true);
-    let a = run_batch(&mix, 45, &tight);
-    let b = run_batch(&mix, 45, &roomy);
-    assert_eq!(a.results, b.results);
+    let config = |shards: usize| {
+        PoolConfig::new(shards)
+            .seed(5)
+            .keep_results(true)
+            .capture_traces(true)
+            .conformance(true)
+    };
+    let seq = run_sequential(&mix, 45, &config(1));
+    assert!(seq.results.iter().all(|r| r.conformance.is_some()));
+    for shards in [1usize, 2, 3, 5] {
+        let batch = run_batch(&mix, 45, &config(shards));
+        assert_eq!(batch.conformance, seq.conformance, "{shards} shards");
+        assert_eq!(batch.results.len(), seq.results.len());
+        for (b, s) in batch.results.iter().zip(&seq.results) {
+            // The shard is the one field that legitimately differs.
+            let b = InstanceResult {
+                shard: 0,
+                ..b.clone()
+            };
+            assert_eq!(&b, s, "instance {} at {shards} shards", s.instance);
+        }
+    }
 }
 
 /// Shard-mates of an erroring instance, per the pool's deterministic

@@ -12,13 +12,18 @@
 //! 3. the batch pool via `PoolConfig::conformance` (per instance),
 //! 4. a serialized-then-reparsed [`RunTrace`] fed round by round —
 //!    monitoring a capture must agree with having monitored the run.
+//!
+//! A fifth property pins the reuse the pool relies on: a monitor that is
+//! [`ConformanceMonitor::reset`] after an unrelated run is
+//! indistinguishable from a fresh one.
 
 use proptest::prelude::*;
-use rrfd::core::{Engine, RoundFaults, RoundHook, RunTrace, SystemSize};
+use rrfd::core::{Engine, IdSet, RoundFaults, RoundHook, RunTrace, SystemSize};
 use rrfd::models::adversary::RandomAdversary;
 use rrfd::models::conformance::ConformanceMonitor;
 use rrfd::models::predicates::Crash;
 use rrfd::models::zoo::zoo;
+use rrfd::obs::Obs;
 use rrfd::pool::{run_batch, MixSpec, PoolConfig};
 use rrfd::protocols::kset::FloodMin;
 use rrfd::runtime::ThreadedEngine;
@@ -60,6 +65,27 @@ fn online_firsts(monitor: &ConformanceMonitor) -> Vec<Option<u32>> {
 
 fn shared_monitor(n: SystemSize) -> Arc<Mutex<ConformanceMonitor>> {
     Arc::new(Mutex::new(ConformanceMonitor::zoo(n, 1)))
+}
+
+/// Rounds at size `n` whose `D(i,r)` is the low `n` bits of `masks[r][i]`.
+fn rounds_of(n: SystemSize, masks: &[Vec<u64>]) -> Vec<RoundFaults> {
+    let low = (1u128 << n.get()) - 1;
+    masks
+        .iter()
+        .map(|round| {
+            let sets = (0..n.get())
+                .map(|i| IdSet::from_bits(u128::from(round[i]) & low))
+                .collect();
+            RoundFaults::from_sets(n, sets)
+        })
+        .collect()
+}
+
+/// The JSONL of `monitor`'s metrics, recorded into a fresh logical handle.
+fn recorded(monitor: &ConformanceMonitor) -> String {
+    let obs = Obs::logical();
+    monitor.record(&obs);
+    obs.snapshot().to_jsonl()
 }
 
 fn flood_protocols(n: usize, f: usize) -> Vec<FloodMin> {
@@ -162,5 +188,44 @@ proptest! {
             prop_assert_eq!(&online.violations, &offline_violations);
         }
         prop_assert!(checked > 0, "no pool instance captured both trace and verdict");
+    }
+
+    #[test]
+    fn a_reset_monitor_equals_a_fresh_clone(
+        size_pick in 0usize..3,
+        // Each process is suspected with probability 1/8 per round, so
+        // runs keep some predicates alive and violate others.
+        unrelated in prop::collection::vec(
+            prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 8),
+            0..6,
+        ),
+        run in prop::collection::vec(
+            prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 8),
+            0..8,
+        ),
+    ) {
+        let sparse = |rounds: &[Vec<(u64, u64, u64)>]| -> Vec<Vec<u64>> {
+            rounds
+                .iter()
+                .map(|round| round.iter().map(|&(a, b, c)| a & b & c).collect())
+                .collect()
+        };
+        let size = SystemSize::new([3, 5, 8][size_pick]).unwrap();
+        let mut fresh = ConformanceMonitor::zoo(size, 1).clone();
+        let mut reused = ConformanceMonitor::zoo(size, 1);
+        for round in rounds_of(size, &sparse(&unrelated)) {
+            reused.observe(&round);
+        }
+        reused.reset();
+        for round in rounds_of(size, &sparse(&run)) {
+            fresh.observe(&round);
+            reused.observe(&round);
+        }
+        prop_assert_eq!(reused.verdict(), fresh.verdict());
+        prop_assert_eq!(reused.compiled_evals(), fresh.compiled_evals());
+        for idx in 0..fresh.verdict().statuses.len() {
+            prop_assert_eq!(reused.certificate(idx), fresh.certificate(idx));
+        }
+        prop_assert_eq!(recorded(&reused), recorded(&fresh));
     }
 }
