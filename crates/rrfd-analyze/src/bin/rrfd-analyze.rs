@@ -20,13 +20,15 @@ commands:
   lattice [--depth N] [--n N] [--f F] [--check | --update] [--file PATH]
           [--json]
       Compute the predicate-implication lattice over the standard zoo
-      (default n=3, f=1, depth 4; the zoo needs 3 <= n <= 5 and 2f < n)
-      and print it as markdown (or as an `rrfd-lattice v1` JSON object
-      with --json). The pairs are decided by one shared prefix-trie walk
-      on the compiled predicate plane: each trie node evaluates one round
-      per class of rounds the compiled programs cannot tell apart, and
-      each refuted pair's witness is found on the compiled programs in
-      the per-pair search's order. With --check, compare against the
+      (default n=3, f=1, depth 4; the zoo needs 3 <= n <= 5 and 2f < n,
+      and depth >= 1) and print it as markdown (or as an `rrfd-lattice
+      v1` JSON object with --json). The pairs are decided by one shared
+      prefix-trie walk on the compiled predicate plane: each trie node
+      applies the distinct moves of its interned register file, whose
+      verdicts on every class of rounds the compiled programs cannot tell
+      apart are evaluated once per file, and each refuted pair's witness
+      is found on the compiled programs in the per-pair search's order.
+      With --check, compare against the
       `<!-- lattice:begin -->` block in PATH (default EXPERIMENTS.md)
       and fail on drift; with --update, rewrite the block.
 
@@ -161,6 +163,10 @@ fn run_lattice(args: &[String]) -> ExitCode {
     };
     if f > (n.get() - 1) / 2 {
         return usage_error("--f must satisfy 2f < n for the zoo");
+    }
+    // A depth-0 walk decides nothing, so every pair would read as implied.
+    if depth < 1 {
+        return usage_error("--depth must be at least 1");
     }
 
     eprintln!(

@@ -18,8 +18,8 @@
 //! bound is a real check, not a heuristic.
 
 use rrfd_core::{
-    FaultPattern, HistoryCtx, PatternViolation, PredicateProgram, ProgOp, Round, RoundFaults,
-    RoundProfile, RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
+    FaultPattern, HistoryCtx, IdSet, PatternViolation, PredicateProgram, ProgOp, Round,
+    RoundFaults, RoundProfile, RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
 };
 use rrfd_models::enumerate::all_rounds;
 /// The zoo family and its boxed element type now live in `rrfd-models`
@@ -151,8 +151,9 @@ impl Lattice {
     /// are evaluated against one [`RoundProfile`] per class of observably
     /// equivalent candidate rounds (see [`ProgOp::history_key`]; static
     /// programs are precomputed into per-class verdict masks before the
-    /// walk starts), and a subtree is abandoned as soon as it can no
-    /// longer refute any still-open pair. Predicates that decline to
+    /// walk starts, dynamic ones once per reachable register file, see
+    /// [`HistoryCtx::register_key`]), and a subtree is abandoned as soon
+    /// as it can no longer refute any still-open pair. Predicates that decline to
     /// compile fall back to their dyn `admits` exactly.
     ///
     /// The result — matrix and every counterexample — is identical to
@@ -202,7 +203,8 @@ impl Lattice {
             }
         }
         let base_ctx = HistoryCtx::for_programs(n, programs.iter().flatten());
-        let classes = round_classes(&profiles, &programs, static_mask, dyn_mask != 0, &base_ctx);
+        let (classes, union_reps) =
+            round_classes(&profiles, &programs, static_mask, dyn_mask != 0, &base_ctx);
 
         let all_mask: u128 = if len == 128 {
             !0u128
@@ -252,15 +254,19 @@ impl Lattice {
             profiles: &profiles,
             programs: &programs,
             classes: &classes,
+            union_reps: &union_reps,
             dynamic_mask,
             dyn_mask,
             max_rounds,
             pending,
             refuted,
+            files: Vec::new(),
+            ids: std::collections::HashMap::new(),
             seen: std::collections::HashSet::new(),
             prefix_rounds: Vec::new(),
         };
-        walker.walk(&base_ctx, all_mask, 0);
+        let root = walker.intern(base_ctx.clone());
+        walker.walk(root, all_mask, 0);
         let TrieWalker {
             pending, refuted, ..
         } = walker;
@@ -498,18 +504,21 @@ struct RoundClass {
     rep: usize,
     /// Verdict mask of the static programs on this class.
     static_adm: u128,
+    /// Dense id of the class's round union, in order of first class.
+    union: usize,
 }
 
 /// Quotients the candidate rounds into [`RoundClass`]es, in order of
 /// first member. With a dyn-fallback predicate in the family every round
-/// is its own class: the fallback reads the raw round.
+/// is its own class: the fallback reads the raw round. Also returns, per
+/// union id, the first round with that union.
 fn round_classes(
     profiles: &[RoundProfile],
     programs: &[Option<PredicateProgram>],
     static_mask: u128,
     singletons: bool,
     base_ctx: &HistoryCtx,
-) -> Vec<RoundClass> {
+) -> (Vec<RoundClass>, Vec<usize>) {
     let mut inner_ops: Vec<ProgOp> = Vec::new();
     for program in programs.iter().flatten().filter(|p| !p.is_static()) {
         for &op in program.clauses().iter().flatten() {
@@ -519,6 +528,7 @@ fn round_classes(
         }
     }
     let mut classes = Vec::new();
+    let mut union_reps: Vec<usize> = Vec::new();
     let mut keys = std::collections::HashSet::new();
     for (rep, profile) in profiles.iter().enumerate() {
         let mut static_adm = 0u128;
@@ -543,31 +553,49 @@ fn round_classes(
                 continue;
             }
         }
-        classes.push(RoundClass { rep, static_adm });
+        let union = match union_reps
+            .iter()
+            .position(|&r| profiles[r].union() == profile.union())
+        {
+            Some(union) => union,
+            None => {
+                union_reps.push(rep);
+                union_reps.len() - 1
+            }
+        };
+        classes.push(RoundClass {
+            rep,
+            static_adm,
+            union,
+        });
     }
-    classes
+    (classes, union_reps)
 }
 
-/// The merge key of one trie node: compiled programs can observe the
-/// prefix only through the [`HistoryCtx`] registers, so two prefixes with
-/// equal registers (and equal legality and depth) have identical futures —
-/// the walk visits each equivalence class once. Only valid while no
-/// dyn-fallback predicate is legal (those read the raw prefix).
-#[derive(PartialEq, Eq, Hash)]
-struct StateKey {
-    depth: u32,
-    legal: u128,
-    cum: u128,
-    prev: u128,
-    immortal: Vec<u128>,
+/// One register file the walk has reached (see
+/// [`HistoryCtx::register_key`]), interned under a dense id: what a trie
+/// node needs of its prefix, computed once per file instead of once per
+/// node.
+struct RegisterFile {
+    /// A context holding these registers: the first prefix to reach them.
+    ctx: HistoryCtx,
+    /// `verdicts[c]`: the dynamic programs' verdict mask on class `c`.
+    verdicts: Vec<u128>,
+    /// The distinct `(static_adm | verdicts[c], union id)` pairs over all
+    /// classes, in order of first class. Without a live dyn fallback a
+    /// round's refutations and its child are functions of its move.
+    moves: Vec<(u128, usize)>,
+    /// `succ[u]`: the id reached by absorbing union `u`, once needed.
+    succ: Vec<Option<u32>>,
 }
 
 /// The depth-first shared-trie walk behind [`Lattice::compute_compiled`]:
 /// one traversal of the jointly-legal prefix trie decides every still-open
-/// implication pair at once. Each node evaluates one round per
-/// [`RoundClass`] and expands each distinct child once. Witnesses are
-/// *not* collected here — refuted pairs are re-derived canonically by
-/// [`WitnessSearch`] afterwards.
+/// implication pair at once. A node is its depth, its legality mask and
+/// the id of its register file; it applies each of the file's moves (one
+/// round per [`RoundClass`] while a dyn fallback is legal) and expands
+/// each distinct child once. Witnesses are *not* collected here — refuted
+/// pairs are re-derived canonically by [`WitnessSearch`] afterwards.
 struct TrieWalker<'a> {
     n: SystemSize,
     predicates: &'a [SharedPredicate],
@@ -575,6 +603,8 @@ struct TrieWalker<'a> {
     profiles: &'a [RoundProfile],
     programs: &'a [Option<PredicateProgram>],
     classes: &'a [RoundClass],
+    /// Per union id, a round with that union.
+    union_reps: &'a [usize],
     /// Compiled programs that do read the history registers.
     dynamic_mask: u128,
     /// Predicates that declined to compile: exact dyn fallback.
@@ -584,25 +614,29 @@ struct TrieWalker<'a> {
     pending: Vec<u128>,
     /// Pairs refuted so far, in discovery order.
     refuted: Vec<(usize, usize)>,
-    /// Register-equivalence classes already visited.
-    seen: std::collections::HashSet<StateKey>,
+    /// The interned register files, indexed by id.
+    files: Vec<RegisterFile>,
+    /// Register key to id.
+    ids: std::collections::HashMap<(u32, IdSet, IdSet, Vec<IdSet>), u32>,
+    /// `(depth, legal, id)` of every node already visited.
+    seen: std::collections::HashSet<(u32, u128, u32)>,
     /// Round indices of the current prefix (the DFS path), for dyn
     /// fallbacks only.
     prefix_rounds: Vec<usize>,
 }
 
 impl TrieWalker<'_> {
-    /// Is there a still-open pair `{i, j}` whose members are both legal?
-    fn open_pair(&self, legal: u128) -> bool {
+    /// The legal predicates `j` of still-open pairs `(i, j)` whose members
+    /// are both legal: a round refutes something only if it rejects one.
+    fn open_targets(&self, legal: u128) -> u128 {
+        let mut targets = 0u128;
         let mut li = legal;
         while li != 0 {
             let i = li.trailing_zeros() as usize;
             li &= li - 1;
-            if self.pending[i] & legal != 0 {
-                return true;
-            }
+            targets |= self.pending[i];
         }
-        false
+        targets & legal
     }
 
     /// Materializes the current DFS path as a pattern (for dyn fallbacks).
@@ -614,98 +648,144 @@ impl TrieWalker<'_> {
         pattern
     }
 
-    /// Visits one trie node: evaluates every legal predicate against one
-    /// round per class (recording refutations of open pairs), then
-    /// recurses into the extensions that can still decide something.
-    /// `ctx` holds the history registers of the current prefix; recursion
-    /// depth is bounded by `max_rounds`.
-    fn walk(&mut self, ctx: &HistoryCtx, legal: u128, depth: u32) {
-        if depth >= self.max_rounds || !self.open_pair(legal) {
-            return;
+    /// The id of `ctx`'s register file, interning it (and evaluating its
+    /// verdict row and move list) on first sight.
+    fn intern(&mut self, ctx: HistoryCtx) -> u32 {
+        let key = ctx.register_key();
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
         }
-        let dyn_live = legal & self.dyn_mask;
-        if dyn_live == 0 {
-            // Pending pairs only shrink as the DFS proceeds, so a state
-            // seen before was explored with at least today's open pairs:
-            // skipping the revisit cannot lose a refutation.
-            let key = StateKey {
-                depth,
-                legal,
-                cum: ctx.cumulative_union().bits(),
-                prev: ctx.previous_union().bits(),
-                immortal: ctx
-                    .immortal_registers()
-                    .iter()
-                    .map(|&(_, register)| register.bits())
-                    .collect(),
-            };
-            if !self.seen.insert(key) {
-                return;
-            }
-        }
-        let prefix = (dyn_live != 0).then(|| self.prefix_pattern());
-        let expand = depth + 1 < self.max_rounds;
-        // Children as (round, legality). Absorbing a round reads only its
-        // union, so without a live dyn fallback a child is determined by
-        // (union, legality) and each distinct one is expanded once.
-        let mut children: Vec<(usize, u128)> = Vec::new();
+        let mut verdicts = Vec::with_capacity(self.classes.len());
+        let mut moves = Vec::new();
         for class in self.classes {
             let profile = &self.profiles[class.rep];
-            let mut adm = class.static_adm & legal;
-            let mut todo = legal & self.dynamic_mask;
+            let mut adm = 0u128;
+            let mut todo = self.dynamic_mask;
             while todo != 0 {
                 let i = todo.trailing_zeros() as usize;
                 todo &= todo - 1;
                 if let Some(program) = &self.programs[i] {
-                    if program.eval(ctx, profile) {
+                    if program.eval(&ctx, profile) {
                         adm |= 1u128 << i;
                     }
                 }
             }
-            if let Some(prefix) = &prefix {
+            verdicts.push(adm);
+            let mv = (class.static_adm | adm, class.union);
+            if !moves.contains(&mv) {
+                moves.push(mv);
+            }
+        }
+        let id = self.files.len() as u32;
+        self.files.push(RegisterFile {
+            ctx,
+            verdicts,
+            moves,
+            succ: vec![None; self.union_reps.len()],
+        });
+        self.ids.insert(key, id);
+        id
+    }
+
+    /// The id reached from register file `id` by absorbing union `union`,
+    /// filled in on first use.
+    fn successor(&mut self, id: u32, union: usize) -> u32 {
+        if let Some(next) = self.files[id as usize].succ[union] {
+            return next;
+        }
+        let mut ctx = self.files[id as usize].ctx.clone();
+        ctx.absorb_profile(&self.profiles[self.union_reps[union]]);
+        let next = self.intern(ctx);
+        self.files[id as usize].succ[union] = Some(next);
+        next
+    }
+
+    /// Refutes every open pair `(i, j)` of legal predicates where `i`
+    /// admits the round judged by `adm` and `j` rejects it. `targets` is
+    /// [`TrieWalker::open_targets`] of `legal`, or a superset of it (as it
+    /// stays while pairs are refuted).
+    fn refute(&mut self, legal: u128, targets: u128, adm: u128) {
+        let rejected = targets & !adm;
+        if rejected == 0 {
+            return;
+        }
+        let mut admitters = legal & adm;
+        while admitters != 0 {
+            let i = admitters.trailing_zeros() as usize;
+            admitters &= admitters - 1;
+            let mut hits = self.pending[i] & rejected;
+            if hits == 0 {
+                continue;
+            }
+            self.pending[i] &= !hits;
+            while hits != 0 {
+                let j = hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                self.refuted.push((i, j));
+            }
+        }
+    }
+
+    /// Visits one trie node: judges every legal predicate on each move of
+    /// register file `id` (recording refutations of open pairs), then
+    /// recurses into the extensions that can still decide something.
+    /// Recursion depth is bounded by `max_rounds`.
+    fn walk(&mut self, id: u32, legal: u128, depth: u32) {
+        let targets = self.open_targets(legal);
+        if depth >= self.max_rounds || targets == 0 {
+            return;
+        }
+        let dyn_live = legal & self.dyn_mask;
+        // Pending pairs only shrink as the DFS proceeds, so a state seen
+        // before was explored with at least today's open pairs: skipping
+        // the revisit cannot lose a refutation. A live dyn fallback reads
+        // the raw prefix, which the id does not capture.
+        if dyn_live == 0 && !self.seen.insert((depth, legal, id)) {
+            return;
+        }
+        let expand = depth + 1 < self.max_rounds;
+        // Children as (union id, legality, round). Absorbing a round reads
+        // only its union, so without a live dyn fallback a child is
+        // determined by (union, legality) and each distinct one is
+        // expanded once; the round then only stands in for its union.
+        let mut children: Vec<(usize, u128, usize)> = Vec::new();
+        if dyn_live == 0 {
+            for m in 0..self.files[id as usize].moves.len() {
+                let (adm, union) = self.files[id as usize].moves[m];
+                self.refute(legal, targets, adm);
+                let child = legal & adm;
+                if expand && !children.iter().any(|&(u, c, _)| u == union && c == child) {
+                    children.push((union, child, self.union_reps[union]));
+                }
+            }
+        } else {
+            // The move list merges rounds an uncompiled predicate could
+            // tell apart, so judge one round per class.
+            let prefix = self.prefix_pattern();
+            let classes = self.classes;
+            for (c, class) in classes.iter().enumerate() {
+                let mut adm = class.static_adm | self.files[id as usize].verdicts[c];
                 let mut todo = dyn_live;
                 while todo != 0 {
                     let i = todo.trailing_zeros() as usize;
                     todo &= todo - 1;
-                    if self.predicates[i].admits(prefix, &self.rounds[class.rep]) {
+                    if self.predicates[i].admits(&prefix, &self.rounds[class.rep]) {
                         adm |= 1u128 << i;
                     }
                 }
-            }
-            let rejected = legal & !adm;
-            let mut admitters = legal & adm;
-            while admitters != 0 {
-                let i = admitters.trailing_zeros() as usize;
-                admitters &= admitters - 1;
-                let mut hits = self.pending[i] & rejected;
-                if hits == 0 {
-                    continue;
+                self.refute(legal, targets, adm);
+                if expand {
+                    children.push((class.union, legal & adm, class.rep));
                 }
-                self.pending[i] &= !hits;
-                while hits != 0 {
-                    let j = hits.trailing_zeros() as usize;
-                    hits &= hits - 1;
-                    self.refuted.push((i, j));
-                }
-            }
-            let child = legal & adm;
-            let union = profile.union();
-            let duplicate = dyn_live == 0
-                && children
-                    .iter()
-                    .any(|&(r, c)| c == child && self.profiles[r].union() == union);
-            if expand && !duplicate {
-                children.push((class.rep, child));
             }
         }
-        for (r_idx, child) in children {
-            if !self.open_pair(child) {
+        for (union, child, round) in children {
+            if self.open_targets(child) == 0 {
                 continue;
             }
-            let mut child_ctx = ctx.clone();
-            child_ctx.absorb_profile(&self.profiles[r_idx]);
-            self.prefix_rounds.push(r_idx);
-            self.walk(&child_ctx, child, depth + 1);
+            let next = self.successor(id, union);
+            self.prefix_rounds.push(round);
+            self.walk(next, child, depth + 1);
             self.prefix_rounds.pop();
         }
     }

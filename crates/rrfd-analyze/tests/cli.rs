@@ -1,5 +1,5 @@
 //! Exit-status pins for the `rrfd-analyze` binary on hostile arguments
-//! and inputs: a bad size or resilience for the lattice zoo is a usage
+//! and inputs: a bad size, resilience or depth for the lattice zoo is a usage
 //! error (exit 2), and a capture nested deeper than the JSON reader
 //! allows is a reported failure (exit 1), not a crash.
 
@@ -26,6 +26,8 @@ fn lattice_rejects_sizes_and_resiliences_the_zoo_cannot_take() {
     assert_usage_error(&["lattice", "--f", "2"], "2f < n");
     assert_usage_error(&["lattice", "--n", "2", "--f", "0"], "--n must be");
     assert_usage_error(&["lattice", "--n", "6"], "--n must be");
+    assert_usage_error(&["lattice", "--depth", "0"], "--depth must be");
+    assert_usage_error(&["lattice", "--depth", "0", "--update"], "--depth must be");
 }
 
 #[test]

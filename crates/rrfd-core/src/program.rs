@@ -290,28 +290,34 @@ impl HistoryCtx {
         self.rounds
     }
 
-    /// The cumulative union `⋃_{r' ≤ r} ⋃ᵢ D(i,r')` over the absorbed prefix.
-    #[must_use]
-    pub fn cumulative_union(&self) -> IdSet {
-        self.cum
-    }
-
-    /// The previous round's union register `⋃ᵢ D(i,r−1)` (empty before any
-    /// round is absorbed).
-    #[must_use]
-    pub fn previous_union(&self) -> IdSet {
-        self.prev_union
-    }
-
-    /// The registered ◊S immortal registers, in registration order.
+    /// Everything a compiled program of the registering family can observe
+    /// about the absorbed prefix: the round count saturated at `S`, the
+    /// cumulative union `⋃_{r' ≤ r} ⋃ᵢ D(i,r')`, the previous round's union
+    /// `⋃ᵢ D(i,r−1)` (empty before any round) and the immortal registers
+    /// in registration order, where `S` is the largest registered
+    /// stabilization round (0 when none is registered).
     ///
-    /// Together with [`HistoryCtx::rounds`], [`HistoryCtx::cumulative_union`]
-    /// and [`HistoryCtx::previous_union`] these registers are the *entire*
-    /// state a compiled program can observe about the prefix — which is what
-    /// lets the lattice walk merge prefixes whose registers coincide.
+    /// Two contexts with equal keys get equal verdicts from every
+    /// [`ProgOp`] whose stabilization (if any) is registered, on every
+    /// round, and absorbing the same round into both yields equal keys
+    /// again. Round counts `≥ S` need not be told apart: the only arms
+    /// that read the count compare it against a registered stabilization
+    /// (`rounds < s` in [`ProgOp::eval`], `rounds + 1 > s` when
+    /// absorbing), and both answers are fixed once `rounds ≥ S ≥ s`.
+    /// Unregistered stabilizations fold the recorded per-round unions
+    /// instead and are not covered.
     #[must_use]
-    pub fn immortal_registers(&self) -> &[(Round, IdSet)] {
-        &self.immortal
+    pub fn register_key(&self) -> (u32, IdSet, IdSet, Vec<IdSet>) {
+        let saturation = self.immortal.iter().map(|(s, _)| s.get()).max();
+        (
+            self.rounds.min(saturation.unwrap_or(0)),
+            self.cum,
+            self.prev_union,
+            self.immortal
+                .iter()
+                .map(|&(_, register)| register)
+                .collect(),
+        )
     }
 
     /// Folds one round into the registers (`O(1)` amortized).
@@ -647,7 +653,7 @@ mod tests {
         assert!(!registered.contains(ProcessId::new(0)));
         assert_eq!(registered.len(), 2);
         assert_eq!(ctx.immortal(Round::new(2)), IdSet::universe(n));
-        assert_eq!(ctx.cumulative_union().len(), 2);
+        assert_eq!(ctx.register_key().1.len(), 2);
     }
 
     #[test]
@@ -787,6 +793,100 @@ mod tests {
         }
         assert!(reps.len() < rounds.len(), "some rounds must share a class");
         assert_eq!(reps.len() + checked, rounds.len());
+    }
+
+    #[test]
+    fn contexts_sharing_a_register_key_get_equal_verdicts_and_successors() {
+        let n = n3();
+        let subsets: Vec<IdSet> = (0..8u128).map(IdSet::from_bits).collect();
+        let mut profiles = Vec::new();
+        for &a in &subsets[..7] {
+            for &b in &subsets[..7] {
+                for &c in &subsets[..7] {
+                    profiles.push(RoundProfile::of(&RoundFaults::from_sets(n, vec![a, b, c])));
+                }
+            }
+        }
+        assert_eq!(profiles.len(), 343);
+        let ops = every_op();
+        let stabilizations: Vec<PredicateProgram> = (1..=3)
+            .map(|s| {
+                PredicateProgram::of(
+                    n,
+                    ProgOp::ImmortalSurvives {
+                        stabilization: Round::new(s),
+                    },
+                )
+            })
+            .collect();
+        let saturation = 3;
+        // Every context reached by absorbing a sequence of round unions,
+        // up to two rounds past the saturation point. Contexts whose
+        // registers and round count coincide are kept once: they differ
+        // only in the recorded unions, which registered stabilizations
+        // never read.
+        let mut frontier = vec![HistoryCtx::for_programs(n, &stabilizations)];
+        let mut contexts = Vec::new();
+        let mut raw = std::collections::HashSet::new();
+        for len in 0..=saturation + 2 {
+            for ctx in &frontier {
+                if raw.insert((ctx.rounds, ctx.cum, ctx.prev_union, ctx.immortal.clone())) {
+                    contexts.push(ctx.clone());
+                }
+            }
+            if len < saturation + 2 {
+                frontier = frontier
+                    .iter()
+                    .flat_map(|ctx| {
+                        subsets.iter().map(move |&union| {
+                            let mut next = ctx.clone();
+                            next.absorb_union(union);
+                            next
+                        })
+                    })
+                    .collect();
+            }
+        }
+        let mut groups = std::collections::HashMap::new();
+        let mut merged_rounds = 0;
+        for ctx in &contexts {
+            let verdicts: Vec<bool> = ops
+                .iter()
+                .flat_map(|op| profiles.iter().map(move |p| op.eval(ctx, p)))
+                .collect();
+            let successors: Vec<_> = subsets
+                .iter()
+                .map(|&union| {
+                    let mut next = ctx.clone();
+                    next.absorb_union(union);
+                    next.register_key()
+                })
+                .collect();
+            match groups.entry(ctx.register_key()) {
+                std::collections::hash_map::Entry::Vacant(slot) => {
+                    slot.insert((ctx.rounds, verdicts, successors));
+                }
+                std::collections::hash_map::Entry::Occupied(slot) => {
+                    let (rounds, first_verdicts, first_successors) = slot.get();
+                    assert!(
+                        *first_verdicts == verdicts,
+                        "an op splits {ctx:?} from a context with its key"
+                    );
+                    assert_eq!(*first_successors, successors, "successors of {ctx:?}");
+                    if *rounds != ctx.rounds {
+                        merged_rounds += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            groups.len() < contexts.len(),
+            "some contexts must share a key"
+        );
+        assert!(
+            merged_rounds > 0,
+            "saturation must merge distinct round counts"
+        );
     }
 
     #[test]
