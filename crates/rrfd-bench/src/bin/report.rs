@@ -243,15 +243,17 @@ struct DporRow {
     schedules: usize,
     revisits: u64,
     sleep_set_blocked: u64,
+    /// The host's core count: the second timed worker count.
+    cores: usize,
     workers_1_ns: u64,
-    workers_4_ns: u64,
-    workers_8_ns: u64,
+    workers_cores_ns: u64,
 }
 
-/// Times the DPOR explorer on the [`RingFlood`] envelope at 1, 4 and 8
-/// workers, after pinning its class count: the ring has exactly 63
-/// Mazurkiewicz classes, so any other count is a reduction bug.
-fn measure_dpor(samples: usize) -> DporRow {
+/// Times the DPOR explorer on the [`RingFlood`] envelope at 1 worker and
+/// at the host's `cores` (never more workers than cores), after pinning
+/// its class count: the ring has exactly 63 Mazurkiewicz classes, so any
+/// other count is a reduction bug.
+fn measure_dpor(samples: usize, cores: usize) -> DporRow {
     let size = n(6);
     let sim = SharedMemSim::new(size, 3);
     let make = || {
@@ -279,17 +281,16 @@ fn measure_dpor(samples: usize) -> DporRow {
         .max(1)
     };
     let workers_1_ns = dpor_ns(1);
-    let workers_4_ns = dpor_ns(4);
-    let workers_8_ns = dpor_ns(8);
+    let workers_cores_ns = dpor_ns(cores);
     let stats = dpor_stats.expect("dpor stats captured");
     assert_eq!(stats.schedules, 63, "the ring has exactly 63 trace classes");
     DporRow {
         schedules: stats.schedules,
         revisits: stats.revisits,
         sleep_set_blocked: stats.sleep_set_blocked,
+        cores,
         workers_1_ns,
-        workers_4_ns,
-        workers_8_ns,
+        workers_cores_ns,
     }
 }
 
@@ -420,11 +421,14 @@ fn run_report(quick: bool) -> String {
         0.5,
     );
 
-    // The DPOR class explorer on the full-info ring, at 1, 4 and 8
-    // workers.
+    // The DPOR class explorer on the full-info ring, at 1 worker and at
+    // the host's core count.
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let explore_samples = if quick { 3 } else { 7 };
-    eprintln!("measuring dpor explorer ({explore_samples} samples per cell)...");
-    let dpor = measure_dpor(explore_samples);
+    eprintln!(
+        "measuring dpor explorer ({explore_samples} samples per cell, 1 and {cores} workers)..."
+    );
+    let dpor = measure_dpor(explore_samples, cores);
 
     // Message-plane ablation: shared-table deliveries vs the seed's
     // per-recipient clone plane.
@@ -435,7 +439,6 @@ fn run_report(quick: bool) -> String {
     // the default tenant mix, on at most 4 shards and never more shards
     // than the host has cores. `serve` re-measures this section at
     // arbitrary scale and splices it back in.
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let tp_shards = cores.min(4);
     let tp_instances = if quick { 2_000 } else { 10_000 };
     eprintln!("measuring batch throughput ({tp_instances} instances, {tp_shards} shards)...");
@@ -482,13 +485,13 @@ fn run_report(quick: bool) -> String {
     ));
     out.push_str(&format!(
         "  \"dpor\": {{\"schedules\": {}, \"revisits\": {}, \"sleep_set_blocked\": {}, \
-         \"workers_1_ns\": {}, \"workers_4_ns\": {}, \"workers_8_ns\": {}}},\n",
+         \"cores\": {}, \"workers_1_ns\": {}, \"workers_cores_ns\": {}}},\n",
         dpor.schedules,
         dpor.revisits,
         dpor.sleep_set_blocked,
+        dpor.cores,
         dpor.workers_1_ns,
-        dpor.workers_4_ns,
-        dpor.workers_8_ns,
+        dpor.workers_cores_ns,
     ));
     out.push_str(&render_throughput_line(&throughput));
     out.push('\n');
@@ -571,9 +574,9 @@ fn check_schema(text: &str) -> Result<(), String> {
         "schedules",
         "revisits",
         "sleep_set_blocked",
+        "cores",
         "workers_1_ns",
-        "workers_4_ns",
-        "workers_8_ns",
+        "workers_cores_ns",
     ] {
         dpor.get(field)
             .and_then(json::Json::as_u64)

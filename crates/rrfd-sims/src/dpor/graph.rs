@@ -27,7 +27,7 @@ use std::fmt;
 pub enum Access {
     /// Purely process-local step: a shared-memory decision, or a
     /// semi-synchronous step that neither broadcast nor decided (it only
-    /// drained its own inbox).
+    /// consumed its own inbox).
     Local,
     /// Wrote the single-writer cell `(bank, owner)`.
     Write {
@@ -54,8 +54,8 @@ pub enum Access {
         /// Oracle object index.
         object: usize,
     },
-    /// Semi-synchronous step that broadcast a message (appended to every
-    /// process's inbox, crashed or not).
+    /// Semi-synchronous step that broadcast a message (appended to the
+    /// broadcast log every process reads, crashed or not).
     Broadcast,
     /// Semi-synchronous step that decided without broadcasting (shrinks
     /// the live set, which gates crash enabledness).
@@ -79,8 +79,8 @@ impl Access {
     ///   conflict with writes; a write conflicts with a read of the same
     ///   cell and with a snapshot of its bank; oracle proposals to the
     ///   same object conflict (first proposal wins adoption races).
-    /// * semi-synchronous — a broadcast appends to *every* inbox, so it
-    ///   conflicts with every other step (the other step's drain sees a
+    /// * semi-synchronous — a broadcast lands in *every* inbox, so it
+    ///   conflicts with every other step (the other step sees a
     ///   different inbox depending on order); two crashes share the
     ///   budget; a crash conflicts with a *deciding* step because the
     ///   live-set size gates crash enabledness (`live > 1`); a crash
@@ -213,6 +213,15 @@ impl<E: SchedEvent> ExecutionGraph<E> {
         self.events.is_empty()
     }
 
+    /// Forgets every recorded event but keeps the buffers, so the graph
+    /// can record the next run of the same process count without
+    /// reallocating.
+    pub fn clear(&mut self) {
+        self.events.clear();
+        self.rows.clear();
+        self.row_start.clear();
+    }
+
     /// Event `k`'s strict-predecessor row.
     fn row(&self, k: usize) -> &[u64] {
         let start = self.row_start[k];
@@ -273,6 +282,15 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     /// is a pure function of the class.
     #[must_use]
     pub fn canonical_order(&self) -> Vec<usize> {
+        let mut order = Vec::with_capacity(self.events.len());
+        self.canonical_order_into(&mut order);
+        order
+    }
+
+    /// [`ExecutionGraph::canonical_order`], written into `order` (cleared
+    /// first) so a caller linearizing many runs reuses one buffer.
+    pub fn canonical_order_into(&self, order: &mut Vec<usize>) {
+        order.clear();
         let len = self.events.len();
         let next_of = |p: usize, from: usize| {
             (from..len)
@@ -281,7 +299,6 @@ impl<E: SchedEvent> ExecutionGraph<E> {
         };
         let mut next: Vec<usize> = (0..self.n).map(|p| next_of(p, 0)).collect();
         let mut emitted = vec![0u64; words(len)];
-        let mut order = Vec::with_capacity(len);
         for _ in 0..len {
             let available = (0..self.n).find(|&p| {
                 next[p] < len
@@ -299,7 +316,6 @@ impl<E: SchedEvent> ExecutionGraph<E> {
             order.push(j);
             next[p] = next_of(p, j + 1);
         }
-        order
     }
 
     /// Reversible races of this run, as index pairs `(i, j)` into
@@ -500,6 +516,37 @@ mod tests {
             !races.contains(&(0, 3)),
             "w0 ->hb snap2 is mediated by p1's snapshot+write, not reversible"
         );
+    }
+
+    #[test]
+    fn cleared_graph_records_like_a_fresh_one() {
+        let run = [
+            (pid(0), Access::Write { bank: 0, owner: 0 }),
+            (pid(1), Access::Snapshot { bank: 0 }),
+            (pid(1), Access::Write { bank: 0, owner: 1 }),
+            (pid(2), Access::Snapshot { bank: 0 }),
+        ];
+        let mut fresh = ExecutionGraph::new(3);
+        let mut reused = ExecutionGraph::new(3);
+        for &(p, access) in run.iter().rev() {
+            reused.push(MemEvent::Step(p), p, access);
+        }
+        reused.clear();
+        assert!(reused.is_empty());
+        for &(p, access) in &run {
+            fresh.push(MemEvent::Step(p), p, access);
+            reused.push(MemEvent::Step(p), p, access);
+        }
+        assert_eq!(reused.canonical_order(), fresh.canonical_order());
+        assert_eq!(reused.reversible_races(), fresh.reversible_races());
+        for i in 0..run.len() {
+            for j in 0..run.len() {
+                assert_eq!(reused.hb(i, j), fresh.hb(i, j), "{i} -> {j}");
+            }
+        }
+        let mut order = vec![7, 7, 7, 7, 7, 7];
+        reused.canonical_order_into(&mut order);
+        assert_eq!(order, fresh.canonical_order());
     }
 
     #[test]

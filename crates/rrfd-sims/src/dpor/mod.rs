@@ -11,7 +11,9 @@
 //!
 //! 1. A work item is an event-sequence *revisit prefix*. Processing it
 //!    replays the prefix and extends it deterministically (always the
-//!    first enabled option) to a maximal run.
+//!    first enabled option) to a maximal run, on the processing worker's
+//!    scratch: one state rewound to the root, one graph and one set of
+//!    buffers reused across every item the worker claims.
 //! 2. The run's class identity is its **canonical linearization**
 //!    (greedy smallest-pid topological sort of happens-before). The
 //!    search keeps one dedup structure, the *revisit tree*: a trie over
@@ -24,8 +26,12 @@
 //!    yields a revisit prefix that schedules the second event without
 //!    the first, and — on substrates with data nondeterminism — every
 //!    enabled crash the deterministic extension skipped yields a
-//!    *choice* prefix. Children are derived from the canonical form, so
-//!    they are a pure function of the class.
+//!    *choice* prefix. Crash enabledness is folded along the canonical
+//!    linearization from the events' footprints (a `Crash` spends the
+//!    budget and leaves the live set, a decision leaves the live set),
+//!    so the class is not replayed a second time to find them. Children
+//!    are derived from the canonical form, so they are a pure function
+//!    of the class.
 //! 4. Each child is located in the revisit tree relative to the class's
 //!    canonical path (a depth plus a short tail), and is queued only if
 //!    its end node was not queued before. Only fresh children are built
@@ -146,6 +152,11 @@ where
             exec: self.exec.clone(),
         }
     }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.exec.clone_from(&source.exec);
+    }
 }
 
 impl<P, V> DporTarget for MemDporTarget<P, V>
@@ -158,19 +169,16 @@ where
     type Report = MemRunReport<P, V>;
 
     // Crash-free, mirroring `explore_schedules_checked`: the only
-    // nondeterminism is scheduling order, fully covered by reversals.
-    const HAS_ALTERNATIVES: bool = false;
+    // nondeterminism is scheduling order, fully covered by reversals, so
+    // the target offers no alternatives.
 
     fn n(&self) -> usize {
         self.n
     }
 
-    fn options(&self) -> Vec<MemEvent> {
-        self.exec.runnable().iter().map(MemEvent::Step).collect()
-    }
-
-    fn alternatives(&self) -> Vec<MemEvent> {
-        Vec::new()
+    fn options(&self, out: &mut Vec<MemEvent>) {
+        out.clear();
+        out.extend(self.exec.runnable().iter().map(MemEvent::Step));
     }
 
     fn apply_traced(&mut self, event: MemEvent) -> Access {
@@ -221,6 +229,12 @@ impl<P: SemiSyncProcess + Clone> Clone for SemiDporTarget<P> {
             exec: self.exec.clone(),
         }
     }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.crash_budget = source.crash_budget;
+        self.exec.clone_from(&source.exec);
+    }
 }
 
 impl<P> DporTarget for SemiDporTarget<P>
@@ -230,11 +244,6 @@ where
     type Event = SemiSyncEvent;
     type Report = SemiSyncReport<P>;
 
-    // Crashes are data nondeterminism: a maximal crash-free run has no
-    // crash event for a reversal to reposition, so each enabled crash is
-    // branched on explicitly.
-    const HAS_ALTERNATIVES: bool = true;
-
     fn n(&self) -> usize {
         self.n
     }
@@ -242,21 +251,47 @@ where
     /// Mirrors the sequential walker's option order: step each live
     /// process in id order, then (budget and liveness permitting) crash
     /// each.
-    fn options(&self) -> Vec<SemiSyncEvent> {
+    fn options(&self, out: &mut Vec<SemiSyncEvent>) {
         let live = self.exec.live();
-        let mut opts: Vec<SemiSyncEvent> = live.iter().map(SemiSyncEvent::Step).collect();
+        out.clear();
+        out.extend(live.iter().map(SemiSyncEvent::Step));
         if self.crash_budget > 0 && live.len() > 1 {
-            opts.extend(live.iter().map(SemiSyncEvent::Crash));
+            out.extend(live.iter().map(SemiSyncEvent::Crash));
         }
-        opts
     }
 
-    fn alternatives(&self) -> Vec<SemiSyncEvent> {
-        let live = self.exec.live();
-        if self.crash_budget > 0 && live.len() > 1 {
-            live.iter().map(SemiSyncEvent::Crash).collect()
-        } else {
-            Vec::new()
+    /// Crashes are data nondeterminism: a maximal crash-free run has no
+    /// crash event for a reversal to reposition, so each enabled crash is
+    /// branched on explicitly. Enabledness needs only the budget and the
+    /// live set, and footprints say exactly how each event moves them: a
+    /// `Crash` spends the budget and leaves `live`, a `Decide` or
+    /// `BroadcastDecide` leaves `live`, and nothing else touches either.
+    fn alternatives<'a>(
+        &self,
+        canon: impl Iterator<Item = &'a ExecEvent<SemiSyncEvent>>,
+        mut push: impl FnMut(usize, SemiSyncEvent),
+    ) {
+        let mut live = self.exec.live();
+        let mut budget = self.crash_budget;
+        for (depth, event) in canon.enumerate() {
+            // Budget and live set only shrink: once crashes are disabled
+            // they stay disabled.
+            if budget == 0 || live.len() < 2 {
+                break;
+            }
+            for p in live {
+                push(depth, SemiSyncEvent::Crash(p));
+            }
+            match event.access {
+                Access::Crash => {
+                    budget -= 1;
+                    live.remove(event.pid);
+                }
+                Access::Decide | Access::BroadcastDecide => {
+                    live.remove(event.pid);
+                }
+                _ => {}
+            }
         }
     }
 
@@ -646,5 +681,72 @@ mod tests {
         // And with a zero budget the same search is clean.
         let clean = explore_semi_sync_dpor(&sim, 0, || hearers(2), check, &DporConfig::new(2));
         assert!(clean.is_ok());
+    }
+
+    /// The oracle for the footprint fold: crash alternatives found by
+    /// replaying `canon` from `root` and asking each reached state.
+    fn replayed_alternatives(
+        root: &SemiDporTarget<Hearer>,
+        canon: &[SemiSyncEvent],
+    ) -> Vec<(usize, SemiSyncEvent)> {
+        let mut state = root.clone();
+        let mut found = Vec::new();
+        for (depth, &event) in canon.iter().enumerate() {
+            let live = state.exec.live();
+            if state.crash_budget > 0 && live.len() > 1 {
+                found.extend(live.iter().map(|p| (depth, SemiSyncEvent::Crash(p))));
+            }
+            state.apply_traced(event);
+        }
+        found
+    }
+
+    #[test]
+    fn folded_crash_alternatives_match_replay() {
+        use rand::{Rng, SeedableRng};
+        let mut crashing_runs = 0;
+        for n in 2..=4 {
+            let sim = SemiSyncSim::new(size(n));
+            for budget in 0..=2 {
+                let root = SemiDporTarget {
+                    n,
+                    crash_budget: budget,
+                    exec: SemiSyncExecution::start(&sim, hearers(n)).unwrap(),
+                };
+                for seed in 0..32u64 {
+                    // A random maximal run over every enabled option,
+                    // crashes included.
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let mut state = root.clone();
+                    let mut graph = ExecutionGraph::new(n);
+                    let mut options = Vec::new();
+                    loop {
+                        state.options(&mut options);
+                        if options.is_empty() {
+                            break;
+                        }
+                        let event = options[rng.gen_range(0..options.len())];
+                        let access = state.apply_traced(event);
+                        graph.push(event, SemiDporTarget::<Hearer>::event_pid(&event), access);
+                    }
+                    let events = graph.events();
+                    crashing_runs += usize::from(events.iter().any(|e| e.access == Access::Crash));
+
+                    let canon = graph.canonical_order();
+                    let mut folded = Vec::new();
+                    root.alternatives(canon.iter().map(|&k| &events[k]), |depth, alt| {
+                        folded.push((depth, alt));
+                    });
+                    let canon: Vec<SemiSyncEvent> =
+                        canon.iter().map(|&k| events[k].event).collect();
+                    assert_eq!(
+                        folded,
+                        replayed_alternatives(&root, &canon),
+                        "n={n} budget={budget} seed={seed}: {canon:?}"
+                    );
+                }
+            }
+        }
+        assert!(crashing_runs > 100, "only {crashing_runs} runs crashed");
     }
 }

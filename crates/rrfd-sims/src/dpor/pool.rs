@@ -17,10 +17,14 @@
 //!   executes an item is still timing-dependent, but nothing about the
 //!   *result* may depend on it — the DPOR driver guarantees that by
 //!   keying every outcome on content (canonical trace classes), never on
-//!   worker identity, so replays are deterministic across worker counts.
+//!   worker identity, so replays are deterministic across worker counts;
+//! * each worker owns one *scratch*, built on its first claim and reused
+//!   by every job it processes — the DPOR driver keeps its replay state
+//!   and buffers there, so an item pays for its own events, not for
+//!   allocation.
 //!
-//! The pool itself is generic: `rrfd-analyze`'s lattice distributes its
-//! (static) implication-pair jobs over the same scheduler.
+//! The pool itself is generic: jobs, scratch and results are the
+//! caller's types.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -61,24 +65,32 @@ impl StealPool {
 
     /// Drains `seeds` and everything `process` spawns from them.
     ///
-    /// `process` receives one job plus a spawn buffer; jobs pushed into
-    /// the buffer are enqueued on the processing worker's own deque
-    /// (LIFO). Seeds are dealt round-robin across the deques. The call
-    /// returns once every job — seeded or spawned — has been processed.
+    /// `process` receives the worker's scratch, one job and a spawn
+    /// buffer; jobs pushed into the buffer are enqueued on the processing
+    /// worker's own deque (LIFO). Seeds are dealt round-robin across the
+    /// deques. The call returns once every job — seeded or spawned — has
+    /// been processed.
+    ///
+    /// Each worker builds its scratch with `init` when it claims its
+    /// first job, and hands the same scratch to every later job it
+    /// claims: buffers a job needs are allocated once per worker, not
+    /// once per job. A worker that never claims a job never calls `init`.
     ///
     /// Results must be collected through state captured by `process`
     /// (e.g. a `Mutex<Vec<_>>`), keyed by job *content*, never by worker
     /// identity — that is what keeps outcomes deterministic across worker
-    /// counts.
+    /// counts. For the same reason a job must not leave anything in the
+    /// scratch that changes what a later job computes.
     ///
     /// # Panics
     ///
     /// If `process` panics, remaining workers stop at their next claim,
     /// every thread is joined, and the first payload is re-raised.
-    pub fn run<J, F>(&self, seeds: Vec<J>, process: F) -> PoolStats
+    pub fn run<J, S, I, F>(&self, seeds: Vec<J>, init: I, process: F) -> PoolStats
     where
         J: Send,
-        F: Fn(J, &mut Vec<J>) + Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, J, &mut Vec<J>) + Sync,
     {
         let workers = self.workers;
         let deques: Vec<Mutex<VecDeque<J>>> =
@@ -101,31 +113,27 @@ impl StealPool {
                 let steals = &steals;
                 let poisoned = &poisoned;
                 let payload = &payload;
+                let init = &init;
                 let process = &process;
-                scope.spawn(move || loop {
-                    if poisoned.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let job = claim(w, deques, steals);
-                    let Some(job) = job else {
-                        if pending.load(Ordering::Acquire) == 0 {
+                scope.spawn(move || {
+                    let mut scratch = None;
+                    let mut spawned = Vec::new();
+                    loop {
+                        if poisoned.load(Ordering::Acquire) {
                             break;
                         }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    let mut spawned = Vec::new();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| process(job, &mut spawned)));
-                    match outcome {
-                        Ok(()) => {
-                            if !spawned.is_empty() {
-                                pending.fetch_add(spawned.len(), Ordering::AcqRel);
-                                let mut own = deques[w].lock().expect("worker deque poisoned");
-                                own.extend(spawned);
+                        let Some(job) = claim(w, deques, steals) else {
+                            if pending.load(Ordering::Acquire) == 0 {
+                                break;
                             }
-                            pending.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        Err(p) => {
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            let scratch = scratch.get_or_insert_with(init);
+                            process(scratch, job, &mut spawned);
+                        }));
+                        if let Err(p) = outcome {
                             payload
                                 .lock()
                                 .expect("payload mutex poisoned")
@@ -134,6 +142,12 @@ impl StealPool {
                             pending.fetch_sub(1, Ordering::AcqRel);
                             break;
                         }
+                        if !spawned.is_empty() {
+                            pending.fetch_add(spawned.len(), Ordering::AcqRel);
+                            let mut own = deques[w].lock().expect("worker deque poisoned");
+                            own.extend(spawned.drain(..));
+                        }
+                        pending.fetch_sub(1, Ordering::AcqRel);
                     }
                 });
             }
@@ -190,10 +204,14 @@ mod tests {
     fn drains_static_seeds_once_each() {
         let hits = TestCounter::new(0);
         let sum = TestCounter::new(0);
-        let stats = StealPool::new(4).run((1..=100u64).collect(), |job, _spawn| {
-            hits.fetch_add(1, Ordering::SeqCst);
-            sum.fetch_add(job, Ordering::SeqCst);
-        });
+        let stats = StealPool::new(4).run(
+            (1..=100u64).collect(),
+            || (),
+            |(), job, _spawn| {
+                hits.fetch_add(1, Ordering::SeqCst);
+                sum.fetch_add(job, Ordering::SeqCst);
+            },
+        );
         assert_eq!(hits.load(Ordering::SeqCst), 100);
         assert_eq!(sum.load(Ordering::SeqCst), 5050);
         assert_eq!(stats.workers, 4);
@@ -204,22 +222,26 @@ mod tests {
         // Each job n spawns n-1 and n-2 down to 0: the pool must drain the
         // whole recursion tree, not just the seed.
         let hits = TestCounter::new(0);
-        StealPool::new(3).run(vec![6u32], |job, spawn| {
-            hits.fetch_add(1, Ordering::SeqCst);
-            if job >= 1 {
-                spawn.push(job - 1);
-            }
-            if job >= 2 {
-                spawn.push(job - 2);
-            }
-        });
+        StealPool::new(3).run(
+            vec![6u32],
+            || (),
+            |(), job, spawn| {
+                hits.fetch_add(1, Ordering::SeqCst);
+                if job >= 1 {
+                    spawn.push(job - 1);
+                }
+                if job >= 2 {
+                    spawn.push(job - 2);
+                }
+            },
+        );
         // Tree size for this recursion from 6: 1 + fib-like expansion.
         assert!(hits.load(Ordering::SeqCst) > 6);
     }
 
     #[test]
     fn single_worker_needs_no_stealing() {
-        let stats = StealPool::new(1).run(vec![1, 2, 3], |_job: u8, _spawn| {});
+        let stats = StealPool::new(1).run(vec![1, 2, 3], || (), |(), _job: u8, _spawn| {});
         assert_eq!(stats.steals, 0);
         assert_eq!(stats.workers, 1);
     }
@@ -227,24 +249,68 @@ mod tests {
     #[test]
     fn zero_workers_clamps_to_one() {
         let hits = TestCounter::new(0);
-        let stats = StealPool::new(0).run(vec![()], |(), _spawn| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
+        let stats = StealPool::new(0).run(
+            vec![()],
+            || (),
+            |(), (), _spawn| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            },
+        );
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(stats.workers, 1);
     }
 
     #[test]
+    fn scratch_is_built_once_per_worker_and_persists_across_jobs() {
+        for workers in [1, 2, 4] {
+            let inits = TestCounter::new(0);
+            let hits = TestCounter::new(0);
+            // Each scratch is (its id, jobs it has seen); per id the
+            // largest count seen is kept.
+            let seen = Mutex::new(std::collections::BTreeMap::new());
+            StealPool::new(workers).run(
+                vec![12u32],
+                || (inits.fetch_add(1, Ordering::SeqCst), 0u64),
+                |(id, count): &mut (u64, u64), job, spawn| {
+                    *count += 1;
+                    hits.fetch_add(1, Ordering::SeqCst);
+                    seen.lock().unwrap().insert(*id, *count);
+                    spawn.extend((job >= 1).then(|| job - 1));
+                    spawn.extend((job >= 2).then(|| job - 2));
+                },
+            );
+            let inits = inits.load(Ordering::SeqCst);
+            assert!(
+                (1..=workers as u64).contains(&inits),
+                "{inits} inits for {workers} workers"
+            );
+            // Every job was counted by exactly one scratch that lived on:
+            // the per-scratch counts add up to the jobs run.
+            let counted: u64 = seen.into_inner().unwrap().values().sum();
+            assert_eq!(counted, hits.load(Ordering::SeqCst));
+            assert!(counted > 100 * inits, "never once per job");
+        }
+    }
+
+    #[test]
     fn panicking_job_drains_and_rethrows() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
+        let inits = TestCounter::new(0);
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            StealPool::new(4).run((0..64u32).collect(), |job, _spawn| {
-                if job == 13 {
-                    panic!("boom");
-                }
-            });
+            StealPool::new(4).run(
+                (0..64u32).collect(),
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                },
+                |(), job, _spawn| {
+                    if job == 13 {
+                        panic!("boom");
+                    }
+                },
+            );
         }))
         .unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom"));
+        assert!(inits.load(Ordering::SeqCst) <= 4);
     }
 }

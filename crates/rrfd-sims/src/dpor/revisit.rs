@@ -2,6 +2,11 @@
 //! processed to a maximal run, deduplicated by trace class, and expanded
 //! into race-reversal and crash-alternative revisits.
 //!
+//! Each pool worker processes its items on one [`Scratch`]: the target
+//! state, rewound to the root per item, plus the graph and every buffer
+//! an item fills. An item therefore pays for its own events, not for
+//! allocation.
+//!
 //! # Why this is deterministic across worker counts
 //!
 //! A work item is an event-sequence prefix. Processing it is a pure
@@ -17,7 +22,7 @@
 //! with the lexicographically smallest canonical key wins, not the one a
 //! worker happened to reach first.
 
-use super::graph::{Access, EventLine, ExecutionGraph};
+use super::graph::{Access, EventLine, ExecEvent, ExecutionGraph};
 use super::pool::StealPool;
 use crate::digest::{DigestWriter, StateKey};
 use crate::explore::{Counterexample, ExploreStats};
@@ -31,29 +36,39 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// footprint it left behind. No state digests: DPOR identifies classes by
 /// event sequences, so it works on protocols whose states are not
 /// soundly digestible.
+///
+/// `clone_from` should reuse the target's buffers: each worker rewinds
+/// one state to the root with it before every item.
 pub(crate) trait DporTarget: Sized + Clone {
     /// Scheduler event type, replayable through [`ScheduleTrace`].
     type Event: SchedEvent + Send + Sync;
     /// Completed-run report handed to the checker.
     type Report;
 
-    /// Whether states can offer [`DporTarget::alternatives`] at all.
-    /// When `false` the driver skips the canonical re-replay that
-    /// harvests them.
-    const HAS_ALTERNATIVES: bool;
-
     /// Process count.
     fn n(&self) -> usize;
-    /// Enabled events at this state, in canonical (id) order; empty
-    /// exactly at complete runs. The deterministic extension always
-    /// applies the first.
-    fn options(&self) -> Vec<Self::Event>;
-    /// Enabled events that the deterministic extension would never pick
-    /// and race reversal can never surface, because runs that omit them
-    /// contain no inverted dependency — concretely, crashes: a maximal
-    /// crash-free run has no crash event to reverse into an earlier
-    /// position. The driver branches on each explicitly.
-    fn alternatives(&self) -> Vec<Self::Event>;
+    /// Writes the enabled events at this state into `out` (cleared
+    /// first), in canonical (id) order; none exactly at complete runs.
+    /// The deterministic extension always applies the first.
+    fn options(&self, out: &mut Vec<Self::Event>);
+    /// Called on the root state with a class's canonical linearization:
+    /// pushes `(depth, event)` for every enabled event at each canonical
+    /// depth that the deterministic extension would never pick and race
+    /// reversal can never surface, because runs that omit them contain
+    /// no inverted dependency — concretely, crashes: a maximal crash-free
+    /// run has no crash event to reverse into an earlier position. The
+    /// driver branches on each explicitly.
+    ///
+    /// The enabled set is folded from the events' footprints rather than
+    /// by replaying the linearization. The default offers none.
+    fn alternatives<'a>(
+        &self,
+        _canon: impl Iterator<Item = &'a ExecEvent<Self::Event>>,
+        _push: impl FnMut(usize, Self::Event),
+    ) where
+        Self::Event: 'a,
+    {
+    }
     /// Applies an enabled event and reports its footprint.
     fn apply_traced(&mut self, event: Self::Event) -> Access;
     /// Packages the (final) state as a run report.
@@ -208,6 +223,11 @@ impl<E: Copy> Proposals<E> {
         }
     }
 
+    fn clear(&mut self) {
+        self.tails.clear();
+        self.spans.clear();
+    }
+
     fn push(&mut self, depth: usize, tail: impl IntoIterator<Item = E>) {
         self.tails.extend(tail);
         self.spans.push((depth, self.tails.len()));
@@ -252,25 +272,33 @@ where
         cex: None,
     });
     let classes_seen = AtomicUsize::new(0);
-    let max_classes = config.max_schedules;
 
+    let items = Items {
+        root,
+        check,
+        tree: &tree,
+        classes_seen: &classes_seen,
+        max_classes: config.max_schedules,
+    };
     let pool = StealPool::new(config.workers);
-    let pool_stats = pool.run(vec![Vec::<T::Event>::new()], |prefix, spawn| {
-        let item = process_item(root, check, &prefix, &tree, &classes_seen, max_classes);
-        let mut fold = fold.lock().expect("fold mutex poisoned");
-        fold.stats = fold.stats.merged(item.stats);
-        if let Some((key, cex)) = item.cex {
-            let replace = match &fold.cex {
-                Some((best, _)) => key < *best,
-                None => true,
-            };
-            if replace {
-                fold.cex = Some((key, cex));
+    let pool_stats = pool.run(
+        vec![Vec::<T::Event>::new()],
+        || Scratch::new(root),
+        |scratch, prefix, spawn| {
+            let (stats, cex) = items.process(scratch, &prefix, spawn);
+            let mut fold = fold.lock().expect("fold mutex poisoned");
+            fold.stats = fold.stats.merged(stats);
+            if let Some((key, cex)) = cex {
+                let replace = match &fold.cex {
+                    Some((best, _)) => key < *best,
+                    None => true,
+                };
+                if replace {
+                    fold.cex = Some((key, cex));
+                }
             }
-        }
-        drop(fold);
-        spawn.extend(item.children);
-    });
+        },
+    );
 
     let mut fold = fold.into_inner().expect("fold mutex poisoned");
     fold.stats.workers = pool_stats.workers;
@@ -289,14 +317,6 @@ where
     }
 }
 
-/// Per-item outcome: effort totals, an optional keyed counterexample,
-/// and the fresh (already deduplicated) child prefixes.
-struct ItemOutcome<E> {
-    stats: ExploreStats,
-    cex: Option<KeyedCex<E>>,
-    children: Vec<Vec<E>>,
-}
-
 /// Locks the revisit tree. Every update leaves the trie valid at each
 /// step (a node is pushed before the edge that reaches it; a mark is one
 /// write), so a lock poisoned by another worker's panic is recovered —
@@ -305,108 +325,167 @@ fn lock<E>(tree: &Mutex<RevisitTree<E>>) -> MutexGuard<'_, RevisitTree<E>> {
     tree.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Replays `prefix`, extends it deterministically to a maximal run,
-/// deduplicates the resulting trace class, checks it, and derives the
-/// class's revisits from its canonical linearization.
-fn process_item<T, F>(
-    root: &T,
-    check: &F,
-    prefix: &[T::Event],
-    tree: &Mutex<RevisitTree<T::Event>>,
-    classes_seen: &AtomicUsize,
+/// One pool worker's state, reused across every item it processes. No
+/// field carries meaning from one item to the next: each is reset before
+/// it is read.
+struct Scratch<T: DporTarget> {
+    /// The execution, rewound to the root per item.
+    state: T,
+    graph: ExecutionGraph<T::Event>,
+    options: Vec<T::Event>,
+    /// Option index taken at each event (the counterexample's choices).
+    choices: Vec<usize>,
+    /// The canonical linearization, as indices into the graph's events.
+    canon: Vec<usize>,
+    canon_events: Vec<T::Event>,
+    /// Revisit-tree node after each canonical prefix.
+    path: Vec<u32>,
+    proposals: Proposals<T::Event>,
+    /// Per proposal: whether it was queued for the first time.
+    fresh: Vec<bool>,
+}
+
+impl<T: DporTarget> Scratch<T> {
+    fn new(root: &T) -> Self {
+        Scratch {
+            state: root.clone(),
+            graph: ExecutionGraph::new(root.n()),
+            options: Vec::new(),
+            choices: Vec::new(),
+            canon: Vec::new(),
+            canon_events: Vec::new(),
+            path: Vec::new(),
+            proposals: Proposals::new(),
+            fresh: Vec::new(),
+        }
+    }
+
+    /// Applies `event`, the option at `choice`, and records it.
+    fn apply(&mut self, event: T::Event, choice: usize) {
+        self.choices.push(choice);
+        let access = self.state.apply_traced(event);
+        self.graph.push(event, T::event_pid(&event), access);
+    }
+}
+
+/// What every item of one search shares.
+struct Items<'s, T: DporTarget, F> {
+    root: &'s T,
+    check: &'s F,
+    tree: &'s Mutex<RevisitTree<T::Event>>,
+    classes_seen: &'s AtomicUsize,
     max_classes: usize,
-) -> ItemOutcome<T::Event>
+}
+
+impl<T, F> Items<'_, T, F>
 where
     T: DporTarget,
     F: Fn(&T::Report) -> Result<(), String>,
 {
-    let mut stats = ExploreStats::default();
-    let out = |stats: ExploreStats, cex, children| ItemOutcome {
-        stats,
-        cex,
-        children,
-    };
+    /// Replays `prefix`, extends it deterministically to a maximal run,
+    /// deduplicates the resulting trace class, checks it, and pushes the
+    /// class's fresh revisits, derived from its canonical linearization,
+    /// onto `spawn`. Returns the item's effort and its keyed
+    /// counterexample, if the class failed the check.
+    fn process(
+        &self,
+        s: &mut Scratch<T>,
+        prefix: &[T::Event],
+        spawn: &mut Vec<Vec<T::Event>>,
+    ) -> (ExploreStats, Option<KeyedCex<T::Event>>) {
+        let mut stats = ExploreStats::default();
+        s.state.clone_from(self.root);
+        s.graph.clear();
+        s.choices.clear();
 
-    // Replay the revisit prefix, recording footprints and choice indices.
-    let mut state = root.clone();
-    let mut graph = ExecutionGraph::new(root.n());
-    let mut choices = Vec::new();
-    for &event in prefix {
-        let opts = state.options();
-        stats.decision_points += 1;
-        let Some(idx) = opts.iter().position(|&o| o == event) else {
-            // The revisit construction guarantees prefixes stay enabled;
-            // if that invariant ever broke, dropping the item would lose
-            // coverage silently, so fail loudly instead.
-            unreachable!("revisit prefix event {event:?} not enabled during replay");
-        };
-        choices.push(idx);
-        let access = state.apply_traced(event);
-        graph.push(event, T::event_pid(&event), access);
-    }
+        // Replay the revisit prefix, recording footprints and choice
+        // indices.
+        for &event in prefix {
+            s.state.options(&mut s.options);
+            stats.decision_points += 1;
+            let Some(idx) = s.options.iter().position(|&o| o == event) else {
+                // The revisit construction guarantees prefixes stay
+                // enabled; if that invariant ever broke, dropping the
+                // item would lose coverage silently, so fail loudly.
+                unreachable!("revisit prefix event {event:?} not enabled during replay");
+            };
+            s.apply(event, idx);
+        }
 
-    // Deterministic extension: always the first enabled option.
-    loop {
-        let opts = state.options();
-        let Some(&event) = opts.first() else { break };
-        stats.decision_points += 1;
-        choices.push(0);
-        let access = state.apply_traced(event);
-        graph.push(event, T::event_pid(&event), access);
-    }
-    stats.max_depth = graph.len();
+        // Deterministic extension: always the first enabled option.
+        loop {
+            s.state.options(&mut s.options);
+            let Some(&event) = s.options.first() else {
+                break;
+            };
+            stats.decision_points += 1;
+            s.apply(event, 0);
+        }
+        stats.max_depth = s.graph.len();
 
-    // One representative per Mazurkiewicz class: the canonical
-    // linearization's end node in the revisit tree is the class.
-    let canon = graph.canonical_order();
-    let canon_events: Vec<T::Event> = canon.iter().map(|&k| graph.events()[k].event).collect();
-    let mut path = Vec::with_capacity(canon.len() + 1);
-    if !lock(tree).mark_class(&canon_events, &mut path) {
-        stats.sleep_set_blocked += 1;
-        return out(stats, None, Vec::new());
-    }
-    stats.schedules += 1;
-    stats.graphs_explored += 1;
-    let seen = classes_seen.fetch_add(1, Ordering::SeqCst) + 1;
-    assert!(
-        seen <= max_classes,
-        "DPOR exploration exceeded max_schedules ({max_classes} trace classes)"
-    );
+        // One representative per Mazurkiewicz class: the canonical
+        // linearization's end node in the revisit tree is the class.
+        s.graph.canonical_order_into(&mut s.canon);
+        let events = s.graph.events();
+        s.canon_events.clear();
+        s.canon_events
+            .extend(s.canon.iter().map(|&k| events[k].event));
+        s.path.clear();
+        if !lock(self.tree).mark_class(&s.canon_events, &mut s.path) {
+            stats.sleep_set_blocked += 1;
+            return (stats, None);
+        }
+        stats.schedules += 1;
+        stats.graphs_explored += 1;
+        let seen = self.classes_seen.fetch_add(1, Ordering::SeqCst) + 1;
+        assert!(
+            seen <= self.max_classes,
+            "DPOR exploration exceeded max_schedules ({} trace classes)",
+            self.max_classes
+        );
 
-    if let Err(message) = check(&state.report()) {
-        let key: Box<[u8]> = events_key(canon_events.iter().copied()).bytes().into();
-        let cex = Box::new(Counterexample {
-            choices,
-            schedule: ScheduleTrace::from_events(graph.events().iter().map(|e| e.event).collect()),
-            message,
-            stats: ExploreStats::default(), // overwritten with the fold
-        });
-        return out(stats, Some((key, cex)), Vec::new());
-    }
+        if let Err(message) = (self.check)(&s.state.report()) {
+            let key: Box<[u8]> = events_key(s.canon_events.iter().copied()).bytes().into();
+            let cex = Box::new(Counterexample {
+                choices: s.choices.clone(),
+                schedule: ScheduleTrace::from_events(events.iter().map(|e| e.event).collect()),
+                message,
+                stats: ExploreStats::default(), // overwritten with the fold
+            });
+            return (stats, Some((key, cex)));
+        }
 
-    let mut proposals = Proposals::new();
-    race_reversal_prefixes(&graph, &canon, &mut proposals);
-    if T::HAS_ALTERNATIVES {
-        alternative_prefixes(root, &canon_events, &mut proposals);
+        s.proposals.clear();
+        race_reversal_prefixes(&s.graph, &s.canon, &mut s.proposals);
+        let proposals = &mut s.proposals;
+        self.root
+            .alternatives(s.canon.iter().map(|&k| &events[k]), |depth, alt| {
+                proposals.push(depth, [alt])
+            });
+        // Dedup proposed prefixes before they enter the pool; only fresh
+        // ones are built.
+        s.fresh.clear();
+        {
+            let mut tree = lock(self.tree);
+            s.fresh.extend(
+                s.proposals
+                    .iter()
+                    .map(|(depth, tail)| tree.mark_queued(&s.path, depth, tail)),
+            );
+        }
+        let before = spawn.len();
+        spawn.extend(
+            s.proposals
+                .iter()
+                .zip(&s.fresh)
+                .filter(|&(_, &fresh)| fresh)
+                .map(|((depth, tail), _)| [&s.canon_events[..depth], tail].concat()),
+        );
+        let children = spawn.len() - before;
+        stats.revisits += children as u64;
+        stats.sleep_set_blocked += (s.fresh.len() - children) as u64;
+        (stats, None)
     }
-    // Dedup proposed prefixes before they enter the pool; only fresh ones
-    // are built.
-    let fresh: Vec<bool> = {
-        let mut tree = lock(tree);
-        proposals
-            .iter()
-            .map(|(depth, tail)| tree.mark_queued(&path, depth, tail))
-            .collect()
-    };
-    let children: Vec<Vec<T::Event>> = proposals
-        .iter()
-        .zip(fresh)
-        .filter(|&(_, fresh)| fresh)
-        .map(|((depth, tail), _)| [&canon_events[..depth], tail].concat())
-        .collect();
-    stats.revisits += children.len() as u64;
-    stats.sleep_set_blocked += (proposals.spans.len() - children.len()) as u64;
-    out(stats, None, children)
 }
 
 /// Revisit prefixes from the class's reversible races, computed in
@@ -431,26 +510,5 @@ fn race_reversal_prefixes<E: SchedEvent>(
         let between = canon[ci + 1..cj].iter().filter(|&&k| !graph.hb(i, k));
         let tail = between.chain([&j]).map(|&k| graph.events()[k].event);
         proposals.push(ci, tail);
-    }
-}
-
-/// Revisit prefixes from data-nondeterministic alternatives (crashes):
-/// replays the canonical linearization and, before each position,
-/// branches into every enabled alternative the deterministic extension
-/// would never take. Race reversal only reorders events that *occur*; a
-/// maximal run without a crash gives it nothing to reorder, so these
-/// branches are what carries the search into the crashing part of the
-/// schedule space.
-fn alternative_prefixes<T: DporTarget>(
-    root: &T,
-    canon: &[T::Event],
-    proposals: &mut Proposals<T::Event>,
-) {
-    let mut state = root.clone();
-    for (depth, &event) in canon.iter().enumerate() {
-        for alt in state.alternatives() {
-            proposals.push(depth, [alt]);
-        }
-        state.apply_traced(event);
     }
 }

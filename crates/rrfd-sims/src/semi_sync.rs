@@ -19,7 +19,6 @@
 //! against random schedules.
 
 use rrfd_core::{Control, IdSet, ProcessId, SystemSize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -35,9 +34,10 @@ pub trait SemiSyncProcess {
     /// last step, optionally broadcasts, and possibly decides. Decided
     /// processes keep stepping (their later decisions are ignored).
     ///
-    /// Messages arrive behind [`Arc`]s: a broadcast buffers one shared
-    /// payload in every inbox (`n` reference counts, one allocation), and
-    /// the step borrows it — the simulator never deep-copies a message.
+    /// Messages arrive behind [`Arc`]s: a broadcast appends one shared
+    /// payload to the run's broadcast log (one allocation), and the step
+    /// borrows the log entries it has not consumed yet — the simulator
+    /// never deep-copies a message.
     fn step(
         &mut self,
         received: &[(ProcessId, Arc<Self::Msg>)],
@@ -58,10 +58,11 @@ pub enum SemiSyncEvent {
 ///
 /// Dependence rules for the DPOR explorer: same-process events are always
 /// ordered (program order); a broadcasting step conflicts with every other
-/// process's steps (all inboxes are appended to, and drain order is
-/// observable); a deciding step shrinks the live set, which gates crash
-/// *enabledness*, so it conflicts with crash events; crashes conflict with
-/// each other through the shared crash budget. Everything else commutes.
+/// process's steps (it appends to the log every process reads from, and
+/// whether a step sees it is observable); a deciding step shrinks the
+/// live set, which gates crash *enabledness*, so it conflicts with crash
+/// events; crashes conflict with each other through the shared crash
+/// budget. Everything else commutes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SemiEffect {
     /// The event named a non-live process and was ignored.
@@ -70,7 +71,7 @@ pub enum SemiEffect {
     Crashed,
     /// The process took an atomic step.
     Stepped {
-        /// The step broadcast a message (appended to every inbox).
+        /// The step broadcast a message (appended to the broadcast log).
         broadcasted: bool,
         /// The step decided (left the live set).
         decided: bool,
@@ -224,14 +225,19 @@ impl SemiSyncSim {
 #[derive(Debug)]
 pub struct SemiSyncExecution<P: SemiSyncProcess> {
     sim: SemiSyncSim,
-    // Per-process inbox of messages not yet consumed by a step. Entries
-    // are Arc-shared across inboxes, so cloning an execution at an
-    // exploration decision point bumps reference counts instead of
-    // deep-copying every buffered payload.
-    inboxes: Vec<VecDeque<(ProcessId, Arc<P::Msg>)>>,
+    // Every broadcast of the run, in order. Process `p`'s inbox is
+    // `log[cursor[p]..]`: a step borrows that slice and moves the cursor
+    // to the end, so delivery neither copies nor drains. Payloads are
+    // Arcs, so cloning an execution at an exploration decision point
+    // bumps reference counts instead of deep-copying a payload.
+    log: Vec<(ProcessId, Arc<P::Msg>)>,
+    cursor: Vec<usize>,
     outputs: Vec<Option<(P::Output, u64)>>,
     step_counts: Vec<u64>,
     crashed: IdSet,
+    // Undecided, non-crashed processes: shrunk by each crash and each
+    // first decision.
+    live: IdSet,
     total_steps: u64,
     events: u64,
     processes: Vec<P>,
@@ -244,14 +250,32 @@ where
     fn clone(&self) -> Self {
         SemiSyncExecution {
             sim: self.sim.clone(),
-            inboxes: self.inboxes.clone(),
+            log: self.log.clone(),
+            cursor: self.cursor.clone(),
             outputs: self.outputs.clone(),
             step_counts: self.step_counts.clone(),
             crashed: self.crashed,
+            live: self.live,
             total_steps: self.total_steps,
             events: self.events,
             processes: self.processes.clone(),
         }
+    }
+
+    /// Resets `self` to `source`, reusing every buffer `self` already
+    /// holds: the DPOR explorer rewinds one execution per worker to the
+    /// root state before each work item.
+    fn clone_from(&mut self, source: &Self) {
+        self.sim.clone_from(&source.sim);
+        self.log.clone_from(&source.log);
+        self.cursor.clone_from(&source.cursor);
+        self.outputs.clone_from(&source.outputs);
+        self.step_counts.clone_from(&source.step_counts);
+        self.crashed = source.crashed;
+        self.live = source.live;
+        self.total_steps = source.total_steps;
+        self.events = source.events;
+        self.processes.clone_from(&source.processes);
     }
 }
 
@@ -272,10 +296,12 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
         }
         Ok(SemiSyncExecution {
             sim: sim.clone(),
-            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
+            log: Vec::new(),
+            cursor: vec![0; n],
             outputs: (0..n).map(|_| None).collect(),
             step_counts: vec![0u64; n],
             crashed: IdSet::empty(),
+            live: IdSet::universe(sim.n),
             total_steps: 0,
             events: 0,
             processes,
@@ -286,10 +312,7 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
     /// complete.
     #[must_use]
     pub fn live(&self) -> IdSet {
-        (0..self.sim.n.get())
-            .map(ProcessId::new)
-            .filter(|&p| !self.crashed.contains(p) && self.outputs[p.index()].is_none())
-            .collect()
+        self.live
     }
 
     /// Atomic steps executed system-wide so far.
@@ -315,11 +338,14 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
 
     /// Applies one scheduler event and reports its shared-state footprint
     /// — the raw material of the DPOR independence relation
-    /// ([`crate::dpor`]). A step that broadcasts appends to *every* inbox,
-    /// so it conflicts with every other process's steps; a silent step
-    /// touches only its own inbox and protocol state; a crash flips one
-    /// liveness flag (broadcasts keep appending to crashed inboxes, so a
-    /// crash commutes with other processes' steps).
+    /// ([`crate::dpor`]). A step that broadcasts appends to the log *every*
+    /// process reads, so it conflicts with every other process's steps; a
+    /// silent step touches only its own cursor and protocol state; a crash
+    /// flips one liveness flag (broadcasts stay in the log whoever has
+    /// crashed, so a crash commutes with other processes' steps). Crash
+    /// and decision footprints are exactly the events that shrink
+    /// [`SemiSyncExecution::live`], which is what lets the explorer fold
+    /// crash enabledness along a run from footprints alone.
     ///
     /// # Errors
     ///
@@ -331,10 +357,9 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
             });
         }
         self.events += 1;
-        let live = self.live();
         match event {
             SemiSyncEvent::Crash(p) => {
-                if live.contains(p) {
+                if self.live.remove(p) {
                     self.crashed.insert(p);
                     Ok(SemiEffect::Crashed)
                 } else {
@@ -342,28 +367,27 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
                 }
             }
             SemiSyncEvent::Step(p) => {
-                if !live.contains(p) {
+                if !self.live.contains(p) {
                     return Ok(SemiEffect::Ignored);
                 }
+                let i = p.index();
                 self.total_steps += 1;
-                self.step_counts[p.index()] += 1;
-                let received: Vec<(ProcessId, Arc<P::Msg>)> =
-                    self.inboxes[p.index()].drain(..).collect();
-                let (broadcast, verdict) = self.processes[p.index()].step(&received);
+                self.step_counts[i] += 1;
+                let end = self.log.len();
+                let (broadcast, verdict) = self.processes[i].step(&self.log[self.cursor[i]..end]);
+                self.cursor[i] = end;
                 let broadcasted = broadcast.is_some();
                 if let Some(broadcast) = broadcast {
-                    // Synchronous communication: buffered everywhere at
-                    // once; consumed at each recipient's next step. One
-                    // allocation, n reference counts.
-                    let shared = Arc::new(broadcast);
-                    for inbox in &mut self.inboxes {
-                        inbox.push_back((p, Arc::clone(&shared)));
-                    }
+                    // Synchronous communication: visible to every process
+                    // (this one included) from its next step on. One
+                    // allocation.
+                    self.log.push((p, Arc::new(broadcast)));
                 }
                 let mut decided = false;
                 if let Control::Decide(v) = verdict {
-                    let count = self.step_counts[p.index()];
-                    self.outputs[p.index()].get_or_insert((v, count));
+                    let count = self.step_counts[i];
+                    self.outputs[i] = Some((v, count));
+                    self.live.remove(p);
                     decided = true;
                 }
                 Ok(SemiEffect::Stepped {
@@ -403,12 +427,13 @@ impl FairSemiSync {
 
 impl SemiSyncScheduler for FairSemiSync {
     fn next_event(&mut self, live: IdSet, _step: u64) -> SemiSyncEvent {
-        let ids: Vec<ProcessId> = live.iter().collect();
-        let pick = ids
+        // The simulator never asks with an empty live set; if a caller
+        // did, the event names a non-live process and is ignored.
+        let pick = live
             .iter()
-            .copied()
             .find(|p| p.index() >= self.cursor)
-            .unwrap_or(ids[0]);
+            .or_else(|| live.min())
+            .unwrap_or(ProcessId::new(0));
         self.cursor = pick.index() + 1;
         SemiSyncEvent::Step(pick)
     }
@@ -578,6 +603,37 @@ mod tests {
         assert!(report.outputs[1].is_none());
         // p0 only ever hears itself.
         assert_eq!(report.outputs[0].as_ref().unwrap().0, 1);
+    }
+
+    #[test]
+    fn live_field_is_the_undecided_uncrashed_set_after_every_event() {
+        let size = n(5);
+        let mut crashes = 0;
+        for seed in 0..20u64 {
+            let procs: Vec<_> = (0..5).map(|_| Listen::new(3)).collect();
+            let mut exec = SemiSyncExecution::start(&SemiSyncSim::new(size), procs).unwrap();
+            let mut sched = RandomSemiSync::new(seed, 4).crash_prob(0.1);
+            let expected = |exec: &SemiSyncExecution<Listen>| -> IdSet {
+                size.processes()
+                    .filter(|&p| !exec.crashed.contains(p) && exec.outputs[p.index()].is_none())
+                    .collect()
+            };
+            while !exec.live().is_empty() {
+                let event = sched.next_event(exec.live(), exec.total_steps());
+                exec.apply(event).unwrap();
+                assert_eq!(exec.live, expected(&exec), "seed {seed} after {event:?}");
+            }
+            // Events naming a finished process are ignored and move
+            // nothing.
+            for p in size.processes() {
+                for event in [SemiSyncEvent::Step(p), SemiSyncEvent::Crash(p)] {
+                    assert_eq!(exec.apply_traced(event), Ok(SemiEffect::Ignored));
+                    assert_eq!(exec.live, expected(&exec));
+                }
+            }
+            crashes += exec.crashed.len();
+        }
+        assert!(crashes > 0, "the runs must exercise crashes");
     }
 
     #[test]

@@ -411,6 +411,21 @@ where
             processes: self.processes.clone(),
         }
     }
+
+    /// Resets `self` to `source`, reusing every buffer `self` already
+    /// holds: the DPOR explorer rewinds one execution per worker to the
+    /// root state before each work item.
+    fn clone_from(&mut self, source: &Self) {
+        self.sim.clone_from(&source.sim);
+        self.cells.clone_from(&source.cells);
+        self.oracles.clone_from(&source.oracles);
+        self.pending.clone_from(&source.pending);
+        self.outputs.clone_from(&source.outputs);
+        self.crashed = source.crashed;
+        self.steps = source.steps;
+        self.events = source.events;
+        self.processes.clone_from(&source.processes);
+    }
 }
 
 impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
