@@ -816,25 +816,36 @@ fn explore_effort() {
     println!("## Exhaustive schedule exploration (search effort)");
     println!();
     println!(
-        "The checked explorers return their search-effort totals (`ExploreStats`): \
-         schedules enumerated, decision points visited (shared prefixes re-counted), \
-         and the deepest decision sequence reached. The totals also land on the \
-         `rrfd_explore_*` metrics via `ExploreStats::record`."
+        "The DPOR explorer returns its search-effort totals (`ExploreStats`): \
+         trace classes checked (one representative run per Mazurkiewicz class), \
+         decision points visited over every run it made (replayed prefixes re-counted), \
+         the deepest run, and the race-reversal revisits it scheduled. The totals also \
+         land on the `rrfd_explore_*` metrics via `ExploreStats::record`. \
+         `tests/dpor_equivalence.rs` checks both instances against a walk over every \
+         interleaving: 3432 schedules for adopt-commit, 226 for immediate snapshot."
     );
     println!();
-    println!("| instance | schedules | decision points | max depth | violations |");
-    println!("|----------|-----------|-----------------|-----------|------------|");
+    println!("| instance | trace classes | decision points | max depth | revisits | violations |");
+    println!("|----------|---------------|-----------------|-----------|----------|------------|");
 
     use rrfd_core::task::AdoptCommitSpec;
     use rrfd_protocols::adopt_commit::AdoptCommitProcess;
     use rrfd_protocols::immediate_snapshot::{ImmediateSnapshot, IsDriver};
-    use rrfd_sims::explore::explore_schedules_checked;
+    use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
 
-    // Adopt-commit, n = 2, mixed inputs: C(14,7) = 3432 interleavings.
+    let config = DporConfig::new(1);
+    let row = |instance: &str, stats: rrfd_sims::explore::ExploreStats| {
+        println!(
+            "| {instance} | {} | {} | {} | {} | 0 |",
+            stats.schedules, stats.decision_points, stats.max_depth, stats.revisits
+        );
+    };
+
+    // Adopt-commit, n = 2, mixed inputs.
     let size = n(2);
     let inputs = [4u64, 9];
     let sim = SharedMemSim::new(size, 2);
-    let stats = explore_schedules_checked(
+    let stats = explore_shared_mem_dpor(
         &sim,
         || {
             vec![
@@ -847,17 +858,14 @@ fn explore_effort() {
                 .check(&inputs, &report.outputs)
                 .map_err(|v| format!("{v}"))
         },
-        10_000,
+        &config,
     )
     .expect("adopt-commit holds on every schedule");
-    println!(
-        "| adopt-commit (n=2, inputs 4/9) | {} | {} | {} | 0 |",
-        stats.schedules, stats.decision_points, stats.max_depth
-    );
+    row("adopt-commit (n=2, inputs 4/9)", stats);
 
     // Immediate snapshot, n = 2: every interleaving, self-inclusion held.
     let sim = SharedMemSim::new(size, ImmediateSnapshot::BANKS).with_snapshots();
-    let stats = explore_schedules_checked(
+    let stats = explore_shared_mem_dpor(
         &sim,
         || {
             vec![
@@ -874,13 +882,10 @@ fn explore_effort() {
             }
             Ok(())
         },
-        100_000,
+        &config,
     )
     .expect("immediate snapshot holds on every schedule");
-    println!(
-        "| immediate snapshot (n=2) | {} | {} | {} | 0 |",
-        stats.schedules, stats.decision_points, stats.max_depth
-    );
+    row("immediate snapshot (n=2)", stats);
     println!();
 }
 

@@ -23,11 +23,11 @@
 
 use rrfd_bench::{
     measure_conformance, measure_lattice, measure_throughput, quantile, render_conformance_block,
-    render_lattice_line, render_throughput_line, ClonePlaneEngine, FullInfoFlood,
+    render_lattice_line, render_throughput_line,
 };
-use rrfd_core::{AnyPattern, Engine, ProcessId, SystemSize};
+use rrfd_core::{Engine, ProcessId, SystemSize};
 use rrfd_engine_pool::MixSpec;
-use rrfd_models::adversary::{NoFailures, RandomAdversary, SilencingCrash, StaggeredCrash};
+use rrfd_models::adversary::{RandomAdversary, SilencingCrash, StaggeredCrash};
 use rrfd_models::predicates::{Crash, DetectorS, KUncertainty};
 use rrfd_obs::{json, Obs};
 use rrfd_protocols::adopt_commit::run_adopt_commit;
@@ -294,70 +294,6 @@ fn measure_dpor(samples: usize, cores: usize) -> DporRow {
     }
 }
 
-struct MsgPlaneRow {
-    workload: &'static str,
-    n_procs: usize,
-    clone_ns: u64,
-    arc_ns: u64,
-    speedup_x100: u64,
-}
-
-/// The message-plane ablation: the zero-copy shared-table engine against
-/// [`ClonePlaneEngine`] (the seed's per-recipient deep-copy delivery), on
-/// a deep-payload full-information flood and a `u64` flood-min, at
-/// `n ∈ {8, 32, 64}`. `speedup_x100` is `clone_ns * 100 / arc_ns`.
-fn measure_msg_plane(samples: usize) -> Vec<MsgPlaneRow> {
-    let rounds = 6u32;
-    let mut rows = Vec::new();
-    let mut row = |workload, n_procs, clone_sorted: &[u64], arc_sorted: &[u64]| {
-        let clone_ns = quantile(clone_sorted, 0.5);
-        let arc_ns = quantile(arc_sorted, 0.5).max(1);
-        rows.push(MsgPlaneRow {
-            workload,
-            n_procs,
-            clone_ns,
-            arc_ns,
-            speedup_x100: clone_ns * 100 / arc_ns,
-        });
-    };
-    for &nv in &[8usize, 32, 64] {
-        let size = n(nv);
-        let model = AnyPattern::new(size);
-
-        let full_info = || -> Vec<FullInfoFlood> {
-            size.processes()
-                .map(|p| FullInfoFlood::new(size, p, 1000 + p.index() as u64, rounds))
-                .collect()
-        };
-        let arc = time_samples(samples, || {
-            Engine::new(size)
-                .run(full_info(), &mut NoFailures::new(size), &model)
-                .expect("msg_plane full_info shared");
-        });
-        let clone = time_samples(samples, || {
-            ClonePlaneEngine::new(size)
-                .run(full_info(), &mut NoFailures::new(size), &model)
-                .expect("msg_plane full_info clone");
-        });
-        row("full_info", nv, &clone, &arc);
-
-        let small =
-            || -> Vec<FloodMin> { (0..nv as u64).map(|v| FloodMin::new(v, rounds)).collect() };
-        let arc = time_samples(samples, || {
-            Engine::new(size)
-                .run(small(), &mut NoFailures::new(size), &model)
-                .expect("msg_plane small_msg shared");
-        });
-        let clone = time_samples(samples, || {
-            ClonePlaneEngine::new(size)
-                .run(small(), &mut NoFailures::new(size), &model)
-                .expect("msg_plane small_msg clone");
-        });
-        row("small_msg", nv, &clone, &arc);
-    }
-    rows
-}
-
 struct ExperimentRow {
     name: &'static str,
     samples: usize,
@@ -430,11 +366,6 @@ fn run_report(quick: bool) -> String {
     );
     let dpor = measure_dpor(explore_samples, cores);
 
-    // Message-plane ablation: shared-table deliveries vs the seed's
-    // per-recipient clone plane.
-    eprintln!("measuring message-plane ablation ({samples} samples per cell)...");
-    let msg_plane = measure_msg_plane(samples);
-
     // Batch throughput: the sharded pool against the sequential loop on
     // the default tenant mix, on at most 4 shards and never more shards
     // than the host has cores. `serve` re-measures this section at
@@ -499,20 +430,6 @@ fn run_report(quick: bool) -> String {
     out.push('\n');
     out.push_str(&render_lattice_line(&lattice));
     out.push('\n');
-    out.push_str("  \"msg_plane\": [\n");
-    for (i, row) in msg_plane.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"clone_ns\": {}, \"arc_ns\": {}, \
-             \"speedup_x100\": {}}}{}\n",
-            json::escape(row.workload),
-            row.n_procs,
-            row.clone_ns,
-            row.arc_ns,
-            row.speedup_x100,
-            if i + 1 < msg_plane.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
     out.push_str("}\n");
     out
 }
@@ -666,25 +583,6 @@ fn check_schema(text: &str) -> Result<(), String> {
             .get(field)
             .and_then(json::Json::as_u64)
             .ok_or_else(|| format!("lattice: missing integer `{field}`"))?;
-    }
-    let msg_plane = root
-        .get("msg_plane")
-        .and_then(json::Json::as_array)
-        .ok_or("missing array field `msg_plane`")?;
-    if msg_plane.is_empty() {
-        return Err("`msg_plane` is empty".to_owned());
-    }
-    for (i, entry) in msg_plane.iter().enumerate() {
-        entry
-            .get("workload")
-            .and_then(json::Json::as_str)
-            .ok_or_else(|| format!("msg_plane {i}: missing string `workload`"))?;
-        for field in ["n", "clone_ns", "arc_ns", "speedup_x100"] {
-            entry
-                .get(field)
-                .and_then(json::Json::as_u64)
-                .ok_or_else(|| format!("msg_plane {i}: missing integer `{field}`"))?;
-        }
     }
     Ok(())
 }

@@ -208,13 +208,14 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
 }
 
 /// Renders the section as the report's `"lattice"` line (two-space
-/// indent, trailing comma, matching the `rrfd-bench v1` layout).
+/// indent and no trailing comma: the last section of the `rrfd-bench v1`
+/// layout).
 #[must_use]
 pub fn render_lattice_line(section: &LatticeSection) -> String {
     format!(
         "  \"lattice\": {{\"n\": {}, \"f\": {}, \"dyn_depth3_ns\": {}, \
          \"compiled_depth3_ns\": {}, \"speedup_x100\": {}, \"depth4_cold_ns\": {}, \
-         \"conformance_dyn_ns_per_round\": {}, \"conformance_compiled_ns_per_round\": {}}},",
+         \"conformance_dyn_ns_per_round\": {}, \"conformance_compiled_ns_per_round\": {}}}",
         section.n,
         section.f,
         section.dyn_depth3_ns,

@@ -4,15 +4,11 @@
 //! helpers here keep workload construction identical across benches so the
 //! measured shapes are comparable.
 //!
-//! Also home of [`ClonePlaneEngine`], the seed-faithful per-recipient-clone
-//! round engine kept as the ablation baseline for the zero-copy message
-//! plane (and as the reference semantics the differential equivalence
-//! tests compare against); of [`stats`], the one quantile definition all
-//! bench binaries share; of [`throughput`], the batch-throughput
-//! harness behind `--bin serve` and the report's `throughput` section;
-//! and of [`conformance`], the zoo-conformance measurement behind the
-//! report's `conformance` section and its online/offline differential
-//! check.
+//! Also home of [`stats`], the one quantile definition all bench
+//! binaries share; of [`throughput`], the batch-throughput harness behind
+//! `--bin serve` and the report's `throughput` section; and of
+//! [`conformance`], the zoo-conformance measurement behind the report's
+//! `conformance` section and its online/offline differential check.
 
 pub mod conformance;
 pub mod lattice;
@@ -27,79 +23,6 @@ pub use stats::quantile;
 pub use throughput::{
     measure_throughput, render_throughput_line, splice_throughput, ThroughputRow,
 };
-
-use rrfd_core::{validate_round, IdSet};
-use rrfd_core::{
-    Control, Delivery, EngineError, FaultDetector, FaultPattern, ProcessId, Round, RoundProtocol,
-    RrfdPredicate, RunReport, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
-};
-use rrfd_obs::{names, Labels, Obs};
-
-/// Full-information flood with a *deep* payload, built for the
-/// message-plane ablation: every round each process re-broadcasts its
-/// knowledge — a known-sender [`IdSet`] plus its whole value table
-/// (`Vec<u64>` of length `n`) — and merges exactly the tables that carry
-/// information it does not already have (the same subset gate the COW
-/// [`rrfd_core::KnowledgeState`] uses for `Arc::make_mut`). It decides
-/// the table sum after a fixed round count.
-///
-/// The gate is what makes the ablation sharp: in a crash-free run
-/// knowledge saturates after two rounds, so a steady-state round costs
-/// the shared-table plane `n²` subset checks while the clone plane keeps
-/// deep-copying `n²` tables of length `n` it will then discard — exactly
-/// the copy volume `benches/msg_plane.rs` and the report's `msg_plane`
-/// section measure. (Contrast [`rrfd_core::KnowledgeProtocol`], whose
-/// `Arc` messages are cheap to clone by design; this type exists because
-/// the ablation needs a payload that is *expensive* when cloned.)
-#[derive(Debug, Clone)]
-pub struct FullInfoFlood {
-    known: IdSet,
-    values: Vec<u64>,
-    rounds: u32,
-}
-
-impl FullInfoFlood {
-    /// Creates the process `me` of `n` with the given input, deciding
-    /// after `rounds` rounds.
-    #[must_use]
-    pub fn new(n: SystemSize, me: ProcessId, input: u64, rounds: u32) -> Self {
-        let mut values = vec![0; n.get()];
-        if let Some(slot) = values.get_mut(me.index()) {
-            *slot = input;
-        }
-        FullInfoFlood {
-            known: IdSet::singleton(me),
-            values,
-            rounds,
-        }
-    }
-}
-
-impl RoundProtocol for FullInfoFlood {
-    type Msg = (IdSet, Vec<u64>);
-    type Output = u64;
-
-    fn emit(&mut self, _round: Round) -> (IdSet, Vec<u64>) {
-        (self.known, self.values.clone())
-    }
-
-    fn deliver(&mut self, d: Delivery<'_, (IdSet, Vec<u64>)>) -> Control<u64> {
-        for (who, table) in d.values() {
-            if who.is_subset(self.known) {
-                continue; // nothing new: the COW-style fast path
-            }
-            self.known |= *who;
-            for (slot, v) in self.values.iter_mut().zip(table) {
-                *slot = (*slot).max(*v);
-            }
-        }
-        if d.round.get() >= self.rounds {
-            Control::Decide(self.values.iter().copied().sum())
-        } else {
-            Control::Continue
-        }
-    }
-}
 
 /// Standard system sizes swept by the experiment benches.
 pub const SYSTEM_SIZES: &[usize] = &[4, 8, 16, 32, 64];
@@ -125,230 +48,4 @@ pub fn quick_criterion() -> criterion::Criterion {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(200))
         .measurement_time(std::time::Duration::from_millis(600))
-}
-
-/// The pre-zero-copy round engine: every recipient gets its *own*
-/// `Vec<Option<Msg>>` built by cloning each visible message out of the
-/// round's emission table — `O(n²)` payload clones per round, the seed's
-/// delivery semantics exactly.
-///
-/// Kept out of `rrfd-core` on purpose: it exists only as the ablation
-/// baseline for `benches/msg_plane.rs` / the `msg_plane` report section,
-/// and as the reference side of the differential equivalence suite
-/// (`tests/msg_plane_equivalence.rs`), which proves the shared-table
-/// engine produces byte-identical traces and identical decisions.
-///
-/// Deep-copy volume is observable: with an [`Obs`] attached it records
-/// `rrfd_engine_msg_bytes_cloned_total` (shallow `size_of::<Msg>()` per
-/// cloned payload) and never touches
-/// `rrfd_engine_deliveries_shared_total`, the zero-copy engine's counter.
-#[derive(Debug, Clone)]
-pub struct ClonePlaneEngine {
-    n: SystemSize,
-    max_rounds: u32,
-    obs: Obs,
-}
-
-impl ClonePlaneEngine {
-    /// Creates a clone-plane engine with the default round limit of
-    /// [`rrfd_core::DEFAULT_MAX_ROUNDS`].
-    #[must_use]
-    pub fn new(n: SystemSize) -> Self {
-        ClonePlaneEngine {
-            n,
-            max_rounds: rrfd_core::DEFAULT_MAX_ROUNDS,
-            obs: Obs::noop(),
-        }
-    }
-
-    /// Sets the maximum number of rounds before the run is abandoned.
-    #[must_use]
-    pub fn max_rounds(mut self, max_rounds: u32) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Attaches an observability handle (see [`rrfd_core::Engine::obs`]).
-    #[must_use]
-    pub fn obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Clone-plane counterpart of [`rrfd_core::Engine::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`rrfd_core::Engine::run`].
-    pub fn run<P, D, Q>(
-        &self,
-        protocols: Vec<P>,
-        detector: &mut D,
-        model: &Q,
-    ) -> Result<RunReport<P::Output>, EngineError>
-    where
-        P: RoundProtocol,
-        D: FaultDetector + ?Sized,
-        Q: RrfdPredicate + ?Sized,
-    {
-        self.run_inner(protocols, detector, model, None).0
-    }
-
-    /// Clone-plane counterpart of [`rrfd_core::Engine::run_traced`]: the
-    /// trace calls mirror the zero-copy engine's exactly, so traces from
-    /// the two planes are comparable byte for byte.
-    pub fn run_traced<P, D, Q>(
-        &self,
-        protocols: Vec<P>,
-        detector: &mut D,
-        model: &Q,
-    ) -> (Result<RunReport<P::Output>, EngineError>, RunTrace)
-    where
-        P: RoundProtocol,
-        D: FaultDetector + ?Sized,
-        Q: RrfdPredicate + ?Sized,
-    {
-        let mut trace = TraceBuilder::new(self.n);
-        let (result, outcome) = self.run_inner(protocols, detector, model, Some(&mut trace));
-        (result, trace.finish(outcome))
-    }
-
-    fn run_inner<P, D, Q>(
-        &self,
-        mut protocols: Vec<P>,
-        detector: &mut D,
-        model: &Q,
-        mut trace: Option<&mut TraceBuilder>,
-    ) -> (Result<RunReport<P::Output>, EngineError>, TraceOutcome)
-    where
-        P: RoundProtocol,
-        D: FaultDetector + ?Sized,
-        Q: RrfdPredicate + ?Sized,
-    {
-        if protocols.len() != self.n.get() {
-            return (
-                Err(EngineError::WrongProcessCount {
-                    supplied: protocols.len(),
-                    expected: self.n.get(),
-                }),
-                TraceOutcome::Aborted,
-            );
-        }
-
-        let n = self.n.get();
-        let msg_size = std::mem::size_of::<P::Msg>() as u64;
-        let mut pattern = FaultPattern::new(self.n);
-        let mut decisions: Vec<Option<(P::Output, Round)>> = vec![None; n];
-
-        for round_no in 1..=self.max_rounds {
-            let round = Round::new(round_no);
-            let span = self.obs.round_enter(Labels::round(round_no));
-
-            let messages: Vec<Option<P::Msg>> =
-                protocols.iter_mut().map(|p| Some(p.emit(round))).collect();
-            self.obs
-                .add(names::ENGINE_ROUNDS, Labels::round(round_no), 1);
-            self.obs.add(
-                names::ENGINE_MESSAGES_EMITTED,
-                Labels::round(round_no),
-                n as u64,
-            );
-
-            let faults = detector.next_round(round, &pattern);
-            if let Err(violation) = validate_round(model, &pattern, &faults) {
-                self.obs
-                    .add(names::ENGINE_VIOLATIONS, Labels::round(round_no), 1);
-                self.obs.round_exit(names::ENGINE_ROUND_LATENCY, span);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record_violating_round(faults);
-                }
-                return (
-                    Err(violation.clone().into()),
-                    TraceOutcome::Violation(violation),
-                );
-            }
-
-            let mut heard: Option<Vec<IdSet>> = trace.is_some().then(|| Vec::with_capacity(n));
-            for (i, protocol) in protocols.iter_mut().enumerate() {
-                let me = ProcessId::new(i);
-                let suspected = faults.of(me);
-                // The seed plane: a fresh per-recipient vector, each
-                // visible message deep-copied out of the emission table.
-                let received: Vec<Option<P::Msg>> = messages
-                    .iter()
-                    .enumerate()
-                    .map(|(j, m)| {
-                        if suspected.contains(ProcessId::new(j)) {
-                            None
-                        } else {
-                            m.clone()
-                        }
-                    })
-                    .collect();
-                let delivery = Delivery::new(round, me, &received, suspected);
-                let heard_set = delivery.heard_from();
-                if self.obs.is_enabled() {
-                    let labels = Labels::process_round(i, round_no);
-                    self.obs.add(
-                        names::ENGINE_MESSAGES_RECEIVED,
-                        labels,
-                        heard_set.len() as u64,
-                    );
-                    self.obs.add(
-                        names::ENGINE_MSG_BYTES_CLONED,
-                        labels,
-                        heard_set.len() as u64 * msg_size,
-                    );
-                    self.obs
-                        .observe(names::ENGINE_HEARD_SIZE, labels, heard_set.len() as u64);
-                    self.obs
-                        .observe(names::ENGINE_SUSPICION_SIZE, labels, suspected.len() as u64);
-                }
-                if let Some(h) = heard.as_mut() {
-                    h.push(heard_set);
-                }
-                if let Control::Decide(value) = protocol.deliver(delivery) {
-                    if decisions[i].is_none() {
-                        decisions[i] = Some((value, round));
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.record_decision(me, round);
-                        }
-                        self.obs.add(
-                            names::ENGINE_DECISIONS,
-                            Labels::process_round(i, round_no),
-                            1,
-                        );
-                    }
-                }
-            }
-
-            if let (Some(t), Some(h)) = (trace.as_deref_mut(), heard.take()) {
-                t.record_round(&faults, h);
-            }
-            pattern.push(faults);
-            self.obs.round_exit(names::ENGINE_ROUND_LATENCY, span);
-
-            if decisions.iter().all(Option::is_some) {
-                return (
-                    Ok(RunReport {
-                        decisions,
-                        pattern,
-                        rounds_executed: round_no,
-                    }),
-                    TraceOutcome::Decided {
-                        rounds_executed: round_no,
-                    },
-                );
-            }
-        }
-
-        (
-            Err(EngineError::RoundLimitExceeded {
-                max_rounds: self.max_rounds,
-            }),
-            TraceOutcome::RoundLimit {
-                max_rounds: self.max_rounds,
-            },
-        )
-    }
 }

@@ -125,24 +125,15 @@ pub fn render_throughput_line(row: &ThroughputRow) -> String {
 }
 
 /// Replaces the `"throughput"` line of a rendered `rrfd-bench v1`
-/// report with `line`, or inserts it before the `"msg_plane"` section
-/// when the file predates the section. Errors when the text has neither
-/// anchor (not a v1 report).
+/// report with `line`. Errors when the text has no such line (not a v1
+/// report).
 pub fn splice_throughput(report_text: &str, line: &str) -> Result<String, String> {
     let mut lines: Vec<&str> = report_text.lines().collect();
-    if let Some(i) = lines
+    let i = lines
         .iter()
         .position(|l| l.trim_start().starts_with("\"throughput\":"))
-    {
-        lines[i] = line;
-    } else if let Some(i) = lines
-        .iter()
-        .position(|l| l.trim_start().starts_with("\"msg_plane\":"))
-    {
-        lines.insert(i, line);
-    } else {
-        return Err("no `throughput` or `msg_plane` section to anchor on".to_owned());
-    }
+        .ok_or("no `throughput` section to anchor on")?;
+    lines[i] = line;
     let mut out = lines.join("\n");
     out.push('\n');
     Ok(out)
@@ -186,28 +177,12 @@ mod tests {
 
     #[test]
     fn splice_replaces_existing_section() {
-        let report = "{\n  \"throughput\": {\"old\": 1},\n  \"msg_plane\": [\n  ]\n}\n";
+        let report = "{\n  \"throughput\": {\"old\": 1},\n  \"lattice\": {}\n}\n";
         let line = render_throughput_line(&sample_row());
         let updated = splice_throughput(report, &line).unwrap();
         assert!(updated.contains("\"speedup_x100\": 300"));
         assert!(!updated.contains("\"old\": 1"));
         assert_eq!(updated.lines().count(), report.lines().count());
-    }
-
-    #[test]
-    fn splice_inserts_before_msg_plane_when_missing() {
-        let report = "{\n  \"dpor\": {},\n  \"msg_plane\": [\n  ]\n}\n";
-        let line = render_throughput_line(&sample_row());
-        let updated = splice_throughput(report, &line).unwrap();
-        let tp = updated
-            .lines()
-            .position(|l| l.trim_start().starts_with("\"throughput\":"))
-            .unwrap();
-        let mp = updated
-            .lines()
-            .position(|l| l.trim_start().starts_with("\"msg_plane\":"))
-            .unwrap();
-        assert!(tp < mp);
     }
 
     #[test]

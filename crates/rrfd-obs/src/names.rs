@@ -28,12 +28,8 @@ pub const ENGINE_ROUND_LATENCY: &str = "rrfd_engine_round_latency_ns";
 pub const ENGINE_VIOLATIONS: &str = "rrfd_engine_violations_total";
 /// Counter: deliveries served from the round's shared emission table (no
 /// per-recipient payload clone), per `(process, round)`. On the zero-copy
-/// plane this equals messages received; a clone-plane engine records zero.
+/// plane this equals messages received.
 pub const ENGINE_DELIVERIES_SHARED: &str = "rrfd_engine_deliveries_shared_total";
-/// Counter: message payload bytes deep-copied to build deliveries, per
-/// `(process, round)`. Zero on the shared plane; the clone-plane reference
-/// engine (rrfd-bench) records its per-recipient copies here.
-pub const ENGINE_MSG_BYTES_CLONED: &str = "rrfd_engine_msg_bytes_cloned_total";
 
 // -- rrfd-runtime::ThreadedEngine (coordinator + process threads) -----------
 
@@ -82,16 +78,15 @@ pub const SIM_DELIVERIES: &str = "rrfd_sim_deliveries_total";
 pub const SIM_BRANCHING: &str = "rrfd_sim_branching";
 /// Gauge: schedule depth — decisions taken by this scheduler so far.
 pub const SIM_SCHED_DEPTH: &str = "rrfd_sim_sched_depth";
-/// Counter: complete schedules enumerated by `explore`.
+/// Counter: schedules the explorer checked, one per trace class.
 pub const EXPLORE_SCHEDULES: &str = "rrfd_explore_schedules_total";
-/// Counter: decision points (explored states) visited by `explore`.
+/// Counter: decision points (explored states) the explorer visited.
 pub const EXPLORE_DECISION_POINTS: &str = "rrfd_explore_decision_points_total";
 /// Gauge: deepest decision sequence any explored schedule reached.
 pub const EXPLORE_MAX_DEPTH: &str = "rrfd_explore_max_depth";
 /// Gauge: worker threads the exploration ran on.
 pub const EXPLORE_WORKERS: &str = "rrfd_explore_workers";
-/// Gauge: marks in the DPOR explorer's revisit tree (`0` for the
-/// sequential explorers).
+/// Gauge: marks in the DPOR explorer's revisit tree.
 pub const EXPLORE_MEMO_ENTRIES: &str = "rrfd_explore_memo_entries";
 /// Gauge: bytes of the DPOR explorer's revisit tree.
 pub const EXPLORE_MEMO_BYTES: &str = "rrfd_explore_memo_bytes";
@@ -167,7 +162,7 @@ pub const PRED_COMPILED_EVALS: &str = "rrfd_predicate_compiled_evals_total";
 /// recorders index per-metric tables by it instead of hashing strings.
 /// New names must be appended here too (a unit test checks that every
 /// constant of this module is listed exactly once).
-pub const ALL: [&str; 53] = [
+pub const ALL: [&str; 52] = [
     ENGINE_ROUNDS,
     ENGINE_MESSAGES_EMITTED,
     ENGINE_MESSAGES_RECEIVED,
@@ -177,7 +172,6 @@ pub const ALL: [&str; 53] = [
     ENGINE_ROUND_LATENCY,
     ENGINE_VIOLATIONS,
     ENGINE_DELIVERIES_SHARED,
-    ENGINE_MSG_BYTES_CLONED,
     RUNTIME_MESSAGES_EMITTED,
     RUNTIME_GATHERS,
     RUNTIME_DETECTS,

@@ -448,12 +448,13 @@ mod tests {
 
     #[test]
     fn exhaustive_two_process_verification() {
-        // Enumerate EVERY interleaving of two adopt-commit participants
+        // Explore EVERY interleaving of two adopt-commit participants
         // (each takes 2 writes + 4 reads + decide = 7 steps; C(14,7) = 3432
         // schedules) and check the full specification on each — a
-        // proof-by-enumeration for n = 2.
+        // proof-by-enumeration for n = 2. DPOR checks one run per
+        // Mazurkiewicz trace class: 9 of them cover all 3432 schedules.
         use rrfd_core::task::AdoptCommitSpec;
-        use rrfd_sims::explore::explore_schedules_checked;
+        use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
         use rrfd_sims::shared_mem::SharedMemSim;
 
         let size = n(2);
@@ -465,20 +466,18 @@ mod tests {
                     AdoptCommitProcess::new(size, ProcessId::new(1), inputs[1], 0),
                 ]
             };
-            let mut runs = 0usize;
-            let total = explore_schedules_checked(
+            let total = explore_shared_mem_dpor(
                 &sim,
                 make,
                 |report| {
-                    runs += 1;
                     AdoptCommitSpec
                         .check(&inputs, &report.outputs)
-                        .map_err(|v| format!("inputs {inputs:?}, schedule #{runs}: {v}"))
+                        .map_err(|v| format!("inputs {inputs:?}: {v}"))
                 },
-                10_000,
+                &DporConfig::new(2),
             )
-            .unwrap_or_else(|cex| panic!("{cex}"));
-            assert_eq!(total.schedules, 3432, "inputs {inputs:?}");
+            .unwrap_or_else(|err| panic!("{err}"));
+            assert_eq!(total.schedules, 9, "inputs {inputs:?}");
         }
     }
 

@@ -301,8 +301,9 @@ mod tests {
     #[test]
     fn exhaustive_two_process_verification() {
         // Every interleaving of two participants: check self-inclusion,
-        // containment and immediacy on all of them.
-        use rrfd_sims::explore::explore_schedules_checked;
+        // containment and immediacy on all of them. DPOR checks one run
+        // per Mazurkiewicz trace class: 7 of them cover all 226 schedules.
+        use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
 
         let size = n(2);
         let sim = SharedMemSim::new(size, ImmediateSnapshot::BANKS).with_snapshots();
@@ -312,20 +313,14 @@ mod tests {
                 IsDriver::new(ImmediateSnapshot::new(size, ProcessId::new(1), 1)),
             ]
         };
-        let total = explore_schedules_checked(
+        let total = explore_shared_mem_dpor(
             &sim,
             make,
             |report| try_check_is_properties(&report.outputs),
-            100_000,
+            &DporConfig::new(2),
         )
-        .unwrap_or_else(|cex| panic!("{cex}"));
-        // The step counts vary by schedule (the until-loop), so just
-        // require genuine coverage.
-        assert!(
-            total.schedules > 100,
-            "only {} schedules explored",
-            total.schedules
-        );
+        .unwrap_or_else(|err| panic!("{err}"));
+        assert_eq!(total.schedules, 7, "trace classes explored");
         assert!(total.decision_points >= total.schedules as u64);
         assert!(total.max_depth > 0);
     }

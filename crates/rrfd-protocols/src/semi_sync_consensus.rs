@@ -327,13 +327,15 @@ mod tests {
 
     #[test]
     fn exhaustive_proof_for_small_systems() {
-        // Enumerate EVERY semi-synchronous schedule (including every
+        // Explore EVERY semi-synchronous schedule (including every
         // possible crash placement within the budget) for n = 2 and 3:
         // Theorem 5.1 and the 2-step consensus, proved by enumeration.
-        use rrfd_sims::explore::semi_sync::explore_semi_sync_checked;
+        // DPOR checks one run per trace class; the class counts are
+        // pinned.
+        use rrfd_sims::dpor::{explore_semi_sync_dpor, DporConfig};
         use rrfd_sims::semi_sync::SemiSyncSim;
 
-        for (nv, crashes) in [(2usize, 1usize), (3, 1), (3, 2)] {
+        for (nv, crashes, classes) in [(2usize, 1usize, 7usize), (3, 1, 24), (3, 2, 54)] {
             let size = n(nv);
             let ins = inputs(nv);
             let task = KSetAgreement::consensus();
@@ -343,22 +345,19 @@ mod tests {
                     .map(|p| TwoStepConsensus::new(size, p, ins[p.index()]))
                     .collect::<Vec<_>>()
             };
-            let mut explored = 0usize;
-            let total = explore_semi_sync_checked(
+            let total = explore_semi_sync_dpor(
                 &sim,
                 crashes,
                 make,
                 |report| {
-                    explored += 1;
                     // Consensus among deciders.
                     let outs: Vec<Option<Value>> = report
                         .outputs
                         .iter()
                         .map(|o| o.as_ref().map(|&(v, _)| v))
                         .collect();
-                    task.check(&ins, &outs).map_err(|v| {
-                        format!("n={nv} crashes={crashes} schedule #{explored}: {v}")
-                    })?;
+                    task.check(&ins, &outs)
+                        .map_err(|v| format!("n={nv} crashes={crashes}: {v}"))?;
                     // Equation 5: identical views among deciders.
                     let views: Vec<IdSet> = report
                         .processes
@@ -366,15 +365,13 @@ mod tests {
                         .filter_map(TwoStepConsensus::suspected)
                         .collect();
                     if !views.windows(2).all(|w| w[0] == w[1]) {
-                        return Err(format!(
-                            "n={nv} crashes={crashes} schedule #{explored}: {views:?}"
-                        ));
+                        return Err(format!("n={nv} crashes={crashes}: {views:?}"));
                     }
                     // Two steps per decider.
                     for out in report.outputs.iter().flatten() {
                         if out.1 != 2 {
                             return Err(format!(
-                                "n={nv} crashes={crashes} schedule #{explored}: \
+                                "n={nv} crashes={crashes}: \
                                  decided in {} steps, expected 2",
                                 out.1
                             ));
@@ -382,13 +379,12 @@ mod tests {
                     }
                     Ok(())
                 },
-                2_000_000,
+                &DporConfig::new(2),
             )
-            .unwrap_or_else(|cex| panic!("{cex}"));
-            assert!(
-                total.schedules > 10,
-                "n={nv}: only {} schedules",
-                total.schedules
+            .unwrap_or_else(|err| panic!("{err}"));
+            assert_eq!(
+                total.schedules, classes,
+                "n={nv} crashes={crashes}: trace classes explored"
             );
         }
     }

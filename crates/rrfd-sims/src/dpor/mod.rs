@@ -1,11 +1,11 @@
-//! Dynamic partial-order reduction (DPOR): exploration v2.
+//! Dynamic partial-order reduction (DPOR): the schedule explorer.
 //!
-//! The sequential explorers ([`crate::explore`]) enumerate scheduler
-//! *interleavings*; most of them differ only in the order of commuting
-//! steps and reach the same outcome. This module rebuilds exploration
-//! around **execution graphs**: a completed run is a set of events
-//! partially ordered by happens-before (program order plus conflict
-//! order, kept as one predecessor bit row per event). Runs
+//! Most scheduler *interleavings* of a small instance differ only in the
+//! order of commuting steps and reach the same outcome, so enumerating
+//! them all is wasted work. This module explores **execution graphs**
+//! instead: a completed run is a set of events partially ordered by
+//! happens-before (program order plus conflict order, kept as one
+//! predecessor bit row per event). Runs
 //! with the same graph form one *Mazurkiewicz trace class* and are outcome-
 //! equivalent, so the explorer visits **one representative per class**:
 //!
@@ -43,9 +43,8 @@
 //! function, every reported number except [`ExploreStats::steals`] and
 //! the configured worker count is identical across worker counts, and
 //! the counterexample — the failing class with the smallest canonical
-//! key — is too. Certificates remain replayable
-//! [`crate::trace::ScheduleTrace`]s, interchangeable with the sequential
-//! explorers' output.
+//! key — is too. Certificates are replayable
+//! [`crate::trace::ScheduleTrace`]s.
 //!
 //! DPOR never digests *states*, only event sequences — so it soundly
 //! explores protocols with opaque oracle state.
@@ -69,10 +68,6 @@ use revisit::{drive_dpor, DporTarget};
 use rrfd_core::ProcessId;
 use rrfd_obs::Obs;
 
-/// Environment variable overriding the default worker count
-/// ([`DporConfig::from_env`]).
-pub const WORKERS_ENV: &str = "RRFD_EXPLORE_WORKERS";
-
 /// Configuration of a DPOR exploration.
 #[derive(Debug, Clone)]
 pub struct DporConfig {
@@ -93,20 +88,8 @@ impl DporConfig {
         }
     }
 
-    /// Worker count from the [`WORKERS_ENV`] environment variable,
-    /// falling back to the machine's available parallelism.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let workers = std::env::var(WORKERS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-        DporConfig::new(workers)
-    }
-
-    /// Overrides the trace-class guard (the analogue of the sequential
-    /// explorers' `max_runs`, counting classes instead of interleavings).
+    /// Overrides the trace-class guard: the search panics once it has
+    /// explored more than `max` classes.
     #[must_use]
     pub fn max_schedules(mut self, max: usize) -> Self {
         self.max_schedules = max;
@@ -126,12 +109,6 @@ impl DporConfig {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
-    }
-}
-
-impl Default for DporConfig {
-    fn default() -> Self {
-        DporConfig::from_env()
     }
 }
 
@@ -168,9 +145,8 @@ where
     type Event = MemEvent;
     type Report = MemRunReport<P, V>;
 
-    // Crash-free, mirroring `explore_schedules_checked`: the only
-    // nondeterminism is scheduling order, fully covered by reversals, so
-    // the target offers no alternatives.
+    // Crash-free: the only nondeterminism is scheduling order, fully
+    // covered by reversals, so the target offers no alternatives.
 
     fn n(&self) -> usize {
         self.n
@@ -248,9 +224,8 @@ where
         self.n
     }
 
-    /// Mirrors the sequential walker's option order: step each live
-    /// process in id order, then (budget and liveness permitting) crash
-    /// each.
+    /// Step each live process in id order, then (budget and liveness
+    /// permitting) crash each.
     fn options(&self, out: &mut Vec<SemiSyncEvent>) {
         let live = self.exec.live();
         out.clear();
@@ -337,12 +312,12 @@ where
 }
 
 /// Explores one representative per Mazurkiewicz trace class of `sim`'s
-/// crash-free schedules (the same space as
-/// [`crate::explore::explore_schedules_checked`], partitioned by
-/// commutation), invoking `check` on each representative run.
+/// crash-free schedules (every interleaving of runnable-process steps,
+/// partitioned by commutation), invoking `check` on each representative
+/// run.
 ///
-/// A violated predicate is found by this search **iff** the exhaustive
-/// walk finds one — all members of a class produce the same run report —
+/// A violated predicate is found by this search **iff** some interleaving
+/// violates it — all members of a class produce the same run report —
 /// and the returned certificate replays to the same violation. Requires
 /// no state digests: class identity is an event sequence, so
 /// oracle-bearing protocols explore soundly.
@@ -383,10 +358,9 @@ where
 }
 
 /// Explores one representative per trace class of the semi-synchronous
-/// schedules with up to `max_crashes` adversarially timed crashes — the
-/// same space as
-/// [`crate::explore::semi_sync::explore_semi_sync_checked`]. Crash
-/// placements are data nondeterminism, handled by explicit choice
+/// schedules with up to `max_crashes` adversarially timed crashes (at
+/// every step, any live process may step or, budget permitting and with
+/// another process live, crash). Crash placements are data nondeterminism, handled by explicit choice
 /// branches rather than race reversals; commuting step orders still
 /// collapse into one class each.
 ///
@@ -424,7 +398,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::explore_schedules_checked;
     use crate::shared_mem::{Action, Observation};
     use crate::trace::ScheduleReplay;
     use rrfd_core::{Control, SystemSize};
@@ -432,35 +405,6 @@ mod tests {
 
     fn size(n: usize) -> SystemSize {
         SystemSize::new(n).unwrap()
-    }
-
-    /// Writes its own bank; never reads. All schedules commute: one
-    /// class.
-    #[derive(Debug, Clone)]
-    struct LoneWriter {
-        me: ProcessId,
-    }
-
-    impl MemProcess<u64> for LoneWriter {
-        type Output = u64;
-        fn step(&mut self, obs: Observation<u64>) -> Action<u64, u64> {
-            match obs {
-                Observation::Start => Action::Write {
-                    bank: self.me.index(),
-                    value: 1,
-                },
-                Observation::Written => Action::Decide(7),
-                other => unreachable!("{other:?}"),
-            }
-        }
-    }
-
-    fn writers(n: usize) -> Vec<LoneWriter> {
-        (0..n)
-            .map(|i| LoneWriter {
-                me: ProcessId::new(i),
-            })
-            .collect()
     }
 
     /// Writes `me + 1` to bank 0, reads the other's cell, decides on it:
@@ -497,53 +441,6 @@ mod tests {
                 me: ProcessId::new(1),
             },
         ]
-    }
-
-    #[test]
-    fn independent_writers_collapse_to_one_class() {
-        let n = 4;
-        let sim = SharedMemSim::new(size(n), n);
-        let exhaustive =
-            explore_schedules_checked(&sim, || writers(n), |_| Ok(()), 1_000_000).unwrap();
-        let dpor =
-            explore_shared_mem_dpor(&sim, || writers(n), |_| Ok(()), &DporConfig::new(1)).unwrap();
-        assert!(exhaustive.schedules > 1000, "8 events over 4 processes");
-        assert_eq!(dpor.schedules, 1, "fully commuting: a single trace class");
-        assert_eq!(dpor.graphs_explored, 1);
-        assert_eq!(dpor.revisits, 0);
-    }
-
-    #[test]
-    fn racy_pair_explores_every_outcome() {
-        // Collect the decision-vector outcomes both explorers can see.
-        let sim = SharedMemSim::new(size(2), 1);
-        let outcomes = std::sync::Mutex::new(std::collections::BTreeSet::new());
-        let collect = |report: &MemRunReport<WriteRead, u64>| {
-            outcomes
-                .lock()
-                .unwrap()
-                .insert(format!("{:?}", report.outputs));
-            Ok(())
-        };
-        explore_shared_mem_dpor(&sim, make_pair, collect, &DporConfig::new(2)).unwrap();
-        let dpor_outcomes = std::mem::take(&mut *outcomes.lock().unwrap());
-
-        explore_schedules_checked(
-            &sim,
-            make_pair,
-            |report| {
-                outcomes
-                    .lock()
-                    .unwrap()
-                    .insert(format!("{:?}", report.outputs));
-                Ok(())
-            },
-            1_000_000,
-        )
-        .unwrap();
-        let exhaustive_outcomes = std::mem::take(&mut *outcomes.lock().unwrap());
-        assert_eq!(dpor_outcomes, exhaustive_outcomes);
-        assert!(dpor_outcomes.len() > 1, "races must be visible");
     }
 
     #[test]

@@ -19,23 +19,25 @@
 //! * [`semi_sync`] — the Dolev-Dwork-Stockmeyer semi-synchronous model of
 //!   §5 (atomic receive/broadcast steps, synchronous broadcast delivery).
 //! * [`detector_s`] — the S-augmented asynchronous system of §2 item 6.
-//! * [`explore`] — exhaustive schedule enumeration for small shared-memory
-//!   instances (turns sampled tests into proofs-by-enumeration).
-//! * [`dpor`] — exploration v2: dynamic partial-order reduction over
+//! * [`dpor`] — the schedule explorer: dynamic partial-order reduction over
 //!   execution graphs (events partially ordered by happens-before, via
 //!   [`rrfd_core::hb`] vector clocks), exploring one representative per
 //!   Mazurkiewicz trace class, distributed over a work-stealing deque
-//!   pool with worker-count-independent results.
+//!   pool with worker-count-independent results. It turns sampled tests
+//!   on small instances into proofs-by-enumeration.
+//! * [`explore`] — the explorer's result types: search-effort totals
+//!   ([`explore::ExploreStats`]) and replayable failing schedules
+//!   ([`explore::Counterexample`]).
 //! * [`digest`] — canonical byte encodings ([`digest::StateKey`]) that
 //!   key the DPOR explorer's counterexample choice.
 //! * [`admissibility`] — compiled-plane admissibility checks
 //!   ([`rrfd_core::ProgramBatch`] over [`rrfd_core::RrfdPredicate::compile`])
-//!   for the explorers' per-run `check` closures: one streaming pass per
+//!   for the explorer's per-run `check` closures: one streaming pass per
 //!   extracted fault pattern instead of a dyn-dispatch prefix re-walk per
 //!   predicate.
 //! * [`trace`] — schedule capture ([`trace::Recording`]) and deterministic
 //!   replay ([`trace::ScheduleReplay`]) for the adversarial simulators, so
-//!   any failing run — including every `explore` counterexample — is a
+//!   any failing run — including every explorer counterexample — is a
 //!   serializable, re-runnable artifact.
 
 #![forbid(unsafe_code)]

@@ -88,8 +88,9 @@
 //!   certified on every run.
 //! * **§4.2 adopt-commit**:
 //!   [`AdoptCommitMachine`](crate::protocols::adopt_commit::AdoptCommitMachine),
-//!   verified over *all* 3432 two-process interleavings via
-//!   [`explore_schedules_checked`](crate::sims::explore::explore_schedules_checked).
+//!   verified over *all* two-process interleavings (3432 schedules in 9
+//!   trace classes) via
+//!   [`explore_shared_mem_dpor`](crate::sims::dpor::explore_shared_mem_dpor).
 //! * **Theorem 4.3** (crash rounds via adopt-commit):
 //!   [`run_crash_simulation`](crate::protocols::sync_sim::run_crash_simulation)
 //!   — three asynchronous phases per simulated round, with the extracted
@@ -130,7 +131,7 @@
 //!   Chandra-Toueg-style quorum-locking consensus it supports, rederiving
 //!   the classical failure-detector result inside the framework.
 //! * The exhaustive explorers
-//!   ([`explore`](crate::sims::explore),
+//!   ([`dpor`](crate::sims::dpor),
 //!   [`enumerate`](crate::models::enumerate)) — treat the predicate as a
 //!   first-class object and *enumerate* adversaries, something only
 //!   possible because the detector is part of the system.

@@ -1,25 +1,32 @@
 //! Differential soundness/completeness battery for the DPOR explorer
-//! against the exhaustive sequential walker: on random small protocols
-//! and random predicates, the two must agree on (i) whether a
-//! counterexample exists, (ii) the set of violating final-output
-//! vectors (one representative per Mazurkiewicz class must still cover
-//! every reachable outcome), and (iii) every DPOR counterexample must
-//! replay — through `ScheduleReplay`, from the serialized certificate —
-//! to the same violation. A determinism regression then pins the whole
+//! against the tree-walk oracle (`oracles/tree_walk.rs`), which visits
+//! every interleaving: on random small protocols and random predicates,
+//! the two must agree on (i) whether a counterexample exists, (ii) the
+//! set of violating final-output vectors (one representative per
+//! Mazurkiewicz class must still cover every reachable outcome), and
+//! (iii) every DPOR counterexample must replay — through
+//! `ScheduleReplay`, from the serialized certificate — to the same
+//! violation. The same agreement on final-output vectors is checked on
+//! the paper's protocol instances (adopt-commit, immediate snapshot, the
+//! §5 two-step consensus). A determinism regression then pins the whole
 //! `ExploreStats` projection and the chosen counterexample as a function
 //! of the configuration, independent of worker count.
+
+#[path = "oracles/tree_walk.rs"]
+mod tree_walk;
 
 use proptest::prelude::*;
 use rrfd::core::{Control, IdSet, ProcessId, SystemSize};
 use rrfd::sims::dpor::{explore_semi_sync_dpor, explore_shared_mem_dpor, DporConfig, DporError};
-use rrfd::sims::explore::explore_schedules_checked;
-use rrfd::sims::explore::semi_sync::explore_semi_sync_checked;
+use rrfd::sims::explore::ExploreStats;
 use rrfd::sims::semi_sync::{SemiSyncProcess, SemiSyncReport, SemiSyncSim};
 use rrfd::sims::shared_mem::{Action, MemProcess, MemRunReport, Observation, SharedMemSim};
 use rrfd::sims::trace::ScheduleReplay;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
+use tree_walk::explore_schedules_checked;
+use tree_walk::semi_sync::explore_semi_sync_checked;
 
 /// One instruction of the scripted protocol. The DPOR explorer keys
 /// trace classes on event sequences, so the interpreter needs no state
@@ -256,7 +263,7 @@ proptest! {
 
 /// Everything but the stealing-pool placement (`steals`, `workers`) —
 /// the projection the determinism contract covers.
-fn projection(stats: &rrfd::sims::explore::ExploreStats) -> impl std::fmt::Debug + PartialEq {
+fn projection(stats: &ExploreStats) -> impl std::fmt::Debug + PartialEq {
     (
         stats.schedules,
         stats.decision_points,
@@ -327,11 +334,9 @@ fn dpor_results_are_worker_count_independent() {
 }
 
 /// The never-failing sweep is worker-count-independent too (no
-/// counterexample to anchor on — the full class count must agree), and
-/// a `from_env` configuration matches explicit workers so CI can pin
-/// `RRFD_EXPLORE_WORKERS`.
+/// counterexample to anchor on — the full class count must agree).
 #[test]
-fn dpor_sweep_stats_agree_with_from_env() {
+fn dpor_sweep_stats_are_worker_count_independent() {
     let size = SystemSize::new(3).unwrap();
     let sim = SharedMemSim::new(size, 1).with_snapshots();
     let make = || {
@@ -344,7 +349,7 @@ fn dpor_sweep_stats_agree_with_from_env() {
             .collect::<Vec<_>>()
     };
     let baseline = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(1)).unwrap();
-    for workers in [2usize, 8] {
+    for workers in [2usize, 4, 8] {
         let stats =
             explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(workers)).unwrap();
         assert_eq!(
@@ -352,9 +357,291 @@ fn dpor_sweep_stats_agree_with_from_env() {
             format!("{:?}", projection(&baseline)),
             "sweep stats must not depend on worker count ({workers} workers)"
         );
+        assert_eq!(stats.workers, workers);
     }
-    let env = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::from_env()).unwrap();
-    assert_eq!(env.schedules, baseline.schedules);
-    assert_eq!(env.revisits, baseline.revisits);
-    assert!(env.workers >= 1);
+}
+
+fn size(n: usize) -> SystemSize {
+    SystemSize::new(n).unwrap()
+}
+
+/// Writes its own bank; never reads. All schedules commute: one class.
+#[derive(Debug, Clone)]
+struct LoneWriter {
+    me: ProcessId,
+}
+
+impl MemProcess<u64> for LoneWriter {
+    type Output = u64;
+    fn step(&mut self, obs: Observation<u64>) -> Action<u64, u64> {
+        match obs {
+            Observation::Start => Action::Write {
+                bank: self.me.index(),
+                value: 1,
+            },
+            Observation::Written => Action::Decide(7),
+            other => unreachable!("{other:?}"),
+        }
+    }
+}
+
+fn writers(n: usize) -> Vec<LoneWriter> {
+    (0..n)
+        .map(|i| LoneWriter {
+            me: ProcessId::new(i),
+        })
+        .collect()
+}
+
+/// Writes `me + 1` to bank 0, reads the other's cell, decides on it:
+/// read/write races make schedule order observable.
+#[derive(Debug, Clone)]
+struct WriteRead {
+    me: ProcessId,
+}
+
+impl MemProcess<u64> for WriteRead {
+    type Output = Option<u64>;
+    fn step(&mut self, obs: Observation<u64>) -> Action<u64, Option<u64>> {
+        match obs {
+            Observation::Start => Action::Write {
+                bank: 0,
+                value: self.me.index() as u64 + 1,
+            },
+            Observation::Written => Action::Read {
+                bank: 0,
+                owner: ProcessId::new(1 - self.me.index()),
+            },
+            Observation::Value(v) => Action::Decide(v),
+            other => unreachable!("{other:?}"),
+        }
+    }
+}
+
+fn make_pair() -> Vec<WriteRead> {
+    vec![
+        WriteRead {
+            me: ProcessId::new(0),
+        },
+        WriteRead {
+            me: ProcessId::new(1),
+        },
+    ]
+}
+
+#[test]
+fn independent_writers_collapse_to_one_class() {
+    let n = 4;
+    let sim = SharedMemSim::new(size(n), n);
+    let exhaustive = explore_schedules_checked(&sim, || writers(n), |_| Ok(()), 1_000_000).unwrap();
+    let dpor =
+        explore_shared_mem_dpor(&sim, || writers(n), |_| Ok(()), &DporConfig::new(1)).unwrap();
+    assert!(exhaustive.schedules > 1000, "8 events over 4 processes");
+    assert_eq!(dpor.schedules, 1, "fully commuting: a single trace class");
+    assert_eq!(dpor.graphs_explored, 1);
+    assert_eq!(dpor.revisits, 0);
+}
+
+#[test]
+fn racy_pair_explores_every_outcome() {
+    // Collect the decision-vector outcomes both explorers can see.
+    let sim = SharedMemSim::new(size(2), 1);
+    let outcomes = Mutex::new(BTreeSet::new());
+    let collect = |report: &MemRunReport<WriteRead, u64>| {
+        outcomes
+            .lock()
+            .unwrap()
+            .insert(format!("{:?}", report.outputs));
+        Ok(())
+    };
+    explore_shared_mem_dpor(&sim, make_pair, collect, &DporConfig::new(2)).unwrap();
+    let dpor_outcomes = std::mem::take(&mut *outcomes.lock().unwrap());
+
+    explore_schedules_checked(
+        &sim,
+        make_pair,
+        |report| {
+            outcomes
+                .lock()
+                .unwrap()
+                .insert(format!("{:?}", report.outputs));
+            Ok(())
+        },
+        1_000_000,
+    )
+    .unwrap();
+    let exhaustive_outcomes = std::mem::take(&mut *outcomes.lock().unwrap());
+    assert_eq!(dpor_outcomes, exhaustive_outcomes);
+    assert!(dpor_outcomes.len() > 1, "races must be visible");
+}
+
+/// What one explorer saw of a protocol instance: the distinct final
+/// outcomes it reached, and its search-effort totals.
+type Seen = (BTreeSet<String>, ExploreStats);
+
+/// A protocol instance explored by the tree-walk oracle and by DPOR:
+/// `(oracle, dpor)`.
+type Explored = (Seen, Seen);
+
+/// Explores a shared-memory instance with both explorers, collecting the
+/// final output vector of every run each one checks.
+fn explore_shared_mem_both<V, P, G>(sim: &SharedMemSim, make: G) -> Explored
+where
+    V: Clone + Send + Sync,
+    P: MemProcess<V> + Clone + Send + Sync,
+    P::Output: Clone + Send + Sync + std::fmt::Debug,
+    G: Fn() -> Vec<P>,
+{
+    let oracle_seen = RefCell::new(BTreeSet::new());
+    let oracle = explore_schedules_checked(
+        sim,
+        &make,
+        |report: &MemRunReport<P, V>| {
+            oracle_seen
+                .borrow_mut()
+                .insert(format!("{:?}", report.outputs));
+            Ok(())
+        },
+        100_000,
+    )
+    .unwrap();
+    let dpor_seen = Mutex::new(BTreeSet::new());
+    let dpor = explore_shared_mem_dpor(
+        sim,
+        &make,
+        |report: &MemRunReport<P, V>| {
+            dpor_seen
+                .lock()
+                .unwrap()
+                .insert(format!("{:?}", report.outputs));
+            Ok(())
+        },
+        &DporConfig::new(2),
+    )
+    .unwrap();
+    (
+        (oracle_seen.into_inner(), oracle),
+        (dpor_seen.into_inner().unwrap(), dpor),
+    )
+}
+
+fn adopt_commit_pair(inputs: [u64; 2]) -> Explored {
+    use rrfd::protocols::adopt_commit::AdoptCommitProcess;
+    let n = size(2);
+    explore_shared_mem_both(&SharedMemSim::new(n, 2), || {
+        vec![
+            AdoptCommitProcess::new(n, ProcessId::new(0), inputs[0], 0),
+            AdoptCommitProcess::new(n, ProcessId::new(1), inputs[1], 0),
+        ]
+    })
+}
+
+fn immediate_snapshot_pair() -> Explored {
+    use rrfd::protocols::immediate_snapshot::{ImmediateSnapshot, IsDriver};
+    let n = size(2);
+    let sim = SharedMemSim::new(n, ImmediateSnapshot::BANKS).with_snapshots();
+    explore_shared_mem_both(&sim, || {
+        vec![
+            IsDriver::new(ImmediateSnapshot::new(n, ProcessId::new(0), 0)),
+            IsDriver::new(ImmediateSnapshot::new(n, ProcessId::new(1), 1)),
+        ]
+    })
+}
+
+/// The §5 two-step consensus on `n` processes with up to `crashes`
+/// crashes. An outcome is the output vector plus every decider's view
+/// (equation 5 is a claim about the views, not only the outputs).
+fn two_step_consensus(n: usize, crashes: usize) -> Explored {
+    use rrfd::protocols::semi_sync_consensus::TwoStepConsensus;
+    let sz = size(n);
+    let sim = SemiSyncSim::new(sz);
+    let make = || {
+        sz.processes()
+            .map(|p| TwoStepConsensus::new(sz, p, 500 + p.index() as u64))
+            .collect::<Vec<_>>()
+    };
+    let outcome = |report: &SemiSyncReport<TwoStepConsensus>| {
+        let views: Vec<IdSet> = report
+            .processes
+            .iter()
+            .filter_map(TwoStepConsensus::suspected)
+            .collect();
+        format!("{:?} {views:?}", report.outputs)
+    };
+    let oracle_seen = RefCell::new(BTreeSet::new());
+    let oracle = explore_semi_sync_checked(
+        &sim,
+        crashes,
+        make,
+        |report| {
+            oracle_seen.borrow_mut().insert(outcome(report));
+            Ok(())
+        },
+        100_000,
+    )
+    .unwrap();
+    let dpor_seen = Mutex::new(BTreeSet::new());
+    let dpor = explore_semi_sync_dpor(
+        &sim,
+        crashes,
+        make,
+        |report| {
+            dpor_seen.lock().unwrap().insert(outcome(report));
+            Ok(())
+        },
+        &DporConfig::new(2),
+    )
+    .unwrap();
+    (
+        (oracle_seen.into_inner(), oracle),
+        (dpor_seen.into_inner().unwrap(), dpor),
+    )
+}
+
+/// A protocol instance of the coverage table.
+#[derive(Debug, Clone, Copy)]
+enum Instance {
+    /// Adopt-commit, n = 2, with these inputs.
+    AdoptCommit([u64; 2]),
+    /// Immediate snapshot, n = 2.
+    ImmediateSnapshot,
+    /// The §5 two-step consensus on `n` processes, up to `crashes` crashes.
+    TwoStep { n: usize, crashes: usize },
+}
+
+impl Instance {
+    fn explore(self) -> Explored {
+        match self {
+            Instance::AdoptCommit(inputs) => adopt_commit_pair(inputs),
+            Instance::ImmediateSnapshot => immediate_snapshot_pair(),
+            Instance::TwoStep { n, crashes } => two_step_consensus(n, crashes),
+        }
+    }
+}
+
+/// The interleaving coverage behind the protocol crates' proofs by
+/// enumeration: their unit tests check each specification on DPOR's
+/// class representatives only, so here the tree walk visits every
+/// schedule of the same instances and must reach exactly the outcomes
+/// DPOR reaches. The tree walk's schedule count and DPOR's class count
+/// are pinned per instance.
+#[test]
+fn protocol_instances_reach_the_same_outcomes_under_both_explorers() {
+    let cases = [
+        (Instance::AdoptCommit([4, 4]), 3432, 9),
+        (Instance::AdoptCommit([4, 9]), 3432, 9),
+        (Instance::ImmediateSnapshot, 226, 7),
+        (Instance::TwoStep { n: 2, crashes: 1 }, 16, 7),
+        (Instance::TwoStep { n: 3, crashes: 1 }, 342, 24),
+        (Instance::TwoStep { n: 3, crashes: 2 }, 522, 54),
+    ];
+    for (instance, schedules, classes) in cases {
+        let ((oracle_seen, oracle), (dpor_seen, dpor)) = instance.explore();
+        assert_eq!(
+            oracle.schedules, schedules,
+            "{instance:?}: oracle schedules"
+        );
+        assert_eq!(dpor.schedules, classes, "{instance:?}: DPOR trace classes");
+        assert_eq!(oracle_seen, dpor_seen, "{instance:?}: outcome sets");
+    }
 }

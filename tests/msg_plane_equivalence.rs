@@ -4,8 +4,8 @@
 //! Each test pits a zero-copy substrate against a reference runner with
 //! the seed's per-recipient-clone semantics and demands *exact* equality:
 //!
-//! * `Engine` (Arc-free shared emission table) vs
-//!   [`rrfd_bench::ClonePlaneEngine`] — byte-identical `RunTrace`s and
+//! * `Engine` (Arc-free shared emission table) vs the `ClonePlaneEngine`
+//!   oracle (`oracles/clone_plane.rs`) — byte-identical `RunTrace`s and
 //!   identical decisions, on deciding runs, adversary violations, and
 //!   round-limit runs alike.
 //! * `ThreadedEngine` (one `Arc` table per round, `n` reference counts)
@@ -18,6 +18,10 @@
 //! If sharing a payload could ever change what a protocol observes, one
 //! of these diffs would catch it.
 
+#[path = "oracles/clone_plane.rs"]
+mod clone_plane;
+
+use clone_plane::ClonePlaneEngine;
 use proptest::prelude::*;
 use rrfd::core::{
     AnyPattern, Control, Delivery, Engine, EngineError, FaultPattern, IdSet, KnowledgeProtocol,
@@ -32,7 +36,6 @@ use rrfd::sims::semi_sync::{
 };
 use rrfd::sims::sync_net::{RandomCrash, SyncFaults, SyncNetSim};
 use rrfd::sims::trace::{Recording, ScheduleReplay};
-use rrfd_bench::ClonePlaneEngine;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
