@@ -22,6 +22,7 @@ use rrfd_core::{
     RoundFaults, RoundProfile, RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
 };
 use rrfd_models::enumerate::all_rounds;
+use rrfd_models::zoo::compile_family;
 /// The zoo family and its boxed element type now live in `rrfd-models`
 /// (the conformance monitor evaluates them against live runs); they are
 /// re-exported here so lattice callers keep their import paths.
@@ -153,21 +154,20 @@ impl Lattice {
     /// programs are precomputed into per-class verdict masks before the
     /// walk starts, dynamic ones once per reachable register file, see
     /// [`HistoryCtx::register_key`]), and a subtree is abandoned as soon
-    /// as it can no longer refute any still-open pair. Predicates that decline to
-    /// compile fall back to their dyn `admits` exactly.
+    /// as it can no longer refute any still-open pair.
     ///
     /// The result — matrix and every counterexample — is identical to
     /// deciding each pair with [`implies`]: a pair is refuted here iff a
     /// jointly-legal prefix extends to a round `A` admits and `B`
     /// rejects, which is [`implies`]'s termination condition, and each
     /// refuted pair's witness is then found in [`implies`]'s own
-    /// depth-first order (on the compiled programs when both endpoints
-    /// compiled, through [`implies`] itself otherwise).
+    /// depth-first order on the compiled programs.
     ///
     /// # Panics
     ///
-    /// Panics when the family is empty, spans different system sizes, or
-    /// has more than 128 members (legality is packed into a `u128`).
+    /// Panics when the family is empty, spans different system sizes, has
+    /// more than 128 members (legality is packed into a `u128`), or has a
+    /// member that does not compile (see [`compile_family`]).
     #[must_use]
     pub fn compute_compiled(predicates: &[SharedPredicate], max_rounds: u32) -> Self {
         let first = predicates
@@ -190,27 +190,19 @@ impl Lattice {
 
         let rounds: Vec<RoundFaults> = all_rounds(n).collect();
         let profiles: Vec<RoundProfile> = rounds.iter().map(RoundProfile::of).collect();
-        let programs: Vec<Option<PredicateProgram>> =
-            predicates.iter().map(|p| p.compile()).collect();
+        let programs = compile_family(predicates);
+        // The family is non-empty and at most 128 strong.
+        let all_mask = u128::MAX >> (128 - len);
         let mut static_mask = 0u128;
-        let mut dynamic_mask = 0u128;
-        let mut dyn_mask = 0u128;
-        for (i, slot) in programs.iter().enumerate() {
-            match slot {
-                Some(p) if p.is_static() => static_mask |= 1u128 << i,
-                Some(_) => dynamic_mask |= 1u128 << i,
-                None => dyn_mask |= 1u128 << i,
+        for (i, program) in programs.iter().enumerate() {
+            if program.is_static() {
+                static_mask |= 1u128 << i;
             }
         }
-        let base_ctx = HistoryCtx::for_programs(n, programs.iter().flatten());
-        let (classes, union_reps) =
-            round_classes(&profiles, &programs, static_mask, dyn_mask != 0, &base_ctx);
+        let dynamic_mask = all_mask & !static_mask;
+        let base_ctx = HistoryCtx::for_programs(n, &programs);
+        let (classes, union_reps) = round_classes(&profiles, &programs, static_mask, &base_ctx);
 
-        let all_mask: u128 = if len == 128 {
-            !0u128
-        } else {
-            (1u128 << len) - 1
-        };
         let mut pending: Vec<u128> = (0..len).map(|i| all_mask & !(1u128 << i)).collect();
 
         // Static × static pairs are prefix-independent: `i ⇒ j` is refuted
@@ -248,22 +240,17 @@ impl Lattice {
         }
 
         let mut walker = TrieWalker {
-            n,
-            predicates,
-            rounds: &rounds,
             profiles: &profiles,
             programs: &programs,
             classes: &classes,
             union_reps: &union_reps,
             dynamic_mask,
-            dyn_mask,
             max_rounds,
             pending,
             refuted,
             files: Vec::new(),
             ids: std::collections::HashMap::new(),
             seen: std::collections::HashSet::new(),
-            prefix_rounds: Vec::new(),
         };
         let root = walker.intern(base_ctx.clone());
         walker.walk(root, all_mask, 0);
@@ -298,11 +285,8 @@ impl Lattice {
         let mut counterexamples: Vec<_> = refuted
             .into_iter()
             .map(|(i, j)| {
-                let outcome = match (&programs[i], &programs[j]) {
-                    (Some(a), Some(b)) => witnesses.implies(a, b, &names[j]),
-                    _ => implies(predicates[i].as_ref(), predicates[j].as_ref(), max_rounds),
-                };
-                let cex = outcome
+                let cex = witnesses
+                    .implies(&programs[i], &programs[j], &names[j])
                     .expect_err("the shared-trie walk refuted this pair, so a witness exists");
                 ((i, j), cex)
             })
@@ -509,18 +493,16 @@ struct RoundClass {
 }
 
 /// Quotients the candidate rounds into [`RoundClass`]es, in order of
-/// first member. With a dyn-fallback predicate in the family every round
-/// is its own class: the fallback reads the raw round. Also returns, per
-/// union id, the first round with that union.
+/// first member. Also returns, per union id, the first round with that
+/// union.
 fn round_classes(
     profiles: &[RoundProfile],
-    programs: &[Option<PredicateProgram>],
+    programs: &[PredicateProgram],
     static_mask: u128,
-    singletons: bool,
     base_ctx: &HistoryCtx,
 ) -> (Vec<RoundClass>, Vec<usize>) {
     let mut inner_ops: Vec<ProgOp> = Vec::new();
-    for program in programs.iter().flatten().filter(|p| !p.is_static()) {
+    for program in programs.iter().filter(|p| !p.is_static()) {
         for &op in program.clauses().iter().flatten() {
             if op.is_static() && !inner_ops.contains(&op) {
                 inner_ops.push(op);
@@ -536,22 +518,16 @@ fn round_classes(
         while todo != 0 {
             let i = todo.trailing_zeros() as usize;
             todo &= todo - 1;
-            if programs[i]
-                .as_ref()
-                .is_some_and(|p| p.eval(base_ctx, profile))
-            {
+            if programs[i].eval(base_ctx, profile) {
                 static_adm |= 1u128 << i;
             }
         }
-        if !singletons {
-            let inner: Vec<bool> = inner_ops
-                .iter()
-                .map(|op| op.eval(base_ctx, profile))
-                .collect();
-            let key = (static_adm, inner, ProgOp::history_key(profile));
-            if !keys.insert(key) {
-                continue;
-            }
+        let inner: Vec<bool> = inner_ops
+            .iter()
+            .map(|op| op.eval(base_ctx, profile))
+            .collect();
+        if !keys.insert((static_adm, inner, ProgOp::history_key(profile))) {
+            continue;
         }
         let union = match union_reps
             .iter()
@@ -579,11 +555,9 @@ fn round_classes(
 struct RegisterFile {
     /// A context holding these registers: the first prefix to reach them.
     ctx: HistoryCtx,
-    /// `verdicts[c]`: the dynamic programs' verdict mask on class `c`.
-    verdicts: Vec<u128>,
-    /// The distinct `(static_adm | verdicts[c], union id)` pairs over all
-    /// classes, in order of first class. Without a live dyn fallback a
-    /// round's refutations and its child are functions of its move.
+    /// The distinct `(verdict mask, union id)` pairs over all classes, in
+    /// order of first class: a round's refutations and its child are
+    /// functions of its move.
     moves: Vec<(u128, usize)>,
     /// `succ[u]`: the id reached by absorbing union `u`, once needed.
     succ: Vec<Option<u32>>,
@@ -592,23 +566,17 @@ struct RegisterFile {
 /// The depth-first shared-trie walk behind [`Lattice::compute_compiled`]:
 /// one traversal of the jointly-legal prefix trie decides every still-open
 /// implication pair at once. A node is its depth, its legality mask and
-/// the id of its register file; it applies each of the file's moves (one
-/// round per [`RoundClass`] while a dyn fallback is legal) and expands
-/// each distinct child once. Witnesses are *not* collected here — refuted
-/// pairs are re-derived canonically by [`WitnessSearch`] afterwards.
+/// the id of its register file; it applies each of the file's moves and
+/// expands each distinct child once. Witnesses are *not* collected here —
+/// refuted pairs are re-derived canonically by [`WitnessSearch`] afterwards.
 struct TrieWalker<'a> {
-    n: SystemSize,
-    predicates: &'a [SharedPredicate],
-    rounds: &'a [RoundFaults],
     profiles: &'a [RoundProfile],
-    programs: &'a [Option<PredicateProgram>],
+    programs: &'a [PredicateProgram],
     classes: &'a [RoundClass],
     /// Per union id, a round with that union.
     union_reps: &'a [usize],
     /// Compiled programs that do read the history registers.
     dynamic_mask: u128,
-    /// Predicates that declined to compile: exact dyn fallback.
-    dyn_mask: u128,
     max_rounds: u32,
     /// `pending[i]` bit `j`: pair `(i, j)` still needs a verdict.
     pending: Vec<u128>,
@@ -620,9 +588,6 @@ struct TrieWalker<'a> {
     ids: std::collections::HashMap<(u32, IdSet, IdSet, Vec<IdSet>), u32>,
     /// `(depth, legal, id)` of every node already visited.
     seen: std::collections::HashSet<(u32, u128, u32)>,
-    /// Round indices of the current prefix (the DFS path), for dyn
-    /// fallbacks only.
-    prefix_rounds: Vec<usize>,
 }
 
 impl TrieWalker<'_> {
@@ -639,39 +604,26 @@ impl TrieWalker<'_> {
         targets & legal
     }
 
-    /// Materializes the current DFS path as a pattern (for dyn fallbacks).
-    fn prefix_pattern(&self) -> FaultPattern {
-        let mut pattern = FaultPattern::new(self.n);
-        for &idx in &self.prefix_rounds {
-            pattern.push(self.rounds[idx].clone());
-        }
-        pattern
-    }
-
     /// The id of `ctx`'s register file, interning it (and evaluating its
-    /// verdict row and move list) on first sight.
+    /// move list) on first sight.
     fn intern(&mut self, ctx: HistoryCtx) -> u32 {
         let key = ctx.register_key();
         if let Some(&id) = self.ids.get(&key) {
             return id;
         }
-        let mut verdicts = Vec::with_capacity(self.classes.len());
         let mut moves = Vec::new();
         for class in self.classes {
             let profile = &self.profiles[class.rep];
-            let mut adm = 0u128;
+            let mut adm = class.static_adm;
             let mut todo = self.dynamic_mask;
             while todo != 0 {
                 let i = todo.trailing_zeros() as usize;
                 todo &= todo - 1;
-                if let Some(program) = &self.programs[i] {
-                    if program.eval(&ctx, profile) {
-                        adm |= 1u128 << i;
-                    }
+                if self.programs[i].eval(&ctx, profile) {
+                    adm |= 1u128 << i;
                 }
             }
-            verdicts.push(adm);
-            let mv = (class.static_adm | adm, class.union);
+            let mv = (adm, class.union);
             if !moves.contains(&mv) {
                 moves.push(mv);
             }
@@ -679,7 +631,6 @@ impl TrieWalker<'_> {
         let id = self.files.len() as u32;
         self.files.push(RegisterFile {
             ctx,
-            verdicts,
             moves,
             succ: vec![None; self.union_reps.len()],
         });
@@ -735,58 +686,31 @@ impl TrieWalker<'_> {
         if depth >= self.max_rounds || targets == 0 {
             return;
         }
-        let dyn_live = legal & self.dyn_mask;
         // Pending pairs only shrink as the DFS proceeds, so a state seen
         // before was explored with at least today's open pairs: skipping
-        // the revisit cannot lose a refutation. A live dyn fallback reads
-        // the raw prefix, which the id does not capture.
-        if dyn_live == 0 && !self.seen.insert((depth, legal, id)) {
+        // the revisit cannot lose a refutation.
+        if !self.seen.insert((depth, legal, id)) {
             return;
         }
         let expand = depth + 1 < self.max_rounds;
-        // Children as (union id, legality, round). Absorbing a round reads
-        // only its union, so without a live dyn fallback a child is
-        // determined by (union, legality) and each distinct one is
-        // expanded once; the round then only stands in for its union.
-        let mut children: Vec<(usize, u128, usize)> = Vec::new();
-        if dyn_live == 0 {
-            for m in 0..self.files[id as usize].moves.len() {
-                let (adm, union) = self.files[id as usize].moves[m];
-                self.refute(legal, targets, adm);
-                let child = legal & adm;
-                if expand && !children.iter().any(|&(u, c, _)| u == union && c == child) {
-                    children.push((union, child, self.union_reps[union]));
-                }
-            }
-        } else {
-            // The move list merges rounds an uncompiled predicate could
-            // tell apart, so judge one round per class.
-            let prefix = self.prefix_pattern();
-            let classes = self.classes;
-            for (c, class) in classes.iter().enumerate() {
-                let mut adm = class.static_adm | self.files[id as usize].verdicts[c];
-                let mut todo = dyn_live;
-                while todo != 0 {
-                    let i = todo.trailing_zeros() as usize;
-                    todo &= todo - 1;
-                    if self.predicates[i].admits(&prefix, &self.rounds[class.rep]) {
-                        adm |= 1u128 << i;
-                    }
-                }
-                self.refute(legal, targets, adm);
-                if expand {
-                    children.push((class.union, legal & adm, class.rep));
-                }
+        // Children as (union id, legality). Absorbing a round reads only
+        // its union, so a child is determined by (union, legality) and each
+        // distinct one is expanded once.
+        let mut children: Vec<(usize, u128)> = Vec::new();
+        for m in 0..self.files[id as usize].moves.len() {
+            let (adm, union) = self.files[id as usize].moves[m];
+            self.refute(legal, targets, adm);
+            let child = legal & adm;
+            if expand && !children.contains(&(union, child)) {
+                children.push((union, child));
             }
         }
-        for (union, child, round) in children {
+        for (union, child) in children {
             if self.open_targets(child) == 0 {
                 continue;
             }
             let next = self.successor(id, union);
-            self.prefix_rounds.push(round);
             self.walk(next, child, depth + 1);
-            self.prefix_rounds.pop();
         }
     }
 }

@@ -12,34 +12,14 @@
 //! 2. **Compiled lattice at depth 4** — the CLI's default depth,
 //!    best of several from-scratch runs.
 //! 3. **Conformance monitoring** — the per-round cost of a
-//!    [`ConformanceMonitor`] over the zoo with the compiled plane on,
-//!    against the same family wrapped to decline compilation
-//!    ([`DynOnly`]), on the same fault stream.
+//!    [`ConformanceMonitor`] over the zoo on a fixed fault stream.
 
 use std::time::Instant;
 
 use rrfd_analyze::lattice::{implies, Lattice};
-use rrfd_core::{FaultPattern, IdSet, ProcessId, RoundFaults, RrfdPredicate, SystemSize};
+use rrfd_core::{IdSet, ProcessId, RoundFaults, SystemSize};
 use rrfd_models::conformance::ConformanceMonitor;
-use rrfd_models::zoo::{zoo, SharedPredicate};
-
-/// Wraps a predicate to decline compilation: verdicts are unchanged
-/// (forwarded dyn `admits`), but every evaluator stays on the dyn path.
-/// The baseline half of the compiled-vs-dyn comparisons.
-pub struct DynOnly(pub SharedPredicate);
-
-impl RrfdPredicate for DynOnly {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-    fn system_size(&self) -> SystemSize {
-        self.0.system_size()
-    }
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        self.0.admits(history, round)
-    }
-    // `compile` deliberately left at the default `None`.
-}
+use rrfd_models::zoo::zoo;
 
 /// The report's `lattice` section, ready to render.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +38,8 @@ pub struct LatticeSection {
     /// Compiled walk from scratch, depth 4, wall nanoseconds (best of
     /// several runs).
     pub depth4_cold_ns: u64,
-    /// Dyn-path conformance monitoring, nanoseconds per observed round.
-    pub conformance_dyn_ns_per_round: u64,
-    /// Compiled-plane conformance monitoring, nanoseconds per round.
+    /// Compiled-plane conformance monitoring, nanoseconds per observed
+    /// round.
     pub conformance_compiled_ns_per_round: u64,
 }
 
@@ -92,7 +71,7 @@ fn time_monitor<F>(make: F, stream: &[RoundFaults], reps: usize) -> u64
 where
     F: Fn() -> ConformanceMonitor,
 {
-    // Warm-up pass so allocations and lazy setup don't bill to either side.
+    // Warm-up pass so allocations and lazy setup don't bill to the timing.
     let mut warmup = make();
     for round in stream {
         warmup.observe(round);
@@ -171,21 +150,9 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
         depth4_cold_ns = depth4_cold_ns.min(nanos(start).max(1));
     }
 
-    // 3. Conformance monitoring, dyn vs compiled, same stream.
+    // 3. Conformance monitoring.
     let stream = conformance_stream(n, 24);
     let reps = if quick { 200 } else { 2_000 };
-    let conformance_dyn_ns_per_round = time_monitor(
-        || {
-            let dyn_family: Vec<SharedPredicate> = zoo(n, f)
-                .into_iter()
-                .map(|p| Box::new(DynOnly(p)) as SharedPredicate)
-                .collect();
-            ConformanceMonitor::new(dyn_family)
-        },
-        &stream,
-        reps,
-    )
-    .max(1);
     let conformance_compiled_ns_per_round =
         time_monitor(|| ConformanceMonitor::zoo(n, f), &stream, reps).max(1);
 
@@ -202,7 +169,6 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
         compiled_depth3_ns,
         speedup_x100,
         depth4_cold_ns,
-        conformance_dyn_ns_per_round,
         conformance_compiled_ns_per_round,
     }
 }
@@ -215,14 +181,13 @@ pub fn render_lattice_line(section: &LatticeSection) -> String {
     format!(
         "  \"lattice\": {{\"n\": {}, \"f\": {}, \"dyn_depth3_ns\": {}, \
          \"compiled_depth3_ns\": {}, \"speedup_x100\": {}, \"depth4_cold_ns\": {}, \
-         \"conformance_dyn_ns_per_round\": {}, \"conformance_compiled_ns_per_round\": {}}}",
+         \"conformance_compiled_ns_per_round\": {}}}",
         section.n,
         section.f,
         section.dyn_depth3_ns,
         section.compiled_depth3_ns,
         section.speedup_x100,
         section.depth4_cold_ns,
-        section.conformance_dyn_ns_per_round,
         section.conformance_compiled_ns_per_round,
     )
 }
@@ -233,29 +198,6 @@ mod tests {
     use rrfd_obs::json;
 
     #[test]
-    fn dyn_only_wrapper_preserves_verdicts_and_hides_programs() {
-        let n = SystemSize::new(3).expect("valid size");
-        for (original, wrapped) in zoo(n, 1).into_iter().map(|p| {
-            let w = DynOnly(
-                zoo(n, 1)
-                    .into_iter()
-                    .find(|q| q.name() == p.name())
-                    .expect("same family"),
-            );
-            (p, w)
-        }) {
-            assert!(wrapped.compile().is_none(), "{}", wrapped.name());
-            assert_eq!(original.name(), wrapped.name());
-            let empty = FaultPattern::new(n);
-            let quiet = RoundFaults::none(n);
-            assert_eq!(
-                original.admits(&empty, &quiet),
-                wrapped.admits(&empty, &quiet)
-            );
-        }
-    }
-
-    #[test]
     fn rendered_line_parses_as_json() {
         let section = LatticeSection {
             n: 3,
@@ -264,7 +206,6 @@ mod tests {
             compiled_depth3_ns: 2_000_000,
             speedup_x100: 20_000,
             depth4_cold_ns: 20_000_000,
-            conformance_dyn_ns_per_round: 900,
             conformance_compiled_ns_per_round: 300,
         };
         let line = render_lattice_line(&section);

@@ -36,14 +36,15 @@ pub trait RrfdPredicate {
     /// is not yet part of it.
     fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool;
 
-    /// Compiles the predicate to the word-level IR of the compiled plane,
-    /// or returns `None` to stay on the dyn `admits` path.
+    /// Compiles the predicate to the word-level IR of the compiled plane.
     ///
-    /// The contract is *exact or absent*: a returned program's verdicts must
-    /// equal `admits` on every `(history, round)` input, well formed or not.
-    /// Batch evaluators ([`crate::program::ProgramBatch`], the lattice's
-    /// shared prefix walk) use the program when present and fall back to
-    /// `admits` otherwise, so declining to compile is always sound.
+    /// The contract is *exact*: the program's verdicts must equal `admits`
+    /// on every `(history, round)` input, well formed or not. The batch
+    /// evaluators ([`crate::program::ProgramBatch`] and the monitors, checkers
+    /// and lattice walk built on it) judge rounds only through programs and
+    /// panic at construction on a member that returns `None`. The default
+    /// `None` keeps single-predicate uses (engine admission,
+    /// [`RrfdPredicate::admits_pattern`]) on `admits`.
     fn compile(&self) -> Option<PredicateProgram> {
         None
     }

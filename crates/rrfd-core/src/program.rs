@@ -18,11 +18,13 @@
 //!   against one `RoundFaults` in a single pass, returning the verdicts as a
 //!   packed bitmask.
 //!
-//! Compilation is **exact or absent**: [`RrfdPredicate::compile`] returns a
-//! program whose verdicts equal the dyn `admits` verdicts on every input
-//! (well-formed or not), or `None` to stay on the dyn path. The differential
-//! suite in `tests/predicate_compile_equivalence.rs` enforces the contract
-//! for the whole zoo.
+//! Compilation is **exact**: [`RrfdPredicate::compile`] returns a program
+//! whose verdicts equal the dyn `admits` verdicts on every input
+//! (well-formed or not). The batch evaluators judge rounds only through
+//! programs, so a family member that does not compile is rejected when the
+//! batch is built. The differential suite in
+//! `tests/predicate_compile_equivalence.rs` enforces the contract for the
+//! whole zoo.
 //!
 //! [`RrfdPredicate::compile`]: crate::predicate::RrfdPredicate::compile
 
@@ -239,7 +241,6 @@ pub struct HistoryCtx {
     rounds: u32,
     cum: IdSet,
     prev_union: IdSet,
-    unions: Vec<IdSet>,
     immortal: Vec<(Round, IdSet)>,
 }
 
@@ -265,7 +266,6 @@ impl HistoryCtx {
             rounds: 0,
             cum: IdSet::empty(),
             prev_union: IdSet::empty(),
-            unions: Vec::new(),
             immortal,
         }
     }
@@ -277,7 +277,6 @@ impl HistoryCtx {
         self.rounds = 0;
         self.cum = IdSet::empty();
         self.prev_union = IdSet::empty();
-        self.unions.clear();
         let universe = IdSet::universe(self.n);
         for (_, register) in &mut self.immortal {
             *register = universe;
@@ -304,8 +303,6 @@ impl HistoryCtx {
     /// that read the count compare it against a registered stabilization
     /// (`rounds < s` in [`ProgOp::eval`], `rounds + 1 > s` when
     /// absorbing), and both answers are fixed once `rounds ≥ S ≥ s`.
-    /// Unregistered stabilizations fold the recorded per-round unions
-    /// instead and are not covered.
     #[must_use]
     pub fn register_key(&self) -> (u32, IdSet, IdSet, Vec<IdSet>) {
         let saturation = self.immortal.iter().map(|(s, _)| s.get()).max();
@@ -334,7 +331,6 @@ impl HistoryCtx {
         self.rounds += 1;
         self.cum = self.cum.union(union);
         self.prev_union = union;
-        self.unions.push(union);
         let absorbed = self.rounds;
         for (stab, register) in &mut self.immortal {
             if absorbed > stab.get() {
@@ -344,21 +340,22 @@ impl HistoryCtx {
     }
 
     /// The ◊S immortal candidates for `stabilization`: every process not
-    /// suspected after that round, `S ∖ ⋃_{r > stabilization} ⋃ᵢ D(i,r)`.
-    /// Registered stabilizations are `O(1)`; an unregistered one falls back
-    /// to an exact fold over the recorded per-round unions.
+    /// suspected after that round, `S ∖ ⋃_{r > stabilization} ⋃ᵢ D(i,r)`,
+    /// read from its `O(1)` register.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `stabilization` was registered by
+    /// [`HistoryCtx::for_programs`]: the context keeps no per-round
+    /// history to fold an unregistered one from.
     #[must_use]
     pub fn immortal(&self, stabilization: Round) -> IdSet {
-        if let Some((_, register)) = self.immortal.iter().find(|(s, _)| *s == stabilization) {
-            return *register;
-        }
-        let mut survivors = IdSet::universe(self.n);
-        for (idx, union) in self.unions.iter().enumerate() {
-            if idx as u32 + 1 > stabilization.get() {
-                survivors = survivors.difference(*union);
-            }
-        }
-        survivors
+        let register = self.immortal.iter().find(|(s, _)| *s == stabilization);
+        assert!(
+            register.is_some(),
+            "stabilization round {stabilization:?} was not registered by HistoryCtx::for_programs"
+        );
+        register.map_or(IdSet::empty(), |&(_, register)| register)
     }
 }
 
@@ -486,43 +483,38 @@ impl PredicateProgram {
 /// A family of compiled programs evaluated together: one [`RoundProfile`]
 /// per observed round, one packed `u128` verdict mask per evaluation.
 ///
-/// Slots mirror an external predicate family index-for-index; a `None` slot
-/// marks a predicate that declined to compile and stays on the dyn path.
-/// The programs are shared: cloning a batch (say, a fresh one used as a
-/// per-run template) copies only its history registers.
+/// Programs mirror an external predicate family index-for-index. They are
+/// shared: cloning a batch (say, a fresh one used as a per-run template)
+/// copies only its history registers.
 #[derive(Debug, Clone)]
 pub struct ProgramBatch {
     n: SystemSize,
-    slots: Arc<[Option<PredicateProgram>]>,
-    compiled: u128,
+    programs: Arc<[PredicateProgram]>,
     ctx: HistoryCtx,
     evals: u64,
 }
 
 impl ProgramBatch {
-    /// Builds a batch over a family's compiled slots (at most 128).
+    /// Builds a batch over a family's compiled programs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 128 programs (the verdict word's width) or on a
+    /// program over another system size.
     #[must_use]
-    pub fn new(n: SystemSize, slots: Vec<Option<PredicateProgram>>) -> Self {
+    pub fn new(n: SystemSize, programs: Vec<PredicateProgram>) -> Self {
         assert!(
-            slots.len() <= 128,
-            "a ProgramBatch packs verdicts into a u128: at most 128 slots"
+            programs.len() <= 128,
+            "a ProgramBatch packs verdicts into a u128: at most 128 programs"
         );
-        let mut compiled = 0u128;
-        for (idx, slot) in slots.iter().enumerate() {
-            if let Some(program) = slot {
-                assert_eq!(
-                    program.system_size(),
-                    n,
-                    "batched programs must share a system size"
-                );
-                compiled |= 1u128 << idx;
-            }
-        }
-        let ctx = HistoryCtx::for_programs(n, slots.iter().flatten());
+        assert!(
+            programs.iter().all(|p| p.system_size() == n),
+            "batched programs must share a system size"
+        );
+        let ctx = HistoryCtx::for_programs(n, &programs);
         ProgramBatch {
             n,
-            slots: slots.into(),
-            compiled,
+            programs: programs.into(),
             ctx,
             evals: 0,
         }
@@ -534,22 +526,16 @@ impl ProgramBatch {
         self.n
     }
 
-    /// Number of slots (compiled or not).
+    /// Number of programs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.programs.len()
     }
 
-    /// `true` when the batch has no slots.
+    /// `true` when the batch has no programs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Bitmask of slots that carry a compiled program.
-    #[must_use]
-    pub fn compiled_mask(&self) -> u128 {
-        self.compiled
+        self.programs.is_empty()
     }
 
     /// Rounds absorbed into the shared history context so far.
@@ -565,20 +551,22 @@ impl ProgramBatch {
         self.evals
     }
 
-    /// Evaluates every compiled slot in `live` against one profiled round,
-    /// without absorbing it. Bit `i` of the result is the verdict of slot
-    /// `i`; bits outside `live ∩ compiled_mask()` are zero.
+    /// Evaluates every program whose bit is set in `live` against one
+    /// profiled round, without absorbing it. Bit `i` of the result is the
+    /// verdict of program `i`; bits outside `live` (and at or past
+    /// [`ProgramBatch::len`]) are zero.
     pub fn eval_round(&mut self, profile: &RoundProfile, live: u128) -> u128 {
         let mut verdicts = 0u128;
-        let mut todo = live & self.compiled;
+        let mut todo = live;
         while todo != 0 {
             let idx = todo.trailing_zeros() as usize;
             todo &= todo - 1;
-            if let Some(program) = &self.slots[idx] {
-                self.evals += 1;
-                if program.eval(&self.ctx, profile) {
-                    verdicts |= 1u128 << idx;
-                }
+            let Some(program) = self.programs.get(idx) else {
+                break;
+            };
+            self.evals += 1;
+            if program.eval(&self.ctx, profile) {
+                verdicts |= 1u128 << idx;
             }
         }
         verdicts
@@ -648,12 +636,25 @@ mod tests {
         // Round 1 is within the stabilization window: no erosion yet.
         assert_eq!(ctx.immortal(Round::new(1)), IdSet::universe(n));
         ctx.absorb(&rf(n, &[&[0], &[0], &[]]));
-        // Round 2 erodes process 0; the unregistered fallback agrees.
+        // Round 2 erodes process 0.
         let registered = ctx.immortal(Round::new(1));
         assert!(!registered.contains(ProcessId::new(0)));
         assert_eq!(registered.len(), 2);
-        assert_eq!(ctx.immortal(Round::new(2)), IdSet::universe(n));
         assert_eq!(ctx.register_key().1.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "was not registered by HistoryCtx::for_programs")]
+    fn immortal_rejects_an_unregistered_stabilization() {
+        let n = n3();
+        let program = PredicateProgram::of(
+            n,
+            ProgOp::ImmortalSurvives {
+                stabilization: Round::new(1),
+            },
+        );
+        let ctx = HistoryCtx::for_programs(n, [&program]);
+        let _ = ctx.immortal(Round::new(2));
     }
 
     #[test]
@@ -755,7 +756,6 @@ mod tests {
                             rounds: absorbed,
                             cum,
                             prev_union,
-                            unions: Vec::new(),
                             immortal: (1..=3).map(|s| (Round::new(s), register)).collect(),
                         });
                     }
@@ -821,10 +821,8 @@ mod tests {
             .collect();
         let saturation = 3;
         // Every context reached by absorbing a sequence of round unions,
-        // up to two rounds past the saturation point. Contexts whose
-        // registers and round count coincide are kept once: they differ
-        // only in the recorded unions, which registered stabilizations
-        // never read.
+        // up to two rounds past the saturation point, each distinct
+        // register file and round count kept once.
         let mut frontier = vec![HistoryCtx::for_programs(n, &stabilizations)];
         let mut contexts = Vec::new();
         let mut raw = std::collections::HashSet::new();
@@ -894,11 +892,11 @@ mod tests {
         let n = n3();
         let tight = PredicateProgram::of(n, ProgOp::PerProcAtMost(0));
         let loose = PredicateProgram::of(n, ProgOp::PerProcAtMost(2));
-        let mut batch = ProgramBatch::new(n, vec![Some(tight), None, Some(loose)]);
-        assert_eq!(batch.compiled_mask(), 0b101);
+        let mut batch = ProgramBatch::new(n, vec![tight, loose]);
         let profile = RoundProfile::of(&rf(n, &[&[1], &[], &[]]));
+        // Live bits past the last program are ignored.
         let verdicts = batch.eval_round(&profile, !0);
-        assert_eq!(verdicts, 0b100);
+        assert_eq!(verdicts, 0b10);
         assert_eq!(batch.evals(), 2);
         // Masking out a live bit skips its evaluation entirely.
         let verdicts = batch.eval_round(&profile, 0b001);

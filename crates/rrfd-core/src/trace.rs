@@ -361,22 +361,25 @@ impl FromStr for RunTrace {
         let mut decision_rounds: Option<Vec<Option<Round>>> = None;
         let mut outcome: Option<TraceOutcome> = None;
         let mut pending_faults: Option<RoundFaults> = None;
+        // Round lines read so far; every one but the last is complete.
+        let mut round_lines = 0usize;
 
         for (lno, line) in lines {
             if line.is_empty() {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("round ") {
-                if pending_faults.is_some() {
-                    return Err(ParseTraceError::new(lno, "round without `s` line"));
+                if builder.rounds.len() != round_lines {
+                    return Err(ParseTraceError::new(lno, "previous round is incomplete"));
                 }
-                let _: u32 = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| ParseTraceError::new(lno, "bad round number"))?;
+                round_lines += 1;
+                if rest.trim().parse() != Ok(round_lines) {
+                    let expected = format!("expected `round {round_lines}`");
+                    return Err(ParseTraceError::new(lno, expected));
+                }
             } else if let Some(rest) = line.strip_prefix("d ") {
-                if pending_faults.is_some() {
-                    return Err(ParseTraceError::new(lno, "two `d` lines in one round"));
+                if pending_faults.is_some() || builder.rounds.len() + 1 != round_lines {
+                    return Err(ParseTraceError::new(lno, "`d` line out of place"));
                 }
                 let sets = parse_set_line(rest, n, lno)?;
                 pending_faults = Some(RoundFaults::from_sets(n, sets));
@@ -387,6 +390,9 @@ impl FromStr for RunTrace {
                 let heard = parse_set_line(rest, n, lno)?;
                 builder.record_round(&faults, heard);
             } else if let Some(rest) = line.strip_prefix("decisions") {
+                if decision_rounds.is_some() {
+                    return Err(ParseTraceError::new(lno, "repeated `decisions` line"));
+                }
                 let ds: Vec<Option<Round>> = rest
                     .split_whitespace()
                     .map(|tok| {
@@ -411,6 +417,9 @@ impl FromStr for RunTrace {
                 }
                 decision_rounds = Some(ds);
             } else if let Some(rest) = line.strip_prefix("outcome ") {
+                if outcome.is_some() {
+                    return Err(ParseTraceError::new(lno, "repeated `outcome` line"));
+                }
                 outcome = Some(parse_outcome(rest, lno)?);
             } else {
                 return Err(ParseTraceError::new(
@@ -420,11 +429,8 @@ impl FromStr for RunTrace {
             }
         }
 
-        if pending_faults.is_some() {
-            return Err(ParseTraceError::new(
-                0,
-                "trailing `d` line without `s` line",
-            ));
+        if builder.rounds.len() != round_lines {
+            return Err(ParseTraceError::new(0, "last round is incomplete"));
         }
         let mut trace = builder
             .finish(outcome.ok_or_else(|| ParseTraceError::new(0, "missing `outcome` line"))?);
@@ -546,5 +552,27 @@ mod tests {
         // Missing outcome.
         let bad = "rrfd-trace v1\nn 2\ndecisions - -\n";
         assert!(bad.parse::<RunTrace>().is_err());
+        // Each malformed input names its offending line.
+        let line_of = |text: &str| text.parse::<RunTrace>().map_err(|e| e.line);
+        // Round lines out of order.
+        let bad = "rrfd-trace v1\nn 2\nround 7\nd - -\ns - -\nround 3\nd - -\ns - -\n\
+                   outcome aborted\n";
+        assert_eq!(line_of(bad), Err(3));
+        let bad = "rrfd-trace v1\nn 2\nround 1\nd - -\ns - -\nround 3\nd - -\ns - -\n\
+                   outcome aborted\n";
+        assert_eq!(line_of(bad), Err(6));
+        // A `d` line with no `round` line before it.
+        let bad = "rrfd-trace v1\nn 2\nd - -\ns - -\noutcome aborted\n";
+        assert_eq!(line_of(bad), Err(3));
+        let bad = "rrfd-trace v1\nn 2\nround 1\nd - -\ns - -\nd - -\ns - -\noutcome aborted\n";
+        assert_eq!(line_of(bad), Err(6));
+        // Two round lines for one round.
+        let bad = "rrfd-trace v1\nn 2\nround 1\nround 2\nd - -\ns - -\noutcome aborted\n";
+        assert_eq!(line_of(bad), Err(4));
+        // A repeated `decisions` or `outcome` line.
+        let bad = "rrfd-trace v1\nn 2\ndecisions 1 -\ndecisions - -\noutcome aborted\n";
+        assert_eq!(line_of(bad), Err(4));
+        let bad = "rrfd-trace v1\nn 2\ndecisions - -\noutcome aborted\noutcome limit max=3\n";
+        assert_eq!(line_of(bad), Err(5));
     }
 }

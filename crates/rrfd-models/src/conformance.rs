@@ -6,9 +6,10 @@
 //! `HO(i,r) = S ∖ D(i,r)` — and decides, incrementally, which of the
 //! zoo's predicates the run still conforms to. Because every zoo
 //! predicate is prefix-closed, a violated predicate stays violated:
-//! each round costs at most one `admits` call per still-live predicate,
-//! and the monitor's verdict after round `r` equals the offline answer
-//! "does the predicate admit the pattern prefix of length `r`?" (the
+//! each round costs one compiled-program evaluation per still-live
+//! predicate, and the monitor's verdict after round `r` equals the
+//! offline answer "does the predicate admit the pattern prefix of length
+//! `r`?" (the
 //! differential suite at the workspace root checks exactly this
 //! agreement on every substrate).
 //!
@@ -103,10 +104,9 @@ pub struct ConformanceMonitor {
     /// Per predicate: the round it first rejected (that round's faults
     /// stay in the history, which the certificate replays).
     violations: Vec<Option<Round>>,
-    /// The compiled predicate plane: one slot per predicate, batch-
-    /// evaluated per round. `None` for families larger than the 128-slot
-    /// verdict word (those stay entirely on the dyn path).
-    batch: Option<ProgramBatch>,
+    /// The compiled predicate plane: one program per predicate, batch-
+    /// evaluated per round.
+    batch: ProgramBatch,
 }
 
 impl std::fmt::Debug for ConformanceMonitor {
@@ -138,7 +138,9 @@ impl ConformanceMonitor {
     ///
     /// # Panics
     ///
-    /// Panics when the family is empty or spans different system sizes.
+    /// Panics when the family is empty, has more than 128 members (the
+    /// width of the batch's verdict word), spans different system sizes,
+    /// or has a member that does not compile (see [`compile_family`]).
     #[must_use]
     pub fn new(predicates: Vec<SharedPredicate>) -> Self {
         let ranks = (0..predicates.len()).collect();
@@ -157,8 +159,7 @@ impl ConformanceMonitor {
         );
         assert_eq!(ranks.len(), predicates.len());
         let violations = vec![None; predicates.len()];
-        let batch =
-            (predicates.len() <= 128).then(|| ProgramBatch::new(n, compile_family(&predicates)));
+        let batch = ProgramBatch::new(n, compile_family(&predicates));
         ConformanceMonitor {
             family: Arc::new(Family { predicates, ranks }),
             history: FaultPattern::new(n),
@@ -174,9 +175,7 @@ impl ConformanceMonitor {
     pub fn reset(&mut self) {
         self.history.clear();
         self.violations.fill(None);
-        if let Some(batch) = &mut self.batch {
-            batch.reset();
-        }
+        self.batch.reset();
     }
 
     /// The system size being monitored.
@@ -197,39 +196,19 @@ impl ConformanceMonitor {
     /// skipped. The round joins the history either way — the monitor
     /// tracks the run that happened, not the run some model wanted.
     ///
-    /// Compiled predicates are judged in one batch pass over a shared
-    /// [`RoundProfile`] (DESIGN.md §17); only slots that declined to
-    /// compile fall back to a per-predicate dyn `admits` call.
+    /// The live predicates are judged in one batch pass of their compiled
+    /// programs over a shared [`RoundProfile`] (DESIGN.md §17).
     pub fn observe(&mut self, round: &RoundFaults) {
         let round_no = Round::new(self.history.rounds() as u32 + 1);
-        let mut rejected: u128 = 0;
-        if let Some(batch) = &mut self.batch {
-            let mut live: u128 = 0;
-            for (idx, violation) in self.violations.iter().enumerate() {
-                if violation.is_none() {
-                    live |= 1u128 << idx;
-                }
-            }
-            let compiled = batch.compiled_mask();
-            let profile = RoundProfile::of(round);
-            let verdicts = batch.eval_round(&profile, live);
-            batch.absorb_profile(&profile);
-            rejected = live & compiled & !verdicts;
-            let mut fallback = live & !compiled;
-            while fallback != 0 {
-                let idx = fallback.trailing_zeros() as usize;
-                fallback &= fallback - 1;
-                if self.dyn_rejects(idx, round) {
-                    rejected |= 1u128 << idx;
-                }
-            }
-        } else {
-            for idx in 0..self.family.predicates.len() {
-                if self.violations[idx].is_none() && self.dyn_rejects(idx, round) {
-                    self.violations[idx] = Some(round_no);
-                }
+        let mut live: u128 = 0;
+        for (idx, violation) in self.violations.iter().enumerate() {
+            if violation.is_none() {
+                live |= 1u128 << idx;
             }
         }
+        let profile = RoundProfile::of(round);
+        let mut rejected = live & !self.batch.eval_round(&profile, live);
+        self.batch.absorb_profile(&profile);
         while rejected != 0 {
             let idx = rejected.trailing_zeros() as usize;
             rejected &= rejected - 1;
@@ -238,17 +217,11 @@ impl ConformanceMonitor {
         self.history.push(round.clone());
     }
 
-    /// The dyn fallback seam: one virtual `admits` call against the full
-    /// recorded history, used only for predicates without a compiled slot.
-    fn dyn_rejects(&self, idx: usize, round: &RoundFaults) -> bool {
-        !self.family.predicates[idx].admits(&self.history, round)
-    }
-
     /// Total compiled-plane program evaluations performed so far (the
     /// `rrfd_predicate_compiled_evals_total` counter's source).
     #[must_use]
     pub fn compiled_evals(&self) -> u64 {
-        self.batch.as_ref().map_or(0, ProgramBatch::evals)
+        self.batch.evals()
     }
 
     /// The current verdict.
@@ -537,6 +510,15 @@ mod tests {
         assert_eq!(b.verdict().violations(), 0);
         assert_eq!(template.rounds_observed(), 0);
         assert_eq!(template.compiled_evals(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 128 programs")]
+    fn families_past_the_verdict_word_are_rejected() {
+        let family: Vec<SharedPredicate> = (0..129)
+            .map(|_| Box::new(crate::predicates::AsyncResilient::new(n3(), 1)) as SharedPredicate)
+            .collect();
+        let _ = ConformanceMonitor::new(family);
     }
 
     #[test]

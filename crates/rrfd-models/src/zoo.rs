@@ -76,15 +76,29 @@ pub fn zoo(n: SystemSize, f: usize) -> Vec<SharedPredicate> {
     ]
 }
 
-/// Compiles a predicate family onto the compiled plane, slot for slot:
-/// `slots[i]` is `Some(program)` when `family[i]` compiles and `None` when
-/// it stays on the dyn fallback path.
+/// Compiles a predicate family onto the compiled plane, member for member:
+/// `programs[i]` is `family[i]`'s program. The batch evaluators (the
+/// conformance monitor, the admissibility checker, the lattice walk) judge
+/// rounds only through these programs.
 ///
-/// Today every zoo predicate compiles; the seam exists for hand-written
-/// predicates (and future auto-generated HO families) that decline.
+/// # Panics
+///
+/// Panics naming the first member whose [`RrfdPredicate::compile`]
+/// returns `None`. Every zoo predicate compiles.
 #[must_use]
-pub fn compile_family(family: &[SharedPredicate]) -> Vec<Option<PredicateProgram>> {
-    family.iter().map(|p| p.compile()).collect()
+pub fn compile_family(family: &[SharedPredicate]) -> Vec<PredicateProgram> {
+    family
+        .iter()
+        .flat_map(|predicate| {
+            let program = predicate.compile();
+            assert!(
+                program.is_some(),
+                "{} does not compile onto the predicate plane",
+                predicate.name()
+            );
+            program
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -103,15 +117,41 @@ mod tests {
 
     #[test]
     fn every_zoo_predicate_compiles() {
-        let family = zoo(SystemSize::new(3).expect("3 is a valid size"), 1);
-        let slots = compile_family(&family);
-        for (predicate, slot) in family.iter().zip(&slots) {
-            assert!(
-                slot.is_some(),
-                "{} declined to compile onto the predicate plane",
-                predicate.name()
-            );
+        let n = SystemSize::new(3).expect("3 is a valid size");
+        let family = zoo(n, 1);
+        let programs = compile_family(&family);
+        assert_eq!(programs.len(), ZOO_SIZE);
+        assert!(programs.iter().all(|p| p.system_size() == n));
+    }
+
+    /// A local predicate that admits everything and declines to compile.
+    struct Uncompiled(SystemSize);
+
+    impl RrfdPredicate for Uncompiled {
+        fn system_size(&self) -> SystemSize {
+            self.0
         }
+
+        fn admits(
+            &self,
+            _history: &rrfd_core::FaultPattern,
+            _round: &rrfd_core::RoundFaults,
+        ) -> bool {
+            true
+        }
+
+        fn name(&self) -> String {
+            "Uncompiled".to_owned()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Uncompiled does not compile onto the predicate plane")]
+    fn compile_family_names_a_member_that_does_not_compile() {
+        let n = SystemSize::new(3).expect("3 is a valid size");
+        let mut family = zoo(n, 1);
+        family.insert(1, Box::new(Uncompiled(n)));
+        let _ = compile_family(&family);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Compiled-plane admissibility checks for simulator runs.
 //!
-//! The exploration drivers ([`crate::explore`], [`crate::dpor`]) accept a
+//! The DPOR explorer ([`crate::dpor`]) accepts a
 //! `check` closure per completed run; when the property under test is
 //! "the extracted fault pattern stays inside model `P`", that closure
 //! historically called [`RrfdPredicate::admits_pattern`] — a fresh
@@ -11,9 +11,9 @@
 //! [`AdmissibilityChecker`] instead compiles the family once
 //! ([`RrfdPredicate::compile`]) and streams each run's pattern through a
 //! [`ProgramBatch`]: one [`RoundProfile`] per round, one packed verdict
-//! mask per evaluation, `O(1)` history absorption. Predicates that
-//! decline to compile fall back to their exact dyn `admits`, so the
-//! verdict is always identical to the dyn path. The checker is `Sync`
+//! mask per evaluation, `O(1)` history absorption. Compilation is exact,
+//! so the verdict is always identical to the dyn path; a family member
+//! that does not compile is rejected at construction. The checker is `Sync`
 //! and checks through `&self`, which is what the work-stealing DPOR pool
 //! requires of its `check` closures.
 
@@ -48,7 +48,7 @@ impl std::fmt::Display for AdmissibilityViolation {
 }
 
 /// A reusable, thread-shareable admissibility check over a predicate
-/// family, evaluated on the compiled plane where the family allows it.
+/// family, evaluated on the compiled plane.
 ///
 /// # Examples
 ///
@@ -65,8 +65,6 @@ pub struct AdmissibilityChecker {
     predicates: Vec<SharedPredicate>,
     /// Pristine batch (no absorbed rounds), cloned per checked pattern.
     template: ProgramBatch,
-    /// Indices of predicates that declined to compile.
-    fallback: Vec<usize>,
     evals: AtomicU64,
 }
 
@@ -74,37 +72,29 @@ impl std::fmt::Debug for AdmissibilityChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdmissibilityChecker")
             .field("family", &self.predicates.len())
-            .field("compiled_mask", &self.template.compiled_mask())
             .field("evals", &self.compiled_evals())
             .finish()
     }
 }
 
 impl AdmissibilityChecker {
-    /// Builds a checker over an arbitrary family, compiling each member
-    /// that offers a program.
+    /// Builds a checker over an arbitrary family, compiling every member.
     ///
     /// # Panics
     ///
-    /// Panics when the family is empty, exceeds 128 members, or spans
-    /// different system sizes (the batch packs verdicts into a `u128`).
+    /// Panics when the family is empty, exceeds 128 members, spans
+    /// different system sizes (the batch packs verdicts into a `u128`), or
+    /// has a member that does not compile (see [`compile_family`]).
     #[must_use]
     pub fn new(predicates: Vec<SharedPredicate>) -> Self {
         let first = predicates
             .first()
             .expect("an admissibility check needs at least one predicate");
         let n = first.system_size();
-        let slots = compile_family(&predicates);
-        let fallback = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
-            .collect();
-        let template = ProgramBatch::new(n, slots);
+        let template = ProgramBatch::new(n, compile_family(&predicates));
         AdmissibilityChecker {
             predicates,
             template,
-            fallback,
             evals: AtomicU64::new(0),
         }
     }
@@ -123,12 +113,6 @@ impl AdmissibilityChecker {
     #[must_use]
     pub fn system_size(&self) -> SystemSize {
         self.template.system_size()
-    }
-
-    /// Bitmask of family slots evaluated on the compiled plane.
-    #[must_use]
-    pub fn compiled_mask(&self) -> u128 {
-        self.template.compiled_mask()
     }
 
     /// Total compiled program evaluations across every check so far.
@@ -152,19 +136,11 @@ impl AdmissibilityChecker {
             "pattern and family must share a system universe"
         );
         let mut batch = self.template.clone();
-        let compiled = batch.compiled_mask();
-        // Dyn fallbacks see the prefix *before* the round under test,
-        // exactly as `admits_pattern` replays it.
-        let mut prefix = FaultPattern::new(self.system_size());
+        // The family is non-empty and at most 128 strong.
+        let family = u128::MAX >> (128 - batch.len());
         for (round, faults) in pattern.iter() {
             let profile = RoundProfile::of(faults);
-            let verdicts = batch.eval_round(&profile, compiled);
-            let mut rejected = compiled & !verdicts;
-            for &idx in &self.fallback {
-                if !self.predicates[idx].admits(&prefix, faults) {
-                    rejected |= 1u128 << idx;
-                }
-            }
+            let rejected = family & !batch.eval_round(&profile, family);
             if rejected != 0 {
                 self.evals.fetch_add(batch.evals(), Ordering::Relaxed);
                 let index = rejected.trailing_zeros() as usize;
@@ -175,9 +151,6 @@ impl AdmissibilityChecker {
                 });
             }
             batch.absorb_profile(&profile);
-            if !self.fallback.is_empty() {
-                prefix.push(faults.clone());
-            }
         }
         self.evals.fetch_add(batch.evals(), Ordering::Relaxed);
         Ok(())

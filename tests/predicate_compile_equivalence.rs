@@ -4,8 +4,8 @@
 //! `admits` path on every input — well formed or not — and the lattice
 //! computed on the compiled plane must equal the per-pair dyn search (the
 //! oracle [`dyn_lattice`], one public `implies` call per ordered pair) in
-//! matrix and every witness — also when some predicates decline to
-//! compile. `admits_pattern` is pinned to stay linear on both paths.
+//! matrix and every witness. `admits_pattern` is pinned to stay linear on
+//! both paths.
 
 use proptest::prelude::*;
 use rrfd::core::{
@@ -13,7 +13,7 @@ use rrfd::core::{
     SystemSize,
 };
 use rrfd::models::enumerate::all_rounds;
-use rrfd::models::predicates::{AsyncResilient, Crash, SendOmission};
+use rrfd::models::predicates::{Crash, SendOmission};
 use rrfd::models::zoo::{zoo, SharedPredicate, ZOO_SIZE};
 use rrfd_analyze::lattice::{certificate, implies, Lattice};
 use std::cell::Cell;
@@ -145,45 +145,6 @@ fn compiled_lattice_renders_byte_identically_to_legacy() {
     assert_matches_dyn_search(&family, 2);
 }
 
-/// Forwards dyn `admits` but declines to compile, so every evaluator
-/// keeps the predicate on the dyn path.
-struct DynOnly(SharedPredicate);
-
-impl RrfdPredicate for DynOnly {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-    fn system_size(&self) -> SystemSize {
-        self.0.system_size()
-    }
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        self.0.admits(history, round)
-    }
-}
-
-/// A dyn-only predicate that rejects one exact round: `round` itself, or
-/// with `after` set, any round that follows it.
-struct Tripwire {
-    round: RoundFaults,
-    after: bool,
-}
-
-impl RrfdPredicate for Tripwire {
-    fn name(&self) -> String {
-        format!("tripwire({:?}, after: {})", self.round, self.after)
-    }
-    fn system_size(&self) -> SystemSize {
-        self.round.system_size()
-    }
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        if self.after {
-            history.last() != Some(&self.round)
-        } else {
-            round != &self.round
-        }
-    }
-}
-
 /// The per-pair dyn search: `implies` on every ordered pair, each pair
 /// searched on its own with dyn `admits` in the inner loop. Entry
 /// `[i][j]` is `None` when `i ⇒ j` within `depth` rounds, else the
@@ -207,7 +168,7 @@ fn dyn_lattice(family: &[SharedPredicate], depth: u32) -> Vec<Vec<Option<String>
 
 /// The compiled lattice of `family` equals the [`dyn_lattice`] oracle in
 /// every matrix cell and every witness certificate.
-fn assert_matches_dyn_search(family: &[SharedPredicate], depth: u32) -> Lattice {
+fn assert_matches_dyn_search(family: &[SharedPredicate], depth: u32) {
     let compiled = Lattice::compute_compiled(family, depth);
     for (i, row) in dyn_lattice(family, depth).into_iter().enumerate() {
         for (j, expected) in row.into_iter().enumerate() {
@@ -216,62 +177,6 @@ fn assert_matches_dyn_search(family: &[SharedPredicate], depth: u32) -> Lattice 
                 .counterexample(i, j)
                 .map(|c| certificate(c).to_string());
             assert_eq!(witness, expected, "({i},{j}) witness");
-        }
-    }
-    compiled
-}
-
-#[test]
-fn mixed_family_with_a_dyn_fallback_matches_the_legacy_search() {
-    // The eventually-strong model stays dyn: pairs with it as an endpoint
-    // take their witness from the dyn `implies`.
-    let family: Vec<SharedPredicate> = zoo(n3(), 1)
-        .into_iter()
-        .map(|p| {
-            if p.name().starts_with('◊') {
-                Box::new(DynOnly(p)) as SharedPredicate
-            } else {
-                p
-            }
-        })
-        .collect();
-    assert_eq!(
-        family.iter().filter(|p| p.compile().is_none()).count(),
-        1,
-        "exactly one zoo member is wrapped"
-    );
-    assert_matches_dyn_search(&family, 3);
-}
-
-#[test]
-fn dyn_fallbacks_see_every_round_and_every_prefix() {
-    // `p1 → p0` and `p2 → p0` agree on everything the compiled programs
-    // read, so they share a round class and a child union; each tripwire
-    // is refuted only through its own round. A walk that evaluated one
-    // round per class (direct tripwires), or merged children by union
-    // (`after` tripwires), while a dyn fallback is legal would miss a
-    // refutation.
-    let n = n3();
-    let only = |suspect: usize| {
-        let mut round = RoundFaults::none(n);
-        round.set(ProcessId::new(suspect), IdSet::singleton(ProcessId::new(0)));
-        round
-    };
-    for after in [false, true] {
-        let mut family: Vec<SharedPredicate> = vec![Box::new(AsyncResilient::new(n, 1))];
-        for suspect in [1, 2] {
-            family.push(Box::new(Tripwire {
-                round: only(suspect),
-                after,
-            }));
-        }
-        let compiled = assert_matches_dyn_search(&family, 2);
-        for (j, tripwire) in family.iter().enumerate().skip(1) {
-            assert!(
-                !compiled.implies_at(0, j),
-                "{} must be refuted",
-                tripwire.name()
-            );
         }
     }
 }
