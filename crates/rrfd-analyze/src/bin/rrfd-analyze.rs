@@ -41,9 +41,8 @@ commands:
 
   lint [--root DIR] [--allow PATH] [--strict] [--json]
        [--expect-findings PASS[,PASS...]]
-      Run the nine syntax-aware passes (panic-family, wall-clock, obs,
-      direct-index, msg-clone, round-closure, span-guard,
-      dyn-in-hot-loop, lock-order) over
+      Run the eight syntax-aware passes (panic-family, wall-clock, obs,
+      direct-index, msg-clone, round-closure, span-guard, lock-order) over
       crates/*/src, with crate fences from each Cargo.toml's
       [package.metadata.rrfd], reconciled against the span-fingerprinted
       allowlist (default lint.allow under --root, default .). --strict

@@ -716,8 +716,8 @@ impl TrieWalker<'_> {
 }
 
 /// The compiled-plane twin of [`implies`]: the same stack discipline and
-/// the same round order, driven by compiled programs and a [`HistoryCtx`]
-/// instead of dyn `admits`. Compilation is exact, so the first witness it
+/// the same round order, driven by the family's programs and one
+/// [`HistoryCtx`] instead of per-call `admits`, so the first witness it
 /// meets is the one [`implies`] returns.
 struct WitnessSearch<'a> {
     n: SystemSize,

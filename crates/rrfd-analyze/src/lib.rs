@@ -17,10 +17,9 @@
 //! * [`lint`] — the syntax-aware static-analysis framework: a
 //!   hand-rolled lexer and scope parser ([`syntax`]), fences derived
 //!   from `Cargo.toml` metadata ([`workspace`]), a pluggable pass API
-//!   with nine passes ([`passes`]) including the `round-closure`
+//!   with eight passes ([`passes`]) including the `round-closure`
 //!   communication-closure checker (arXiv:1804.07078), the
-//!   `span-guard` round-span discipline checker, the
-//!   `dyn-in-hot-loop` compiled-predicate-plane guard, and the
+//!   `span-guard` round-span discipline checker, and the
 //!   `lock-order` deadlock-cycle detector, reconciled against a
 //!   span-fingerprinted allowlist with JSON diagnostics.
 //! * [`stats`] — renders per-round tables (messages, suspicions,

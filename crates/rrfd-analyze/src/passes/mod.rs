@@ -1,5 +1,5 @@
 //! The pluggable pass API of the syntax-aware lint framework, and the
-//! registry of the nine passes that ship with it.
+//! registry of the eight passes that ship with it.
 //!
 //! A pass consumes lexed, scope-parsed [`SourceFile`]s (see `syntax`)
 //! and emits [`Finding`]s. File-local passes do all their work in
@@ -23,7 +23,6 @@
 //! 4. seed a fixture under `tests/fixtures/static_analysis/` proving
 //!    it fires, and extend the `--expect-findings` list in CI.
 
-mod dyn_hot_loop;
 mod lock_order;
 mod round_closure;
 mod span_guard;
@@ -32,7 +31,6 @@ mod token_lints;
 use crate::syntax::SourceFile;
 use std::fmt;
 
-pub use dyn_hot_loop::DynHotLoop;
 pub use lock_order::LockOrder;
 pub use round_closure::RoundClosure;
 pub use span_guard::SpanGuard;
@@ -100,7 +98,7 @@ pub trait Pass {
     }
 }
 
-/// The nine passes of the framework, in reporting order.
+/// The eight passes of the framework, in reporting order.
 #[must_use]
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
@@ -111,7 +109,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(MsgClone),
         Box::new(RoundClosure),
         Box::new(SpanGuard),
-        Box::new(DynHotLoop),
         Box::new(LockOrder::default()),
     ]
 }

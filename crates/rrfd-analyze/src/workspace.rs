@@ -42,10 +42,6 @@ pub enum Fence {
     /// must be communication-closed (`round-closure` pass — delivery
     /// escape and interior-mutability rules).
     Protocol,
-    /// Crates on the compiled predicate plane: per-round dyn `admits`
-    /// dispatch inside loops is a regression against the word-level
-    /// evaluators (`dyn-in-hot-loop` pass).
-    PredicatePlane,
 }
 
 impl Fence {
@@ -57,7 +53,6 @@ impl Fence {
             Fence::Instrumented => "instrumented",
             Fence::MessagePlane => "message-plane",
             Fence::Protocol => "protocol",
-            Fence::PredicatePlane => "predicate-plane",
         }
     }
 
@@ -67,7 +62,6 @@ impl Fence {
             "instrumented" => Some(Fence::Instrumented),
             "message-plane" => Some(Fence::MessagePlane),
             "protocol" => Some(Fence::Protocol),
-            "predicate-plane" => Some(Fence::PredicatePlane),
             _ => None,
         }
     }
@@ -135,7 +129,7 @@ pub fn parse_fences(manifest: &str) -> Result<Vec<Fence>, String> {
             let fence = Fence::parse(name).ok_or_else(|| {
                 format!(
                     "unknown fence {name:?} (expected one of: deterministic, \
-                     instrumented, message-plane, protocol, predicate-plane)"
+                     instrumented, message-plane, protocol)"
                 )
             })?;
             if !fences.contains(&fence) {

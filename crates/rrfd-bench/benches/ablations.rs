@@ -13,7 +13,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rrfd_bench::{quick_criterion, SEED};
 use rrfd_core::{
-    validate_round, Engine, FaultPattern, IdSet, KnowledgeProtocol, ProcessId, SystemSize,
+    validate_round, Engine, FaultPattern, IdSet, KnowledgeProtocol, ProcessId, ProgramBatch,
+    SystemSize,
 };
 use rrfd_models::adversary::{NoFailures, RandomAdversary, SampleModel};
 use rrfd_models::predicates::{Crash, Snapshot};
@@ -62,8 +63,13 @@ fn bench_predicate_check(c: &mut Criterion) {
         };
         let history = FaultPattern::new(n);
         let round = model.sample_round(&mut rng, &history);
+        // Each iteration admits the round as the first of a fresh run.
+        let mut batch = ProgramBatch::of(&model);
         group.bench_with_input(BenchmarkId::new("snapshot_validate", nv), &n, |b, _| {
-            b.iter(|| validate_round(&model, &history, black_box(&round)).unwrap());
+            b.iter(|| {
+                batch.reset();
+                validate_round(&model, &mut batch, black_box(&round)).unwrap()
+            });
         });
 
         let crash = Crash::new(n, nv / 4);
@@ -72,8 +78,12 @@ fn bench_predicate_check(c: &mut Criterion) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
             crash.sample_round(&mut rng, &history)
         };
+        let mut batch = ProgramBatch::of(&crash);
         group.bench_with_input(BenchmarkId::new("crash_validate", nv), &n, |b, _| {
-            b.iter(|| validate_round(&crash, &history, black_box(&crash_round)).unwrap());
+            b.iter(|| {
+                batch.reset();
+                validate_round(&crash, &mut batch, black_box(&crash_round)).unwrap()
+            });
         });
     }
     group.finish();

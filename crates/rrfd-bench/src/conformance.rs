@@ -12,7 +12,7 @@
 //! replay must name the same strongest surviving predicate and the same
 //! first-violation rounds for every instance.
 
-use rrfd_core::{FaultPattern, RunTrace};
+use rrfd_core::{ProgramBatch, RunTrace};
 use rrfd_engine_pool::{run_batch, ClassConformance, InstanceConformance, MixSpec, PoolConfig};
 use rrfd_models::zoo::{zoo, ZOO_SIZE, ZOO_STRENGTH_RANK};
 use rrfd_obs::json;
@@ -41,24 +41,21 @@ pub struct ConformanceSection {
 }
 
 /// Recomputes an instance's zoo verdict from scratch: each predicate
-/// replayed over the trace's fault-pattern prefixes, first rejection
-/// recorded. This is the offline half of the differential check — it
-/// shares no code with the incremental monitor beyond the predicates
-/// themselves.
+/// replayed on its own over the trace's rounds, first rejection recorded.
+/// This is the offline half of the differential check — it shares no
+/// code with the incremental monitor beyond the predicates' programs.
 #[must_use]
 pub fn offline_conformance(trace: &RunTrace) -> InstanceConformance {
     let n = trace.system_size();
     let family = zoo(n, CONF_ZOO_F);
-    let mut firsts: Vec<Option<u32>> = vec![None; family.len()];
-    for (idx, predicate) in family.iter().enumerate() {
-        let mut prefix = FaultPattern::new(n);
-        for (r, round) in trace.rounds().iter().enumerate() {
-            if firsts[idx].is_none() && !predicate.admits(&prefix, &round.faults) {
-                firsts[idx] = Some(r as u32 + 1);
-            }
-            prefix.push(round.faults.clone());
-        }
-    }
+    let firsts: Vec<Option<u32>> = family
+        .iter()
+        .map(|predicate| {
+            let mut batch = ProgramBatch::of(predicate);
+            let rejected = trace.rounds().iter().position(|r| !batch.admit(&r.faults));
+            rejected.map(|r| r as u32 + 1)
+        })
+        .collect();
     let strongest = family
         .iter()
         .enumerate()

@@ -1,10 +1,10 @@
 //! The bench reporter's `lattice` section: compiled-plane lattice
-//! computation against the per-pair dyn-dispatch search.
+//! computation against the per-pair `implies` search.
 //!
 //! Three measurements back the section:
 //!
 //! 1. **Compiled vs dyn lattice** at depth 3 — [`implies`] on every
-//!    ordered pair (per-pair DFS, dyn `admits` in the inner loop) against
+//!    ordered pair (per-pair DFS, `admits` in the inner loop) against
 //!    [`Lattice::compute_compiled`] (one shared prefix trie, packed
 //!    `u128` verdict masks, one round per observable class, static-pair
 //!    precomputation, state-merged subtrees). The verdicts are asserted

@@ -13,12 +13,15 @@
 //! [`Engine::run`] drives a vector of [`RoundProtocol`] instances against a
 //! [`FaultDetector`] (the adversary), validating every adversary output
 //! against the model predicate and recording the fault pattern so the run
-//! can be audited afterwards.
+//! can be audited afterwards. A run compiles its model once, at start, into
+//! a one-program [`ProgramBatch`] and admits each round through it in
+//! `O(1)`, whatever the run's length.
 
 use crate::id::{ProcessId, Round, SystemSize};
 use crate::idset::IdSet;
 use crate::pattern::{FaultPattern, RoundFaults};
 use crate::predicate::{validate_round, PatternViolation, RrfdPredicate};
+use crate::program::ProgramBatch;
 use crate::trace::{RunTrace, TraceBuilder, TraceOutcome};
 use rrfd_obs::{names, Labels, MetricId, Obs, RoundSpan, RunObs, SpanKind, SpanPhase, SpanRecord};
 use std::fmt;
@@ -364,6 +367,10 @@ impl Engine {
     /// * [`EngineError::Violation`] if the detector breaks well-formedness
     ///   or the model predicate.
     /// * [`EngineError::RoundLimitExceeded`] if some process never decides.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`ProgramBatch::of`] does, when `model` does not compile.
     pub fn run<P, D, Q>(
         &self,
         protocols: Vec<P>,
@@ -426,6 +433,10 @@ impl Engine {
     ///
     /// [`EngineError::WrongProcessCount`] if `protocols.len() != n`. All
     /// other errors surface through stepping.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`ProgramBatch::of`] does, when `model` does not compile.
     pub fn start<P, D, Q>(
         &self,
         protocols: Vec<P>,
@@ -437,7 +448,7 @@ impl Engine {
         D: FaultDetector,
         Q: RrfdPredicate,
     {
-        self.start_with(protocols, detector, model, false, Vec::new())
+        self.start_with(protocols, detector, model, false, Vec::new(), None)
     }
 
     /// [`Engine::start`] with trace capture armed: the finished run's
@@ -458,30 +469,33 @@ impl Engine {
         D: FaultDetector,
         Q: RrfdPredicate,
     {
-        self.start_with(protocols, detector, model, true, Vec::new())
+        self.start_with(protocols, detector, model, true, Vec::new(), None)
     }
 
-    /// [`Engine::start`] reusing a retired run's emission-table buffer
-    /// (see [`FinishedRun::buffer`]): the new run's steady-state rounds
-    /// then allocate nothing even on their first round. Each lane of the
-    /// batch pool hands its last run's buffer to its next run this way.
+    /// [`Engine::start`] on a retired run's parts ([`FinishedRun`]): its
+    /// emission-table buffer, so even the first round allocates nothing,
+    /// and `batch`, which must be [`ProgramBatch::of`] `model` or of an
+    /// equal model, so the run compiles nothing. Each lane of the batch
+    /// pool starts its runs this way.
     ///
     /// # Errors
     ///
     /// As [`Engine::start`].
-    pub fn start_with_buffer<P, D, Q>(
+    pub fn start_recycled<P, D, Q>(
         &self,
         protocols: Vec<P>,
         detector: D,
         model: Q,
         buffer: Vec<Option<P::Msg>>,
+        mut batch: ProgramBatch,
     ) -> Result<EngineRun<P, D, Q>, EngineError>
     where
         P: RoundProtocol,
         D: FaultDetector,
         Q: RrfdPredicate,
     {
-        self.start_with(protocols, detector, model, false, buffer)
+        batch.reset();
+        self.start_with(protocols, detector, model, false, buffer, Some(batch))
     }
 
     fn start_with<P, D, Q>(
@@ -491,6 +505,7 @@ impl Engine {
         model: Q,
         traced: bool,
         mut buffer: Vec<Option<P::Msg>>,
+        batch: Option<ProgramBatch>,
     ) -> Result<EngineRun<P, D, Q>, EngineError>
     where
         P: RoundProtocol,
@@ -506,6 +521,7 @@ impl Engine {
         let n = self.n.get();
         buffer.clear();
         buffer.reserve(n);
+        let batch = batch.unwrap_or_else(|| ProgramBatch::of(&model));
         Ok(EngineRun {
             n: self.n,
             max_rounds: self.max_rounds,
@@ -518,6 +534,7 @@ impl Engine {
             protocols,
             detector,
             model,
+            batch,
             pattern: FaultPattern::new(self.n),
             decisions: vec![None; n],
             messages: buffer,
@@ -573,8 +590,11 @@ pub struct FinishedRun<O: Clone, M> {
     /// [`Engine::start_traced`]; `None` otherwise.
     pub trace: Option<RunTrace>,
     /// The run's emission-table buffer, cleared, for reuse via
-    /// [`Engine::start_with_buffer`].
+    /// [`Engine::start_recycled`].
     pub buffer: Vec<Option<M>>,
+    /// The run's compiled model, for reuse via [`Engine::start_recycled`]
+    /// by a run of an equal model.
+    pub batch: ProgramBatch,
 }
 
 /// A resumable run: [`Engine::start`]'s handle, executing one round per
@@ -598,6 +618,9 @@ pub struct EngineRun<P: RoundProtocol, D, Q> {
     protocols: Vec<P>,
     detector: D,
     model: Q,
+    /// The model's compiled program and the run's history registers:
+    /// each round is admitted in `O(1)`, however long the run.
+    batch: ProgramBatch,
     pattern: FaultPattern,
     decisions: Vec<Option<(P::Output, Round)>>,
     // The round's emission table, reused across rounds so steady-state
@@ -689,7 +712,7 @@ where
 
         // The detector chooses and the engine validates D(·, r).
         let faults = self.detector.next_round(round, &self.pattern);
-        if let Err(violation) = validate_round(&self.model, &self.pattern, &faults) {
+        if let Err(violation) = validate_round(&self.model, &mut self.batch, &faults) {
             self.obs.add(VIOLATIONS, Labels::round(round_no), 1);
             if let Some(RoundHook(hook)) = self.round_hook.as_mut() {
                 // The hook sees the violating round too — it is exactly
@@ -793,16 +816,16 @@ where
 
     /// Steps the run until terminal (a no-op when already finished) and
     /// dismantles it into result, optional trace, and the reusable
-    /// emission-table buffer.
+    /// emission-table buffer and compiled model.
     pub fn run_to_completion(mut self) -> FinishedRun<P::Output, P::Msg> {
         loop {
             if let Some(result) = self.done.take() {
-                let mut buffer = std::mem::take(&mut self.messages);
-                buffer.clear();
+                self.messages.clear();
                 return FinishedRun {
                     result,
-                    trace: self.finished_trace.take(),
-                    buffer,
+                    trace: self.finished_trace,
+                    buffer: self.messages,
+                    batch: self.batch,
                 };
             }
             self.step();
@@ -1266,7 +1289,13 @@ mod tests {
         let ptr = first.buffer.as_ptr();
         assert!(capacity >= 2);
         let second = engine
-            .start_with_buffer(protos(), det(), AnyPattern::new(size), first.buffer)
+            .start_recycled(
+                protos(),
+                det(),
+                AnyPattern::new(size),
+                first.buffer,
+                first.batch,
+            )
             .unwrap()
             .run_to_completion();
         assert!(second.result.unwrap().all_decided());

@@ -276,15 +276,20 @@ impl FromStr for EventLog {
         let mut log = EventLog::new(n);
         for (lno, line) in lines {
             let event = RtEvent::parse(line).map_err(|message| LineError::new(lno, message))?;
-            if let Actor::Process(p) = event.actor {
+            let actor = match event.actor {
+                Actor::Process(p) => Some(("actor p", p)),
+                Actor::Coordinator => None,
+            };
+            let peer = match event.kind {
+                RtEventKind::Gather { from, .. } => Some(("from=", from)),
+                RtEventKind::Deliver { to, .. } => Some(("to=", to)),
+                _ => None,
+            };
+            for (role, p) in actor.into_iter().chain(peer) {
                 if !n.contains(p) {
                     return Err(LineError::new(
                         lno,
-                        format!(
-                            "actor p{} outside the {}-process universe",
-                            p.index(),
-                            n_val
-                        ),
+                        format!("{role}{} outside the {n_val}-process universe", p.index()),
                     ));
                 }
             }
@@ -371,6 +376,18 @@ mod tests {
         assert!("rrfd-events v1\nn 2\np5 emit r=1\n"
             .parse::<EventLog>()
             .is_err());
+        // Peers outside the universe, named with their line.
+        for (text, what) in [
+            (
+                "rrfd-events v1\nn 3\nc gather from=9 r=1\n",
+                "from=9 outside",
+            ),
+            ("rrfd-events v1\nn 3\nc deliver to=7 r=1\n", "to=7 outside"),
+        ] {
+            let e = text.parse::<EventLog>().unwrap_err();
+            assert_eq!(e.line, 3);
+            assert!(e.to_string().contains(what), "{e}");
+        }
         // Round zero.
         assert!("rrfd-events v1\nn 2\np0 emit r=0\n"
             .parse::<EventLog>()

@@ -6,6 +6,13 @@
 //! prefix-closed safety condition on finite runs, so this per-round view is
 //! fully general for executable systems.
 //!
+//! A predicate's one executable meaning is its compiled
+//! [`PredicateProgram`]: [`RrfdPredicate::compile`] is required, and
+//! [`RrfdPredicate::admits`] and [`RrfdPredicate::admits_pattern`] are
+//! provided on top of it. Runs are checked through a one-program
+//! [`ProgramBatch`] that carries the history forward one round at a time
+//! ([`validate_round`]).
+//!
 //! Concrete predicates live in the `rrfd-models` crate; this module defines
 //! the trait, the universal well-formedness rule (`D(i,r) ≠ S` — "not all
 //! processes can be late"), and combinators for building compound predicates
@@ -14,15 +21,15 @@
 use crate::id::{ProcessId, Round, SystemSize};
 use crate::idset::IdSet;
 use crate::pattern::{FaultPattern, RoundFaults};
-use crate::program::PredicateProgram;
+use crate::program::{PredicateProgram, ProgramBatch};
 use std::fmt;
 
 /// A predicate over fault patterns, defining one RRFD system.
 ///
-/// Implementations must be *prefix-closed*: if `admits` accepts every round
-/// of a pattern in order, the pattern is legal. The engine re-checks each
-/// adversary output against the model predicate, so a buggy adversary is
-/// caught at the round it misbehaves.
+/// Implementations must be *prefix-closed*: if every round of a pattern is
+/// admitted after the rounds before it, the pattern is legal. The engine
+/// re-checks each adversary output against the model predicate, so a buggy
+/// adversary is caught at the round it misbehaves.
 pub trait RrfdPredicate {
     /// Human-readable name used in diagnostics, e.g. `"P1(send-omission,f=2)"`.
     fn name(&self) -> String;
@@ -30,44 +37,34 @@ pub trait RrfdPredicate {
     /// The system size this predicate is defined over.
     fn system_size(&self) -> SystemSize;
 
+    /// Compiles the predicate to the word-level IR of the compiled plane —
+    /// its one executable meaning, exact on every input, well formed or
+    /// not. Every predicate compiles; the `Option` stays for source
+    /// compatibility, and every consumer ([`ProgramBatch::of`], the batch
+    /// evaluators) panics at construction, naming the predicate, on `None`.
+    fn compile(&self) -> Option<PredicateProgram>;
+
     /// Returns `true` when `round` may legally extend `history`.
     ///
     /// `history` contains the rounds *before* this one; the candidate round
-    /// is not yet part of it.
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool;
-
-    /// Compiles the predicate to the word-level IR of the compiled plane.
-    ///
-    /// The contract is *exact*: the program's verdicts must equal `admits`
-    /// on every `(history, round)` input, well formed or not. The batch
-    /// evaluators ([`crate::program::ProgramBatch`] and the monitors, checkers
-    /// and lattice walk built on it) judge rounds only through programs and
-    /// panic at construction on a member that returns `None`. The default
-    /// `None` keeps single-predicate uses (engine admission,
-    /// [`RrfdPredicate::admits_pattern`]) on `admits`.
-    fn compile(&self) -> Option<PredicateProgram> {
-        None
+    /// is not yet part of it. Provided on the compiled program: the call
+    /// compiles, folds `history` into a fresh
+    /// [`crate::program::HistoryCtx`] and evaluates the round, so it costs
+    /// `O(history)`. It is for one-off questions; a hot path carries a
+    /// [`ProgramBatch`] forward instead and pays `O(1)` per round.
+    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
+        let mut batch = ProgramBatch::of(self);
+        for (_, prior) in history.iter() {
+            batch.absorb(prior);
+        }
+        batch.admits(&batch.profile(round))
     }
 
-    /// Checks an entire pattern round by round.
-    ///
-    /// Compiled predicates are checked through an incremental
-    /// [`crate::program::HistoryCtx`] in `O(rounds)` total work; the dyn
-    /// fallback below calls `admits` once per round, whose typical history
-    /// re-walk (`cumulative_union` and friends) makes the whole pattern
-    /// `O(rounds²)`.
+    /// Checks an entire pattern round by round, through one
+    /// [`ProgramBatch`] in `O(rounds)` total work.
     fn admits_pattern(&self, pattern: &FaultPattern) -> bool {
-        if let Some(program) = self.compile() {
-            return program.admits_pattern(pattern);
-        }
-        let mut prefix = FaultPattern::new(pattern.system_size());
-        for (_, round) in pattern.iter() {
-            if !self.admits(&prefix, round) {
-                return false;
-            }
-            prefix.push(round.clone());
-        }
-        true
+        let mut batch = ProgramBatch::of(self);
+        pattern.iter().all(|(_, round)| batch.admit(round))
     }
 }
 
@@ -124,7 +121,7 @@ pub fn ill_formed_process(round: &RoundFaults) -> Option<ProcessId> {
 /// Useful as the "weakest possible" bound in submodel experiments and as the
 /// model argument when a caller only wants the engine's well-formedness
 /// checking.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnyPattern {
     n: SystemSize,
 }
@@ -144,10 +141,6 @@ impl RrfdPredicate for AnyPattern {
 
     fn system_size(&self) -> SystemSize {
         self.n
-    }
-
-    fn admits(&self, _history: &FaultPattern, _round: &RoundFaults) -> bool {
-        true
     }
 
     fn compile(&self) -> Option<PredicateProgram> {
@@ -213,10 +206,6 @@ impl<A: RrfdPredicate, B: RrfdPredicate> RrfdPredicate for And<A, B> {
         self.a.system_size()
     }
 
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        self.a.admits(history, round) && self.b.admits(history, round)
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         let a = self.a.compile()?;
         let b = self.b.compile()?;
@@ -265,10 +254,6 @@ impl<A: RrfdPredicate, B: RrfdPredicate> RrfdPredicate for Or<A, B> {
         self.a.system_size()
     }
 
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        self.a.admits(history, round) || self.b.admits(history, round)
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         let a = self.a.compile()?;
         let b = self.b.compile()?;
@@ -312,29 +297,33 @@ impl fmt::Display for PatternViolation {
 
 impl std::error::Error for PatternViolation {}
 
-/// Validates one candidate round: well-formedness first, then the model
-/// predicate. Returns the violation, if any.
+/// Validates one candidate round against `model`, whose compiled
+/// [`ProgramBatch`] (see [`ProgramBatch::of`]) carries the run's history:
+/// well-formedness first, then the model's program. An admitted round is
+/// absorbed into `batch`, so successive calls check a run one round at a
+/// time, in `O(1)` per round whatever the prefix length. `model` supplies
+/// only the name a rejection reports.
 ///
 /// # Errors
 ///
 /// Returns [`PatternViolation::IllFormed`] when some `D(i,r)` covers the
 /// whole universe, and [`PatternViolation::PredicateRejected`] when the
-/// model predicate refuses the extension.
+/// model predicate refuses the extension. Either way `batch` is unchanged.
 pub fn validate_round<P: RrfdPredicate + ?Sized>(
-    predicate: &P,
-    history: &FaultPattern,
+    model: &P,
+    batch: &mut ProgramBatch,
     round: &RoundFaults,
 ) -> Result<(), PatternViolation> {
-    let round_no = Round::new(history.rounds() as u32 + 1);
+    let round_no = Round::new(batch.rounds() + 1);
     if let Some(process) = ill_formed_process(round) {
         return Err(PatternViolation::IllFormed {
             process,
             round: round_no,
         });
     }
-    if !predicate.admits(history, round) {
+    if !batch.admit(round) {
         return Err(PatternViolation::PredicateRejected {
-            predicate: predicate.name(),
+            predicate: model.name(),
             round: round_no,
         });
     }
@@ -344,6 +333,7 @@ pub fn validate_round<P: RrfdPredicate + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::ProgOp;
 
     fn n3() -> SystemSize {
         SystemSize::new(3).unwrap()
@@ -361,8 +351,8 @@ mod tests {
         fn system_size(&self) -> SystemSize {
             self.0
         }
-        fn admits(&self, _h: &FaultPattern, round: &RoundFaults) -> bool {
-            round.union().is_empty()
+        fn compile(&self) -> Option<PredicateProgram> {
+            Some(PredicateProgram::of(self.0, ProgOp::UnionAtMost(0)))
         }
     }
 
@@ -383,17 +373,19 @@ mod tests {
         let mut rf = RoundFaults::none(n);
         rf.set(ProcessId::new(0), IdSet::singleton(ProcessId::new(1)));
         assert!(p.admits(&h, &rf));
-        assert!(validate_round(&p, &h, &rf).is_ok());
+        let mut batch = ProgramBatch::of(&p);
+        assert!(validate_round(&p, &mut batch, &rf).is_ok());
+        assert_eq!(batch.rounds(), 1, "an admitted round is absorbed");
     }
 
     #[test]
     fn validate_flags_ill_formed_before_predicate() {
         let n = n3();
         let p = NoFaults(n);
-        let h = FaultPattern::new(n);
+        let mut batch = ProgramBatch::of(&p);
         let mut rf = RoundFaults::none(n);
         rf.set(ProcessId::new(2), IdSet::universe(n));
-        match validate_round(&p, &h, &rf) {
+        match validate_round(&p, &mut batch, &rf) {
             Err(PatternViolation::IllFormed { process, round }) => {
                 assert_eq!(process, ProcessId::new(2));
                 assert_eq!(round, Round::new(1));
@@ -406,17 +398,18 @@ mod tests {
     fn validate_flags_predicate_rejection_with_round_number() {
         let n = n3();
         let p = NoFaults(n);
-        let mut h = FaultPattern::new(n);
-        h.push(RoundFaults::none(n));
+        let mut batch = ProgramBatch::of(&p);
+        assert!(validate_round(&p, &mut batch, &RoundFaults::none(n)).is_ok());
         let mut rf = RoundFaults::none(n);
         rf.set(ProcessId::new(0), IdSet::singleton(ProcessId::new(1)));
-        match validate_round(&p, &h, &rf) {
+        match validate_round(&p, &mut batch, &rf) {
             Err(PatternViolation::PredicateRejected { predicate, round }) => {
                 assert_eq!(predicate, "NoFaults");
                 assert_eq!(round, Round::new(2));
             }
             other => panic!("expected PredicateRejected, got {other:?}"),
         }
+        assert_eq!(batch.rounds(), 1, "a rejected round is not absorbed");
     }
 
     #[test]

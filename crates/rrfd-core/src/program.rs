@@ -1,4 +1,4 @@
-//! The compiled predicate plane: a small, exact IR for round predicates.
+//! The compiled predicate plane: the one executable meaning of a model.
 //!
 //! Every predicate in the paper's zoo judges a candidate round through a
 //! handful of word-level facts about the suspicion sets `D(i,r)` — unions,
@@ -8,30 +8,43 @@
 //! A [`PredicateProgram`] captures a predicate as a disjunction of
 //! conjunctions of such [`ProgOp`] facts, so that:
 //!
-//! * one [`RoundProfile`] (computed once per candidate round) serves every
-//!   program — the per-program residue is a few `u128` word operations;
-//! * a [`HistoryCtx`] replaces the `O(r)` history re-walk that the dyn
-//!   `admits` path performs per round (`cumulative_union` and friends) with
-//!   `O(1)` incremental register updates, making whole-pattern checks `O(r)`
-//!   instead of `O(r²)`;
-//! * a [`ProgramBatch`] evaluates *all* compiled predicates of a family
-//!   against one `RoundFaults` in a single pass, returning the verdicts as a
-//!   packed bitmask.
+//! * one [`RoundProfile`] per candidate round serves every program, and a
+//!   batch profiles only the fields its programs' ops read;
+//! * a [`HistoryCtx`] carries the prefix as `O(1)` incremental registers;
+//! * a [`ProgramBatch`] evaluates a family of programs against one
+//!   `RoundFaults` in a single pass, as a packed verdict mask. The engine
+//!   and the threaded runtime admit each round through a one-program batch
+//!   of their model ([`ProgramBatch::of`]), in `O(1)` per round.
 //!
-//! Compilation is **exact**: [`RrfdPredicate::compile`] returns a program
-//! whose verdicts equal the dyn `admits` verdicts on every input
-//! (well-formed or not). The batch evaluators judge rounds only through
-//! programs, so a family member that does not compile is rejected when the
-//! batch is built. The differential suite in
-//! `tests/predicate_compile_equivalence.rs` enforces the contract for the
-//! whole zoo.
+//! [`RrfdPredicate::compile`] is required and [`RrfdPredicate::admits`] is
+//! provided on the program, so a model has one executable meaning. The
+//! paper-facing hand-written bodies are test oracles, and
+//! `tests/predicate_compile_equivalence.rs` checks every zoo program
+//! against them.
 //!
 //! [`RrfdPredicate::compile`]: crate::predicate::RrfdPredicate::compile
+//! [`RrfdPredicate::admits`]: crate::predicate::RrfdPredicate::admits
 
 use crate::id::{Round, SystemSize, MAX_PROCESSES};
 use crate::idset::IdSet;
-use crate::pattern::{FaultPattern, RoundFaults};
+use crate::pattern::RoundFaults;
+use crate::predicate::RrfdPredicate;
 use std::sync::Arc;
+
+/// Bits naming the optional [`RoundProfile`] fields; the union is always
+/// computed. A profile built for a needs mask holds meaningless values in
+/// the fields outside it.
+mod need {
+    pub const INTERSECTION: u8 = 1;
+    /// The self-suspects and the sticky core, one pass for both.
+    pub const SELF_MASKS: u8 = 1 << 1;
+    /// The longest set and the length histogram.
+    pub const LENGTHS: u8 = 1 << 2;
+    pub const IDENTICAL: u8 = 1 << 3;
+    pub const CHAIN: u8 = 1 << 4;
+    pub const ANTISYM: u8 = 1 << 5;
+    pub const ALL: u8 = (1 << 6) - 1;
+}
 
 /// One primitive, word-level fact about a candidate round (possibly relative
 /// to the history registers of a [`HistoryCtx`]).
@@ -100,6 +113,24 @@ impl ProgOp {
         )
     }
 
+    /// The [`RoundProfile`] fields [`ProgOp::eval`] reads, beyond the
+    /// union.
+    fn needs(self) -> u8 {
+        match self {
+            ProgOp::SelfTrustFresh | ProgOp::SelfTrustNever | ProgOp::PrevUnionSticky => {
+                need::SELF_MASKS
+            }
+            ProgOp::FootprintAtMost(_)
+            | ProgOp::UnionAtMost(_)
+            | ProgOp::ImmortalSurvives { .. } => 0,
+            ProgOp::PerProcAtMost(_) | ProgOp::SlowBound { .. } => need::LENGTHS,
+            ProgOp::UncertaintyAtMost(_) => need::INTERSECTION,
+            ProgOp::IdenticalViews => need::IDENTICAL,
+            ProgOp::ContainmentChain => need::CHAIN,
+            ProgOp::AntiSymmetric => need::ANTISYM,
+        }
+    }
+
     /// Evaluates the op against a history context and a round profile.
     #[must_use]
     pub fn eval(self, ctx: &HistoryCtx, profile: &RoundProfile) -> bool {
@@ -150,61 +181,75 @@ pub struct RoundProfile {
     self_suspects: IdSet,
     sticky_core: IdSet,
     max_len: usize,
-    len_hist: [u16; MAX_PROCESSES + 1],
+    len_hist: [u8; MAX_PROCESSES + 1],
     identical: bool,
     chain_ok: bool,
     antisym_ok: bool,
 }
 
 impl RoundProfile {
-    /// Profiles one round: one linear scan over the suspicion sets plus a
-    /// pairwise containment check (the sets are `u128` words, so every
-    /// comparison is a couple of machine operations). Both pairwise checks
-    /// stop at their first counterexample, and identical views are a chain
-    /// without any check.
+    /// Profiles one round in full: a linear fold over the suspicion sets
+    /// per field plus pairwise containment and antisymmetry checks (the
+    /// sets are `u128` words, so every comparison is a couple of machine
+    /// operations). Both pairwise checks stop at their first
+    /// counterexample, and identical views are a chain without any check.
     #[must_use]
     pub fn of(round: &RoundFaults) -> Self {
-        let n = round.system_size();
-        let mut union = IdSet::empty();
-        let mut intersection = IdSet::universe(n);
-        let mut self_suspects = IdSet::empty();
-        let mut sticky_core = IdSet::universe(n);
-        let mut max_len = 0usize;
-        let mut len_hist = [0u16; MAX_PROCESSES + 1];
-        let mut identical = true;
-        let mut antisym_ok = true;
-        let first = round.of(crate::id::ProcessId::new(0));
-        for (i, d) in round.iter() {
-            union = union.union(d);
-            intersection = intersection.intersection(d);
-            sticky_core = sticky_core.intersection(d.union(IdSet::singleton(i)));
-            if d.contains(i) {
-                self_suspects.insert(i);
-            }
-            let len = d.len();
-            max_len = max_len.max(len);
-            len_hist[len] += 1;
-            identical &= d == first;
-            antisym_ok = antisym_ok && d.iter().all(|j| !round.of(j).contains(i));
-        }
+        Self::with_needs(round, need::ALL)
+    }
+
+    /// Profiles the union plus the fields named by the `need` bits in
+    /// `needs`, leaving the others at placeholder values.
+    fn with_needs(round: &RoundFaults, needs: u8) -> Self {
+        let universe = IdSet::universe(round.system_size());
         let sets = round.as_slice();
-        let chain_ok = identical
-            || sets.iter().enumerate().all(|(a, da)| {
-                sets.iter()
-                    .skip(a + 1)
+        let wants = |field: u8| needs & field != 0;
+        let mut profile = RoundProfile {
+            union: sets.iter().fold(IdSet::empty(), |u, &d| u.union(d)),
+            intersection: universe,
+            self_suspects: IdSet::empty(),
+            sticky_core: universe,
+            max_len: 0,
+            len_hist: [0; MAX_PROCESSES + 1],
+            identical: true,
+            chain_ok: true,
+            antisym_ok: true,
+        };
+        if wants(need::INTERSECTION) {
+            profile.intersection = sets.iter().fold(universe, |x, &d| x.intersection(d));
+        }
+        if wants(need::SELF_MASKS) {
+            for (i, d) in round.iter() {
+                let me = IdSet::singleton(i);
+                profile.sticky_core = profile.sticky_core.intersection(d.union(me));
+                if !d.intersection(me).is_empty() {
+                    profile.self_suspects = profile.self_suspects.union(me);
+                }
+            }
+        }
+        if wants(need::LENGTHS) {
+            for d in sets {
+                let len = d.len();
+                profile.max_len = profile.max_len.max(len);
+                profile.len_hist[len] += 1;
+            }
+        }
+        if wants(need::IDENTICAL | need::CHAIN) {
+            profile.identical = sets.iter().all(|&d| d == sets[0]);
+        }
+        if wants(need::CHAIN) && !profile.identical {
+            profile.chain_ok = sets.iter().enumerate().all(|(a, da)| {
+                sets[a + 1..]
+                    .iter()
                     .all(|db| da.is_subset(*db) || db.is_subset(*da))
             });
-        RoundProfile {
-            union,
-            intersection,
-            self_suspects,
-            sticky_core,
-            max_len,
-            len_hist,
-            identical,
-            chain_ok,
-            antisym_ok,
         }
+        if wants(need::ANTISYM) {
+            profile.antisym_ok = round
+                .iter()
+                .all(|(i, d)| d.iter().all(|j| !round.of(j).contains(i)));
+        }
+        profile
     }
 
     /// The union `⋃ᵢ D(i,r)` of the profiled round.
@@ -232,9 +277,7 @@ impl RoundProfile {
 /// the round count, the cumulative suspicion union, the previous round's
 /// union, and one immortal-candidate register per ◊S stabilization round.
 ///
-/// Absorbing a round is `O(1)` in the history length, which is what turns
-/// whole-pattern checks from `O(r²)` (dyn `admits` re-walking the prefix
-/// every round) into `O(r)`.
+/// Absorbing a round is `O(1)` in the history length.
 #[derive(Debug, Clone)]
 pub struct HistoryCtx {
     n: SystemSize,
@@ -463,21 +506,6 @@ impl PredicateProgram {
             .iter()
             .any(|clause| clause.iter().all(|op| op.eval(ctx, profile)))
     }
-
-    /// Checks an entire pattern in `O(rounds)` total work by absorbing each
-    /// round into an incremental [`HistoryCtx`].
-    #[must_use]
-    pub fn admits_pattern(&self, pattern: &FaultPattern) -> bool {
-        let mut ctx = HistoryCtx::for_programs(self.n, [self]);
-        for (_, round) in pattern.iter() {
-            let profile = RoundProfile::of(round);
-            if !self.eval(&ctx, &profile) {
-                return false;
-            }
-            ctx.absorb_profile(&profile);
-        }
-        true
-    }
 }
 
 /// A family of compiled programs evaluated together: one [`RoundProfile`]
@@ -490,6 +518,7 @@ impl PredicateProgram {
 pub struct ProgramBatch {
     n: SystemSize,
     programs: Arc<[PredicateProgram]>,
+    needs: u8,
     ctx: HistoryCtx,
     evals: u64,
 }
@@ -511,13 +540,33 @@ impl ProgramBatch {
             programs.iter().all(|p| p.system_size() == n),
             "batched programs must share a system size"
         );
-        let ctx = HistoryCtx::for_programs(n, &programs);
         ProgramBatch {
             n,
+            needs: programs
+                .iter()
+                .flat_map(|p| p.clauses.iter().flatten())
+                .fold(0, |needs, op| needs | op.needs()),
+            ctx: HistoryCtx::for_programs(n, &programs),
             programs: programs.into(),
-            ctx,
             evals: 0,
         }
+    }
+
+    /// The one-program batch of `model`, with an empty history.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the model when its [`RrfdPredicate::compile`]
+    /// returns `None`.
+    #[must_use]
+    pub fn of<P: RrfdPredicate + ?Sized>(model: &P) -> Self {
+        let program = model.compile();
+        assert!(
+            program.is_some(),
+            "{} does not compile onto the predicate plane",
+            model.name()
+        );
+        ProgramBatch::new(model.system_size(), program.into_iter().collect())
     }
 
     /// The system size the batch is defined over.
@@ -570,6 +619,35 @@ impl ProgramBatch {
             }
         }
         verdicts
+    }
+
+    /// Profiles `round` for this batch: the union, plus only the fields
+    /// its programs' ops read. The zoo's batch reads every field; a
+    /// single crash or uncertainty model reads one or two.
+    #[must_use]
+    pub fn profile(&self, round: &RoundFaults) -> RoundProfile {
+        RoundProfile::with_needs(round, self.needs)
+    }
+
+    /// `true` when every program admits the profiled round after the
+    /// absorbed history. The round is not absorbed.
+    pub fn admits(&mut self, profile: &RoundProfile) -> bool {
+        self.programs.iter().all(|program| {
+            self.evals += 1;
+            program.eval(&self.ctx, profile)
+        })
+    }
+
+    /// Profiles `round` and, when every program admits it, absorbs it.
+    /// Returns whether it was admitted; a rejected round leaves the
+    /// history untouched.
+    pub fn admit(&mut self, round: &RoundFaults) -> bool {
+        let profile = self.profile(round);
+        let admitted = self.admits(&profile);
+        if admitted {
+            self.ctx.absorb_profile(&profile);
+        }
+        admitted
     }
 
     /// Folds one observed round into the shared history context.
@@ -884,6 +962,98 @@ mod tests {
         assert!(
             merged_rounds > 0,
             "saturation must merge distinct round counts"
+        );
+    }
+
+    #[test]
+    fn a_profile_built_for_an_ops_needs_gives_the_full_profiles_verdict() {
+        let n = n3();
+        let subsets: Vec<IdSet> = (0..8u128).map(IdSet::from_bits).collect();
+        let mut rounds = Vec::new();
+        for &a in &subsets[..7] {
+            for &b in &subsets[..7] {
+                for &c in &subsets[..7] {
+                    rounds.push(RoundFaults::from_sets(n, vec![a, b, c]));
+                }
+            }
+        }
+        assert_eq!(rounds.len(), 343);
+        let stabilizations: Vec<PredicateProgram> = (1..=3)
+            .map(|s| {
+                PredicateProgram::of(
+                    n,
+                    ProgOp::ImmortalSurvives {
+                        stabilization: Round::new(s),
+                    },
+                )
+            })
+            .collect();
+        // Every register file reachable in at most 3 rounds, once each.
+        // Absorbing a round reads only its union, and every subset is the
+        // union of some round.
+        let mut contexts = vec![HistoryCtx::for_programs(n, &stabilizations)];
+        let mut seen = std::collections::HashSet::new();
+        let mut next = 0;
+        while next < contexts.len() {
+            let ctx = contexts[next].clone();
+            next += 1;
+            if ctx.rounds == 3 {
+                continue;
+            }
+            for &union in &subsets {
+                let mut successor = ctx.clone();
+                successor.absorb_union(union);
+                let key = (
+                    successor.rounds,
+                    successor.cum,
+                    successor.prev_union,
+                    successor.immortal.clone(),
+                );
+                if seen.insert(key) {
+                    contexts.push(successor);
+                }
+            }
+        }
+        let full: Vec<RoundProfile> = rounds.iter().map(RoundProfile::of).collect();
+        for op in every_op() {
+            let needs = op.needs();
+            for (round, full) in rounds.iter().zip(&full) {
+                let partial = RoundProfile::with_needs(round, needs);
+                for ctx in &contexts {
+                    assert_eq!(
+                        op.eval(ctx, &partial),
+                        op.eval(ctx, full),
+                        "{op:?} on {round:?} under {ctx:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_profiles_only_what_its_programs_read() {
+        let n = n3();
+        let crash = PredicateProgram::all(
+            n,
+            vec![
+                ProgOp::FootprintAtMost(1),
+                ProgOp::SelfTrustFresh,
+                ProgOp::PrevUnionSticky,
+            ],
+        );
+        let batch = ProgramBatch::new(n, vec![crash]);
+        assert_eq!(batch.needs, need::SELF_MASKS);
+        let zoo = ProgramBatch::new(
+            n,
+            every_op()
+                .into_iter()
+                .map(|op| PredicateProgram::of(n, op))
+                .collect(),
+        );
+        assert_eq!(zoo.needs, need::ALL);
+        assert_eq!(
+            ProgramBatch::new(n, vec![PredicateProgram::always(n)]).needs,
+            0
         );
     }
 

@@ -20,12 +20,13 @@
 //!    is bounded by its own round limit.
 //! 3. **Per-lane reuse.** A lane — one class on one shard — keeps its
 //!    state across instances: one [`rrfd_core::Engine`], one spare
-//!    emission-table buffer ([`rrfd_core::FinishedRun::buffer`], handed
-//!    back through [`rrfd_core::Engine::start_with_buffer`]) and, with
+//!    emission-table buffer and one compiled model
+//!    ([`rrfd_core::FinishedRun`]'s `buffer` and `batch`, handed back
+//!    through [`rrfd_core::Engine::start_recycled`]) and, with
 //!    conformance on, one [`ConformanceMonitor`] that is
 //!    [reset](ConformanceMonitor::reset) before each instance instead of
-//!    rebuilt. Steady-state instance turnover allocates no round tables
-//!    and no monitor state.
+//!    rebuilt. Steady-state instance turnover allocates no round tables,
+//!    no programs and no monitor state.
 //!
 //! Failure containment: an instance that ends in an
 //! [`EngineError`] (the mix's `stall` class ends in one by design) is
@@ -37,8 +38,8 @@ use crate::mix::{
 };
 use rrfd_core::task::Value;
 use rrfd_core::{
-    Engine, EngineError, EngineRun, EngineStep, FaultDetector, RoundHook, RoundProtocol,
-    RrfdPredicate, RunReport, RunTrace, SystemSize,
+    Engine, EngineError, EngineRun, EngineStep, FaultDetector, ProgramBatch, RoundHook,
+    RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize,
 };
 use rrfd_models::conformance::{ConformanceMonitor, ConformanceVerdict};
 use rrfd_obs::{names, FlightRecorder, Labels, MetricId, Obs, RunObs, DEFAULT_FLIGHT_ROUNDS};
@@ -68,8 +69,10 @@ pub trait InstanceClass {
     type P: RoundProtocol<Output = Value>;
     /// The adversary driving an instance.
     type D: FaultDetector;
-    /// The model predicate the adversary is validated against.
-    type Q: RrfdPredicate;
+    /// The model predicate the adversary is validated against. A lane
+    /// compares each instance's model with the last one and compiles it
+    /// only when they differ.
+    type Q: RrfdPredicate + Clone + PartialEq;
 
     /// The class's display name (stable across runs; used in reports).
     fn name(&self) -> &'static str;
@@ -424,6 +427,10 @@ struct ClassLane<C: InstanceClass> {
     engine: Engine,
     /// The last retired run's emission-table buffer, for the next run.
     spare: Vec<Option<<C::P as RoundProtocol>::Msg>>,
+    /// The last compiled model, and the last retired run's batch of it,
+    /// for the next run of an equal model.
+    model: Option<C::Q>,
+    batch: Option<ProgramBatch>,
     keep_results: bool,
     capture_traces: bool,
     /// The lane's zoo monitor, when [`PoolConfig::conformance`] is on,
@@ -470,6 +477,8 @@ impl<C: InstanceClass> ClassLane<C> {
             class,
             engine,
             spare: Vec::new(),
+            model: None,
+            batch: None,
             keep_results: config.keep_results,
             capture_traces: config.capture_traces,
             conformance,
@@ -488,8 +497,8 @@ impl<C: InstanceClass> ClassLane<C> {
     fn run(&mut self, id: u64, shard: &mut Shard) {
         let (protocols, detector, model) = self.class.build(id);
         let started = if self.capture_traces {
-            // Tracing runs forgo buffer reuse: the trace is the expensive
-            // part anyway, and the differential suite is the only consumer.
+            // Tracing runs forgo reuse: the trace is the expensive part
+            // anyway, and the differential suite is the only consumer.
             self.engine.start_traced(protocols, detector, model)
         } else {
             let buffer = std::mem::take(&mut self.spare);
@@ -498,8 +507,15 @@ impl<C: InstanceClass> ClassLane<C> {
                     .obs
                     .add(BUFFER_REUSES, Labels::process(shard.index), 1);
             }
+            let batch = match self.batch.take() {
+                Some(batch) if self.model.as_ref() == Some(&model) => batch,
+                _ => {
+                    self.model = Some(model.clone());
+                    ProgramBatch::of(&model)
+                }
+            };
             self.engine
-                .start_with_buffer(protocols, detector, model, buffer)
+                .start_recycled(protocols, detector, model, buffer, batch)
         };
         let mut run = match started {
             Ok(run) => run,
@@ -596,6 +612,7 @@ impl<C: InstanceClass> ClassLane<C> {
             conf.absorb(summary);
         }
         self.spare = finished.buffer;
+        self.batch = Some(finished.batch);
         if self.keep_results {
             self.totals.results.push(InstanceResult {
                 instance: id,

@@ -299,10 +299,11 @@ mod tests {
         for seed in [0u64, 1, 7, 0xDEAD_BEEF] {
             let mut adv = RandomAdversary::new(model.clone(), seed);
             let mut history = FaultPattern::new(model.system_size());
+            let mut batch = rrfd_core::ProgramBatch::of(&model);
             for r in 1..=rounds {
                 let round = adv.next_round(Round::new(r), &history);
                 assert!(
-                    rrfd_core::validate_round(&model, &history, &round).is_ok(),
+                    rrfd_core::validate_round(&model, &mut batch, &round).is_ok(),
                     "sampler for {} produced an illegal round {r} under seed {seed}: {round:?}",
                     model.name()
                 );

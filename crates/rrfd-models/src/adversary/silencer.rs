@@ -129,7 +129,7 @@ impl FaultDetector for SilencingCrash {
 mod tests {
     use super::*;
     use crate::predicates::Crash;
-    use rrfd_core::validate_round;
+    use rrfd_core::{validate_round, ProgramBatch};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -138,9 +138,10 @@ mod tests {
     fn drive(adv: &mut SilencingCrash, rounds: u32) -> FaultPattern {
         let model = Crash::new(adv.system_size(), adv.k * adv.rounds);
         let mut history = FaultPattern::new(adv.system_size());
+        let mut batch = ProgramBatch::of(&model);
         for r in 1..=rounds {
             let round = adv.next_round(Round::new(r), &history);
-            validate_round(&model, &history, &round)
+            validate_round(&model, &mut batch, &round)
                 .unwrap_or_else(|e| panic!("illegal silencer round {r}: {e}"));
             history.push(round);
         }

@@ -161,7 +161,7 @@ impl FaultDetector for Partition {
 mod tests {
     use super::*;
     use crate::predicates::{AsyncResilient, Crash, KUncertainty, SomeoneTrustedByAll};
-    use rrfd_core::{validate_round, RrfdPredicate};
+    use rrfd_core::{validate_round, ProgramBatch, RrfdPredicate};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -174,7 +174,8 @@ mod tests {
             let mut adv = SpreadKUncertainty::new(size, k);
             let h = FaultPattern::new(size);
             let round = adv.next_round(Round::new(1), &h);
-            validate_round(&KUncertainty::new(size, k), &h, &round).unwrap();
+            let model = KUncertainty::new(size, k);
+            validate_round(&model, &mut ProgramBatch::of(&model), &round).unwrap();
             assert_eq!(round.uncertainty().len(), k - 1, "boundary not reached");
         }
     }
@@ -185,9 +186,10 @@ mod tests {
         let mut adv = StaggeredCrash::new(size, 3);
         let model = Crash::new(size, 3);
         let mut h = FaultPattern::new(size);
+        let mut batch = ProgramBatch::of(&model);
         for r in 1..=6 {
             let round = adv.next_round(Round::new(r), &h);
-            validate_round(&model, &h, &round).unwrap_or_else(|e| panic!("round {r}: {e}"));
+            validate_round(&model, &mut batch, &round).unwrap_or_else(|e| panic!("round {r}: {e}"));
             h.push(round);
         }
         assert_eq!(h.cumulative_union().len(), 3);

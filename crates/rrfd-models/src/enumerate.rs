@@ -8,7 +8,9 @@
 //! proofs-by-enumeration (e.g. Theorem 3.1 for small `n`, in
 //! `rrfd-protocols`) and powers the implication lattice in `rrfd-analyze`.
 
-use rrfd_core::{FaultPattern, IdSet, ProcessId, RoundFaults, RrfdPredicate, SystemSize};
+use rrfd_core::{
+    FaultPattern, IdSet, ProcessId, ProgramBatch, RoundFaults, RrfdPredicate, SystemSize,
+};
 
 /// The largest system size [`all_rounds`] enumerates: the space is
 /// `2^(n²)`, and enumeration beyond `n = 5` is a mistake.
@@ -54,9 +56,8 @@ pub fn all_first_rounds<P>(model: P) -> impl Iterator<Item = RoundFaults>
 where
     P: RrfdPredicate,
 {
-    let n = model.system_size();
-    let empty = FaultPattern::new(n);
-    all_rounds(n).filter(move |round| model.admits(&empty, round))
+    let mut batch = ProgramBatch::of(&model);
+    all_rounds(model.system_size()).filter(move |round| batch.admits(&batch.profile(round)))
 }
 
 /// Enumerates **every** legal pattern of exactly `rounds` rounds of
@@ -74,9 +75,14 @@ where
     P: RrfdPredicate,
 {
     let n = model.system_size();
+    let empty = ProgramBatch::of(model);
+    // Every candidate round, profiled once for all prefixes.
+    let moves: Vec<_> = all_rounds(n)
+        .map(|round| (empty.profile(&round), round))
+        .collect();
     let mut complete = Vec::new();
-    let mut stack = vec![FaultPattern::new(n)];
-    while let Some(prefix) = stack.pop() {
+    let mut stack = vec![(FaultPattern::new(n), empty)];
+    while let Some((prefix, mut batch)) = stack.pop() {
         if prefix.rounds() as u32 == rounds {
             complete.push(prefix);
             assert!(
@@ -85,11 +91,13 @@ where
             );
             continue;
         }
-        for round in all_rounds(n) {
-            if model.admits(&prefix, &round) {
+        for (profile, round) in &moves {
+            if batch.admits(profile) {
                 let mut next = prefix.clone();
-                next.push(round);
-                stack.push(next);
+                next.push(round.clone());
+                let mut registers = batch.clone();
+                registers.absorb_profile(profile);
+                stack.push((next, registers));
             }
         }
     }

@@ -22,9 +22,7 @@
 //! `p_i ∉ D(i,r)` only when `p_i` is outside the previous rounds' cumulative
 //! union. This substitution is recorded in `DESIGN.md`.
 
-use rrfd_core::{
-    FaultPattern, IdSet, PredicateProgram, ProgOp, RoundFaults, RrfdPredicate, SystemSize,
-};
+use rrfd_core::{PredicateProgram, ProgOp, RrfdPredicate, SystemSize};
 
 /// The synchronous crash predicate `P2` with failure bound `f`.
 ///
@@ -87,38 +85,6 @@ impl RrfdPredicate for Crash {
         self.n
     }
 
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        let crashed_before = history.cumulative_union();
-
-        // eq. 1, footprint bound.
-        let footprint: IdSet = crashed_before.union(round.union());
-        if footprint.len() > self.f {
-            return false;
-        }
-
-        // eq. 1, self-trust — for processes not already crashed (see module
-        // docs for the reconciliation).
-        if round
-            .iter()
-            .any(|(i, d)| d.contains(i) && !crashed_before.contains(i))
-        {
-            return false;
-        }
-
-        // eq. 2: last round's union is suspected by everyone now. A
-        // process is exempted from suspecting *itself* — whether a crashed
-        // process's (unobservable) detector names the process itself is
-        // immaterial, and demanding it would clash with the self-trust
-        // clause (see the module docs).
-        let Some(prev) = history.last() else {
-            return true;
-        };
-        let prev_union = prev.union();
-        round
-            .iter()
-            .all(|(k, d)| (prev_union - IdSet::singleton(k)).is_subset(d))
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         // eq. 1 footprint + self-trust, then eq. 2 as the sticky-union op
         // (`prev_union \ {k} ⊆ D(k)` for all `k` is exactly
@@ -139,6 +105,7 @@ mod tests {
     use super::*;
     use crate::predicates::SendOmission;
     use rrfd_core::ProcessId;
+    use rrfd_core::{FaultPattern, IdSet, RoundFaults};
 
     fn ids(xs: &[usize]) -> IdSet {
         xs.iter().map(|&i| ProcessId::new(i)).collect()

@@ -19,7 +19,7 @@
 //! just by predicate manipulation." The equivalence is unit-tested below and
 //! exercised in the E12 experiment.
 
-use rrfd_core::{FaultPattern, PredicateProgram, ProgOp, RoundFaults, RrfdPredicate, SystemSize};
+use rrfd_core::{PredicateProgram, ProgOp, RrfdPredicate, SystemSize};
 
 /// The detector-S predicate `P6`: fewer than `n` processes are ever
 /// suspected, over the whole run.
@@ -60,11 +60,6 @@ impl RrfdPredicate for DetectorS {
         self.n
     }
 
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        let footprint = history.cumulative_union().union(round.union());
-        footprint.len() < self.n.get()
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         Some(PredicateProgram::of(
             self.n,
@@ -76,6 +71,7 @@ impl RrfdPredicate for DetectorS {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrfd_core::{FaultPattern, RoundFaults};
     use rrfd_core::{IdSet, ProcessId};
 
     fn ids(xs: &[usize]) -> IdSet {

@@ -17,9 +17,7 @@
 //! [`DiamondSConsensus`](../../rrfd_protocols/diamond_s_consensus) (locking
 //! via quorums, `2f < n`) rather than item 6's simple rotation.
 
-use rrfd_core::{
-    FaultPattern, IdSet, PredicateProgram, ProgOp, Round, RoundFaults, RrfdPredicate, SystemSize,
-};
+use rrfd_core::{FaultPattern, IdSet, PredicateProgram, ProgOp, Round, RrfdPredicate, SystemSize};
 
 use super::AsyncResilient;
 
@@ -83,21 +81,6 @@ impl RrfdPredicate for EventuallyStrong {
         self.base.system_size()
     }
 
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        if !self.base.admits(history, round) {
-            return false;
-        }
-        let this_round = Round::new(history.rounds() as u32 + 1);
-        if this_round <= self.stabilization {
-            return true;
-        }
-        // Some candidate immortal must survive this round too.
-        !self
-            .immortal_candidates(history)
-            .difference(round.union())
-            .is_empty()
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         Some(PredicateProgram::all(
             self.system_size(),
@@ -115,6 +98,7 @@ impl RrfdPredicate for EventuallyStrong {
 mod tests {
     use super::*;
     use rrfd_core::ProcessId;
+    use rrfd_core::RoundFaults;
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()

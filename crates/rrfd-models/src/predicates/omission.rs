@@ -16,9 +16,7 @@
 //! §1). This keeps the paper's explicit claim that the crash model is a
 //! submodel of the send-omission model true at the predicate level.
 
-use rrfd_core::{
-    FaultPattern, IdSet, PredicateProgram, ProgOp, RoundFaults, RrfdPredicate, SystemSize,
-};
+use rrfd_core::{PredicateProgram, ProgOp, RrfdPredicate, SystemSize};
 
 /// The send-omission predicate `P1` with failure bound `f`.
 ///
@@ -76,15 +74,6 @@ impl RrfdPredicate for SendOmission {
         self.n
     }
 
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        let suspected_before = history.cumulative_union();
-        let self_trusting = round
-            .iter()
-            .all(|(i, d)| !d.contains(i) || suspected_before.contains(i));
-        let footprint: IdSet = suspected_before.union(round.union());
-        self_trusting && footprint.len() <= self.f
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         Some(PredicateProgram::all(
             self.n,
@@ -97,6 +86,7 @@ impl RrfdPredicate for SendOmission {
 mod tests {
     use super::*;
     use rrfd_core::ProcessId;
+    use rrfd_core::{FaultPattern, IdSet, RoundFaults};
 
     fn ids(xs: &[usize]) -> IdSet {
         xs.iter().map(|&i| ProcessId::new(i)).collect()

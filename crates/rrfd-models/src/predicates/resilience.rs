@@ -10,7 +10,7 @@
 //! nothing is remembered across rounds: a process missed in one round may be
 //! heard from in the next, and different processes may miss different peers.
 
-use rrfd_core::{FaultPattern, PredicateProgram, ProgOp, RoundFaults, RrfdPredicate, SystemSize};
+use rrfd_core::{PredicateProgram, ProgOp, RrfdPredicate, SystemSize};
 
 /// The asynchronous `f`-resilient predicate `P3`.
 ///
@@ -68,10 +68,6 @@ impl RrfdPredicate for AsyncResilient {
         self.n
     }
 
-    fn admits(&self, _history: &FaultPattern, round: &RoundFaults) -> bool {
-        round.iter().all(|(_, d)| d.len() <= self.f)
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         Some(PredicateProgram::of(self.n, ProgOp::PerProcAtMost(self.f)))
     }
@@ -80,6 +76,7 @@ impl RrfdPredicate for AsyncResilient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrfd_core::{FaultPattern, RoundFaults};
     use rrfd_core::{IdSet, ProcessId};
 
     fn ids(xs: &[usize]) -> IdSet {

@@ -13,7 +13,7 @@
 //! notes that this model implementing f-resilient atomic-snapshot memory is
 //! a simple corollary of Borowsky-Gafni [4].
 
-use rrfd_core::{FaultPattern, PredicateProgram, ProgOp, RoundFaults, RrfdPredicate, SystemSize};
+use rrfd_core::{PredicateProgram, ProgOp, RrfdPredicate, SystemSize};
 
 use super::AsyncResilient;
 
@@ -72,21 +72,6 @@ impl RrfdPredicate for Snapshot {
         self.base.system_size()
     }
 
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        if !self.base.admits(history, round) {
-            return false;
-        }
-        // Self-trust.
-        if round.iter().any(|(i, d)| d.contains(i)) {
-            return false;
-        }
-        // Containment chain: sorting by size and checking adjacent pairs
-        // suffices, since ⊆ on a chain is consistent with cardinality.
-        let mut sets: Vec<_> = round.iter().map(|(_, d)| d).collect();
-        sets.sort_by_key(|d| d.len());
-        sets.windows(2).all(|w| w[0].is_subset(w[1]))
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         // Sorted-adjacent containment is equivalent to pairwise
         // comparability, which is what the chain op profiles.
@@ -104,6 +89,7 @@ impl RrfdPredicate for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrfd_core::{FaultPattern, RoundFaults};
     use rrfd_core::{IdSet, ProcessId};
 
     fn ids(xs: &[usize]) -> IdSet {

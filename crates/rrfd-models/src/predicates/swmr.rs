@@ -21,9 +21,7 @@
 //! cycle-length experiment of §2 item 4 is reproduced in
 //! `rrfd-protocols::equivalence`.
 
-use rrfd_core::{
-    And, FaultPattern, PredicateProgram, ProgOp, RoundFaults, RrfdPredicate, SystemSize,
-};
+use rrfd_core::{And, PredicateProgram, ProgOp, RrfdPredicate, SystemSize};
 
 use super::AsyncResilient;
 
@@ -48,10 +46,6 @@ impl RrfdPredicate for SomeoneTrustedByAll {
 
     fn system_size(&self) -> SystemSize {
         self.n
-    }
-
-    fn admits(&self, _history: &FaultPattern, round: &RoundFaults) -> bool {
-        round.union().len() < self.n.get()
     }
 
     fn compile(&self) -> Option<PredicateProgram> {
@@ -83,12 +77,6 @@ impl RrfdPredicate for AntiSymmetric {
 
     fn system_size(&self) -> SystemSize {
         self.n
-    }
-
-    fn admits(&self, _history: &FaultPattern, round: &RoundFaults) -> bool {
-        round
-            .iter()
-            .all(|(i, d)| d.iter().all(|j| !round.of(j).contains(i)))
     }
 
     fn compile(&self) -> Option<PredicateProgram> {
@@ -150,10 +138,6 @@ impl RrfdPredicate for Swmr {
         self.inner.system_size()
     }
 
-    fn admits(&self, history: &FaultPattern, round: &RoundFaults) -> bool {
-        self.inner.admits(history, round)
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         self.inner.compile()
     }
@@ -162,6 +146,7 @@ impl RrfdPredicate for Swmr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrfd_core::{FaultPattern, RoundFaults};
     use rrfd_core::{IdSet, ProcessId};
 
     fn ids(xs: &[usize]) -> IdSet {

@@ -13,7 +13,7 @@
 //! asynchronous system. The two-rounds-of-B construction is implemented in
 //! `rrfd-protocols::equivalence` and measured by experiment E2.
 
-use rrfd_core::{FaultPattern, PredicateProgram, ProgOp, RoundFaults, RrfdPredicate, SystemSize};
+use rrfd_core::{PredicateProgram, ProgOp, RrfdPredicate, SystemSize};
 
 /// The System B predicate `PB(f, t)`.
 ///
@@ -78,22 +78,6 @@ impl RrfdPredicate for SystemB {
         self.n
     }
 
-    fn admits(&self, _history: &FaultPattern, round: &RoundFaults) -> bool {
-        // The minimal witness Q is exactly the processes exceeding the fast
-        // bound; the round is legal iff there are at most t of them and none
-        // exceeds the slow bound.
-        let mut slow = 0usize;
-        for (_, d) in round.iter() {
-            if d.len() > self.f {
-                if d.len() > self.t {
-                    return false;
-                }
-                slow += 1;
-            }
-        }
-        slow <= self.t
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         Some(PredicateProgram::of(
             self.n,
@@ -109,6 +93,7 @@ impl RrfdPredicate for SystemB {
 mod tests {
     use super::*;
     use crate::predicates::AsyncResilient;
+    use rrfd_core::{FaultPattern, RoundFaults};
     use rrfd_core::{IdSet, ProcessId};
 
     fn ids(xs: &[usize]) -> IdSet {

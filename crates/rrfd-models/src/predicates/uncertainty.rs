@@ -18,7 +18,7 @@
 //! — the predicate the semi-synchronous system of §5 implements with two
 //! steps per round, yielding 2-step consensus.
 
-use rrfd_core::{FaultPattern, PredicateProgram, ProgOp, RoundFaults, RrfdPredicate, SystemSize};
+use rrfd_core::{PredicateProgram, ProgOp, RrfdPredicate, SystemSize};
 
 /// The Theorem 3.1 predicate `Pk`: per-round uncertainty below `k`.
 ///
@@ -74,10 +74,6 @@ impl RrfdPredicate for KUncertainty {
         self.n
     }
 
-    fn admits(&self, _history: &FaultPattern, round: &RoundFaults) -> bool {
-        round.uncertainty().len() < self.k
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         // `new` guarantees `k ≥ 1`, so the strict bound `< k` is `≤ k − 1`.
         Some(PredicateProgram::of(
@@ -110,14 +106,6 @@ impl RrfdPredicate for IdenticalViews {
         self.n
     }
 
-    fn admits(&self, _history: &FaultPattern, round: &RoundFaults) -> bool {
-        let mut sets = round.iter().map(|(_, d)| d);
-        match sets.next() {
-            None => true,
-            Some(first) => sets.all(|d| d == first),
-        }
-    }
-
     fn compile(&self) -> Option<PredicateProgram> {
         Some(PredicateProgram::of(self.n, ProgOp::IdenticalViews))
     }
@@ -126,6 +114,7 @@ impl RrfdPredicate for IdenticalViews {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrfd_core::{FaultPattern, RoundFaults};
     use rrfd_core::{IdSet, ProcessId};
 
     fn ids(xs: &[usize]) -> IdSet {

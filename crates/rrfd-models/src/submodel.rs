@@ -15,7 +15,7 @@
 use crate::adversary::SampleModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rrfd_core::{FaultPattern, RoundFaults, RrfdPredicate};
+use rrfd_core::{FaultPattern, ProgramBatch, RoundFaults, RrfdPredicate};
 
 /// Outcome of a sampled refinement check.
 #[derive(Debug, Clone)]
@@ -62,10 +62,12 @@ where
     for run in 0..runs {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(run as u64));
         let mut history = FaultPattern::new(a.system_size());
+        let (mut own, mut target) = (ProgramBatch::of(a), ProgramBatch::of(b));
         for _ in 0..rounds {
             let round = a.sample_round(&mut rng, &history);
-            debug_assert!(a.admits(&history, &round), "sampler broke its own model");
-            if !b.admits(&history, &round) {
+            let legal = own.admit(&round);
+            debug_assert!(legal, "sampler broke its own model");
+            if !target.admit(&round) {
                 return Refinement::Refuted { history, round };
             }
             checked += 1;

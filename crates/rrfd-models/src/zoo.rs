@@ -124,7 +124,7 @@ mod tests {
         assert!(programs.iter().all(|p| p.system_size() == n));
     }
 
-    /// A local predicate that admits everything and declines to compile.
+    /// A local predicate that declines to compile.
     struct Uncompiled(SystemSize);
 
     impl RrfdPredicate for Uncompiled {
@@ -132,12 +132,8 @@ mod tests {
             self.0
         }
 
-        fn admits(
-            &self,
-            _history: &rrfd_core::FaultPattern,
-            _round: &rrfd_core::RoundFaults,
-        ) -> bool {
-            true
+        fn compile(&self) -> Option<PredicateProgram> {
+            None
         }
 
         fn name(&self) -> String {

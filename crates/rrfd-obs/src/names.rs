@@ -151,8 +151,8 @@ pub const CONF_STRONGEST: &str = "rrfd_conformance_strongest_rank";
 // The compiled plane lowers predicates to word-level programs evaluated
 // in batch (DESIGN.md §17).
 
-/// Counter: compiled predicate-program evaluations performed in place of
-/// dyn `admits` dispatch (conformance monitor batches, lattice walks).
+/// Counter: compiled predicate-program evaluations (conformance monitor
+/// batches, admissibility checks).
 pub const PRED_COMPILED_EVALS: &str = "rrfd_predicate_compiled_evals_total";
 
 // -- the registry ------------------------------------------------------------

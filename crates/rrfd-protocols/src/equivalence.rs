@@ -73,13 +73,14 @@ where
     M: RrfdPredicate + ?Sized,
 {
     let mut base_history = FaultPattern::new(n);
+    let mut base_batch = rrfd_core::ProgramBatch::of(base_model);
     let mut simulated = FaultPattern::new(n);
     for t in 0..simulated_rounds {
         let mut pair = Vec::with_capacity(2);
         for s in 0..2u32 {
             let round_no = Round::new(2 * t + s + 1);
             let round = detector.next_round(round_no, &base_history);
-            rrfd_core::validate_round(base_model, &base_history, &round)
+            rrfd_core::validate_round(base_model, &mut base_batch, &round)
                 .unwrap_or_else(|e| panic!("base detector broke its model: {e}"));
             base_history.push(round.clone());
             pair.push(round);

@@ -7,13 +7,13 @@
 //! with the round's delivery — the messages of every unsuspected peer plus
 //! the suspicion set `D(i,r)`. The coordinator gathers the `n` emissions,
 //! asks the [`FaultDetector`] for the round's suspicion sets, validates
-//! them against the model predicate (exactly like the in-process
-//! [`rrfd_core::Engine`]), and replies. The harness exists to demonstrate
-//! that RRFD systems are *executable* designs, not just proof devices —
-//! experiment E13 runs Theorem 3.1 end to end on threads.
+//! them against the model's compiled [`ProgramBatch`] (exactly like the
+//! in-process [`rrfd_core::Engine`]), and replies. The harness exists to
+//! demonstrate that RRFD systems are *executable* designs, not just proof
+//! devices — experiment E13 runs Theorem 3.1 end to end on threads.
 
 use crossbeam::channel::{self, Receiver, Sender};
-use rrfd_core::{validate_round, FaultDetector};
+use rrfd_core::{validate_round, FaultDetector, ProgramBatch};
 use rrfd_core::{
     Control, Delivery, FaultPattern, IdSet, PatternViolation, ProcessId, Round, RoundProtocol,
     RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
@@ -601,6 +601,7 @@ impl ThreadedEngine {
         let black_box = self.flight_rounds > 0;
         let mut decisions: Vec<Option<(P::Output, Round)>> = vec![None; n];
         let mut pattern = FaultPattern::new(self.n);
+        let mut batch = ProgramBatch::of(model);
 
         for round_no in 1..=self.max_rounds {
             let round = Round::new(round_no);
@@ -718,7 +719,7 @@ impl ThreadedEngine {
                     }
                 }
             }
-            if let Err(violation) = validate_round(model, &pattern, &faults) {
+            if let Err(violation) = validate_round(model, &mut batch, &faults) {
                 if black_box {
                     flight.note(round_no, format!("VIOLATION: {violation}"));
                 }

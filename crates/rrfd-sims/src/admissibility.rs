@@ -1,25 +1,17 @@
 //! Compiled-plane admissibility checks for simulator runs.
 //!
-//! The DPOR explorer ([`crate::dpor`]) accepts a
-//! `check` closure per completed run; when the property under test is
-//! "the extracted fault pattern stays inside model `P`", that closure
-//! historically called [`RrfdPredicate::admits_pattern`] — a fresh
-//! prefix re-walk per run, per predicate, with dyn dispatch in the inner
-//! loop. Exhaustive searches evaluate millions of runs, so the dispatch
-//! and re-walk dominate.
-//!
-//! [`AdmissibilityChecker`] instead compiles the family once
-//! ([`RrfdPredicate::compile`]) and streams each run's pattern through a
-//! [`ProgramBatch`]: one [`RoundProfile`] per round, one packed verdict
-//! mask per evaluation, `O(1)` history absorption. Compilation is exact,
-//! so the verdict is always identical to the dyn path; a family member
-//! that does not compile is rejected at construction. The checker is `Sync`
-//! and checks through `&self`, which is what the work-stealing DPOR pool
-//! requires of its `check` closures.
+//! The DPOR explorer ([`crate::dpor`]) accepts a `check` closure per
+//! completed run. When the property under test is "the extracted fault
+//! pattern stays inside model `P`", [`AdmissibilityChecker`] answers it for
+//! a whole family at once: compiled once ([`RrfdPredicate::compile`]), each
+//! run's pattern streams through one [`ProgramBatch`] — one profile per
+//! round, one packed verdict mask, `O(1)` history absorption. The checker
+//! is `Sync` and checks through `&self`, which is what the work-stealing
+//! DPOR pool requires of its `check` closures.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rrfd_core::{FaultPattern, ProgramBatch, Round, RoundProfile, RrfdPredicate, SystemSize};
+use rrfd_core::{FaultPattern, ProgramBatch, Round, RrfdPredicate, SystemSize};
 use rrfd_models::zoo::{compile_family, zoo, SharedPredicate};
 use rrfd_obs::{names, Labels, Obs};
 
@@ -139,7 +131,7 @@ impl AdmissibilityChecker {
         // The family is non-empty and at most 128 strong.
         let family = u128::MAX >> (128 - batch.len());
         for (round, faults) in pattern.iter() {
-            let profile = RoundProfile::of(faults);
+            let profile = batch.profile(faults);
             let rejected = family & !batch.eval_round(&profile, family);
             if rejected != 0 {
                 self.evals.fetch_add(batch.evals(), Ordering::Relaxed);

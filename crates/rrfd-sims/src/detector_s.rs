@@ -138,7 +138,7 @@ pub fn random_immortal(n: SystemSize, seed: u64) -> ProcessId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrfd_core::validate_round;
+    use rrfd_core::{validate_round, ProgramBatch};
     use rrfd_models::predicates::DetectorS;
 
     fn n(v: usize) -> SystemSize {
@@ -152,10 +152,11 @@ mod tests {
             let mut sys = SAugmentedSystem::random(size, 5, seed);
             let model = DetectorS::new(size);
             let mut history = FaultPattern::new(size);
+            let mut batch = ProgramBatch::of(&model);
             for r in 1..=8 {
                 let round = sys.next_round(Round::new(r), &history);
                 assert!(
-                    validate_round(&model, &history, &round).is_ok(),
+                    validate_round(&model, &mut batch, &round).is_ok(),
                     "seed {seed} round {r} violated P6"
                 );
                 history.push(round);

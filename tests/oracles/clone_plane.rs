@@ -11,8 +11,8 @@
 
 use rrfd::core::{
     validate_round, Control, Delivery, EngineError, FaultDetector, FaultPattern, IdSet, ProcessId,
-    Round, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize, TraceBuilder,
-    TraceOutcome,
+    ProgramBatch, Round, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize,
+    TraceBuilder, TraceOutcome,
 };
 
 /// The clone-plane round engine: the seed's per-recipient-copy delivery.
@@ -65,6 +65,7 @@ impl ClonePlaneEngine {
 
         let n = self.n.get();
         let mut pattern = FaultPattern::new(self.n);
+        let mut batch = ProgramBatch::of(model);
         let mut decisions: Vec<Option<(P::Output, Round)>> = vec![None; n];
 
         for round_no in 1..=self.max_rounds {
@@ -73,7 +74,7 @@ impl ClonePlaneEngine {
                 protocols.iter_mut().map(|p| Some(p.emit(round))).collect();
 
             let faults = detector.next_round(round, &pattern);
-            if let Err(violation) = validate_round(model, &pattern, &faults) {
+            if let Err(violation) = validate_round(model, &mut batch, &faults) {
                 trace.record_violating_round(faults);
                 return (
                     Err(violation.clone().into()),

@@ -1,7 +1,7 @@
 //! End-to-end tests for the syntax-aware static-analysis framework:
 //!
 //! * the seeded fixture tree under `tests/fixtures/static_analysis/`
-//!   fires all nine passes (and the unfenced fixture crate fires none
+//!   fires all eight passes (and the unfenced fixture crate fires none
 //!   of the fence-gated ones);
 //! * the five lexer-ported lints reproduce the frozen line-oriented
 //!   scanner (`oracles/legacy_lint.rs`) finding-for-finding on that tree;
@@ -40,7 +40,6 @@ const ALL_PASSES: &[&str] = &[
     "msg-clone",
     "round-closure",
     "span-guard",
-    "dyn-in-hot-loop",
     "lock-order",
 ];
 
