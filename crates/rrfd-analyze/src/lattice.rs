@@ -43,7 +43,9 @@ pub struct LatticeCounterexample {
 }
 
 /// Decides `P_A ⇒ P_B` over all fault patterns of at most `max_rounds`
-/// rounds, by depth-first enumeration of `A`-legal patterns.
+/// rounds, by depth-first enumeration of `A`-legal patterns on the two
+/// compiled programs: the search [`Lattice::compute_compiled`] runs for
+/// its witnesses, over one [`HistoryCtx`] for both programs.
 ///
 /// # Errors
 ///
@@ -52,8 +54,9 @@ pub struct LatticeCounterexample {
 ///
 /// # Panics
 ///
-/// Panics when the predicates disagree on system size, or when the size
-/// exceeds the exhaustive-enumeration bound of `rrfd-models`.
+/// Panics when the predicates disagree on system size, when either does
+/// not compile onto the predicate plane, or when the size exceeds the
+/// exhaustive-enumeration bound of `rrfd-models`.
 pub fn implies(
     a: &dyn RrfdPredicate,
     b: &dyn RrfdPredicate,
@@ -65,33 +68,27 @@ pub fn implies(
         b.system_size(),
         "implication needs a common process universe"
     );
-    let rounds: Vec<_> = all_rounds(n).collect();
-    // Stack of A-legal, B-legal prefixes still to extend.
-    let mut stack = vec![FaultPattern::new(n)];
-    while let Some(prefix) = stack.pop() {
-        if prefix.rounds() as u32 >= max_rounds {
-            continue;
-        }
-        for round in &rounds {
-            if !a.admits(&prefix, round) {
-                continue;
-            }
-            if !b.admits(&prefix, round) {
-                let mut pattern = prefix.clone();
-                pattern.push(round.clone());
-                let rejected_round = Round::new(pattern.rounds() as u32);
-                return Err(LatticeCounterexample {
-                    pattern,
-                    rejected_round,
-                    rejecting_predicate: b.name(),
-                });
-            }
-            let mut next = prefix.clone();
-            next.push(round.clone());
-            stack.push(next);
-        }
+    let mut programs = Vec::with_capacity(2);
+    for predicate in [a, b] {
+        let program = predicate.compile();
+        assert!(
+            program.is_some(),
+            "{} does not compile onto the predicate plane",
+            predicate.name()
+        );
+        programs.extend(program);
     }
-    Ok(())
+    let rounds: Vec<RoundFaults> = all_rounds(n).collect();
+    let profiles: Vec<RoundProfile> = rounds.iter().map(RoundProfile::of).collect();
+    let base_ctx = HistoryCtx::for_programs(n, &programs);
+    WitnessSearch {
+        n,
+        rounds: &rounds,
+        profiles: &profiles,
+        base_ctx: &base_ctx,
+        max_rounds,
+    }
+    .implies(&programs[0], &programs[1], &b.name())
 }
 
 /// Converts a counterexample into a replayable [`RunTrace`] certificate.
@@ -144,13 +141,12 @@ impl Lattice {
     /// at most `max_rounds` rounds, on the compiled predicate plane: one
     /// shared prefix trie instead of `len²` independent pair searches.
     ///
-    /// A per-pair search would re-enumerate the `A ∧ B`-legal prefixes for
-    /// every pair, re-walking each history prefix per candidate round
-    /// inside `admits`. Here each shared prefix is visited **once** for
-    /// all pairs: a `u128` legality mask tracks which predicates still
-    /// admit the prefix, compiled programs ([`RrfdPredicate::compile`])
-    /// are evaluated against one [`RoundProfile`] per class of observably
-    /// equivalent candidate rounds (see [`ProgOp::history_key`]; static
+    /// A per-pair search ([`implies`]) re-enumerates the `A ∧ B`-legal
+    /// prefixes for every pair. Here each shared prefix is visited
+    /// **once** for all pairs: a `u128` legality mask tracks which
+    /// predicates still admit the prefix, compiled programs
+    /// ([`RrfdPredicate::compile`]) are evaluated against one
+    /// [`RoundProfile`] per class of observably equivalent candidate rounds (see [`ProgOp::history_key`]; static
     /// programs are precomputed into per-class verdict masks before the
     /// walk starts, dynamic ones once per reachable register file, see
     /// [`HistoryCtx::register_key`]), and a subtree is abandoned as soon
@@ -160,8 +156,8 @@ impl Lattice {
     /// deciding each pair with [`implies`]: a pair is refuted here iff a
     /// jointly-legal prefix extends to a round `A` admits and `B`
     /// rejects, which is [`implies`]'s termination condition, and each
-    /// refuted pair's witness is then found in [`implies`]'s own
-    /// depth-first order on the compiled programs.
+    /// refuted pair's witness is then found by [`implies`]'s own search,
+    /// run on the family's programs and profiles.
     ///
     /// # Panics
     ///
@@ -715,10 +711,12 @@ impl TrieWalker<'_> {
     }
 }
 
-/// The compiled-plane twin of [`implies`]: the same stack discipline and
-/// the same round order, driven by the family's programs and one
-/// [`HistoryCtx`] instead of per-call `admits`, so the first witness it
-/// meets is the one [`implies`] returns.
+/// The per-pair search behind [`implies`] and the witnesses of
+/// [`Lattice::compute_compiled`]: a depth-first walk of the `a`-legal
+/// prefixes, candidate rounds in [`all_rounds`] order, every round judged
+/// by compiled programs against one [`HistoryCtx`] refolded per prefix.
+/// The profiles and the context are borrowed, so the lattice shares its
+/// precomputed ones with every refuted pair.
 struct WitnessSearch<'a> {
     n: SystemSize,
     rounds: &'a [RoundFaults],
@@ -729,9 +727,9 @@ struct WitnessSearch<'a> {
 }
 
 impl WitnessSearch<'_> {
-    /// [`implies`] on compiled programs: `Err` holds the first `a`-legal
-    /// pattern `b` rejects at its final round, in [`implies`]'s search
-    /// order; `b_name` names the rejecting predicate.
+    /// Decides `a ⇒ b`: `Err` holds the first `a`-legal pattern `b`
+    /// rejects at its final round; `b_name` names the rejecting
+    /// predicate.
     fn implies(
         &self,
         a: &PredicateProgram,
@@ -739,9 +737,8 @@ impl WitnessSearch<'_> {
         b_name: &str,
     ) -> Result<(), LatticeCounterexample> {
         // Prefixes are nodes of a parent-linked arena (node 0 is the empty
-        // prefix); the stack holds `(node, depth)`. Longer prefixes that
-        // reach the depth bound are never pushed: `implies` pops them
-        // without looking at them.
+        // prefix); the stack holds `(node, depth)`. Prefixes that reach
+        // the depth bound are never pushed: nothing extends them.
         let mut nodes: Vec<(usize, usize)> = vec![(usize::MAX, usize::MAX)];
         let mut stack = vec![(0usize, 0u32)];
         let mut path: Vec<usize> = Vec::new();

@@ -8,9 +8,9 @@
 //!   counterexample certificates for the non-implications. The default
 //!   backend walks one compiled-plane prefix trie shared by all pairs,
 //!   evaluating one round per class of rounds the compiled programs
-//!   cannot tell apart and expanding each distinct child once; witnesses
-//!   are then found on the compiled programs in the per-pair search's
-//!   own order, so they match [`lattice::implies`] byte for byte.
+//!   cannot tell apart and expanding each distinct child once; each
+//!   refuted pair's witness is then found by the per-pair compiled
+//!   search behind [`lattice::implies`], so the two agree byte for byte.
 //! * [`races`] — rebuilds happens-before over captured `rrfd-trace v1` /
 //!   `rrfd-events v1` traces with vector clocks, reporting covering
 //!   violations, cross-round reordering and data races.

@@ -35,14 +35,13 @@ use rrfd_protocols::early_stopping::EarlyStoppingConsensus;
 use rrfd_protocols::kset::{FloodMin, OneRoundKSet, SnapshotKSet};
 use rrfd_protocols::s_consensus::SRotatingConsensus;
 use rrfd_protocols::semi_sync_consensus::TwoStepConsensus;
-use rrfd_runtime::{MetricsSink, ThreadedEngine};
+use rrfd_runtime::ThreadedEngine;
 use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
 use rrfd_sims::instrument::Instrumented;
 use rrfd_sims::semi_sync::{RandomSemiSync, SemiSyncSim};
 use rrfd_sims::shared_mem::{Action, MemProcess, Observation, RandomScheduler, SharedMemSim};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 const FORMAT: &str = "rrfd-bench v1";
@@ -58,7 +57,7 @@ fn inputs(count: usize) -> Vec<u64> {
 
 /// One E-series workload: a name plus a closure that runs it once,
 /// recording into `obs` wherever the substrate has an instrumentation
-/// seam (engine builder, scheduler wrapper, runtime sink).
+/// seam (engine and runtime builders, scheduler wrapper).
 struct Workload {
     name: &'static str,
     run: Box<dyn Fn(&Obs)>,
@@ -147,7 +146,6 @@ fn workloads() -> Vec<Workload> {
                 let mut adv = RandomAdversary::new(model, SEED);
                 ThreadedEngine::new(size)
                     .obs(obs.clone())
-                    .sink(Arc::new(MetricsSink::new(obs.clone())))
                     .run(protos, &mut adv, &model)
                     .expect("e13 run");
             }),
@@ -366,7 +364,7 @@ fn run_report(quick: bool) -> String {
     );
     let dpor = measure_dpor(explore_samples, cores);
 
-    // Batch throughput: the sharded pool against the sequential loop on
+    // Batch throughput: the sharded pool against its own one-shard run on
     // the default tenant mix, on at most 4 shards and never more shards
     // than the host has cores. `serve` re-measures this section at
     // arbitrary scale and splices it back in.
@@ -381,9 +379,9 @@ fn run_report(quick: bool) -> String {
     eprintln!("measuring zoo conformance ({conf_instances} monitored instances)...");
     let conformance = measure_conformance(&MixSpec::default_mix(), conf_instances, tp_shards, SEED);
 
-    // Compiled predicate plane: lattice computation against the dyn
+    // Compiled predicate plane: the shared-trie lattice against the
     // per-pair search, and per-round conformance cost. Asserts its own
-    // speedup floor (10x compiled depth-3).
+    // speedup floor (10x at depth 3).
     eprintln!("measuring compiled-plane lattice speedups...");
     let lattice = measure_lattice(quick);
 
@@ -513,7 +511,7 @@ fn check_schema(text: &str) -> Result<(), String> {
         "errored",
         "rounds",
         "batch_ns",
-        "sequential_ns",
+        "one_shard_ns",
         "instances_per_sec",
         "p99_round_ns",
         "speedup_x100",
@@ -572,7 +570,7 @@ fn check_schema(text: &str) -> Result<(), String> {
     for field in [
         "n",
         "f",
-        "dyn_depth3_ns",
+        "pairwise_depth3_ns",
         "compiled_depth3_ns",
         "speedup_x100",
         "depth4_cold_ns",

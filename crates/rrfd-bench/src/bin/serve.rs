@@ -8,9 +8,9 @@
 //!
 //! Runs `N` protocol instances of the weighted `--mix` (default: the
 //! five-class tenant mix of `MixSpec::DEFAULT_SPEC`) through the sharded
-//! batch pool and through the naive sequential loop, then reports
-//! instances/sec, p99 per-round step latency (from the pool's
-//! `rrfd_pool_round_latency_ns` histogram), and the speedup, plus a
+//! batch pool on `S` shards and on one, then reports instances/sec, p99
+//! per-round step latency (from the pool's `rrfd_pool_round_latency_ns`
+//! histogram), and the speedup over one shard, plus a
 //! per-class zoo-conformance table (monitored / clean / worst surviving
 //! predicate, from a separate flight-armed conformance pass so monitor
 //! cost never pollutes the throughput number). When the `--out` report
@@ -109,11 +109,11 @@ fn main() -> ExitCode {
     println!("rounds         {}", row.rounds);
     println!("shards         {}", row.shards);
     println!("batch          {} ms", row.batch_ns / 1_000_000);
-    println!("sequential     {} ms", row.sequential_ns / 1_000_000);
+    println!("one shard      {} ms", row.one_shard_ns / 1_000_000);
     println!("instances/sec  {per_sec}");
     println!("p99 round      {} ns", row.p99_round_ns);
     println!(
-        "speedup        {}.{:02}x over the sequential loop",
+        "speedup        {}.{:02}x over one shard",
         speedup / 100,
         speedup % 100
     );

@@ -1,10 +1,11 @@
-//! The bench reporter's `lattice` section: compiled-plane lattice
-//! computation against the per-pair `implies` search.
+//! The bench reporter's `lattice` section: the shared-trie lattice
+//! against the per-pair `implies` search.
 //!
 //! Three measurements back the section:
 //!
-//! 1. **Compiled vs dyn lattice** at depth 3 — [`implies`] on every
-//!    ordered pair (per-pair DFS, `admits` in the inner loop) against
+//! 1. **Shared trie vs per-pair search** at depth 3 — [`implies`] on
+//!    every ordered pair (one compiled search per pair, each
+//!    re-enumerating its jointly legal prefixes) against
 //!    [`Lattice::compute_compiled`] (one shared prefix trie, packed
 //!    `u128` verdict masks, one round per observable class, static-pair
 //!    precomputation, state-merged subtrees). The verdicts are asserted
@@ -28,12 +29,12 @@ pub struct LatticeSection {
     pub n: usize,
     /// Resilience of the zoo family.
     pub f: usize,
-    /// Per-pair dyn search ([`implies`] on every ordered pair), depth 3,
+    /// Per-pair search ([`implies`] on every ordered pair), depth 3,
     /// wall nanoseconds.
-    pub dyn_depth3_ns: u64,
+    pub pairwise_depth3_ns: u64,
     /// Shared-trie compiled walk, depth 3, wall nanoseconds.
     pub compiled_depth3_ns: u64,
-    /// `dyn_depth3_ns / compiled_depth3_ns`, ×100.
+    /// `pairwise_depth3_ns / compiled_depth3_ns`, ×100.
     pub speedup_x100: u64,
     /// Compiled walk from scratch, depth 4, wall nanoseconds (best of
     /// several runs).
@@ -91,7 +92,7 @@ where
 }
 
 /// Runs every measurement and asserts the section's own acceptance
-/// floor: the compiled depth-3 walk at least 10× the dyn search. A
+/// floor: the shared-trie depth-3 walk at least 10× the per-pair search. A
 /// regression that melts that ratio fails report generation rather than
 /// silently shipping a slower plane.
 ///
@@ -104,9 +105,9 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
     let n = SystemSize::new(3).expect("3 is a valid system size");
     let f = 1usize;
 
-    // 1. Compiled vs dyn, depth 3. The dyn search is the expensive side;
-    //    one sample is representative (it enumerates millions of
-    //    prefixes), while the compiled walk gets a best-of loop.
+    // 1. Shared trie vs per-pair search, depth 3. The per-pair search is
+    //    the expensive side; one sample is representative (it enumerates
+    //    every pair's prefixes), while the trie walk gets a best-of loop.
     let family = zoo(n, f);
     let start = Instant::now();
     let per_pair: Vec<Vec<bool>> = family
@@ -120,7 +121,7 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
                 .collect()
         })
         .collect();
-    let dyn_depth3_ns = nanos(start).max(1);
+    let pairwise_depth3_ns = nanos(start).max(1);
     let compiled_reps = if quick { 3 } else { 10 };
     let mut compiled_depth3_ns = u64::MAX;
     let mut compiled = None;
@@ -140,7 +141,7 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
             );
         }
     }
-    let speedup_x100 = dyn_depth3_ns * 100 / compiled_depth3_ns;
+    let speedup_x100 = pairwise_depth3_ns * 100 / compiled_depth3_ns;
 
     // 2. Compiled lattice at the CLI's default depth.
     let mut depth4_cold_ns = u64::MAX;
@@ -159,13 +160,13 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
     assert!(
         speedup_x100 >= 1_000,
         "compiled depth-3 lattice fell under the 10x floor: \
-         dyn {dyn_depth3_ns}ns vs compiled {compiled_depth3_ns}ns ({speedup_x100}/100x)"
+         per-pair {pairwise_depth3_ns}ns vs compiled {compiled_depth3_ns}ns ({speedup_x100}/100x)"
     );
 
     LatticeSection {
         n: n.get(),
         f,
-        dyn_depth3_ns,
+        pairwise_depth3_ns,
         compiled_depth3_ns,
         speedup_x100,
         depth4_cold_ns,
@@ -179,12 +180,12 @@ pub fn measure_lattice(quick: bool) -> LatticeSection {
 #[must_use]
 pub fn render_lattice_line(section: &LatticeSection) -> String {
     format!(
-        "  \"lattice\": {{\"n\": {}, \"f\": {}, \"dyn_depth3_ns\": {}, \
+        "  \"lattice\": {{\"n\": {}, \"f\": {}, \"pairwise_depth3_ns\": {}, \
          \"compiled_depth3_ns\": {}, \"speedup_x100\": {}, \"depth4_cold_ns\": {}, \
          \"conformance_compiled_ns_per_round\": {}}}",
         section.n,
         section.f,
-        section.dyn_depth3_ns,
+        section.pairwise_depth3_ns,
         section.compiled_depth3_ns,
         section.speedup_x100,
         section.depth4_cold_ns,
@@ -202,7 +203,7 @@ mod tests {
         let section = LatticeSection {
             n: 3,
             f: 1,
-            dyn_depth3_ns: 400_000_000,
+            pairwise_depth3_ns: 400_000_000,
             compiled_depth3_ns: 2_000_000,
             speedup_x100: 20_000,
             depth4_cold_ns: 20_000_000,

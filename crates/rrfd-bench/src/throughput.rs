@@ -4,13 +4,13 @@
 //! [`measure_throughput`] runs one mix twice through the sharded pool —
 //! an instrumented pass that fills the [`rrfd_obs`] per-step latency
 //! histogram (for the p99), then an uninstrumented timed pass — and once
-//! through the naive one-`Engine::run`-per-instance sequential baseline,
-//! and reduces the three to a [`ThroughputRow`]: instances/sec, p99
-//! round latency, and the batch-over-sequential speedup. Both bench
+//! more, uninstrumented, on a single shard, and reduces the three to a
+//! [`ThroughputRow`]: instances/sec, p99 round latency, and the speedup
+//! of `shards` shards over one shard of the same pool. Both bench
 //! binaries consume the same row, so `serve` output and
 //! `BENCH_rrfd.json` cannot drift apart.
 
-use rrfd_engine_pool::{run_batch, run_sequential, MixSpec, PoolConfig};
+use rrfd_engine_pool::{run_batch, MixSpec, PoolConfig};
 use rrfd_obs::{json, names, Labels, MetricValue, Obs};
 
 /// One throughput measurement, ready to print or serialize.
@@ -30,21 +30,21 @@ pub struct ThroughputRow {
     pub rounds: u64,
     /// Wall nanoseconds for the uninstrumented batch pass.
     pub batch_ns: u64,
-    /// Wall nanoseconds for the sequential baseline.
-    pub sequential_ns: u64,
+    /// Wall nanoseconds for the same uninstrumented batch on one shard.
+    pub one_shard_ns: u64,
     /// `instances / batch_ns`, scaled to instances per second.
     pub instances_per_sec: u64,
     /// p99 of one pool engine step (one instance, one round), in
     /// wall nanoseconds, from the instrumented pass's histogram.
     pub p99_round_ns: u64,
-    /// `sequential_ns * 100 / batch_ns` — `200` means the pool retired
-    /// the batch twice as fast as the sequential loop.
+    /// `one_shard_ns * 100 / batch_ns` — `200` means `shards` shards
+    /// retired the batch twice as fast as one.
     pub speedup_x100: u64,
 }
 
-/// Measures `mix` at `instances` across `shards`, against the
-/// sequential baseline. Deterministic in its decisions (fixed `seed`);
-/// the timings are wall-clock.
+/// Measures `mix` at `instances` across `shards`, against the same pool
+/// on one shard. Deterministic in its decisions (fixed `seed`); the
+/// timings are wall-clock.
 #[must_use]
 pub fn measure_throughput(
     mix: &MixSpec,
@@ -76,15 +76,15 @@ pub fn measure_throughput(
     debug_assert_eq!(timed.completed, report.completed);
 
     let start = clock.now_ns();
-    let sequential = run_sequential(mix, instances, &PoolConfig::new(1).seed(seed));
-    let sequential_ns = clock.now_ns().saturating_sub(start).max(1);
-    debug_assert_eq!(sequential.completed, report.completed);
+    let one_shard = run_batch(mix, instances, &PoolConfig::new(1).seed(seed));
+    let one_shard_ns = clock.now_ns().saturating_sub(start).max(1);
+    debug_assert_eq!(one_shard.completed, report.completed);
 
     let instances_per_sec =
         u64::try_from(u128::from(instances) * 1_000_000_000 / u128::from(batch_ns))
             .unwrap_or(u64::MAX);
     let speedup_x100 =
-        u64::try_from(u128::from(sequential_ns) * 100 / u128::from(batch_ns)).unwrap_or(u64::MAX);
+        u64::try_from(u128::from(one_shard_ns) * 100 / u128::from(batch_ns)).unwrap_or(u64::MAX);
     ThroughputRow {
         mix: mix.to_string(),
         instances,
@@ -93,7 +93,7 @@ pub fn measure_throughput(
         errored: report.errored,
         rounds: report.rounds,
         batch_ns,
-        sequential_ns,
+        one_shard_ns,
         instances_per_sec,
         p99_round_ns,
         speedup_x100,
@@ -108,7 +108,7 @@ pub fn render_throughput_line(row: &ThroughputRow) -> String {
     format!(
         "  \"throughput\": {{\"mix\": \"{}\", \"instances\": {}, \"shards\": {}, \
          \"completed\": {}, \"errored\": {}, \"rounds\": {}, \"batch_ns\": {}, \
-         \"sequential_ns\": {}, \"instances_per_sec\": {}, \"p99_round_ns\": {}, \
+         \"one_shard_ns\": {}, \"instances_per_sec\": {}, \"p99_round_ns\": {}, \
          \"speedup_x100\": {}}},",
         json::escape(&row.mix),
         row.instances,
@@ -117,7 +117,7 @@ pub fn render_throughput_line(row: &ThroughputRow) -> String {
         row.errored,
         row.rounds,
         row.batch_ns,
-        row.sequential_ns,
+        row.one_shard_ns,
         row.instances_per_sec,
         row.p99_round_ns,
         row.speedup_x100,
@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(row.shards, 2);
         assert_eq!(row.mix, MixSpec::DEFAULT_SPEC);
         assert!(row.instances_per_sec > 0);
-        assert!(row.batch_ns > 0 && row.sequential_ns > 0);
+        assert!(row.batch_ns > 0 && row.one_shard_ns > 0);
         assert!(
             row.p99_round_ns > 0,
             "instrumented pass must fill the histogram"
@@ -168,7 +168,7 @@ mod tests {
             errored: 0,
             rounds: 10,
             batch_ns: 500,
-            sequential_ns: 1500,
+            one_shard_ns: 1500,
             instances_per_sec: 20_000_000,
             p99_round_ns: 40,
             speedup_x100: 300,

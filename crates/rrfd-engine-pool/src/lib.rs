@@ -14,15 +14,16 @@
 //! * [`pool`] — the sharded pool itself: [`run_batch`] splits instances
 //!   over worker threads, and each shard runs its instances to
 //!   completion one after another on per-lane state it reuses (engine,
-//!   emission buffer, conformance monitor); [`run_sequential`] is the
-//!   naive one-`Engine::run`-per-instance baseline it is measured (and
-//!   differentially tested) against.
+//!   emission buffer, conformance monitor). Its speedups are measured
+//!   against its own one-shard run, and its results are differentially
+//!   tested against a one-fresh-engine-per-instance oracle under
+//!   `tests/`.
 //!
 //! Everything is deterministic in `(mix, instances, seed)`: instance →
 //! shard and instance → class assignments are pure functions of the
-//! instance id, so the pool and the baseline build identical instances
-//! without coordination, and a batch's decisions are reproducible at
-//! any shard count. The `rrfd-bench` crate's `serve` binary exposes
+//! instance id, so every shard count builds identical instances without
+//! coordination, and a batch's decisions are reproducible at any shard
+//! count. The `rrfd-bench` crate's `serve` binary exposes
 //! this as a CLI and feeds the `throughput` section of BENCH_rrfd.json.
 
 #![forbid(unsafe_code)]
@@ -33,6 +34,6 @@ pub mod pool;
 
 pub use mix::{ClassKind, ClassSpec, MixError, MixSpec, Stall};
 pub use pool::{
-    run_batch, run_sequential, BatchReport, ClassConformance, ClassTotals, InstanceClass,
-    InstanceConformance, InstanceResult, PoolConfig, RunSummary,
+    run_batch, BatchReport, ClassConformance, ClassTotals, InstanceClass, InstanceConformance,
+    InstanceResult, PoolConfig, RunSummary,
 };

@@ -25,9 +25,9 @@
 //!
 //! `w` (weight, default 1) sets the class's share of instances: global
 //! instance id `i` belongs to the class owning residue `i mod Σw`, so
-//! proportions are exact and assignment is deterministic — the batch
-//! pool and the sequential baseline agree on which instance is which
-//! without communicating. `stall` instances never decide and abort with
+//! proportions are exact and assignment is deterministic — every shard
+//! count of the batch pool agrees on which instance is which without
+//! communicating. `stall` instances never decide and abort with
 //! [`rrfd_core::EngineError::RoundLimitExceeded`] after `rounds` rounds
 //! (default 4): a mix containing them exercises the pool's guarantee
 //! that a failing instance never poisons its shard.
@@ -233,6 +233,11 @@ impl std::fmt::Display for MixSpec {
     }
 }
 
+/// `value` as a `u32`, or an error naming `key` when it does not fit.
+fn narrow(key: &str, value: u64) -> Result<u32, MixError> {
+    u32::try_from(value).map_err(|_| err(format!("`{key}` must fit in 32 bits, got {value}")))
+}
+
 fn parse_entry(entry: &str) -> Result<ClassSpec, MixError> {
     let mut parts = entry.split(':');
     let name = parts.next().unwrap_or_default();
@@ -260,8 +265,8 @@ fn parse_entry(entry: &str) -> Result<ClassSpec, MixError> {
             "n" => n = parsed as usize,
             "k" => k = parsed as usize,
             "f" => f = parsed as usize,
-            "w" => weight = parsed as u32,
-            "rounds" => stall_rounds = parsed as u32,
+            "w" => weight = narrow(key, parsed)?,
+            "rounds" => stall_rounds = narrow(key, parsed)?,
             other => return Err(err(format!("unknown key `{other}` for `{name}`"))),
         }
     }
@@ -313,8 +318,8 @@ fn parse_entry(entry: &str) -> Result<ClassSpec, MixError> {
 
 /// SplitMix64: the per-instance seed/input stream. One multiplicative
 /// hash per draw, deterministic in the (batch seed, instance id, lane)
-/// triple, so the pool and the sequential baseline derive identical
-/// instances with no shared state.
+/// triple, so every shard count of the pool derives identical instances
+/// with no shared state.
 #[must_use]
 pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -628,6 +633,11 @@ mod tests {
         assert!(MixSpec::parse("kset:n=4:w=0").is_err());
         assert!(MixSpec::parse("kset:n=4:bogus=1").is_err());
         assert!(MixSpec::parse("kset:n=nope").is_err());
+        // Values past u32 are refused, not truncated to 1.
+        let wide = MixSpec::parse("kset:n=8:k=2:w=4294967297").unwrap_err();
+        assert!(wide.to_string().contains("`w`"), "{wide}");
+        let wide = MixSpec::parse("stall:n=4:rounds=4294967297").unwrap_err();
+        assert!(wide.to_string().contains("`rounds`"), "{wide}");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! 1. **Deterministic sharding.** Instance `i` always lands on shard
 //!    `i mod shards` and in the mix class owning residue `i mod Σw`.
-//!    No queues, no work stealing: the pool and the sequential baseline
-//!    ([`run_sequential`]) agree on every instance's inputs, adversary
-//!    seed, and class without communicating, which is what makes the
-//!    differential suite possible.
+//!    No queues, no work stealing: every shard count, and the
+//!    one-fresh-engine-per-instance oracle the differential suite keeps
+//!    under `tests/`, agree on every instance's inputs, adversary seed,
+//!    and class without communicating.
 //! 2. **Run to completion.** Runs are communication-closed, so nothing
 //!    needs interleaving between them: a shard walks its ids class by
 //!    class (in mix order, ascending within a class) and steps each
@@ -41,7 +41,7 @@ use rrfd_core::{
     Engine, EngineError, EngineRun, EngineStep, FaultDetector, ProgramBatch, RoundHook,
     RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize,
 };
-use rrfd_models::conformance::{ConformanceMonitor, ConformanceVerdict};
+use rrfd_models::conformance::ConformanceMonitor;
 use rrfd_obs::{names, FlightRecorder, Labels, MetricId, Obs, RunObs, DEFAULT_FLIGHT_ROUNDS};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -60,8 +60,8 @@ const CONF_ZOO_F: usize = 1;
 
 /// One tenant family a batch can run: how to build instance `id`'s
 /// protocols, adversary, and model predicate. Implementations must be
-/// pure in `id` — the pool and the sequential baseline both call
-/// [`InstanceClass::build`] and must get identical instances.
+/// pure in `id` — every shard count calls [`InstanceClass::build`] and
+/// must get identical instances.
 pub trait InstanceClass {
     /// The protocol every process in an instance runs. Outputs are the
     /// workspace's canonical [`Value`] so results from different classes
@@ -104,7 +104,7 @@ pub struct InstanceResult {
     pub instance: u64,
     /// The owning class's display name.
     pub class: &'static str,
-    /// Shard that executed it (`0` for the sequential baseline).
+    /// Shard that executed it.
     pub shard: usize,
     /// Decision summary, or the engine error that retired the instance.
     pub outcome: Result<RunSummary, EngineError>,
@@ -127,8 +127,7 @@ pub struct InstanceConformance {
 
 impl InstanceConformance {
     /// The summary of a finished monitor, with `names[i]` the name of its
-    /// predicate `i`: equal to [`InstanceConformance::from_verdict`] of
-    /// its verdict, without building the verdict.
+    /// predicate `i`, read without building the monitor's verdict.
     fn from_monitor(monitor: &ConformanceMonitor, names: &[String]) -> Self {
         InstanceConformance {
             strongest: monitor
@@ -141,19 +140,6 @@ impl InstanceConformance {
                     let round = monitor.first_violation(idx)?;
                     Some((name.clone(), round.get()))
                 })
-                .collect(),
-        }
-    }
-
-    fn from_verdict(verdict: &ConformanceVerdict) -> Self {
-        InstanceConformance {
-            strongest: verdict
-                .strongest_satisfied()
-                .map(|s| (s.name.clone(), s.rank)),
-            violations: verdict
-                .statuses
-                .iter()
-                .filter_map(|s| s.first_violation.map(|r| (s.name.clone(), r.get())))
                 .collect(),
         }
     }
@@ -190,7 +176,7 @@ pub struct ClassTotals {
     pub rounds: u64,
 }
 
-/// What a batch (or the sequential baseline) did.
+/// What a batch did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchReport {
     /// Instances requested.
@@ -201,7 +187,7 @@ pub struct BatchReport {
     pub errored: u64,
     /// Total engine rounds executed across all instances.
     pub rounds: u64,
-    /// Shards the batch ran on (`1` for the sequential baseline).
+    /// Shards the batch ran on.
     pub shards: usize,
     /// Per-class totals, in mix order.
     pub classes: Vec<ClassTotals>,
@@ -742,107 +728,6 @@ pub fn run_batch(mix: &MixSpec, instances: u64, config: &PoolConfig) -> BatchRep
     fold_report(mix, instances, shards, totals, flight_dumps)
 }
 
-/// The naive baseline the batch pool is measured against: one fresh
-/// [`Engine::run`] (or [`Engine::run_traced`]) per instance, in
-/// instance order, single-threaded, no buffer reuse. Decision- and
-/// trace-identical to [`run_batch`] over the same `(mix, instances,
-/// seed)` — the differential suite pins this.
-#[must_use]
-pub fn run_sequential(mix: &MixSpec, instances: u64, config: &PoolConfig) -> BatchReport {
-    let mut totals: Vec<LaneTotals> = mix
-        .classes()
-        .iter()
-        .enumerate()
-        .map(|(class_index, _)| LaneTotals {
-            class_index,
-            completed: 0,
-            errored: 0,
-            rounds: 0,
-            results: Vec::new(),
-            conf: config.conformance.then(LaneConf::default),
-        })
-        .collect();
-    for id in 0..instances {
-        let index = mix.class_of(id);
-        let Some(spec) = mix.classes().get(index) else {
-            continue;
-        };
-        let result = match spec.kind {
-            ClassKind::KSet => run_one(&KSetClass::new(*spec, config.seed), id, config),
-            ClassKind::FloodMin => run_one(&FloodMinClass::new(*spec, config.seed), id, config),
-            ClassKind::SConsensus => run_one(&SConsensusClass::new(*spec, config.seed), id, config),
-            ClassKind::Early => run_one(&EarlyClass::new(*spec, config.seed), id, config),
-            ClassKind::Stall => run_one(&StallClass::new(*spec), id, config),
-        };
-        let lane = &mut totals[index];
-        match &result.outcome {
-            Ok(summary) => {
-                lane.completed += 1;
-                lane.rounds += u64::from(summary.rounds_executed);
-            }
-            Err(_) => lane.errored += 1,
-        }
-        if let (Some(conf), Some(summary)) = (lane.conf.as_mut(), result.conformance.as_ref()) {
-            conf.absorb(summary);
-        }
-        if config.keep_results {
-            lane.results.push(result);
-        }
-    }
-    fold_report(mix, instances, 1, vec![totals], Vec::new())
-}
-
-/// Runs a single instance of `class` to completion the naive way.
-fn run_one<C: InstanceClass>(class: &C, id: u64, config: &PoolConfig) -> InstanceResult {
-    let engine = Engine::new(class.system_size())
-        .max_rounds(class.max_rounds())
-        .obs(config.obs.clone());
-    let (protocols, detector, model) = class.build(id);
-    // `start`/`start_traced` rather than `run`/`run_traced`: the
-    // resumable handle exposes the instance-id and round-hook seams,
-    // and a started run stepped to completion is decision- and
-    // trace-identical to a `run` call (the engine's contract).
-    let started = if config.capture_traces {
-        engine.start_traced(protocols, detector, model)
-    } else {
-        engine.start(protocols, detector, model)
-    };
-    let mut run = match started {
-        Ok(run) => run,
-        Err(error) => {
-            return InstanceResult {
-                instance: id,
-                class: class.name(),
-                shard: 0,
-                outcome: Err(error),
-                trace: None,
-                conformance: None,
-            }
-        }
-    };
-    run.set_instance(id);
-    let monitor = config.conformance.then(|| {
-        let monitor = ConformanceMonitor::zoo(class.system_size(), CONF_ZOO_F);
-        let monitor = Arc::new(Mutex::new(monitor));
-        feed(&mut run, &monitor);
-        monitor
-    });
-    let finished = run.run_to_completion();
-    let conformance = monitor.map(|monitor| {
-        let mon = lock(&monitor);
-        mon.record(&config.obs);
-        InstanceConformance::from_verdict(&mon.verdict())
-    });
-    InstanceResult {
-        instance: id,
-        class: class.name(),
-        shard: 0,
-        outcome: summarize(finished.result),
-        trace: finished.trace,
-        conformance,
-    }
-}
-
 fn fold_report(
     mix: &MixSpec,
     instances: u64,
@@ -979,47 +864,6 @@ mod tests {
         );
         let latency = snap.get(names::POOL_ROUND_LATENCY, Labels::GLOBAL);
         assert!(latency.is_some(), "per-step latency histogram missing");
-    }
-
-    #[test]
-    fn sequential_baseline_matches_batch_totals() {
-        let config = PoolConfig::new(3).seed(7);
-        let batch = run_batch(&mix(), 36, &config);
-        let seq = run_sequential(&mix(), 36, &PoolConfig::new(1).seed(7));
-        assert_eq!(batch.completed, seq.completed);
-        assert_eq!(batch.errored, seq.errored);
-        assert_eq!(batch.rounds, seq.rounds);
-        assert_eq!(batch.classes, seq.classes);
-    }
-
-    #[test]
-    fn conformance_verdicts_fold_and_agree_with_the_baseline() {
-        let batch_config = PoolConfig::new(3)
-            .seed(11)
-            .conformance(true)
-            .keep_results(true);
-        let seq_config = PoolConfig::new(1)
-            .seed(11)
-            .conformance(true)
-            .keep_results(true);
-        let batch = run_batch(&mix(), 36, &batch_config);
-        let seq = run_sequential(&mix(), 36, &seq_config);
-
-        assert!(!batch.conformance.is_empty());
-        // Deterministic sharding ⇒ the folded verdicts agree exactly.
-        assert_eq!(batch.conformance, seq.conformance);
-        let monitored: u64 = batch.conformance.iter().map(|c| c.instances).sum();
-        assert_eq!(monitored, 36);
-        for class in &batch.conformance {
-            assert!(class.clean <= class.instances);
-            assert!(class.worst_rank >= -1);
-        }
-        // Per-instance verdicts agree too.
-        for (a, b) in batch.results.iter().zip(&seq.results) {
-            assert_eq!(a.instance, b.instance);
-            assert_eq!(a.conformance, b.conformance, "instance {}", a.instance);
-            assert!(a.conformance.is_some());
-        }
     }
 
     #[test]

@@ -17,5 +17,5 @@ mod sink;
 mod threaded;
 
 pub use clock::RoundClock;
-pub use sink::{EventSink, MetricsSink, RtSink, TeeSink};
+pub use sink::EventSink;
 pub use threaded::{RunError, ThreadedEngine, ThreadedError, ThreadedReport};

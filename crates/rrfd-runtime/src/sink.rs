@@ -1,18 +1,12 @@
-//! Runtime event sinks: where the threaded harness reports what happened.
+//! The runtime event log: what the threaded harness did, event by event.
 //!
-//! [`RtSink`] is the seam — the coordinator and every process thread call
-//! [`RtSink::record`] for each channel send/receive, detector
-//! consultation, and shared-state access. Three implementations cover the
-//! workspace's needs:
-//!
-//! * [`EventSink`] collects a full [`EventLog`] (the `rrfd-events v1`
-//!   capture format) for the happens-before race checker in
-//!   `rrfd-analyze races`.
-//! * [`MetricsSink`] translates each event into `rrfd_runtime_*` metrics
-//!   on an [`Obs`] handle, keyed by `(process, round)`.
-//! * [`TeeSink`] fans one stream out to several sinks, so event-log
-//!   capture and metrics recording run simultaneously instead of
-//!   one-or-the-other.
+//! When an [`EventSink`] is installed, the coordinator and every process
+//! thread record each channel send/receive, detector consultation, and
+//! shared-state access into it, as one [`EventLog`] (the `rrfd-events v1`
+//! capture format) for the happens-before race checker in
+//! `rrfd-analyze races`. The same events are counted as
+//! `rrfd_runtime_*` metrics on the engine's own `Obs` handle when that is
+//! enabled, so one run can feed both analyses.
 //!
 //! An [`EventSink`] is a mutex around a log; the lock serializes
 //! *recording*, but the analysis derives ordering only from the semantic
@@ -20,17 +14,7 @@
 //! order, so the lock does not mask races in the analyzed execution.
 
 use rrfd_core::{Actor, EventLog, RtEvent, RtEventKind, SystemSize};
-use rrfd_obs::{names, Labels, Obs};
 use std::sync::{Arc, Mutex};
-
-/// A consumer of runtime events. Implementations must be cheap and
-/// non-blocking where possible: `record` runs inline on the coordinator
-/// and process threads.
-pub trait RtSink: Send + Sync + std::fmt::Debug {
-    /// Consumes one event, attributed to the thread (`actor`) that
-    /// performed it.
-    fn record(&self, actor: Actor, kind: RtEventKind);
-}
 
 /// A cloneable, thread-safe collector of runtime events.
 #[derive(Debug, Clone)]
@@ -62,106 +46,6 @@ impl EventSink {
     }
 }
 
-impl RtSink for EventSink {
-    fn record(&self, actor: Actor, kind: RtEventKind) {
-        EventSink::record(self, actor, kind);
-    }
-}
-
-/// Translates runtime events into `rrfd_runtime_*` metrics on an [`Obs`]
-/// handle. Every event becomes a counter increment keyed by the acting
-/// process (where one is identifiable) and the event's round.
-#[derive(Debug, Clone)]
-pub struct MetricsSink {
-    obs: Obs,
-}
-
-impl MetricsSink {
-    /// Wraps an observability handle.
-    #[must_use]
-    pub fn new(obs: Obs) -> Self {
-        MetricsSink { obs }
-    }
-
-    /// The wrapped handle (for taking snapshots after a run).
-    #[must_use]
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-}
-
-impl RtSink for MetricsSink {
-    fn record(&self, actor: Actor, kind: RtEventKind) {
-        let (metric, labels) = match (&actor, &kind) {
-            (Actor::Process(p), RtEventKind::Emit { round }) => (
-                names::RUNTIME_MESSAGES_EMITTED,
-                Labels::process_round(p.index(), round.get()),
-            ),
-            (_, RtEventKind::Gather { from, round }) => (
-                names::RUNTIME_GATHERS,
-                Labels::process_round(from.index(), round.get()),
-            ),
-            (_, RtEventKind::Detect { round }) => {
-                (names::RUNTIME_DETECTS, Labels::round(round.get()))
-            }
-            (_, RtEventKind::Deliver { to, round }) => (
-                names::RUNTIME_DELIVERIES,
-                Labels::process_round(to.index(), round.get()),
-            ),
-            (Actor::Process(p), RtEventKind::Receive { round }) => (
-                names::RUNTIME_MESSAGES_RECEIVED,
-                Labels::process_round(p.index(), round.get()),
-            ),
-            (Actor::Process(p), RtEventKind::Decide { round }) => (
-                names::RUNTIME_DECISIONS,
-                Labels::process_round(p.index(), round.get()),
-            ),
-            (_, RtEventKind::Access { .. }) => (names::RUNTIME_STATE_ACCESSES, Labels::GLOBAL),
-            // Coordinator-attributed emit/receive/decide events do not occur
-            // in the harness; count them globally rather than dropping them.
-            (Actor::Coordinator, RtEventKind::Emit { round }) => {
-                (names::RUNTIME_MESSAGES_EMITTED, Labels::round(round.get()))
-            }
-            (Actor::Coordinator, RtEventKind::Receive { round }) => {
-                (names::RUNTIME_MESSAGES_RECEIVED, Labels::round(round.get()))
-            }
-            (Actor::Coordinator, RtEventKind::Decide { round }) => {
-                (names::RUNTIME_DECISIONS, Labels::round(round.get()))
-            }
-        };
-        self.obs.add(metric, labels, 1);
-    }
-}
-
-/// Fans one event stream out to several sinks, in installation order.
-#[derive(Debug, Clone, Default)]
-pub struct TeeSink {
-    sinks: Vec<Arc<dyn RtSink>>,
-}
-
-impl TeeSink {
-    /// An empty tee (records nothing until sinks are added).
-    #[must_use]
-    pub fn new() -> Self {
-        TeeSink::default()
-    }
-
-    /// Adds a downstream sink.
-    #[must_use]
-    pub fn with(mut self, sink: Arc<dyn RtSink>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-}
-
-impl RtSink for TeeSink {
-    fn record(&self, actor: Actor, kind: RtEventKind) {
-        for sink in &self.sinks {
-            sink.record(actor, kind.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,64 +72,5 @@ mod tests {
         let log = sink.snapshot();
         assert_eq!(log.len(), 2);
         assert_eq!(log.system_size(), n);
-    }
-
-    #[test]
-    fn metrics_sink_translates_events() {
-        let obs = Obs::logical();
-        let sink = MetricsSink::new(obs.clone());
-        RtSink::record(
-            &sink,
-            Actor::Process(ProcessId::new(1)),
-            RtEventKind::Emit {
-                round: Round::new(3),
-            },
-        );
-        RtSink::record(
-            &sink,
-            Actor::Coordinator,
-            RtEventKind::Gather {
-                from: ProcessId::new(1),
-                round: Round::new(3),
-            },
-        );
-        RtSink::record(
-            &sink,
-            Actor::Coordinator,
-            RtEventKind::Access {
-                loc: "pattern".to_owned(),
-                write: true,
-            },
-        );
-        let snap = obs.snapshot();
-        assert_eq!(
-            snap.get(names::RUNTIME_MESSAGES_EMITTED, Labels::process_round(1, 3)),
-            Some(&rrfd_obs::MetricValue::Counter(1))
-        );
-        assert_eq!(snap.counter_total(names::RUNTIME_GATHERS), 1);
-        assert_eq!(snap.counter_total(names::RUNTIME_STATE_ACCESSES), 1);
-    }
-
-    #[test]
-    fn tee_fans_out_to_every_sink() {
-        let n = SystemSize::new(2).unwrap();
-        let events = EventSink::new(n);
-        let obs = Obs::logical();
-        let tee = TeeSink::new()
-            .with(Arc::new(events.clone()))
-            .with(Arc::new(MetricsSink::new(obs.clone())));
-        RtSink::record(
-            &tee,
-            Actor::Process(ProcessId::new(0)),
-            RtEventKind::Emit {
-                round: Round::new(1),
-            },
-        );
-        assert_eq!(events.snapshot().len(), 1);
-        assert_eq!(
-            obs.snapshot()
-                .counter_total(names::RUNTIME_MESSAGES_EMITTED),
-            1
-        );
     }
 }

@@ -23,7 +23,7 @@ use std::thread;
 use std::time::Duration;
 
 use crate::clock::RoundClock;
-use crate::sink::{EventSink, RtSink};
+use crate::sink::EventSink;
 use rrfd_core::{Actor, RtEventKind};
 use rrfd_models::conformance::ConformanceMonitor;
 use rrfd_obs::{names, FlightRecorder, Labels, Obs, SpanKind, SpanPhase, DEFAULT_FLIGHT_ROUNDS};
@@ -32,6 +32,46 @@ use std::sync::{Arc, Mutex};
 /// Channel pair used between the coordinator and process threads.
 type EmissionChannel<M, O> = (Sender<Emission<M, O>>, Receiver<Emission<M, O>>);
 type ReplyChannel<M> = (Sender<CoordReply<M>>, Receiver<CoordReply<M>>);
+
+/// Records one runtime event: into the event log when one is installed,
+/// and as its `rrfd_runtime_*` counter when `obs` is enabled, labelled
+/// by the process it concerns and its round.
+fn record_event(events: Option<&EventSink>, obs: &Obs, actor: Actor, kind: RtEventKind) {
+    if obs.is_enabled() {
+        let at = |p: ProcessId, round: Round| Labels::process_round(p.index(), round.get());
+        let counted = match (actor, &kind) {
+            (Actor::Process(p), &RtEventKind::Emit { round }) => {
+                Some((names::RUNTIME_MESSAGES_EMITTED, at(p, round)))
+            }
+            (_, &RtEventKind::Gather { from, round }) => {
+                Some((names::RUNTIME_GATHERS, at(from, round)))
+            }
+            (_, &RtEventKind::Detect { round }) => {
+                Some((names::RUNTIME_DETECTS, Labels::round(round.get())))
+            }
+            (_, &RtEventKind::Deliver { to, round }) => {
+                Some((names::RUNTIME_DELIVERIES, at(to, round)))
+            }
+            (Actor::Process(p), &RtEventKind::Receive { round }) => {
+                Some((names::RUNTIME_MESSAGES_RECEIVED, at(p, round)))
+            }
+            (Actor::Process(p), &RtEventKind::Decide { round }) => {
+                Some((names::RUNTIME_DECISIONS, at(p, round)))
+            }
+            (_, RtEventKind::Access { .. }) => {
+                Some((names::RUNTIME_STATE_ACCESSES, Labels::GLOBAL))
+            }
+            // Only process threads emit, receive and decide.
+            (Actor::Coordinator, _) => None,
+        };
+        if let Some((metric, labels)) = counted {
+            obs.add(metric, labels, 1);
+        }
+    }
+    if let Some(events) = events {
+        events.record(actor, kind);
+    }
+}
 
 /// What a process thread sends the coordinator each round.
 struct Emission<M, O> {
@@ -226,7 +266,7 @@ pub struct ThreadedEngine {
     max_rounds: u32,
     gather_timeout: Duration,
     clock: RoundClock,
-    sink: Option<Arc<dyn RtSink>>,
+    events: Option<EventSink>,
     obs: Obs,
     instance: u64,
     flight_rounds: u32,
@@ -243,7 +283,7 @@ impl ThreadedEngine {
             max_rounds: 100_000,
             gather_timeout: DEFAULT_GATHER_TIMEOUT,
             clock: RoundClock::new(),
-            sink: None,
+            events: None,
             obs: Obs::noop(),
             instance: 0,
             flight_rounds: DEFAULT_FLIGHT_ROUNDS as u32,
@@ -272,28 +312,18 @@ impl ThreadedEngine {
     /// Installs an [`EventSink`]: the coordinator and every process thread
     /// record their channel operations and shared-state accesses into it as
     /// the run executes, for the happens-before analysis in
-    /// `rrfd-analyze races`. Convenience for [`ThreadedEngine::sink`]; to
-    /// capture events *and* metrics at once, install a
-    /// [`crate::TeeSink`] instead.
+    /// `rrfd-analyze races`.
     #[must_use]
-    pub fn event_sink(self, sink: EventSink) -> Self {
-        self.sink(Arc::new(sink))
-    }
-
-    /// Installs any [`RtSink`]: every runtime event of the run flows into
-    /// it. Use [`crate::TeeSink`] to fan out to several consumers (e.g. an
-    /// [`EventSink`] for race analysis plus a [`crate::MetricsSink`]).
-    #[must_use]
-    pub fn sink(mut self, sink: Arc<dyn RtSink>) -> Self {
-        self.sink = Some(sink);
+    pub fn event_sink(mut self, sink: EventSink) -> Self {
+        self.events = Some(sink);
         self
     }
 
-    /// Attaches an observability handle. The coordinator then records
-    /// per-round wall latency, gather timeouts, and terminal error
-    /// counters under the `rrfd_runtime_*` names. This is independent of
-    /// [`ThreadedEngine::sink`]: the sink sees discrete events, the
-    /// handle aggregates timings the events cannot carry.
+    /// Attaches an observability handle. The coordinator and the process
+    /// threads then count every runtime event (the events an
+    /// [`EventSink`] logs) under the `rrfd_runtime_*` names, keyed by
+    /// process and round, and the coordinator records per-round wall
+    /// latency, gather timeouts, and terminal error counters.
     #[must_use]
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -345,11 +375,9 @@ impl ThreadedEngine {
             .take()
     }
 
-    /// Records one coordinator-side event, if a sink is installed.
+    /// Records one coordinator-side event.
     fn record(&self, kind: RtEventKind) {
-        if let Some(sink) = &self.sink {
-            sink.record(Actor::Coordinator, kind);
-        }
+        record_event(self.events.as_ref(), &self.obs, Actor::Coordinator, kind);
     }
 
     /// Stashes the flight recorder's post-mortem capture for
@@ -493,15 +521,14 @@ impl ThreadedEngine {
             let emit_tx = emit_tx.clone();
             let (reply_tx, reply_rx): ReplyChannel<P::Msg> = channel::unbounded();
             reply_txs.push(reply_tx);
-            let sink = self.sink.clone();
+            let (events, obs) = (self.events.clone(), self.obs.clone());
             handles.push(thread::spawn(move || {
+                let record = |kind| record_event(events.as_ref(), &obs, Actor::Process(me), kind);
                 let mut decided: Option<P::Output> = None;
                 let mut round = Round::FIRST;
                 loop {
                     let msg = protocol.emit(round);
-                    if let Some(sink) = &sink {
-                        sink.record(Actor::Process(me), RtEventKind::Emit { round });
-                    }
+                    record(RtEventKind::Emit { round });
                     if emit_tx
                         .send(Emission {
                             from: me,
@@ -520,18 +547,11 @@ impl ThreadedEngine {
                             suspected,
                         }) => {
                             debug_assert_eq!(r, round);
-                            if let Some(sink) = &sink {
-                                sink.record(Actor::Process(me), RtEventKind::Receive { round: r });
-                            }
+                            record(RtEventKind::Receive { round: r });
                             if let Control::Decide(v) =
                                 protocol.deliver(Delivery::new(r, me, &table, suspected))
                             {
-                                if let Some(sink) = &sink {
-                                    sink.record(
-                                        Actor::Process(me),
-                                        RtEventKind::Decide { round: r },
-                                    );
-                                }
+                                record(RtEventKind::Decide { round: r });
                                 decided = Some(v);
                             }
                             round = round.next();
@@ -1238,16 +1258,12 @@ mod tests {
     }
 
     #[test]
-    fn tee_sink_captures_events_and_metrics_simultaneously() {
-        use crate::sink::{MetricsSink, TeeSink};
-        use rrfd_obs::Obs;
+    fn events_and_metrics_are_captured_simultaneously() {
+        use rrfd_obs::{names, MetricValue, Obs};
 
         let size = n(3);
         let events = EventSink::new(size);
         let obs = Obs::logical();
-        let tee = TeeSink::new()
-            .with(Arc::new(events.clone()))
-            .with(Arc::new(MetricsSink::new(obs.clone())));
         let protos: Vec<_> = (0..3)
             .map(|i| SumAfter {
                 rounds: 2,
@@ -1256,7 +1272,7 @@ mod tests {
             })
             .collect();
         ThreadedEngine::new(size)
-            .sink(Arc::new(tee))
+            .event_sink(events.clone())
             .obs(obs.clone())
             .run(protos, &mut NoFailures::new(size), &AnyPattern::new(size))
             .unwrap();
@@ -1264,29 +1280,50 @@ mod tests {
         // The event log captured the run...
         let log = events.snapshot();
         assert!(!log.is_empty());
-        // ...and the same events surfaced as metrics, in the same counts.
+        // ...and every event surfaced as its counter, in the same counts.
         let snap = obs.snapshot();
-        let emits = log
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, RtEventKind::Emit { .. }))
-            .count() as u64;
+        let mut expected = std::collections::BTreeMap::new();
+        for event in log.events() {
+            let metric = match event.kind {
+                RtEventKind::Emit { .. } => names::RUNTIME_MESSAGES_EMITTED,
+                RtEventKind::Gather { .. } => names::RUNTIME_GATHERS,
+                RtEventKind::Detect { .. } => names::RUNTIME_DETECTS,
+                RtEventKind::Deliver { .. } => names::RUNTIME_DELIVERIES,
+                RtEventKind::Receive { .. } => names::RUNTIME_MESSAGES_RECEIVED,
+                RtEventKind::Decide { .. } => names::RUNTIME_DECISIONS,
+                RtEventKind::Access { .. } => names::RUNTIME_STATE_ACCESSES,
+            };
+            *expected.entry(metric).or_insert(0u64) += 1;
+        }
+        assert_eq!(expected.len(), 7, "a healthy run exercises every event");
+        for (metric, count) in expected {
+            assert_eq!(snap.counter_total(metric), count, "{metric}");
+        }
+        assert_eq!(snap.counter_total(names::RUNTIME_DECISIONS), 3);
+        // Counters are keyed by the process an event concerns and its
+        // round; detects by round only.
+        let one = Some(&MetricValue::Counter(1));
         assert_eq!(
-            snap.counter_total(rrfd_obs::names::RUNTIME_MESSAGES_EMITTED),
-            emits
+            snap.get(names::RUNTIME_MESSAGES_EMITTED, Labels::process_round(1, 2)),
+            one
         );
-        assert_eq!(snap.counter_total(rrfd_obs::names::RUNTIME_DECISIONS), 3);
+        assert_eq!(
+            snap.get(names::RUNTIME_GATHERS, Labels::process_round(2, 1)),
+            one
+        );
+        assert_eq!(
+            snap.get(names::RUNTIME_DELIVERIES, Labels::process_round(0, 1)),
+            one
+        );
+        assert_eq!(snap.get(names::RUNTIME_DETECTS, Labels::round(2)), one);
         // The coordinator recorded wall latency for each completed round.
         let latency_rounds = snap
             .entries()
             .iter()
-            .filter(|e| e.metric == rrfd_obs::names::RUNTIME_ROUND_LATENCY)
+            .filter(|e| e.metric == names::RUNTIME_ROUND_LATENCY)
             .count();
         assert!(latency_rounds >= 2, "{latency_rounds}");
-        assert_eq!(
-            snap.counter_total(rrfd_obs::names::RUNTIME_GATHER_TIMEOUTS),
-            0
-        );
+        assert_eq!(snap.counter_total(names::RUNTIME_GATHER_TIMEOUTS), 0);
     }
 
     #[test]

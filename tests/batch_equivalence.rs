@@ -2,20 +2,27 @@
 //! invisible.
 //!
 //! The pool runs many [`rrfd::core::EngineRun`]s on few threads, each
-//! shard one instance after another on per-lane state it reuses: emission
-//! buffers and conformance monitors carry over from one instance to the
-//! next — none of which may change what any single instance computes. These tests pit [`rrfd::pool::run_batch`] against
-//! [`rrfd::pool::run_sequential`] — the naive one-`Engine::run`-per-
-//! instance loop — and demand *exact* equality per instance: same
-//! decision summary or same [`EngineError`], and byte-identical
-//! [`RunTrace`]s, for every protocol class in the mix. The mix includes
-//! the `stall` class, whose instances always die in
-//! `RoundLimitExceeded` mid-batch, so the suite also proves failure
-//! containment: an erroring instance never poisons its shard's
-//! neighbors.
+//! shard one instance after another on per-lane state it reuses:
+//! emission buffers, compiled model batches and conformance monitors
+//! carry over from one instance to the next — none of which may change
+//! what any single instance computes. These tests pit
+//! [`rrfd::pool::run_batch`] against the sequential oracle in
+//! `oracles/sequential_pool.rs` — one fresh engine per instance, nothing
+//! reused — and demand *exact* equality per instance: same decision
+//! summary or same [`EngineError`], and byte-identical [`RunTrace`]s,
+//! for every protocol class in the mix. The mix includes the `stall`
+//! class, whose instances always die in `RoundLimitExceeded` mid-batch,
+//! so the suite also proves failure containment: an erroring instance
+//! never poisons its shard's neighbors.
+//!
+//! [`RunTrace`]: rrfd::core::RunTrace
+
+#[path = "oracles/sequential_pool.rs"]
+mod sequential_pool;
 
 use rrfd::core::EngineError;
-use rrfd::pool::{run_batch, run_sequential, BatchReport, InstanceResult, MixSpec, PoolConfig};
+use rrfd::pool::{run_batch, BatchReport, InstanceResult, MixSpec, PoolConfig};
+use sequential_pool::run_sequential;
 
 /// Runs batch and sequential on the same `(mix, instances, seed)` with
 /// full result and trace retention, and diffs them instance by instance.
@@ -24,12 +31,8 @@ fn assert_batch_matches_sequential(mix: &MixSpec, instances: u64, shards: usize,
         .seed(seed)
         .keep_results(true)
         .capture_traces(true);
-    let seq_config = PoolConfig::new(1)
-        .seed(seed)
-        .keep_results(true)
-        .capture_traces(true);
     let batch = run_batch(mix, instances, &batch_config);
-    let seq = run_sequential(mix, instances, &seq_config);
+    let seq = run_sequential(mix, instances, seed, true, false);
 
     assert_eq!(batch.completed, seq.completed);
     assert_eq!(batch.errored, seq.errored);
@@ -84,29 +87,73 @@ fn single_class_mixes_are_trace_identical() {
 fn reused_lanes_are_byte_identical_to_sequential_at_every_shard_count() {
     // With conformance on, every lane resets one monitor per instance;
     // the verdicts, traces and outcomes must be exactly the sequential
-    // baseline's, whose every instance gets a fresh monitor.
+    // oracle's, whose every instance gets a fresh monitor. Traced lanes
+    // skip buffer and batch reuse, so the untraced pass is the one that
+    // checks recycled emission buffers and compiled batches.
     let mix = MixSpec::default_mix();
-    let config = |shards: usize| {
-        PoolConfig::new(shards)
-            .seed(5)
-            .keep_results(true)
-            .capture_traces(true)
-            .conformance(true)
-    };
-    let seq = run_sequential(&mix, 45, &config(1));
-    assert!(seq.results.iter().all(|r| r.conformance.is_some()));
-    for shards in [1usize, 2, 3, 5] {
-        let batch = run_batch(&mix, 45, &config(shards));
-        assert_eq!(batch.conformance, seq.conformance, "{shards} shards");
-        assert_eq!(batch.results.len(), seq.results.len());
-        for (b, s) in batch.results.iter().zip(&seq.results) {
-            // The shard is the one field that legitimately differs.
-            let b = InstanceResult {
-                shard: 0,
-                ..b.clone()
-            };
-            assert_eq!(&b, s, "instance {} at {shards} shards", s.instance);
+    for traced in [true, false] {
+        let config = |shards: usize| {
+            PoolConfig::new(shards)
+                .seed(5)
+                .keep_results(true)
+                .capture_traces(traced)
+                .conformance(true)
+        };
+        let seq = run_sequential(&mix, 45, 5, traced, true);
+        assert!(seq.results.iter().all(|r| r.conformance.is_some()));
+        assert!(seq.results.iter().all(|r| r.trace.is_some() == traced));
+        for shards in [1usize, 2, 3, 5] {
+            let batch = run_batch(&mix, 45, &config(shards));
+            let at = format!("{shards} shards, traced {traced}");
+            assert_eq!(batch.conformance, seq.conformance, "{at}");
+            assert_eq!(batch.results.len(), seq.results.len(), "{at}");
+            for (b, s) in batch.results.iter().zip(&seq.results) {
+                // The shard is the one field that legitimately differs.
+                let b = InstanceResult {
+                    shard: 0,
+                    ..b.clone()
+                };
+                assert_eq!(&b, s, "instance {} at {at}", s.instance);
+            }
         }
+    }
+}
+
+#[test]
+fn sequential_baseline_matches_batch_totals() {
+    let mix = MixSpec::default_mix();
+    let batch = run_batch(&mix, 36, &PoolConfig::new(3).seed(7));
+    let seq = run_sequential(&mix, 36, 7, false, false);
+    assert_eq!(batch.completed, seq.completed);
+    assert_eq!(batch.errored, seq.errored);
+    assert_eq!(batch.rounds, seq.rounds);
+    assert_eq!(batch.classes, seq.classes);
+}
+
+#[test]
+fn conformance_verdicts_fold_and_agree_with_the_baseline() {
+    let mix = MixSpec::default_mix();
+    let batch_config = PoolConfig::new(3)
+        .seed(11)
+        .conformance(true)
+        .keep_results(true);
+    let batch = run_batch(&mix, 36, &batch_config);
+    let seq = run_sequential(&mix, 36, 11, false, true);
+
+    assert!(!batch.conformance.is_empty());
+    // Deterministic sharding ⇒ the folded verdicts agree exactly.
+    assert_eq!(batch.conformance, seq.conformance);
+    let monitored: u64 = batch.conformance.iter().map(|c| c.instances).sum();
+    assert_eq!(monitored, 36);
+    for class in &batch.conformance {
+        assert!(class.clean <= class.instances);
+        assert!(class.worst_rank >= -1);
+    }
+    // Per-instance verdicts agree too.
+    for (a, b) in batch.results.iter().zip(&seq.results) {
+        assert_eq!(a.instance, b.instance);
+        assert_eq!(a.conformance, b.conformance, "instance {}", a.instance);
+        assert!(a.conformance.is_some());
     }
 }
 

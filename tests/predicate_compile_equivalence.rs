@@ -6,12 +6,15 @@
 //!   whose first two rounds the spec admits, and on random patterns;
 //! * whole patterns (`admits_pattern` on the program against the spec's
 //!   prefix walk);
-//! * in the lattice: the compiled lattice equals the per-pair search over
-//!   the spec wrappers (the oracle [`dyn_lattice`], one public `implies`
-//!   call per ordered pair) in matrix and every witness;
+//! * in the lattice: the compiled lattice and the public `implies` equal
+//!   the per-pair search over the spec wrappers (the oracle
+//!   [`dyn_lattice`], one `admits`-driven search per ordered pair, kept in
+//!   `oracles/pairwise_implies.rs`) in matrix and every witness;
 //! * in admission: [`Engine`] and [`ThreadedEngine`] stop a scripted run at
 //!   the first round the spec rejects, with the same [`PatternViolation`].
 
+#[path = "oracles/pairwise_implies.rs"]
+mod pairwise;
 #[path = "oracles/spec_predicates.rs"]
 mod spec;
 
@@ -194,9 +197,9 @@ fn compiled_lattice_renders_byte_identically_to_legacy() {
     assert_matches_dyn_search(&family, &spec_zoo(n3(), 1), 2);
 }
 
-/// The per-pair search over the spec wrappers: `implies` on every ordered
-/// pair, each pair searched on its own with the hand-written bodies in
-/// the inner loop. Entry `[i][j]` is `None` when `i ⇒ j` within `depth`
+/// The per-pair search over the spec wrappers: the oracle's `implies` on
+/// every ordered pair, each pair searched on its own with the
+/// hand-written bodies in the inner loop. Entry `[i][j]` is `None` when `i ⇒ j` within `depth`
 /// rounds, else the certificate text of the first witness the search
 /// meets.
 fn dyn_lattice(specs: &[SharedPredicate], depth: u32) -> Vec<Vec<Option<String>>> {
@@ -207,7 +210,7 @@ fn dyn_lattice(specs: &[SharedPredicate], depth: u32) -> Vec<Vec<Option<String>>
                     if i == j {
                         return None;
                     }
-                    implies(specs[i].as_ref(), specs[j].as_ref(), depth)
+                    pairwise::implies(specs[i].as_ref(), specs[j].as_ref(), depth)
                         .err()
                         .map(|cex| certificate(&cex).to_string())
                 })
@@ -216,8 +219,9 @@ fn dyn_lattice(specs: &[SharedPredicate], depth: u32) -> Vec<Vec<Option<String>>
         .collect()
 }
 
-/// The compiled lattice of `family` equals the [`dyn_lattice`] oracle over
-/// its specs in every matrix cell and every witness certificate.
+/// The compiled lattice of `family`, and the public [`implies`] on each
+/// ordered pair of it, equal the [`dyn_lattice`] oracle over its specs in
+/// every matrix cell and every witness certificate.
 fn assert_matches_dyn_search(family: &[SharedPredicate], specs: &[SharedPredicate], depth: u32) {
     let compiled = Lattice::compute_compiled(family, depth);
     for (i, row) in dyn_lattice(specs, depth).into_iter().enumerate() {
@@ -227,6 +231,12 @@ fn assert_matches_dyn_search(family: &[SharedPredicate], specs: &[SharedPredicat
                 .counterexample(i, j)
                 .map(|c| certificate(c).to_string());
             assert_eq!(witness, expected, "({i},{j}) witness");
+            if i != j {
+                let public = implies(family[i].as_ref(), family[j].as_ref(), depth)
+                    .err()
+                    .map(|cex| certificate(&cex).to_string());
+                assert_eq!(public, expected, "({i},{j}) public implies");
+            }
         }
     }
 }
