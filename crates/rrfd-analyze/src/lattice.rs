@@ -18,8 +18,8 @@
 //! bound is a real check, not a heuristic.
 
 use rrfd_core::{
-    FaultPattern, HistoryCtx, IdSet, PatternViolation, PredicateProgram, ProgOp, Round,
-    RoundFaults, RoundProfile, RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
+    FaultPattern, HistoryCtx, IdSet, PredicateProgram, ProgOp, Round, RoundFaults, RoundProfile,
+    RrfdPredicate, RunTrace, SystemSize,
 };
 use rrfd_models::enumerate::all_rounds;
 use rrfd_models::zoo::compile_family;
@@ -91,35 +91,19 @@ pub fn implies(
     .implies(&programs[0], &programs[1], &b.name())
 }
 
-/// Converts a counterexample into a replayable [`RunTrace`] certificate.
-///
-/// The trace records the witnessing pattern exactly as an engine would
-/// have: every prefix round as a normal round (with the covering-maximal
-/// `S(i,r) = S ∖ D(i,r)` delivery), the final round as a violating round,
-/// and the outcome as `B`'s predicate rejection. Re-driving the trace with
+/// Converts a counterexample into a replayable [`RunTrace`] certificate,
+/// [`RunTrace::predicate_rejection`] of the witnessing pattern at `B`'s
+/// rejecting round. Re-driving the trace with
 /// `rrfd_models::adversary::ReplayDetector` against model `B` reproduces
 /// the violation at the recorded round; against model `A` the same moves
 /// are accepted.
 #[must_use]
 pub fn certificate(cex: &LatticeCounterexample) -> RunTrace {
-    let n = cex.pattern.system_size();
-    let universe = rrfd_core::IdSet::universe(n);
-    let mut builder = TraceBuilder::new(n);
-    let last = cex.pattern.rounds();
-    for (round_no, faults) in cex.pattern.iter() {
-        if (round_no.get() as usize) < last {
-            let heard = n.processes().map(|i| universe - faults.of(i)).collect();
-            builder.record_round(faults, heard);
-        } else {
-            builder.record_violating_round(faults.clone());
-        }
-    }
-    builder.finish(TraceOutcome::Violation(
-        PatternViolation::PredicateRejected {
-            predicate: cex.rejecting_predicate.clone(),
-            round: cex.rejected_round,
-        },
-    ))
+    RunTrace::predicate_rejection(
+        &cex.pattern,
+        cex.rejected_round,
+        cex.rejecting_predicate.clone(),
+    )
 }
 
 /// The computed lattice: the full implication matrix over a predicate
@@ -786,7 +770,7 @@ impl WitnessSearch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrfd_core::{Control, Delivery, Engine, EngineError, RoundProtocol};
+    use rrfd_core::{Control, Delivery, Engine, EngineError, PatternViolation, RoundProtocol};
     use rrfd_models::adversary::ReplayDetector;
     use rrfd_models::predicates::{
         AsyncResilient, Crash, DetectorS, IdenticalViews, KUncertainty, SendOmission, Snapshot,

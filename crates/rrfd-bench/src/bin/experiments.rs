@@ -3,10 +3,10 @@
 //!
 //! Run with: `cargo run -p rrfd-bench --bin experiments --release`
 
+use rrfd_bench::RunFor;
 use rrfd_core::task::{Grade, KSetAgreement, Value};
 use rrfd_core::{
-    Control, Delivery, Engine, FaultDetector, FaultPattern, IdSet, ProcessId, Round, RoundProtocol,
-    RrfdPredicate, SystemSize,
+    Engine, FaultDetector, FaultPattern, IdSet, ProcessId, Round, RrfdPredicate, SystemSize,
 };
 use rrfd_models::adversary::{RandomAdversary, RingMiss, SilencingCrash};
 use rrfd_models::predicates::{
@@ -37,20 +37,6 @@ fn n(v: usize) -> SystemSize {
 
 fn inputs(count: usize) -> Vec<Value> {
     (0..count as u64).map(|i| 1000 + i).collect()
-}
-
-struct RunFor(u32);
-impl RoundProtocol for RunFor {
-    type Msg = ();
-    type Output = ();
-    fn emit(&mut self, _r: Round) {}
-    fn deliver(&mut self, d: Delivery<'_, ()>) -> Control<()> {
-        if d.round.get() >= self.0 {
-            Control::Decide(())
-        } else {
-            Control::Continue
-        }
-    }
 }
 
 fn e1() {

@@ -143,6 +143,34 @@ impl RunTrace {
         pattern
     }
 
+    /// A replayable certificate that `predicate` rejects `pattern` at
+    /// round `rejected`: every earlier round as a normal round with the
+    /// covering-maximal delivery `S(i,r) = S ∖ D(i,r)`, round `rejected`
+    /// as the violating round, and a [`PatternViolation::PredicateRejected`]
+    /// outcome. `rejected` is a round of `pattern`; rounds after it are not
+    /// part of the certificate. Re-driving the trace against the rejecting
+    /// predicate reproduces the rejection at the recorded round.
+    #[must_use]
+    pub fn predicate_rejection(pattern: &FaultPattern, rejected: Round, predicate: String) -> Self {
+        let n = pattern.system_size();
+        let universe = IdSet::universe(n);
+        let mut builder = TraceBuilder::new(n);
+        for (r, faults) in pattern.iter().take_while(|&(r, _)| r <= rejected) {
+            if r < rejected {
+                let heard = n.processes().map(|i| universe - faults.of(i)).collect();
+                builder.record_round(faults, heard);
+            } else {
+                builder.record_violating_round(faults.clone());
+            }
+        }
+        builder.finish(TraceOutcome::Violation(
+            PatternViolation::PredicateRejected {
+                predicate,
+                round: rejected,
+            },
+        ))
+    }
+
     /// The processes whose first decision landed in round `r`.
     #[must_use]
     pub fn deciders_at(&self, r: Round) -> IdSet {

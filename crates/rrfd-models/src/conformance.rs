@@ -20,8 +20,8 @@
 
 use crate::zoo::{compile_family, zoo, SharedPredicate, ZOO_STRENGTH_RANK};
 use rrfd_core::{
-    FaultPattern, IdSet, PatternViolation, ProgramBatch, Round, RoundFaults, RoundProfile,
-    RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
+    FaultPattern, ProgramBatch, Round, RoundFaults, RoundProfile, RrfdPredicate, RunTrace,
+    SystemSize,
 };
 use rrfd_obs::{names, Labels, MetricId, Obs, RunObs};
 use std::sync::Arc;
@@ -271,37 +271,17 @@ impl ConformanceMonitor {
         best
     }
 
-    /// A replayable certificate for predicate `idx`'s violation, or
-    /// `None` while it is still satisfied: every round before the
-    /// violation as a normal round (with the covering-maximal
-    /// `HO(i,r) = S ∖ D(i,r)` delivery), the violating round marked as
-    /// such, and the outcome naming the rejecting predicate. Re-driving
-    /// the trace against the same predicate reproduces the rejection at
-    /// the recorded round.
+    /// A replayable certificate for predicate `idx`'s violation
+    /// ([`RunTrace::predicate_rejection`] over the observed history), or
+    /// `None` while it is still satisfied.
     #[must_use]
     pub fn certificate(&self, idx: usize) -> Option<RunTrace> {
-        let round_no = self.first_violation(idx)?;
-        let faults = self.history.round(round_no)?;
-        let n = self.system_size();
-        let universe = IdSet::universe(n);
-        let mut builder = TraceBuilder::new(n);
-        for (r, prefix_faults) in self.history.iter() {
-            if r >= round_no {
-                break;
-            }
-            let heard = n
-                .processes()
-                .map(|i| universe - prefix_faults.of(i))
-                .collect();
-            builder.record_round(prefix_faults, heard);
-        }
-        builder.record_violating_round(faults.clone());
-        Some(builder.finish(TraceOutcome::Violation(
-            PatternViolation::PredicateRejected {
-                predicate: self.family.predicates[idx].name(),
-                round: round_no,
-            },
-        )))
+        let round = self.first_violation(idx)?;
+        Some(RunTrace::predicate_rejection(
+            &self.history,
+            round,
+            self.family.predicates[idx].name(),
+        ))
     }
 
     /// Publishes the monitor's state as `rrfd_conformance_*` metrics.
@@ -350,7 +330,7 @@ impl ConformanceMonitor {
 mod tests {
     use super::*;
     use crate::adversary::ReplayDetector;
-    use rrfd_core::{ProcessId, RrfdPredicate};
+    use rrfd_core::{IdSet, ProcessId, RrfdPredicate};
 
     fn n3() -> SystemSize {
         SystemSize::new(3).expect("3 is a valid size")

@@ -18,4 +18,4 @@ mod threaded;
 
 pub use clock::RoundClock;
 pub use sink::EventSink;
-pub use threaded::{RunError, ThreadedEngine, ThreadedError, ThreadedReport};
+pub use threaded::{ThreadedEngine, ThreadedError};

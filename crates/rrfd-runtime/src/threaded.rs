@@ -16,7 +16,7 @@ use crossbeam::channel::{self, Receiver, Sender};
 use rrfd_core::{validate_round, FaultDetector, ProgramBatch};
 use rrfd_core::{
     Control, Delivery, FaultPattern, IdSet, PatternViolation, ProcessId, Round, RoundProtocol,
-    RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
+    RrfdPredicate, RunReport, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
 };
 use std::fmt;
 use std::thread;
@@ -131,10 +131,6 @@ pub enum ThreadedError {
     ChannelClosed,
 }
 
-/// The error type of threaded runs; alias of [`ThreadedError`] for callers
-/// that speak in terms of "run errors".
-pub type RunError = ThreadedError;
-
 impl fmt::Display for ThreadedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -166,28 +162,6 @@ impl std::error::Error for ThreadedError {}
 impl From<PatternViolation> for ThreadedError {
     fn from(v: PatternViolation) -> Self {
         ThreadedError::Violation(v)
-    }
-}
-
-/// Outcome of a threaded run.
-#[derive(Debug, Clone)]
-pub struct ThreadedReport<O> {
-    /// `decisions[i]` is `Some((value, round))` once `p_i` decided.
-    pub decisions: Vec<Option<(O, Round)>>,
-    /// The recorded fault pattern.
-    pub pattern: FaultPattern,
-    /// Rounds executed.
-    pub rounds_executed: u32,
-}
-
-impl<O: Clone> ThreadedReport<O> {
-    /// The decision values, by process.
-    #[must_use]
-    pub fn outputs(&self) -> Vec<Option<O>> {
-        self.decisions
-            .iter()
-            .map(|d| d.as_ref().map(|(v, _)| v.clone()))
-            .collect()
     }
 }
 
@@ -343,7 +317,7 @@ impl ThreadedEngine {
     /// entirely — no per-round notes are formatted.
     ///
     /// The flight recorder is always on otherwise: when a run ends in any
-    /// [`RunError`], a post-mortem capture of the last K rounds (gathers,
+    /// [`ThreadedError`], a post-mortem capture of the last K rounds (gathers,
     /// suspicion sets, deliveries, decisions) is stashed for
     /// [`ThreadedEngine::take_flight_dump`].
     #[must_use]
@@ -378,6 +352,18 @@ impl ThreadedEngine {
     /// Records one coordinator-side event.
     fn record(&self, kind: RtEventKind) {
         record_event(self.events.as_ref(), &self.obs, Actor::Coordinator, kind);
+    }
+
+    /// Records a coordinator write to the shared state at `loc`. The event
+    /// owns its location name, so it is only built when an event log or
+    /// an enabled `Obs` will see it.
+    fn record_write(&self, loc: &str) {
+        if self.events.is_some() || self.obs.is_enabled() {
+            self.record(RtEventKind::Access {
+                loc: loc.to_owned(),
+                write: true,
+            });
+        }
     }
 
     /// Stashes the flight recorder's post-mortem capture for
@@ -447,7 +433,7 @@ impl ThreadedEngine {
         protocols: Vec<P>,
         detector: &mut D,
         model: &Q,
-    ) -> Result<ThreadedReport<P::Output>, ThreadedError>
+    ) -> Result<RunReport<P::Output>, ThreadedError>
     where
         P: RoundProtocol + Send + 'static,
         P::Msg: Send + Sync + 'static,
@@ -466,7 +452,7 @@ impl ThreadedEngine {
         protocols: Vec<P>,
         detector: &mut D,
         model: &Q,
-    ) -> (Result<ThreadedReport<P::Output>, ThreadedError>, RunTrace)
+    ) -> (Result<RunReport<P::Output>, ThreadedError>, RunTrace)
     where
         P: RoundProtocol + Send + 'static,
         P::Msg: Send + Sync + 'static,
@@ -488,10 +474,7 @@ impl ThreadedEngine {
         detector: &mut D,
         model: &Q,
         trace: Option<&mut TraceBuilder>,
-    ) -> (
-        Result<ThreadedReport<P::Output>, ThreadedError>,
-        TraceOutcome,
-    )
+    ) -> (Result<RunReport<P::Output>, ThreadedError>, TraceOutcome)
     where
         P: RoundProtocol + Send + 'static,
         P::Msg: Send + Sync + 'static,
@@ -609,10 +592,7 @@ impl ThreadedEngine {
         model: &(impl RrfdPredicate + ?Sized),
         mut trace: Option<&mut TraceBuilder>,
         flight: &mut FlightRecorder,
-    ) -> (
-        Result<ThreadedReport<P::Output>, ThreadedError>,
-        TraceOutcome,
-    )
+    ) -> (Result<RunReport<P::Output>, ThreadedError>, TraceOutcome)
     where
         P: RoundProtocol,
         P::Output: Clone,
@@ -698,10 +678,7 @@ impl ThreadedEngine {
                             Some(emission.from.index() as u32),
                             span.start_ns(),
                         );
-                        self.record(RtEventKind::Access {
-                            loc: "decisions".to_owned(),
-                            write: true,
-                        });
+                        self.record_write("decisions");
                     }
                 }
                 messages[emission.from.index()] = Some(emission.msg);
@@ -710,7 +687,7 @@ impl ThreadedEngine {
             if round_no > 1 && decisions.iter().all(Option::is_some) {
                 let rounds_executed = round_no - 1;
                 return (
-                    Ok(ThreadedReport {
+                    Ok(RunReport {
                         decisions,
                         pattern,
                         rounds_executed,
@@ -809,10 +786,7 @@ impl ThreadedEngine {
             if let (Some(t), Some(h)) = (trace.as_deref_mut(), heard.take()) {
                 t.record_round(&faults, h);
             }
-            self.record(RtEventKind::Access {
-                loc: "pattern".to_owned(),
-                write: true,
-            });
+            self.record_write("pattern");
             pattern.push(faults);
             self.clock.advance(round_no);
             self.obs.round_exit(names::RUNTIME_ROUND_LATENCY, span);
@@ -860,17 +834,14 @@ impl ThreadedEngine {
                             format!("p{} decided (at the round limit)", emission.from.index()),
                         );
                     }
-                    self.record(RtEventKind::Access {
-                        loc: "decisions".to_owned(),
-                        write: true,
-                    });
+                    self.record_write("decisions");
                 }
             }
         }
         if decisions.iter().all(Option::is_some) {
             let rounds_executed = self.max_rounds;
             return (
-                Ok(ThreadedReport {
+                Ok(RunReport {
                     decisions,
                     pattern,
                     rounds_executed,

@@ -140,6 +140,7 @@
 //!
 //! `EXPERIMENTS.md` records paper-claim vs measured for every experiment
 //! E1–E17; regenerate it with
-//! `cargo run -p rrfd-bench --bin experiments --release`. The criterion
-//! benches (`cargo bench --workspace`) produce the latency series, one
-//! group per experiment.
+//! `cargo run -p rrfd-bench --bin experiments --release`. The bench
+//! report (`cargo run --release -p rrfd-bench --bin report`) times every
+//! experiment and writes the latency rows, median and p95, to
+//! `BENCH_rrfd.json`.

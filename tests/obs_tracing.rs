@@ -16,7 +16,7 @@ use rrfd::obs::span::to_chrome;
 use rrfd::obs::{json, Obs, SpanKind, SpanPhase};
 use rrfd::pool::{run_batch, MixSpec, PoolConfig};
 use rrfd::protocols::kset::FloodMin;
-use rrfd::runtime::{RunError, ThreadedEngine};
+use rrfd::runtime::{ThreadedEngine, ThreadedError as RunError};
 
 fn n(v: usize) -> SystemSize {
     SystemSize::new(v).unwrap()
