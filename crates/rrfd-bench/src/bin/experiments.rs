@@ -24,8 +24,9 @@ use rrfd_protocols::semi_sync_consensus::{RepeatedRounds, TwoStepConsensus};
 use rrfd_protocols::sync_sim::{run_as_omission, run_crash_simulation};
 use rrfd_runtime::ThreadedEngine;
 use rrfd_sims::detector_s::SAugmentedSystem;
-use rrfd_sims::semi_sync::{RandomSemiSync, SemiSyncSim};
-use rrfd_sims::shared_mem::{RandomScheduler, SharedMemSim};
+use rrfd_sims::semi_sync::SemiSyncSim;
+use rrfd_sims::shared_mem::SharedMemSim;
+use rrfd_sims::step::RandomScheduler;
 use rrfd_sims::sync_net::{RandomCrash, RandomOmission, SyncNetSim};
 use std::collections::BTreeSet;
 
@@ -129,7 +130,7 @@ fn e1() {
             .processes()
             .map(|p| TwoStepConsensus::new(size, p, p.index() as u64))
             .collect();
-        let mut sched = RandomSemiSync::new(seed, 7).crash_prob(0.05);
+        let mut sched = RandomScheduler::new(seed, 7).crash_prob(0.05);
         let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
         let views: Vec<IdSet> = report
             .processes
@@ -476,7 +477,7 @@ fn e10() {
                 .processes()
                 .map(|p| TwoStepConsensus::new(size, p, ins[p.index()]))
                 .collect();
-            let mut sched = RandomSemiSync::new(seed, nv - 1).crash_prob(0.04);
+            let mut sched = RandomScheduler::new(seed, nv - 1).crash_prob(0.04);
             let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
             fast_steps = fast_steps.max(report.max_steps_to_decide().unwrap_or(0));
             let outs: Vec<Option<Value>> = report
@@ -492,7 +493,7 @@ fn e10() {
                 .processes()
                 .map(|p| RepeatedRounds::new(size, p, ins[p.index()], nv as u32))
                 .collect();
-            let mut sched = RandomSemiSync::new(seed + 10_000, nv - 1).crash_prob(0.04);
+            let mut sched = RandomScheduler::new(seed + 10_000, nv - 1).crash_prob(0.04);
             let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
             slow_steps = slow_steps.max(report.max_steps_to_decide().unwrap_or(0));
             let outs: Vec<Option<Value>> = report

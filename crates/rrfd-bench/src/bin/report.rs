@@ -54,8 +54,9 @@ use rrfd_runtime::ThreadedEngine;
 use rrfd_sims::detector_s::SAugmentedSystem;
 use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
 use rrfd_sims::instrument::Instrumented;
-use rrfd_sims::semi_sync::{RandomSemiSync, SemiSyncSim};
-use rrfd_sims::shared_mem::{Action, MemProcess, Observation, RandomScheduler, SharedMemSim};
+use rrfd_sims::semi_sync::SemiSyncSim;
+use rrfd_sims::shared_mem::{Action, MemProcess, Observation, SharedMemSim};
+use rrfd_sims::step::RandomScheduler;
 use rrfd_sims::sync_net::{RandomCrash, RandomOmission, SyncNetSim};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -248,7 +249,7 @@ fn workloads() -> Vec<Workload> {
                 .map(|p| TwoStepConsensus::new(size, p, ins[p.index()]))
                 .collect();
             let mut sched =
-                Instrumented::new(RandomSemiSync::new(SEED, 7).crash_prob(0.05), obs.clone());
+                Instrumented::new(RandomScheduler::new(SEED, 7).crash_prob(0.05), obs.clone());
             SemiSyncSim::new(size)
                 .run(procs, &mut sched)
                 .expect("e10 run");

@@ -321,7 +321,7 @@ pub fn run_adopt_commit<S>(
     scheduler: &mut S,
 ) -> Result<Vec<Option<AdoptCommitOutput>>, rrfd_sims::shared_mem::MemSimError>
 where
-    S: rrfd_sims::shared_mem::MemScheduler + ?Sized,
+    S: rrfd_sims::step::StepScheduler + ?Sized,
 {
     assert_eq!(inputs.len(), n.get(), "one input per process");
     let procs: Vec<_> = n
@@ -336,7 +336,7 @@ where
 mod tests {
     use super::*;
     use rrfd_core::task::AdoptCommitSpec;
-    use rrfd_sims::shared_mem::{FairScheduler, RandomScheduler};
+    use rrfd_sims::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()

@@ -17,9 +17,8 @@
 //! predicate. Experiment E5 machine-checks this on every run.
 
 use rrfd_core::{IdSet, ProcessId, SystemSize};
-use rrfd_sims::shared_mem::{
-    Action, MemProcess, MemScheduler, MemSimError, Observation, SharedMemSim,
-};
+use rrfd_sims::shared_mem::{Action, MemProcess, MemSimError, Observation, SharedMemSim};
+use rrfd_sims::step::StepScheduler;
 
 /// The Theorem 3.3 detector-construction process: runs `rounds` rounds and
 /// decides its per-round suspicion log.
@@ -164,7 +163,7 @@ pub fn build_detector_pattern<S>(
     scheduler: &mut S,
 ) -> Result<rrfd_core::FaultPattern, MemSimError>
 where
-    S: MemScheduler + ?Sized,
+    S: StepScheduler + ?Sized,
 {
     use rrfd_core::{FaultPattern, RoundFaults};
 
@@ -202,7 +201,7 @@ mod tests {
     use super::*;
     use rrfd_core::RrfdPredicate;
     use rrfd_models::predicates::KUncertainty;
-    use rrfd_sims::shared_mem::{FairScheduler, RandomScheduler};
+    use rrfd_sims::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()

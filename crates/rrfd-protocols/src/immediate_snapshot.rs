@@ -249,7 +249,8 @@ mod tests {
     use super::*;
     use rrfd_core::{FaultPattern, RrfdPredicate};
     use rrfd_models::predicates::Snapshot;
-    use rrfd_sims::shared_mem::{FairScheduler, RandomScheduler, SharedMemSim};
+    use rrfd_sims::shared_mem::SharedMemSim;
+    use rrfd_sims::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()

@@ -74,7 +74,8 @@ mod tests {
     use super::*;
     use rrfd_core::task::KSetAgreement;
     use rrfd_core::ProcessId;
-    use rrfd_sims::shared_mem::{FairScheduler, RandomScheduler, SharedMemSim};
+    use rrfd_sims::shared_mem::SharedMemSim;
+    use rrfd_sims::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -163,16 +164,16 @@ mod tests {
             crashed: usize,
             inner: FairScheduler,
         }
-        impl rrfd_sims::shared_mem::MemScheduler for CrashTwoThenFair {
+        impl rrfd_sims::step::StepScheduler for CrashTwoThenFair {
             fn next_event(
                 &mut self,
                 runnable: rrfd_core::IdSet,
                 step: u64,
-            ) -> rrfd_sims::shared_mem::MemEvent {
+            ) -> rrfd_sims::step::StepEvent {
                 if self.crashed < 2 {
                     let victim = ProcessId::new(self.crashed);
                     self.crashed += 1;
-                    return rrfd_sims::shared_mem::MemEvent::Crash(victim);
+                    return rrfd_sims::step::StepEvent::Crash(victim);
                 }
                 self.inner.next_event(runnable, step)
             }

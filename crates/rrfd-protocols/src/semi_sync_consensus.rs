@@ -240,7 +240,8 @@ impl SemiSyncProcess for RepeatedRounds {
 mod tests {
     use super::*;
     use rrfd_core::task::KSetAgreement;
-    use rrfd_sims::semi_sync::{FairSemiSync, RandomSemiSync, SemiSyncSim};
+    use rrfd_sims::semi_sync::SemiSyncSim;
+    use rrfd_sims::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -259,7 +260,7 @@ mod tests {
             .map(|p| TwoStepConsensus::new(size, p, ins[p.index()]))
             .collect();
         let report = SemiSyncSim::new(size)
-            .run(procs, &mut FairSemiSync::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap();
         assert!(report.all_correct_decided());
         assert_eq!(report.max_steps_to_decide(), Some(2), "§5's headline bound");
@@ -284,7 +285,7 @@ mod tests {
                 .processes()
                 .map(|p| TwoStepConsensus::new(size, p, ins[p.index()]))
                 .collect();
-            let mut sched = RandomSemiSync::new(seed, 5).crash_prob(0.05);
+            let mut sched = RandomScheduler::new(seed, 5).crash_prob(0.05);
             let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
             assert!(report.all_correct_decided(), "seed {seed}");
             let outs: Vec<Option<Value>> = report
@@ -311,7 +312,7 @@ mod tests {
                 .processes()
                 .map(|p| TwoStepConsensus::new(size, p, ins[p.index()]))
                 .collect();
-            let mut sched = RandomSemiSync::new(seed, 3).crash_prob(0.04);
+            let mut sched = RandomScheduler::new(seed, 3).crash_prob(0.04);
             let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
             let views: Vec<IdSet> = report
                 .processes
@@ -399,7 +400,7 @@ mod tests {
             .map(|p| RepeatedRounds::new(size, p, ins[p.index()], rounds))
             .collect();
         let report = SemiSyncSim::new(size)
-            .run(procs, &mut FairSemiSync::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap();
         assert!(report.all_correct_decided());
         assert_eq!(report.max_steps_to_decide(), Some(2 * u64::from(rounds)));
@@ -421,7 +422,7 @@ mod tests {
                 .processes()
                 .map(|p| RepeatedRounds::new(size, p, ins[p.index()], 4))
                 .collect();
-            let mut sched = RandomSemiSync::new(seed, 3).crash_prob(0.03);
+            let mut sched = RandomScheduler::new(seed, 3).crash_prob(0.03);
             let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
             assert!(report.all_correct_decided(), "seed {seed}");
             let outs: Vec<Option<Value>> = report

@@ -411,7 +411,7 @@ pub fn run_crash_simulation<P, S>(
 where
     P: RoundProtocol<Msg = Value>,
     P::Output: Clone,
-    S: rrfd_sims::shared_mem::MemScheduler + ?Sized,
+    S: rrfd_sims::step::StepScheduler + ?Sized,
 {
     use rrfd_core::{FaultPattern, RoundFaults, RrfdPredicate};
 
@@ -483,7 +483,7 @@ mod tests {
     use super::*;
     use crate::kset::FloodMin;
     use rrfd_core::task::KSetAgreement;
-    use rrfd_sims::shared_mem::{FairScheduler, RandomScheduler};
+    use rrfd_sims::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()

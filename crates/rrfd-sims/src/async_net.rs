@@ -327,12 +327,16 @@ impl AsyncNetSim {
             }
             events += 1;
 
+            // Events naming a process outside the system (a hostile
+            // replayed schedule) are counted above but otherwise ignored.
             match scheduler.next_event(&busy, deliveries) {
                 NetEvent::Crash(p) => {
-                    crashed.insert(p);
+                    if p.index() < n {
+                        crashed.insert(p);
+                    }
                 }
                 NetEvent::Deliver { from, to } => {
-                    if crashed.contains(to) {
+                    if from.index() >= n || to.index() >= n || crashed.contains(to) {
                         continue;
                     }
                     let Some(entry) = channels[from.index()][to.index()].pop_front() else {

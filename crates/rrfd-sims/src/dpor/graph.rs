@@ -379,7 +379,7 @@ impl<E: SchedEvent> fmt::Display for EventLine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared_mem::MemEvent;
+    use crate::step::StepEvent;
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -437,39 +437,39 @@ mod tests {
         // interleavings are one class with one canonical linearization.
         let mut ab = ExecutionGraph::new(2);
         ab.push(
-            MemEvent::Step(pid(0)),
+            StepEvent::Step(pid(0)),
             pid(0),
             Access::Write { bank: 0, owner: 0 },
         );
         ab.push(
-            MemEvent::Step(pid(1)),
+            StepEvent::Step(pid(1)),
             pid(1),
             Access::Write { bank: 1, owner: 1 },
         );
         let mut ba = ExecutionGraph::new(2);
         ba.push(
-            MemEvent::Step(pid(1)),
+            StepEvent::Step(pid(1)),
             pid(1),
             Access::Write { bank: 1, owner: 1 },
         );
         ba.push(
-            MemEvent::Step(pid(0)),
+            StepEvent::Step(pid(0)),
             pid(0),
             Access::Write { bank: 0, owner: 0 },
         );
 
-        let canon_ab: Vec<MemEvent> = ab
+        let canon_ab: Vec<StepEvent> = ab
             .canonical_order()
             .into_iter()
             .map(|i| ab.events()[i].event)
             .collect();
-        let canon_ba: Vec<MemEvent> = ba
+        let canon_ba: Vec<StepEvent> = ba
             .canonical_order()
             .into_iter()
             .map(|i| ba.events()[i].event)
             .collect();
         assert_eq!(canon_ab, canon_ba);
-        assert_eq!(canon_ab[0], MemEvent::Step(pid(0)), "smallest pid first");
+        assert_eq!(canon_ab[0], StepEvent::Step(pid(0)), "smallest pid first");
     }
 
     #[test]
@@ -477,12 +477,12 @@ mod tests {
         // p0 writes cell (0,0); p1 reads it: a reversible race.
         let mut g = ExecutionGraph::new(2);
         g.push(
-            MemEvent::Step(pid(0)),
+            StepEvent::Step(pid(0)),
             pid(0),
             Access::Write { bank: 0, owner: 0 },
         );
         g.push(
-            MemEvent::Step(pid(1)),
+            StepEvent::Step(pid(1)),
             pid(1),
             Access::Read { bank: 0, owner: 0 },
         );
@@ -498,17 +498,25 @@ mod tests {
         // mediated through p1's events.
         let mut g = ExecutionGraph::new(3);
         g.push(
-            MemEvent::Step(pid(0)),
+            StepEvent::Step(pid(0)),
             pid(0),
             Access::Write { bank: 0, owner: 0 },
         );
-        g.push(MemEvent::Step(pid(1)), pid(1), Access::Snapshot { bank: 0 });
         g.push(
-            MemEvent::Step(pid(1)),
+            StepEvent::Step(pid(1)),
+            pid(1),
+            Access::Snapshot { bank: 0 },
+        );
+        g.push(
+            StepEvent::Step(pid(1)),
             pid(1),
             Access::Write { bank: 0, owner: 1 },
         );
-        g.push(MemEvent::Step(pid(2)), pid(2), Access::Snapshot { bank: 0 });
+        g.push(
+            StepEvent::Step(pid(2)),
+            pid(2),
+            Access::Snapshot { bank: 0 },
+        );
         let races = g.reversible_races();
         assert!(races.contains(&(0, 1)), "write/snap adjacency races");
         assert!(races.contains(&(2, 3)));
@@ -529,13 +537,13 @@ mod tests {
         let mut fresh = ExecutionGraph::new(3);
         let mut reused = ExecutionGraph::new(3);
         for &(p, access) in run.iter().rev() {
-            reused.push(MemEvent::Step(p), p, access);
+            reused.push(StepEvent::Step(p), p, access);
         }
         reused.clear();
         assert!(reused.is_empty());
         for &(p, access) in &run {
-            fresh.push(MemEvent::Step(p), p, access);
-            reused.push(MemEvent::Step(p), p, access);
+            fresh.push(StepEvent::Step(p), p, access);
+            reused.push(StepEvent::Step(p), p, access);
         }
         assert_eq!(reused.canonical_order(), fresh.canonical_order());
         assert_eq!(reused.reversible_races(), fresh.reversible_races());
@@ -553,12 +561,12 @@ mod tests {
     fn program_order_is_happens_before_without_racing() {
         let mut g = ExecutionGraph::new(2);
         g.push(
-            MemEvent::Step(pid(0)),
+            StepEvent::Step(pid(0)),
             pid(0),
             Access::Write { bank: 0, owner: 0 },
         );
         g.push(
-            MemEvent::Step(pid(0)),
+            StepEvent::Step(pid(0)),
             pid(0),
             Access::Write { bank: 1, owner: 0 },
         );

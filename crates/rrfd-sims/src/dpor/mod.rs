@@ -58,12 +58,9 @@ pub use pool::{PoolStats, StealPool};
 pub use revisit::DporError;
 
 use crate::explore::ExploreStats;
-use crate::semi_sync::{
-    SemiEffect, SemiSyncEvent, SemiSyncExecution, SemiSyncProcess, SemiSyncReport, SemiSyncSim,
-};
-use crate::shared_mem::{
-    MemEffect, MemEvent, MemExecution, MemProcess, MemRunReport, SharedMemSim,
-};
+use crate::semi_sync::{SemiSyncExecution, SemiSyncProcess, SemiSyncReport, SemiSyncSim};
+use crate::shared_mem::{MemExecution, MemProcess, MemRunReport, SharedMemSim};
+use crate::step::{StepEvent, StepExecution};
 use revisit::{drive_dpor, DporTarget};
 use rrfd_core::ProcessId;
 use rrfd_obs::Obs;
@@ -112,94 +109,30 @@ impl DporConfig {
     }
 }
 
-struct MemDporTarget<P: MemProcess<V>, V> {
-    n: usize,
-    exec: MemExecution<P, V>,
-}
-
-impl<P, V> Clone for MemDporTarget<P, V>
-where
-    P: MemProcess<V> + Clone,
-    P::Output: Clone,
-    V: Clone,
-{
-    fn clone(&self) -> Self {
-        MemDporTarget {
-            n: self.n,
-            exec: self.exec.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.n = source.n;
-        self.exec.clone_from(&source.exec);
-    }
-}
-
-impl<P, V> DporTarget for MemDporTarget<P, V>
-where
-    P: MemProcess<V> + Clone,
-    P::Output: Clone,
-    V: Clone,
-{
-    type Event = MemEvent;
-    type Report = MemRunReport<P, V>;
-
-    // Crash-free: the only nondeterminism is scheduling order, fully
-    // covered by reversals, so the target offers no alternatives.
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn options(&self, out: &mut Vec<MemEvent>) {
-        out.clear();
-        out.extend(self.exec.runnable().iter().map(MemEvent::Step));
-    }
-
-    fn apply_traced(&mut self, event: MemEvent) -> Access {
-        let effect = self.exec.apply_traced(event);
-        let effect = effect.unwrap_or_else(|err| {
-            panic!("exploration requires clean, terminating protocols: {err:?}")
-        });
-        let pid = Self::event_pid(&event);
-        match effect {
-            MemEffect::Wrote { bank } => Access::Write {
-                bank,
-                owner: pid.index(),
-            },
-            MemEffect::ReadCell { bank, owner } => Access::Read {
-                bank,
-                owner: owner.index(),
-            },
-            MemEffect::Snapshotted { bank } => Access::Snapshot { bank },
-            MemEffect::Proposed { object } => Access::Oracle { object },
-            MemEffect::Decided => Access::Local,
-            MemEffect::Crashed => Access::Crash,
-            MemEffect::Ignored => unreachable!("DPOR only applies enabled events"),
-        }
-    }
-
-    fn report(&self) -> MemRunReport<P, V> {
-        self.exec.clone().into_report()
-    }
-
-    fn event_pid(event: &MemEvent) -> ProcessId {
-        match *event {
-            MemEvent::Step(p) | MemEvent::Crash(p) => p,
-        }
-    }
-}
-
-struct SemiDporTarget<P: SemiSyncProcess> {
+/// The one DPOR target: a step simulator's execution plus the crashes the
+/// adversary may still place. Shared memory explores with a budget of 0,
+/// so its only nondeterminism is scheduling order, fully covered by race
+/// reversals; its decisions report [`Access::Local`], which the crash fold
+/// in `alternatives` would not see leave the live set.
+struct StepTarget<X> {
     n: usize,
     crash_budget: usize,
-    exec: SemiSyncExecution<P>,
+    exec: X,
 }
 
-impl<P: SemiSyncProcess + Clone> Clone for SemiDporTarget<P> {
+impl<X: StepExecution> StepTarget<X> {
+    fn new(exec: X, crash_budget: usize) -> Self {
+        StepTarget {
+            n: exec.live().len(),
+            crash_budget,
+            exec,
+        }
+    }
+}
+
+impl<X: Clone> Clone for StepTarget<X> {
     fn clone(&self) -> Self {
-        SemiDporTarget {
+        StepTarget {
             n: self.n,
             crash_budget: self.crash_budget,
             exec: self.exec.clone(),
@@ -213,12 +146,9 @@ impl<P: SemiSyncProcess + Clone> Clone for SemiDporTarget<P> {
     }
 }
 
-impl<P> DporTarget for SemiDporTarget<P>
-where
-    P: SemiSyncProcess + Clone,
-{
-    type Event = SemiSyncEvent;
-    type Report = SemiSyncReport<P>;
+impl<X: StepExecution + Clone> DporTarget for StepTarget<X> {
+    type Event = StepEvent;
+    type Report = X::Report;
 
     fn n(&self) -> usize {
         self.n
@@ -226,12 +156,12 @@ where
 
     /// Step each live process in id order, then (budget and liveness
     /// permitting) crash each.
-    fn options(&self, out: &mut Vec<SemiSyncEvent>) {
+    fn options(&self, out: &mut Vec<StepEvent>) {
         let live = self.exec.live();
         out.clear();
-        out.extend(live.iter().map(SemiSyncEvent::Step));
+        out.extend(live.iter().map(StepEvent::Step));
         if self.crash_budget > 0 && live.len() > 1 {
-            out.extend(live.iter().map(SemiSyncEvent::Crash));
+            out.extend(live.iter().map(StepEvent::Crash));
         }
     }
 
@@ -243,8 +173,8 @@ where
     /// `BroadcastDecide` leaves `live`, and nothing else touches either.
     fn alternatives<'a>(
         &self,
-        canon: impl Iterator<Item = &'a ExecEvent<SemiSyncEvent>>,
-        mut push: impl FnMut(usize, SemiSyncEvent),
+        canon: impl Iterator<Item = &'a ExecEvent<StepEvent>>,
+        mut push: impl FnMut(usize, StepEvent),
     ) {
         let mut live = self.exec.live();
         let mut budget = self.crash_budget;
@@ -255,7 +185,7 @@ where
                 break;
             }
             for p in live {
-                push(depth, SemiSyncEvent::Crash(p));
+                push(depth, StepEvent::Crash(p));
             }
             match event.access {
                 Access::Crash => {
@@ -270,44 +200,25 @@ where
         }
     }
 
-    fn apply_traced(&mut self, event: SemiSyncEvent) -> Access {
-        if let SemiSyncEvent::Crash(_) = event {
+    fn apply_traced(&mut self, event: StepEvent) -> Access {
+        if let StepEvent::Crash(_) = event {
             self.crash_budget -= 1;
         }
-        let effect = self.exec.apply_traced(event);
-        let effect = effect.unwrap_or_else(|err| {
-            panic!("exploration requires clean, terminating protocols: {err:?}")
-        });
-        match effect {
-            SemiEffect::Crashed => Access::Crash,
-            SemiEffect::Stepped {
-                broadcasted: false,
-                decided: false,
-            } => Access::Local,
-            SemiEffect::Stepped {
-                broadcasted: true,
-                decided: false,
-            } => Access::Broadcast,
-            SemiEffect::Stepped {
-                broadcasted: false,
-                decided: true,
-            } => Access::Decide,
-            SemiEffect::Stepped {
-                broadcasted: true,
-                decided: true,
-            } => Access::BroadcastDecide,
-            SemiEffect::Ignored => unreachable!("DPOR only applies enabled events"),
+        match self.exec.apply(event) {
+            Ok(Some(access)) => access,
+            Ok(None) => unreachable!("DPOR only applies enabled events"),
+            Err(err) => {
+                panic!("exploration requires clean, terminating protocols: {err:?}")
+            }
         }
     }
 
-    fn report(&self) -> SemiSyncReport<P> {
+    fn report(&self) -> X::Report {
         self.exec.clone().into_report()
     }
 
-    fn event_pid(event: &SemiSyncEvent) -> ProcessId {
-        match *event {
-            SemiSyncEvent::Step(p) | SemiSyncEvent::Crash(p) => p,
-        }
+    fn event_pid(event: &StepEvent) -> ProcessId {
+        event.pid()
     }
 }
 
@@ -340,7 +251,7 @@ pub fn explore_shared_mem_dpor<V, P, G, F>(
     make: G,
     check: F,
     config: &DporConfig,
-) -> Result<ExploreStats, DporError<MemEvent>>
+) -> Result<ExploreStats, DporError<StepEvent>>
 where
     V: Clone + Send + Sync,
     P: MemProcess<V> + Clone + Send + Sync,
@@ -350,11 +261,7 @@ where
 {
     let exec = MemExecution::start(sim, make())
         .map_err(|err| DporError::Misconfigured(err.to_string()))?;
-    let root = MemDporTarget {
-        n: sim.system_size().get(),
-        exec,
-    };
-    drive_dpor(&root, &check, config)
+    drive_dpor(&StepTarget::new(exec, 0), &check, config)
 }
 
 /// Explores one representative per trace class of the semi-synchronous
@@ -377,7 +284,7 @@ pub fn explore_semi_sync_dpor<P, G, F>(
     make: G,
     check: F,
     config: &DporConfig,
-) -> Result<ExploreStats, DporError<SemiSyncEvent>>
+) -> Result<ExploreStats, DporError<StepEvent>>
 where
     P: SemiSyncProcess + Clone + Send + Sync,
     P::Msg: Send + Sync,
@@ -387,12 +294,7 @@ where
 {
     let exec = SemiSyncExecution::start(sim, make())
         .map_err(|err| DporError::Misconfigured(err.to_string()))?;
-    let root = SemiDporTarget {
-        n: exec.live().len(),
-        crash_budget: max_crashes,
-        exec,
-    };
-    drive_dpor(&root, &check, config)
+    drive_dpor(&StepTarget::new(exec, max_crashes), &check, config)
 }
 
 #[cfg(test)]
@@ -570,7 +472,7 @@ mod tests {
             cex.schedule
                 .events()
                 .iter()
-                .any(|e| matches!(e, SemiSyncEvent::Crash(_))),
+                .any(|e| matches!(e, StepEvent::Crash(_))),
             "certificate must contain the crash: {:?}",
             cex.schedule.events()
         );
@@ -583,15 +485,15 @@ mod tests {
     /// The oracle for the footprint fold: crash alternatives found by
     /// replaying `canon` from `root` and asking each reached state.
     fn replayed_alternatives(
-        root: &SemiDporTarget<Hearer>,
-        canon: &[SemiSyncEvent],
-    ) -> Vec<(usize, SemiSyncEvent)> {
+        root: &StepTarget<SemiSyncExecution<Hearer>>,
+        canon: &[StepEvent],
+    ) -> Vec<(usize, StepEvent)> {
         let mut state = root.clone();
         let mut found = Vec::new();
         for (depth, &event) in canon.iter().enumerate() {
             let live = state.exec.live();
             if state.crash_budget > 0 && live.len() > 1 {
-                found.extend(live.iter().map(|p| (depth, SemiSyncEvent::Crash(p))));
+                found.extend(live.iter().map(|p| (depth, StepEvent::Crash(p))));
             }
             state.apply_traced(event);
         }
@@ -605,7 +507,7 @@ mod tests {
         for n in 2..=4 {
             let sim = SemiSyncSim::new(size(n));
             for budget in 0..=2 {
-                let root = SemiDporTarget {
+                let root = StepTarget {
                     n,
                     crash_budget: budget,
                     exec: SemiSyncExecution::start(&sim, hearers(n)).unwrap(),
@@ -624,7 +526,11 @@ mod tests {
                         }
                         let event = options[rng.gen_range(0..options.len())];
                         let access = state.apply_traced(event);
-                        graph.push(event, SemiDporTarget::<Hearer>::event_pid(&event), access);
+                        graph.push(
+                            event,
+                            StepTarget::<SemiSyncExecution<Hearer>>::event_pid(&event),
+                            access,
+                        );
                     }
                     let events = graph.events();
                     crashing_runs += usize::from(events.iter().any(|e| e.access == Access::Crash));
@@ -634,8 +540,7 @@ mod tests {
                     root.alternatives(canon.iter().map(|&k| &events[k]), |depth, alt| {
                         folded.push((depth, alt));
                     });
-                    let canon: Vec<SemiSyncEvent> =
-                        canon.iter().map(|&k| events[k].event).collect();
+                    let canon: Vec<StepEvent> = canon.iter().map(|&k| events[k].event).collect();
                     assert_eq!(
                         folded,
                         replayed_alternatives(&root, &canon),

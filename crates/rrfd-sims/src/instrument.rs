@@ -1,17 +1,16 @@
 //! Metric-recording wrappers for the simulator schedulers.
 //!
-//! [`Instrumented`] wraps any scheduler — shared-memory, semi-synchronous,
-//! or asynchronous-network — and records every decision it makes into an
-//! [`Obs`] handle under the `rrfd_sim_*` names: one `rrfd_sim_sched_events`
-//! counter per decision (split into steps, crashes, and deliveries by
-//! event kind), a branching-factor histogram over the option set offered
-//! at each decision point, and a running schedule-depth gauge. The wrapper
-//! is transparent: it forwards the inner scheduler's choice unchanged, so
-//! instrumenting a run cannot alter it.
+//! [`Instrumented`] wraps any scheduler — a step scheduler (shared memory,
+//! semi-synchrony) or an asynchronous-network one — and records every
+//! decision it makes into an [`Obs`] handle under the `rrfd_sim_*` names:
+//! one `rrfd_sim_sched_events` counter per decision (split into steps,
+//! crashes, and deliveries by event kind), a branching-factor histogram
+//! over the option set offered at each decision point, and a running
+//! schedule-depth gauge. The wrapper is transparent: it forwards the inner
+//! scheduler's choice unchanged, so instrumenting a run cannot alter it.
 
 use crate::async_net::{NetEvent, NetScheduler};
-use crate::semi_sync::{SemiSyncEvent, SemiSyncScheduler};
-use crate::shared_mem::{MemEvent, MemScheduler};
+use crate::step::{StepEvent, StepScheduler};
 use rrfd_core::{IdSet, ProcessId};
 use rrfd_obs::{names, Labels, Obs};
 
@@ -75,25 +74,13 @@ impl<S> Instrumented<S> {
     }
 }
 
-impl<S: MemScheduler> MemScheduler for Instrumented<S> {
-    fn next_event(&mut self, runnable: IdSet, step: u64) -> MemEvent {
-        self.decision(runnable.len());
-        let event = self.inner.next_event(runnable, step);
-        match event {
-            MemEvent::Step(p) => self.step(p),
-            MemEvent::Crash(p) => self.crash(p),
-        }
-        event
-    }
-}
-
-impl<S: SemiSyncScheduler> SemiSyncScheduler for Instrumented<S> {
-    fn next_event(&mut self, live: IdSet, step: u64) -> SemiSyncEvent {
+impl<S: StepScheduler> StepScheduler for Instrumented<S> {
+    fn next_event(&mut self, live: IdSet, step: u64) -> StepEvent {
         self.decision(live.len());
         let event = self.inner.next_event(live, step);
         match event {
-            SemiSyncEvent::Step(p) => self.step(p),
-            SemiSyncEvent::Crash(p) => self.crash(p),
+            StepEvent::Step(p) => self.step(p),
+            StepEvent::Crash(p) => self.crash(p),
         }
         event
     }
@@ -126,12 +113,12 @@ mod tests {
     struct RoundRobin {
         turn: usize,
     }
-    impl MemScheduler for RoundRobin {
-        fn next_event(&mut self, runnable: IdSet, _step: u64) -> MemEvent {
+    impl StepScheduler for RoundRobin {
+        fn next_event(&mut self, runnable: IdSet, _step: u64) -> StepEvent {
             let ids: Vec<_> = runnable.iter().collect();
             let pick = ids[self.turn % ids.len()];
             self.turn += 1;
-            MemEvent::Step(pick)
+            StepEvent::Step(pick)
         }
     }
 

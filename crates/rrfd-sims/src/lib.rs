@@ -18,6 +18,9 @@
 //!   under an adversarial step scheduler (§2 items 4, 5).
 //! * [`semi_sync`] — the Dolev-Dwork-Stockmeyer semi-synchronous model of
 //!   §5 (atomic receive/broadcast steps, synchronous broadcast delivery).
+//! * [`step`] — the adversary those two share: one event type
+//!   ([`step::StepEvent`]), one scheduler trait ([`step::StepScheduler`]),
+//!   a fair and a seeded random scheduler, and the run loop.
 //! * [`detector_s`] — the S-augmented asynchronous system of §2 item 6.
 //! * [`dpor`] — the schedule explorer: dynamic partial-order reduction over
 //!   execution graphs (events partially ordered by happens-before, via
@@ -53,5 +56,6 @@ pub mod explore;
 pub mod instrument;
 pub mod semi_sync;
 pub mod shared_mem;
+pub mod step;
 pub mod sync_net;
 pub mod trace;

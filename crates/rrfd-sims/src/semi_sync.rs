@@ -18,6 +18,8 @@
 //! simulator in `rrfd-protocols::semi_sync_consensus` and stress-tested
 //! against random schedules.
 
+use crate::dpor::Access;
+use crate::step::{self, StepEvent, StepExecution, StepScheduler};
 use rrfd_core::{Control, IdSet, ProcessId, SystemSize};
 use std::fmt;
 use std::sync::Arc;
@@ -42,53 +44,6 @@ pub trait SemiSyncProcess {
         &mut self,
         received: &[(ProcessId, Arc<Self::Msg>)],
     ) -> (Option<Self::Msg>, Control<Self::Output>);
-}
-
-/// Scheduler events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SemiSyncEvent {
-    /// The given process takes the next atomic step.
-    Step(ProcessId),
-    /// The given process crashes.
-    Crash(ProcessId),
-}
-
-/// The shared-state footprint one applied [`SemiSyncEvent`] left behind,
-/// reported by [`SemiSyncExecution::apply_traced`].
-///
-/// Dependence rules for the DPOR explorer: same-process events are always
-/// ordered (program order); a broadcasting step conflicts with every other
-/// process's steps (it appends to the log every process reads from, and
-/// whether a step sees it is observable); a deciding step shrinks the
-/// live set, which gates crash *enabledness*, so it conflicts with crash
-/// events; crashes conflict with each other through the shared crash
-/// budget. Everything else commutes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SemiEffect {
-    /// The event named a non-live process and was ignored.
-    Ignored,
-    /// The process crashed.
-    Crashed,
-    /// The process took an atomic step.
-    Stepped {
-        /// The step broadcast a message (appended to the broadcast log).
-        broadcasted: bool,
-        /// The step decided (left the live set).
-        decided: bool,
-    },
-}
-
-/// Chooses step order and crashes. Must be fair to live processes for
-/// protocols to terminate.
-///
-/// The simulator only offers *undecided*, non-crashed processes for
-/// scheduling: a decided process's remaining steps cannot affect anyone
-/// (its decision is final), so never scheduling it again is equivalent to
-/// it being arbitrarily slow — which plain asynchrony already allows.
-pub trait SemiSyncScheduler {
-    /// Picks the next event among `live` (undecided, non-crashed)
-    /// processes.
-    fn next_event(&mut self, live: IdSet, step: u64) -> SemiSyncEvent;
 }
 
 /// Errors from [`SemiSyncSim::run`].
@@ -200,30 +155,17 @@ impl SemiSyncSim {
     ) -> Result<SemiSyncReport<P>, SemiSyncError>
     where
         P: SemiSyncProcess,
-        S: SemiSyncScheduler + ?Sized,
+        S: StepScheduler + ?Sized,
     {
-        let mut exec = SemiSyncExecution::start(self, processes)?;
-        loop {
-            let live = exec.live();
-            if live.is_empty() {
-                return Ok(exec.into_report());
-            }
-            if exec.at_limit() {
-                return Err(SemiSyncError::StepLimitExceeded {
-                    max_steps: self.max_steps,
-                });
-            }
-            let event = scheduler.next_event(live, exec.total_steps());
-            exec.apply(event)?;
-        }
+        step::run(SemiSyncExecution::start(self, processes)?, scheduler)
     }
 }
 
 /// The state of one semi-synchronous run, advanced one scheduler event at
-/// a time — the incremental form [`SemiSyncSim::run`] loops over, and the
-/// one the DPOR explorer ([`crate::dpor`]) drives event by event.
+/// a time by [`SemiSyncSim::run`] and by the DPOR explorer
+/// ([`crate::dpor`]).
 #[derive(Debug)]
-pub struct SemiSyncExecution<P: SemiSyncProcess> {
+pub(crate) struct SemiSyncExecution<P: SemiSyncProcess> {
     sim: SemiSyncSim,
     // Every broadcast of the run, in order. Process `p`'s inbox is
     // `log[cursor[p]..]`: a step borrows that slice and moves the cursor
@@ -286,7 +228,7 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
     ///
     /// [`SemiSyncError::WrongProcessCount`] when the protocol vector does
     /// not match the system size.
-    pub fn start(sim: &SemiSyncSim, processes: Vec<P>) -> Result<Self, SemiSyncError> {
+    pub(crate) fn start(sim: &SemiSyncSim, processes: Vec<P>) -> Result<Self, SemiSyncError> {
         let n = sim.n.get();
         if processes.len() != n {
             return Err(SemiSyncError::WrongProcessCount {
@@ -307,68 +249,52 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
             processes,
         })
     }
+}
 
-    /// Undecided, non-crashed processes. Empty exactly when the run is
-    /// complete.
-    #[must_use]
-    pub fn live(&self) -> IdSet {
+impl<P: SemiSyncProcess> StepExecution for SemiSyncExecution<P> {
+    type Report = SemiSyncReport<P>;
+    type Error = SemiSyncError;
+
+    fn live(&self) -> IdSet {
         self.live
     }
 
-    /// Atomic steps executed system-wide so far.
-    #[must_use]
-    pub fn total_steps(&self) -> u64 {
+    fn steps(&self) -> u64 {
         self.total_steps
     }
 
-    fn at_limit(&self) -> bool {
+    fn check_limit(&self) -> Result<(), SemiSyncError> {
         let event_limit = self.sim.max_steps.saturating_mul(4).saturating_add(1024);
-        self.total_steps >= self.sim.max_steps || self.events >= event_limit
-    }
-
-    /// Applies one scheduler event. Events naming a non-live process are
-    /// counted but otherwise ignored, mirroring [`SemiSyncSim::run`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SemiSyncError`].
-    pub fn apply(&mut self, event: SemiSyncEvent) -> Result<(), SemiSyncError> {
-        self.apply_traced(event).map(|_| ())
-    }
-
-    /// Applies one scheduler event and reports its shared-state footprint
-    /// — the raw material of the DPOR independence relation
-    /// ([`crate::dpor`]). A step that broadcasts appends to the log *every*
-    /// process reads, so it conflicts with every other process's steps; a
-    /// silent step touches only its own cursor and protocol state; a crash
-    /// flips one liveness flag (broadcasts stay in the log whoever has
-    /// crashed, so a crash commutes with other processes' steps). Crash
-    /// and decision footprints are exactly the events that shrink
-    /// [`SemiSyncExecution::live`], which is what lets the explorer fold
-    /// crash enabledness along a run from footprints alone.
-    ///
-    /// # Errors
-    ///
-    /// See [`SemiSyncError`].
-    pub fn apply_traced(&mut self, event: SemiSyncEvent) -> Result<SemiEffect, SemiSyncError> {
-        if self.at_limit() {
+        if self.total_steps >= self.sim.max_steps || self.events >= event_limit {
             return Err(SemiSyncError::StepLimitExceeded {
                 max_steps: self.sim.max_steps,
             });
         }
+        Ok(())
+    }
+
+    /// A step that broadcasts appends to the log *every* process reads, so
+    /// it conflicts with every other process's steps; a silent step
+    /// touches only its own cursor and protocol state; a crash flips one
+    /// liveness flag (broadcasts stay in the log whoever has crashed, so a
+    /// crash commutes with other processes' steps). Crash and decision
+    /// footprints are exactly the events that shrink the live set, which
+    /// is what lets the explorer fold crash enabledness along a run from
+    /// footprints alone.
+    fn apply(&mut self, event: StepEvent) -> Result<Option<Access>, SemiSyncError> {
+        self.check_limit()?;
         self.events += 1;
         match event {
-            SemiSyncEvent::Crash(p) => {
-                if self.live.remove(p) {
-                    self.crashed.insert(p);
-                    Ok(SemiEffect::Crashed)
-                } else {
-                    Ok(SemiEffect::Ignored)
+            StepEvent::Crash(p) => {
+                if !self.live.remove(p) {
+                    return Ok(None);
                 }
+                self.crashed.insert(p);
+                Ok(Some(Access::Crash))
             }
-            SemiSyncEvent::Step(p) => {
+            StepEvent::Step(p) => {
                 if !self.live.contains(p) {
-                    return Ok(SemiEffect::Ignored);
+                    return Ok(None);
                 }
                 let i = p.index();
                 self.total_steps += 1;
@@ -390,18 +316,17 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
                     self.live.remove(p);
                     decided = true;
                 }
-                Ok(SemiEffect::Stepped {
-                    broadcasted,
-                    decided,
-                })
+                Ok(Some(match (broadcasted, decided) {
+                    (false, false) => Access::Local,
+                    (true, false) => Access::Broadcast,
+                    (false, true) => Access::Decide,
+                    (true, true) => Access::BroadcastDecide,
+                }))
             }
         }
     }
 
-    /// Packages the current state as a run report — typically called once
-    /// [`SemiSyncExecution::live`] is empty.
-    #[must_use]
-    pub fn into_report(self) -> SemiSyncReport<P> {
+    fn into_report(self) -> SemiSyncReport<P> {
         SemiSyncReport {
             outputs: self.outputs,
             crashed: self.crashed,
@@ -411,83 +336,15 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
     }
 }
 
-/// Round-robin fair scheduler without crashes.
-#[derive(Debug, Clone, Default)]
-pub struct FairSemiSync {
-    cursor: usize,
-}
-
-impl FairSemiSync {
-    /// Creates the scheduler.
-    #[must_use]
-    pub fn new() -> Self {
-        FairSemiSync { cursor: 0 }
-    }
-}
-
-impl SemiSyncScheduler for FairSemiSync {
-    fn next_event(&mut self, live: IdSet, _step: u64) -> SemiSyncEvent {
-        // The simulator never asks with an empty live set; if a caller
-        // did, the event names a non-live process and is ignored.
-        let pick = live
-            .iter()
-            .find(|p| p.index() >= self.cursor)
-            .or_else(|| live.min())
-            .unwrap_or(ProcessId::new(0));
-        self.cursor = pick.index() + 1;
-        SemiSyncEvent::Step(pick)
-    }
-}
-
-/// Seeded random scheduler with a crash budget. All but one process may
-/// crash (the §5 model's resilience); the budget is the caller's choice.
-#[derive(Debug, Clone)]
-pub struct RandomSemiSync {
-    rng: rand::rngs::StdRng,
-    crash_budget: usize,
-    crash_prob: f64,
-}
-
-impl RandomSemiSync {
-    /// Creates a scheduler with up to `max_crashes` crashes.
-    #[must_use]
-    pub fn new(seed: u64, max_crashes: usize) -> Self {
-        use rand::SeedableRng;
-        RandomSemiSync {
-            rng: rand::rngs::StdRng::seed_from_u64(seed),
-            crash_budget: max_crashes,
-            crash_prob: 0.02,
-        }
-    }
-
-    /// Overrides the per-event crash probability (default 2%).
-    #[must_use]
-    pub fn crash_prob(mut self, p: f64) -> Self {
-        self.crash_prob = p;
-        self
-    }
-}
-
-impl SemiSyncScheduler for RandomSemiSync {
-    fn next_event(&mut self, live: IdSet, _step: u64) -> SemiSyncEvent {
-        use rand::seq::IteratorRandom;
-        use rand::Rng;
-        let pick = live
-            .iter()
-            .choose(&mut self.rng)
-            .expect("simulator guarantees live is non-empty");
-        if self.crash_budget > 0 && live.len() > 1 && self.rng.gen_bool(self.crash_prob) {
-            self.crash_budget -= 1;
-            SemiSyncEvent::Crash(pick)
-        } else {
-            SemiSyncEvent::Step(pick)
-        }
-    }
-}
+/// The one fair step scheduler, [`crate::step::FairScheduler`], under the
+/// name the `roundbench` harness imports; new code should use
+/// `FairScheduler`.
+pub use crate::step::FairScheduler as FairSemiSync;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -544,7 +401,7 @@ mod tests {
         // earlier — under round-robin everyone hears everyone.
         let procs: Vec<_> = (0..4).map(|_| Listen::new(2)).collect();
         let report = SemiSyncSim::new(size)
-            .run(procs, &mut FairSemiSync::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap();
         assert!(report.all_correct_decided());
         for out in &report.outputs {
@@ -558,7 +415,7 @@ mod tests {
         let size = n(1);
         let procs = vec![Listen::new(2)];
         let report = SemiSyncSim::new(size)
-            .run(procs, &mut FairSemiSync::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap();
         assert_eq!(report.outputs[0].as_ref().unwrap().0, 1);
     }
@@ -568,7 +425,7 @@ mod tests {
         let size = n(5);
         for seed in 0..20u64 {
             let procs: Vec<_> = (0..5).map(|_| Listen::new(3)).collect();
-            let mut sched = RandomSemiSync::new(seed, 4);
+            let mut sched = RandomScheduler::new(seed, 4).crash_prob(0.02);
             let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
             assert!(report.all_correct_decided(), "seed {seed}");
             assert!(report.crashed.len() <= 4);
@@ -581,13 +438,13 @@ mod tests {
 
         struct CrashThenFair {
             crashed: bool,
-            inner: FairSemiSync,
+            inner: FairScheduler,
         }
-        impl SemiSyncScheduler for CrashThenFair {
-            fn next_event(&mut self, live: IdSet, step: u64) -> SemiSyncEvent {
+        impl StepScheduler for CrashThenFair {
+            fn next_event(&mut self, live: IdSet, step: u64) -> StepEvent {
                 if !self.crashed {
                     self.crashed = true;
-                    return SemiSyncEvent::Crash(ProcessId::new(1));
+                    return StepEvent::Crash(ProcessId::new(1));
                 }
                 self.inner.next_event(live, step)
             }
@@ -596,7 +453,7 @@ mod tests {
         let procs: Vec<_> = (0..2).map(|_| Listen::new(2)).collect();
         let mut sched = CrashThenFair {
             crashed: false,
-            inner: FairSemiSync::new(),
+            inner: FairScheduler::new(),
         };
         let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
         assert!(report.crashed.contains(ProcessId::new(1)));
@@ -612,22 +469,22 @@ mod tests {
         for seed in 0..20u64 {
             let procs: Vec<_> = (0..5).map(|_| Listen::new(3)).collect();
             let mut exec = SemiSyncExecution::start(&SemiSyncSim::new(size), procs).unwrap();
-            let mut sched = RandomSemiSync::new(seed, 4).crash_prob(0.1);
+            let mut sched = RandomScheduler::new(seed, 4).crash_prob(0.1);
             let expected = |exec: &SemiSyncExecution<Listen>| -> IdSet {
                 size.processes()
                     .filter(|&p| !exec.crashed.contains(p) && exec.outputs[p.index()].is_none())
                     .collect()
             };
             while !exec.live().is_empty() {
-                let event = sched.next_event(exec.live(), exec.total_steps());
+                let event = sched.next_event(exec.live(), exec.steps());
                 exec.apply(event).unwrap();
                 assert_eq!(exec.live, expected(&exec), "seed {seed} after {event:?}");
             }
             // Events naming a finished process are ignored and move
             // nothing.
             for p in size.processes() {
-                for event in [SemiSyncEvent::Step(p), SemiSyncEvent::Crash(p)] {
-                    assert_eq!(exec.apply_traced(event), Ok(SemiEffect::Ignored));
+                for event in [StepEvent::Step(p), StepEvent::Crash(p)] {
+                    assert_eq!(exec.apply(event), Ok(None));
                     assert_eq!(exec.live, expected(&exec));
                 }
             }
@@ -642,7 +499,7 @@ mod tests {
         let procs: Vec<_> = (0..2).map(|_| Listen::new(1_000_000)).collect();
         let err = SemiSyncSim::new(size)
             .max_steps(100)
-            .run(procs, &mut FairSemiSync::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap_err();
         assert_eq!(err, SemiSyncError::StepLimitExceeded { max_steps: 100 });
     }

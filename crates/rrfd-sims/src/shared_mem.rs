@@ -10,11 +10,13 @@
 //! what gives the scheduler real adversarial power: interleavings between a
 //! write and the reads that follow it are all reachable.
 //!
-//! Crash faults are injected by the scheduler ([`MemEvent::Crash`]); a
+//! Crash faults are injected by the scheduler ([`StepEvent::Crash`]); a
 //! crashed process takes no further steps. The simulator itself is
 //! deterministic given the scheduler, so any run can be replayed from a
 //! seed.
 
+use crate::dpor::Access;
+use crate::step::{self, StepEvent, StepExecution, StepScheduler};
 use rrfd_core::{IdSet, ProcessId, SystemSize};
 use std::fmt;
 
@@ -81,64 +83,6 @@ pub trait MemProcess<V> {
 
     /// Consumes the previous action's result and issues the next action.
     fn step(&mut self, obs: Observation<V>) -> Action<V, Self::Output>;
-}
-
-/// Scheduler events: who steps next, or who crashes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemEvent {
-    /// The given process takes its next step.
-    Step(ProcessId),
-    /// The given process crashes (takes no further steps).
-    Crash(ProcessId),
-}
-
-/// The shared-state footprint one applied [`MemEvent`] left behind,
-/// reported by [`MemExecution::apply_traced`].
-///
-/// This is the raw material of the DPOR independence relation
-/// ([`crate::dpor`]): cells are single-writer (process `p` writes only
-/// cell `(bank, p)`), so two writes never conflict; a write conflicts with
-/// a read of the same cell and with a snapshot of the same bank; proposes
-/// conflict on the same oracle object (the oracle's RNG state is opaque);
-/// decides and crashes touch only process-local state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemEffect {
-    /// The event named a non-runnable process and was ignored.
-    Ignored,
-    /// The process crashed.
-    Crashed,
-    /// The process wrote its own cell in `bank`.
-    Wrote {
-        /// Bank written (the cell owner is the stepping process).
-        bank: usize,
-    },
-    /// The process read `owner`'s cell in `bank`.
-    ReadCell {
-        /// Bank read.
-        bank: usize,
-        /// Cell owner.
-        owner: ProcessId,
-    },
-    /// The process took an atomic snapshot of `bank`.
-    Snapshotted {
-        /// Bank snapshotted.
-        bank: usize,
-    },
-    /// The process proposed to k-set oracle `object`.
-    Proposed {
-        /// Oracle object index.
-        object: usize,
-    },
-    /// The process decided (local effect only).
-    Decided,
-}
-
-/// Chooses the interleaving (and the crashes). The simulator guarantees the
-/// scheduler is only asked while some process is still runnable, and
-/// ignores events aimed at processes that already decided or crashed.
-pub trait MemScheduler {
-    /// Picks the next event given the set of runnable processes.
-    fn next_event(&mut self, runnable: IdSet, step: u64) -> MemEvent;
 }
 
 /// Errors from [`SharedMemSim::run`].
@@ -242,9 +186,8 @@ impl<P: MemProcess<V>, V> MemRunReport<P, V> {
 ///
 /// ```
 /// use rrfd_core::{IdSet, ProcessId, SystemSize};
-/// use rrfd_sims::shared_mem::{
-///     Action, FairScheduler, MemProcess, Observation, SharedMemSim,
-/// };
+/// use rrfd_sims::shared_mem::{Action, MemProcess, Observation, SharedMemSim};
+/// use rrfd_sims::step::FairScheduler;
 ///
 /// struct WriteRead {
 ///     me: ProcessId,
@@ -353,31 +296,17 @@ impl SharedMemSim {
     where
         V: Clone,
         P: MemProcess<V>,
-        S: MemScheduler + ?Sized,
+        S: StepScheduler + ?Sized,
     {
-        let mut exec = MemExecution::start(self, processes)?;
-        loop {
-            let live = exec.runnable();
-            if live.is_empty() {
-                return Ok(exec.into_report());
-            }
-            if exec.at_limit() {
-                return Err(MemSimError::StepLimitExceeded {
-                    max_steps: self.max_steps,
-                });
-            }
-            let event = scheduler.next_event(live, exec.steps());
-            exec.apply(event)?;
-        }
+        step::run(MemExecution::start(self, processes)?, scheduler)
     }
 }
 
 /// The state of one shared-memory run, advanced one scheduler event at a
-/// time. [`SharedMemSim::run`] is a loop over this object; the DPOR
-/// explorer ([`crate::dpor`]) drives it event by event through
-/// [`MemExecution::apply_traced`].
+/// time by [`SharedMemSim::run`] and by the DPOR explorer
+/// ([`crate::dpor`]).
 #[derive(Debug)]
-pub struct MemExecution<P: MemProcess<V>, V> {
+pub(crate) struct MemExecution<P: MemProcess<V>, V> {
     sim: SharedMemSim,
     cells: Vec<Option<V>>,
     oracles: Vec<KSetObject>,
@@ -435,7 +364,7 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
     ///
     /// [`MemSimError::WrongProcessCount`] when the protocol vector does
     /// not match the system size.
-    pub fn start(sim: &SharedMemSim, processes: Vec<P>) -> Result<Self, MemSimError> {
+    pub(crate) fn start(sim: &SharedMemSim, processes: Vec<P>) -> Result<Self, MemSimError> {
         let n = sim.n.get();
         if processes.len() != n {
             return Err(MemSimError::WrongProcessCount {
@@ -457,75 +386,64 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
             processes,
         })
     }
+}
 
-    /// Processes that are neither decided nor crashed. Empty exactly when
-    /// the run is complete.
-    #[must_use]
-    pub fn runnable(&self) -> IdSet {
+impl<P: MemProcess<V>, V: Clone> StepExecution for MemExecution<P, V> {
+    type Report = MemRunReport<P, V>;
+    type Error = MemSimError;
+
+    fn live(&self) -> IdSet {
         (0..self.sim.n.get())
             .map(ProcessId::new)
             .filter(|&p| self.outputs[p.index()].is_none() && !self.crashed.contains(p))
             .collect()
     }
 
-    /// Primitive steps executed so far.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
+    fn steps(&self) -> u64 {
         self.steps
     }
 
-    /// Applies one scheduler event. Events naming a non-runnable process
-    /// are counted but otherwise ignored, mirroring [`SharedMemSim::run`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MemSimError`].
-    pub fn apply(&mut self, event: MemEvent) -> Result<(), MemSimError> {
-        self.apply_traced(event).map(|_| ())
-    }
-
-    /// Applies one scheduler event and reports *which shared state it
-    /// touched* — the footprint the DPOR explorer's independence relation
-    /// is built from ([`crate::dpor`]). Two events whose footprints do not
-    /// conflict commute: applying them in either order yields byte-equal
-    /// executions.
-    ///
-    /// # Errors
-    ///
-    /// See [`MemSimError`].
-    pub fn apply_traced(&mut self, event: MemEvent) -> Result<MemEffect, MemSimError> {
-        if self.at_limit() {
+    fn check_limit(&self) -> Result<(), MemSimError> {
+        let event_limit = self.sim.max_steps.saturating_mul(4).saturating_add(1024);
+        if self.steps >= self.sim.max_steps || self.events >= event_limit {
             return Err(MemSimError::StepLimitExceeded {
                 max_steps: self.sim.max_steps,
             });
         }
+        Ok(())
+    }
+
+    /// Cells are single-writer (process `p` writes only cell `(bank, p)`),
+    /// so the footprint of a write names its own cell; a decision touches
+    /// only process-local state.
+    fn apply(&mut self, event: StepEvent) -> Result<Option<Access>, MemSimError> {
+        self.check_limit()?;
         self.events += 1;
-        let live = self.runnable();
+        let live = self.live();
         match event {
-            MemEvent::Crash(p) => {
-                if live.contains(p) {
-                    self.crashed.insert(p);
-                    Ok(MemEffect::Crashed)
-                } else {
-                    Ok(MemEffect::Ignored)
-                }
-            }
-            MemEvent::Step(p) => {
+            StepEvent::Crash(p) => {
                 if !live.contains(p) {
-                    return Ok(MemEffect::Ignored);
+                    return Ok(None);
+                }
+                self.crashed.insert(p);
+                Ok(Some(Access::Crash))
+            }
+            StepEvent::Step(p) => {
+                if !live.contains(p) {
+                    return Ok(None);
                 }
                 self.steps += 1;
                 let n = self.sim.n.get();
                 let idx = p.index();
                 let obs = std::mem::replace(&mut self.pending[idx], Observation::Start);
-                match self.processes[idx].step(obs) {
+                let access = match self.processes[idx].step(obs) {
                     Action::Write { bank, value } => {
                         if bank >= self.sim.banks {
                             return Err(MemSimError::BankOutOfRange { process: p, bank });
                         }
                         self.cells[bank * n + idx] = Some(value);
                         self.pending[idx] = Observation::Written;
-                        Ok(MemEffect::Wrote { bank })
+                        Access::Write { bank, owner: idx }
                     }
                     Action::Read { bank, owner } => {
                         if bank >= self.sim.banks {
@@ -533,7 +451,10 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
                         }
                         self.pending[idx] =
                             Observation::Value(self.cells[bank * n + owner.index()].clone());
-                        Ok(MemEffect::ReadCell { bank, owner })
+                        Access::Read {
+                            bank,
+                            owner: owner.index(),
+                        }
                     }
                     Action::Snapshot { bank } => {
                         if !self.sim.snapshots {
@@ -544,33 +465,26 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
                         }
                         let view = self.cells[bank * n..(bank + 1) * n].to_vec();
                         self.pending[idx] = Observation::SnapshotView(view);
-                        Ok(MemEffect::Snapshotted { bank })
+                        Access::Snapshot { bank }
                     }
                     Action::Propose { object, value } => {
                         let Some(oracle) = self.oracles.get_mut(object) else {
                             return Err(MemSimError::OracleUnavailable { process: p, object });
                         };
                         self.pending[idx] = Observation::Chosen(oracle.propose(value));
-                        Ok(MemEffect::Proposed { object })
+                        Access::Oracle { object }
                     }
                     Action::Decide(out) => {
                         self.outputs[idx] = Some(out);
-                        Ok(MemEffect::Decided)
+                        Access::Local
                     }
-                }
+                };
+                Ok(Some(access))
             }
         }
     }
 
-    fn at_limit(&self) -> bool {
-        let event_limit = self.sim.max_steps.saturating_mul(4).saturating_add(1024);
-        self.steps >= self.sim.max_steps || self.events >= event_limit
-    }
-
-    /// Packages the current state as a run report — typically called once
-    /// [`MemExecution::runnable`] is empty.
-    #[must_use]
-    pub fn into_report(self) -> MemRunReport<P, V> {
+    fn into_report(self) -> MemRunReport<P, V> {
         MemRunReport {
             outputs: self.outputs,
             crashed: self.crashed,
@@ -625,85 +539,10 @@ impl KSetObject {
     }
 }
 
-/// Round-robin scheduler with no crashes: the "synchronous" baseline run.
-#[derive(Debug, Clone, Default)]
-pub struct FairScheduler {
-    cursor: usize,
-}
-
-impl FairScheduler {
-    /// Creates a fair scheduler.
-    #[must_use]
-    pub fn new() -> Self {
-        FairScheduler { cursor: 0 }
-    }
-}
-
-impl MemScheduler for FairScheduler {
-    fn next_event(&mut self, runnable: IdSet, _step: u64) -> MemEvent {
-        // Next runnable at or after the cursor, cycling.
-        let ids: Vec<ProcessId> = runnable.iter().collect();
-        let pick = ids
-            .iter()
-            .copied()
-            .find(|p| p.index() >= self.cursor)
-            .unwrap_or(ids[0]);
-        self.cursor = pick.index() + 1;
-        MemEvent::Step(pick)
-    }
-}
-
-/// Seeded random scheduler with a crash budget: at every point it may, with
-/// probability `crash_prob`, crash a random runnable process (while its
-/// budget lasts), and otherwise steps a uniformly random runnable process.
-#[derive(Debug, Clone)]
-pub struct RandomScheduler {
-    rng: rand::rngs::StdRng,
-    crash_budget: usize,
-    crash_prob: f64,
-}
-
-impl RandomScheduler {
-    /// Creates a scheduler with up to `max_crashes` crashes, deterministic
-    /// in `seed`.
-    #[must_use]
-    pub fn new(seed: u64, max_crashes: usize) -> Self {
-        use rand::SeedableRng;
-        RandomScheduler {
-            rng: rand::rngs::StdRng::seed_from_u64(seed),
-            crash_budget: max_crashes,
-            crash_prob: 0.01,
-        }
-    }
-
-    /// Overrides the per-event crash probability (default 1%).
-    #[must_use]
-    pub fn crash_prob(mut self, p: f64) -> Self {
-        self.crash_prob = p;
-        self
-    }
-}
-
-impl MemScheduler for RandomScheduler {
-    fn next_event(&mut self, runnable: IdSet, _step: u64) -> MemEvent {
-        use rand::seq::IteratorRandom;
-        use rand::Rng;
-        let pick = runnable
-            .iter()
-            .choose(&mut self.rng)
-            .expect("simulator guarantees runnable is non-empty");
-        if self.crash_budget > 0 && self.rng.gen_bool(self.crash_prob) {
-            self.crash_budget -= 1;
-            MemEvent::Crash(pick)
-        } else {
-            MemEvent::Step(pick)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -767,11 +606,11 @@ mod tests {
             crashed_once: bool,
             inner: FairScheduler,
         }
-        impl MemScheduler for CrashFirst {
-            fn next_event(&mut self, runnable: IdSet, s: u64) -> MemEvent {
+        impl StepScheduler for CrashFirst {
+            fn next_event(&mut self, runnable: IdSet, s: u64) -> StepEvent {
                 if !self.crashed_once {
                     self.crashed_once = true;
-                    MemEvent::Crash(ProcessId::new(0))
+                    StepEvent::Crash(ProcessId::new(0))
                 } else {
                     self.inner.next_event(runnable, s)
                 }
@@ -803,9 +642,9 @@ mod tests {
 
         /// Only ever steps p0, which waits for p1's value forever.
         struct Starver;
-        impl MemScheduler for Starver {
-            fn next_event(&mut self, _r: IdSet, _s: u64) -> MemEvent {
-                MemEvent::Step(ProcessId::new(0))
+        impl StepScheduler for Starver {
+            fn next_event(&mut self, _r: IdSet, _s: u64) -> StepEvent {
+                StepEvent::Step(ProcessId::new(0))
             }
         }
 

@@ -14,8 +14,7 @@
 //! schedule pasted from a test log can therefore be replayed verbatim.
 
 use crate::async_net::{NetEvent, NetScheduler};
-use crate::semi_sync::{SemiSyncEvent, SemiSyncScheduler};
-use crate::shared_mem::{MemEvent, MemScheduler};
+use crate::step::{StepEvent, StepScheduler};
 use rrfd_core::lineformat::{body_lines, parse_process_id as parse_pid};
 use rrfd_core::{IdSet, ProcessId};
 use std::fmt;
@@ -34,35 +33,18 @@ pub trait SchedEvent: Copy + fmt::Debug + PartialEq {
     fn parse_event(line: &str) -> Result<Self, String>;
 }
 
-impl SchedEvent for MemEvent {
+impl SchedEvent for StepEvent {
     fn write_event(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MemEvent::Step(p) => write!(f, "step {}", p.index()),
-            MemEvent::Crash(p) => write!(f, "crash {}", p.index()),
+            StepEvent::Step(p) => write!(f, "step {}", p.index()),
+            StepEvent::Crash(p) => write!(f, "crash {}", p.index()),
         }
     }
 
     fn parse_event(line: &str) -> Result<Self, String> {
         match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["step", p] => Ok(MemEvent::Step(parse_pid(p)?)),
-            ["crash", p] => Ok(MemEvent::Crash(parse_pid(p)?)),
-            _ => Err(format!("unrecognised event {line:?}")),
-        }
-    }
-}
-
-impl SchedEvent for SemiSyncEvent {
-    fn write_event(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SemiSyncEvent::Step(p) => write!(f, "step {}", p.index()),
-            SemiSyncEvent::Crash(p) => write!(f, "crash {}", p.index()),
-        }
-    }
-
-    fn parse_event(line: &str) -> Result<Self, String> {
-        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["step", p] => Ok(SemiSyncEvent::Step(parse_pid(p)?)),
-            ["crash", p] => Ok(SemiSyncEvent::Crash(parse_pid(p)?)),
+            ["step", p] => Ok(StepEvent::Step(parse_pid(p)?)),
+            ["crash", p] => Ok(StepEvent::Crash(parse_pid(p)?)),
             _ => Err(format!("unrecognised event {line:?}")),
         }
     }
@@ -170,12 +152,12 @@ impl<E: SchedEvent> FromStr for ScheduleTrace<E> {
 /// # Examples
 ///
 /// ```
-/// use rrfd_sims::shared_mem::{MemEvent, RandomScheduler};
+/// use rrfd_sims::step::{RandomScheduler, StepEvent};
 /// use rrfd_sims::trace::Recording;
 ///
-/// let mut sched: Recording<_, MemEvent> =
+/// let mut sched: Recording<_, StepEvent> =
 ///     Recording::new(RandomScheduler::new(7, 0));
-/// // ... pass `&mut sched` to `SharedMemSim::run` ...
+/// // ... pass `&mut sched` to `SharedMemSim::run` or `SemiSyncSim::run` ...
 /// let (_inner, trace) = sched.into_parts();
 /// assert!(trace.is_empty()); // nothing ran in this toy example
 /// ```
@@ -224,16 +206,8 @@ impl<S, E> Recording<S, E> {
     }
 }
 
-impl<S: MemScheduler> MemScheduler for Recording<S, MemEvent> {
-    fn next_event(&mut self, runnable: IdSet, step: u64) -> MemEvent {
-        let event = self.inner.next_event(runnable, step);
-        self.events.push(event);
-        event
-    }
-}
-
-impl<S: SemiSyncScheduler> SemiSyncScheduler for Recording<S, SemiSyncEvent> {
-    fn next_event(&mut self, live: IdSet, step: u64) -> SemiSyncEvent {
+impl<S: StepScheduler> StepScheduler for Recording<S, StepEvent> {
+    fn next_event(&mut self, live: IdSet, step: u64) -> StepEvent {
         let event = self.inner.next_event(live, step);
         self.events.push(event);
         event
@@ -250,7 +224,7 @@ impl<S: NetScheduler> NetScheduler for Recording<S, NetEvent> {
 
 /// Re-drives a recorded schedule: event `k` of the trace is returned at the
 /// simulator's `k`-th scheduling decision. Past the end of the recording it
-/// falls back to the first available option (first runnable process / first
+/// falls back to the first available option (first live process / first
 /// busy channel), so a replay of a complete trace is exact and a replay of
 /// a truncated one still terminates.
 #[derive(Debug, Clone)]
@@ -285,19 +259,12 @@ impl<E: Clone> From<ScheduleTrace<E>> for ScheduleReplay<E> {
     }
 }
 
-impl MemScheduler for ScheduleReplay<MemEvent> {
-    fn next_event(&mut self, runnable: IdSet, _step: u64) -> MemEvent {
-        self.next_recorded().unwrap_or_else(|| {
-            MemEvent::Step(runnable.iter().next().expect("some process is runnable"))
-        })
-    }
-}
-
-impl SemiSyncScheduler for ScheduleReplay<SemiSyncEvent> {
-    fn next_event(&mut self, live: IdSet, _step: u64) -> SemiSyncEvent {
-        self.next_recorded().unwrap_or_else(|| {
-            SemiSyncEvent::Step(live.iter().next().expect("some process is live"))
-        })
+impl StepScheduler for ScheduleReplay<StepEvent> {
+    fn next_event(&mut self, live: IdSet, _step: u64) -> StepEvent {
+        // The simulators never ask with an empty live set; if a caller
+        // did, the fallback names a non-live process and is ignored.
+        self.next_recorded()
+            .unwrap_or_else(|| StepEvent::Step(live.min().unwrap_or(ProcessId::new(0))))
     }
 }
 
@@ -322,13 +289,13 @@ mod tests {
     #[test]
     fn mem_events_round_trip_through_text() {
         let trace = ScheduleTrace::from_events(vec![
-            MemEvent::Step(p(0)),
-            MemEvent::Crash(p(2)),
-            MemEvent::Step(p(1)),
+            StepEvent::Step(p(0)),
+            StepEvent::Crash(p(2)),
+            StepEvent::Step(p(1)),
         ]);
         let text = trace.to_string();
         assert_eq!(text, "rrfd-sched v1\nstep 0\ncrash 2\nstep 1\n");
-        let back: ScheduleTrace<MemEvent> = text.parse().unwrap();
+        let back: ScheduleTrace<StepEvent> = text.parse().unwrap();
         assert_eq!(back, trace);
     }
 
@@ -349,25 +316,26 @@ mod tests {
 
     #[test]
     fn malformed_schedules_are_rejected() {
-        assert!("".parse::<ScheduleTrace<MemEvent>>().is_err());
+        assert!("".parse::<ScheduleTrace<StepEvent>>().is_err());
         assert!("bogus header\nstep 0\n"
-            .parse::<ScheduleTrace<MemEvent>>()
+            .parse::<ScheduleTrace<StepEvent>>()
             .is_err());
         let err = "rrfd-sched v1\nstep 0\nfly 3\n"
-            .parse::<ScheduleTrace<MemEvent>>()
+            .parse::<ScheduleTrace<StepEvent>>()
             .unwrap_err();
         assert_eq!(err.line, 3);
         assert!("rrfd-sched v1\ndeliver 0x2\n"
             .parse::<ScheduleTrace<NetEvent>>()
             .is_err());
         assert!("rrfd-sched v1\nstep 999\n"
-            .parse::<ScheduleTrace<MemEvent>>()
+            .parse::<ScheduleTrace<StepEvent>>()
             .is_err());
     }
 
     #[test]
     fn recording_then_replay_is_identity_on_shared_memory() {
-        use crate::shared_mem::{Action, MemProcess, Observation, RandomScheduler, SharedMemSim};
+        use crate::shared_mem::{Action, MemProcess, Observation, SharedMemSim};
+        use crate::step::RandomScheduler;
 
         #[derive(Debug)]
         struct WriteReadDecide {
@@ -405,7 +373,7 @@ mod tests {
             let (_, trace) = recording.into_parts();
 
             // Replay from the parsed text form: text → trace → run.
-            let reparsed: ScheduleTrace<MemEvent> = trace.to_string().parse().unwrap();
+            let reparsed: ScheduleTrace<StepEvent> = trace.to_string().parse().unwrap();
             assert_eq!(reparsed, trace);
             let mut replay = ScheduleReplay::from_trace(&reparsed);
             let replayed = sim.run(make(), &mut replay).unwrap();
@@ -456,8 +424,46 @@ mod tests {
     }
 
     #[test]
+    fn replayed_net_events_naming_absent_processes_are_ignored() {
+        use crate::async_net::{AsyncNetSim, AsyncProcess, Outbox};
+        use rrfd_core::Control;
+
+        /// Broadcasts once, decides on the first message it receives.
+        struct FirstHeard;
+        impl AsyncProcess for FirstHeard {
+            type Msg = ();
+            type Output = ProcessId;
+            fn on_start(&mut self, out: &mut Outbox<()>) {
+                out.broadcast(());
+            }
+            fn on_message(
+                &mut self,
+                _now: u64,
+                from: ProcessId,
+                _msg: (),
+                _out: &mut Outbox<()>,
+            ) -> Control<ProcessId> {
+                Control::Decide(from)
+            }
+        }
+
+        let n = SystemSize::new(3).unwrap();
+        let sim = AsyncNetSim::new(n);
+        for text in ["rrfd-sched v1\ndeliver 0>5\n", "rrfd-sched v1\ncrash 5\n"] {
+            let trace: ScheduleTrace<NetEvent> = text.parse().unwrap();
+            let mut replay = ScheduleReplay::from(trace);
+            let report = sim
+                .run(vec![FirstHeard, FirstHeard, FirstHeard], &mut replay)
+                .unwrap();
+            assert!(report.crashed.is_empty(), "{text:?}");
+            assert!(report.outputs.iter().all(Option::is_some), "{text:?}");
+        }
+    }
+
+    #[test]
     fn recording_then_replay_is_identity_on_semi_sync() {
-        use crate::semi_sync::{RandomSemiSync, SemiSyncProcess, SemiSyncSim};
+        use crate::semi_sync::{SemiSyncProcess, SemiSyncSim};
+        use crate::step::RandomScheduler;
         use rrfd_core::Control;
 
         /// Decides, after three steps, on the set of distinct senders heard.
@@ -499,11 +505,11 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         for seed in 0..10u64 {
-            let mut recording = Recording::new(RandomSemiSync::new(seed, 1));
+            let mut recording = Recording::new(RandomScheduler::new(seed, 1).crash_prob(0.02));
             let original = sim.run(make(), &mut recording).unwrap();
             let (_, trace) = recording.into_parts();
 
-            let reparsed: ScheduleTrace<SemiSyncEvent> = trace.to_string().parse().unwrap();
+            let reparsed: ScheduleTrace<StepEvent> = trace.to_string().parse().unwrap();
             let mut replay = ScheduleReplay::from_trace(&reparsed);
             let replayed = sim.run(make(), &mut replay).unwrap();
             assert_eq!(replayed.outputs, original.outputs, "seed {seed}");

@@ -10,7 +10,7 @@
 use rrfd::core::SystemSize;
 use rrfd::protocols::kset::FloodMin;
 use rrfd::protocols::sync_sim::run_crash_simulation;
-use rrfd::sims::shared_mem::RandomScheduler;
+use rrfd::sims::step::RandomScheduler;
 
 fn main() {
     let n = SystemSize::new(6).expect("valid size");

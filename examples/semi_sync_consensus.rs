@@ -11,7 +11,8 @@
 use rrfd::core::task::KSetAgreement;
 use rrfd::core::SystemSize;
 use rrfd::protocols::semi_sync_consensus::{RepeatedRounds, TwoStepConsensus};
-use rrfd::sims::semi_sync::{RandomSemiSync, SemiSyncSim};
+use rrfd::sims::semi_sync::SemiSyncSim;
+use rrfd::sims::step::RandomScheduler;
 
 fn main() {
     println!("semi-synchronous consensus: Gafni 2-step vs DDS-style 2n-step");
@@ -30,7 +31,7 @@ fn main() {
             .processes()
             .map(|p| TwoStepConsensus::new(n, p, inputs[p.index()]))
             .collect();
-        let mut sched = RandomSemiSync::new(42 + nv as u64, nv - 1);
+        let mut sched = RandomScheduler::new(42 + nv as u64, nv - 1).crash_prob(0.02);
         let fast = SemiSyncSim::new(n)
             .run(procs, &mut sched)
             .expect("terminates");
@@ -46,7 +47,7 @@ fn main() {
             .processes()
             .map(|p| RepeatedRounds::new(n, p, inputs[p.index()], nv as u32))
             .collect();
-        let mut sched = RandomSemiSync::new(142 + nv as u64, nv - 1);
+        let mut sched = RandomScheduler::new(142 + nv as u64, nv - 1).crash_prob(0.02);
         let slow = SemiSyncSim::new(n)
             .run(procs, &mut sched)
             .expect("terminates");

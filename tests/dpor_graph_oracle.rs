@@ -19,8 +19,7 @@ use proptest::test_runner::TestCaseError;
 use rrfd::core::hb::VectorClock;
 use rrfd::core::ProcessId;
 use rrfd::sims::dpor::{Access, ExecutionGraph};
-use rrfd::sims::semi_sync::SemiSyncEvent;
-use rrfd::sims::shared_mem::MemEvent;
+use rrfd::sims::step::StepEvent;
 use rrfd::sims::trace::SchedEvent;
 
 /// The vector-clock reference for one recorded run.
@@ -187,8 +186,8 @@ proptest! {
             .map(|&(p, kind, a, b)| (p % n, mem_access(n, p % n, (kind, a, b))))
             .collect();
         let event_of = |pid, access| match access {
-            Access::Crash => MemEvent::Crash(pid),
-            _ => MemEvent::Step(pid),
+            Access::Crash => StepEvent::Crash(pid),
+            _ => StepEvent::Step(pid),
         };
         agree(n, &events, event_of)?;
     }
@@ -203,8 +202,8 @@ proptest! {
             .map(|&(p, kind, _, _)| (p % n, semi_access(kind)))
             .collect();
         let event_of = |pid, access| match access {
-            Access::Crash => SemiSyncEvent::Crash(pid),
-            _ => SemiSyncEvent::Step(pid),
+            Access::Crash => StepEvent::Crash(pid),
+            _ => StepEvent::Step(pid),
         };
         agree(n, &events, event_of)?;
     }

@@ -13,7 +13,8 @@ use rrfd::models::predicates::{AsyncResilient, Crash, DetectorS, IdenticalViews,
 use rrfd::sims::async_net::{AsyncNetSim, RandomNetScheduler};
 use rrfd::sims::async_rounds::RoundedAsync;
 use rrfd::sims::detector_s::SAugmentedSystem;
-use rrfd::sims::semi_sync::{RandomSemiSync, SemiSyncSim};
+use rrfd::sims::semi_sync::SemiSyncSim;
+use rrfd::sims::step::RandomScheduler;
 use rrfd::sims::sync_net::{RandomCrash, RandomOmission, SyncNetSim};
 
 fn n(v: usize) -> SystemSize {
@@ -137,7 +138,7 @@ fn e1_semi_sync_two_step_rounds_satisfy_eq5() {
                 .processes()
                 .map(|p| TwoStepConsensus::new(size, p, p.index() as u64))
                 .collect();
-            let mut sched = RandomSemiSync::new(seed, nv - 1).crash_prob(0.05);
+            let mut sched = RandomScheduler::new(seed, nv - 1).crash_prob(0.05);
             let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
 
             // Assemble the single extracted round across deciders and pad

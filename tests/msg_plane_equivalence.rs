@@ -31,9 +31,8 @@ use rrfd::models::adversary::{RandomAdversary, ScriptedDetector};
 use rrfd::models::predicates::KUncertainty;
 use rrfd::runtime::ThreadedEngine;
 use rrfd::sims::async_net::{AsyncNetSim, AsyncProcess, NetScheduler, Outbox, RandomNetScheduler};
-use rrfd::sims::semi_sync::{
-    RandomSemiSync, SemiSyncEvent, SemiSyncProcess, SemiSyncScheduler, SemiSyncSim,
-};
+use rrfd::sims::semi_sync::{SemiSyncProcess, SemiSyncSim};
+use rrfd::sims::step::{RandomScheduler, StepEvent, StepScheduler};
 use rrfd::sims::sync_net::{RandomCrash, SyncFaults, SyncNetSim};
 use rrfd::sims::trace::{Recording, ScheduleReplay};
 use std::collections::{BTreeSet, VecDeque};
@@ -298,7 +297,7 @@ fn run_semi_sync_clone_plane<P, S>(
 ) -> (SemiSyncOutputs<P>, IdSet, u64)
 where
     P: SemiSyncProcess,
-    S: SemiSyncScheduler,
+    S: StepScheduler,
 {
     let count = n.get();
     assert_eq!(processes.len(), count);
@@ -325,12 +324,12 @@ where
         );
         events += 1;
         match scheduler.next_event(live, total_steps) {
-            SemiSyncEvent::Crash(p) => {
+            StepEvent::Crash(p) => {
                 if live.contains(p) {
                     crashed.insert(p);
                 }
             }
-            SemiSyncEvent::Step(p) => {
+            StepEvent::Step(p) => {
                 if !live.contains(p) {
                     continue;
                 }
@@ -368,7 +367,7 @@ fn semi_sync_arc_inboxes_match_the_clone_plane() {
     let sz = size(n);
     let max_steps = 10_000;
     for seed in 0..12u64 {
-        let mut recording = Recording::new(RandomSemiSync::new(seed, 1).crash_prob(0.05));
+        let mut recording = Recording::new(RandomScheduler::new(seed, 1).crash_prob(0.05));
         let report = SemiSyncSim::new(sz)
             .max_steps(max_steps)
             .run(Gossip::fleet(n, 3), &mut recording)

@@ -22,7 +22,8 @@
 
 use rrfd::core::IdSet;
 use rrfd::sims::explore::{Counterexample, ExploreStats};
-use rrfd::sims::shared_mem::{MemEvent, MemProcess, MemRunReport, MemScheduler, SharedMemSim};
+use rrfd::sims::shared_mem::{MemProcess, MemRunReport, SharedMemSim};
+use rrfd::sims::step::{StepEvent, StepScheduler};
 use rrfd::sims::trace::Recording;
 
 /// A scheduler that replays a fixed choice prefix (indices into the sorted
@@ -34,13 +35,13 @@ struct ReplayScheduler<'a> {
     branching: Vec<usize>,
 }
 
-impl MemScheduler for ReplayScheduler<'_> {
-    fn next_event(&mut self, runnable: IdSet, _step: u64) -> MemEvent {
+impl StepScheduler for ReplayScheduler<'_> {
+    fn next_event(&mut self, runnable: IdSet, _step: u64) -> StepEvent {
         let ids: Vec<_> = runnable.iter().collect();
         self.branching.push(ids.len());
         let choice = self.prefix.get(self.cursor).copied().unwrap_or(0);
         self.cursor += 1;
-        MemEvent::Step(ids[choice.min(ids.len() - 1)])
+        StepEvent::Step(ids[choice.min(ids.len() - 1)])
     }
 }
 
@@ -67,7 +68,7 @@ pub fn explore_schedules_checked<V, P, F, G>(
     make: G,
     mut check: F,
     max_runs: usize,
-) -> Result<ExploreStats, Box<Counterexample<MemEvent>>>
+) -> Result<ExploreStats, Box<Counterexample<StepEvent>>>
 where
     V: Clone,
     P: MemProcess<V>,
@@ -133,9 +134,8 @@ where
 pub mod semi_sync {
     use rrfd::core::IdSet;
     use rrfd::sims::explore::{Counterexample, ExploreStats};
-    use rrfd::sims::semi_sync::{
-        SemiSyncEvent, SemiSyncProcess, SemiSyncReport, SemiSyncScheduler, SemiSyncSim,
-    };
+    use rrfd::sims::semi_sync::{SemiSyncProcess, SemiSyncReport, SemiSyncSim};
+    use rrfd::sims::step::{StepEvent, StepScheduler};
     use rrfd::sims::trace::Recording;
 
     struct Replay<'a> {
@@ -148,23 +148,23 @@ pub mod semi_sync {
     impl Replay<'_> {
         /// Options at a decision point: step each live process, then (if
         /// budget remains and more than one process is live) crash each.
-        fn options(&self, live: IdSet) -> Vec<SemiSyncEvent> {
-            let mut opts: Vec<SemiSyncEvent> = live.iter().map(SemiSyncEvent::Step).collect();
+        fn options(&self, live: IdSet) -> Vec<StepEvent> {
+            let mut opts: Vec<StepEvent> = live.iter().map(StepEvent::Step).collect();
             if self.crash_budget > 0 && live.len() > 1 {
-                opts.extend(live.iter().map(SemiSyncEvent::Crash));
+                opts.extend(live.iter().map(StepEvent::Crash));
             }
             opts
         }
     }
 
-    impl SemiSyncScheduler for Replay<'_> {
-        fn next_event(&mut self, live: IdSet, _step: u64) -> SemiSyncEvent {
+    impl StepScheduler for Replay<'_> {
+        fn next_event(&mut self, live: IdSet, _step: u64) -> StepEvent {
             let opts = self.options(live);
             self.branching.push(opts.len());
             let choice = self.prefix.get(self.cursor).copied().unwrap_or(0);
             self.cursor += 1;
             let event = opts[choice.min(opts.len() - 1)];
-            if let SemiSyncEvent::Crash(_) = event {
+            if let StepEvent::Crash(_) = event {
                 self.crash_budget -= 1;
             }
             event
@@ -191,7 +191,7 @@ pub mod semi_sync {
         make: G,
         mut check: F,
         max_runs: usize,
-    ) -> Result<ExploreStats, Box<Counterexample<SemiSyncEvent>>>
+    ) -> Result<ExploreStats, Box<Counterexample<StepEvent>>>
     where
         P: SemiSyncProcess,
         G: Fn() -> Vec<P>,
@@ -371,7 +371,7 @@ mod tests {
 
         // The serialized schedule replays to the same failing outcome.
         let text = cex.schedule.to_string();
-        let reparsed: rrfd::sims::trace::ScheduleTrace<MemEvent> = text.parse().unwrap();
+        let reparsed: rrfd::sims::trace::ScheduleTrace<StepEvent> = text.parse().unwrap();
         let mut replay = ScheduleReplay::from_trace(&reparsed);
         let report = sim.run(make_pair(), &mut replay).unwrap();
         assert!(report.outputs.iter().any(|o| o == &Some(None)));

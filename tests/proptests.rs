@@ -202,7 +202,7 @@ proptest! {
         seed in any::<u64>()
     ) {
         use rrfd::protocols::adopt_commit::run_adopt_commit;
-        use rrfd::sims::shared_mem::RandomScheduler;
+        use rrfd::sims::step::RandomScheduler;
         let n = SystemSize::new(5).unwrap();
         let mut sched = RandomScheduler::new(seed, 0);
         let outs = run_adopt_commit(n, &inputs, &mut sched).unwrap();
@@ -215,7 +215,7 @@ proptest! {
         seed in any::<u64>()
     ) {
         use rrfd::protocols::adopt_commit::run_adopt_commit;
-        use rrfd::sims::shared_mem::RandomScheduler;
+        use rrfd::sims::step::RandomScheduler;
         let n = SystemSize::new(4).unwrap();
         let mut sched = RandomScheduler::new(seed, 0);
         let outs = run_adopt_commit(n, &inputs, &mut sched).unwrap();

@@ -193,7 +193,8 @@ proptest! {
     #[test]
     fn immediate_snapshot_properties_proptest(seed in any::<u64>(), nv in 2usize..8) {
         use rrfd::protocols::immediate_snapshot::{ImmediateSnapshot, IsDriver};
-        use rrfd::sims::shared_mem::{RandomScheduler, SharedMemSim};
+        use rrfd::sims::shared_mem::SharedMemSim;
+        use rrfd::sims::step::RandomScheduler;
 
         let n = SystemSize::new(nv).unwrap();
         let procs: Vec<_> = n

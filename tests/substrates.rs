@@ -12,7 +12,8 @@ use rrfd::protocols::immediate_snapshot::{
 };
 use rrfd::protocols::s_consensus::SRotatingConsensus;
 use rrfd::sims::async_net::{AsyncNetSim, RandomNetScheduler};
-use rrfd::sims::shared_mem::{RandomScheduler, SharedMemSim};
+use rrfd::sims::shared_mem::SharedMemSim;
+use rrfd::sims::step::RandomScheduler;
 
 fn n(v: usize) -> SystemSize {
     SystemSize::new(v).unwrap()

@@ -46,7 +46,8 @@ fn theorem_3_1_sweep() {
 #[test]
 fn corollary_3_2_sweep() {
     // k-set agreement on snapshot memory with k − 1 crashes.
-    use rrfd::sims::shared_mem::{RandomScheduler, SharedMemSim};
+    use rrfd::sims::shared_mem::SharedMemSim;
+    use rrfd::sims::step::RandomScheduler;
     for &(nv, k) in &[(4usize, 2usize), (6, 3), (9, 4), (12, 5)] {
         let size = n(nv);
         let ins = inputs(nv);
@@ -85,7 +86,7 @@ fn theorem_4_1_sweep() {
 
 #[test]
 fn theorem_4_3_sweep() {
-    use rrfd::sims::shared_mem::RandomScheduler;
+    use rrfd::sims::step::RandomScheduler;
     for &(nv, f, k) in &[(5usize, 2usize, 1usize), (6, 4, 2), (9, 6, 3)] {
         let size = n(nv);
         let budget = (f / k) as u32;
@@ -134,7 +135,8 @@ fn corollary_4_4_lower_bound_both_arms() {
 #[test]
 fn theorem_5_1_sweep() {
     use rrfd::protocols::semi_sync_consensus::TwoStepConsensus;
-    use rrfd::sims::semi_sync::{RandomSemiSync, SemiSyncSim};
+    use rrfd::sims::semi_sync::SemiSyncSim;
+    use rrfd::sims::step::RandomScheduler;
     for nv in [2usize, 4, 7, 11, 16] {
         let size = n(nv);
         let ins = inputs(nv);
@@ -144,7 +146,7 @@ fn theorem_5_1_sweep() {
                 .processes()
                 .map(|p| TwoStepConsensus::new(size, p, ins[p.index()]))
                 .collect();
-            let mut sched = RandomSemiSync::new(seed, nv - 1).crash_prob(0.06);
+            let mut sched = RandomScheduler::new(seed, nv - 1).crash_prob(0.06);
             let report = SemiSyncSim::new(size).run(procs, &mut sched).unwrap();
             assert!(report.all_correct_decided(), "n={nv} seed={seed}");
             let outs: Vec<Option<Value>> = report
@@ -164,7 +166,7 @@ fn theorem_5_1_sweep() {
 #[test]
 fn theorem_3_3_sweep() {
     use rrfd::protocols::detector_from_kset::build_detector_pattern;
-    use rrfd::sims::shared_mem::RandomScheduler;
+    use rrfd::sims::step::RandomScheduler;
     for &(nv, k) in &[(4usize, 1usize), (6, 2), (9, 3), (12, 4)] {
         let size = n(nv);
         let model = KUncertainty::new(size, k);
