@@ -4,7 +4,7 @@
 //!
 //! Exit status: `0` clean, `1` findings or mismatch, `2` usage error.
 
-use rrfd_analyze::{lattice, lint, races, stats};
+use rrfd_analyze::{blocks, lattice, lint, races, stats};
 use rrfd_core::SystemSize;
 use rrfd_models::enumerate::MAX_ENUMERATION_SIZE;
 use std::path::PathBuf;
@@ -112,9 +112,6 @@ fn take_flag(rest: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-const LATTICE_BEGIN: &str = "<!-- lattice:begin -->";
-const LATTICE_END: &str = "<!-- lattice:end -->";
-
 fn run_lattice(args: &[String]) -> ExitCode {
     let mut rest = args.to_vec();
     type LatticeArgs = (u32, usize, usize, Option<String>);
@@ -185,41 +182,35 @@ fn run_lattice(args: &[String]) -> ExitCode {
     }
 
     let path = PathBuf::from(file.unwrap_or_else(|| "EXPERIMENTS.md".to_owned()));
+    let shown = path.display();
     let current = match std::fs::read_to_string(&path) {
         Ok(text) => text,
         Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
+            eprintln!("cannot read {shown}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let Some((before, rest_of_file)) = current.split_once(LATTICE_BEGIN) else {
-        eprintln!("{}: no `{LATTICE_BEGIN}` marker", path.display());
-        return ExitCode::FAILURE;
-    };
-    let Some((inside, after)) = rest_of_file.split_once(LATTICE_END) else {
-        eprintln!("{}: no `{LATTICE_END}` marker", path.display());
-        return ExitCode::FAILURE;
-    };
-    let fresh_inside = format!("\n{rendered}");
-    if check {
-        if inside == fresh_inside {
-            eprintln!("{}: lattice block is up to date", path.display());
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "{}: lattice block is stale — run `rrfd-analyze lattice --update` \
-                 and commit the result",
-                path.display()
-            );
-            ExitCode::FAILURE
+    let updated = match blocks::splice_block(&current, lattice::BLOCK, &rendered) {
+        Ok(updated) => updated,
+        Err(e) => {
+            eprintln!("{shown}: {e}");
+            return ExitCode::FAILURE;
         }
+    };
+    if check && updated == current {
+        eprintln!("{shown}: lattice block is up to date");
+        ExitCode::SUCCESS
+    } else if check {
+        eprintln!(
+            "{shown}: lattice block is stale — run `rrfd-analyze lattice --update` and commit \
+             the result"
+        );
+        ExitCode::FAILURE
+    } else if let Err(e) = std::fs::write(&path, updated) {
+        eprintln!("cannot write {shown}: {e}");
+        ExitCode::FAILURE
     } else {
-        let updated = format!("{before}{LATTICE_BEGIN}{fresh_inside}{LATTICE_END}{after}");
-        if let Err(e) = std::fs::write(&path, updated) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("{}: lattice block updated", path.display());
+        eprintln!("{shown}: lattice block updated");
         ExitCode::SUCCESS
     }
 }

@@ -29,6 +29,10 @@ use rrfd_models::zoo::compile_family;
 pub use rrfd_models::zoo::{zoo, SharedPredicate};
 use std::fmt::Write as _;
 
+/// The name of the `EXPERIMENTS.md` block that `rrfd-analyze lattice
+/// --check/--update` owns (see [`crate::blocks`]).
+pub const BLOCK: &str = "lattice";
+
 /// A witness that `A ⇏ B`: an `A`-legal pattern whose final round `B`
 /// rejects (every proper prefix is legal for both).
 #[derive(Debug, Clone)]

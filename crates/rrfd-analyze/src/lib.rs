@@ -22,6 +22,9 @@
 //!   `span-guard` round-span discipline checker, and the
 //!   `lock-order` deadlock-cycle detector, reconciled against a
 //!   span-fingerprinted allowlist with JSON diagnostics.
+//! * [`blocks`] — splices a generator's `<!-- NAME:begin/end -->` block
+//!   of a Markdown file, for `lattice --check/--update` and the
+//!   `experiments` binary of `rrfd-bench`.
 //! * [`stats`] — renders per-round tables (messages, suspicions,
 //!   decisions, latency quantiles) from `rrfd-trace v1`, `rrfd-events
 //!   v1`, or metrics-JSONL capture files, golden-checkable in CI; with
@@ -38,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blocks;
 pub mod jsonout;
 pub mod lattice;
 pub mod lint;

@@ -1,9 +1,12 @@
 //! The machine-readable bench reporter and the repo's one timing path:
-//! runs one workload per experiment (E1–E17) and per ablation, at one
-//! representative point each, timing it (median / p95 wall nanoseconds)
-//! and capturing its `rrfd_*` metric totals from one instrumented run,
-//! then writes everything as `BENCH_rrfd.json` (format `rrfd-bench v1`),
-//! stamped once with the host's core count and build profile.
+//! times one cell of every entry of the experiment registry
+//! (`rrfd_bench::registry`: E1–E18, `explore`, `submodel` and the
+//! ablations) — the entry's timed row at seed 0, a point of its own
+//! table — as median / p95 wall nanoseconds, failing unless the entry's
+//! claim holds on every sample. One instrumented run captures each row's
+//! `rrfd_*` metric totals. Everything is written as `BENCH_rrfd.json`
+//! (format `rrfd-bench v1`), stamped once with the host's core count and
+//! build profile.
 //!
 //! ```text
 //! cargo run -p rrfd-bench --bin report --release -- \
@@ -15,51 +18,29 @@
 //! validates an existing report file against the `rrfd-bench v1` schema
 //! (via the dependency-free `rrfd_obs::json` reader) without running any
 //! workload: the host stamp must be present, and the `experiments` rows
-//! must be exactly the report's workloads, in order. The report also
+//! must be exactly the registry's entries, in order. The report also
 //! includes an `overhead` section comparing the same engine workload
 //! uninstrumented, with the no-op recorder, and with the sharded
-//! recorder — the "disabled instrumentation is free" claim as a number; `--assert-overhead X` turns that claim into an exit code by
-//! failing when the triple leaves the envelope (noop and sharded both
-//! within `X`× of baseline). A `conformance` section reports
-//! live zoo conformance at batch scale with every online verdict
-//! cross-checked against offline prefix replay.
+//! recorder — the "disabled instrumentation is free" claim as a number;
+//! `--assert-overhead X` turns that claim into an exit code by failing
+//! when the triple leaves the envelope (noop and sharded both within `X`×
+//! of baseline). A `conformance` section reports live zoo conformance at
+//! batch scale with every online verdict cross-checked against offline
+//! prefix replay.
 
 use rrfd_bench::{
-    measure_conformance, measure_lattice, measure_throughput, quantile, render_conformance_block,
-    render_lattice_line, render_throughput_line, RunFor,
+    measure_conformance, measure_lattice, measure_throughput, quantile, registry,
+    render_conformance_block, render_lattice_line, render_throughput_line,
 };
-use rrfd_core::{
-    validate_round, AnyPattern, Engine, FaultDetector, FaultPattern, IdSet, KnowledgeProtocol,
-    ProcessId, ProgramBatch, Round, RoundProtocol, RrfdPredicate, SystemSize,
-};
+use rrfd_core::{Engine, ProcessId, SystemSize};
 use rrfd_engine_pool::MixSpec;
-use rrfd_models::adversary::{
-    NoFailures, RandomAdversary, RingMiss, SampleModel, SilencingCrash, StaggeredCrash,
-};
-use rrfd_models::predicates::{
-    AsyncResilient, Crash, DetectorS, KUncertainty, SendOmission, Snapshot, Swmr, SystemB,
-};
+use rrfd_models::adversary::RandomAdversary;
+use rrfd_models::predicates::KUncertainty;
 use rrfd_obs::{json, Obs};
-use rrfd_protocols::adopt_commit::run_adopt_commit;
-use rrfd_protocols::detector_from_kset::build_detector_pattern;
-use rrfd_protocols::early_stopping::EarlyStoppingConsensus;
-use rrfd_protocols::equivalence::{
-    majority_echo_pattern, rounds_until_known_by_all, system_b_echo_pattern,
-};
-use rrfd_protocols::kset::{FloodMin, OneRoundKSet, SnapshotKSet};
-use rrfd_protocols::s_consensus::SRotatingConsensus;
-use rrfd_protocols::semi_sync_consensus::TwoStepConsensus;
-use rrfd_protocols::sync_sim::{run_as_omission, run_crash_simulation};
-use rrfd_runtime::ThreadedEngine;
-use rrfd_sims::detector_s::SAugmentedSystem;
+use rrfd_protocols::kset::OneRoundKSet;
 use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
-use rrfd_sims::instrument::Instrumented;
-use rrfd_sims::semi_sync::SemiSyncSim;
 use rrfd_sims::shared_mem::{Action, MemProcess, Observation, SharedMemSim};
-use rrfd_sims::step::RandomScheduler;
-use rrfd_sims::sync_net::{RandomCrash, RandomOmission, SyncNetSim};
 use std::collections::BTreeMap;
-use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -78,243 +59,6 @@ fn n(v: usize) -> SystemSize {
 
 fn inputs(count: usize) -> Vec<u64> {
     (0..count as u64).map(|i| 1000 + i).collect()
-}
-
-/// One experiment or ablation row: a name plus a closure that runs it once,
-/// recording into `obs` wherever the substrate has an instrumentation
-/// seam (engine and runtime builders, scheduler wrapper). Each run
-/// asserts its experiment's claim, so every timed sample is also a check.
-struct Workload {
-    name: &'static str,
-    run: Box<dyn FnMut(&Obs)>,
-}
-
-fn workload(name: &'static str, run: impl FnMut(&Obs) + 'static) -> Workload {
-    let run = Box::new(run);
-    Workload { name, run }
-}
-
-/// How many times a micro row runs its body per sample, so that a
-/// nanosecond-scale body is timed well above the clock's resolution. The
-/// count is part of the row's name (`_x1000`).
-const MICRO_LOOPS: usize = 1000;
-
-/// The per-round validation ablation: `model`'s compiled batch admitting
-/// one sampled round as the first of a fresh run, [`MICRO_LOOPS`] times
-/// per sample.
-fn validate_row<M>(name: &'static str, model: M) -> Workload
-where
-    M: RrfdPredicate + SampleModel + Clone + 'static,
-{
-    let size = model.system_size();
-    let round = RandomAdversary::new(model.clone(), SEED)
-        .next_round(Round::FIRST, &FaultPattern::new(size));
-    let mut batch = ProgramBatch::of(&model);
-    workload(name, move |_| {
-        for _ in 0..MICRO_LOOPS {
-            batch.reset();
-            validate_round(&model, &mut batch, black_box(&round)).expect("sampled round admitted");
-        }
-    })
-}
-
-/// Runs `protos` on the round engine against `adv` under `model`,
-/// recording into `obs`; the run must end with every process decided.
-fn run_engine<P: RoundProtocol>(
-    protos: Vec<P>,
-    adv: &mut impl FaultDetector,
-    model: &impl RrfdPredicate,
-    obs: &Obs,
-) {
-    Engine::new(model.system_size())
-        .obs(obs.clone())
-        .run(protos, adv, model)
-        .expect("every process decides");
-}
-
-/// Runs `protos` failure-free, for the full-information ablation pair.
-fn run_failure_free<P: RoundProtocol>(size: SystemSize, protos: Vec<P>, obs: &Obs) {
-    run_engine(
-        protos,
-        &mut NoFailures::new(size),
-        &AnyPattern::new(size),
-        obs,
-    );
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        workload("e1_model_maps", |_| {
-            let nv = 16;
-            let size = n(nv);
-            let faulty: IdSet = (0..nv / 4).map(ProcessId::new).collect();
-            let run_for = || (0..nv).map(|_| RunFor(6)).collect::<Vec<_>>();
-            let omission = SyncNetSim::new(size)
-                .run(run_for(), RandomOmission::new(size, faulty, 0.4, SEED))
-                .expect("e1 omission run");
-            assert!(SendOmission::new(size, nv / 4).admits_pattern(&omission.pattern));
-            let crash = SyncNetSim::new(size)
-                .run(run_for(), RandomCrash::new(size, faulty, 4, SEED))
-                .expect("e1 crash run");
-            assert!(Crash::new(size, nv / 4).admits_pattern(&crash.pattern));
-            let mut sys = SAugmentedSystem::random(size, 4, SEED);
-            let model = DetectorS::new(size);
-            let mut history = FaultPattern::new(size);
-            for r in 1..=8 {
-                let round = sys.next_round(Round::new(r), &history);
-                assert!(model.admits(&history, &round), "S admits round {r}");
-                history.push(round);
-            }
-        }),
-        workload("e2_system_b", |_| {
-            let (size, f, t) = (n(11), 2usize, 5usize);
-            let mut adv = RandomAdversary::new(SystemB::new(size, f, t), SEED);
-            let (_, max_miss) = system_b_echo_pattern(size, f, t, &mut adv, 6);
-            assert!(max_miss <= t, "echo misses at most t per round");
-        }),
-        workload("e3_one_round_kset", |obs| {
-            let size = n(8);
-            let (k, ins) = (2usize, inputs(8));
-            let model = KUncertainty::new(size, k);
-            let protos: Vec<_> = ins.iter().map(|&v| OneRoundKSet::new(v)).collect();
-            let mut adv = RandomAdversary::new(model, SEED);
-            run_engine(protos, &mut adv, &model, obs);
-        }),
-        workload("e4_snapshot_kset", |obs| {
-            let size = n(8);
-            let (k, ins) = (3usize, inputs(8));
-            let procs: Vec<_> = ins.iter().map(|&v| SnapshotKSet::new(size, k, v)).collect();
-            let mut sched = Instrumented::new(
-                RandomScheduler::new(SEED, k - 1).crash_prob(0.04),
-                obs.clone(),
-            );
-            SharedMemSim::new(size, 1)
-                .with_snapshots()
-                .run(procs, &mut sched)
-                .expect("e4 run");
-        }),
-        workload("e5_detector_from_kset", |obs| {
-            let (size, k) = (n(8), 2usize);
-            let mut sched = Instrumented::new(RandomScheduler::new(SEED, 0), obs.clone());
-            let pattern = build_detector_pattern(size, k, 4, SEED, &mut sched).expect("e5 run");
-            assert!(KUncertainty::new(size, k).admits_pattern(&pattern));
-        }),
-        workload("e6_omission_sim", |_| {
-            let (size, f, k) = (n(16), 9usize, 3usize);
-            let protos: Vec<_> = inputs(16)
-                .iter()
-                .map(|&v| FloodMin::new(v, (f / k) as u32))
-                .collect();
-            let mut adv = RandomAdversary::new(Snapshot::new(size, k), SEED);
-            let report = run_as_omission(size, f, k, protos, &mut adv).expect("e6 run");
-            assert!(
-                report.omission_certified,
-                "snapshot rounds certify as omission"
-            );
-        }),
-        workload("e7_adopt_commit", |obs| {
-            let size = n(8);
-            let ins: Vec<u64> = (0..8).collect();
-            let mut sched = Instrumented::new(RandomScheduler::new(SEED, 0), obs.clone());
-            run_adopt_commit(size, &ins, &mut sched).expect("e7 run");
-        }),
-        workload("e8_crash_sim", |obs| {
-            let (size, f, k) = (n(8), 4usize, 2usize);
-            let budget = (f / k) as u32;
-            let protos: Vec<_> = inputs(8)
-                .iter()
-                .map(|&v| FloodMin::new(v, budget))
-                .collect();
-            let mut sched =
-                Instrumented::new(RandomScheduler::new(SEED, k).crash_prob(0.01), obs.clone());
-            let report =
-                run_crash_simulation(size, k, f, budget, protos, &mut sched).expect("e8 run");
-            assert!(report.crash_certified, "simulated rounds certify as crash");
-        }),
-        workload("e9_lower_bound", |obs| {
-            let size = n(10);
-            let (f, k) = (4usize, 2usize);
-            let model = Crash::new(size, f);
-            let protos: Vec<_> = (0..10u64)
-                .map(|v| FloodMin::new(v, (f / k) as u32 + 1))
-                .collect();
-            let mut adv = SilencingCrash::new(size, f, k);
-            run_engine(protos, &mut adv, &model, obs);
-        }),
-        workload("e10_semi_sync", |obs| {
-            let size = n(8);
-            let ins = inputs(8);
-            let procs: Vec<_> = size
-                .processes()
-                .map(|p| TwoStepConsensus::new(size, p, ins[p.index()]))
-                .collect();
-            let mut sched =
-                Instrumented::new(RandomScheduler::new(SEED, 7).crash_prob(0.05), obs.clone());
-            SemiSyncSim::new(size)
-                .run(procs, &mut sched)
-                .expect("e10 run");
-        }),
-        workload("e11_swmr_emulation", |_| {
-            let (nv, f) = (9u32, 4usize);
-            let size = n(nv as usize);
-            let mut adv = RandomAdversary::new(AsyncResilient::new(size, f), SEED);
-            let sim = majority_echo_pattern(size, f, &mut adv, 4);
-            assert!(Swmr::new(size, f).admits_pattern(&sim));
-            rounds_until_known_by_all(size, &mut RingMiss::new(size), 2 * nv)
-                .expect("ring gossip is bounded by n");
-        }),
-        workload("e13_runtime", |obs| {
-            let size = n(4);
-            let (k, ins) = (2usize, inputs(4));
-            let model = KUncertainty::new(size, k);
-            let protos: Vec<_> = ins.iter().map(|&v| OneRoundKSet::new(v)).collect();
-            let mut adv = RandomAdversary::new(model, SEED);
-            ThreadedEngine::new(size)
-                .obs(obs.clone())
-                .run(protos, &mut adv, &model)
-                .expect("e13 run");
-        }),
-        workload("e16_s_consensus", |obs| {
-            let size = n(6);
-            let ins = inputs(6);
-            let model = DetectorS::new(size);
-            let protos: Vec<_> = ins
-                .iter()
-                .map(|&v| SRotatingConsensus::new(size, v))
-                .collect();
-            let mut adv = RandomAdversary::new(model, SEED);
-            run_engine(protos, &mut adv, &model, obs);
-        }),
-        workload("e17_early_stopping", |obs| {
-            let size = n(10);
-            let f = 5usize;
-            let model = Crash::new(size, f);
-            let protos: Vec<_> = (0..10u64)
-                .map(|v| EarlyStoppingConsensus::new(v, f))
-                .collect();
-            let mut adv = StaggeredCrash::new(size, 3);
-            run_engine(protos, &mut adv, &model, obs);
-        }),
-        // Ablations (DESIGN.md §7), as paired rows. What the engine's
-        // per-round validation costs, on a snapshot and a crash model...
-        validate_row("ablation_validate_snapshot_x1000", Snapshot::new(n(64), 16)),
-        validate_row("ablation_validate_crash_x1000", Crash::new(n(64), 16)),
-        // ...and full-information relaying (the whole knowledge state per
-        // message) against compact flood-min messages, at equal rounds.
-        workload("ablation_full_info", |obs| {
-            let size = n(16);
-            let protos: Vec<_> = size
-                .processes()
-                .map(|p| KnowledgeProtocol::new(size, p, p.index() as u64, 4))
-                .collect();
-            run_failure_free(size, protos, obs);
-        }),
-        workload("ablation_compact", |obs| {
-            let size = n(16);
-            let protos: Vec<_> = (0..16u64).map(|v| FloodMin::new(v, 4)).collect();
-            run_failure_free(size, protos, obs);
-        }),
-    ]
 }
 
 /// Times `run` `samples` times, returning sorted elapsed nanoseconds.
@@ -431,35 +175,46 @@ struct ExperimentRow {
     metrics: BTreeMap<String, u64>,
 }
 
-fn run_report(quick: bool) -> String {
+fn run_report(quick: bool) -> Result<String, String> {
     let samples = if quick { 5 } else { 20 };
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut rows = Vec::new();
-    for mut workload in workloads() {
-        eprintln!("running {} ({samples} samples)...", workload.name);
+    for experiment in registry::all() {
+        let name = experiment.name;
+        eprintln!("running {name} ({samples} samples)...");
+        // The entry's timed cell at seed 0; every sample must uphold its
+        // claim.
+        let run = |obs: &Obs| match experiment.run_cell(experiment.timed, 0, obs) {
+            Ok(cell) if cell.holds => Ok(()),
+            Ok(_) => Err(format!("claim false: {}", experiment.claim)),
+            Err(e) => Err(format!("run failed: {e}")),
+        };
+        let failed = |e: String| format!("{name} row {} seed 0: {e}", experiment.timed);
         // One instrumented run captures the metric totals; the timed
         // samples run with the no-op handle so the numbers reflect the
         // workload, not the recorder.
         let obs = Obs::logical();
-        (workload.run)(&obs);
-        let metrics: BTreeMap<String, u64> = {
-            let snap = obs.snapshot();
-            let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-            for entry in snap.entries() {
-                if let rrfd_obs::MetricValue::Counter(v) = entry.value {
-                    *totals.entry(entry.metric.clone()).or_default() += v;
-                }
+        run(&obs).map_err(failed)?;
+        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+        for entry in obs.snapshot().entries() {
+            if let rrfd_obs::MetricValue::Counter(v) = entry.value {
+                *totals.entry(entry.metric.clone()).or_default() += v;
             }
-            totals
-        };
+        }
         let noop = Obs::noop();
-        let times = time_samples(samples, || (workload.run)(&noop));
+        let mut verdict = Ok(());
+        let times = time_samples(samples, || {
+            if let Err(e) = run(&noop) {
+                verdict = Err(e);
+            }
+        });
+        verdict.map_err(failed)?;
         rows.push(ExperimentRow {
-            name: workload.name,
+            name,
             samples,
             median_ns: quantile(&times, 0.5),
             p95_ns: quantile(&times, 0.95),
-            metrics,
+            metrics: totals,
         });
     }
 
@@ -563,7 +318,38 @@ fn run_report(quick: bool) -> String {
     out.push_str(&render_lattice_line(&lattice));
     out.push('\n');
     out.push_str("}\n");
-    out
+    Ok(out)
+}
+
+/// The integer fields of the report's fixed sections.
+const SECTIONS: [(&str, &str); 4] = [
+    ("overhead", "baseline_ns noop_ns sharded_ns"),
+    (
+        "dpor",
+        "schedules revisits sleep_set_blocked cores workers_1_ns workers_cores_ns",
+    ),
+    (
+        "throughput",
+        "instances shards completed errored rounds batch_ns one_shard_ns instances_per_sec \
+         p99_round_ns speedup_x100",
+    ),
+    (
+        "lattice",
+        "n f pairwise_depth3_ns compiled_depth3_ns speedup_x100 depth4_cold_ns \
+         conformance_compiled_ns_per_round",
+    ),
+];
+
+/// Checks that `object` carries every one of the space-separated
+/// `fields` as an integer.
+fn integers(object: &json::Json, what: &str, fields: &str) -> Result<(), String> {
+    for field in fields.split_whitespace() {
+        object
+            .get(field)
+            .and_then(json::Json::as_u64)
+            .ok_or_else(|| format!("{what}: missing integer `{field}`"))?;
+    }
+    Ok(())
 }
 
 /// Validates `text` against the `rrfd-bench v1` schema.
@@ -599,91 +385,41 @@ fn check_schema(text: &str) -> Result<(), String> {
             .and_then(json::Json::as_str)
             .ok_or_else(|| format!("experiment {i}: missing string `name`"))?;
         names.push(name);
-        for field in ["samples", "median_ns", "p95_ns"] {
-            entry
-                .get(field)
-                .and_then(json::Json::as_u64)
-                .ok_or_else(|| format!("experiment {name:?}: missing integer `{field}`"))?;
-        }
-        let metrics = entry
-            .get("metrics")
-            .ok_or_else(|| format!("experiment {name:?}: missing object `metrics`"))?;
-        let json::Json::Obj(fields) = metrics else {
-            return Err(format!("experiment {name:?}: `metrics` is not an object"));
+        let what = format!("experiment {name:?}");
+        integers(entry, &what, "samples median_ns p95_ns")?;
+        let Some(json::Json::Obj(metrics)) = entry.get("metrics") else {
+            return Err(format!("{what}: missing object `metrics`"));
         };
-        for (metric, total) in fields {
-            if total.as_u64().is_none() {
-                return Err(format!(
-                    "experiment {name:?}: metric {metric:?} total is not an integer"
-                ));
-            }
+        if let Some((metric, _)) = metrics.iter().find(|(_, total)| total.as_u64().is_none()) {
+            return Err(format!("{what}: metric {metric:?} total is not an integer"));
         }
     }
-    // The rows are exactly the report's workloads, in order: a dropped or
+    // The rows are exactly the registry's entries, in order: a dropped or
     // renamed row fails the check instead of silently leaving the report.
-    let expected: Vec<&str> = workloads().iter().map(|w| w.name).collect();
+    let registry = registry::all();
+    let expected: Vec<&str> = registry.iter().map(|e| e.name).collect();
     let rows = names.len().max(expected.len());
     if let Some(i) = (0..rows).find(|&i| names.get(i) != expected.get(i)) {
         let [found, wanted] =
             [&names, &expected].map(|list| list.get(i).copied().unwrap_or("none"));
         return Err(format!(
             "experiment row {i} is {found:?}, expected {wanted:?}: the rows must be the \
-             report's workloads, in order"
+             registry's entries, in order"
         ));
     }
-    let overhead = root.get("overhead").ok_or("missing object `overhead`")?;
-    for field in ["baseline_ns", "noop_ns", "sharded_ns"] {
-        overhead
-            .get(field)
-            .and_then(json::Json::as_u64)
-            .ok_or_else(|| format!("overhead: missing integer `{field}`"))?;
+    for (section, fields) in SECTIONS {
+        let object = root
+            .get(section)
+            .ok_or_else(|| format!("missing object `{section}`"))?;
+        integers(object, section, fields)?;
     }
-    let dpor = root.get("dpor").ok_or("missing object `dpor`")?;
-    for field in [
-        "schedules",
-        "revisits",
-        "sleep_set_blocked",
-        "cores",
-        "workers_1_ns",
-        "workers_cores_ns",
-    ] {
-        dpor.get(field)
-            .and_then(json::Json::as_u64)
-            .ok_or_else(|| format!("dpor: missing integer `{field}`"))?;
-    }
-    let throughput = root
-        .get("throughput")
-        .ok_or("missing object `throughput`")?;
-    throughput
-        .get("mix")
-        .and_then(json::Json::as_str)
+    let mix = root.get("throughput").and_then(|t| t.get("mix"));
+    mix.and_then(json::Json::as_str)
         .ok_or("throughput: missing string `mix`")?;
-    for field in [
-        "instances",
-        "shards",
-        "completed",
-        "errored",
-        "rounds",
-        "batch_ns",
-        "one_shard_ns",
-        "instances_per_sec",
-        "p99_round_ns",
-        "speedup_x100",
-    ] {
-        throughput
-            .get(field)
-            .and_then(json::Json::as_u64)
-            .ok_or_else(|| format!("throughput: missing integer `{field}`"))?;
-    }
     let conformance = root
         .get("conformance")
         .ok_or("missing object `conformance`")?;
-    for field in ["zoo_size", "checked"] {
-        conformance
-            .get(field)
-            .and_then(json::Json::as_u64)
-            .ok_or_else(|| format!("conformance: missing integer `{field}`"))?;
-    }
+    integers(conformance, "conformance", "zoo_size checked")?;
     conformance
         .get("online_offline_agree")
         .and_then(json::Json::as_bool)
@@ -691,49 +427,23 @@ fn check_schema(text: &str) -> Result<(), String> {
     let classes = conformance
         .get("classes")
         .and_then(json::Json::as_array)
-        .ok_or("conformance: missing array `classes`")?;
-    if classes.is_empty() {
-        return Err("`conformance.classes` is empty".to_owned());
-    }
+        .filter(|classes| !classes.is_empty())
+        .ok_or("conformance: missing or empty array `classes`")?;
     for (i, entry) in classes.iter().enumerate() {
+        let what = format!("conformance class {i}");
         entry
             .get("class")
             .and_then(json::Json::as_str)
-            .ok_or_else(|| format!("conformance class {i}: missing string `class`"))?;
-        for field in ["instances", "clean"] {
-            entry
-                .get(field)
-                .and_then(json::Json::as_u64)
-                .ok_or_else(|| format!("conformance class {i}: missing integer `{field}`"))?;
-        }
+            .ok_or_else(|| format!("{what}: missing string `class`"))?;
+        integers(entry, &what, "instances clean")?;
         entry
             .get("worst_rank")
             .and_then(json::Json::as_i64)
-            .ok_or_else(|| format!("conformance class {i}: missing integer `worst_rank`"))?;
-        match entry.get("worst_name") {
-            Some(json::Json::Null) => {}
-            Some(v) if v.as_str().is_some() => {}
-            _ => {
-                return Err(format!(
-                    "conformance class {i}: `worst_name` must be a string or null"
-                ))
-            }
+            .ok_or_else(|| format!("{what}: missing integer `worst_rank`"))?;
+        if !matches!(entry.get("worst_name"), Some(v) if v.as_str().is_some() || *v == json::Json::Null)
+        {
+            return Err(format!("{what}: `worst_name` must be a string or null"));
         }
-    }
-    let lattice = root.get("lattice").ok_or("missing object `lattice`")?;
-    for field in [
-        "n",
-        "f",
-        "pairwise_depth3_ns",
-        "compiled_depth3_ns",
-        "speedup_x100",
-        "depth4_cold_ns",
-        "conformance_compiled_ns_per_round",
-    ] {
-        lattice
-            .get(field)
-            .and_then(json::Json::as_u64)
-            .ok_or_else(|| format!("lattice: missing integer `{field}`"))?;
     }
     Ok(())
 }
@@ -838,7 +548,13 @@ fn main() -> ExitCode {
         };
     }
 
-    let report = run_report(quick);
+    let report = match run_report(quick) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if check_schema(&report).is_err() {
         eprintln!("internal error: generated report fails its own schema");
         return ExitCode::FAILURE;
@@ -876,10 +592,22 @@ mod tests {
     }
 
     #[test]
+    fn the_schema_rows_are_the_registry_names() {
+        let root = json::parse(COMMITTED).expect("committed BENCH_rrfd.json parses");
+        let rows = root.get("experiments").and_then(json::Json::as_array);
+        let names = rows.into_iter().flatten().map(|row| row.get("name"));
+        let names: Vec<&str> = names
+            .filter_map(|n| n.and_then(json::Json::as_str))
+            .collect();
+        let registry: Vec<&str> = registry::all().iter().map(|e| e.name).collect();
+        assert_eq!(names, registry);
+    }
+
+    #[test]
     fn a_report_missing_one_row_fails_its_schema() {
-        let dropped = without_line_containing(COMMITTED, "\"name\": \"e6_omission_sim\"");
+        let dropped = without_line_containing(COMMITTED, "\"name\": \"e6\"");
         let err = check_schema(&dropped).expect_err("a dropped row must fail");
-        assert!(err.contains("expected \"e6_omission_sim\""), "{err}");
+        assert!(err.contains("expected \"e6\""), "{err}");
     }
 
     #[test]

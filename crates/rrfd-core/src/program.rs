@@ -189,10 +189,10 @@ pub struct RoundProfile {
 
 impl RoundProfile {
     /// Profiles one round in full: a linear fold over the suspicion sets
-    /// per field plus pairwise containment and antisymmetry checks (the
-    /// sets are `u128` words, so every comparison is a couple of machine
-    /// operations). Both pairwise checks stop at their first
-    /// counterexample, and identical views are a chain without any check.
+    /// per field, a containment-chain check over the sets sorted by size,
+    /// and a pairwise antisymmetry check (the sets are `u128` words, so
+    /// every comparison is a couple of machine operations). Identical views
+    /// are a chain without any check.
     #[must_use]
     pub fn of(round: &RoundFaults) -> Self {
         Self::with_needs(round, need::ALL)
@@ -238,11 +238,19 @@ impl RoundProfile {
             profile.identical = sets.iter().all(|&d| d == sets[0]);
         }
         if wants(need::CHAIN) && !profile.identical {
-            profile.chain_ok = sets.iter().enumerate().all(|(a, da)| {
-                sets[a + 1..]
-                    .iter()
-                    .all(|db| da.is_subset(*db) || db.is_subset(*da))
-            });
+            // Sorted by size, a chain is a sequence of sets each inside the
+            // next: sort `(size, index)` keys on the stack, O(n log n),
+            // instead of comparing every pair. Sizes and indices are at most
+            // `MAX_PROCESSES`, so each fits a byte of the key.
+            let mut keys = [0u16; MAX_PROCESSES];
+            let keys = &mut keys[..sets.len()];
+            for (key, (i, d)) in keys.iter_mut().zip(sets.iter().enumerate()) {
+                *key = (d.len() as u16) << 8 | i as u16;
+            }
+            keys.sort_unstable();
+            let sorted = keys.iter().map(|&key| sets[usize::from(key & 0xFF)]);
+            let mut nested = sorted.clone().zip(sorted.skip(1));
+            profile.chain_ok = nested.all(|(a, b)| a.is_subset(b));
         }
         if wants(need::ANTISYM) {
             profile.antisym_ok = round

@@ -72,12 +72,15 @@ pub const SIM_SCHED_EVENTS: &str = "rrfd_sim_sched_events_total";
 pub const SIM_STEPS: &str = "rrfd_sim_steps_total";
 /// Counter: crash events, per process.
 pub const SIM_CRASHES: &str = "rrfd_sim_crashes_total";
-/// Counter: message deliveries chosen by a network scheduler, per receiver.
+/// Counter: message deliveries chosen by a network scheduler, or made by
+/// the synchronous network simulator, per receiver.
 pub const SIM_DELIVERIES: &str = "rrfd_sim_deliveries_total";
 /// Histogram: branching factor (runnable/option count) at each decision.
 pub const SIM_BRANCHING: &str = "rrfd_sim_branching";
 /// Gauge: schedule depth — decisions taken by this scheduler so far.
 pub const SIM_SCHED_DEPTH: &str = "rrfd_sim_sched_depth";
+/// Counter: rounds run by the synchronous network simulator.
+pub const SIM_ROUNDS: &str = "rrfd_sim_rounds_total";
 /// Counter: schedules the explorer checked, one per trace class.
 pub const EXPLORE_SCHEDULES: &str = "rrfd_explore_schedules_total";
 /// Counter: decision points (explored states) the explorer visited.
@@ -162,7 +165,7 @@ pub const PRED_COMPILED_EVALS: &str = "rrfd_predicate_compiled_evals_total";
 /// recorders index per-metric tables by it instead of hashing strings.
 /// New names must be appended here too (a unit test checks that every
 /// constant of this module is listed exactly once).
-pub const ALL: [&str; 52] = [
+pub const ALL: [&str; 53] = [
     ENGINE_ROUNDS,
     ENGINE_MESSAGES_EMITTED,
     ENGINE_MESSAGES_RECEIVED,
@@ -193,6 +196,7 @@ pub const ALL: [&str; 52] = [
     SIM_DELIVERIES,
     SIM_BRANCHING,
     SIM_SCHED_DEPTH,
+    SIM_ROUNDS,
     EXPLORE_SCHEDULES,
     EXPLORE_DECISION_POINTS,
     EXPLORE_MAX_DEPTH,

@@ -11,9 +11,7 @@
 //! pattern against the omission predicate, which by the theorem can never
 //! fail.
 
-use rrfd_core::{
-    Engine, EngineError, FaultDetector, RoundProtocol, RrfdPredicate, RunReport, SystemSize,
-};
+use rrfd_core::{Engine, EngineError, FaultDetector, RoundProtocol, RrfdPredicate, RunReport};
 use rrfd_models::predicates::{SendOmission, Snapshot};
 
 /// Outcome of a Theorem 4.1 run.
@@ -29,9 +27,12 @@ pub struct OmissionSimReport<O> {
     pub certified_rounds: u32,
 }
 
-/// Runs `protocols` for at most `⌊f/k⌋` rounds under `detector`
-/// (validated against the snapshot model with `k` failures) and checks the
-/// produced pattern against the send-omission model with `f` failures.
+/// Runs `protocols` on `engine` for at most `⌊f/k⌋` rounds under
+/// `detector` (validated against the snapshot model with `k` failures) and
+/// checks the produced pattern against the send-omission model with `f`
+/// failures. The system size is the engine's, and its round limit is
+/// replaced by `⌊f/k⌋`; anything else set on it, such as an `Obs` handle,
+/// applies to the run.
 ///
 /// # Errors
 ///
@@ -42,7 +43,7 @@ pub struct OmissionSimReport<O> {
 ///
 /// Panics unless `f ≥ k ≥ 1`.
 pub fn run_as_omission<P, D>(
-    n: SystemSize,
+    engine: Engine,
     f: usize,
     k: usize,
     protocols: Vec<P>,
@@ -55,8 +56,9 @@ where
     assert!(k >= 1, "k must be at least 1");
     assert!(f >= k, "Theorem 4.1 requires f ≥ k > 0");
     let budget = (f / k) as u32;
+    let n = engine.system_size();
     let snapshot_model = Snapshot::new(n, k);
-    let run = Engine::new(n)
+    let run = engine
         .max_rounds(budget)
         .run(protocols, detector, &snapshot_model)?;
     let omission_model = SendOmission::new(n, f);
@@ -72,6 +74,7 @@ where
 mod tests {
     use super::*;
     use crate::kset::FloodMin;
+    use rrfd_core::SystemSize;
     use rrfd_models::adversary::RandomAdversary;
     use rrfd_models::predicates::Snapshot;
 
@@ -87,7 +90,7 @@ mod tests {
             for seed in 0..20u64 {
                 let protos: Vec<_> = (0..nv as u64).map(|v| FloodMin::new(v, budget)).collect();
                 let mut adv = RandomAdversary::new(Snapshot::new(size, k), seed);
-                let report = run_as_omission(size, f, k, protos, &mut adv)
+                let report = run_as_omission(Engine::new(size), f, k, protos, &mut adv)
                     .unwrap_or_else(|e| panic!("n={nv} f={f} k={k} seed={seed}: {e}"));
                 assert!(
                     report.omission_certified,
@@ -105,7 +108,7 @@ mod tests {
         for seed in 0..10u64 {
             let protos: Vec<_> = (0..8u64).map(|v| FloodMin::new(v, 3)).collect();
             let mut adv = RandomAdversary::new(Snapshot::new(size, k), seed);
-            let report = run_as_omission(size, f, k, protos, &mut adv).unwrap();
+            let report = run_as_omission(Engine::new(size), f, k, protos, &mut adv).unwrap();
             assert!(report.run.pattern.cumulative_union().len() <= f);
         }
     }
@@ -116,7 +119,7 @@ mod tests {
         // Budget is ⌊4/2⌋ = 2 rounds, but the protocol wants 5.
         let protos: Vec<_> = (0..6u64).map(|v| FloodMin::new(v, 5)).collect();
         let mut adv = RandomAdversary::new(Snapshot::new(size, 2), 0);
-        let err = run_as_omission(size, 4, 2, protos, &mut adv).unwrap_err();
+        let err = run_as_omission(Engine::new(size), 4, 2, protos, &mut adv).unwrap_err();
         assert!(matches!(err, EngineError::RoundLimitExceeded { .. }));
     }
 
@@ -125,6 +128,6 @@ mod tests {
     fn f_below_k_is_rejected() {
         let protos: Vec<FloodMin> = vec![];
         let mut adv = RandomAdversary::new(Snapshot::new(n(4), 2), 0);
-        let _ = run_as_omission(n(4), 1, 2, protos, &mut adv);
+        let _ = run_as_omission(Engine::new(n(4)), 1, 2, protos, &mut adv);
     }
 }

@@ -134,6 +134,13 @@ pub enum NetSimError {
         /// System size.
         expected: usize,
     },
+    /// A process sent a message to a peer outside the system.
+    PeerOutOfRange {
+        /// The sending process.
+        process: ProcessId,
+        /// The peer it addressed.
+        peer: ProcessId,
+    },
 }
 
 impl fmt::Display for NetSimError {
@@ -150,6 +157,9 @@ impl fmt::Display for NetSimError {
                     f,
                     "{supplied} processes supplied for a system of {expected}"
                 )
+            }
+            NetSimError::PeerOutOfRange { process, peer } => {
+                write!(f, "{process} sent to {peer}, which does not exist")
             }
         }
     }
@@ -282,14 +292,20 @@ impl AsyncNetSim {
                      from: ProcessId,
                      channels: &mut Vec<Vec<VecDeque<Arc<P::Msg>>>>| {
             for (to, msg) in out.sends {
-                channels[from.index()][to.index()].push_back(msg);
+                let peer = NetSimError::PeerOutOfRange {
+                    process: from,
+                    peer: to,
+                };
+                let channel = channels[from.index()].get_mut(to.index()).ok_or(peer)?;
+                channel.push_back(msg);
             }
+            Ok(())
         };
 
         for (i, proc_) in processes.iter_mut().enumerate() {
             let mut out = Outbox::new(self.n);
             proc_.on_start(&mut out);
-            flush(out, ProcessId::new(i), &mut channels);
+            flush(out, ProcessId::new(i), &mut channels)?;
         }
 
         loop {
@@ -349,7 +365,7 @@ impl AsyncNetSim {
                     let msg = Arc::try_unwrap(entry).unwrap_or_else(|shared| (*shared).clone());
                     let mut out = Outbox::new(self.n);
                     let verdict = processes[to.index()].on_message(deliveries, from, msg, &mut out);
-                    flush(out, to, &mut channels);
+                    flush(out, to, &mut channels)?;
                     if let Control::Decide(v) = verdict {
                         outputs[to.index()].get_or_insert(v);
                     }
@@ -512,6 +528,41 @@ mod tests {
             assert!(report.all_correct_decided(), "seed {seed}");
             assert!(report.crashed.len() <= 1);
         }
+    }
+
+    #[test]
+    fn sends_to_a_peer_outside_the_system_are_rejected() {
+        #[derive(Debug)]
+        struct SendTo(ProcessId);
+        impl AsyncProcess for SendTo {
+            type Msg = u64;
+            type Output = u64;
+            fn on_start(&mut self, out: &mut Outbox<u64>) {
+                out.send(self.0, 1);
+            }
+            fn on_message(
+                &mut self,
+                _: u64,
+                _: ProcessId,
+                m: u64,
+                _: &mut Outbox<u64>,
+            ) -> Control<u64> {
+                Control::Decide(m)
+            }
+        }
+        let err = AsyncNetSim::new(n(2))
+            .run(
+                vec![SendTo(ProcessId::new(1)), SendTo(ProcessId::new(2))],
+                &mut FifoNetScheduler::new(),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NetSimError::PeerOutOfRange {
+                process: ProcessId::new(1),
+                peer: ProcessId::new(2),
+            }
+        );
     }
 
     #[test]

@@ -109,6 +109,13 @@ pub enum MemSimError {
         /// The bank it addressed.
         bank: usize,
     },
+    /// A process read the cell of an owner outside the system.
+    OwnerOutOfRange {
+        /// The offending process.
+        process: ProcessId,
+        /// The owner it addressed.
+        owner: ProcessId,
+    },
     /// The step budget elapsed with runnable processes remaining (the
     /// scheduler starved someone or the protocol does not terminate).
     StepLimitExceeded {
@@ -135,6 +142,9 @@ impl fmt::Display for MemSimError {
             }
             MemSimError::BankOutOfRange { process, bank } => {
                 write!(f, "{process} addressed bank {bank}, which does not exist")
+            }
+            MemSimError::OwnerOutOfRange { process, owner } => {
+                write!(f, "{process} read a cell of {owner}, which does not exist")
             }
             MemSimError::StepLimitExceeded { max_steps } => {
                 write!(f, "runnable processes remain after {max_steps} steps")
@@ -449,6 +459,9 @@ impl<P: MemProcess<V>, V: Clone> StepExecution for MemExecution<P, V> {
                         if bank >= self.sim.banks {
                             return Err(MemSimError::BankOutOfRange { process: p, bank });
                         }
+                        if owner.index() >= n {
+                            return Err(MemSimError::OwnerOutOfRange { process: p, owner });
+                        }
                         self.pending[idx] =
                             Observation::Value(self.cells[bank * n + owner.index()].clone());
                         Access::Read {
@@ -729,6 +742,44 @@ mod tests {
             .run(vec![BadBank], &mut FairScheduler::new())
             .unwrap_err();
         assert!(matches!(err, MemSimError::BankOutOfRange { bank: 3, .. }));
+    }
+
+    #[test]
+    fn owner_bounds_are_checked() {
+        // Each process writes 7 into bank 1, then reads owner p2 of `bank`
+        // in a 2-process system: p2's bank-0 cell would alias p0's bank-1
+        // cell, and on the last bank the read would run past the end.
+        #[derive(Debug)]
+        struct BadOwner(usize);
+        impl MemProcess<u64> for BadOwner {
+            type Output = Option<u64>;
+            fn step(&mut self, obs: Observation<u64>) -> Action<u64, Option<u64>> {
+                match obs {
+                    Observation::Start => Action::Write { bank: 1, value: 7 },
+                    Observation::Value(v) => Action::Decide(v),
+                    _ => Action::Read {
+                        bank: self.0,
+                        owner: ProcessId::new(2),
+                    },
+                }
+            }
+        }
+        for bank in [0, 1] {
+            let err = SharedMemSim::new(n(2), 2)
+                .run(
+                    vec![BadOwner(bank), BadOwner(bank)],
+                    &mut FairScheduler::new(),
+                )
+                .unwrap_err();
+            assert_eq!(
+                err,
+                MemSimError::OwnerOutOfRange {
+                    process: ProcessId::new(0),
+                    owner: ProcessId::new(2),
+                },
+                "bank {bank}"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use rrfd_core::{
     Control, Delivery, FaultPattern, IdSet, ProcessId, Round, RoundFaults, RoundProtocol,
     SystemSize,
 };
+use rrfd_obs::{names, Labels, Obs};
 use std::fmt;
 
 /// Ground-truth fault behaviour: which messages are lost each round.
@@ -260,6 +261,7 @@ pub struct SyncRunReport<O> {
 pub struct SyncNetSim {
     n: SystemSize,
     max_rounds: u32,
+    obs: Obs,
 }
 
 impl SyncNetSim {
@@ -269,6 +271,7 @@ impl SyncNetSim {
         SyncNetSim {
             n,
             max_rounds: 10_000,
+            obs: Obs::noop(),
         }
     }
 
@@ -276,6 +279,16 @@ impl SyncNetSim {
     #[must_use]
     pub fn max_rounds(mut self, max_rounds: u32) -> Self {
         self.max_rounds = max_rounds;
+        self
+    }
+
+    /// Attaches an observability handle: every run then counts its rounds
+    /// (`rrfd_sim_rounds_total`) and, per receiver, the messages it
+    /// delivered (`rrfd_sim_deliveries_total`). The default is
+    /// [`Obs::noop`], which records nothing.
+    #[must_use]
+    pub fn obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
     }
 
@@ -352,6 +365,9 @@ impl SyncNetSim {
                     .map(ProcessId::new)
                     .collect();
                 round_faults.set(me, suspected);
+                let heard = (n - suspected.len()) as u64;
+                self.obs
+                    .add(names::SIM_DELIVERIES, Labels::process(i), heard);
                 let verdict = protocols[i].deliver(Delivery::new(round, me, &messages, suspected));
                 if let Control::Decide(v) = verdict {
                     outputs[i].get_or_insert(v);
@@ -359,6 +375,7 @@ impl SyncNetSim {
             }
 
             pattern.push(round_faults);
+            self.obs.add(names::SIM_ROUNDS, Labels::GLOBAL, 1);
 
             let all_live_decided =
                 (0..n).all(|i| outputs[i].is_some() || crashed.contains(ProcessId::new(i)));
@@ -451,6 +468,37 @@ mod tests {
         // p1 decided nothing (it crashed before its decision round).
         assert!(report.outputs[1].is_none());
         assert!(report.outputs[0].is_some());
+    }
+
+    #[test]
+    fn an_observed_run_counts_its_rounds_and_deliveries() {
+        let size = n(4);
+        let faults = RandomOmission::new(size, ids(&[2]), 0.5, 7);
+        let protos: Vec<_> = (0..4).map(|_| HeardAt { rounds: 3 }).collect();
+        let obs = Obs::logical();
+        let report = SyncNetSim::new(size)
+            .obs(obs.clone())
+            .run(protos, faults)
+            .unwrap();
+        let total = |metric: &str| -> u64 {
+            obs.snapshot()
+                .entries()
+                .iter()
+                .filter(|e| e.metric == metric)
+                .map(|e| match e.value {
+                    rrfd_obs::MetricValue::Counter(v) => v,
+                    _ => 0,
+                })
+                .sum()
+        };
+        assert_eq!(total(names::SIM_ROUNDS), 3);
+        let missed: usize = report
+            .pattern
+            .iter()
+            .map(|(_, rf)| rf.as_slice().iter().map(|d| d.len()).sum::<usize>())
+            .sum();
+        assert_eq!(total(names::SIM_DELIVERIES), (3 * 16 - missed) as u64);
+        assert_eq!(report.rounds, 3);
     }
 
     #[test]

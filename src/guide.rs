@@ -139,8 +139,10 @@
 //! ## Reproducing the numbers
 //!
 //! `EXPERIMENTS.md` records paper-claim vs measured for every experiment
-//! E1–E17; regenerate it with
-//! `cargo run -p rrfd-bench --bin experiments --release`. The bench
-//! report (`cargo run --release -p rrfd-bench --bin report`) times every
-//! experiment and writes the latency rows, median and p95, to
+//! E1–E18. Each experiment is written once, in the registry of
+//! `rrfd-bench`; `cargo run --release -p rrfd-bench --bin experiments`
+//! rewrites its marked blocks of `EXPERIMENTS.md`, and `-- --check`
+//! fails on a stale block or a false claim. The bench report
+//! (`cargo run --release -p rrfd-bench --bin report`) times one cell of
+//! every registry entry and writes the latency rows, median and p95, to
 //! `BENCH_rrfd.json`.

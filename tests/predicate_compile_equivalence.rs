@@ -21,8 +21,8 @@ mod spec;
 use proptest::prelude::*;
 use rrfd::core::{
     ill_formed_process, Control, Delivery, Engine, EngineError, FaultPattern, HistoryCtx, IdSet,
-    PatternViolation, ProcessId, ProgramBatch, Round, RoundFaults, RoundProfile, RoundProtocol,
-    RrfdPredicate, SystemSize,
+    PatternViolation, ProcessId, ProgOp, ProgramBatch, Round, RoundFaults, RoundProfile,
+    RoundProtocol, RrfdPredicate, SystemSize,
 };
 use rrfd::models::adversary::ScriptedDetector;
 use rrfd::models::enumerate::all_rounds;
@@ -444,4 +444,55 @@ proptest! {
             }
         }
     }
+}
+
+/// The pairwise reading of the snapshot view ordering: every two
+/// suspicion sets are comparable under containment.
+fn pairwise_chain(round: &RoundFaults) -> bool {
+    let sets = round.as_slice();
+    sets.iter()
+        .all(|a| sets.iter().all(|b| a.is_subset(*b) || b.is_subset(*a)))
+}
+
+fn compiled_chain(round: &RoundFaults) -> bool {
+    let n = round.system_size();
+    ProgOp::ContainmentChain.eval(&HistoryCtx::for_programs(n, []), &RoundProfile::of(round))
+}
+
+/// The profile's size-sorted chain check equals the pairwise rule on every
+/// round at n = 3 and on sampled n = 64 rounds: nested chains dealt to
+/// the processes in random order, half of them with one bit flipped.
+#[test]
+fn containment_chain_matches_the_pairwise_rule() {
+    use rand::{Rng, SeedableRng};
+    for round in all_rounds(n3()) {
+        assert_eq!(compiled_chain(&round), pairwise_chain(&round), "{round:?}");
+    }
+    let n = SystemSize::new(64).expect("valid size");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+    let (mut chains, mut broken) = (0, 0);
+    for _ in 0..2_000 {
+        let mut sets: Vec<IdSet> = (0..64)
+            .map(|_| (0..rng.gen_range(0..64)).map(ProcessId::new).collect())
+            .collect();
+        if rng.gen_bool(0.5) {
+            let i: usize = rng.gen_range(0..64);
+            let p = ProcessId::new(rng.gen_range(0..64));
+            if !sets[i].remove(p) {
+                sets[i].insert(p);
+            }
+        }
+        let round = RoundFaults::from_sets(n, sets);
+        let expected = pairwise_chain(&round);
+        assert_eq!(compiled_chain(&round), expected, "{round:?}");
+        if expected {
+            chains += 1;
+        } else {
+            broken += 1;
+        }
+    }
+    assert!(
+        chains > 100 && broken > 100,
+        "{chains} chains, {broken} broken"
+    );
 }

@@ -78,7 +78,7 @@ fn theorem_4_1_sweep() {
                 .map(|v| FloodMin::new(v, budget))
                 .collect();
             let mut adv = RandomAdversary::new(Snapshot::new(size, k), seed);
-            let report = run_as_omission(size, f, k, protos, &mut adv).unwrap();
+            let report = run_as_omission(Engine::new(size), f, k, protos, &mut adv).unwrap();
             assert!(report.omission_certified, "n={nv} f={f} k={k} seed={seed}");
         }
     }
