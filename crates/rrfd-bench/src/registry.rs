@@ -47,7 +47,7 @@ use rrfd_protocols::s_consensus::SRotatingConsensus;
 use rrfd_protocols::semi_sync_consensus::{RepeatedRounds, TwoStepConsensus};
 use rrfd_protocols::sync_sim::{run_as_omission, run_crash_simulation};
 use rrfd_runtime::ThreadedEngine;
-use rrfd_sims::async_net::{AsyncNetSim, RandomNetScheduler};
+use rrfd_sims::async_net::AsyncNetSim;
 use rrfd_sims::async_rounds::RoundedAsync;
 use rrfd_sims::detector_s::SAugmentedSystem;
 use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
@@ -443,7 +443,7 @@ fn e1() -> Experiment {
     let rounded = row(SEEDS, &[], move |seed, obs| {
         let size = n(8)?;
         let procs = each(size, |p| RoundedAsync::new(p, size, 2, RunFor(4)));
-        let sched = RandomNetScheduler::new(seed, 2).crash_prob(0.004);
+        let sched = RandomScheduler::new(seed, 2).crash_prob(0.004);
         let report = AsyncNetSim::new(size).run(procs, &mut observed(sched, obs))?;
         let logs = report.processes.iter().map(|p| p.fault_log());
         let ok = logs.clone().all(|log| log.iter().all(|d| d.len() <= 2));
@@ -867,7 +867,7 @@ fn e15() -> Experiment {
                 }
             };
             let procs = each(size, |p| AbdClient::new(p, size, f, script(p)));
-            let sched = RandomNetScheduler::new(seed, f).crash_prob(0.002);
+            let sched = RandomScheduler::new(seed, f).crash_prob(0.002);
             let report = AsyncNetSim::new(size).run(procs, &mut observed(sched, obs))?;
             let ok = check_clients(&report.processes).is_ok();
             done(vec![Mean(report.deliveries), count(ok)], ok)

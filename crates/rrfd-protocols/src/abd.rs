@@ -505,7 +505,8 @@ pub fn check_atomicity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrfd_sims::async_net::{AsyncNetSim, FifoNetScheduler, RandomNetScheduler};
+    use rrfd_sims::async_net::AsyncNetSim;
+    use rrfd_sims::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -522,7 +523,7 @@ mod tests {
             .processes()
             .map(|p| AbdClient::new(p, size, f, scripts[p.index()].clone()))
             .collect();
-        let mut sched = RandomNetScheduler::new(seed, crashes).crash_prob(0.002);
+        let mut sched = RandomScheduler::new(seed, crashes).crash_prob(0.002);
         let report = AsyncNetSim::new(size).run(procs, &mut sched).unwrap();
         report.processes
     }
@@ -544,7 +545,7 @@ mod tests {
             .map(|p| AbdClient::new(p, size, 1, scripts[p.index()].clone()))
             .collect();
         let report = AsyncNetSim::new(size)
-            .run(procs, &mut FifoNetScheduler::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap();
         assert_atomic(&report.processes);
         // The reads happened concurrently with the writes; each must have
@@ -607,7 +608,7 @@ mod tests {
                 .processes()
                 .map(|p| AbdClient::new(p, size, f, scripts[p.index()].clone()))
                 .collect();
-            let mut sched = RandomNetScheduler::new(seed, f).crash_prob(0.004);
+            let mut sched = RandomScheduler::new(seed, f).crash_prob(0.004);
             let report = AsyncNetSim::new(size).run(procs, &mut sched).unwrap();
             assert!(report.all_correct_decided(), "seed {seed}");
             assert_atomic(&report.processes);

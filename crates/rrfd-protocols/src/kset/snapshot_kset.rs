@@ -167,7 +167,7 @@ mod tests {
         impl rrfd_sims::step::StepScheduler for CrashTwoThenFair {
             fn next_event(
                 &mut self,
-                runnable: rrfd_core::IdSet,
+                enabled: &[rrfd_sims::step::StepEvent],
                 step: u64,
             ) -> rrfd_sims::step::StepEvent {
                 if self.crashed < 2 {
@@ -175,7 +175,7 @@ mod tests {
                     self.crashed += 1;
                     return rrfd_sims::step::StepEvent::Crash(victim);
                 }
-                self.inner.next_event(runnable, step)
+                self.inner.next_event(enabled, step)
             }
         }
 

@@ -2,16 +2,21 @@
 //! "system N").
 //!
 //! Channels are reliable and FIFO per (sender, receiver) pair; delivery
-//! order *across* channels is chosen by an adversarial scheduler, which may
-//! also crash processes (a crashed process handles no further events;
-//! messages it sent before crashing remain deliverable — the usual
-//! reliable-link reading of crash faults).
+//! order *across* channels is chosen by the step adversary of
+//! [`crate::step`]: a [`StepEvent::Deliver`] hands the head-of-line
+//! message of one channel to its receiver, and a [`StepEvent::Crash`]
+//! stops a process (a crashed process handles no further events; messages
+//! it sent before crashing remain deliverable — the usual reliable-link
+//! reading of crash faults). The network runs on the same loop, the same
+//! [`StepScheduler`]s and the same schedule traces as shared memory and
+//! semi-synchrony.
 //!
 //! Processes are event handlers ([`AsyncProcess`]): they send an initial
 //! batch of messages, then react to one delivered message at a time. The
 //! round-based overlay of §2 item 3 (buffer early messages, discard late
 //! ones, advance on `n − f`) is built on top in [`crate::async_rounds`].
 
+use crate::step::{self, StepEvent, StepExecution, StepScheduler};
 use rrfd_core::{Control, IdSet, ProcessId, SystemSize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -91,27 +96,6 @@ pub trait AsyncProcess {
         msg: Self::Msg,
         out: &mut Outbox<Self::Msg>,
     ) -> Control<Self::Output>;
-}
-
-/// Scheduler events for the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetEvent {
-    /// Deliver the head-of-line message on channel `(from, to)`.
-    Deliver {
-        /// Sending process.
-        from: ProcessId,
-        /// Receiving process.
-        to: ProcessId,
-    },
-    /// Crash a process.
-    Crash(ProcessId),
-}
-
-/// Chooses delivery order and crashes.
-pub trait NetScheduler {
-    /// Picks the next event. `busy[from][to]` (flattened) is exposed via
-    /// the `channels` list of non-empty channels with a live receiver.
-    fn next_event(&mut self, channels: &[(ProcessId, ProcessId)], deliveries: u64) -> NetEvent;
 }
 
 /// Errors from [`AsyncNetSim::run`].
@@ -202,7 +186,8 @@ impl<P: AsyncProcess> NetRunReport<P> {
 ///
 /// ```
 /// use rrfd_core::{Control, ProcessId, SystemSize};
-/// use rrfd_sims::async_net::{AsyncNetSim, AsyncProcess, Outbox, RandomNetScheduler};
+/// use rrfd_sims::async_net::{AsyncNetSim, AsyncProcess, Outbox};
+/// use rrfd_sims::step::RandomScheduler;
 ///
 /// struct Echo(ProcessId);
 /// impl AsyncProcess for Echo {
@@ -219,7 +204,7 @@ impl<P: AsyncProcess> NetRunReport<P> {
 /// let n = SystemSize::new(3).unwrap();
 /// let procs: Vec<_> = n.processes().map(Echo).collect();
 /// let report = AsyncNetSim::new(n)
-///     .run(procs, &mut RandomNetScheduler::new(7, 0))
+///     .run(procs, &mut RandomScheduler::new(7, 0))
 ///     .unwrap();
 /// assert!(report.all_correct_decided());
 /// ```
@@ -263,188 +248,167 @@ impl AsyncNetSim {
     /// See [`NetSimError`].
     pub fn run<P, S>(
         &self,
-        mut processes: Vec<P>,
+        processes: Vec<P>,
         scheduler: &mut S,
     ) -> Result<NetRunReport<P>, NetSimError>
     where
         P: AsyncProcess,
-        S: NetScheduler + ?Sized,
+        S: StepScheduler + ?Sized,
     {
-        let n = self.n.get();
+        step::run(NetExecution::start(self, processes)?, scheduler)
+    }
+}
+
+/// The state of one network run, advanced one scheduler event at a time
+/// by [`AsyncNetSim::run`].
+struct NetExecution<P: AsyncProcess> {
+    sim: AsyncNetSim,
+    /// `channels[from * n + to]`: FIFO queue of shared payloads.
+    channels: Vec<VecDeque<Arc<P::Msg>>>,
+    outputs: Vec<Option<P::Output>>,
+    crashed: IdSet,
+    deliveries: u64,
+    // Scheduler events (including crashes and ignored picks) are bounded
+    // separately so a scheduler that keeps naming disabled events cannot
+    // spin the simulator forever.
+    events: u64,
+    processes: Vec<P>,
+}
+
+impl<P: AsyncProcess> NetExecution<P> {
+    /// Begins a run of `processes` on `sim`: every process's initial
+    /// sends are queued, and no message is delivered yet.
+    fn start(sim: &AsyncNetSim, processes: Vec<P>) -> Result<Self, NetSimError> {
+        let n = sim.n.get();
         if processes.len() != n {
             return Err(NetSimError::WrongProcessCount {
                 supplied: processes.len(),
                 expected: n,
             });
         }
+        let mut exec = NetExecution {
+            sim: sim.clone(),
+            channels: (0..n * n).map(|_| VecDeque::new()).collect(),
+            outputs: vec![None; n],
+            crashed: IdSet::empty(),
+            deliveries: 0,
+            events: 0,
+            processes,
+        };
+        for p in sim.n.processes() {
+            let mut out = Outbox::new(sim.n);
+            exec.processes[p.index()].on_start(&mut out);
+            exec.flush(p, out)?;
+        }
+        Ok(exec)
+    }
 
-        // channels[from][to]: FIFO queue of shared payloads.
-        let mut channels: Vec<Vec<VecDeque<Arc<P::Msg>>>> = (0..n)
-            .map(|_| (0..n).map(|_| VecDeque::new()).collect())
-            .collect();
-        let mut outputs: Vec<Option<P::Output>> = vec![None; n];
-        let mut crashed = IdSet::empty();
-        let mut deliveries = 0u64;
-        let mut events = 0u64;
-        let event_limit = self.max_deliveries.saturating_mul(4).saturating_add(1024);
-
-        let flush = |out: Outbox<P::Msg>,
-                     from: ProcessId,
-                     channels: &mut Vec<Vec<VecDeque<Arc<P::Msg>>>>| {
-            for (to, msg) in out.sends {
-                let peer = NetSimError::PeerOutOfRange {
+    /// Queues `from`'s staged sends on their channels.
+    fn flush(&mut self, from: ProcessId, out: Outbox<P::Msg>) -> Result<(), NetSimError> {
+        let n = self.sim.n.get();
+        for (to, msg) in out.sends {
+            if to.index() >= n {
+                return Err(NetSimError::PeerOutOfRange {
                     process: from,
                     peer: to,
+                });
+            }
+            self.channels[from.index() * n + to.index()].push_back(msg);
+        }
+        Ok(())
+    }
+
+    /// One delivery per non-empty channel into a non-crashed process, in
+    /// `(from, to)` order.
+    fn deliverable(&self) -> impl Iterator<Item = StepEvent> + '_ {
+        let n = self.sim.n;
+        n.processes()
+            .flat_map(move |from| n.processes().map(move |to| (from, to)))
+            .zip(&self.channels)
+            .filter(|&((_, to), channel)| !channel.is_empty() && !self.crashed.contains(to))
+            .map(|((from, to), _)| StepEvent::Deliver { from, to })
+    }
+}
+
+impl<P: AsyncProcess> StepExecution for NetExecution<P> {
+    type Report = NetRunReport<P>;
+    type Error = NetSimError;
+    type Footprint = ();
+    const ENABLED_IS_LIVE: bool = false;
+
+    fn live(&self) -> IdSet {
+        self.sim
+            .n
+            .processes()
+            .filter(|&p| self.outputs[p.index()].is_none() && !self.crashed.contains(p))
+            .collect()
+    }
+
+    fn enabled(&self, out: &mut Vec<StepEvent>) {
+        out.clear();
+        out.extend(self.deliverable());
+    }
+
+    fn steps(&self) -> u64 {
+        self.deliveries
+    }
+
+    fn check_limit(&self) -> Result<(), NetSimError> {
+        if self.deliverable().next().is_none() {
+            return Err(NetSimError::Quiescent {
+                undecided: self.live(),
+            });
+        }
+        let max_deliveries = self.sim.max_deliveries;
+        let event_limit = max_deliveries.saturating_mul(4).saturating_add(1024);
+        if self.deliveries >= max_deliveries || self.events >= event_limit {
+            return Err(NetSimError::DeliveryLimitExceeded { max_deliveries });
+        }
+        Ok(())
+    }
+
+    /// A crash applies to any non-crashed process, decided or not; a
+    /// delivery to any non-crashed process with a message waiting on the
+    /// channel. Steps, and events naming a process outside the system (a
+    /// hostile replayed schedule), are ignored.
+    fn apply(&mut self, event: StepEvent) -> Result<Option<()>, NetSimError> {
+        self.events += 1;
+        let n = self.sim.n.get();
+        match event {
+            StepEvent::Crash(p) if p.index() < n && !self.crashed.contains(p) => {
+                self.crashed.insert(p);
+                Ok(Some(()))
+            }
+            StepEvent::Deliver { from, to }
+                if from.index() < n && to.index() < n && !self.crashed.contains(to) =>
+            {
+                let Some(entry) = self.channels[from.index() * n + to.index()].pop_front() else {
+                    return Ok(None);
                 };
-                let channel = channels[from.index()].get_mut(to.index()).ok_or(peer)?;
-                channel.push_back(msg);
-            }
-            Ok(())
-        };
-
-        for (i, proc_) in processes.iter_mut().enumerate() {
-            let mut out = Outbox::new(self.n);
-            proc_.on_start(&mut out);
-            flush(out, ProcessId::new(i), &mut channels)?;
-        }
-
-        loop {
-            let all_done =
-                (0..n).all(|i| outputs[i].is_some() || crashed.contains(ProcessId::new(i)));
-            if all_done {
-                return Ok(NetRunReport {
-                    outputs,
-                    crashed,
-                    deliveries,
-                    processes,
-                });
-            }
-
-            // Non-empty channels whose receiver is still alive.
-            let busy: Vec<(ProcessId, ProcessId)> = (0..n)
-                .flat_map(|from| (0..n).map(move |to| (from, to)))
-                .filter(|&(from, to)| {
-                    !channels[from][to].is_empty() && !crashed.contains(ProcessId::new(to))
-                })
-                .map(|(from, to)| (ProcessId::new(from), ProcessId::new(to)))
-                .collect();
-
-            if busy.is_empty() {
-                let undecided = (0..n)
-                    .map(ProcessId::new)
-                    .filter(|&p| outputs[p.index()].is_none() && !crashed.contains(p))
-                    .collect();
-                return Err(NetSimError::Quiescent { undecided });
-            }
-            if deliveries >= self.max_deliveries || events >= event_limit {
-                return Err(NetSimError::DeliveryLimitExceeded {
-                    max_deliveries: self.max_deliveries,
-                });
-            }
-            events += 1;
-
-            // Events naming a process outside the system (a hostile
-            // replayed schedule) are counted above but otherwise ignored.
-            match scheduler.next_event(&busy, deliveries) {
-                NetEvent::Crash(p) => {
-                    if p.index() < n {
-                        crashed.insert(p);
-                    }
+                self.deliveries += 1;
+                // The handler takes ownership; a broadcast payload is
+                // deep-copied only here, at most once per recipient, and
+                // the last recipient reclaims the allocation.
+                let msg = Arc::try_unwrap(entry).unwrap_or_else(|shared| (*shared).clone());
+                let mut out = Outbox::new(self.sim.n);
+                let verdict =
+                    self.processes[to.index()].on_message(self.deliveries, from, msg, &mut out);
+                self.flush(to, out)?;
+                if let Control::Decide(v) = verdict {
+                    self.outputs[to.index()].get_or_insert(v);
                 }
-                NetEvent::Deliver { from, to } => {
-                    if from.index() >= n || to.index() >= n || crashed.contains(to) {
-                        continue;
-                    }
-                    let Some(entry) = channels[from.index()][to.index()].pop_front() else {
-                        continue;
-                    };
-                    deliveries += 1;
-                    // The handler takes ownership; a broadcast payload is
-                    // deep-copied only here, at most once per recipient,
-                    // and the last recipient reclaims the allocation.
-                    let msg = Arc::try_unwrap(entry).unwrap_or_else(|shared| (*shared).clone());
-                    let mut out = Outbox::new(self.n);
-                    let verdict = processes[to.index()].on_message(deliveries, from, msg, &mut out);
-                    flush(out, to, &mut channels)?;
-                    if let Control::Decide(v) = verdict {
-                        outputs[to.index()].get_or_insert(v);
-                    }
-                }
+                Ok(Some(()))
             }
-        }
-    }
-}
-
-/// Seeded random scheduler: delivers a uniformly random pending message,
-/// and crashes random processes while its budget lasts.
-#[derive(Debug, Clone)]
-pub struct RandomNetScheduler {
-    rng: rand::rngs::StdRng,
-    crash_budget: usize,
-    crash_prob: f64,
-}
-
-impl RandomNetScheduler {
-    /// Creates a scheduler with up to `max_crashes` crashes, deterministic
-    /// in `seed`.
-    #[must_use]
-    pub fn new(seed: u64, max_crashes: usize) -> Self {
-        use rand::SeedableRng;
-        RandomNetScheduler {
-            rng: rand::rngs::StdRng::seed_from_u64(seed),
-            crash_budget: max_crashes,
-            crash_prob: 0.002,
+            _ => Ok(None),
         }
     }
 
-    /// Overrides the per-event crash probability (default 0.2%).
-    #[must_use]
-    pub fn crash_prob(mut self, p: f64) -> Self {
-        self.crash_prob = p;
-        self
-    }
-}
-
-impl NetScheduler for RandomNetScheduler {
-    fn next_event(&mut self, channels: &[(ProcessId, ProcessId)], _d: u64) -> NetEvent {
-        use rand::seq::SliceRandom;
-        use rand::Rng;
-        let &(from, to) = channels
-            .choose(&mut self.rng)
-            .expect("simulator guarantees non-empty channel list");
-        if self.crash_budget > 0 && self.rng.gen_bool(self.crash_prob) {
-            self.crash_budget -= 1;
-            // Crash a random endpoint for variety.
-            let victim = if self.rng.gen_bool(0.5) { from } else { to };
-            NetEvent::Crash(victim)
-        } else {
-            NetEvent::Deliver { from, to }
-        }
-    }
-}
-
-/// FIFO-fair scheduler: delivers the oldest pending channel in round-robin
-/// order, never crashes. The "nice" baseline.
-#[derive(Debug, Clone, Default)]
-pub struct FifoNetScheduler {
-    cursor: usize,
-}
-
-impl FifoNetScheduler {
-    /// Creates the scheduler.
-    #[must_use]
-    pub fn new() -> Self {
-        FifoNetScheduler { cursor: 0 }
-    }
-}
-
-impl NetScheduler for FifoNetScheduler {
-    fn next_event(&mut self, channels: &[(ProcessId, ProcessId)], _d: u64) -> NetEvent {
-        let pick = channels[self.cursor % channels.len()];
-        self.cursor = self.cursor.wrapping_add(1);
-        NetEvent::Deliver {
-            from: pick.0,
-            to: pick.1,
+    fn into_report(self) -> NetRunReport<P> {
+        NetRunReport {
+            outputs: self.outputs,
+            crashed: self.crashed,
+            deliveries: self.deliveries,
+            processes: self.processes,
         }
     }
 }
@@ -452,6 +416,7 @@ impl NetScheduler for FifoNetScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -505,11 +470,11 @@ mod tests {
     }
 
     #[test]
-    fn fifo_run_gathers_everything() {
+    fn fair_run_gathers_everything() {
         let size = n(4);
         let procs: Vec<_> = size.processes().map(|p| Gather::new(p, 4)).collect();
         let report = AsyncNetSim::new(size)
-            .run(procs, &mut FifoNetScheduler::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap();
         assert!(report.all_correct_decided());
         for out in &report.outputs {
@@ -523,7 +488,7 @@ mod tests {
         for seed in 0..20u64 {
             // Quorum n − 1 tolerates the single allowed crash.
             let procs: Vec<_> = size.processes().map(|p| Gather::new(p, 4)).collect();
-            let mut sched = RandomNetScheduler::new(seed, 1).crash_prob(0.01);
+            let mut sched = RandomScheduler::new(seed, 1).crash_prob(0.01);
             let report = AsyncNetSim::new(size).run(procs, &mut sched).unwrap();
             assert!(report.all_correct_decided(), "seed {seed}");
             assert!(report.crashed.len() <= 1);
@@ -553,7 +518,7 @@ mod tests {
         let err = AsyncNetSim::new(n(2))
             .run(
                 vec![SendTo(ProcessId::new(1)), SendTo(ProcessId::new(2))],
-                &mut FifoNetScheduler::new(),
+                &mut FairScheduler::new(),
             )
             .unwrap_err();
         assert_eq!(
@@ -571,7 +536,7 @@ mod tests {
         // Quorum 3 > n: never decides; network drains.
         let procs: Vec<_> = size.processes().map(|p| Gather::new(p, 3)).collect();
         let err = AsyncNetSim::new(size)
-            .run(procs, &mut FifoNetScheduler::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap_err();
         match err {
             NetSimError::Quiescent { undecided } => {
@@ -586,22 +551,22 @@ mod tests {
         let size = n(3);
 
         struct CrashP2Then {
-            inner: FifoNetScheduler,
+            inner: FairScheduler,
             crashed: bool,
         }
-        impl NetScheduler for CrashP2Then {
-            fn next_event(&mut self, channels: &[(ProcessId, ProcessId)], d: u64) -> NetEvent {
+        impl StepScheduler for CrashP2Then {
+            fn next_event(&mut self, enabled: &[StepEvent], d: u64) -> StepEvent {
                 if !self.crashed {
                     self.crashed = true;
-                    return NetEvent::Crash(ProcessId::new(2));
+                    return StepEvent::Crash(ProcessId::new(2));
                 }
-                self.inner.next_event(channels, d)
+                self.inner.next_event(enabled, d)
             }
         }
 
         let procs: Vec<_> = size.processes().map(|p| Gather::new(p, 2)).collect();
         let mut sched = CrashP2Then {
-            inner: FifoNetScheduler::new(),
+            inner: FairScheduler::new(),
             crashed: false,
         };
         let report = AsyncNetSim::new(size).run(procs, &mut sched).unwrap();
@@ -658,7 +623,7 @@ mod tests {
 
         for seed in 0..10u64 {
             let procs = vec![P::S(Sender), P::R(Receiver { got: vec![] })];
-            let mut sched = RandomNetScheduler::new(seed, 0);
+            let mut sched = RandomScheduler::new(seed, 0);
             let report = AsyncNetSim::new(size).run(procs, &mut sched).unwrap();
             assert_eq!(report.outputs[1], Some(vec![1, 2, 3]), "seed {seed}");
         }

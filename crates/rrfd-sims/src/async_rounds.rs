@@ -200,7 +200,8 @@ pub fn collect_fault_rounds<P: RoundProtocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_net::{AsyncNetSim, FifoNetScheduler, RandomNetScheduler};
+    use crate::async_net::AsyncNetSim;
+    use crate::step::{FairScheduler, RandomScheduler};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -244,7 +245,7 @@ mod tests {
             .map(|p| RoundedAsync::new(p, size, 1, CountHeard::new(3)))
             .collect();
         let report = AsyncNetSim::new(size)
-            .run(procs, &mut FifoNetScheduler::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap();
         assert!(report.all_correct_decided());
         for p in &report.processes {
@@ -261,7 +262,7 @@ mod tests {
                 .processes()
                 .map(|p| RoundedAsync::new(p, size, f, CountHeard::new(4)))
                 .collect();
-            let mut sched = RandomNetScheduler::new(seed, f).crash_prob(0.01);
+            let mut sched = RandomScheduler::new(seed, f).crash_prob(0.01);
             let report = AsyncNetSim::new(size).run(procs, &mut sched).unwrap();
 
             // Check |D(i,r)| ≤ f for every recorded round of every correct
@@ -337,7 +338,7 @@ mod tests {
             .map(|p| RoundedAsync::new(p, size, 0, CountHeard::new(2)))
             .collect();
         let report = AsyncNetSim::new(size)
-            .run(procs, &mut FifoNetScheduler::new())
+            .run(procs, &mut FairScheduler::new())
             .unwrap();
         let rounds = collect_fault_rounds(size, &report.processes, 2);
         assert_eq!(rounds.len(), 2);

@@ -13,9 +13,8 @@
 //! a pure function of the trace class, which is what keeps the
 //! exploration deterministic across worker counts.
 
-use crate::trace::SchedEvent;
+use crate::step::StepEvent;
 use rrfd_core::ProcessId;
-use std::fmt;
 
 /// The shared-state footprint of one applied event, unified across the
 /// shared-memory and semi-synchronous substrates. The conflict relation
@@ -130,9 +129,9 @@ impl Access {
 /// One event of a recorded execution: the scheduler event itself, the
 /// process it names, and the footprint its application reported.
 #[derive(Debug, Clone)]
-pub struct ExecEvent<E> {
+pub struct ExecEvent {
     /// The scheduler event, replayable through the simulator.
-    pub event: E,
+    pub event: StepEvent,
     /// The process the event names.
     pub pid: ProcessId,
     /// The shared-state footprint the application reported.
@@ -174,16 +173,16 @@ fn ones(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// to a later one, so event `k`'s row needs only `k` bits; the rows are
 /// packed back to back in one flat buffer.
 #[derive(Debug, Clone)]
-pub struct ExecutionGraph<E> {
+pub struct ExecutionGraph {
     n: usize,
-    events: Vec<ExecEvent<E>>,
+    events: Vec<ExecEvent>,
     /// Every event's strict-predecessor row, back to back.
     rows: Vec<u64>,
     /// Where each event's row starts in `rows`.
     row_start: Vec<usize>,
 }
 
-impl<E: SchedEvent> ExecutionGraph<E> {
+impl ExecutionGraph {
     /// An empty graph over `n` processes.
     #[must_use]
     pub fn new(n: usize) -> Self {
@@ -197,7 +196,7 @@ impl<E: SchedEvent> ExecutionGraph<E> {
 
     /// The recorded events, in execution order.
     #[must_use]
-    pub fn events(&self) -> &[ExecEvent<E>] {
+    pub fn events(&self) -> &[ExecEvent] {
         &self.events
     }
 
@@ -228,16 +227,18 @@ impl<E: SchedEvent> ExecutionGraph<E> {
         &self.rows[start..start + words(k)]
     }
 
-    /// Records an applied event. Its predecessors are its program-order
-    /// predecessor and every earlier conflicting event of another
-    /// process, each together with its own predecessors. Priors are
-    /// scanned newest first, so a prior that is already a predecessor
-    /// brings nothing new and is skipped.
+    /// Records an applied event of process `event.pid()`. Its
+    /// predecessors are its program-order predecessor and every earlier
+    /// conflicting event of another process, each together with its own
+    /// predecessors. Priors are scanned newest first, so a prior that is
+    /// already a predecessor brings nothing new and is skipped.
     ///
     /// # Panics
     ///
-    /// Panics when `pid` is not one of the graph's `n` processes.
-    pub fn push(&mut self, event: E, pid: ProcessId, access: Access) {
+    /// Panics when the event's process is not one of the graph's `n`
+    /// processes.
+    pub fn push(&mut self, event: StepEvent, access: Access) {
+        let pid = event.pid();
         assert!(
             pid.index() < self.n,
             "process {pid:?} outside a graph over {} processes",
@@ -365,21 +366,9 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     }
 }
 
-/// Adapter rendering a [`SchedEvent`] through its trace encoding
-/// (`step 3`, `crash 1`, …) so event sequences can be digested and
-/// debugged with the same bytes the `.sched` format uses.
-pub struct EventLine<E: SchedEvent>(pub E);
-
-impl<E: SchedEvent> fmt::Display for EventLine<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.write_event(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::StepEvent;
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -436,27 +425,11 @@ mod tests {
         // p0 writes bank 0; p1 writes bank 1: independent, so both
         // interleavings are one class with one canonical linearization.
         let mut ab = ExecutionGraph::new(2);
-        ab.push(
-            StepEvent::Step(pid(0)),
-            pid(0),
-            Access::Write { bank: 0, owner: 0 },
-        );
-        ab.push(
-            StepEvent::Step(pid(1)),
-            pid(1),
-            Access::Write { bank: 1, owner: 1 },
-        );
+        ab.push(StepEvent::Step(pid(0)), Access::Write { bank: 0, owner: 0 });
+        ab.push(StepEvent::Step(pid(1)), Access::Write { bank: 1, owner: 1 });
         let mut ba = ExecutionGraph::new(2);
-        ba.push(
-            StepEvent::Step(pid(1)),
-            pid(1),
-            Access::Write { bank: 1, owner: 1 },
-        );
-        ba.push(
-            StepEvent::Step(pid(0)),
-            pid(0),
-            Access::Write { bank: 0, owner: 0 },
-        );
+        ba.push(StepEvent::Step(pid(1)), Access::Write { bank: 1, owner: 1 });
+        ba.push(StepEvent::Step(pid(0)), Access::Write { bank: 0, owner: 0 });
 
         let canon_ab: Vec<StepEvent> = ab
             .canonical_order()
@@ -476,16 +449,8 @@ mod tests {
     fn dependent_events_race_and_keep_execution_order() {
         // p0 writes cell (0,0); p1 reads it: a reversible race.
         let mut g = ExecutionGraph::new(2);
-        g.push(
-            StepEvent::Step(pid(0)),
-            pid(0),
-            Access::Write { bank: 0, owner: 0 },
-        );
-        g.push(
-            StepEvent::Step(pid(1)),
-            pid(1),
-            Access::Read { bank: 0, owner: 0 },
-        );
+        g.push(StepEvent::Step(pid(0)), Access::Write { bank: 0, owner: 0 });
+        g.push(StepEvent::Step(pid(1)), Access::Read { bank: 0, owner: 0 });
         assert!(g.hb(0, 1));
         assert!(!g.hb(1, 0));
         assert_eq!(g.reversible_races(), vec![(0, 1)]);
@@ -497,26 +462,10 @@ mod tests {
         // write... chain: w0 -> snap1 -> w1' -> snap2 gives w0 ->hb snap2
         // mediated through p1's events.
         let mut g = ExecutionGraph::new(3);
-        g.push(
-            StepEvent::Step(pid(0)),
-            pid(0),
-            Access::Write { bank: 0, owner: 0 },
-        );
-        g.push(
-            StepEvent::Step(pid(1)),
-            pid(1),
-            Access::Snapshot { bank: 0 },
-        );
-        g.push(
-            StepEvent::Step(pid(1)),
-            pid(1),
-            Access::Write { bank: 0, owner: 1 },
-        );
-        g.push(
-            StepEvent::Step(pid(2)),
-            pid(2),
-            Access::Snapshot { bank: 0 },
-        );
+        g.push(StepEvent::Step(pid(0)), Access::Write { bank: 0, owner: 0 });
+        g.push(StepEvent::Step(pid(1)), Access::Snapshot { bank: 0 });
+        g.push(StepEvent::Step(pid(1)), Access::Write { bank: 0, owner: 1 });
+        g.push(StepEvent::Step(pid(2)), Access::Snapshot { bank: 0 });
         let races = g.reversible_races();
         assert!(races.contains(&(0, 1)), "write/snap adjacency races");
         assert!(races.contains(&(2, 3)));
@@ -537,13 +486,13 @@ mod tests {
         let mut fresh = ExecutionGraph::new(3);
         let mut reused = ExecutionGraph::new(3);
         for &(p, access) in run.iter().rev() {
-            reused.push(StepEvent::Step(p), p, access);
+            reused.push(StepEvent::Step(p), access);
         }
         reused.clear();
         assert!(reused.is_empty());
         for &(p, access) in &run {
-            fresh.push(StepEvent::Step(p), p, access);
-            reused.push(StepEvent::Step(p), p, access);
+            fresh.push(StepEvent::Step(p), access);
+            reused.push(StepEvent::Step(p), access);
         }
         assert_eq!(reused.canonical_order(), fresh.canonical_order());
         assert_eq!(reused.reversible_races(), fresh.reversible_races());
@@ -560,16 +509,8 @@ mod tests {
     #[test]
     fn program_order_is_happens_before_without_racing() {
         let mut g = ExecutionGraph::new(2);
-        g.push(
-            StepEvent::Step(pid(0)),
-            pid(0),
-            Access::Write { bank: 0, owner: 0 },
-        );
-        g.push(
-            StepEvent::Step(pid(0)),
-            pid(0),
-            Access::Write { bank: 1, owner: 0 },
-        );
+        g.push(StepEvent::Step(pid(0)), Access::Write { bank: 0, owner: 0 });
+        g.push(StepEvent::Step(pid(0)), Access::Write { bank: 1, owner: 0 });
         assert!(g.hb(0, 1));
         assert!(g.reversible_races().is_empty());
     }

@@ -62,7 +62,6 @@ use crate::semi_sync::{SemiSyncExecution, SemiSyncProcess, SemiSyncReport, SemiS
 use crate::shared_mem::{MemExecution, MemProcess, MemRunReport, SharedMemSim};
 use crate::step::{StepEvent, StepExecution};
 use revisit::{drive_dpor, DporTarget};
-use rrfd_core::ProcessId;
 use rrfd_obs::Obs;
 
 /// Configuration of a DPOR exploration.
@@ -120,7 +119,7 @@ struct StepTarget<X> {
     exec: X,
 }
 
-impl<X: StepExecution> StepTarget<X> {
+impl<X: StepExecution<Footprint = Access>> StepTarget<X> {
     fn new(exec: X, crash_budget: usize) -> Self {
         StepTarget {
             n: exec.live().len(),
@@ -146,20 +145,19 @@ impl<X: Clone> Clone for StepTarget<X> {
     }
 }
 
-impl<X: StepExecution + Clone> DporTarget for StepTarget<X> {
-    type Event = StepEvent;
+impl<X: StepExecution<Footprint = Access> + Clone> DporTarget for StepTarget<X> {
     type Report = X::Report;
 
     fn n(&self) -> usize {
         self.n
     }
 
-    /// Step each live process in id order, then (budget and liveness
-    /// permitting) crash each.
+    /// The execution's enabled events (a step per live process, in id
+    /// order), then (budget and liveness permitting) a crash of each live
+    /// process.
     fn options(&self, out: &mut Vec<StepEvent>) {
+        self.exec.enabled(out);
         let live = self.exec.live();
-        out.clear();
-        out.extend(live.iter().map(StepEvent::Step));
         if self.crash_budget > 0 && live.len() > 1 {
             out.extend(live.iter().map(StepEvent::Crash));
         }
@@ -173,7 +171,7 @@ impl<X: StepExecution + Clone> DporTarget for StepTarget<X> {
     /// `BroadcastDecide` leaves `live`, and nothing else touches either.
     fn alternatives<'a>(
         &self,
-        canon: impl Iterator<Item = &'a ExecEvent<StepEvent>>,
+        canon: impl Iterator<Item = &'a ExecEvent>,
         mut push: impl FnMut(usize, StepEvent),
     ) {
         let mut live = self.exec.live();
@@ -216,10 +214,6 @@ impl<X: StepExecution + Clone> DporTarget for StepTarget<X> {
     fn report(&self) -> X::Report {
         self.exec.clone().into_report()
     }
-
-    fn event_pid(event: &StepEvent) -> ProcessId {
-        event.pid()
-    }
 }
 
 /// Explores one representative per Mazurkiewicz trace class of `sim`'s
@@ -251,7 +245,7 @@ pub fn explore_shared_mem_dpor<V, P, G, F>(
     make: G,
     check: F,
     config: &DporConfig,
-) -> Result<ExploreStats, DporError<StepEvent>>
+) -> Result<ExploreStats, DporError>
 where
     V: Clone + Send + Sync,
     P: MemProcess<V> + Clone + Send + Sync,
@@ -284,7 +278,7 @@ pub fn explore_semi_sync_dpor<P, G, F>(
     make: G,
     check: F,
     config: &DporConfig,
-) -> Result<ExploreStats, DporError<StepEvent>>
+) -> Result<ExploreStats, DporError>
 where
     P: SemiSyncProcess + Clone + Send + Sync,
     P::Msg: Send + Sync,
@@ -302,7 +296,7 @@ mod tests {
     use super::*;
     use crate::shared_mem::{Action, Observation};
     use crate::trace::ScheduleReplay;
-    use rrfd_core::{Control, SystemSize};
+    use rrfd_core::{Control, ProcessId, SystemSize};
     use std::sync::Arc;
 
     fn size(n: usize) -> SystemSize {
@@ -526,11 +520,7 @@ mod tests {
                         }
                         let event = options[rng.gen_range(0..options.len())];
                         let access = state.apply_traced(event);
-                        graph.push(
-                            event,
-                            StepTarget::<SemiSyncExecution<Hearer>>::event_pid(&event),
-                            access,
-                        );
+                        graph.push(event, access);
                     }
                     let events = graph.events();
                     crashing_runs += usize::from(events.iter().any(|e| e.access == Access::Crash));

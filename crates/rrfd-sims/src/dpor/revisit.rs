@@ -22,12 +22,12 @@
 //! with the lexicographically smallest canonical key wins, not the one a
 //! worker happened to reach first.
 
-use super::graph::{Access, EventLine, ExecEvent, ExecutionGraph};
+use super::graph::{Access, ExecEvent, ExecutionGraph};
 use super::pool::StealPool;
 use crate::digest::{DigestWriter, StateKey};
 use crate::explore::{Counterexample, ExploreStats};
-use crate::trace::{SchedEvent, ScheduleTrace};
-use rrfd_core::ProcessId;
+use crate::step::StepEvent;
+use crate::trace::ScheduleTrace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -40,8 +40,6 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// `clone_from` should reuse the target's buffers: each worker rewinds
 /// one state to the root with it before every item.
 pub(crate) trait DporTarget: Sized + Clone {
-    /// Scheduler event type, replayable through [`ScheduleTrace`].
-    type Event: SchedEvent + Send + Sync;
     /// Completed-run report handed to the checker.
     type Report;
 
@@ -50,7 +48,7 @@ pub(crate) trait DporTarget: Sized + Clone {
     /// Writes the enabled events at this state into `out` (cleared
     /// first), in canonical (id) order; none exactly at complete runs.
     /// The deterministic extension always applies the first.
-    fn options(&self, out: &mut Vec<Self::Event>);
+    fn options(&self, out: &mut Vec<StepEvent>);
     /// Called on the root state with a class's canonical linearization:
     /// pushes `(depth, event)` for every enabled event at each canonical
     /// depth that the deterministic extension would never pick and race
@@ -63,31 +61,27 @@ pub(crate) trait DporTarget: Sized + Clone {
     /// by replaying the linearization. The default offers none.
     fn alternatives<'a>(
         &self,
-        _canon: impl Iterator<Item = &'a ExecEvent<Self::Event>>,
-        _push: impl FnMut(usize, Self::Event),
-    ) where
-        Self::Event: 'a,
-    {
+        _canon: impl Iterator<Item = &'a ExecEvent>,
+        _push: impl FnMut(usize, StepEvent),
+    ) {
     }
     /// Applies an enabled event and reports its footprint.
-    fn apply_traced(&mut self, event: Self::Event) -> Access;
+    fn apply_traced(&mut self, event: StepEvent) -> Access;
     /// Packages the (final) state as a run report.
     fn report(&self) -> Self::Report;
-    /// The process an event names.
-    fn event_pid(event: &Self::Event) -> ProcessId;
 }
 
 /// Why a DPOR exploration did not return clean stats.
 #[derive(Debug, Clone)]
-pub enum DporError<E> {
+pub enum DporError {
     /// A class's run failed the check; carries the replayable
     /// certificate and the whole search's effort totals.
-    Counterexample(Box<Counterexample<E>>),
+    Counterexample(Box<Counterexample>),
     /// The instance could not be started (wrong process count).
     Misconfigured(String),
 }
 
-impl<E: SchedEvent> std::fmt::Display for DporError<E> {
+impl std::fmt::Display for DporError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DporError::Counterexample(cex) => write!(f, "{cex}"),
@@ -96,15 +90,15 @@ impl<E: SchedEvent> std::fmt::Display for DporError<E> {
     }
 }
 
-impl<E: SchedEvent> std::error::Error for DporError<E> {}
+impl std::error::Error for DporError {}
 
 /// Digest of an event sequence through its trace-line encoding: the
 /// key of a failing class's canonical linearization, compared across
 /// failing classes to pick the counterexample.
-fn events_key<E: SchedEvent>(events: impl IntoIterator<Item = E>) -> StateKey {
+fn events_key(events: impl IntoIterator<Item = StepEvent>) -> StateKey {
     let mut w = DigestWriter::new();
     for event in events {
-        let line = EventLine(event).to_string();
+        let line = event.to_string();
         w.write_len(line.len());
         w.write_bytes(line.as_bytes());
     }
@@ -114,16 +108,16 @@ fn events_key<E: SchedEvent>(events: impl IntoIterator<Item = E>) -> StateKey {
 /// One node of the [`RevisitTree`]: the event sequence spelled by the
 /// edges from the root.
 #[derive(Debug)]
-struct Node<E> {
-    children: Vec<(E, u32)>,
+struct Node {
+    children: Vec<(StepEvent, u32)>,
     /// The sequence was proposed as a revisit prefix and queued.
     queued: bool,
     /// The sequence is the canonical linearization of an explored class.
     class: bool,
 }
 
-impl<E> Node<E> {
-    const EMPTY: Node<E> = Node {
+impl Node {
+    const EMPTY: Node = Node {
         children: Vec::new(),
         queued: false,
         class: false,
@@ -138,13 +132,13 @@ impl<E> Node<E> {
 /// canonical path, so proposing one walks only its tail. Nothing is
 /// formatted or hashed while the lock is held.
 #[derive(Debug)]
-struct RevisitTree<E> {
-    nodes: Vec<Node<E>>,
+struct RevisitTree {
+    nodes: Vec<Node>,
     /// Class plus queued marks set: the deduplicated entries.
     marks: usize,
 }
 
-impl<E: SchedEvent> RevisitTree<E> {
+impl RevisitTree {
     fn new() -> Self {
         RevisitTree {
             nodes: vec![Node::EMPTY],
@@ -153,7 +147,7 @@ impl<E: SchedEvent> RevisitTree<E> {
     }
 
     /// The child of `node` along `event`, created if absent.
-    fn step(&mut self, node: u32, event: E) -> u32 {
+    fn step(&mut self, node: u32, event: StepEvent) -> u32 {
         let edges = &self.nodes[node as usize].children;
         if let Some(&(_, child)) = edges.iter().find(|(e, _)| *e == event) {
             return child;
@@ -170,7 +164,7 @@ impl<E: SchedEvent> RevisitTree<E> {
     /// Walks `canon` from the root, recording the node after each
     /// prefix in `path` (`path[d]` spells `canon[..d]`), and marks the
     /// end as a class. Returns whether the class is new.
-    fn mark_class(&mut self, canon: &[E], path: &mut Vec<u32>) -> bool {
+    fn mark_class(&mut self, canon: &[StepEvent], path: &mut Vec<u32>) -> bool {
         path.push(0);
         for &event in canon {
             let next = self.step(path[path.len() - 1], event);
@@ -182,7 +176,7 @@ impl<E: SchedEvent> RevisitTree<E> {
 
     /// Marks the proposal `canon[..depth] ++ tail`, given the canonical
     /// `path`, as queued. Returns whether it was not queued before.
-    fn mark_queued(&mut self, path: &[u32], depth: usize, tail: &[E]) -> bool {
+    fn mark_queued(&mut self, path: &[u32], depth: usize, tail: &[StepEvent]) -> bool {
         let end = tail
             .iter()
             .fold(path[depth], |node, &event| self.step(node, event));
@@ -192,8 +186,8 @@ impl<E: SchedEvent> RevisitTree<E> {
     /// Bytes the tree occupies: its nodes and their edges (every node
     /// but the root is one edge's target).
     fn bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<Node<E>>()
-            + (self.nodes.len() - 1) * std::mem::size_of::<(E, u32)>()
+        self.nodes.len() * std::mem::size_of::<Node>()
+            + (self.nodes.len() - 1) * std::mem::size_of::<(StepEvent, u32)>()
     }
 }
 
@@ -208,14 +202,14 @@ fn set(mark: &mut bool, marks: &mut usize) -> bool {
 /// relative to the class's canonical linearization `canon`. Tails are
 /// stored back to back.
 #[derive(Debug)]
-struct Proposals<E> {
-    tails: Vec<E>,
+struct Proposals {
+    tails: Vec<StepEvent>,
     /// `(depth, end)` per proposal; its tail ends at `tails[end]`, and
     /// starts where the previous one ended.
     spans: Vec<(usize, usize)>,
 }
 
-impl<E: Copy> Proposals<E> {
+impl Proposals {
     fn new() -> Self {
         Proposals {
             tails: Vec::new(),
@@ -228,12 +222,12 @@ impl<E: Copy> Proposals<E> {
         self.spans.clear();
     }
 
-    fn push(&mut self, depth: usize, tail: impl IntoIterator<Item = E>) {
+    fn push(&mut self, depth: usize, tail: impl IntoIterator<Item = StepEvent>) {
         self.tails.extend(tail);
         self.spans.push((depth, self.tails.len()));
     }
 
-    fn iter(&self) -> impl Iterator<Item = (usize, &[E])> {
+    fn iter(&self) -> impl Iterator<Item = (usize, &[StepEvent])> {
         let mut start = 0;
         self.spans.iter().map(move |&(depth, end)| {
             let tail = &self.tails[start..end];
@@ -245,14 +239,14 @@ impl<E: Copy> Proposals<E> {
 
 /// A counterexample keyed by its class's canonical digest; the minimal
 /// key wins the fold, making the selection worker-count-independent.
-type KeyedCex<E> = (Box<[u8]>, Box<Counterexample<E>>);
+type KeyedCex = (Box<[u8]>, Box<Counterexample>);
 
 /// Shared fold of per-item outcomes. Stats merging is commutative and
 /// the counterexample choice is a minimum, so the fold result does not
 /// depend on completion order.
-struct Fold<E> {
+struct Fold {
     stats: ExploreStats,
-    cex: Option<KeyedCex<E>>,
+    cex: Option<KeyedCex>,
 }
 
 /// Runs the revisit closure from the empty prefix and returns the folded
@@ -261,13 +255,13 @@ pub(crate) fn drive_dpor<T, F>(
     root: &T,
     check: &F,
     config: &super::DporConfig,
-) -> Result<ExploreStats, DporError<T::Event>>
+) -> Result<ExploreStats, DporError>
 where
     T: DporTarget + Send + Sync,
     F: Fn(&T::Report) -> Result<(), String> + Sync,
 {
     let tree = Mutex::new(RevisitTree::new());
-    let fold = Mutex::new(Fold::<T::Event> {
+    let fold = Mutex::new(Fold {
         stats: ExploreStats::default(),
         cex: None,
     });
@@ -282,7 +276,7 @@ where
     };
     let pool = StealPool::new(config.workers);
     let pool_stats = pool.run(
-        vec![Vec::<T::Event>::new()],
+        vec![Vec::new()],
         || Scratch::new(root),
         |scratch, prefix, spawn| {
             let (stats, cex) = items.process(scratch, &prefix, spawn);
@@ -321,7 +315,7 @@ where
 /// step (a node is pushed before the edge that reaches it; a mark is one
 /// write), so a lock poisoned by another worker's panic is recovered —
 /// the pool re-raises that panic once every worker stops.
-fn lock<E>(tree: &Mutex<RevisitTree<E>>) -> MutexGuard<'_, RevisitTree<E>> {
+fn lock(tree: &Mutex<RevisitTree>) -> MutexGuard<'_, RevisitTree> {
     tree.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -331,16 +325,16 @@ fn lock<E>(tree: &Mutex<RevisitTree<E>>) -> MutexGuard<'_, RevisitTree<E>> {
 struct Scratch<T: DporTarget> {
     /// The execution, rewound to the root per item.
     state: T,
-    graph: ExecutionGraph<T::Event>,
-    options: Vec<T::Event>,
+    graph: ExecutionGraph,
+    options: Vec<StepEvent>,
     /// Option index taken at each event (the counterexample's choices).
     choices: Vec<usize>,
     /// The canonical linearization, as indices into the graph's events.
     canon: Vec<usize>,
-    canon_events: Vec<T::Event>,
+    canon_events: Vec<StepEvent>,
     /// Revisit-tree node after each canonical prefix.
     path: Vec<u32>,
-    proposals: Proposals<T::Event>,
+    proposals: Proposals,
     /// Per proposal: whether it was queued for the first time.
     fresh: Vec<bool>,
 }
@@ -361,10 +355,10 @@ impl<T: DporTarget> Scratch<T> {
     }
 
     /// Applies `event`, the option at `choice`, and records it.
-    fn apply(&mut self, event: T::Event, choice: usize) {
+    fn apply(&mut self, event: StepEvent, choice: usize) {
         self.choices.push(choice);
         let access = self.state.apply_traced(event);
-        self.graph.push(event, T::event_pid(&event), access);
+        self.graph.push(event, access);
     }
 }
 
@@ -372,7 +366,7 @@ impl<T: DporTarget> Scratch<T> {
 struct Items<'s, T: DporTarget, F> {
     root: &'s T,
     check: &'s F,
-    tree: &'s Mutex<RevisitTree<T::Event>>,
+    tree: &'s Mutex<RevisitTree>,
     classes_seen: &'s AtomicUsize,
     max_classes: usize,
 }
@@ -390,9 +384,9 @@ where
     fn process(
         &self,
         s: &mut Scratch<T>,
-        prefix: &[T::Event],
-        spawn: &mut Vec<Vec<T::Event>>,
-    ) -> (ExploreStats, Option<KeyedCex<T::Event>>) {
+        prefix: &[StepEvent],
+        spawn: &mut Vec<Vec<StepEvent>>,
+    ) -> (ExploreStats, Option<KeyedCex>) {
         let mut stats = ExploreStats::default();
         s.state.clone_from(self.root);
         s.graph.clear();
@@ -493,11 +487,7 @@ where
 /// canonically before `i`, then the events between them that do not
 /// causally depend on `i`, then `j` itself — the shortest enabled prefix
 /// in which `j` happens without `i` having happened.
-fn race_reversal_prefixes<E: SchedEvent>(
-    graph: &ExecutionGraph<E>,
-    canon: &[usize],
-    proposals: &mut Proposals<E>,
-) {
+fn race_reversal_prefixes(graph: &ExecutionGraph, canon: &[usize], proposals: &mut Proposals) {
     let mut pos = vec![0usize; canon.len()];
     for (p, &orig) in canon.iter().enumerate() {
         pos[orig] = p;

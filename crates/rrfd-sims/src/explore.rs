@@ -6,7 +6,7 @@
 //! be re-driven verbatim through [`crate::trace::ScheduleReplay`], so the
 //! failing run is a certificate rather than a position in the search.
 
-use crate::trace::{SchedEvent, ScheduleTrace};
+use crate::trace::ScheduleTrace;
 use std::fmt;
 
 /// Search-effort totals of an exploration, so "how hard was this
@@ -114,11 +114,11 @@ impl ExploreStats {
 /// concrete event sequence they produced (replayable through
 /// [`crate::trace::ScheduleReplay`]), and the checker's complaint.
 #[derive(Debug, Clone)]
-pub struct Counterexample<E> {
+pub struct Counterexample {
     /// Decision indices into each choice point's option list.
     pub choices: Vec<usize>,
     /// The concrete schedule, serializable and replayable.
-    pub schedule: ScheduleTrace<E>,
+    pub schedule: ScheduleTrace,
     /// What the checker reported.
     pub message: String,
     /// Search effort of the search that found it, the failing run's own
@@ -126,7 +126,7 @@ pub struct Counterexample<E> {
     pub stats: ExploreStats,
 }
 
-impl<E: SchedEvent> fmt::Display for Counterexample<E> {
+impl fmt::Display for Counterexample {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "schedule check failed: {}", self.message)?;
         writeln!(f, "scheduler choices: {:?}", self.choices)?;

@@ -1,17 +1,15 @@
-//! Metric-recording wrappers for the simulator schedulers.
+//! Metric-recording wrapper for the simulator schedulers.
 //!
-//! [`Instrumented`] wraps any scheduler — a step scheduler (shared memory,
-//! semi-synchrony) or an asynchronous-network one — and records every
+//! [`Instrumented`] wraps any [`StepScheduler`] — on shared memory,
+//! semi-synchrony or the asynchronous network — and records every
 //! decision it makes into an [`Obs`] handle under the `rrfd_sim_*` names:
 //! one `rrfd_sim_sched_events` counter per decision (split into steps,
 //! crashes, and deliveries by event kind), a branching-factor histogram
-//! over the option set offered at each decision point, and a running
+//! over the enabled events offered at each decision point, and a running
 //! schedule-depth gauge. The wrapper is transparent: it forwards the inner
 //! scheduler's choice unchanged, so instrumenting a run cannot alter it.
 
-use crate::async_net::{NetEvent, NetScheduler};
 use crate::step::{StepEvent, StepScheduler};
-use rrfd_core::{IdSet, ProcessId};
 use rrfd_obs::{names, Labels, Obs};
 
 /// A scheduler wrapper that records each decision as `rrfd_sim_*` metrics
@@ -59,46 +57,24 @@ impl<S> Instrumented<S> {
         );
     }
 
-    fn step(&self, p: ProcessId) {
-        self.obs
-            .add(names::SIM_SCHED_EVENTS, Labels::process(p.index()), 1);
-        self.obs
-            .add(names::SIM_STEPS, Labels::process(p.index()), 1);
-    }
-
-    fn crash(&self, p: ProcessId) {
-        self.obs
-            .add(names::SIM_SCHED_EVENTS, Labels::process(p.index()), 1);
-        self.obs
-            .add(names::SIM_CRASHES, Labels::process(p.index()), 1);
+    /// Counts the chosen event under its kind and its process's label.
+    fn count(&self, event: StepEvent) {
+        let kind = match event {
+            StepEvent::Step(_) => names::SIM_STEPS,
+            StepEvent::Crash(_) => names::SIM_CRASHES,
+            StepEvent::Deliver { .. } => names::SIM_DELIVERIES,
+        };
+        let labels = Labels::process(event.pid().index());
+        self.obs.add(names::SIM_SCHED_EVENTS, labels, 1);
+        self.obs.add(kind, labels, 1);
     }
 }
 
 impl<S: StepScheduler> StepScheduler for Instrumented<S> {
-    fn next_event(&mut self, live: IdSet, step: u64) -> StepEvent {
-        self.decision(live.len());
-        let event = self.inner.next_event(live, step);
-        match event {
-            StepEvent::Step(p) => self.step(p),
-            StepEvent::Crash(p) => self.crash(p),
-        }
-        event
-    }
-}
-
-impl<S: NetScheduler> NetScheduler for Instrumented<S> {
-    fn next_event(&mut self, channels: &[(ProcessId, ProcessId)], deliveries: u64) -> NetEvent {
-        self.decision(channels.len());
-        let event = self.inner.next_event(channels, deliveries);
-        match event {
-            NetEvent::Deliver { to, .. } => {
-                self.obs
-                    .add(names::SIM_SCHED_EVENTS, Labels::process(to.index()), 1);
-                self.obs
-                    .add(names::SIM_DELIVERIES, Labels::process(to.index()), 1);
-            }
-            NetEvent::Crash(p) => self.crash(p),
-        }
+    fn next_event(&mut self, enabled: &[StepEvent], step: u64) -> StepEvent {
+        self.decision(enabled.len());
+        let event = self.inner.next_event(enabled, step);
+        self.count(event);
         event
     }
 }
@@ -107,18 +83,17 @@ impl<S: NetScheduler> NetScheduler for Instrumented<S> {
 mod tests {
     use super::*;
     use crate::shared_mem::{Action, MemProcess, Observation, SharedMemSim};
-    use rrfd_core::SystemSize;
+    use rrfd_core::{ProcessId, SystemSize};
 
-    /// Steps round-robin through the runnable set.
+    /// Steps round-robin through the enabled events.
     struct RoundRobin {
         turn: usize,
     }
     impl StepScheduler for RoundRobin {
-        fn next_event(&mut self, runnable: IdSet, _step: u64) -> StepEvent {
-            let ids: Vec<_> = runnable.iter().collect();
-            let pick = ids[self.turn % ids.len()];
+        fn next_event(&mut self, enabled: &[StepEvent], _step: u64) -> StepEvent {
+            let pick = enabled[self.turn % enabled.len()];
             self.turn += 1;
-            StepEvent::Step(pick)
+            pick
         }
     }
 

@@ -18,9 +18,11 @@
 //!   under an adversarial step scheduler (§2 items 4, 5).
 //! * [`semi_sync`] — the Dolev-Dwork-Stockmeyer semi-synchronous model of
 //!   §5 (atomic receive/broadcast steps, synchronous broadcast delivery).
-//! * [`step`] — the adversary those two share: one event type
-//!   ([`step::StepEvent`]), one scheduler trait ([`step::StepScheduler`]),
-//!   a fair and a seeded random scheduler, and the run loop.
+//! * [`step`] — the adversary those three share: one event type
+//!   ([`step::StepEvent`]: a step, a crash or a channel delivery), one
+//!   scheduler trait ([`step::StepScheduler`], handed the execution's
+//!   enabled events), a fair and a seeded random scheduler, and the run
+//!   loop.
 //! * [`detector_s`] — the S-augmented asynchronous system of §2 item 6.
 //! * [`dpor`] — the schedule explorer: dynamic partial-order reduction over
 //!   execution graphs (events partially ordered by happens-before, via
@@ -39,9 +41,12 @@
 //!   extracted fault pattern instead of a dyn-dispatch prefix re-walk per
 //!   predicate.
 //! * [`trace`] — schedule capture ([`trace::Recording`]) and deterministic
-//!   replay ([`trace::ScheduleReplay`]) for the adversarial simulators, so
-//!   any failing run — including every explorer counterexample — is a
-//!   serializable, re-runnable artifact.
+//!   replay ([`trace::ScheduleReplay`]) for the three step substrates, in
+//!   one `rrfd-sched v1` format, so any failing run — including every
+//!   explorer counterexample — is a serializable, re-runnable artifact.
+//! * [`instrument`] — [`instrument::Instrumented`], a transparent
+//!   scheduler wrapper that records every decision as `rrfd_sim_*`
+//!   metrics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

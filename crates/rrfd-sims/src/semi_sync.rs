@@ -254,9 +254,16 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
 impl<P: SemiSyncProcess> StepExecution for SemiSyncExecution<P> {
     type Report = SemiSyncReport<P>;
     type Error = SemiSyncError;
+    type Footprint = Access;
+    const ENABLED_IS_LIVE: bool = true;
 
     fn live(&self) -> IdSet {
         self.live
+    }
+
+    fn enabled(&self, out: &mut Vec<StepEvent>) {
+        out.clear();
+        out.extend(self.live.iter().map(StepEvent::Step));
     }
 
     fn steps(&self) -> u64 {
@@ -323,6 +330,7 @@ impl<P: SemiSyncProcess> StepExecution for SemiSyncExecution<P> {
                     (true, true) => Access::BroadcastDecide,
                 }))
             }
+            StepEvent::Deliver { .. } => Ok(None),
         }
     }
 
@@ -441,12 +449,12 @@ mod tests {
             inner: FairScheduler,
         }
         impl StepScheduler for CrashThenFair {
-            fn next_event(&mut self, live: IdSet, step: u64) -> StepEvent {
+            fn next_event(&mut self, enabled: &[StepEvent], step: u64) -> StepEvent {
                 if !self.crashed {
                     self.crashed = true;
                     return StepEvent::Crash(ProcessId::new(1));
                 }
-                self.inner.next_event(live, step)
+                self.inner.next_event(enabled, step)
             }
         }
 
@@ -475,8 +483,10 @@ mod tests {
                     .filter(|&p| !exec.crashed.contains(p) && exec.outputs[p.index()].is_none())
                     .collect()
             };
+            let mut enabled = Vec::new();
             while !exec.live().is_empty() {
-                let event = sched.next_event(exec.live(), exec.steps());
+                exec.enabled(&mut enabled);
+                let event = sched.next_event(&enabled, exec.steps());
                 exec.apply(event).unwrap();
                 assert_eq!(exec.live, expected(&exec), "seed {seed} after {event:?}");
             }

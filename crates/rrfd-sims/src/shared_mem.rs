@@ -401,12 +401,20 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
 impl<P: MemProcess<V>, V: Clone> StepExecution for MemExecution<P, V> {
     type Report = MemRunReport<P, V>;
     type Error = MemSimError;
+    type Footprint = Access;
+    const ENABLED_IS_LIVE: bool = true;
 
     fn live(&self) -> IdSet {
         (0..self.sim.n.get())
             .map(ProcessId::new)
             .filter(|&p| self.outputs[p.index()].is_none() && !self.crashed.contains(p))
             .collect()
+    }
+
+    fn enabled(&self, out: &mut Vec<StepEvent>) {
+        let live = self.live();
+        out.clear();
+        out.extend(live.iter().map(StepEvent::Step));
     }
 
     fn steps(&self) -> u64 {
@@ -494,6 +502,7 @@ impl<P: MemProcess<V>, V: Clone> StepExecution for MemExecution<P, V> {
                 };
                 Ok(Some(access))
             }
+            StepEvent::Deliver { .. } => Ok(None),
         }
     }
 
@@ -620,12 +629,12 @@ mod tests {
             inner: FairScheduler,
         }
         impl StepScheduler for CrashFirst {
-            fn next_event(&mut self, runnable: IdSet, s: u64) -> StepEvent {
+            fn next_event(&mut self, enabled: &[StepEvent], s: u64) -> StepEvent {
                 if !self.crashed_once {
                     self.crashed_once = true;
                     StepEvent::Crash(ProcessId::new(0))
                 } else {
-                    self.inner.next_event(runnable, s)
+                    self.inner.next_event(enabled, s)
                 }
             }
         }
@@ -656,7 +665,7 @@ mod tests {
         /// Only ever steps p0, which waits for p1's value forever.
         struct Starver;
         impl StepScheduler for Starver {
-            fn next_event(&mut self, _r: IdSet, _s: u64) -> StepEvent {
+            fn next_event(&mut self, _enabled: &[StepEvent], _s: u64) -> StepEvent {
                 StepEvent::Step(ProcessId::new(0))
             }
         }

@@ -1,50 +1,73 @@
-//! The step adversary shared by the shared-memory simulator (§2 items 4
-//! and 5) and the semi-synchronous one (§5).
+//! The step adversary shared by every asynchronous substrate: shared
+//! memory (§2 items 4 and 5), semi-synchrony (§5) and asynchronous
+//! message passing (§2 item 3).
 //!
-//! Both systems are driven the same way: an adversary picks which live
-//! process takes its next atomic step, or which one crashes. Only the
-//! meaning of a step differs — one register, snapshot or oracle operation
-//! in [`crate::shared_mem`], one receive-all/broadcast in
-//! [`crate::semi_sync`]. So the event type ([`StepEvent`]), the scheduler
-//! interface ([`StepScheduler`]), the two stock schedulers
-//! ([`FairScheduler`], [`RandomScheduler`]) and the run loop are written
-//! once, here. The DPOR explorer ([`crate::dpor`]) drives both
-//! simulators through the same crate-private execution interface.
+//! All three are driven the same way: an adversary picks the next event
+//! among those the execution enables, or crashes a process. Only the
+//! meaning of an event differs — one register, snapshot or oracle
+//! operation in [`crate::shared_mem`], one receive-all/broadcast in
+//! [`crate::semi_sync`], one channel delivery in [`crate::async_net`]. So
+//! the event type ([`StepEvent`]), the scheduler interface
+//! ([`StepScheduler`]), the two stock schedulers ([`FairScheduler`],
+//! [`RandomScheduler`]) and the run loop are written once, here. The DPOR
+//! explorer ([`crate::dpor`]) drives shared memory and semi-synchrony
+//! through the same crate-private execution interface; the network
+//! reports no footprint, so it has no DPOR target.
 
-use crate::dpor::Access;
 use rrfd_core::{IdSet, ProcessId};
 use std::fmt;
 
-/// A scheduler decision: who steps next, or who crashes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A scheduler decision: who steps next, which channel delivers next, or
+/// who crashes.
+///
+/// The derived order (steps, then crashes, then deliveries; within a kind
+/// by process ids) is the canonical order of an execution's enabled
+/// events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StepEvent {
-    /// The given process takes its next atomic step.
+    /// The given process takes its next atomic step (shared memory,
+    /// semi-synchrony).
     Step(ProcessId),
-    /// The given process crashes (takes no further steps).
+    /// The given process crashes (takes no further steps, receives no
+    /// further messages).
     Crash(ProcessId),
+    /// The head-of-line message on channel `(from, to)` is delivered
+    /// (asynchronous network).
+    Deliver {
+        /// Sending process.
+        from: ProcessId,
+        /// Receiving process.
+        to: ProcessId,
+    },
 }
 
 impl StepEvent {
-    /// The process the event names.
-    pub(crate) fn pid(self) -> ProcessId {
+    /// The process the event acts on: the stepping or crashing process,
+    /// or a delivery's receiver.
+    #[must_use]
+    pub fn pid(self) -> ProcessId {
         match self {
-            StepEvent::Step(p) | StepEvent::Crash(p) => p,
+            StepEvent::Step(p) | StepEvent::Crash(p) | StepEvent::Deliver { to: p, .. } => p,
         }
     }
 }
 
-/// Chooses step order and crashes. Must be fair to live processes for
+/// Chooses the next event and crashes. Must be fair to enabled events for
 /// protocols to terminate.
 ///
-/// The simulators only ask while some process is *live* — undecided and
-/// not crashed — and ignore events naming any other process. A decided
-/// process's later steps cannot affect anyone (its decision is final), so
-/// never scheduling it again is equivalent to it being arbitrarily slow,
-/// which plain asynchrony already allows.
+/// The simulators ask only while some process is *live* — undecided and
+/// not crashed — and ignore events that are not enabled. On shared memory
+/// and semi-synchrony a decided process takes no further steps: its
+/// decision is final, so never scheduling it again is equivalent to it
+/// being arbitrarily slow, which plain asynchrony already allows. On the
+/// network a decided process keeps receiving, so it can still help others
+/// finish.
 pub trait StepScheduler {
-    /// Picks the next event given the live processes and the number of
-    /// atomic steps executed so far.
-    fn next_event(&mut self, live: IdSet, step: u64) -> StepEvent;
+    /// Picks the next event given the execution's enabled non-crash
+    /// events, in canonical order, and the number of steps (deliveries,
+    /// on the network) executed so far. Any non-crashed process may be
+    /// crashed instead.
+    fn next_event(&mut self, enabled: &[StepEvent], step: u64) -> StepEvent;
 }
 
 /// One run of a step simulator, advanced one scheduler event at a time.
@@ -55,74 +78,104 @@ pub(crate) trait StepExecution {
     type Report;
     /// Simulator error.
     type Error: fmt::Debug;
+    /// What an applied event reports about the shared state it touched:
+    /// the DPOR footprint [`crate::dpor::Access`] on shared memory and
+    /// semi-synchrony, nothing (`()`) on the network.
+    type Footprint;
+    /// Whether the enabled events are one step per live process, so they
+    /// change only when the live set does: true on shared memory and
+    /// semi-synchrony, false on the network, where every delivery moves
+    /// them.
+    const ENABLED_IS_LIVE: bool;
 
     /// Undecided, non-crashed processes. Empty exactly when the run is
     /// complete.
     fn live(&self) -> IdSet;
-    /// Atomic steps executed so far.
+    /// Writes the enabled non-crash events into `out` (cleared first), in
+    /// canonical order: one step per live process, or one delivery per
+    /// non-empty channel into a non-crashed process.
+    fn enabled(&self, out: &mut Vec<StepEvent>);
+    /// Atomic steps (deliveries, on the network) executed so far.
     fn steps(&self) -> u64;
-    /// The step-limit error once the step budget, or the event budget
-    /// that bounds schedulers naming non-live processes, is spent.
+    /// The error that stops a run with live processes: the step budget
+    /// spent, the event budget that bounds schedulers naming disabled
+    /// events spent, or, on the network, nothing left to deliver.
     fn check_limit(&self) -> Result<(), Self::Error>;
-    /// Applies one scheduler event and returns the shared-state footprint
-    /// it left behind: two events of different processes whose footprints
-    /// do not conflict commute. An event naming a non-live process is
-    /// counted toward the event budget but otherwise ignored (`None`).
-    fn apply(&mut self, event: StepEvent) -> Result<Option<Access>, Self::Error>;
+    /// Applies one scheduler event and returns the footprint it left
+    /// behind: two events of different processes whose footprints do not
+    /// conflict commute. An event that is not enabled is counted toward
+    /// the event budget but otherwise ignored (`None`).
+    fn apply(&mut self, event: StepEvent) -> Result<Option<Self::Footprint>, Self::Error>;
     /// Packages the current state as a run report.
     fn into_report(self) -> Self::Report;
 }
 
-/// Runs `exec` under `scheduler` until no process is live.
+/// Runs `exec` under `scheduler` until no process is live. The enabled
+/// buffer is allocated once per run, and refilled only when the enabled
+/// events can have changed: refilling at every step cost a short fair
+/// semi-synchronous run about a fifth of its time.
 pub(crate) fn run<X, S>(mut exec: X, scheduler: &mut S) -> Result<X::Report, X::Error>
 where
     X: StepExecution,
     S: StepScheduler + ?Sized,
 {
+    let mut enabled = Vec::new();
+    let mut filled_for = None;
     loop {
         let live = exec.live();
         if live.is_empty() {
             return Ok(exec.into_report());
         }
         exec.check_limit()?;
-        let event = scheduler.next_event(live, exec.steps());
+        if !X::ENABLED_IS_LIVE || filled_for != Some(live) {
+            exec.enabled(&mut enabled);
+            filled_for = Some(live);
+        }
+        let event = scheduler.next_event(&enabled, exec.steps());
         exec.apply(event)?;
     }
 }
 
-/// Round-robin scheduler with no crashes: the "synchronous" baseline run.
+/// The event a scheduler returns when nothing is enabled. The simulators
+/// never ask then; if a caller did, the event is ignored.
+pub(crate) fn idle() -> StepEvent {
+    StepEvent::Step(ProcessId::new(0))
+}
+
+/// Cycles through the enabled events and never crashes: the
+/// "synchronous" baseline run.
 #[derive(Debug, Clone, Default)]
 pub struct FairScheduler {
-    cursor: usize,
+    last: Option<StepEvent>,
 }
 
 impl FairScheduler {
     /// Creates a fair scheduler.
     #[must_use]
     pub fn new() -> Self {
-        FairScheduler { cursor: 0 }
+        FairScheduler { last: None }
     }
 }
 
 impl StepScheduler for FairScheduler {
-    fn next_event(&mut self, live: IdSet, _step: u64) -> StepEvent {
-        // Next live process at or after the cursor, cycling. The
-        // simulators never ask with an empty live set; if a caller did,
-        // the event names a non-live process and is ignored.
-        let pick = live
+    fn next_event(&mut self, enabled: &[StepEvent], _step: u64) -> StepEvent {
+        // The first enabled event after the last one picked, cycling.
+        let pick = enabled
             .iter()
-            .find(|p| p.index() >= self.cursor)
-            .or_else(|| live.min())
-            .unwrap_or(ProcessId::new(0));
-        self.cursor = pick.index() + 1;
-        StepEvent::Step(pick)
+            .find(|&&e| Some(e) > self.last)
+            .or(enabled.first())
+            .copied()
+            .unwrap_or_else(idle);
+        self.last = Some(pick);
+        pick
     }
 }
 
 /// Seeded random scheduler with a crash budget: at every decision it picks
-/// a uniformly random live process and, with probability `crash_prob`
-/// while the budget lasts, crashes it instead of stepping it. The last
-/// live process is never crashed.
+/// a uniformly random enabled event and, with probability `crash_prob`
+/// while the budget lasts and more than one event is enabled, crashes that
+/// event's process instead. On shared memory and semi-synchrony the last
+/// live process is therefore never crashed.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     rng: rand::rngs::StdRng,
@@ -152,19 +205,20 @@ impl RandomScheduler {
 }
 
 impl StepScheduler for RandomScheduler {
-    fn next_event(&mut self, live: IdSet, _step: u64) -> StepEvent {
+    fn next_event(&mut self, enabled: &[StepEvent], _step: u64) -> StepEvent {
         use rand::seq::IteratorRandom;
         use rand::Rng;
-        // As in `FairScheduler`, an empty live set yields an ignored event.
-        let pick = live
+        // A reservoir pick: one draw per enabled event.
+        let pick = enabled
             .iter()
+            .copied()
             .choose(&mut self.rng)
-            .unwrap_or(ProcessId::new(0));
-        if self.crash_budget > 0 && live.len() > 1 && self.rng.gen_bool(self.crash_prob) {
+            .unwrap_or_else(idle);
+        if self.crash_budget > 0 && enabled.len() > 1 && self.rng.gen_bool(self.crash_prob) {
             self.crash_budget -= 1;
-            StepEvent::Crash(pick)
+            StepEvent::Crash(pick.pid())
         } else {
-            StepEvent::Step(pick)
+            pick
         }
     }
 }
@@ -192,6 +246,52 @@ mod tests {
         type Output = ();
         fn step(&mut self, _received: &[(ProcessId, Arc<()>)]) -> (Option<()>, Control<()>) {
             (None, Control::Decide(()))
+        }
+    }
+
+    /// On shared memory and semi-synchrony the enabled events are one step
+    /// per live process, in id order; over them both schedulers choose,
+    /// draw for draw, as the live-set schedulers they generalise did: a
+    /// reservoir pick over the live set, and a cursor past the last pick.
+    #[test]
+    fn schedulers_choose_as_the_live_set_schedulers_did() {
+        use rand::seq::IteratorRandom;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..64u64 {
+            let mut sets = rand::rngs::StdRng::seed_from_u64(!seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut budget, crash_prob) = (3, 0.2);
+            let mut cursor = 0;
+            let mut random = RandomScheduler::new(seed, budget).crash_prob(crash_prob);
+            let mut fair = FairScheduler::new();
+            for _ in 0..200 {
+                let live: IdSet = (0..6)
+                    .filter(|_| sets.gen_bool(0.6))
+                    .map(ProcessId::new)
+                    .collect();
+                let enabled: Vec<StepEvent> = live.iter().map(StepEvent::Step).collect();
+
+                let pick = live.iter().choose(&mut rng).unwrap_or(ProcessId::new(0));
+                let expected = if budget > 0 && live.len() > 1 && rng.gen_bool(crash_prob) {
+                    budget -= 1;
+                    StepEvent::Crash(pick)
+                } else {
+                    StepEvent::Step(pick)
+                };
+                assert_eq!(random.next_event(&enabled, 0), expected, "seed {seed}");
+
+                let pick = live
+                    .iter()
+                    .find(|p| p.index() >= cursor)
+                    .or_else(|| live.min())
+                    .unwrap_or(ProcessId::new(0));
+                cursor = pick.index() + 1;
+                assert_eq!(
+                    fair.next_event(&enabled, 0),
+                    StepEvent::Step(pick),
+                    "seed {seed}"
+                );
+            }
         }
     }
 

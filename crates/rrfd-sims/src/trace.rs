@@ -1,89 +1,65 @@
 //! Schedule capture and replay for the classical simulators.
 //!
 //! The simulators in this crate are deterministic once the scheduler's
-//! choices are fixed, so a run is fully described by its event sequence:
-//! which process stepped or crashed (shared memory, semi-synchrony), or
-//! which channel delivered and who crashed (asynchronous network). This
-//! module captures that sequence as a serializable [`ScheduleTrace`] —
-//! wrap any scheduler in [`Recording`] — and re-drives it with
-//! [`ScheduleReplay`], the scheduler-level analogue of the engine-level
-//! `RunTrace` / `ReplayDetector` pair in `rrfd-core` / `rrfd-models`.
+//! choices are fixed, so a run is fully described by its
+//! [`StepEvent`] sequence: which process stepped or crashed (shared
+//! memory, semi-synchrony), or which channel delivered and who crashed
+//! (asynchronous network). This module captures that sequence as a
+//! serializable [`ScheduleTrace`] — wrap any scheduler in [`Recording`] —
+//! and re-drives it with [`ScheduleReplay`], the scheduler-level analogue
+//! of the engine-level `RunTrace` / `ReplayDetector` pair in `rrfd-core` /
+//! `rrfd-models`.
 //!
 //! The text format is line-oriented: a `rrfd-sched v1` header, then one
 //! event per line (`step 3`, `crash 1`, `deliver 0>2`). A failing
 //! schedule pasted from a test log can therefore be replayed verbatim.
+//! One format serves every substrate; an event a substrate cannot enable
+//! (a `deliver` on shared memory, a `step` on the network) is ignored
+//! there, like any event naming a decided, crashed or absent process.
 
-use crate::async_net::{NetEvent, NetScheduler};
-use crate::step::{StepEvent, StepScheduler};
+use crate::step::{self, StepEvent, StepScheduler};
 use rrfd_core::lineformat::{body_lines, parse_process_id as parse_pid};
-use rrfd_core::{IdSet, ProcessId};
 use std::fmt;
 use std::str::FromStr;
 
-/// A scheduler event that can be written to and read back from the
-/// line-oriented trace format.
-pub trait SchedEvent: Copy + fmt::Debug + PartialEq {
-    /// Writes the event as one trace line (no newline).
-    fn write_event(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
-    /// Parses one trace line.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed line.
-    fn parse_event(line: &str) -> Result<Self, String>;
-}
-
-impl SchedEvent for StepEvent {
-    fn write_event(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// Writes the event as one trace line (no newline).
+impl fmt::Display for StepEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StepEvent::Step(p) => write!(f, "step {}", p.index()),
             StepEvent::Crash(p) => write!(f, "crash {}", p.index()),
-        }
-    }
-
-    fn parse_event(line: &str) -> Result<Self, String> {
-        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["step", p] => Ok(StepEvent::Step(parse_pid(p)?)),
-            ["crash", p] => Ok(StepEvent::Crash(parse_pid(p)?)),
-            _ => Err(format!("unrecognised event {line:?}")),
+            StepEvent::Deliver { from, to } => {
+                write!(f, "deliver {}>{}", from.index(), to.index())
+            }
         }
     }
 }
 
-impl SchedEvent for NetEvent {
-    fn write_event(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetEvent::Deliver { from, to } => {
-                write!(f, "deliver {}>{}", from.index(), to.index())
-            }
-            NetEvent::Crash(p) => write!(f, "crash {}", p.index()),
+/// Parses one trace line, or describes why it is malformed.
+fn parse_event(line: &str) -> Result<StepEvent, String> {
+    match line.split_whitespace().collect::<Vec<_>>().as_slice() {
+        ["step", p] => Ok(StepEvent::Step(parse_pid(p)?)),
+        ["crash", p] => Ok(StepEvent::Crash(parse_pid(p)?)),
+        ["deliver", pair] => {
+            let (from, to) = pair
+                .split_once('>')
+                .ok_or_else(|| format!("bad channel {pair:?}"))?;
+            Ok(StepEvent::Deliver {
+                from: parse_pid(from)?,
+                to: parse_pid(to)?,
+            })
         }
-    }
-
-    fn parse_event(line: &str) -> Result<Self, String> {
-        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["deliver", pair] => {
-                let (from, to) = pair
-                    .split_once('>')
-                    .ok_or_else(|| format!("bad channel {pair:?}"))?;
-                Ok(NetEvent::Deliver {
-                    from: parse_pid(from)?,
-                    to: parse_pid(to)?,
-                })
-            }
-            ["crash", p] => Ok(NetEvent::Crash(parse_pid(p)?)),
-            _ => Err(format!("unrecognised event {line:?}")),
-        }
+        _ => Err(format!("unrecognised event {line:?}")),
     }
 }
 
 /// The recorded event sequence of one simulator run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ScheduleTrace<E> {
-    events: Vec<E>,
+pub struct ScheduleTrace {
+    events: Vec<StepEvent>,
 }
 
-impl<E> ScheduleTrace<E> {
+impl ScheduleTrace {
     /// An empty trace.
     #[must_use]
     pub fn new() -> Self {
@@ -92,13 +68,13 @@ impl<E> ScheduleTrace<E> {
 
     /// Wraps an explicit event sequence.
     #[must_use]
-    pub fn from_events(events: Vec<E>) -> Self {
+    pub fn from_events(events: Vec<StepEvent>) -> Self {
         ScheduleTrace { events }
     }
 
     /// The recorded events, in execution order.
     #[must_use]
-    pub fn events(&self) -> &[E] {
+    pub fn events(&self) -> &[StepEvent] {
         &self.events
     }
 
@@ -115,12 +91,11 @@ impl<E> ScheduleTrace<E> {
     }
 }
 
-impl<E: SchedEvent> fmt::Display for ScheduleTrace<E> {
+impl fmt::Display for ScheduleTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "rrfd-sched v1")?;
         for event in &self.events {
-            event.write_event(f)?;
-            writeln!(f)?;
+            writeln!(f, "{event}")?;
         }
         Ok(())
     }
@@ -132,15 +107,14 @@ impl<E: SchedEvent> fmt::Display for ScheduleTrace<E> {
 /// `message`).
 pub type ParseScheduleError = rrfd_core::LineError;
 
-impl<E: SchedEvent> FromStr for ScheduleTrace<E> {
+impl FromStr for ScheduleTrace {
     type Err = ParseScheduleError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut events = Vec::new();
         for (line_no, line) in body_lines(s, "rrfd-sched v1")? {
             events.push(
-                E::parse_event(line)
-                    .map_err(|message| ParseScheduleError::new(line_no, message))?,
+                parse_event(line).map_err(|message| ParseScheduleError::new(line_no, message))?,
             );
         }
         Ok(ScheduleTrace { events })
@@ -152,22 +126,22 @@ impl<E: SchedEvent> FromStr for ScheduleTrace<E> {
 /// # Examples
 ///
 /// ```
-/// use rrfd_sims::step::{RandomScheduler, StepEvent};
+/// use rrfd_sims::step::RandomScheduler;
 /// use rrfd_sims::trace::Recording;
 ///
-/// let mut sched: Recording<_, StepEvent> =
-///     Recording::new(RandomScheduler::new(7, 0));
-/// // ... pass `&mut sched` to `SharedMemSim::run` or `SemiSyncSim::run` ...
+/// let mut sched = Recording::new(RandomScheduler::new(7, 0));
+/// // ... pass `&mut sched` to `SharedMemSim::run`, `SemiSyncSim::run`
+/// // or `AsyncNetSim::run` ...
 /// let (_inner, trace) = sched.into_parts();
 /// assert!(trace.is_empty()); // nothing ran in this toy example
 /// ```
 #[derive(Debug, Clone)]
-pub struct Recording<S, E> {
+pub struct Recording<S> {
     inner: S,
-    events: Vec<E>,
+    events: Vec<StepEvent>,
 }
 
-impl<S, E> Recording<S, E> {
+impl<S> Recording<S> {
     /// Wraps `inner`, starting with an empty recording.
     #[must_use]
     pub fn new(inner: S) -> Self {
@@ -185,10 +159,7 @@ impl<S, E> Recording<S, E> {
 
     /// The trace recorded so far.
     #[must_use]
-    pub fn trace(&self) -> ScheduleTrace<E>
-    where
-        E: Clone,
-    {
+    pub fn trace(&self) -> ScheduleTrace {
         ScheduleTrace {
             events: self.events.clone(),
         }
@@ -196,7 +167,7 @@ impl<S, E> Recording<S, E> {
 
     /// Unwraps into the inner scheduler and the recorded trace.
     #[must_use]
-    pub fn into_parts(self) -> (S, ScheduleTrace<E>) {
+    pub fn into_parts(self) -> (S, ScheduleTrace) {
         (
             self.inner,
             ScheduleTrace {
@@ -206,17 +177,9 @@ impl<S, E> Recording<S, E> {
     }
 }
 
-impl<S: StepScheduler> StepScheduler for Recording<S, StepEvent> {
-    fn next_event(&mut self, live: IdSet, step: u64) -> StepEvent {
-        let event = self.inner.next_event(live, step);
-        self.events.push(event);
-        event
-    }
-}
-
-impl<S: NetScheduler> NetScheduler for Recording<S, NetEvent> {
-    fn next_event(&mut self, channels: &[(ProcessId, ProcessId)], deliveries: u64) -> NetEvent {
-        let event = self.inner.next_event(channels, deliveries);
+impl<S: StepScheduler> StepScheduler for Recording<S> {
+    fn next_event(&mut self, enabled: &[StepEvent], step: u64) -> StepEvent {
+        let event = self.inner.next_event(enabled, step);
         self.events.push(event);
         event
     }
@@ -224,34 +187,27 @@ impl<S: NetScheduler> NetScheduler for Recording<S, NetEvent> {
 
 /// Re-drives a recorded schedule: event `k` of the trace is returned at the
 /// simulator's `k`-th scheduling decision. Past the end of the recording it
-/// falls back to the first available option (first live process / first
-/// busy channel), so a replay of a complete trace is exact and a replay of
-/// a truncated one still terminates.
+/// falls back to the first enabled event, so a replay of a complete trace
+/// is exact and a replay of a truncated one still terminates.
 #[derive(Debug, Clone)]
-pub struct ScheduleReplay<E> {
-    events: Vec<E>,
+pub struct ScheduleReplay {
+    events: Vec<StepEvent>,
     cursor: usize,
 }
 
-impl<E: Clone> ScheduleReplay<E> {
+impl ScheduleReplay {
     /// Builds a replay scheduler from a captured trace.
     #[must_use]
-    pub fn from_trace(trace: &ScheduleTrace<E>) -> Self {
+    pub fn from_trace(trace: &ScheduleTrace) -> Self {
         ScheduleReplay {
             events: trace.events.clone(),
             cursor: 0,
         }
     }
-
-    fn next_recorded(&mut self) -> Option<E> {
-        let event = self.events.get(self.cursor).cloned();
-        self.cursor += 1;
-        event
-    }
 }
 
-impl<E: Clone> From<ScheduleTrace<E>> for ScheduleReplay<E> {
-    fn from(trace: ScheduleTrace<E>) -> Self {
+impl From<ScheduleTrace> for ScheduleReplay {
+    fn from(trace: ScheduleTrace) -> Self {
         ScheduleReplay {
             events: trace.events,
             cursor: 0,
@@ -259,28 +215,20 @@ impl<E: Clone> From<ScheduleTrace<E>> for ScheduleReplay<E> {
     }
 }
 
-impl StepScheduler for ScheduleReplay<StepEvent> {
-    fn next_event(&mut self, live: IdSet, _step: u64) -> StepEvent {
-        // The simulators never ask with an empty live set; if a caller
-        // did, the fallback names a non-live process and is ignored.
-        self.next_recorded()
-            .unwrap_or_else(|| StepEvent::Step(live.min().unwrap_or(ProcessId::new(0))))
-    }
-}
-
-impl NetScheduler for ScheduleReplay<NetEvent> {
-    fn next_event(&mut self, channels: &[(ProcessId, ProcessId)], _deliveries: u64) -> NetEvent {
-        self.next_recorded().unwrap_or_else(|| {
-            let (from, to) = channels[0];
-            NetEvent::Deliver { from, to }
-        })
+impl StepScheduler for ScheduleReplay {
+    fn next_event(&mut self, enabled: &[StepEvent], _step: u64) -> StepEvent {
+        let recorded = self.events.get(self.cursor).copied();
+        self.cursor += 1;
+        recorded
+            .or_else(|| enabled.first().copied())
+            .unwrap_or_else(step::idle)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrfd_core::SystemSize;
+    use rrfd_core::{IdSet, ProcessId, SystemSize};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -295,40 +243,38 @@ mod tests {
         ]);
         let text = trace.to_string();
         assert_eq!(text, "rrfd-sched v1\nstep 0\ncrash 2\nstep 1\n");
-        let back: ScheduleTrace<StepEvent> = text.parse().unwrap();
+        let back: ScheduleTrace = text.parse().unwrap();
         assert_eq!(back, trace);
     }
 
     #[test]
     fn net_events_round_trip_through_text() {
         let trace = ScheduleTrace::from_events(vec![
-            NetEvent::Deliver {
+            StepEvent::Deliver {
                 from: p(0),
                 to: p(2),
             },
-            NetEvent::Crash(p(1)),
+            StepEvent::Crash(p(1)),
         ]);
         let text = trace.to_string();
         assert_eq!(text, "rrfd-sched v1\ndeliver 0>2\ncrash 1\n");
-        let back: ScheduleTrace<NetEvent> = text.parse().unwrap();
+        let back: ScheduleTrace = text.parse().unwrap();
         assert_eq!(back, trace);
     }
 
     #[test]
     fn malformed_schedules_are_rejected() {
-        assert!("".parse::<ScheduleTrace<StepEvent>>().is_err());
-        assert!("bogus header\nstep 0\n"
-            .parse::<ScheduleTrace<StepEvent>>()
-            .is_err());
+        assert!("".parse::<ScheduleTrace>().is_err());
+        assert!("bogus header\nstep 0\n".parse::<ScheduleTrace>().is_err());
         let err = "rrfd-sched v1\nstep 0\nfly 3\n"
-            .parse::<ScheduleTrace<StepEvent>>()
+            .parse::<ScheduleTrace>()
             .unwrap_err();
         assert_eq!(err.line, 3);
         assert!("rrfd-sched v1\ndeliver 0x2\n"
-            .parse::<ScheduleTrace<NetEvent>>()
+            .parse::<ScheduleTrace>()
             .is_err());
         assert!("rrfd-sched v1\nstep 999\n"
-            .parse::<ScheduleTrace<StepEvent>>()
+            .parse::<ScheduleTrace>()
             .is_err());
     }
 
@@ -373,7 +319,7 @@ mod tests {
             let (_, trace) = recording.into_parts();
 
             // Replay from the parsed text form: text → trace → run.
-            let reparsed: ScheduleTrace<StepEvent> = trace.to_string().parse().unwrap();
+            let reparsed: ScheduleTrace = trace.to_string().parse().unwrap();
             assert_eq!(reparsed, trace);
             let mut replay = ScheduleReplay::from_trace(&reparsed);
             let replayed = sim.run(make(), &mut replay).unwrap();
@@ -385,7 +331,8 @@ mod tests {
 
     #[test]
     fn recording_then_replay_is_identity_on_the_async_net() {
-        use crate::async_net::{AsyncNetSim, AsyncProcess, Outbox, RandomNetScheduler};
+        use crate::async_net::{AsyncNetSim, AsyncProcess, Outbox};
+        use crate::step::RandomScheduler;
         use rrfd_core::Control;
 
         struct Echo(ProcessId);
@@ -411,7 +358,7 @@ mod tests {
         let make = || n.processes().map(Echo).collect::<Vec<_>>();
 
         for seed in 0..10u64 {
-            let mut recording = Recording::new(RandomNetScheduler::new(seed, 1));
+            let mut recording = Recording::new(RandomScheduler::new(seed, 1));
             let original = sim.run(make(), &mut recording).unwrap();
             let (_, trace) = recording.into_parts();
 
@@ -450,7 +397,7 @@ mod tests {
         let n = SystemSize::new(3).unwrap();
         let sim = AsyncNetSim::new(n);
         for text in ["rrfd-sched v1\ndeliver 0>5\n", "rrfd-sched v1\ncrash 5\n"] {
-            let trace: ScheduleTrace<NetEvent> = text.parse().unwrap();
+            let trace: ScheduleTrace = text.parse().unwrap();
             let mut replay = ScheduleReplay::from(trace);
             let report = sim
                 .run(vec![FirstHeard, FirstHeard, FirstHeard], &mut replay)
@@ -458,6 +405,86 @@ mod tests {
             assert!(report.crashed.is_empty(), "{text:?}");
             assert!(report.outputs.iter().all(Option::is_some), "{text:?}");
         }
+    }
+
+    #[test]
+    fn events_a_substrate_cannot_enable_are_ignored_but_counted() {
+        use crate::async_net::{AsyncNetSim, AsyncProcess, NetSimError, Outbox};
+        use crate::semi_sync::{SemiSyncError, SemiSyncProcess, SemiSyncSim};
+        use crate::shared_mem::{Action, MemProcess, MemSimError, Observation, SharedMemSim};
+        use rrfd_core::Control;
+        use std::sync::Arc;
+
+        /// Decides at its first step or its first message.
+        #[derive(Debug)]
+        struct Once;
+        impl MemProcess<u64> for Once {
+            type Output = ();
+            fn step(&mut self, _obs: Observation<u64>) -> Action<u64, ()> {
+                Action::Decide(())
+            }
+        }
+        impl SemiSyncProcess for Once {
+            type Msg = ();
+            type Output = ();
+            fn step(&mut self, _received: &[(ProcessId, Arc<()>)]) -> (Option<()>, Control<()>) {
+                (None, Control::Decide(()))
+            }
+        }
+        impl AsyncProcess for Once {
+            type Msg = ();
+            type Output = ();
+            fn on_start(&mut self, out: &mut Outbox<()>) {
+                out.broadcast(());
+            }
+            fn on_message(
+                &mut self,
+                _: u64,
+                _: ProcessId,
+                _: (),
+                _: &mut Outbox<()>,
+            ) -> Control<()> {
+                Control::Decide(())
+            }
+        }
+
+        // `len` copies of one foreign event, parsed from text.
+        let replay = |line: &str, len: usize| {
+            let text = format!("rrfd-sched v1\n{}", format!("{line}\n").repeat(len));
+            ScheduleReplay::from(text.parse::<ScheduleTrace>().unwrap())
+        };
+        let n = SystemSize::new(2).unwrap();
+        let budget = 10;
+        // Every substrate bounds scheduler events at 4 × its step or
+        // delivery budget + 1024.
+        let spent = 4 * budget as usize + 1024;
+        let make = || vec![Once, Once];
+
+        let mem = SharedMemSim::new(n, 1).max_steps(budget);
+        let report = mem.run(make(), &mut replay("deliver 0>1", 3)).unwrap();
+        assert_eq!((report.steps, report.crashed), (2, IdSet::empty()));
+        assert!(report.all_correct_decided());
+        let err = mem
+            .run(make(), &mut replay("deliver 0>1", spent))
+            .unwrap_err();
+        assert_eq!(err, MemSimError::StepLimitExceeded { max_steps: budget });
+
+        let semi = SemiSyncSim::new(n).max_steps(budget);
+        let report = semi.run(make(), &mut replay("deliver 1>0", 3)).unwrap();
+        assert_eq!((report.total_steps, report.crashed), (2, IdSet::empty()));
+        assert!(report.all_correct_decided());
+        let err = semi
+            .run(make(), &mut replay("deliver 1>0", spent))
+            .unwrap_err();
+        assert_eq!(err, SemiSyncError::StepLimitExceeded { max_steps: budget });
+
+        let net = AsyncNetSim::new(n).max_deliveries(budget);
+        let report = net.run(make(), &mut replay("step 0", 3)).unwrap();
+        assert_eq!((report.deliveries, report.crashed), (2, IdSet::empty()));
+        assert!(report.all_correct_decided());
+        let err = net.run(make(), &mut replay("step 1", spent)).unwrap_err();
+        let max_deliveries = budget;
+        assert_eq!(err, NetSimError::DeliveryLimitExceeded { max_deliveries });
     }
 
     #[test]
@@ -509,7 +536,7 @@ mod tests {
             let original = sim.run(make(), &mut recording).unwrap();
             let (_, trace) = recording.into_parts();
 
-            let reparsed: ScheduleTrace<StepEvent> = trace.to_string().parse().unwrap();
+            let reparsed: ScheduleTrace = trace.to_string().parse().unwrap();
             let mut replay = ScheduleReplay::from_trace(&reparsed);
             let replayed = sim.run(make(), &mut replay).unwrap();
             assert_eq!(replayed.outputs, original.outputs, "seed {seed}");

@@ -9,7 +9,8 @@
 
 use rrfd::core::{ProcessId, SystemSize};
 use rrfd::protocols::abd::{check_clients, AbdClient, Op};
-use rrfd::sims::async_net::{AsyncNetSim, RandomNetScheduler};
+use rrfd::sims::async_net::AsyncNetSim;
+use rrfd::sims::step::RandomScheduler;
 
 fn main() {
     let n = SystemSize::new(5).expect("valid size");
@@ -33,7 +34,7 @@ fn main() {
             .processes()
             .map(|p| AbdClient::new(p, n, f, scripts[p.index()].clone()))
             .collect();
-        let mut sched = RandomNetScheduler::new(seed, f).crash_prob(0.003);
+        let mut sched = RandomScheduler::new(seed, f).crash_prob(0.003);
         let report = AsyncNetSim::new(n)
             .run(procs, &mut sched)
             .expect("run completes");

@@ -20,7 +20,6 @@ use rrfd::core::hb::VectorClock;
 use rrfd::core::ProcessId;
 use rrfd::sims::dpor::{Access, ExecutionGraph};
 use rrfd::sims::step::StepEvent;
-use rrfd::sims::trace::SchedEvent;
 
 /// The vector-clock reference for one recorded run.
 struct Oracle {
@@ -149,15 +148,15 @@ fn semi_access(kind: u8) -> Access {
 }
 
 /// Builds the graph through `push` and compares it with the oracle.
-fn agree<E: SchedEvent>(
+fn agree(
     n: usize,
     events: &[(usize, Access)],
-    event_of: impl Fn(ProcessId, Access) -> E,
+    event_of: impl Fn(ProcessId, Access) -> StepEvent,
 ) -> Result<(), TestCaseError> {
     let mut graph = ExecutionGraph::new(n);
     for &(pid, access) in events {
         let pid = ProcessId::new(pid);
-        graph.push(event_of(pid, access), pid, access);
+        graph.push(event_of(pid, access), access);
     }
     let oracle = Oracle::new(n, events);
     let matrix = |hb: &dyn Fn(usize, usize) -> bool| -> Vec<Vec<bool>> {

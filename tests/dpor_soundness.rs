@@ -13,7 +13,6 @@
 use rrfd::core::{ProcessId, SystemSize};
 use rrfd::sims::dpor::{explore_shared_mem_dpor, DporConfig, DporError};
 use rrfd::sims::shared_mem::{Action, MemProcess, MemRunReport, Observation, SharedMemSim};
-use rrfd::sims::step::StepEvent;
 use rrfd::sims::trace::{ScheduleReplay, ScheduleTrace};
 use std::path::PathBuf;
 
@@ -131,7 +130,7 @@ fn race_reversal_is_required_to_reach_the_bug() {
 fn committed_certificate_replays_from_disk() {
     let text = std::fs::read_to_string(fixture("write_read_reversal.sched"))
         .expect("committed fixture write_read_reversal.sched");
-    let trace: ScheduleTrace<StepEvent> = text.parse().expect("fixture parses");
+    let trace: ScheduleTrace = text.parse().expect("fixture parses");
     let mut replay = ScheduleReplay::from_trace(&trace);
     let report = sim().run(make(), &mut replay).unwrap();
     assert!(

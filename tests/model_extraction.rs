@@ -10,7 +10,7 @@ use rrfd::core::{
     SystemSize,
 };
 use rrfd::models::predicates::{AsyncResilient, Crash, DetectorS, IdenticalViews, SendOmission};
-use rrfd::sims::async_net::{AsyncNetSim, RandomNetScheduler};
+use rrfd::sims::async_net::AsyncNetSim;
 use rrfd::sims::async_rounds::RoundedAsync;
 use rrfd::sims::detector_s::SAugmentedSystem;
 use rrfd::sims::semi_sync::SemiSyncSim;
@@ -91,7 +91,7 @@ fn e1_async_round_overlay_satisfies_eq3() {
                 .processes()
                 .map(|p| RoundedAsync::new(p, size, f, RunFor(4)))
                 .collect();
-            let mut sched = RandomNetScheduler::new(seed, f).crash_prob(0.004);
+            let mut sched = RandomScheduler::new(seed, f).crash_prob(0.004);
             let report = AsyncNetSim::new(size).run(procs, &mut sched).unwrap();
             for proc_ in &report.processes {
                 for d in proc_.fault_log() {

@@ -30,7 +30,7 @@ use rrfd::core::{
 use rrfd::models::adversary::{RandomAdversary, ScriptedDetector};
 use rrfd::models::predicates::KUncertainty;
 use rrfd::runtime::ThreadedEngine;
-use rrfd::sims::async_net::{AsyncNetSim, AsyncProcess, NetScheduler, Outbox, RandomNetScheduler};
+use rrfd::sims::async_net::{AsyncNetSim, AsyncProcess, Outbox};
 use rrfd::sims::semi_sync::{SemiSyncProcess, SemiSyncSim};
 use rrfd::sims::step::{RandomScheduler, StepEvent, StepScheduler};
 use rrfd::sims::sync_net::{RandomCrash, SyncFaults, SyncNetSim};
@@ -323,7 +323,9 @@ where
             "clone-plane reference hit the step limit"
         );
         events += 1;
-        match scheduler.next_event(live, total_steps) {
+        let enabled: Vec<StepEvent> = live.iter().map(StepEvent::Step).collect();
+        match scheduler.next_event(&enabled, total_steps) {
+            StepEvent::Deliver { .. } => {}
             StepEvent::Crash(p) => {
                 if live.contains(p) {
                     crashed.insert(p);
@@ -585,7 +587,7 @@ fn run_async_net_clone_plane<P, S>(
 ) -> (Vec<Option<P::Output>>, IdSet, u64)
 where
     P: AsyncProcess,
-    S: NetScheduler,
+    S: StepScheduler,
 {
     // Outbox is Arc-backed now, so the clone plane materializes each send
     // at enqueue time: `Arc::try_unwrap` for targeted sends (refcount 1),
@@ -617,20 +619,24 @@ where
         if (0..count).all(|i| outputs[i].is_some() || crashed.contains(ProcessId::new(i))) {
             return (outputs, crashed, deliveries);
         }
-        let busy: Vec<(ProcessId, ProcessId)> = (0..count)
+        let busy: Vec<StepEvent> = (0..count)
             .flat_map(|from| (0..count).map(move |to| (from, to)))
             .filter(|&(from, to)| {
                 !channels[from][to].is_empty() && !crashed.contains(ProcessId::new(to))
             })
-            .map(|(from, to)| (ProcessId::new(from), ProcessId::new(to)))
+            .map(|(from, to)| StepEvent::Deliver {
+                from: ProcessId::new(from),
+                to: ProcessId::new(to),
+            })
             .collect();
         assert!(!busy.is_empty(), "clone-plane reference went quiescent");
 
         match scheduler.next_event(&busy, deliveries) {
-            rrfd::sims::async_net::NetEvent::Crash(p) => {
+            StepEvent::Step(_) => {}
+            StepEvent::Crash(p) => {
                 crashed.insert(p);
             }
-            rrfd::sims::async_net::NetEvent::Deliver { from, to } => {
+            StepEvent::Deliver { from, to } => {
                 if crashed.contains(to) {
                     continue;
                 }
@@ -658,13 +664,13 @@ fn async_net_arc_channels_match_the_clone_plane() {
         let shared = AsyncNetSim::new(sz)
             .run(
                 AsyncGather::fleet(n, n - 1),
-                &mut RandomNetScheduler::new(seed, 1).crash_prob(0.01),
+                &mut RandomScheduler::new(seed, 1).crash_prob(0.01),
             )
             .unwrap();
         let (ref_outputs, ref_crashed, ref_deliveries) = run_async_net_clone_plane(
             sz,
             AsyncGather::fleet(n, n - 1),
-            &mut RandomNetScheduler::new(seed, 1).crash_prob(0.01),
+            &mut RandomScheduler::new(seed, 1).crash_prob(0.01),
         );
         assert_eq!(shared.outputs, ref_outputs, "seed {seed}");
         assert_eq!(shared.crashed, ref_crashed, "seed {seed}");

@@ -20,61 +20,49 @@
 //! serialized schedule can be re-driven verbatim through
 //! [`rrfd::sims::trace::ScheduleReplay`].
 
-use rrfd::core::IdSet;
 use rrfd::sims::explore::{Counterexample, ExploreStats};
 use rrfd::sims::shared_mem::{MemProcess, MemRunReport, SharedMemSim};
 use rrfd::sims::step::{StepEvent, StepScheduler};
 use rrfd::sims::trace::Recording;
 
-/// A scheduler that replays a fixed choice prefix (indices into the sorted
-/// runnable set) and picks the first runnable process beyond it, recording
-/// the branching factor at every decision.
-struct ReplayScheduler<'a> {
+/// A scheduler that replays a fixed choice prefix (indices into the
+/// decision point's options) and picks the first option beyond it,
+/// recording the branching factor at every decision. The options are the
+/// enabled events, then — while `crash_budget` lasts and more than one
+/// event is enabled — a crash of each enabled event's process.
+struct Replay<'a> {
     prefix: &'a [usize],
     cursor: usize,
     branching: Vec<usize>,
+    crash_budget: usize,
 }
 
-impl StepScheduler for ReplayScheduler<'_> {
-    fn next_event(&mut self, runnable: IdSet, _step: u64) -> StepEvent {
-        let ids: Vec<_> = runnable.iter().collect();
-        self.branching.push(ids.len());
+impl StepScheduler for Replay<'_> {
+    fn next_event(&mut self, enabled: &[StepEvent], _step: u64) -> StepEvent {
+        let mut opts = enabled.to_vec();
+        if self.crash_budget > 0 && enabled.len() > 1 {
+            opts.extend(enabled.iter().map(|e| StepEvent::Crash(e.pid())));
+        }
+        self.branching.push(opts.len());
         let choice = self.prefix.get(self.cursor).copied().unwrap_or(0);
         self.cursor += 1;
-        StepEvent::Step(ids[choice.min(ids.len() - 1)])
+        let event = opts[choice.min(opts.len() - 1)];
+        if let StepEvent::Crash(_) = event {
+            self.crash_budget -= 1;
+        }
+        event
     }
 }
 
-/// Enumerates every schedule of `sim` over fresh processes from `make`,
-/// invoking `check` on each completed run. Returns the search-effort
-/// totals ([`ExploreStats`]) of the completed walk, or the first failing
-/// schedule as a replayable [`Counterexample`].
-///
-/// The walk is exhaustive: every sequence of "which runnable process steps
-/// next" choices is visited exactly once. Use only on small instances —
-/// the tree is exponential in the total step count.
-///
-/// # Errors
-///
-/// The first schedule whose `check` returns `Err` stops the walk and is
-/// returned as a [`Counterexample`].
-///
-/// # Panics
-///
-/// Panics if the exploration exceeds `max_runs` schedules (a guard against
-/// accidentally exponential instances), or propagates panics from `check`.
-pub fn explore_schedules_checked<V, P, F, G>(
-    sim: &SharedMemSim,
-    make: G,
-    mut check: F,
+/// The depth-first walk shared by both explorers: runs every choice
+/// sequence of [`Replay`] through `run`, hands each report to `check`,
+/// and advances the prefix to the next sequence.
+fn walk<R>(
+    max_crashes: usize,
     max_runs: usize,
-) -> Result<ExploreStats, Box<Counterexample<StepEvent>>>
-where
-    V: Clone,
-    P: MemProcess<V>,
-    G: Fn() -> Vec<P>,
-    F: FnMut(&MemRunReport<P, V>) -> Result<(), String>,
-{
+    mut run: impl FnMut(&mut Recording<Replay<'_>>) -> R,
+    mut check: impl FnMut(&R) -> Result<(), String>,
+) -> Result<ExploreStats, Box<Counterexample>> {
     let mut prefix: Vec<usize> = Vec::new();
     let mut stats = ExploreStats {
         workers: 1,
@@ -82,14 +70,13 @@ where
     };
     let mut runs = 0usize;
     loop {
-        let mut scheduler = Recording::new(ReplayScheduler {
+        let mut scheduler = Recording::new(Replay {
             prefix: &prefix,
             cursor: 0,
             branching: Vec::new(),
+            crash_budget: max_crashes,
         });
-        let report = sim
-            .run(make(), &mut scheduler)
-            .expect("exploration requires terminating, crash-free protocols");
+        let report = run(&mut scheduler);
         runs += 1;
         assert!(
             runs <= max_runs,
@@ -127,49 +114,52 @@ where
     }
 }
 
+/// Enumerates every schedule of `sim` over fresh processes from `make`,
+/// invoking `check` on each completed run. Returns the search-effort
+/// totals ([`ExploreStats`]) of the completed walk, or the first failing
+/// schedule as a replayable [`Counterexample`].
+///
+/// The walk is exhaustive: every sequence of "which runnable process steps
+/// next" choices is visited exactly once. Use only on small instances —
+/// the tree is exponential in the total step count.
+///
+/// # Errors
+///
+/// The first schedule whose `check` returns `Err` stops the walk and is
+/// returned as a [`Counterexample`].
+///
+/// # Panics
+///
+/// Panics if the exploration exceeds `max_runs` schedules (a guard against
+/// accidentally exponential instances), or propagates panics from `check`.
+pub fn explore_schedules_checked<V, P, F, G>(
+    sim: &SharedMemSim,
+    make: G,
+    check: F,
+    max_runs: usize,
+) -> Result<ExploreStats, Box<Counterexample>>
+where
+    V: Clone,
+    P: MemProcess<V>,
+    G: Fn() -> Vec<P>,
+    F: FnMut(&MemRunReport<P, V>) -> Result<(), String>,
+{
+    let run = |scheduler: &mut Recording<Replay<'_>>| {
+        sim.run(make(), scheduler)
+            .expect("exploration requires terminating, crash-free protocols")
+    };
+    walk(0, max_runs, run, check)
+}
+
 /// Exhaustive exploration for the semi-synchronous simulator, including
 /// crash choices: at every decision point the walker tries stepping each
 /// live process and, while `crash_budget` allows, crashing each live
 /// process.
 pub mod semi_sync {
-    use rrfd::core::IdSet;
+    use super::{walk, Replay};
     use rrfd::sims::explore::{Counterexample, ExploreStats};
     use rrfd::sims::semi_sync::{SemiSyncProcess, SemiSyncReport, SemiSyncSim};
-    use rrfd::sims::step::{StepEvent, StepScheduler};
     use rrfd::sims::trace::Recording;
-
-    struct Replay<'a> {
-        prefix: &'a [usize],
-        cursor: usize,
-        branching: Vec<usize>,
-        crash_budget: usize,
-    }
-
-    impl Replay<'_> {
-        /// Options at a decision point: step each live process, then (if
-        /// budget remains and more than one process is live) crash each.
-        fn options(&self, live: IdSet) -> Vec<StepEvent> {
-            let mut opts: Vec<StepEvent> = live.iter().map(StepEvent::Step).collect();
-            if self.crash_budget > 0 && live.len() > 1 {
-                opts.extend(live.iter().map(StepEvent::Crash));
-            }
-            opts
-        }
-    }
-
-    impl StepScheduler for Replay<'_> {
-        fn next_event(&mut self, live: IdSet, _step: u64) -> StepEvent {
-            let opts = self.options(live);
-            self.branching.push(opts.len());
-            let choice = self.prefix.get(self.cursor).copied().unwrap_or(0);
-            self.cursor += 1;
-            let event = opts[choice.min(opts.len() - 1)];
-            if let StepEvent::Crash(_) = event {
-                self.crash_budget -= 1;
-            }
-            event
-        }
-    }
 
     /// Enumerates every semi-synchronous schedule (with up to
     /// `max_crashes` crashes at adversarially chosen instants), checking
@@ -189,70 +179,26 @@ pub mod semi_sync {
         sim: &SemiSyncSim,
         max_crashes: usize,
         make: G,
-        mut check: F,
+        check: F,
         max_runs: usize,
-    ) -> Result<ExploreStats, Box<Counterexample<StepEvent>>>
+    ) -> Result<ExploreStats, Box<Counterexample>>
     where
         P: SemiSyncProcess,
         G: Fn() -> Vec<P>,
         F: FnMut(&SemiSyncReport<P>) -> Result<(), String>,
     {
-        let mut prefix: Vec<usize> = Vec::new();
-        let mut stats = ExploreStats {
-            workers: 1,
-            ..ExploreStats::default()
+        let run = |scheduler: &mut Recording<Replay<'_>>| {
+            sim.run(make(), scheduler)
+                .expect("exploration requires terminating protocols")
         };
-        let mut runs = 0usize;
-        loop {
-            let mut scheduler = Recording::new(Replay {
-                prefix: &prefix,
-                cursor: 0,
-                branching: Vec::new(),
-                crash_budget: max_crashes,
-            });
-            let report = sim
-                .run(make(), &mut scheduler)
-                .expect("exploration requires terminating protocols");
-            runs += 1;
-            assert!(
-                runs <= max_runs,
-                "schedule exploration exceeded {max_runs} runs"
-            );
-            let (inner, schedule) = scheduler.into_parts();
-            let branching = inner.branching;
-            stats.schedules = runs;
-            stats.decision_points += branching.len() as u64;
-            stats.max_depth = stats.max_depth.max(branching.len());
-            let full: Vec<usize> = branching
-                .iter()
-                .enumerate()
-                .map(|(i, _)| prefix.get(i).copied().unwrap_or(0))
-                .collect();
-
-            if let Err(message) = check(&report) {
-                return Err(Box::new(Counterexample {
-                    choices: full,
-                    schedule,
-                    message,
-                    stats,
-                }));
-            }
-
-            let mut full = full;
-            let Some(bump) = (0..full.len()).rev().find(|&i| full[i] + 1 < branching[i]) else {
-                return Ok(stats);
-            };
-            full[bump] += 1;
-            full.truncate(bump + 1);
-            prefix = full;
-        }
+        walk(max_crashes, max_runs, run, check)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrfd::core::{ProcessId, SystemSize};
+    use rrfd::core::{IdSet, ProcessId, SystemSize};
     use rrfd::sims::shared_mem::{Action, Observation};
 
     /// Writes once and decides what it read from the other process's cell.
@@ -371,7 +317,7 @@ mod tests {
 
         // The serialized schedule replays to the same failing outcome.
         let text = cex.schedule.to_string();
-        let reparsed: rrfd::sims::trace::ScheduleTrace<StepEvent> = text.parse().unwrap();
+        let reparsed: rrfd::sims::trace::ScheduleTrace = text.parse().unwrap();
         let mut replay = ScheduleReplay::from_trace(&reparsed);
         let report = sim.run(make_pair(), &mut replay).unwrap();
         assert!(report.outputs.iter().any(|o| o == &Some(None)));

@@ -157,7 +157,8 @@ proptest! {
         )
     ) {
         use rrfd::protocols::abd::{check_clients, AbdClient, Op};
-        use rrfd::sims::async_net::{AsyncNetSim, RandomNetScheduler};
+        use rrfd::sims::async_net::AsyncNetSim;
+        use rrfd::sims::step::RandomScheduler;
 
         let n = SystemSize::new(5).unwrap();
         let mut scripts: Vec<Vec<Op>> = ops
@@ -183,7 +184,7 @@ proptest! {
             .processes()
             .map(|p| AbdClient::new(p, n, 2, scripts[p.index()].clone()))
             .collect();
-        let mut sched = RandomNetScheduler::new(seed, 0);
+        let mut sched = RandomScheduler::new(seed, 0);
         let report = AsyncNetSim::new(n).run(procs, &mut sched).unwrap();
         prop_assert!(check_clients(&report.processes).is_ok());
     }

@@ -11,7 +11,7 @@ use rrfd::protocols::immediate_snapshot::{
     views_to_round, ImmediateSnapshot, IsDriver, IteratedIS,
 };
 use rrfd::protocols::s_consensus::SRotatingConsensus;
-use rrfd::sims::async_net::{AsyncNetSim, RandomNetScheduler};
+use rrfd::sims::async_net::AsyncNetSim;
 use rrfd::sims::shared_mem::SharedMemSim;
 use rrfd::sims::step::RandomScheduler;
 
@@ -105,7 +105,7 @@ fn abd_atomicity_sweep() {
             .processes()
             .map(|p| AbdClient::new(p, size, f, scripts[p.index()].clone()))
             .collect();
-        let mut sched = RandomNetScheduler::new(seed, f).crash_prob(0.002);
+        let mut sched = RandomScheduler::new(seed, f).crash_prob(0.002);
         let report = AsyncNetSim::new(size).run(procs, &mut sched).unwrap();
         check_clients(&report.processes).unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
     }
