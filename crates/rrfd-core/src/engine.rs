@@ -15,7 +15,10 @@
 //! against the model predicate and recording the fault pattern so the run
 //! can be audited afterwards. A run compiles its model once, at start, into
 //! a one-program [`ProgramBatch`] and admits each round through it in
-//! `O(1)`, whatever the run's length.
+//! `O(1)`, whatever the run's length. The round semantics live once, in
+//! [`RoundCore`], which leaves the messages to a transport: [`EngineRun`]
+//! passes them through one in-process table, the threaded runtime over
+//! channels.
 
 use crate::id::{ProcessId, Round, SystemSize};
 use crate::idset::IdSet;
@@ -402,21 +405,15 @@ impl Engine {
         D: FaultDetector + ?Sized,
         Q: RrfdPredicate + ?Sized,
     {
+        // start_traced always arms the builder; an absent trace would read
+        // as aborted.
+        let aborted = || TraceBuilder::new(self.n).finish(TraceOutcome::Aborted);
         match self.start_traced(protocols, detector, model) {
             Ok(run) => {
                 let finished = run.run_to_completion();
-                let trace = match finished.trace {
-                    Some(trace) => trace,
-                    // Unreachable (start_traced always arms the builder),
-                    // but kept total: an absent trace reads as aborted.
-                    None => TraceBuilder::new(self.n).finish(TraceOutcome::Aborted),
-                };
-                (finished.result, trace)
+                (finished.result, finished.trace.unwrap_or_else(aborted))
             }
-            Err(err) => (
-                Err(err),
-                TraceBuilder::new(self.n).finish(TraceOutcome::Aborted),
-            ),
+            Err(err) => (Err(err), aborted()),
         }
     }
 
@@ -498,6 +495,76 @@ impl Engine {
         self.start_with(protocols, detector, model, false, buffer, Some(batch))
     }
 
+    /// Starts the [`RoundCore`] of a run of `processes` processes, for a
+    /// transport of its own (the threaded runtime's); `traced` arms trace
+    /// capture.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::WrongProcessCount`] if `processes != n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`ProgramBatch::of`] does, when `model` does not compile.
+    pub fn round_core<O, D, Q>(
+        &self,
+        processes: usize,
+        detector: D,
+        model: Q,
+        traced: bool,
+    ) -> Result<RoundCore<O, D, Q>, EngineError>
+    where
+        O: Clone,
+        D: FaultDetector,
+        Q: RrfdPredicate,
+    {
+        self.core_with(processes, detector, model, traced, None)
+    }
+
+    fn core_with<O, D, Q>(
+        &self,
+        processes: usize,
+        detector: D,
+        model: Q,
+        traced: bool,
+        batch: Option<ProgramBatch>,
+    ) -> Result<RoundCore<O, D, Q>, EngineError>
+    where
+        O: Clone,
+        D: FaultDetector,
+        Q: RrfdPredicate,
+    {
+        let n = self.n.get();
+        if processes != n {
+            return Err(EngineError::WrongProcessCount {
+                supplied: processes,
+                expected: n,
+            });
+        }
+        let batch = batch.unwrap_or_else(|| ProgramBatch::of(&model));
+        Ok(RoundCore {
+            n: self.n,
+            max_rounds: self.max_rounds,
+            // Room for two rounds: each records four samples per process
+            // plus three, and three spans plus one per decision.
+            obs: RunObs::with_capacity(self.obs.clone(), 2 * (4 * n + 3), 2 * 3 + n + 1),
+            instance: self.instance,
+            run_start_ns: self.obs.now_ns(),
+            deliver_start_ns: 0,
+            round_hook: None,
+            detector,
+            model,
+            batch,
+            pattern: FaultPattern::new(self.n),
+            decisions: vec![None; n],
+            undecided: n,
+            next_round: 1,
+            trace: traced.then(|| TraceBuilder::new(self.n)),
+            finished_trace: None,
+            done: None,
+        })
+    }
+
     fn start_with<P, D, Q>(
         &self,
         protocols: Vec<P>,
@@ -512,47 +579,24 @@ impl Engine {
         D: FaultDetector,
         Q: RrfdPredicate,
     {
-        if protocols.len() != self.n.get() {
-            return Err(EngineError::WrongProcessCount {
-                supplied: protocols.len(),
-                expected: self.n.get(),
-            });
-        }
-        let n = self.n.get();
+        let core = self.core_with(protocols.len(), detector, model, traced, batch)?;
         buffer.clear();
-        buffer.reserve(n);
-        let batch = batch.unwrap_or_else(|| ProgramBatch::of(&model));
+        buffer.reserve(self.n.get());
         Ok(EngineRun {
-            n: self.n,
-            max_rounds: self.max_rounds,
-            // Room for two rounds: each records four samples per process
-            // plus three, and three spans plus one per decision.
-            obs: RunObs::with_capacity(self.obs.clone(), 2 * (4 * n + 3), 2 * 3 + n + 1),
-            instance: self.instance,
-            run_start_ns: self.obs.now_ns(),
-            round_hook: None,
+            core,
             protocols,
-            detector,
-            model,
-            batch,
-            pattern: FaultPattern::new(self.n),
-            decisions: vec![None; n],
             messages: buffer,
-            next_round: 1,
-            trace: traced.then(|| TraceBuilder::new(self.n)),
-            finished_trace: None,
-            done: None,
         })
     }
 }
 
-/// A per-round observation callback installed on an [`EngineRun`] via
-/// [`EngineRun::set_round_hook`]: called once per executed round with the
-/// validated (or, on the violation path, violating) suspicion sets —
-/// exactly the rounds a captured [`RunTrace`] would record. This is the
-/// seam the conformance monitor hangs off: substrates that run many
-/// instances (the batch pool) feed each instance's monitor without the
-/// engine knowing what a predicate zoo is.
+/// A per-round observation callback installed on a run's [`RoundCore`]
+/// (on an [`EngineRun`], via [`EngineRun::set_round_hook`]): called once
+/// per executed round with the validated (or, on the violation path,
+/// violating) suspicion sets — exactly the rounds a captured [`RunTrace`]
+/// would record. This is the seam the conformance monitor hangs off: the
+/// batch pool and the threaded runtime feed each run's monitor through it
+/// without the engine knowing what a predicate zoo is.
 pub struct RoundHook(Box<dyn FnMut(&RoundFaults) + Send>);
 
 impl RoundHook {
@@ -597,15 +641,18 @@ pub struct FinishedRun<O: Clone, M> {
     pub batch: ProgramBatch,
 }
 
-/// A resumable run: [`Engine::start`]'s handle, executing one round per
-/// [`EngineRun::step`] call.
+/// The round semantics of one run, whatever carries its messages: the
+/// detector call, admission, the [`RoundHook`], the fault pattern,
+/// first-decision-wins, the round limit, the all-decided test, the
+/// [`RunTrace`] and the `rrfd_engine_*` metrics and spans.
 ///
-/// The round semantics are *the* engine semantics — [`Engine::run`] and
-/// [`Engine::run_traced`] are thin loops over this type — so a run stepped
-/// to completion is decision- and trace-identical to a `run` call with the
-/// same inputs (the batch pool's differential suite pins this).
+/// A transport drives each round as [`RoundCore::enter_round`] → (it
+/// gathers the emissions) → [`RoundCore::open_round`] →
+/// [`RoundCore::detect`] → [`RoundCore::admit`] → (it delivers) →
+/// [`RoundCore::close_round`], and calls [`RoundCore::decide`] as it
+/// learns of decisions.
 #[derive(Debug)]
-pub struct EngineRun<P: RoundProtocol, D, Q> {
+pub struct RoundCore<O, D, Q> {
     n: SystemSize,
     max_rounds: u32,
     /// The run's buffered handle: every sample and span of the run
@@ -614,94 +661,64 @@ pub struct EngineRun<P: RoundProtocol, D, Q> {
     obs: RunObs,
     instance: u64,
     run_start_ns: u64,
+    deliver_start_ns: u64,
     round_hook: Option<RoundHook>,
-    protocols: Vec<P>,
     detector: D,
     model: Q,
     /// The model's compiled program and the run's history registers:
     /// each round is admitted in `O(1)`, however long the run.
     batch: ProgramBatch,
     pattern: FaultPattern,
-    decisions: Vec<Option<(P::Output, Round)>>,
-    // The round's emission table, reused across rounds so steady-state
-    // rounds are allocation-free. Every recipient borrows this one table
-    // through its `Delivery` view — no per-recipient clones.
-    messages: Vec<Option<P::Msg>>,
+    decisions: Vec<Option<(O, Round)>>,
+    undecided: usize,
     next_round: u32,
     trace: Option<TraceBuilder>,
     finished_trace: Option<RunTrace>,
-    done: Option<Result<RunReport<P::Output>, EngineError>>,
+    done: Option<Result<RunReport<O>, EngineError>>,
 }
 
-impl<P, D, Q> EngineRun<P, D, Q>
+impl<O, D, Q> RoundCore<O, D, Q>
 where
-    P: RoundProtocol,
+    O: Clone,
     D: FaultDetector,
     Q: RrfdPredicate,
 {
-    /// The system size of the run.
-    #[must_use]
-    pub fn system_size(&self) -> SystemSize {
-        self.n
-    }
-
-    /// Rounds executed so far.
-    #[must_use]
-    pub fn rounds_executed(&self) -> u32 {
-        self.next_round - 1
-    }
-
-    /// `true` once the run hit a terminal state.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.done.is_some()
-    }
-
     /// Installs (or replaces) the per-round observation hook; see
     /// [`RoundHook`].
     pub fn set_round_hook(&mut self, hook: RoundHook) {
         self.round_hook = Some(hook);
     }
 
-    /// Overrides the instance id stamped on this run's causal spans
-    /// (normally inherited from [`Engine::instance`]). The pool calls this
-    /// per instance so the span trees of its runs, which share one engine
-    /// per lane, stay disjoint.
-    pub fn set_instance(&mut self, instance: u64) {
-        self.instance = instance;
+    /// Opens the span of the next round, whose latency and emit phase
+    /// then cover the transport's gather.
+    #[must_use]
+    pub fn enter_round(&self) -> RoundSpan {
+        self.obs.round_enter(Labels::round(self.next_round))
     }
 
-    /// Executes one round (emit → detect/validate → deliver), or reports
-    /// [`EngineStep::Finished`] without executing anything when the run is
-    /// already terminal.
-    pub fn step(&mut self) -> EngineStep {
-        if self.done.is_some() {
-            return EngineStep::Finished;
+    /// Opens the next round once its emissions are in hand — or, when
+    /// every process decided or the round limit is reached, finishes the
+    /// run and returns `None` (as it does once the run finished).
+    pub fn open_round(&mut self) -> Option<Round> {
+        if self.done.is_some() || self.settle() {
+            return None;
         }
+        let max_rounds = self.max_rounds;
+        if self.next_round > max_rounds {
+            let error = EngineError::RoundLimitExceeded { max_rounds };
+            self.finish(Some(Err(error)), TraceOutcome::RoundLimit { max_rounds });
+            return None;
+        }
+        Some(Round::new(self.next_round))
+    }
+
+    /// Closes the open round's emit phase — all `n` messages are emitted
+    /// — and asks the detector for its suspicion sets `D(·, r)`.
+    pub fn detect(&mut self, span: &RoundSpan) -> RoundFaults {
         let round_no = self.next_round;
-        if round_no > self.max_rounds {
-            self.finish(
-                Err(EngineError::RoundLimitExceeded {
-                    max_rounds: self.max_rounds,
-                }),
-                TraceOutcome::RoundLimit {
-                    max_rounds: self.max_rounds,
-                },
-            );
-            return EngineStep::Finished;
-        }
-
-        let n = self.n.get();
-        let round = Round::new(round_no);
-        let span = self.obs.round_enter(Labels::round(round_no));
-
-        // Emit phase: one message per emitter, shared by all recipients.
-        self.messages.clear();
-        self.messages
-            .extend(self.protocols.iter_mut().map(|p| Some(p.emit(round))));
-        self.obs.add(ROUNDS, Labels::round(round_no), 1);
-        self.obs
-            .add(MESSAGES_EMITTED, Labels::round(round_no), n as u64);
+        let labels = Labels::round(round_no);
+        self.obs.add(ROUNDS, labels, 1);
+        self.obs.add(MESSAGES_EMITTED, labels, self.n.get() as u64);
         self.obs.close_span(
             self.instance,
             SpanKind::Phase(SpanPhase::Emit),
@@ -709,132 +726,122 @@ where
             None,
             span.start_ns(),
         );
+        self.detector
+            .next_round(Round::new(round_no), &self.pattern)
+    }
 
-        // The detector chooses and the engine validates D(·, r).
-        let faults = self.detector.next_round(round, &self.pattern);
-        if let Err(violation) = validate_round(&self.model, &mut self.batch, &faults) {
+    /// Validates the round's suspicion sets and opens its deliver phase.
+    /// A violating round is kept as evidence (trace, hook), the run
+    /// finishes, and `false` tells the transport not to deliver.
+    pub fn admit(&mut self, faults: &RoundFaults, span: RoundSpan) -> bool {
+        if let Err(violation) = validate_round(&self.model, &mut self.batch, faults) {
+            let round_no = self.next_round;
             self.obs.add(VIOLATIONS, Labels::round(round_no), 1);
             if let Some(RoundHook(hook)) = self.round_hook.as_mut() {
-                // The hook sees the violating round too — it is exactly
-                // what a captured trace records as evidence.
-                hook(&faults);
+                hook(faults);
             }
-            self.close_round(round_no, span);
-            // Keep the offending round in the trace: it is the evidence.
+            self.end_round_span(round_no, span);
             if let Some(t) = self.trace.as_mut() {
-                t.record_violating_round(faults);
+                t.record_violating_round(faults.clone());
             }
-            self.finish(
-                Err(violation.clone().into()),
-                TraceOutcome::Violation(violation),
-            );
-            return EngineStep::Finished;
+            let error = EngineError::Violation(violation.clone());
+            self.finish(Some(Err(error)), TraceOutcome::Violation(violation));
+            return false;
         }
+        self.deliver_start_ns = self.obs.now_ns();
+        true
+    }
 
-        // Receive phase: p_i sees m_{j,r} iff j ∉ D(i,r), through a
-        // masked view of the shared table.
-        let deliver_start = self.obs.now_ns();
-        let mut heard: Option<Vec<IdSet>> = self.trace.is_some().then(|| Vec::with_capacity(n));
-        for (i, protocol) in self.protocols.iter_mut().enumerate() {
-            let me = ProcessId::new(i);
-            let suspected = faults.of(me);
-            let delivery = Delivery::new(round, me, &self.messages, suspected);
-            let heard_set = delivery.heard_from();
-            if self.obs.is_enabled() {
-                let labels = Labels::process_round(i, round_no);
-                let heard_len = heard_set.len() as u64;
-                self.obs.add(MESSAGES_RECEIVED, labels, heard_len);
-                self.obs.add(DELIVERIES_SHARED, labels, heard_len);
-                self.obs.observe(HEARD_SIZE, labels, heard_len);
-                self.obs
-                    .observe(SUSPICION_SIZE, labels, suspected.len() as u64);
-            }
-            if let Some(h) = heard.as_mut() {
-                h.push(heard_set);
-            }
-            if let Control::Decide(value) = protocol.deliver(delivery) {
-                // First decision wins; later Decide outputs are ignored,
-                // matching "commit to outputs".
-                if self.decisions[i].is_none() {
-                    self.decisions[i] = Some((value, round));
-                    if let Some(t) = self.trace.as_mut() {
-                        t.record_decision(me, round);
-                    }
-                    self.obs
-                        .add(DECISIONS, Labels::process_round(i, round_no), 1);
-                    self.obs.close_span(
-                        self.instance,
-                        SpanKind::Phase(SpanPhase::Decide),
-                        round_no,
-                        Some(i as u32),
-                        deliver_start,
-                    );
-                }
-            }
+    /// Records `me`'s decision `value`, reached in `round`: the first one
+    /// wins (`true`), later ones are ignored — "commit to outputs".
+    pub fn decide(&mut self, me: ProcessId, value: O, round: Round) -> bool {
+        let slot = &mut self.decisions[me.index()];
+        if slot.is_some() {
+            return false;
         }
+        *slot = Some((value, round));
+        self.undecided -= 1;
+        if let Some(t) = self.trace.as_mut() {
+            t.record_decision(me, round);
+        }
+        self.obs
+            .add(DECISIONS, Labels::process_round(me.index(), round.get()), 1);
+        self.obs.close_span(
+            self.instance,
+            SpanKind::Phase(SpanPhase::Decide),
+            round.get(),
+            Some(me.index() as u32),
+            self.deliver_start_ns,
+        );
+        true
+    }
 
+    /// Closes the delivered round — metrics, trace, hook, pattern, span —
+    /// and finishes the run when every process has decided.
+    pub fn close_round(&mut self, faults: RoundFaults, span: RoundSpan) {
+        let round_no = self.next_round;
         self.obs.close_span(
             self.instance,
             SpanKind::Phase(SpanPhase::Deliver),
             round_no,
             None,
-            deliver_start,
+            self.deliver_start_ns,
         );
-        if let (Some(t), Some(h)) = (self.trace.as_mut(), heard.take()) {
-            t.record_round(&faults, h);
+        // Every process emits every round, so p_i heard exactly
+        // S(i,r) = S − D(i,r).
+        if self.obs.is_enabled() {
+            for p in self.n.processes() {
+                let labels = Labels::process_round(p.index(), round_no);
+                let suspected = faults.of(p);
+                let heard = suspected.complement(self.n).len() as u64;
+                self.obs.add(MESSAGES_RECEIVED, labels, heard);
+                self.obs.add(DELIVERIES_SHARED, labels, heard);
+                self.obs.observe(HEARD_SIZE, labels, heard);
+                self.obs
+                    .observe(SUSPICION_SIZE, labels, suspected.len() as u64);
+            }
+        }
+        if let Some(t) = self.trace.as_mut() {
+            let heard = self.n.processes().map(|p| faults.of(p).complement(self.n));
+            t.record_round(&faults, heard.collect());
         }
         if let Some(RoundHook(hook)) = self.round_hook.as_mut() {
             hook(&faults);
         }
         self.pattern.push(faults);
-        self.close_round(round_no, span);
+        self.end_round_span(round_no, span);
         self.next_round = round_no + 1;
-
-        if self.decisions.iter().all(Option::is_some) {
-            let decisions = std::mem::take(&mut self.decisions);
-            let pattern = std::mem::replace(&mut self.pattern, FaultPattern::new(self.n));
-            self.finish(
-                Ok(RunReport {
-                    decisions,
-                    pattern,
-                    rounds_executed: round_no,
-                }),
-                TraceOutcome::Decided {
-                    rounds_executed: round_no,
-                },
-            );
-            return EngineStep::Finished;
-        }
-        EngineStep::Running
+        self.settle();
     }
 
-    /// The run's result once finished; `None` while still running.
-    #[must_use]
-    pub fn outcome(&self) -> Option<&Result<RunReport<P::Output>, EngineError>> {
-        self.done.as_ref()
+    /// Dismantles the run into its result and trace (when armed). A run
+    /// its transport left unfinished ends here: its trace seals as
+    /// [`TraceOutcome::Aborted`] and its result is `None`.
+    pub fn into_parts(mut self) -> (Option<Result<RunReport<O>, EngineError>>, Option<RunTrace>) {
+        if self.done.is_none() {
+            self.finish(None, TraceOutcome::Aborted);
+        }
+        (self.done, self.finished_trace)
     }
 
-    /// Steps the run until terminal (a no-op when already finished) and
-    /// dismantles it into result, optional trace, and the reusable
-    /// emission-table buffer and compiled model.
-    pub fn run_to_completion(mut self) -> FinishedRun<P::Output, P::Msg> {
-        loop {
-            if let Some(result) = self.done.take() {
-                self.messages.clear();
-                return FinishedRun {
-                    result,
-                    trace: self.finished_trace,
-                    buffer: self.messages,
-                    batch: self.batch,
-                };
-            }
-            self.step();
+    /// Finishes the run with a report when every process has decided.
+    fn settle(&mut self) -> bool {
+        if self.undecided > 0 {
+            return false;
         }
+        let rounds_executed = self.next_round - 1;
+        let report = RunReport {
+            decisions: std::mem::take(&mut self.decisions),
+            pattern: std::mem::replace(&mut self.pattern, FaultPattern::new(self.n)),
+            rounds_executed,
+        };
+        self.finish(Some(Ok(report)), TraceOutcome::Decided { rounds_executed });
+        true
     }
 
     /// Ends round `round_no`: its latency observation and its span share
     /// one clock read.
-    fn close_round(&mut self, round_no: u32, span: RoundSpan) {
+    fn end_round_span(&mut self, round_no: u32, span: RoundSpan) {
         let end_ns = self.obs.round_exit(ROUND_LATENCY, span);
         self.obs.record_span(SpanRecord {
             instance: self.instance,
@@ -846,12 +853,134 @@ where
         });
     }
 
-    fn finish(&mut self, result: Result<RunReport<P::Output>, EngineError>, outcome: TraceOutcome) {
+    /// Ends the run: closes its span, flushes its samples and seals its
+    /// trace with `outcome`; `result` is `None` for an aborted run.
+    fn finish(&mut self, result: Option<Result<RunReport<O>, EngineError>>, outcome: TraceOutcome) {
         self.obs
             .close_span(self.instance, SpanKind::Run, 0, None, self.run_start_ns);
         self.obs.flush();
         self.finished_trace = self.trace.take().map(|t| t.finish(outcome));
-        self.done = Some(result);
+        self.done = result;
+    }
+}
+
+/// A resumable run: [`Engine::start`]'s handle, executing one round per
+/// [`EngineRun::step`] call.
+///
+/// It is a [`RoundCore`] — *the* round semantics, which the threaded
+/// runtime drives too — plus the processes and the emission table.
+/// [`Engine::run`] and [`Engine::run_traced`] are thin loops over this
+/// type, so a run stepped to completion is decision- and trace-identical
+/// to a `run` call with the same inputs (the batch pool's differential
+/// suite pins this).
+#[derive(Debug)]
+pub struct EngineRun<P: RoundProtocol, D, Q> {
+    core: RoundCore<P::Output, D, Q>,
+    protocols: Vec<P>,
+    // The round's emission table, reused across rounds so steady-state
+    // rounds are allocation-free. Every recipient borrows this one table
+    // through its `Delivery` view — no per-recipient clones.
+    messages: Vec<Option<P::Msg>>,
+}
+
+impl<P, D, Q> EngineRun<P, D, Q>
+where
+    P: RoundProtocol,
+    D: FaultDetector,
+    Q: RrfdPredicate,
+{
+    /// The system size of the run.
+    #[must_use]
+    pub fn system_size(&self) -> SystemSize {
+        self.core.n
+    }
+
+    /// Rounds executed so far.
+    #[must_use]
+    pub fn rounds_executed(&self) -> u32 {
+        self.core.next_round - 1
+    }
+
+    /// `true` once the run hit a terminal state.
+    #[must_use]
+    pub fn is_finished(&self) -> bool {
+        self.core.done.is_some()
+    }
+
+    /// Installs (or replaces) the per-round observation hook; see
+    /// [`RoundHook`].
+    pub fn set_round_hook(&mut self, hook: RoundHook) {
+        self.core.set_round_hook(hook);
+    }
+
+    /// Overrides the instance id stamped on this run's causal spans
+    /// (normally inherited from [`Engine::instance`]). The pool calls this
+    /// per instance so the span trees of its runs, which share one engine
+    /// per lane, stay disjoint.
+    pub fn set_instance(&mut self, instance: u64) {
+        self.core.instance = instance;
+    }
+
+    /// Executes one round (emit → detect/validate → deliver), or reports
+    /// [`EngineStep::Finished`] without executing anything when the run is
+    /// already terminal.
+    pub fn step(&mut self) -> EngineStep {
+        let span = self.core.enter_round();
+        let Some(round) = self.core.open_round() else {
+            return EngineStep::Finished;
+        };
+
+        // Emit phase: one message per emitter, shared by all recipients.
+        self.messages.clear();
+        self.messages
+            .extend(self.protocols.iter_mut().map(|p| Some(p.emit(round))));
+
+        // The detector chooses and the core validates D(·, r).
+        let faults = self.core.detect(&span);
+        if !self.core.admit(&faults, span) {
+            return EngineStep::Finished;
+        }
+
+        // Receive phase: p_i sees m_{j,r} iff j ∉ D(i,r), through a
+        // masked view of the shared table.
+        for (i, protocol) in self.protocols.iter_mut().enumerate() {
+            let me = ProcessId::new(i);
+            let delivery = Delivery::new(round, me, &self.messages, faults.of(me));
+            if let Control::Decide(value) = protocol.deliver(delivery) {
+                self.core.decide(me, value, round);
+            }
+        }
+        self.core.close_round(faults, span);
+
+        if self.is_finished() {
+            EngineStep::Finished
+        } else {
+            EngineStep::Running
+        }
+    }
+
+    /// The run's result once finished; `None` while still running.
+    #[must_use]
+    pub fn outcome(&self) -> Option<&Result<RunReport<P::Output>, EngineError>> {
+        self.core.done.as_ref()
+    }
+
+    /// Steps the run until terminal (a no-op when already finished) and
+    /// dismantles it into result, optional trace, and the reusable
+    /// emission-table buffer and compiled model.
+    pub fn run_to_completion(mut self) -> FinishedRun<P::Output, P::Msg> {
+        loop {
+            if let Some(result) = self.core.done.take() {
+                self.messages.clear();
+                return FinishedRun {
+                    result,
+                    trace: self.core.finished_trace,
+                    buffer: self.messages,
+                    batch: self.core.batch,
+                };
+            }
+            self.step();
+        }
     }
 }
 
@@ -1451,11 +1580,11 @@ mod tests {
             .unwrap();
         assert_eq!(run.step(), EngineStep::Running);
         // Mid-run, the round sits in the run's buffer, not the recorder.
-        assert!(run.obs.pending() > 0);
+        assert!(run.core.obs.pending() > 0);
         assert_eq!(obs.snapshot().counter_total(names::ENGINE_ROUNDS), 0);
         assert!(obs.spans().is_empty());
         assert_eq!(run.step(), EngineStep::Finished);
-        assert_eq!(run.obs.pending(), 0);
+        assert_eq!(run.core.obs.pending(), 0);
         assert_eq!(obs.snapshot().counter_total(names::ENGINE_ROUNDS), 2);
         assert_eq!(obs.spans().len(), 2 * 3 + 3 + 1);
     }
@@ -1502,8 +1631,8 @@ mod tests {
             .unwrap();
         run.step();
         run.step();
-        assert!(!run.obs.is_enabled(), "no buffer behind Obs::noop()");
-        assert_eq!(run.obs.pending(), 0);
+        assert!(!run.core.obs.is_enabled(), "no buffer behind Obs::noop()");
+        assert_eq!(run.core.obs.pending(), 0);
     }
 
     #[test]

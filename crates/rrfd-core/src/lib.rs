@@ -23,7 +23,9 @@
 //!   batch-evaluated against a round in one pass (DESIGN.md §17).
 //! * [`Engine`], [`RoundProtocol`], [`FaultDetector`] — the emit/receive
 //!   loop from Section 1 of the paper, with mechanical validation of every
-//!   adversary move.
+//!   adversary move. [`RoundCore`] is that loop's round semantics without
+//!   a message transport: the in-process engine and the threaded runtime
+//!   both drive it.
 //! * [`KnowledgeState`], [`KnowledgeMatrix`] — full-information runs and the
 //!   knowledge-spread arguments of §2 item 4.
 //! * [`RunTrace`], [`TraceBuilder`] — serializable records of whole runs
@@ -60,7 +62,7 @@ mod trace;
 
 pub use engine::{
     Control, Delivery, Engine, EngineError, EngineRun, EngineStep, FaultDetector, FinishedRun,
-    RoundHook, RoundProtocol, RunReport, DEFAULT_MAX_ROUNDS,
+    RoundCore, RoundHook, RoundProtocol, RunReport, DEFAULT_MAX_ROUNDS,
 };
 pub use events::{Actor, EventLog, RtEvent, RtEventKind};
 pub use full_info::{KnowledgeMatrix, KnowledgeProtocol, KnowledgeState};

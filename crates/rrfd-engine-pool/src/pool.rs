@@ -38,8 +38,8 @@ use crate::mix::{
 };
 use rrfd_core::task::Value;
 use rrfd_core::{
-    Engine, EngineError, EngineRun, EngineStep, FaultDetector, ProgramBatch, RoundHook,
-    RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize,
+    Engine, EngineError, EngineRun, EngineStep, FaultDetector, ProgramBatch, RoundProtocol,
+    RrfdPredicate, RunReport, RunTrace, SystemSize,
 };
 use rrfd_models::conformance::ConformanceMonitor;
 use rrfd_obs::{names, FlightRecorder, Labels, MetricId, Obs, RunObs, DEFAULT_FLIGHT_ROUNDS};
@@ -433,17 +433,6 @@ fn lock(monitor: &Mutex<ConformanceMonitor>) -> MutexGuard<'_, ConformanceMonito
     monitor.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Installs the round hook that feeds `monitor` every round of `run`.
-fn feed<P, D, Q>(run: &mut EngineRun<P, D, Q>, monitor: &Arc<Mutex<ConformanceMonitor>>)
-where
-    P: RoundProtocol,
-    D: FaultDetector,
-    Q: RrfdPredicate,
-{
-    let sink = Arc::clone(monitor);
-    run.set_round_hook(RoundHook::new(move |faults| lock(&sink).observe(faults)));
-}
-
 impl<C: InstanceClass> ClassLane<C> {
     fn new(class: C, class_index: usize, config: &PoolConfig) -> Self {
         let engine = Engine::new(class.system_size())
@@ -526,7 +515,7 @@ impl<C: InstanceClass> ClassLane<C> {
         run.set_instance(id);
         if let Some((monitor, _)) = &self.conformance {
             lock(monitor).reset();
-            feed(&mut run, monitor);
+            run.set_round_hook(ConformanceMonitor::hook(monitor));
         }
         if let Some(f) = shard.flight.as_mut() {
             f.note(format!("start instance {id} ({})", self.class.name()));

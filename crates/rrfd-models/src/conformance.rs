@@ -20,11 +20,11 @@
 
 use crate::zoo::{compile_family, zoo, SharedPredicate, ZOO_STRENGTH_RANK};
 use rrfd_core::{
-    FaultPattern, ProgramBatch, Round, RoundFaults, RoundProfile, RrfdPredicate, RunTrace,
-    SystemSize,
+    FaultPattern, ProgramBatch, Round, RoundFaults, RoundHook, RoundProfile, RrfdPredicate,
+    RunTrace, SystemSize,
 };
 use rrfd_obs::{names, Labels, MetricId, Obs, RunObs};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 const ROUNDS: MetricId = MetricId::of(names::CONF_ROUNDS);
 const CHECKS: MetricId = MetricId::of(names::CONF_CHECKS);
@@ -215,6 +215,18 @@ impl ConformanceMonitor {
             self.violations[idx] = Some(round_no);
         }
         self.history.push(round.clone());
+    }
+
+    /// The [`RoundHook`] that feeds `monitor` every round of a run. A
+    /// poisoned monitor is fed all the same: a panic mid-`observe` only
+    /// affects the run it panicked in.
+    #[must_use]
+    pub fn hook(monitor: &Arc<Mutex<Self>>) -> RoundHook {
+        let monitor = Arc::clone(monitor);
+        RoundHook::new(move |faults| {
+            let mut monitor = monitor.lock().unwrap_or_else(PoisonError::into_inner);
+            monitor.observe(faults);
+        })
     }
 
     /// Total compiled-plane program evaluations performed so far (the

@@ -8,7 +8,7 @@
 //! `(process, round)` — never free-form strings — which bounds
 //! cardinality at `n × rounds`.
 
-// -- rrfd-core::Engine (the in-process round engine) ------------------------
+// -- rrfd-core::RoundCore (every engine run, in-process or threaded) ---------
 
 /// Counter: rounds executed, per round (so also a round-liveness marker).
 pub const ENGINE_ROUNDS: &str = "rrfd_engine_rounds_total";
@@ -31,7 +31,7 @@ pub const ENGINE_VIOLATIONS: &str = "rrfd_engine_violations_total";
 /// plane this equals messages received.
 pub const ENGINE_DELIVERIES_SHARED: &str = "rrfd_engine_deliveries_shared_total";
 
-// -- rrfd-runtime::ThreadedEngine (coordinator + process threads) -----------
+// -- rrfd-runtime::ThreadedEngine transport (coordinator + threads) ---------
 
 /// Counter: messages emitted by process threads, per `(process, round)`.
 pub const RUNTIME_MESSAGES_EMITTED: &str = "rrfd_runtime_messages_emitted_total";
@@ -47,12 +47,8 @@ pub const RUNTIME_MESSAGES_RECEIVED: &str = "rrfd_runtime_messages_received_tota
 pub const RUNTIME_DECISIONS: &str = "rrfd_runtime_decisions_total";
 /// Counter: coordinator shared-state accesses.
 pub const RUNTIME_STATE_ACCESSES: &str = "rrfd_runtime_state_accesses_total";
-/// Histogram: coordinator wall latency per round, in clock ns, per round.
-pub const RUNTIME_ROUND_LATENCY: &str = "rrfd_runtime_round_latency_ns";
 /// Counter: gather timeouts (a thread missed its emission window).
 pub const RUNTIME_GATHER_TIMEOUTS: &str = "rrfd_runtime_gather_timeouts_total";
-/// Counter: runs ending in `ThreadedError::Violation`.
-pub const RUNTIME_ERR_VIOLATION: &str = "rrfd_runtime_errors_violation_total";
 /// Counter: runs ending in `ThreadedError::WrongProcessCount`.
 pub const RUNTIME_ERR_WRONG_COUNT: &str = "rrfd_runtime_errors_wrong_process_count_total";
 /// Counter: runs ending in `ThreadedError::RoundLimitExceeded`.
@@ -165,7 +161,7 @@ pub const PRED_COMPILED_EVALS: &str = "rrfd_predicate_compiled_evals_total";
 /// recorders index per-metric tables by it instead of hashing strings.
 /// New names must be appended here too (a unit test checks that every
 /// constant of this module is listed exactly once).
-pub const ALL: [&str; 53] = [
+pub const ALL: [&str; 51] = [
     ENGINE_ROUNDS,
     ENGINE_MESSAGES_EMITTED,
     ENGINE_MESSAGES_RECEIVED,
@@ -182,9 +178,7 @@ pub const ALL: [&str; 53] = [
     RUNTIME_MESSAGES_RECEIVED,
     RUNTIME_DECISIONS,
     RUNTIME_STATE_ACCESSES,
-    RUNTIME_ROUND_LATENCY,
     RUNTIME_GATHER_TIMEOUTS,
-    RUNTIME_ERR_VIOLATION,
     RUNTIME_ERR_WRONG_COUNT,
     RUNTIME_ERR_ROUND_LIMIT,
     RUNTIME_ERR_PROCESS_DIED,

@@ -56,6 +56,11 @@ impl RoundClock {
         self.inner.1.notify_all();
     }
 
+    /// Puts the clock back at round 0, unfinished, for the next run.
+    pub(crate) fn reset(&self) {
+        *self.inner.0.lock() = ClockState::default();
+    }
+
     /// Marks the run as finished and wakes waiters.
     pub fn finish(&self) {
         let mut state = self.inner.0.lock();

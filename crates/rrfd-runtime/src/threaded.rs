@@ -5,18 +5,18 @@
 //! Each process runs on its own thread and speaks only to the coordinator:
 //! it emits its round message, then blocks until the coordinator answers
 //! with the round's delivery — the messages of every unsuspected peer plus
-//! the suspicion set `D(i,r)`. The coordinator gathers the `n` emissions,
-//! asks the [`FaultDetector`] for the round's suspicion sets, validates
-//! them against the model's compiled [`ProgramBatch`] (exactly like the
-//! in-process [`rrfd_core::Engine`]), and replies. The harness exists to
-//! demonstrate that RRFD systems are *executable* designs, not just proof
-//! devices — experiment E13 runs Theorem 3.1 end to end on threads.
+//! the suspicion set `D(i,r)`. The coordinator is a transport over the
+//! engine's [`RoundCore`], which consults the [`FaultDetector`], admits
+//! and records every round exactly as in [`rrfd_core::Engine`]. The
+//! harness exists to demonstrate that RRFD systems are *executable*
+//! designs, not just proof devices — experiment E13 runs Theorem 3.1 end
+//! to end on threads.
 
 use crossbeam::channel::{self, Receiver, Sender};
-use rrfd_core::{validate_round, FaultDetector, ProgramBatch};
 use rrfd_core::{
-    Control, Delivery, FaultPattern, IdSet, PatternViolation, ProcessId, Round, RoundProtocol,
-    RrfdPredicate, RunReport, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
+    Control, Delivery, Engine, EngineError, FaultDetector, IdSet, PatternViolation, ProcessId,
+    Round, RoundCore, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize, TraceBuilder,
+    TraceOutcome,
 };
 use std::fmt;
 use std::thread;
@@ -26,8 +26,8 @@ use crate::clock::RoundClock;
 use crate::sink::EventSink;
 use rrfd_core::{Actor, RtEventKind};
 use rrfd_models::conformance::ConformanceMonitor;
-use rrfd_obs::{names, FlightRecorder, Labels, Obs, SpanKind, SpanPhase, DEFAULT_FLIGHT_ROUNDS};
-use std::sync::{Arc, Mutex};
+use rrfd_obs::{names, FlightRecorder, Labels, Obs, DEFAULT_FLIGHT_ROUNDS};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Channel pair used between the coordinator and process threads.
 type EmissionChannel<M, O> = (Sender<Emission<M, O>>, Receiver<Emission<M, O>>);
@@ -159,9 +159,17 @@ impl fmt::Display for ThreadedError {
 
 impl std::error::Error for ThreadedError {}
 
-impl From<PatternViolation> for ThreadedError {
-    fn from(v: PatternViolation) -> Self {
-        ThreadedError::Violation(v)
+impl From<EngineError> for ThreadedError {
+    fn from(error: EngineError) -> Self {
+        match error {
+            EngineError::Violation(v) => ThreadedError::Violation(v),
+            EngineError::WrongProcessCount { supplied, expected } => {
+                ThreadedError::WrongProcessCount { supplied, expected }
+            }
+            EngineError::RoundLimitExceeded { max_rounds } => {
+                ThreadedError::RoundLimitExceeded { max_rounds }
+            }
+        }
     }
 }
 
@@ -236,30 +244,29 @@ const DEFAULT_GATHER_TIMEOUT: Duration = Duration::from_secs(5);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ThreadedEngine {
-    n: SystemSize,
-    max_rounds: u32,
+    /// Size, round limit, `Obs` and instance of every run's core.
+    engine: Engine,
+    /// Where the transport's `rrfd_runtime_*` counters go.
+    obs: Obs,
     gather_timeout: Duration,
     clock: RoundClock,
     events: Option<EventSink>,
-    obs: Obs,
-    instance: u64,
     flight_rounds: u32,
     flight_dump: Arc<Mutex<Option<String>>>,
     conformance: Option<Arc<Mutex<ConformanceMonitor>>>,
 }
 
 impl ThreadedEngine {
-    /// Creates an engine for `n` processes.
+    /// Creates an engine for `n` processes, with the in-process engine's
+    /// default round limit, [`rrfd_core::DEFAULT_MAX_ROUNDS`].
     #[must_use]
     pub fn new(n: SystemSize) -> Self {
         ThreadedEngine {
-            n,
-            max_rounds: 100_000,
+            engine: Engine::new(n),
+            obs: Obs::noop(),
             gather_timeout: DEFAULT_GATHER_TIMEOUT,
             clock: RoundClock::new(),
             events: None,
-            obs: Obs::noop(),
-            instance: 0,
             flight_rounds: DEFAULT_FLIGHT_ROUNDS as u32,
             flight_dump: Arc::new(Mutex::new(None)),
             conformance: None,
@@ -269,7 +276,7 @@ impl ThreadedEngine {
     /// Overrides the round budget.
     #[must_use]
     pub fn max_rounds(mut self, max_rounds: u32) -> Self {
-        self.max_rounds = max_rounds;
+        self.engine = self.engine.max_rounds(max_rounds);
         self
     }
 
@@ -293,13 +300,15 @@ impl ThreadedEngine {
         self
     }
 
-    /// Attaches an observability handle. The coordinator and the process
-    /// threads then count every runtime event (the events an
-    /// [`EventSink`] logs) under the `rrfd_runtime_*` names, keyed by
-    /// process and round, and the coordinator records per-round wall
-    /// latency, gather timeouts, and terminal error counters.
+    /// Attaches an observability handle. Each run's core records the round
+    /// metrics and spans under the `rrfd_engine_*` names, as
+    /// `rrfd_core::Engine::obs` describes; the transport counts every
+    /// runtime event (the events an [`EventSink`] logs) under the
+    /// `rrfd_runtime_*` names, keyed by process and round, plus gather
+    /// timeouts and terminal errors.
     #[must_use]
     pub fn obs(mut self, obs: Obs) -> Self {
+        self.engine = self.engine.obs(obs.clone());
         self.obs = obs;
         self
     }
@@ -308,7 +317,7 @@ impl ThreadedEngine {
     /// `rrfd_core::Engine::instance`). Defaults to 0.
     #[must_use]
     pub fn instance(mut self, instance: u64) -> Self {
-        self.instance = instance;
+        self.engine = self.engine.instance(instance);
         self
     }
 
@@ -326,12 +335,12 @@ impl ThreadedEngine {
         self
     }
 
-    /// Attaches a live conformance monitor: the coordinator feeds it every
-    /// validated round's suspicion sets (and, on the violation path, the
-    /// violating round — the evidence), so the zoo verdict is available
-    /// the moment the run ends. Call
-    /// [`ConformanceMonitor::record`] afterwards to
-    /// export the verdict as `rrfd_conformance_*` metrics.
+    /// Attaches a live conformance monitor: a [`rrfd_core::RoundHook`] on
+    /// each run's core feeds it every validated round's suspicion sets
+    /// (and, on the violation path, the violating round — the evidence),
+    /// so the zoo verdict is available the moment the run ends. Call
+    /// [`ConformanceMonitor::record`] afterwards to export the verdict as
+    /// `rrfd_conformance_*` metrics.
     #[must_use]
     pub fn conformance(mut self, monitor: Arc<Mutex<ConformanceMonitor>>) -> Self {
         self.conformance = Some(monitor);
@@ -345,7 +354,7 @@ impl ThreadedEngine {
     pub fn take_flight_dump(&self) -> Option<String> {
         self.flight_dump
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .take()
     }
 
@@ -375,28 +384,17 @@ impl ThreadedEngine {
         *self
             .flight_dump
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) =
-            Some(flight.dump(&error.to_string()));
+            .unwrap_or_else(PoisonError::into_inner) = Some(flight.dump(&error.to_string()));
     }
 
-    /// Feeds one round's suspicion sets to the attached conformance
-    /// monitor, if any.
-    fn observe_conformance(&self, faults: &rrfd_core::RoundFaults) {
-        if let Some(monitor) = &self.conformance {
-            monitor
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .observe(faults);
-        }
-    }
-
-    /// Counts a terminal error under its `rrfd_runtime_errors_*` name.
+    /// Counts a terminal error under its `rrfd_runtime_errors_*` name; the
+    /// core counts violations, as `rrfd_engine_violations_total`.
     fn record_error(&self, error: &ThreadedError) {
         if !self.obs.is_enabled() {
             return;
         }
         let (metric, labels) = match error {
-            ThreadedError::Violation(_) => (names::RUNTIME_ERR_VIOLATION, Labels::GLOBAL),
+            ThreadedError::Violation(_) => return,
             ThreadedError::WrongProcessCount { .. } => {
                 (names::RUNTIME_ERR_WRONG_COUNT, Labels::GLOBAL)
             }
@@ -417,7 +415,7 @@ impl ThreadedEngine {
     }
 
     /// A clock observers can use to watch the run's progress from other
-    /// threads.
+    /// threads: back at round 0 when a run starts, finished when it ends.
     #[must_use]
     pub fn clock(&self) -> RoundClock {
         self.clock.clone()
@@ -441,7 +439,7 @@ impl ThreadedEngine {
         D: FaultDetector + ?Sized,
         Q: RrfdPredicate + ?Sized,
     {
-        self.run_inner(protocols, detector, model, None).0
+        self.run_inner(protocols, detector, model, false).0
     }
 
     /// Like [`ThreadedEngine::run`], but also records a [`RunTrace`]: the
@@ -460,21 +458,27 @@ impl ThreadedEngine {
         D: FaultDetector + ?Sized,
         Q: RrfdPredicate + ?Sized,
     {
-        let mut trace = TraceBuilder::new(self.n);
-        let (result, outcome) = self.run_inner(protocols, detector, model, Some(&mut trace));
-        (result, trace.finish(outcome))
+        let (result, trace) = self.run_inner(protocols, detector, model, true);
+        // A run rejected before it started reads as aborted, as in-process.
+        let trace = trace.unwrap_or_else(|| {
+            TraceBuilder::new(self.engine.system_size()).finish(TraceOutcome::Aborted)
+        });
+        (result, trace)
     }
 
-    /// The shared run body. With `trace` absent ([`ThreadedEngine::run`])
-    /// the coordinator skips all trace bookkeeping — no heard-set vectors,
-    /// no per-round fault clones.
+    /// The shared run body: starts the run's core, spawns one thread per
+    /// process, drives the core from the calling thread, then stops and
+    /// joins the threads.
     fn run_inner<P, D, Q>(
         &self,
         protocols: Vec<P>,
         detector: &mut D,
         model: &Q,
-        trace: Option<&mut TraceBuilder>,
-    ) -> (Result<RunReport<P::Output>, ThreadedError>, TraceOutcome)
+        traced: bool,
+    ) -> (
+        Result<RunReport<P::Output>, ThreadedError>,
+        Option<RunTrace>,
+    )
     where
         P: RoundProtocol + Send + 'static,
         P::Msg: Send + Sync + 'static,
@@ -482,19 +486,19 @@ impl ThreadedEngine {
         D: FaultDetector + ?Sized,
         Q: RrfdPredicate + ?Sized,
     {
+        self.clock.reset();
         let mut flight = FlightRecorder::new(self.flight_rounds as usize);
-        let run_start_ns = self.obs.now_ns();
-        let n = self.n.get();
-        if protocols.len() != n {
-            let error = ThreadedError::WrongProcessCount {
-                supplied: protocols.len(),
-                expected: n,
-            };
-            self.record_error(&error);
-            self.stash_flight(&flight, &error);
-            return (Err(error), TraceOutcome::Aborted);
+        let mut core = match self
+            .engine
+            .round_core(protocols.len(), detector, model, traced)
+        {
+            Ok(core) => core,
+            Err(error) => return (self.end_run(Err(error.into()), &flight), None),
+        };
+        if let Some(monitor) = &self.conformance {
+            core.set_round_hook(ConformanceMonitor::hook(monitor));
         }
-
+        let n = protocols.len();
         let (emit_tx, emit_rx): EmissionChannel<P::Msg, P::Output> = channel::unbounded();
 
         let mut reply_txs = Vec::with_capacity(n);
@@ -546,8 +550,7 @@ impl ThreadedEngine {
         }
         drop(emit_tx);
 
-        let (result, outcome) =
-            self.coordinate::<P>(&emit_rx, &reply_txs, detector, model, trace, &mut flight);
+        let transport = self.coordinate::<P, _, _>(&mut core, &emit_rx, &reply_txs, &mut flight);
 
         // Stop every thread (ignore send failures: thread may be gone).
         for tx in &reply_txs {
@@ -567,45 +570,61 @@ impl ThreadedEngine {
                 panics[i] = Some(message);
             }
         }
-        let result = attribute_panics(result, &mut panics);
-        if let Err(error) = &result {
-            self.record_error(error);
-            // The post-mortem capture is stashed *after* panic
-            // attribution so the dump header names the cause
-            // (ProcessPanicked), not the channel-level symptom.
-            self.stash_flight(&flight, error);
-        }
-        self.obs
-            .close_span(self.instance, SpanKind::Run, 0, None, run_start_ns);
-        self.clock.finish();
-        (result, outcome)
+        let (outcome, trace) = core.into_parts();
+        let result = match (transport, outcome) {
+            (Err(error), _) => Err(error),
+            (Ok(()), Some(outcome)) => outcome.map_err(ThreadedError::from),
+            // Unreachable (`Ok` means the core finished); kept total.
+            (Ok(()), None) => Err(ThreadedError::ChannelClosed),
+        };
+        (
+            self.end_run(attribute_panics(result, &mut panics), &flight),
+            trace,
+        )
     }
 
-    /// Runs the coordinator loop. Returns the run result plus the trace
-    /// outcome to seal the recorded trace with (the builder itself is
-    /// filled in as rounds execute).
-    fn coordinate<P>(
+    /// Ends a run: a failed one counts its error and stashes its flight
+    /// dump — after panic attribution, so the dump names the cause
+    /// (ProcessPanicked), not the channel-level symptom — and the clock
+    /// finishes either way.
+    fn end_run<T>(
         &self,
+        result: Result<T, ThreadedError>,
+        flight: &FlightRecorder,
+    ) -> Result<T, ThreadedError> {
+        if let Err(error) = &result {
+            self.record_error(error);
+            self.stash_flight(flight, error);
+        }
+        self.clock.finish();
+        result
+    }
+
+    /// The coordinator loop, the transport around `core`: each round it
+    /// gathers the `n` emissions — a decision rides on the next emission,
+    /// so the core gets it as one of the previous round, and the round
+    /// limit's gather is just the next round's — lets the core open,
+    /// detect and admit the round, and sends out the shared table. Returns
+    /// once the core finished, or with the transport failure.
+    fn coordinate<P, D, Q>(
+        &self,
+        core: &mut RoundCore<P::Output, D, Q>,
         emit_rx: &Receiver<Emission<P::Msg, P::Output>>,
         reply_txs: &[Sender<CoordReply<P::Msg>>],
-        detector: &mut (impl FaultDetector + ?Sized),
-        model: &(impl RrfdPredicate + ?Sized),
-        mut trace: Option<&mut TraceBuilder>,
         flight: &mut FlightRecorder,
-    ) -> (Result<RunReport<P::Output>, ThreadedError>, TraceOutcome)
+    ) -> Result<(), ThreadedError>
     where
         P: RoundProtocol,
-        P::Output: Clone,
+        D: FaultDetector,
+        Q: RrfdPredicate,
     {
-        let n = self.n.get();
+        let n = reply_txs.len();
         let black_box = self.flight_rounds > 0;
-        let mut decisions: Vec<Option<(P::Output, Round)>> = vec![None; n];
-        let mut pattern = FaultPattern::new(self.n);
-        let mut batch = ProgramBatch::of(model);
-
-        for round_no in 1..=self.max_rounds {
+        let mut round_no = 0;
+        loop {
+            round_no += 1;
             let round = Round::new(round_no);
-            let span = self.obs.round_enter(Labels::round(round_no));
+            let span = core.enter_round();
 
             // Gather every process's emission for this round.
             let mut messages: Vec<Option<P::Msg>> = (0..n).map(|_| None).collect();
@@ -614,100 +633,55 @@ impl ThreadedEngine {
                 // peers stay alive (their sender clones keep the channel
                 // open), so bound the wait. The timeout only fires when a
                 // thread is genuinely gone or wedged.
-                let emission = match emit_rx.recv_timeout(self.gather_timeout) {
-                    Ok(emission) => emission,
-                    Err(_) => {
-                        self.obs
-                            .add(names::RUNTIME_GATHER_TIMEOUTS, Labels::round(round_no), 1);
-                        if black_box {
-                            let missing: Vec<usize> = messages
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(i, m)| m.is_none().then_some(i))
-                                .collect();
-                            flight.note(
-                                round_no,
-                                format!("gather timeout; emissions missing from {missing:?}"),
-                            );
-                        }
-                        // A process whose emission is still missing this
-                        // round is the dead one; if all slots are somehow
-                        // filled, report the closed channel itself rather
-                        // than guessing.
-                        let error = match messages
+                let Ok(emission) = emit_rx.recv_timeout(self.gather_timeout) else {
+                    self.obs
+                        .add(names::RUNTIME_GATHER_TIMEOUTS, Labels::round(round_no), 1);
+                    if black_box {
+                        let missing: Vec<usize> = messages
                             .iter()
-                            .position(Option::is_none)
-                            .map(ProcessId::new)
-                        {
-                            Some(process) => ThreadedError::ProcessDied { process },
-                            None => ThreadedError::ChannelClosed,
-                        };
-                        return (Err(error), TraceOutcome::Aborted);
+                            .enumerate()
+                            .filter_map(|(i, m)| m.is_none().then_some(i))
+                            .collect();
+                        flight.note(
+                            round_no,
+                            format!("gather timeout; emissions missing from {missing:?}"),
+                        );
                     }
+                    // A process whose emission is still missing this
+                    // round is the dead one; if all slots are somehow
+                    // filled, report the closed channel itself rather
+                    // than guessing.
+                    return Err(match messages.iter().position(Option::is_none) {
+                        Some(i) => ThreadedError::ProcessDied {
+                            process: ProcessId::new(i),
+                        },
+                        None => ThreadedError::ChannelClosed,
+                    });
                 };
                 debug_assert_eq!(emission.round, round, "lock-step protocol violated");
                 self.record(RtEventKind::Gather {
                     from: emission.from,
                     round: emission.round,
                 });
-                if black_box {
-                    flight.note(round_no, format!("gather p{}", emission.from.index()));
-                }
-                if let Some(v) = emission.decided {
-                    // Decision reached in the previous round's deliver.
-                    if decisions[emission.from.index()].is_none() {
-                        let decided_at = Round::new(round_no - 1);
-                        decisions[emission.from.index()] = Some((v, decided_at));
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.record_decision(emission.from, decided_at);
-                        }
-                        if black_box {
-                            flight.note(
-                                round_no,
-                                format!(
-                                    "p{} decided (in round {})",
-                                    emission.from.index(),
-                                    decided_at.get()
-                                ),
-                            );
-                        }
-                        self.obs.close_span(
-                            self.instance,
-                            SpanKind::Phase(SpanPhase::Decide),
-                            decided_at.get(),
-                            Some(emission.from.index() as u32),
-                            span.start_ns(),
-                        );
+                if let Some(value) = emission.decided {
+                    // Reached in the previous round's deliver.
+                    let decided_at = Round::new(round_no - 1);
+                    if core.decide(emission.from, value, decided_at) {
                         self.record_write("decisions");
+                        if black_box {
+                            flight
+                                .note(round_no - 1, format!("p{} decided", emission.from.index()));
+                        }
                     }
                 }
                 messages[emission.from.index()] = Some(emission.msg);
             }
 
-            if round_no > 1 && decisions.iter().all(Option::is_some) {
-                let rounds_executed = round_no - 1;
-                return (
-                    Ok(RunReport {
-                        decisions,
-                        pattern,
-                        rounds_executed,
-                    }),
-                    TraceOutcome::Decided { rounds_executed },
-                );
+            if core.open_round().is_none() {
+                return Ok(());
             }
-
-            // The emit/gather phase of the round is over once every
-            // emission is in hand.
-            self.obs.close_span(
-                self.instance,
-                SpanKind::Phase(SpanPhase::Emit),
-                round_no,
-                None,
-                span.start_ns(),
-            );
-
             self.record(RtEventKind::Detect { round });
-            let faults = detector.next_round(round, &pattern);
+            let faults = core.detect(&span);
             if black_box {
                 for i in 0..n {
                     let suspected = faults.of(ProcessId::new(i));
@@ -716,148 +690,38 @@ impl ThreadedEngine {
                     }
                 }
             }
-            if let Err(violation) = validate_round(model, &mut batch, &faults) {
-                if black_box {
-                    flight.note(round_no, format!("VIOLATION: {violation}"));
-                }
-                // The monitor sees the violating round too: it is the
-                // evidence the certificate replays.
-                self.observe_conformance(&faults);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record_violating_round(faults);
-                }
-                return (
-                    Err(violation.clone().into()),
-                    TraceOutcome::Violation(violation),
-                );
+            if !core.admit(&faults, span) {
+                return Ok(());
             }
-            self.observe_conformance(&faults);
 
             // One shared emission table for the whole round: `n` reference
             // counts go out instead of `n` cloned vectors; each worker's
             // `Delivery` view masks its own suspected senders.
-            let deliver_start = self.obs.now_ns();
             let table = Arc::new(messages);
-            let mut heard: Option<Vec<IdSet>> = trace.is_some().then(|| Vec::with_capacity(n));
             for (i, reply_tx) in reply_txs.iter().enumerate() {
                 let me = ProcessId::new(i);
-                let suspected = faults.of(me);
-                if self.obs.is_enabled() {
-                    // Everyone emitted (the gather saw all n), so the
-                    // shared plane serves the full unsuspected set.
-                    self.obs.add(
-                        names::ENGINE_DELIVERIES_SHARED,
-                        Labels::process_round(i, round_no),
-                        suspected.complement(self.n).len() as u64,
-                    );
-                }
-                if let Some(h) = heard.as_mut() {
-                    h.push(suspected.complement(self.n));
-                }
                 self.record(RtEventKind::Deliver { to: me, round });
                 if reply_tx
                     .send(CoordReply::Delivery {
                         round,
                         table: Arc::clone(&table),
-                        suspected,
+                        suspected: faults.of(me),
                     })
                     .is_err()
                 {
                     if black_box {
                         flight.note(round_no, format!("deliver to p{i} failed: thread gone"));
                     }
-                    return (
-                        Err(ThreadedError::ProcessDied { process: me }),
-                        TraceOutcome::Aborted,
-                    );
+                    return Err(ThreadedError::ProcessDied { process: me });
                 }
             }
             if black_box {
                 flight.note(round_no, format!("delivered shared table to {n} processes"));
             }
-            self.obs.close_span(
-                self.instance,
-                SpanKind::Phase(SpanPhase::Deliver),
-                round_no,
-                None,
-                deliver_start,
-            );
-
-            if let (Some(t), Some(h)) = (trace.as_deref_mut(), heard.take()) {
-                t.record_round(&faults, h);
-            }
             self.record_write("pattern");
-            pattern.push(faults);
+            core.close_round(faults, span);
             self.clock.advance(round_no);
-            self.obs.round_exit(names::RUNTIME_ROUND_LATENCY, span);
-            self.obs.close_span(
-                self.instance,
-                SpanKind::Round,
-                round_no,
-                None,
-                span.start_ns(),
-            );
         }
-
-        // Decisions piggyback on the *next* round's emission, so decisions
-        // made exactly at `max_rounds` arrive after the loop: gather one
-        // final batch before giving up (matching the in-process Engine's
-        // semantics).
-        let mut gathered = 0usize;
-        while gathered < n {
-            // Every live thread already sent its next emission before
-            // blocking on the reply; the timeout only fires if a thread
-            // died, in which case the round-limit error below stands.
-            let Ok(emission) = emit_rx.recv_timeout(self.gather_timeout) else {
-                self.obs.add(
-                    names::RUNTIME_GATHER_TIMEOUTS,
-                    Labels::round(self.max_rounds),
-                    1,
-                );
-                break;
-            };
-            gathered += 1;
-            self.record(RtEventKind::Gather {
-                from: emission.from,
-                round: emission.round,
-            });
-            if let Some(v) = emission.decided {
-                if decisions[emission.from.index()].is_none() {
-                    let decided_at = Round::new(self.max_rounds);
-                    decisions[emission.from.index()] = Some((v, decided_at));
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record_decision(emission.from, decided_at);
-                    }
-                    if black_box {
-                        flight.note(
-                            self.max_rounds,
-                            format!("p{} decided (at the round limit)", emission.from.index()),
-                        );
-                    }
-                    self.record_write("decisions");
-                }
-            }
-        }
-        if decisions.iter().all(Option::is_some) {
-            let rounds_executed = self.max_rounds;
-            return (
-                Ok(RunReport {
-                    decisions,
-                    pattern,
-                    rounds_executed,
-                }),
-                TraceOutcome::Decided { rounds_executed },
-            );
-        }
-
-        (
-            Err(ThreadedError::RoundLimitExceeded {
-                max_rounds: self.max_rounds,
-            }),
-            TraceOutcome::RoundLimit {
-                max_rounds: self.max_rounds,
-            },
-        )
     }
 }
 
@@ -1291,7 +1155,7 @@ mod tests {
         let latency_rounds = snap
             .entries()
             .iter()
-            .filter(|e| e.metric == names::RUNTIME_ROUND_LATENCY)
+            .filter(|e| e.metric == names::ENGINE_ROUND_LATENCY)
             .count();
         assert!(latency_rounds >= 2, "{latency_rounds}");
         assert_eq!(snap.counter_total(names::RUNTIME_GATHER_TIMEOUTS), 0);
@@ -1387,6 +1251,69 @@ mod tests {
         assert!(verdict.rounds_observed >= 3);
         let strongest = verdict.strongest_satisfied().expect("zoo satisfied");
         assert_eq!(strongest.rank, 0);
+    }
+
+    #[test]
+    fn clock_restarts_with_every_run_and_finishes_on_every_exit() {
+        /// Records the shared clock's state at its round-1 emit.
+        struct Probe {
+            clock: RoundClock,
+            seen: Arc<Mutex<Vec<(bool, u32)>>>,
+        }
+        impl RoundProtocol for Probe {
+            type Msg = ();
+            type Output = ();
+            fn emit(&mut self, r: Round) {
+                if r == Round::FIRST {
+                    let state = (self.clock.is_finished(), self.clock.current_round());
+                    self.seen.lock().unwrap().push(state);
+                }
+            }
+            fn deliver(&mut self, d: Delivery<'_, ()>) -> Control<()> {
+                if d.round.get() >= 3 {
+                    Control::Decide(())
+                } else {
+                    Control::Continue
+                }
+            }
+        }
+
+        let size = n(2);
+        let engine = ThreadedEngine::new(size);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let probes = |count: usize| -> Vec<Probe> {
+            (0..count)
+                .map(|_| Probe {
+                    clock: engine.clock(),
+                    seen: Arc::clone(&seen),
+                })
+                .collect()
+        };
+        for _ in 0..2 {
+            let report = engine
+                .run(
+                    probes(2),
+                    &mut NoFailures::new(size),
+                    &AnyPattern::new(size),
+                )
+                .unwrap();
+            assert_eq!(report.rounds_executed, 3);
+            assert!(engine.clock().is_finished());
+        }
+        // Every process of both runs met a clock at round 0, unfinished.
+        assert_eq!(*seen.lock().unwrap(), vec![(false, 0); 4]);
+
+        // A run rejected before it starts finishes the clock too.
+        let fresh = ThreadedEngine::new(size);
+        let err = fresh
+            .run(
+                probes(1),
+                &mut NoFailures::new(size),
+                &AnyPattern::new(size),
+            )
+            .unwrap_err();
+        assert!(matches!(err, ThreadedError::WrongProcessCount { .. }));
+        assert!(fresh.clock().is_finished());
     }
 
     #[test]
