@@ -328,10 +328,10 @@ fn run_stats(args: &[String]) -> ExitCode {
 }
 
 fn races_json(path: &str, findings: &[races::Finding], expect_violations: bool) -> String {
-    use rrfd_analyze::jsonout::esc;
+    use rrfd_obs::json;
     let mut out =
         String::from("{\n  \"tool\": \"rrfd-analyze races\",\n  \"format\": \"rrfd-races v1\",\n");
-    out.push_str(&format!("  \"capture\": \"{}\",\n", esc(path)));
+    out.push_str(&format!("  \"capture\": \"{}\",\n", json::escape(path)));
     out.push_str(&format!("  \"expect_violations\": {expect_violations},\n"));
     out.push_str("  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
@@ -340,8 +340,8 @@ fn races_json(path: &str, findings: &[races::Finding], expect_violations: bool) 
         }
         out.push_str(&format!(
             "\n    {{\"kind\": \"{}\", \"detail\": \"{}\"}}",
-            esc(&f.kind.to_string()),
-            esc(&f.detail)
+            json::escape(&f.kind.to_string()),
+            json::escape(&f.detail)
         ));
     }
     out.push_str("\n  ],\n");

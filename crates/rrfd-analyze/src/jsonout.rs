@@ -1,45 +1,20 @@
 //! Minimal JSON *writing* helpers for the analyzer's `--json` outputs
-//! (the workspace is dependency-free; `rrfd-obs` owns the matching
-//! hand-rolled parser). Only what the diagnostics need: string
-//! escaping and array joining.
+//! (the workspace is dependency-free). String escaping is
+//! [`rrfd_obs::json::escape`], next to the hand-rolled parser it matches;
+//! this module adds array joining.
 
-/// Escapes `s` for embedding in a JSON string literal (quotes not
-/// included).
-#[must_use]
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use rrfd_obs::json::escape;
 
 /// Renders a slice of strings as a JSON array of string literals.
 #[must_use]
 pub fn str_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", esc(s))).collect();
+    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
     format!("[{}]", quoted.join(", "))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_quotes_backslashes_and_controls() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn arrays_render_with_commas() {

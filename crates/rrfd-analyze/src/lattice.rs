@@ -414,7 +414,8 @@ impl Lattice {
     /// content as [`Lattice::render_markdown`], machine-readable.
     #[must_use]
     pub fn render_json(&self) -> String {
-        use crate::jsonout::{esc, str_array};
+        use crate::jsonout::str_array;
+        use rrfd_obs::json;
         let mut out = String::from(
             "{\n  \"tool\": \"rrfd-analyze lattice\",\n  \"format\": \"rrfd-lattice v1\",\n",
         );
@@ -439,7 +440,7 @@ impl Lattice {
             .map(|class| {
                 let members: Vec<String> = class
                     .iter()
-                    .map(|&i| format!("\"{}\"", esc(&self.names[i])))
+                    .map(|&i| format!("\"{}\"", json::escape(&self.names[i])))
                     .collect();
                 format!("[{}]", members.join(", "))
             })
@@ -451,8 +452,8 @@ impl Lattice {
             .map(|&(lo, hi)| {
                 format!(
                     "[\"{}\", \"{}\"]",
-                    esc(&self.names[lo]),
-                    esc(&self.names[hi])
+                    json::escape(&self.names[lo]),
+                    json::escape(&self.names[hi])
                 )
             })
             .collect();

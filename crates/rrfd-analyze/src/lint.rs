@@ -239,7 +239,8 @@ pub fn scan_root(root: &Path) -> io::Result<Vec<Finding>> {
 /// overall verdict under the given strictness.
 #[must_use]
 pub fn render_json(findings: &[Finding], report: &LintReport, strict: bool) -> String {
-    use crate::jsonout::{esc, str_array};
+    use crate::jsonout::str_array;
+    use rrfd_obs::json;
     let mut out =
         String::from("{\n  \"tool\": \"rrfd-analyze lint\",\n  \"format\": \"rrfd-lint v1\",\n");
     out.push_str(&format!("  \"strict\": {strict},\n"));
@@ -260,13 +261,13 @@ pub fn render_json(findings: &[Finding], report: &LintReport, strict: bool) -> S
         out.push_str(&format!(
             "\n    {{\"pass\": \"{}\", \"file\": \"{}\", \"span\": {{\"line\": {}, \"col\": {}}}, \
              \"fingerprint\": \"{}\", \"message\": \"{}\", \"excerpt\": \"{}\"}}",
-            esc(f.pass),
-            esc(&f.path),
+            json::escape(f.pass),
+            json::escape(&f.path),
             f.line,
             f.col,
-            esc(&f.fingerprint),
-            esc(&f.message),
-            esc(&f.excerpt),
+            json::escape(&f.fingerprint),
+            json::escape(&f.message),
+            json::escape(&f.excerpt),
         ));
     }
     out.push_str("\n  ],\n");

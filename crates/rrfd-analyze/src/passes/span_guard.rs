@@ -3,8 +3,8 @@
 //!
 //! The tracing plane deliberately has no RAII guard — a
 //! [`RoundSpan`](https://docs.rs) is plain data returned by
-//! `Obs::round_enter` and consumed by `Obs::round_exit` (or reused as
-//! the start timestamp of `Obs::close_span`). That keeps the no-op path
+//! `Obs::round_enter` and consumed by `RunObs::round_exit` (or reused as
+//! the start timestamp of a `close_span`). That keeps the no-op path
 //! branch-free, but it also means the compiler never complains when a
 //! guard is misused. Two misuse shapes matter, and both are syntactic:
 //!
@@ -14,9 +14,10 @@
 //!    rounds. Spans follow the same communication-closure discipline as
 //!    deliveries: open in the round, close in the round.
 //! 2. **Guard dropped without close** — a function calls
-//!    `.round_enter(…)` but never `.round_exit(…)` or `.close_span(…)`,
-//!    so the clock read is taken and silently discarded: the histogram
-//!    and the causal trace both lose the round. Functions whose return
+//!    `.round_enter(…)` but never `.round_exit(…)` or `.close_span(…)`
+//!    on any handle (the check matches method names, not receivers), so
+//!    the clock read is taken and silently discarded: the histogram and
+//!    the causal trace both lose the round. Functions whose return
 //!    type hands the `RoundSpan` to the caller are exempt (that is the
 //!    constructor/handoff pattern `rrfd-obs` itself uses).
 //!

@@ -5,8 +5,8 @@
 //! table — as median / p95 wall nanoseconds, failing unless the entry's
 //! claim holds on every sample. One instrumented run captures each row's
 //! `rrfd_*` metric totals. Everything is written as `BENCH_rrfd.json`
-//! (format `rrfd-bench v1`), stamped once with the host's core count and
-//! build profile.
+//! (format `rrfd-bench v1`), stamped once with the host's core count,
+//! its parallelism control and the build profile.
 //!
 //! ```text
 //! cargo run -p rrfd-bench --bin report --release -- \
@@ -28,6 +28,7 @@
 //! batch scale with every online verdict cross-checked against offline
 //! prefix replay.
 
+use rrfd_analyze::lattice::{zoo, Lattice};
 use rrfd_bench::{
     measure_conformance, measure_lattice, measure_throughput, quantile, registry,
     render_conformance_block, render_lattice_line, render_throughput_line,
@@ -116,17 +117,15 @@ struct DporRow {
     schedules: usize,
     revisits: u64,
     sleep_set_blocked: u64,
-    /// The host's core count: the second timed worker count.
-    cores: usize,
-    workers_1_ns: u64,
-    workers_cores_ns: u64,
+    samples: usize,
+    median_ns: u64,
+    p95_ns: u64,
 }
 
-/// Times the DPOR explorer on the [`RingFlood`] envelope at 1 worker and
-/// at the host's `cores` (never more workers than cores), after pinning
+/// Times the DPOR explorer on the [`RingFlood`] envelope, after pinning
 /// its class count: the ring has exactly 63 Mazurkiewicz classes, so any
 /// other count is a reduction bug.
-fn measure_dpor(samples: usize, cores: usize) -> DporRow {
+fn measure_dpor(samples: usize) -> DporRow {
     let size = n(6);
     let sim = SharedMemSim::new(size, 3);
     let make = || {
@@ -136,35 +135,47 @@ fn measure_dpor(samples: usize, cores: usize) -> DporRow {
     };
     let ok = |_: &_| Ok(());
 
-    let mut dpor_stats = None;
-    let mut dpor_ns = |workers: usize| {
-        let config = DporConfig::new(workers);
-        let stats = explore_shared_mem_dpor(&sim, make, ok, &config).expect("dpor ring explore");
-        assert_eq!(
-            stats.schedules as u64, stats.graphs_explored,
-            "every DPOR schedule is one maximal execution graph"
-        );
-        dpor_stats.get_or_insert(stats);
-        quantile(
-            &time_samples(samples, || {
-                explore_shared_mem_dpor(&sim, make, ok, &config).expect("dpor ring explore");
-            }),
-            0.5,
-        )
-        .max(1)
-    };
-    let workers_1_ns = dpor_ns(1);
-    let workers_cores_ns = dpor_ns(cores);
-    let stats = dpor_stats.expect("dpor stats captured");
+    let config = DporConfig::new(1);
+    let stats = explore_shared_mem_dpor(&sim, make, ok, &config).expect("dpor ring explore");
+    assert_eq!(
+        stats.schedules as u64, stats.graphs_explored,
+        "every DPOR schedule is one maximal execution graph"
+    );
     assert_eq!(stats.schedules, 63, "the ring has exactly 63 trace classes");
+    let times = time_samples(samples, || {
+        explore_shared_mem_dpor(&sim, make, ok, &config).expect("dpor ring explore");
+    });
     DporRow {
         schedules: stats.schedules,
         revisits: stats.revisits,
         sleep_set_blocked: stats.sleep_set_blocked,
-        cores,
-        workers_1_ns,
-        workers_cores_ns,
+        samples,
+        median_ns: quantile(&times, 0.5),
+        p95_ns: quantile(&times, 0.95),
     }
+}
+
+/// The host's parallelism control: two independent CPU-bound jobs
+/// (`Lattice::compute_compiled(zoo(3, 1), 4)` each) run one after the
+/// other on one thread, against the same two on two threads, as the
+/// ratio of the median times ×100. Near 200 the host runs two jobs in
+/// parallel; near 100 it cannot, and no speedup the report shows for the
+/// pool's shards can exceed what the host allows.
+fn measure_parallel_x100(samples: usize) -> u64 {
+    let job = || {
+        std::hint::black_box(Lattice::compute_compiled(&zoo(n(3), 1), 4));
+    };
+    let serial = time_samples(samples, || {
+        job();
+        job();
+    });
+    let parallel = time_samples(samples, || {
+        std::thread::scope(|scope| {
+            scope.spawn(job);
+            job();
+        });
+    });
+    quantile(&serial, 0.5) * 100 / quantile(&parallel, 0.5).max(1)
 }
 
 struct ExperimentRow {
@@ -242,13 +253,13 @@ fn run_report(quick: bool) -> Result<String, String> {
         0.5,
     );
 
-    // The DPOR class explorer on the full-info ring, at 1 worker and at
-    // the host's core count.
+    // The DPOR class explorer on the full-info ring.
     let explore_samples = if quick { 3 } else { 7 };
-    eprintln!(
-        "measuring dpor explorer ({explore_samples} samples per cell, 1 and {cores} workers)..."
-    );
-    let dpor = measure_dpor(explore_samples, cores);
+    eprintln!("measuring dpor explorer ({explore_samples} samples)...");
+    let dpor = measure_dpor(explore_samples);
+
+    eprintln!("measuring the host's parallelism control ({samples} samples per mode)...");
+    let parallel_x100 = measure_parallel_x100(samples);
 
     // Batch throughput: the sharded pool against its own one-shard run on
     // the default tenant mix, on at most 4 shards and never more shards
@@ -276,7 +287,8 @@ fn run_report(quick: bool) -> Result<String, String> {
     out.push_str(&format!("  \"format\": \"{FORMAT}\",\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!(
-        "  \"host\": {{\"cores\": {cores}, \"profile\": \"{PROFILE}\"}},\n"
+        "  \"host\": {{\"cores\": {cores}, \"parallel_x100\": {parallel_x100}, \
+         \"profile\": \"{PROFILE}\"}},\n"
     ));
     out.push_str("  \"experiments\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -303,13 +315,13 @@ fn run_report(quick: bool) -> Result<String, String> {
     ));
     out.push_str(&format!(
         "  \"dpor\": {{\"schedules\": {}, \"revisits\": {}, \"sleep_set_blocked\": {}, \
-         \"cores\": {}, \"workers_1_ns\": {}, \"workers_cores_ns\": {}}},\n",
+         \"samples\": {}, \"median_ns\": {}, \"p95_ns\": {}}},\n",
         dpor.schedules,
         dpor.revisits,
         dpor.sleep_set_blocked,
-        dpor.cores,
-        dpor.workers_1_ns,
-        dpor.workers_cores_ns,
+        dpor.samples,
+        dpor.median_ns,
+        dpor.p95_ns,
     ));
     out.push_str(&render_throughput_line(&throughput));
     out.push('\n');
@@ -326,7 +338,7 @@ const SECTIONS: [(&str, &str); 4] = [
     ("overhead", "baseline_ns noop_ns sharded_ns"),
     (
         "dpor",
-        "schedules revisits sleep_set_blocked cores workers_1_ns workers_cores_ns",
+        "schedules revisits sleep_set_blocked samples median_ns p95_ns",
     ),
     (
         "throughput",
@@ -374,6 +386,7 @@ fn check_schema(text: &str) -> Result<(), String> {
              got {cores:?} and {profile:?}"
         ));
     }
+    integers(host, "host", "parallel_x100")?;
     let experiments = root
         .get("experiments")
         .and_then(json::Json::as_array)
@@ -608,6 +621,17 @@ mod tests {
         let dropped = without_line_containing(COMMITTED, "\"name\": \"e6\"");
         let err = check_schema(&dropped).expect_err("a dropped row must fail");
         assert!(err.contains("expected \"e6\""), "{err}");
+    }
+
+    #[test]
+    fn a_host_stamp_without_its_parallelism_control_fails_its_schema() {
+        assert!(COMMITTED.contains("\"parallel_x100\": "));
+        let uncontrolled = COMMITTED.replace("\"parallel_x100\": ", "\"parallel\": ");
+        let err = check_schema(&uncontrolled).expect_err("a host stamp needs parallel_x100");
+        assert!(
+            err.contains("host: missing integer `parallel_x100`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -420,6 +420,10 @@ mod tests {
         let original = "a\"b\\c\nd\te\u{1}";
         let quoted = format!("\"{}\"", escape(original));
         assert_eq!(parse(&quoted).unwrap(), Json::Str(original.to_owned()));
+        // The exact output: short escapes where JSON has them, `\u00XX`
+        // with lowercase hex for the other control characters.
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}\r\u{1f}"), "\\u0001\\r\\u001f");
     }
 
     #[test]

@@ -55,8 +55,9 @@ pub use span::{SpanKind, SpanPhase, SpanRecord};
 use std::sync::Arc;
 
 /// A span over one round of one process (or the whole system): created by
-/// [`Obs::round_enter`], consumed by [`Obs::round_exit`], which records the
-/// elapsed clock time into a latency histogram keyed by the span's labels.
+/// [`Obs::round_enter`], consumed by [`RunObs::round_exit`], which records
+/// the elapsed clock time into a latency histogram keyed by the span's
+/// labels.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundSpan {
     start_ns: u64,
@@ -92,12 +93,14 @@ struct ObsInner {
 /// # Examples
 ///
 /// ```
-/// use rrfd_obs::{names, Labels, Obs};
+/// use rrfd_obs::{names, Labels, MetricId, Obs, RunObs};
 ///
 /// let obs = Obs::logical();
 /// obs.add(names::ENGINE_ROUNDS, Labels::round(1), 1);
-/// let span = obs.round_enter(Labels::round(1));
-/// obs.round_exit(names::ENGINE_ROUND_LATENCY, span);
+/// let mut run = RunObs::new(obs.clone());
+/// let span = run.round_enter(Labels::round(1));
+/// run.round_exit(MetricId::of(names::ENGINE_ROUND_LATENCY), span);
+/// run.flush();
 /// let snap = obs.snapshot();
 /// assert_eq!(snap.counter_total(names::ENGINE_ROUNDS), 1);
 /// ```
@@ -173,22 +176,13 @@ impl Obs {
         self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
     }
 
-    /// Opens a round span at `labels`; time it with [`Obs::round_exit`].
+    /// Opens a round span at `labels`; time it with [`RunObs::round_exit`].
     #[must_use]
     #[inline]
     pub fn round_enter(&self, labels: Labels) -> RoundSpan {
         RoundSpan {
             start_ns: self.now_ns(),
             labels,
-        }
-    }
-
-    /// Closes `span`, recording the elapsed nanoseconds into the
-    /// histogram `metric` at the span's labels.
-    pub fn round_exit(&self, metric: &'static str, span: RoundSpan) {
-        if let Some(inner) = &self.inner {
-            let elapsed = inner.clock.now_ns().saturating_sub(span.start_ns);
-            inner.recorder.observe(metric, span.labels, elapsed);
         }
     }
 
@@ -271,11 +265,13 @@ mod tests {
     fn logical_spans_are_deterministic() {
         let run = || {
             let obs = Obs::logical();
+            let mut run = RunObs::new(obs.clone());
             for r in 1..=3u32 {
-                let span = obs.round_enter(Labels::round(r));
-                obs.add(names::ENGINE_ROUNDS, Labels::round(r), 1);
-                obs.round_exit(names::ENGINE_ROUND_LATENCY, span);
+                let span = run.round_enter(Labels::round(r));
+                run.add(MetricId::of(names::ENGINE_ROUNDS), Labels::round(r), 1);
+                run.round_exit(MetricId::of(names::ENGINE_ROUND_LATENCY), span);
             }
+            run.flush();
             obs.snapshot().to_jsonl()
         };
         assert_eq!(run(), run());

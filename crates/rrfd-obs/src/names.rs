@@ -83,8 +83,6 @@ pub const EXPLORE_SCHEDULES: &str = "rrfd_explore_schedules_total";
 pub const EXPLORE_DECISION_POINTS: &str = "rrfd_explore_decision_points_total";
 /// Gauge: deepest decision sequence any explored schedule reached.
 pub const EXPLORE_MAX_DEPTH: &str = "rrfd_explore_max_depth";
-/// Gauge: worker threads the exploration ran on.
-pub const EXPLORE_WORKERS: &str = "rrfd_explore_workers";
 /// Gauge: marks in the DPOR explorer's revisit tree.
 pub const EXPLORE_MEMO_ENTRIES: &str = "rrfd_explore_memo_entries";
 /// Gauge: bytes of the DPOR explorer's revisit tree.
@@ -94,8 +92,6 @@ pub const EXPLORE_MEMO_BYTES: &str = "rrfd_explore_memo_bytes";
 pub const EXPLORE_GRAPHS: &str = "rrfd_explore_graphs_total";
 /// Counter: race-reversal revisits the DPOR explorer scheduled.
 pub const EXPLORE_REVISITS: &str = "rrfd_explore_revisits_total";
-/// Counter: work items moved between workers by the stealing pool.
-pub const EXPLORE_STEALS: &str = "rrfd_explore_steals_total";
 /// Counter: revisits suppressed by the DPOR explorer's sleep-set layer
 /// (already visited trace class or already queued prefix).
 pub const EXPLORE_SLEEP_BLOCKED: &str = "rrfd_explore_sleep_set_blocked_total";
@@ -161,7 +157,7 @@ pub const PRED_COMPILED_EVALS: &str = "rrfd_predicate_compiled_evals_total";
 /// recorders index per-metric tables by it instead of hashing strings.
 /// New names must be appended here too (a unit test checks that every
 /// constant of this module is listed exactly once).
-pub const ALL: [&str; 51] = [
+pub const ALL: [&str; 49] = [
     ENGINE_ROUNDS,
     ENGINE_MESSAGES_EMITTED,
     ENGINE_MESSAGES_RECEIVED,
@@ -194,12 +190,10 @@ pub const ALL: [&str; 51] = [
     EXPLORE_SCHEDULES,
     EXPLORE_DECISION_POINTS,
     EXPLORE_MAX_DEPTH,
-    EXPLORE_WORKERS,
     EXPLORE_MEMO_ENTRIES,
     EXPLORE_MEMO_BYTES,
     EXPLORE_GRAPHS,
     EXPLORE_REVISITS,
-    EXPLORE_STEALS,
     EXPLORE_SLEEP_BLOCKED,
     POOL_INSTANCES,
     POOL_ERRORS,

@@ -474,7 +474,7 @@ mod tests {
                         .check(&inputs, &report.outputs)
                         .map_err(|v| format!("inputs {inputs:?}: {v}"))
                 },
-                &DporConfig::new(2),
+                &DporConfig::new(1),
             )
             .unwrap_or_else(|err| panic!("{err}"));
             assert_eq!(total.schedules, 9, "inputs {inputs:?}");

@@ -318,7 +318,7 @@ mod tests {
             &sim,
             make,
             |report| try_check_is_properties(&report.outputs),
-            &DporConfig::new(2),
+            &DporConfig::new(1),
         )
         .unwrap_or_else(|err| panic!("{err}"));
         assert_eq!(total.schedules, 7, "trace classes explored");

@@ -132,10 +132,9 @@ impl SemiSyncProcess for TwoStepConsensus {
 /// The iterated 2-step primitive: `rounds` rounds of identical-view
 /// flood-min, deciding after the last round. With `rounds = n` this is the
 /// 2n-step baseline shape of the original DDS algorithm.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RepeatedRounds {
     me: ProcessId,
-    n: SystemSize,
     value: Value,
     rounds: u32,
     current_round: u32,
@@ -143,6 +142,30 @@ pub struct RepeatedRounds {
     received: Vec<Option<Value>>,
     /// Early messages for future rounds.
     early: Vec<RoundBroadcast>,
+}
+
+impl Clone for RepeatedRounds {
+    fn clone(&self) -> Self {
+        RepeatedRounds {
+            received: self.received.clone(),
+            early: self.early.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s buffers: the DPOR explorer rewinds its processes
+    /// to the root state before every work item.
+    fn clone_from(&mut self, source: &Self) {
+        let received = std::mem::take(&mut self.received);
+        let early = std::mem::take(&mut self.early);
+        *self = RepeatedRounds {
+            received,
+            early,
+            ..*source
+        };
+        self.received.clone_from(&source.received);
+        self.early.clone_from(&source.early);
+    }
 }
 
 impl RepeatedRounds {
@@ -157,7 +180,6 @@ impl RepeatedRounds {
         assert!(rounds >= 1, "at least one round required");
         RepeatedRounds {
             me,
-            n,
             value,
             rounds,
             current_round: 1,
@@ -226,7 +248,7 @@ impl SemiSyncProcess for RepeatedRounds {
         }
         self.current_round += 1;
         self.step_in_round = 0;
-        self.received = vec![None; self.n.get()];
+        self.received.fill(None);
         // Re-file buffered early messages for the new round.
         let pending = std::mem::take(&mut self.early);
         for msg in pending {
@@ -380,7 +402,7 @@ mod tests {
                     }
                     Ok(())
                 },
-                &DporConfig::new(2),
+                &DporConfig::new(1),
             )
             .unwrap_or_else(|err| panic!("{err}"));
             assert_eq!(

@@ -18,7 +18,9 @@ use rrfd_core::{
     Round, RoundCore, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize, TraceBuilder,
     TraceOutcome,
 };
+use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
 use std::time::Duration;
 
@@ -30,7 +32,7 @@ use rrfd_obs::{names, FlightRecorder, Labels, Obs, DEFAULT_FLIGHT_ROUNDS};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Channel pair used between the coordinator and process threads.
-type EmissionChannel<M, O> = (Sender<Emission<M, O>>, Receiver<Emission<M, O>>);
+type EmissionChannel<M, O> = (Sender<Notice<M, O>>, Receiver<Notice<M, O>>);
 type ReplyChannel<M> = (Sender<CoordReply<M>>, Receiver<CoordReply<M>>);
 
 /// Records one runtime event: into the event log when one is installed,
@@ -73,7 +75,12 @@ fn record_event(events: Option<&EventSink>, obs: &Obs, actor: Actor, kind: RtEve
     }
 }
 
-/// What a process thread sends the coordinator each round.
+/// What a process thread sends the coordinator: each round's emission,
+/// or the death notice of a thread whose `emit` or `deliver` panicked,
+/// carrying the panicking process and the panic message.
+type Notice<M, O> = Result<Emission<M, O>, (ProcessId, String)>;
+
+/// A process's emission for one round.
 struct Emission<M, O> {
     from: ProcessId,
     round: Round,
@@ -113,13 +120,15 @@ pub enum ThreadedError {
         /// The configured limit.
         max_rounds: u32,
     },
-    /// A process thread disconnected unexpectedly with no panic payload
-    /// recovered from its join handle.
+    /// A process's emission did not arrive within the gather timeout (a
+    /// wedged thread), or its thread was gone when the coordinator
+    /// delivered.
     ProcessDied {
         /// The dead process.
         process: ProcessId,
     },
-    /// A process thread panicked; the payload was captured at join time.
+    /// A process thread panicked in `emit` or `deliver`; its death notice
+    /// reached the coordinator at once.
     ProcessPanicked {
         /// The panicking process.
         process: ProcessId,
@@ -173,39 +182,14 @@ impl From<EngineError> for ThreadedError {
     }
 }
 
-/// Reattributes channel-level failure symptoms to their panic causes.
-///
-/// The coordinator can only observe the *symptom* of a worker panic — a
-/// missing emission ([`ThreadedError::ProcessDied`]) or, in principle, every
-/// sender vanishing at once ([`ThreadedError::ChannelClosed`]). After
-/// joining the threads, `panics[i]` holds the panic message recovered from
-/// `p_i`'s join handle, and this function upgrades the symptom to a
-/// [`ThreadedError::ProcessPanicked`] cause where one is available. A
-/// symptom with no recovered payload passes through unchanged, as do
-/// successes and every other error.
-fn attribute_panics<T>(
-    result: Result<T, ThreadedError>,
-    panics: &mut [Option<String>],
-) -> Result<T, ThreadedError> {
-    match result {
-        Err(ThreadedError::ProcessDied { process }) => match panics[process.index()].take() {
-            Some(message) => Err(ThreadedError::ProcessPanicked { process, message }),
-            None => Err(ThreadedError::ProcessDied { process }),
-        },
-        Err(ThreadedError::ChannelClosed) => {
-            match panics
-                .iter_mut()
-                .enumerate()
-                .find_map(|(i, p)| p.take().map(|m| (ProcessId::new(i), m)))
-            {
-                Some((process, message)) => {
-                    Err(ThreadedError::ProcessPanicked { process, message })
-                }
-                None => Err(ThreadedError::ChannelClosed),
-            }
-        }
-        other => other,
-    }
+/// The message of a caught panic: its `&str` or `String` payload, or a
+/// placeholder for any other payload type.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 /// Default for how long the coordinator waits for a round's emissions
@@ -511,40 +495,49 @@ impl ThreadedEngine {
             let (events, obs) = (self.events.clone(), self.obs.clone());
             handles.push(thread::spawn(move || {
                 let record = |kind| record_event(events.as_ref(), &obs, Actor::Process(me), kind);
-                let mut decided: Option<P::Output> = None;
-                let mut round = Round::FIRST;
-                loop {
-                    let msg = protocol.emit(round);
-                    record(RtEventKind::Emit { round });
-                    if emit_tx
-                        .send(Emission {
+                // A panic in `emit` or `deliver` is caught here and sent
+                // as a death notice: the live peers' sender clones keep
+                // the channel open, so the coordinator would otherwise
+                // notice the death only at its gather timeout.
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    let mut decided: Option<P::Output> = None;
+                    let mut round = Round::FIRST;
+                    loop {
+                        let msg = protocol.emit(round);
+                        record(RtEventKind::Emit { round });
+                        let emission = Emission {
                             from: me,
                             round,
                             msg,
                             decided: decided.take(),
-                        })
-                        .is_err()
-                    {
-                        return; // coordinator gone
-                    }
-                    match reply_rx.recv() {
-                        Ok(CoordReply::Delivery {
-                            round: r,
-                            table,
-                            suspected,
-                        }) => {
-                            debug_assert_eq!(r, round);
-                            record(RtEventKind::Receive { round: r });
-                            if let Control::Decide(v) =
-                                protocol.deliver(Delivery::new(r, me, &table, suspected))
-                            {
-                                record(RtEventKind::Decide { round: r });
-                                decided = Some(v);
-                            }
-                            round = round.next();
+                        };
+                        if emit_tx.send(Ok(emission)).is_err() {
+                            return; // coordinator gone
                         }
-                        Ok(CoordReply::Stop) | Err(_) => return,
+                        match reply_rx.recv() {
+                            Ok(CoordReply::Delivery {
+                                round: r,
+                                table,
+                                suspected,
+                            }) => {
+                                debug_assert_eq!(r, round);
+                                record(RtEventKind::Receive { round: r });
+                                if let Control::Decide(v) =
+                                    protocol.deliver(Delivery::new(r, me, &table, suspected))
+                                {
+                                    record(RtEventKind::Decide { round: r });
+                                    decided = Some(v);
+                                }
+                                round = round.next();
+                            }
+                            Ok(CoordReply::Stop) | Err(_) => return,
+                        }
                     }
+                }));
+                if let Err(payload) = run {
+                    // The coordinator may be gone already; then nobody
+                    // waits for the notice.
+                    let _ = emit_tx.send(Err((me, panic_message(&*payload))));
                 }
             }));
         }
@@ -556,19 +549,11 @@ impl ThreadedEngine {
         for tx in &reply_txs {
             let _ = tx.send(CoordReply::Stop);
         }
-        // Joining surfaces panic payloads instead of swallowing them: a
-        // thread that died from a panic turns the channel-level symptom
-        // (ProcessDied / ChannelClosed) into a ProcessPanicked cause.
-        let mut panics: Vec<Option<String>> = (0..n).map(|_| None).collect();
-        for (i, handle) in handles.into_iter().enumerate() {
-            if let Err(payload) = handle.join() {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                panics[i] = Some(message);
-            }
+        // Every worker catches its own panics and reports them as a death
+        // notice, so a failed join would mean the notice itself panicked.
+        for handle in handles {
+            let joined = handle.join();
+            debug_assert!(joined.is_ok(), "a process thread panicked past its catch");
         }
         let (outcome, trace) = core.into_parts();
         let result = match (transport, outcome) {
@@ -577,16 +562,11 @@ impl ThreadedEngine {
             // Unreachable (`Ok` means the core finished); kept total.
             (Ok(()), None) => Err(ThreadedError::ChannelClosed),
         };
-        (
-            self.end_run(attribute_panics(result, &mut panics), &flight),
-            trace,
-        )
+        (self.end_run(result, &flight), trace)
     }
 
     /// Ends a run: a failed one counts its error and stashes its flight
-    /// dump — after panic attribution, so the dump names the cause
-    /// (ProcessPanicked), not the channel-level symptom — and the clock
-    /// finishes either way.
+    /// dump, and the clock finishes either way.
     fn end_run<T>(
         &self,
         result: Result<T, ThreadedError>,
@@ -609,7 +589,7 @@ impl ThreadedEngine {
     fn coordinate<P, D, Q>(
         &self,
         core: &mut RoundCore<P::Output, D, Q>,
-        emit_rx: &Receiver<Emission<P::Msg, P::Output>>,
+        emit_rx: &Receiver<Notice<P::Msg, P::Output>>,
         reply_txs: &[Sender<CoordReply<P::Msg>>],
         flight: &mut FlightRecorder,
     ) -> Result<(), ThreadedError>
@@ -629,11 +609,11 @@ impl ThreadedEngine {
             // Gather every process's emission for this round.
             let mut messages: Vec<Option<P::Msg>> = (0..n).map(|_| None).collect();
             for _ in 0..n {
-                // A plain `recv` would deadlock if one thread dies while its
-                // peers stay alive (their sender clones keep the channel
-                // open), so bound the wait. The timeout only fires when a
-                // thread is genuinely gone or wedged.
-                let Ok(emission) = emit_rx.recv_timeout(self.gather_timeout) else {
+                // A panicking worker sends a death notice, but a wedged
+                // one sends nothing while its peers' sender clones keep
+                // the channel open, so bound the wait. The timeout only
+                // fires when a thread is wedged.
+                let Ok(notice) = emit_rx.recv_timeout(self.gather_timeout) else {
                     self.obs
                         .add(names::RUNTIME_GATHER_TIMEOUTS, Labels::round(round_no), 1);
                     if black_box {
@@ -657,6 +637,18 @@ impl ThreadedEngine {
                         },
                         None => ThreadedError::ChannelClosed,
                     });
+                };
+                let emission = match notice {
+                    Ok(emission) => emission,
+                    Err((process, message)) => {
+                        if black_box {
+                            flight.note(
+                                round_no,
+                                format!("p{} panicked: {message}", process.index()),
+                            );
+                        }
+                        return Err(ThreadedError::ProcessPanicked { process, message });
+                    }
                 };
                 debug_assert_eq!(emission.round, round, "lock-step protocol violated");
                 self.record(RtEventKind::Gather {
@@ -985,75 +977,6 @@ mod tests {
             other => panic!("expected ProcessPanicked, got {other}"),
         }
         assert_eq!(*trace.outcome(), TraceOutcome::Aborted);
-    }
-
-    #[test]
-    fn attribute_panics_upgrades_process_died() {
-        let mut panics = vec![None, Some("boom".to_owned())];
-        let result: Result<(), _> = attribute_panics(
-            Err(ThreadedError::ProcessDied {
-                process: ProcessId::new(1),
-            }),
-            &mut panics,
-        );
-        match result.unwrap_err() {
-            ThreadedError::ProcessPanicked { process, message } => {
-                assert_eq!(process, ProcessId::new(1));
-                assert_eq!(message, "boom");
-            }
-            other => panic!("expected ProcessPanicked, got {other}"),
-        }
-    }
-
-    #[test]
-    fn attribute_panics_keeps_process_died_without_payload() {
-        let mut panics = vec![None, None];
-        let result: Result<(), _> = attribute_panics(
-            Err(ThreadedError::ProcessDied {
-                process: ProcessId::new(0),
-            }),
-            &mut panics,
-        );
-        assert!(matches!(
-            result.unwrap_err(),
-            ThreadedError::ProcessDied { .. }
-        ));
-    }
-
-    #[test]
-    fn attribute_panics_resolves_channel_closed_to_first_panicker() {
-        // ChannelClosed carries no process identity; the first recovered
-        // payload names the culprit.
-        let mut panics = vec![None, None, Some("late panic".to_owned())];
-        let result: Result<(), _> =
-            attribute_panics(Err(ThreadedError::ChannelClosed), &mut panics);
-        match result.unwrap_err() {
-            ThreadedError::ProcessPanicked { process, message } => {
-                assert_eq!(process, ProcessId::new(2));
-                assert_eq!(message, "late panic");
-            }
-            other => panic!("expected ProcessPanicked, got {other}"),
-        }
-
-        let mut no_panics = vec![None, None];
-        let result: Result<(), _> =
-            attribute_panics(Err(ThreadedError::ChannelClosed), &mut no_panics);
-        assert!(matches!(result.unwrap_err(), ThreadedError::ChannelClosed));
-    }
-
-    #[test]
-    fn attribute_panics_passes_successes_and_other_errors_through() {
-        let mut panics = vec![Some("unrelated".to_owned())];
-        let ok: Result<u32, _> = attribute_panics(Ok(7), &mut panics);
-        assert_eq!(ok.unwrap(), 7);
-        let err: Result<(), _> = attribute_panics(
-            Err(ThreadedError::RoundLimitExceeded { max_rounds: 3 }),
-            &mut panics,
-        );
-        assert!(matches!(
-            err.unwrap_err(),
-            ThreadedError::RoundLimitExceeded { max_rounds: 3 }
-        ));
     }
 
     #[test]

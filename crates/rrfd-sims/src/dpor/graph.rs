@@ -293,12 +293,13 @@ impl ExecutionGraph {
     pub fn canonical_order_into(&self, order: &mut Vec<usize>) {
         order.clear();
         let len = self.events.len();
-        let next_of = |p: usize, from: usize| {
-            (from..len)
-                .find(|&m| self.events[m].pid.index() == p)
-                .unwrap_or(len)
-        };
-        let mut next: Vec<usize> = (0..self.n).map(|p| next_of(p, 0)).collect();
+        // `next[p]` is process p's first unemitted event and `after[m]`
+        // the event of m's process that follows m (`len` for none).
+        let mut next = vec![len; self.n];
+        let mut after = vec![len; len];
+        for (m, event) in self.events.iter().enumerate().rev() {
+            after[m] = std::mem::replace(&mut next[event.pid.index()], m);
+        }
         let mut emitted = vec![0u64; words(len)];
         for _ in 0..len {
             let available = (0..self.n).find(|&p| {
@@ -315,7 +316,7 @@ impl ExecutionGraph {
             let j = next[p];
             set_bit(&mut emitted, j);
             order.push(j);
-            next[p] = next_of(p, j + 1);
+            next[p] = after[j];
         }
     }
 

@@ -11,13 +11,13 @@
 //!
 //! 1. A work item is an event-sequence *revisit prefix*. Processing it
 //!    replays the prefix and extends it deterministically (always the
-//!    first enabled option) to a maximal run, on the processing worker's
+//!    first enabled option) to a maximal run, on the search's one
 //!    scratch: one state rewound to the root, one graph and one set of
-//!    buffers reused across every item the worker claims.
+//!    buffers reused across every item.
 //! 2. The run's class identity is its **canonical linearization**
 //!    (greedy smallest-pid topological sort of happens-before). The
 //!    search keeps one dedup structure, the *revisit tree*: a trie over
-//!    event sequences shared by all workers. Walking the canonical
+//!    event sequences. Walking the canonical
 //!    linearization through it and marking the end node is the class
 //!    check; already-marked classes are dropped — the sleep-set role,
 //!    counted in [`ExploreStats::sleep_set_blocked`].
@@ -35,26 +35,23 @@
 //! 4. Each child is located in the revisit tree relative to the class's
 //!    canonical path (a depth plus a short tail), and is queued only if
 //!    its end node was not queued before. Only fresh children are built
-//!    into prefixes; they become new work items, distributed over a
-//!    vendored work-stealing deque pool ([`StealPool`]). The tree's lock
-//!    covers trie walks only — nothing is formatted or hashed under it.
+//!    into prefixes; they are pushed onto one LIFO stack of work items,
+//!    which the search drains depth first in a plain loop on the calling
+//!    thread.
 //!
 //! Because the explored set is the closure of a pure `children`
-//! function, every reported number except [`ExploreStats::steals`] and
-//! the configured worker count is identical across worker counts, and
-//! the counterexample — the failing class with the smallest canonical
-//! key — is too. Certificates are replayable
+//! function, every reported number is independent of the order items
+//! are processed in, and so is the counterexample — the failing class
+//! with the smallest canonical key. Certificates are replayable
 //! [`crate::trace::ScheduleTrace`]s.
 //!
 //! DPOR never digests *states*, only event sequences — so it soundly
 //! explores protocols with opaque oracle state.
 
 pub mod graph;
-pub mod pool;
 mod revisit;
 
 pub use graph::{Access, ExecEvent, ExecutionGraph};
-pub use pool::{PoolStats, StealPool};
 pub use revisit::DporError;
 
 use crate::explore::ExploreStats;
@@ -67,18 +64,20 @@ use rrfd_obs::Obs;
 /// Configuration of a DPOR exploration.
 #[derive(Debug, Clone)]
 pub struct DporConfig {
-    workers: usize,
     max_schedules: usize,
     obs: Obs,
 }
 
 impl DporConfig {
-    /// A configuration with `workers` threads (clamped to at least one)
-    /// and a 1 000 000-class guard.
+    /// A configuration with a 1 000 000-class guard.
+    ///
+    /// `_workers`, once the thread count, is ignored: the search is one
+    /// loop on the calling thread. The parameter stays only
+    /// because the `roundbench` benchmark still calls
+    /// `DporConfig::new(nproc)`; ROADMAP's *Roundbench edits* drops it.
     #[must_use]
-    pub fn new(workers: usize) -> Self {
+    pub fn new(_workers: usize) -> Self {
         DporConfig {
-            workers: workers.max(1),
             max_schedules: 1_000_000,
             obs: Obs::noop(),
         }
@@ -99,12 +98,6 @@ impl DporConfig {
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// The configured worker count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 }
 
@@ -198,8 +191,14 @@ impl<X: StepExecution<Footprint = Access> + Clone> DporTarget for StepTarget<X> 
         }
     }
 
+    /// A crash checks the conditions `options` offers crashes under; a
+    /// step of a process that is not live is rejected by the execution.
     fn apply_traced(&mut self, event: StepEvent) -> Access {
         if let StepEvent::Crash(_) = event {
+            assert!(
+                self.crash_budget > 0 && self.exec.live().len() > 1,
+                "DPOR only applies enabled events"
+            );
             self.crash_budget -= 1;
         }
         match self.exec.apply(event) {
@@ -230,8 +229,8 @@ impl<X: StepExecution<Footprint = Access> + Clone> DporTarget for StepTarget<X> 
 /// # Errors
 ///
 /// [`DporError::Counterexample`] carries the failing class with the
-/// smallest canonical key (a deterministic choice, independent of worker
-/// count) as a replayable certificate;
+/// smallest canonical key (a deterministic choice, independent of
+/// traversal order) as a replayable certificate;
 /// [`DporError::Misconfigured`] reports a process vector that does not
 /// match the system size.
 ///
@@ -247,11 +246,11 @@ pub fn explore_shared_mem_dpor<V, P, G, F>(
     config: &DporConfig,
 ) -> Result<ExploreStats, DporError>
 where
-    V: Clone + Send + Sync,
-    P: MemProcess<V> + Clone + Send + Sync,
-    P::Output: Clone + Send + Sync,
+    V: Clone,
+    P: MemProcess<V> + Clone,
+    P::Output: Clone,
     G: Fn() -> Vec<P>,
-    F: Fn(&MemRunReport<P, V>) -> Result<(), String> + Sync,
+    F: Fn(&MemRunReport<P, V>) -> Result<(), String>,
 {
     let exec = MemExecution::start(sim, make())
         .map_err(|err| DporError::Misconfigured(err.to_string()))?;
@@ -280,11 +279,9 @@ pub fn explore_semi_sync_dpor<P, G, F>(
     config: &DporConfig,
 ) -> Result<ExploreStats, DporError>
 where
-    P: SemiSyncProcess + Clone + Send + Sync,
-    P::Msg: Send + Sync,
-    P::Output: Send + Sync,
+    P: SemiSyncProcess + Clone,
     G: Fn() -> Vec<P>,
-    F: Fn(&SemiSyncReport<P>) -> Result<(), String> + Sync,
+    F: Fn(&SemiSyncReport<P>) -> Result<(), String>,
 {
     let exec = SemiSyncExecution::start(sim, make())
         .map_err(|err| DporError::Misconfigured(err.to_string()))?;
@@ -348,7 +345,7 @@ mod tests {
             Some(Some(2)) => Err("p0 observed p1's write".to_owned()),
             _ => Ok(()),
         };
-        let err = explore_shared_mem_dpor(&sim, make_pair, check, &DporConfig::new(2)).unwrap_err();
+        let err = explore_shared_mem_dpor(&sim, make_pair, check, &DporConfig::new(1)).unwrap_err();
         let DporError::Counterexample(cex) = err else {
             panic!("expected a counterexample");
         };
@@ -380,10 +377,12 @@ mod tests {
                 s.memo_bytes,
             )
         };
+        // `DporConfig::new` ignores its worker count: both searches run
+        // the same loop on this thread.
         let one = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(1)).unwrap();
         let eight = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(8)).unwrap();
         assert_eq!(project(one), project(eight));
-        assert_eq!(one.steals, 0, "a single worker cannot steal");
+        assert_eq!((one.steals, eight.steals), (0, 0), "nothing is stolen");
     }
 
     /// Three-process ring: write own value, read left neighbour.
@@ -458,7 +457,7 @@ mod tests {
             }
         };
         let err =
-            explore_semi_sync_dpor(&sim, 1, || hearers(2), check, &DporConfig::new(2)).unwrap_err();
+            explore_semi_sync_dpor(&sim, 1, || hearers(2), check, &DporConfig::new(1)).unwrap_err();
         let DporError::Counterexample(cex) = err else {
             panic!("expected a crash-bearing counterexample");
         };
@@ -472,8 +471,59 @@ mod tests {
         );
 
         // And with a zero budget the same search is clean.
-        let clean = explore_semi_sync_dpor(&sim, 0, || hearers(2), check, &DporConfig::new(2));
+        let clean = explore_semi_sync_dpor(&sim, 0, || hearers(2), check, &DporConfig::new(1));
         assert!(clean.is_ok());
+    }
+
+    /// Takes one step and decides; crash timing is the only nondeterminism.
+    #[derive(Debug, Clone)]
+    struct OneStep;
+
+    impl SemiSyncProcess for OneStep {
+        type Msg = ();
+        type Output = u32;
+        fn step(&mut self, _received: &[(ProcessId, Arc<()>)]) -> (Option<()>, Control<u32>) {
+            (None, Control::Decide(7))
+        }
+    }
+
+    #[test]
+    fn dpor_runs_stay_admissible_under_the_crash_model() {
+        use rrfd_core::{FaultPattern, IdSet, RoundFaults, RrfdPredicate};
+        use rrfd_models::predicates::Crash;
+        let n = size(3);
+        let model = Crash::new(n, 1);
+        // The one-round RRFD view of a run that crashed `crashed`: every
+        // process misses the crashed processes' messages, except its own.
+        // The report says which processes crashed, not when, so this is
+        // the coarsest consistent pattern.
+        let crash_pattern = |crashed: IdSet| {
+            let sets = n
+                .processes()
+                .map(|i| crashed.difference(IdSet::singleton(i)))
+                .collect();
+            let mut pattern = FaultPattern::new(n);
+            pattern.push(RoundFaults::from_sets(n, sets));
+            pattern
+        };
+        let crashing = std::cell::Cell::new(0);
+        let stats = explore_semi_sync_dpor(
+            &SemiSyncSim::new(n),
+            1,
+            || vec![OneStep, OneStep, OneStep],
+            |report| {
+                crashing.set(crashing.get() + usize::from(!report.crashed.is_empty()));
+                if model.admits_pattern(&crash_pattern(report.crashed)) {
+                    Ok(())
+                } else {
+                    Err(format!("crashing {} left Crash(f=1)", report.crashed))
+                }
+            },
+            &DporConfig::new(1),
+        )
+        .expect("every ≤1-crash run fits Crash(f=1)");
+        assert!(stats.schedules > 0);
+        assert!(crashing.get() > 0, "some explored run crashed a process");
     }
 
     /// The oracle for the footprint fold: crash alternatives found by

@@ -2,34 +2,30 @@
 //! processed to a maximal run, deduplicated by trace class, and expanded
 //! into race-reversal and crash-alternative revisits.
 //!
-//! Each pool worker processes its items on one [`Scratch`]: the target
+//! The search is one depth-first loop on the calling thread: a LIFO
+//! stack of prefixes, one revisit tree, and one [`Scratch`] — the target
 //! state, rewound to the root per item, plus the graph and every buffer
 //! an item fills. An item therefore pays for its own events, not for
 //! allocation.
 //!
-//! # Why this is deterministic across worker counts
+//! # Why the result does not depend on traversal order
 //!
 //! A work item is an event-sequence prefix. Processing it is a pure
 //! function: replay the prefix, extend it deterministically (always the
 //! first enabled option), canonicalize the resulting run, and — if the
 //! class is new — derive children from the *canonical* form. Children of
-//! a class therefore do not depend on which linearization reached it or
-//! on which worker processed it. The explored set is the least fixpoint
-//! of `children` over the seed, and a fixpoint does not care about
-//! traversal order — so every statistic except [`ExploreStats::steals`]
-//! (and the configured `workers`) is identical at 1, 2, or 8 workers,
-//! and so is the reported counterexample: among failing classes, the one
-//! with the lexicographically smallest canonical key wins, not the one a
-//! worker happened to reach first.
+//! a class therefore do not depend on which linearization reached it.
+//! The explored set is the least fixpoint of `children` over the seed,
+//! and a fixpoint does not care about traversal order — so neither do
+//! the statistics, nor the reported counterexample: among failing
+//! classes, the one with the lexicographically smallest canonical key
+//! wins, not the one the search happened to reach first.
 
 use super::graph::{Access, ExecEvent, ExecutionGraph};
-use super::pool::StealPool;
 use crate::digest::{DigestWriter, StateKey};
 use crate::explore::{Counterexample, ExploreStats};
 use crate::step::StepEvent;
 use crate::trace::ScheduleTrace;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What the DPOR driver needs from an execution state: enabled options,
 /// reports, and traced application — every apply reports the [`Access`]
@@ -37,7 +33,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// event sequences, so it works on protocols whose states are not
 /// soundly digestible.
 ///
-/// `clone_from` should reuse the target's buffers: each worker rewinds
+/// `clone_from` should reuse the target's buffers: the search rewinds
 /// one state to the root with it before every item.
 pub(crate) trait DporTarget: Sized + Clone {
     /// Completed-run report handed to the checker.
@@ -65,7 +61,9 @@ pub(crate) trait DporTarget: Sized + Clone {
         _push: impl FnMut(usize, StepEvent),
     ) {
     }
-    /// Applies an enabled event and reports its footprint.
+    /// Applies an enabled event and reports its footprint. Replayed
+    /// prefixes are applied without listing the options first, so an
+    /// implementation must panic on an event that is not enabled.
     fn apply_traced(&mut self, event: StepEvent) -> Access;
     /// Packages the (final) state as a run report.
     fn report(&self) -> Self::Report;
@@ -124,13 +122,12 @@ impl Node {
     };
 }
 
-/// The one dedup structure of the search: a trie over event sequences,
-/// shared by every worker behind one mutex. A class is explored once
+/// The one dedup structure of the search: a trie over event sequences.
+/// A class is explored once
 /// because its canonical linearization's end node is marked `class` once;
 /// a revisit prefix is queued once because its end node is marked
 /// `queued` once. Children are located relative to their parent class's
-/// canonical path, so proposing one walks only its tail. Nothing is
-/// formatted or hashed while the lock is held.
+/// canonical path, so proposing one walks only its tail.
 #[derive(Debug)]
 struct RevisitTree {
     nodes: Vec<Node>,
@@ -237,106 +234,58 @@ impl Proposals {
     }
 }
 
-/// A counterexample keyed by its class's canonical digest; the minimal
-/// key wins the fold, making the selection worker-count-independent.
-type KeyedCex = (Box<[u8]>, Box<Counterexample>);
-
-/// Shared fold of per-item outcomes. Stats merging is commutative and
-/// the counterexample choice is a minimum, so the fold result does not
-/// depend on completion order.
-struct Fold {
-    stats: ExploreStats,
-    cex: Option<KeyedCex>,
-}
-
-/// Runs the revisit closure from the empty prefix and returns the folded
-/// stats or the minimal-class counterexample.
+/// Runs the revisit closure from the empty prefix, depth first on the
+/// calling thread, and returns the search's stats or the minimal-class
+/// counterexample.
 pub(crate) fn drive_dpor<T, F>(
     root: &T,
     check: &F,
     config: &super::DporConfig,
 ) -> Result<ExploreStats, DporError>
 where
-    T: DporTarget + Send + Sync,
-    F: Fn(&T::Report) -> Result<(), String> + Sync,
+    T: DporTarget,
+    F: Fn(&T::Report) -> Result<(), String>,
 {
-    let tree = Mutex::new(RevisitTree::new());
-    let fold = Mutex::new(Fold {
-        stats: ExploreStats::default(),
-        cex: None,
-    });
-    let classes_seen = AtomicUsize::new(0);
-
-    let items = Items {
+    let mut search = Search {
         root,
         check,
-        tree: &tree,
-        classes_seen: &classes_seen,
         max_classes: config.max_schedules,
+        tree: RevisitTree::new(),
+        stats: ExploreStats::default(),
+        cex: None,
     };
-    let pool = StealPool::new(config.workers);
-    let pool_stats = pool.run(
-        vec![Vec::new()],
-        || Scratch::new(root),
-        |scratch, prefix, spawn| {
-            let (stats, cex) = items.process(scratch, &prefix, spawn);
-            let mut fold = fold.lock().expect("fold mutex poisoned");
-            fold.stats = fold.stats.merged(stats);
-            if let Some((key, cex)) = cex {
-                let replace = match &fold.cex {
-                    Some((best, _)) => key < *best,
-                    None => true,
-                };
-                if replace {
-                    fold.cex = Some((key, cex));
-                }
-            }
-        },
-    );
+    let mut scratch = Scratch::new(root);
+    let mut stack = vec![Vec::new()];
+    while let Some(prefix) = stack.pop() {
+        search.process(&mut scratch, &prefix, &mut stack);
+    }
 
-    let mut fold = fold.into_inner().expect("fold mutex poisoned");
-    fold.stats.workers = pool_stats.workers;
-    fold.stats.steals = pool_stats.steals;
-    let tree = tree.into_inner().unwrap_or_else(PoisonError::into_inner);
-    fold.stats.memo_entries = tree.marks;
-    fold.stats.memo_bytes = tree.bytes();
-    fold.stats.record(&config.obs);
-
-    match fold.cex {
+    let mut stats = search.stats;
+    stats.memo_entries = search.tree.marks;
+    stats.memo_bytes = search.tree.bytes();
+    stats.record(&config.obs);
+    match search.cex {
         Some((_, mut cex)) => {
-            cex.stats = fold.stats;
+            cex.stats = stats;
             Err(DporError::Counterexample(cex))
         }
-        None => Ok(fold.stats),
+        None => Ok(stats),
     }
 }
 
-/// Locks the revisit tree. Every update leaves the trie valid at each
-/// step (a node is pushed before the edge that reaches it; a mark is one
-/// write), so a lock poisoned by another worker's panic is recovered —
-/// the pool re-raises that panic once every worker stops.
-fn lock(tree: &Mutex<RevisitTree>) -> MutexGuard<'_, RevisitTree> {
-    tree.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One pool worker's state, reused across every item it processes. No
-/// field carries meaning from one item to the next: each is reset before
-/// it is read.
+/// The state every item reuses. No field carries meaning from one item
+/// to the next: each is reset before it is read.
 struct Scratch<T: DporTarget> {
     /// The execution, rewound to the root per item.
     state: T,
     graph: ExecutionGraph,
     options: Vec<StepEvent>,
-    /// Option index taken at each event (the counterexample's choices).
-    choices: Vec<usize>,
     /// The canonical linearization, as indices into the graph's events.
     canon: Vec<usize>,
     canon_events: Vec<StepEvent>,
     /// Revisit-tree node after each canonical prefix.
     path: Vec<u32>,
     proposals: Proposals,
-    /// Per proposal: whether it was queued for the first time.
-    fresh: Vec<bool>,
 }
 
 impl<T: DporTarget> Scratch<T> {
@@ -345,33 +294,34 @@ impl<T: DporTarget> Scratch<T> {
             state: root.clone(),
             graph: ExecutionGraph::new(root.n()),
             options: Vec::new(),
-            choices: Vec::new(),
             canon: Vec::new(),
             canon_events: Vec::new(),
             path: Vec::new(),
             proposals: Proposals::new(),
-            fresh: Vec::new(),
         }
     }
 
-    /// Applies `event`, the option at `choice`, and records it.
-    fn apply(&mut self, event: StepEvent, choice: usize) {
-        self.choices.push(choice);
+    /// Applies `event` and records it.
+    fn apply(&mut self, event: StepEvent) {
         let access = self.state.apply_traced(event);
         self.graph.push(event, access);
     }
 }
 
-/// What every item of one search shares.
-struct Items<'s, T: DporTarget, F> {
+/// One search: the revisit tree and the fold of every item's outcome.
+/// Stats are sums and maxima, and the counterexample is the failing
+/// class with the smallest canonical key, so the fold does not depend on
+/// the order items are processed in.
+struct Search<'s, T: DporTarget, F> {
     root: &'s T,
     check: &'s F,
-    tree: &'s Mutex<RevisitTree>,
-    classes_seen: &'s AtomicUsize,
     max_classes: usize,
+    tree: RevisitTree,
+    stats: ExploreStats,
+    cex: Option<(StateKey, Box<Counterexample>)>,
 }
 
-impl<T, F> Items<'_, T, F>
+impl<T, F> Search<'_, T, F>
 where
     T: DporTarget,
     F: Fn(&T::Report) -> Result<(), String>,
@@ -379,31 +329,22 @@ where
     /// Replays `prefix`, extends it deterministically to a maximal run,
     /// deduplicates the resulting trace class, checks it, and pushes the
     /// class's fresh revisits, derived from its canonical linearization,
-    /// onto `spawn`. Returns the item's effort and its keyed
-    /// counterexample, if the class failed the check.
+    /// onto `stack`.
     fn process(
-        &self,
+        &mut self,
         s: &mut Scratch<T>,
         prefix: &[StepEvent],
-        spawn: &mut Vec<Vec<StepEvent>>,
-    ) -> (ExploreStats, Option<KeyedCex>) {
-        let mut stats = ExploreStats::default();
+        stack: &mut Vec<Vec<StepEvent>>,
+    ) {
         s.state.clone_from(self.root);
         s.graph.clear();
-        s.choices.clear();
 
-        // Replay the revisit prefix, recording footprints and choice
-        // indices.
+        // Replay the revisit prefix, recording footprints. The revisit
+        // construction keeps prefixes enabled, and `apply_traced` fails
+        // loudly on an event that is not.
         for &event in prefix {
-            s.state.options(&mut s.options);
-            stats.decision_points += 1;
-            let Some(idx) = s.options.iter().position(|&o| o == event) else {
-                // The revisit construction guarantees prefixes stay
-                // enabled; if that invariant ever broke, dropping the
-                // item would lose coverage silently, so fail loudly.
-                unreachable!("revisit prefix event {event:?} not enabled during replay");
-            };
-            s.apply(event, idx);
+            self.stats.decision_points += 1;
+            s.apply(event);
         }
 
         // Deterministic extension: always the first enabled option.
@@ -412,10 +353,10 @@ where
             let Some(&event) = s.options.first() else {
                 break;
             };
-            stats.decision_points += 1;
-            s.apply(event, 0);
+            self.stats.decision_points += 1;
+            s.apply(event);
         }
-        stats.max_depth = s.graph.len();
+        self.stats.max_depth = self.stats.max_depth.max(s.graph.len());
 
         // One representative per Mazurkiewicz class: the canonical
         // linearization's end node in the revisit tree is the class.
@@ -425,28 +366,34 @@ where
         s.canon_events
             .extend(s.canon.iter().map(|&k| events[k].event));
         s.path.clear();
-        if !lock(self.tree).mark_class(&s.canon_events, &mut s.path) {
-            stats.sleep_set_blocked += 1;
-            return (stats, None);
+        if !self.tree.mark_class(&s.canon_events, &mut s.path) {
+            self.stats.sleep_set_blocked += 1;
+            return;
         }
-        stats.schedules += 1;
-        stats.graphs_explored += 1;
-        let seen = self.classes_seen.fetch_add(1, Ordering::SeqCst) + 1;
+        self.stats.schedules += 1;
+        self.stats.graphs_explored += 1;
         assert!(
-            seen <= self.max_classes,
+            self.stats.schedules <= self.max_classes,
             "DPOR exploration exceeded max_schedules ({} trace classes)",
             self.max_classes
         );
 
         if let Err(message) = (self.check)(&s.state.report()) {
-            let key: Box<[u8]> = events_key(s.canon_events.iter().copied()).bytes().into();
-            let cex = Box::new(Counterexample {
-                choices: s.choices.clone(),
-                schedule: ScheduleTrace::from_events(events.iter().map(|e| e.event).collect()),
-                message,
-                stats: ExploreStats::default(), // overwritten with the fold
-            });
-            return (stats, Some((key, cex)));
+            let key = events_key(s.canon_events.iter().copied());
+            if self
+                .cex
+                .as_ref()
+                .is_none_or(|(best, _)| key.bytes() < best.bytes())
+            {
+                let cex = Box::new(Counterexample {
+                    choices: choices(self.root, events.iter().map(|e| e.event)),
+                    schedule: ScheduleTrace::from_events(events.iter().map(|e| e.event).collect()),
+                    message,
+                    stats: ExploreStats::default(), // overwritten with the totals
+                });
+                self.cex = Some((key, cex));
+            }
+            return;
         }
 
         s.proposals.clear();
@@ -456,30 +403,33 @@ where
             .alternatives(s.canon.iter().map(|&k| &events[k]), |depth, alt| {
                 proposals.push(depth, [alt])
             });
-        // Dedup proposed prefixes before they enter the pool; only fresh
-        // ones are built.
-        s.fresh.clear();
-        {
-            let mut tree = lock(self.tree);
-            s.fresh.extend(
-                s.proposals
-                    .iter()
-                    .map(|(depth, tail)| tree.mark_queued(&s.path, depth, tail)),
-            );
+        // Dedup proposed prefixes before they are queued; only fresh ones
+        // are built.
+        for (depth, tail) in s.proposals.iter() {
+            if self.tree.mark_queued(&s.path, depth, tail) {
+                self.stats.revisits += 1;
+                stack.push([&s.canon_events[..depth], tail].concat());
+            } else {
+                self.stats.sleep_set_blocked += 1;
+            }
         }
-        let before = spawn.len();
-        spawn.extend(
-            s.proposals
-                .iter()
-                .zip(&s.fresh)
-                .filter(|&(_, &fresh)| fresh)
-                .map(|((depth, tail), _)| [&s.canon_events[..depth], tail].concat()),
-        );
-        let children = spawn.len() - before;
-        stats.revisits += children as u64;
-        stats.sleep_set_blocked += (s.fresh.len() - children) as u64;
-        (stats, None)
     }
+}
+
+/// The option index of each of `events` among the options enabled where
+/// it was applied, replayed from `root`: a counterexample's scheduler
+/// choices, computed only when a failing class becomes the one to report.
+fn choices<T: DporTarget>(root: &T, events: impl Iterator<Item = StepEvent>) -> Vec<usize> {
+    let mut state = root.clone();
+    let mut options = Vec::new();
+    events
+        .map(|event| {
+            state.options(&mut options);
+            let choice = options.iter().position(|&o| o == event);
+            state.apply_traced(event);
+            choice.unwrap_or_else(|| unreachable!("the run applied {event:?} while disabled"))
+        })
+        .collect()
 }
 
 /// Revisit prefixes from the class's reversible races, computed in

@@ -22,8 +22,6 @@ pub struct ExploreStats {
     pub decision_points: u64,
     /// The deepest decision sequence any run reached.
     pub max_depth: usize,
-    /// Worker threads the search ran on.
-    pub workers: usize,
     /// Marks in the revisit tree: one per explored class plus one per
     /// queued revisit prefix.
     pub memo_entries: usize,
@@ -34,9 +32,9 @@ pub struct ExploreStats {
     pub graphs_explored: u64,
     /// Race-reversal revisits scheduled.
     pub revisits: u64,
-    /// Work items moved between workers by the stealing pool. The only
-    /// timing-dependent counter: every other field is identical across
-    /// worker counts.
+    /// Always 0: the search runs on one thread and moves no work between
+    /// workers. The field stays only because the `roundbench` benchmark
+    /// still reads it; ROADMAP's *Roundbench edits* drops it.
     pub steals: u64,
     /// Revisits suppressed because their execution re-entered an already
     /// visited trace class or re-proposed an already queued prefix — the
@@ -45,27 +43,6 @@ pub struct ExploreStats {
 }
 
 impl ExploreStats {
-    /// Combines the totals of two disjoint parts of one search. The
-    /// operation is associative and commutative (sums and maxima), so
-    /// per-item stats can be folded in any grouping and order: the DPOR
-    /// explorer folds them as work items complete and still reports the
-    /// same totals on every run.
-    #[must_use]
-    pub fn merged(self, other: ExploreStats) -> ExploreStats {
-        ExploreStats {
-            schedules: self.schedules + other.schedules,
-            decision_points: self.decision_points + other.decision_points,
-            max_depth: self.max_depth.max(other.max_depth),
-            workers: self.workers.max(other.workers),
-            memo_entries: self.memo_entries + other.memo_entries,
-            memo_bytes: self.memo_bytes + other.memo_bytes,
-            graphs_explored: self.graphs_explored + other.graphs_explored,
-            revisits: self.revisits + other.revisits,
-            steals: self.steals + other.steals,
-            sleep_set_blocked: self.sleep_set_blocked + other.sleep_set_blocked,
-        }
-    }
-
     /// Records the totals under the `rrfd_explore_*` metric names.
     pub fn record(&self, obs: &rrfd_obs::Obs) {
         use rrfd_obs::{names, Labels};
@@ -85,11 +62,6 @@ impl ExploreStats {
             i64::try_from(self.max_depth).unwrap_or(i64::MAX),
         );
         obs.gauge(
-            names::EXPLORE_WORKERS,
-            Labels::GLOBAL,
-            i64::try_from(self.workers).unwrap_or(i64::MAX),
-        );
-        obs.gauge(
             names::EXPLORE_MEMO_ENTRIES,
             Labels::GLOBAL,
             i64::try_from(self.memo_entries).unwrap_or(i64::MAX),
@@ -101,7 +73,6 @@ impl ExploreStats {
         );
         obs.add(names::EXPLORE_GRAPHS, Labels::GLOBAL, self.graphs_explored);
         obs.add(names::EXPLORE_REVISITS, Labels::GLOBAL, self.revisits);
-        obs.add(names::EXPLORE_STEALS, Labels::GLOBAL, self.steals);
         obs.add(
             names::EXPLORE_SLEEP_BLOCKED,
             Labels::GLOBAL,

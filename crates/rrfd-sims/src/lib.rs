@@ -27,19 +27,13 @@
 //! * [`dpor`] — the schedule explorer: dynamic partial-order reduction over
 //!   execution graphs (events partially ordered by happens-before, via
 //!   [`rrfd_core::hb`] vector clocks), exploring one representative per
-//!   Mazurkiewicz trace class, distributed over a work-stealing deque
-//!   pool with worker-count-independent results. It turns sampled tests
-//!   on small instances into proofs-by-enumeration.
+//!   Mazurkiewicz trace class, in one depth-first loop. It turns sampled
+//!   tests on small instances into proofs-by-enumeration.
 //! * [`explore`] — the explorer's result types: search-effort totals
 //!   ([`explore::ExploreStats`]) and replayable failing schedules
 //!   ([`explore::Counterexample`]).
 //! * [`digest`] — canonical byte encodings ([`digest::StateKey`]) that
 //!   key the DPOR explorer's counterexample choice.
-//! * [`admissibility`] — compiled-plane admissibility checks
-//!   ([`rrfd_core::ProgramBatch`] over [`rrfd_core::RrfdPredicate::compile`])
-//!   for the explorer's per-run `check` closures: one streaming pass per
-//!   extracted fault pattern instead of a dyn-dispatch prefix re-walk per
-//!   predicate.
 //! * [`trace`] — schedule capture ([`trace::Recording`]) and deterministic
 //!   replay ([`trace::ScheduleReplay`]) for the three step substrates, in
 //!   one `rrfd-sched v1` format, so any failing run — including every
@@ -51,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admissibility;
 pub mod async_net;
 pub mod async_rounds;
 pub mod detector_s;

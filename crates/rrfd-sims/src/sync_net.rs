@@ -428,24 +428,21 @@ mod tests {
 
     #[test]
     fn omission_runs_satisfy_eq1() {
-        use crate::admissibility::AdmissibilityChecker;
+        use rrfd_core::RrfdPredicate;
         use rrfd_models::predicates::SendOmission;
         let size = n(6);
-        let checker = AdmissibilityChecker::new(vec![Box::new(SendOmission::new(size, 2))]);
+        let model = SendOmission::new(size, 2);
         for seed in 0..10u64 {
             let faulty = ids(&[1, 4]);
             let faults = RandomOmission::new(size, faulty, 0.4, seed);
             let protos: Vec<_> = (0..6).map(|_| HeardAt { rounds: 5 }).collect();
             let report = SyncNetSim::new(size).run(protos, faults).unwrap();
-            checker
-                .check(&report.pattern)
-                .unwrap_or_else(|v| panic!("seed {seed}: extracted pattern broke eq. 1: {v}"));
+            assert!(
+                model.admits_pattern(&report.pattern),
+                "seed {seed}: extracted pattern broke eq. 1"
+            );
             assert!(report.pattern.cumulative_union().is_subset(faulty));
         }
-        assert!(
-            checker.compiled_evals() > 0,
-            "send-omission admissibility ran on the compiled plane"
-        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! the paper's protocol instances (adopt-commit, immediate snapshot, the
 //! §5 two-step consensus). A determinism regression then pins the whole
 //! `ExploreStats` projection and the chosen counterexample as a function
-//! of the configuration, independent of worker count.
+//! of the configuration, independent of the worker count that
+//! `DporConfig::new` ignores.
 
 #[path = "oracles/tree_walk.rs"]
 mod tree_walk;
@@ -24,7 +25,7 @@ use rrfd::sims::shared_mem::{Action, MemProcess, MemRunReport, Observation, Shar
 use rrfd::sims::trace::ScheduleReplay;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tree_walk::explore_schedules_checked;
 use tree_walk::semi_sync::explore_semi_sync_checked;
 
@@ -128,47 +129,43 @@ proptest! {
         explore_schedules_checked(&sim, make, collect_seq, 100_000).unwrap();
         let seq_set = seq_set.into_inner();
 
-        for workers in [1usize, 2, 8] {
-            let config = DporConfig::new(workers);
-
-            let dpor_set = Mutex::new(BTreeSet::new());
-            let collect_dpor = |report: &MemRunReport<Scripted, u64>| {
-                if violates(report, threshold) {
-                    dpor_set.lock().unwrap().insert(report.outputs.clone());
-                }
-                Ok(())
-            };
-            explore_shared_mem_dpor(&sim, make, collect_dpor, &config).unwrap();
-            let dpor_set = dpor_set.into_inner().unwrap();
-            prop_assert!(
-                dpor_set == seq_set,
-                "violating outcome vectors disagree at {} workers: {:?} vs {:?}",
-                workers,
-                dpor_set,
-                seq_set
-            );
-
-            // (i) counterexample existence agrees; (iii) the DPOR
-            // certificate survives a serialize → parse → replay
-            // round-trip and reproduces the violation.
-            let dpor = explore_shared_mem_dpor(&sim, make, check, &config);
-            match (&seq, &dpor) {
-                (Ok(_), Ok(_)) => {}
-                (Err(_), Err(DporError::Counterexample(cex))) => {
-                    let reparsed = cex.schedule.to_string().parse().unwrap();
-                    let mut replay = ScheduleReplay::from_trace(&reparsed);
-                    let report = sim.run(make(), &mut replay).unwrap();
-                    prop_assert!(
-                        violates(&report, threshold),
-                        "replayed DPOR certificate must reproduce the violation"
-                    );
-                }
-                (s, d) => prop_assert!(
-                    false,
-                    "existence disagreement at {} workers: seq {:?} vs dpor {:?}",
-                    workers, s.is_ok(), d.is_ok()
-                ),
+        let config = DporConfig::new(1);
+        let dpor_set = RefCell::new(BTreeSet::new());
+        let collect_dpor = |report: &MemRunReport<Scripted, u64>| {
+            if violates(report, threshold) {
+                dpor_set.borrow_mut().insert(report.outputs.clone());
             }
+            Ok(())
+        };
+        explore_shared_mem_dpor(&sim, make, collect_dpor, &config).unwrap();
+        let dpor_set = dpor_set.into_inner();
+        prop_assert!(
+            dpor_set == seq_set,
+            "violating outcome vectors disagree: {:?} vs {:?}",
+            dpor_set,
+            seq_set
+        );
+
+        // (i) counterexample existence agrees; (iii) the DPOR
+        // certificate survives a serialize → parse → replay
+        // round-trip and reproduces the violation.
+        let dpor = explore_shared_mem_dpor(&sim, make, check, &config);
+        match (&seq, &dpor) {
+            (Ok(_), Ok(_)) => {}
+            (Err(_), Err(DporError::Counterexample(cex))) => {
+                let reparsed = cex.schedule.to_string().parse().unwrap();
+                let mut replay = ScheduleReplay::from_trace(&reparsed);
+                let report = sim.run(make(), &mut replay).unwrap();
+                prop_assert!(
+                    violates(&report, threshold),
+                    "replayed DPOR certificate must reproduce the violation"
+                );
+            }
+            (s, d) => prop_assert!(
+                false,
+                "existence disagreement: seq {:?} vs dpor {:?}",
+                s.is_ok(), d.is_ok()
+            ),
         }
     }
 }
@@ -238,31 +235,28 @@ proptest! {
         };
 
         let seq = explore_semi_sync_checked(&sim, crashes, make, check, 200_000);
-        for workers in [1usize, 4] {
-            let dpor =
-                explore_semi_sync_dpor(&sim, crashes, make, check, &DporConfig::new(workers));
-            match (&seq, &dpor) {
-                (Ok(_), Ok(_)) => {}
-                (Err(_), Err(DporError::Counterexample(cex))) => {
-                    let mut replay = ScheduleReplay::from_trace(&cex.schedule);
-                    let report = sim.run(make(), &mut replay).unwrap();
-                    prop_assert!(
-                        semi_violates(&report, quorum),
-                        "replayed semi-sync DPOR certificate must reproduce the violation"
-                    );
-                }
-                (s, d) => prop_assert!(
-                    false,
-                    "semi-sync existence disagreement (crashes {}): seq {:?} vs dpor {:?}",
-                    crashes, s.is_ok(), d.is_ok()
-                ),
+        let dpor = explore_semi_sync_dpor(&sim, crashes, make, check, &DporConfig::new(1));
+        match (&seq, &dpor) {
+            (Ok(_), Ok(_)) => {}
+            (Err(_), Err(DporError::Counterexample(cex))) => {
+                let mut replay = ScheduleReplay::from_trace(&cex.schedule);
+                let report = sim.run(make(), &mut replay).unwrap();
+                prop_assert!(
+                    semi_violates(&report, quorum),
+                    "replayed semi-sync DPOR certificate must reproduce the violation"
+                );
             }
+            (s, d) => prop_assert!(
+                false,
+                "semi-sync existence disagreement (crashes {}): seq {:?} vs dpor {:?}",
+                crashes, s.is_ok(), d.is_ok()
+            ),
         }
     }
 }
 
-/// Everything but the stealing-pool placement (`steals`, `workers`) —
-/// the projection the determinism contract covers.
+/// Everything but `steals`, which is always 0 — the projection the
+/// determinism contract covers.
 fn projection(stats: &ExploreStats) -> impl std::fmt::Debug + PartialEq {
     (
         stats.schedules,
@@ -277,9 +271,8 @@ fn projection(stats: &ExploreStats) -> impl std::fmt::Debug + PartialEq {
 }
 
 /// Same seed + configuration in, identical stats projection and the
-/// identical counterexample out — across worker counts {1, 2, 8} and on
-/// repeated runs. The frozen worker-index maps make placement the *only*
-/// thing a worker count changes.
+/// identical counterexample out. `DporConfig::new` ignores its worker
+/// count, so a one-worker and an eight-worker configuration must agree.
 #[test]
 fn dpor_results_are_worker_count_independent() {
     let size = SystemSize::new(3).unwrap();
@@ -302,35 +295,24 @@ fn dpor_results_are_worker_count_independent() {
         }
     };
 
-    let mut runs = Vec::new();
-    for workers in [1usize, 2, 8] {
-        // Twice per worker count: determinism within a configuration
-        // and across configurations in one loop.
-        for _ in 0..2 {
-            let err =
-                explore_shared_mem_dpor(&sim, make, check, &DporConfig::new(workers)).unwrap_err();
-            let DporError::Counterexample(cex) = err else {
-                panic!("expected a counterexample at {workers} workers");
-            };
-            runs.push((workers, cex));
-        }
-    }
-    let (_, first) = &runs[0];
-    for (workers, cex) in &runs {
-        assert_eq!(
-            format!("{:?}", projection(&cex.stats)),
-            format!("{:?}", projection(&first.stats)),
-            "stats projection must not depend on worker count (got {workers} workers)"
-        );
-        assert_eq!(cex.choices, first.choices, "at {workers} workers");
-        assert_eq!(cex.message, first.message, "at {workers} workers");
-        assert_eq!(
-            cex.schedule.to_string(),
-            first.schedule.to_string(),
-            "at {workers} workers"
-        );
-        assert_eq!(cex.stats.workers, *workers);
-    }
+    let run = |workers| {
+        let err =
+            explore_shared_mem_dpor(&sim, make, check, &DporConfig::new(workers)).unwrap_err();
+        let DporError::Counterexample(cex) = err else {
+            panic!("expected a counterexample");
+        };
+        cex
+    };
+    let (first, second) = (run(1), run(8));
+    assert_eq!(
+        format!("{:?}", projection(&second.stats)),
+        format!("{:?}", projection(&first.stats)),
+        "stats projection must not change between runs"
+    );
+    assert_eq!(second.choices, first.choices);
+    assert_eq!(second.message, first.message);
+    assert_eq!(second.schedule.to_string(), first.schedule.to_string());
+    assert_eq!(first.stats.steals, 0);
 }
 
 /// The never-failing sweep is worker-count-independent too (no
@@ -348,17 +330,15 @@ fn dpor_sweep_stats_are_worker_count_independent() {
             })
             .collect::<Vec<_>>()
     };
-    let baseline = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(1)).unwrap();
-    for workers in [2usize, 4, 8] {
-        let stats =
-            explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(workers)).unwrap();
-        assert_eq!(
-            format!("{:?}", projection(&stats)),
-            format!("{:?}", projection(&baseline)),
-            "sweep stats must not depend on worker count ({workers} workers)"
-        );
-        assert_eq!(stats.workers, workers);
-    }
+    let sweep = |workers| {
+        explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(workers)).unwrap()
+    };
+    let (first, second) = (sweep(1), sweep(8));
+    assert_eq!(
+        format!("{:?}", projection(&second)),
+        format!("{:?}", projection(&first)),
+        "sweep stats must not change between runs"
+    );
 }
 
 fn size(n: usize) -> SystemSize {
@@ -446,31 +426,18 @@ fn independent_writers_collapse_to_one_class() {
 fn racy_pair_explores_every_outcome() {
     // Collect the decision-vector outcomes both explorers can see.
     let sim = SharedMemSim::new(size(2), 1);
-    let outcomes = Mutex::new(BTreeSet::new());
+    let outcomes = RefCell::new(BTreeSet::new());
     let collect = |report: &MemRunReport<WriteRead, u64>| {
         outcomes
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .insert(format!("{:?}", report.outputs));
         Ok(())
     };
-    explore_shared_mem_dpor(&sim, make_pair, collect, &DporConfig::new(2)).unwrap();
-    let dpor_outcomes = std::mem::take(&mut *outcomes.lock().unwrap());
+    explore_shared_mem_dpor(&sim, make_pair, collect, &DporConfig::new(1)).unwrap();
+    let dpor_outcomes = outcomes.take();
 
-    explore_schedules_checked(
-        &sim,
-        make_pair,
-        |report| {
-            outcomes
-                .lock()
-                .unwrap()
-                .insert(format!("{:?}", report.outputs));
-            Ok(())
-        },
-        1_000_000,
-    )
-    .unwrap();
-    let exhaustive_outcomes = std::mem::take(&mut *outcomes.lock().unwrap());
+    explore_schedules_checked(&sim, make_pair, collect, 1_000_000).unwrap();
+    let exhaustive_outcomes = outcomes.take();
     assert_eq!(dpor_outcomes, exhaustive_outcomes);
     assert!(dpor_outcomes.len() > 1, "races must be visible");
 }
@@ -487,9 +454,9 @@ type Explored = (Seen, Seen);
 /// final output vector of every run each one checks.
 fn explore_shared_mem_both<V, P, G>(sim: &SharedMemSim, make: G) -> Explored
 where
-    V: Clone + Send + Sync,
-    P: MemProcess<V> + Clone + Send + Sync,
-    P::Output: Clone + Send + Sync + std::fmt::Debug,
+    V: Clone,
+    P: MemProcess<V> + Clone,
+    P::Output: Clone + std::fmt::Debug,
     G: Fn() -> Vec<P>,
 {
     let oracle_seen = RefCell::new(BTreeSet::new());
@@ -505,23 +472,22 @@ where
         100_000,
     )
     .unwrap();
-    let dpor_seen = Mutex::new(BTreeSet::new());
+    let dpor_seen = RefCell::new(BTreeSet::new());
     let dpor = explore_shared_mem_dpor(
         sim,
         &make,
         |report: &MemRunReport<P, V>| {
             dpor_seen
-                .lock()
-                .unwrap()
+                .borrow_mut()
                 .insert(format!("{:?}", report.outputs));
             Ok(())
         },
-        &DporConfig::new(2),
+        &DporConfig::new(1),
     )
     .unwrap();
     (
         (oracle_seen.into_inner(), oracle),
-        (dpor_seen.into_inner().unwrap(), dpor),
+        (dpor_seen.into_inner(), dpor),
     )
 }
 
@@ -580,21 +546,21 @@ fn two_step_consensus(n: usize, crashes: usize) -> Explored {
         100_000,
     )
     .unwrap();
-    let dpor_seen = Mutex::new(BTreeSet::new());
+    let dpor_seen = RefCell::new(BTreeSet::new());
     let dpor = explore_semi_sync_dpor(
         &sim,
         crashes,
         make,
         |report| {
-            dpor_seen.lock().unwrap().insert(outcome(report));
+            dpor_seen.borrow_mut().insert(outcome(report));
             Ok(())
         },
-        &DporConfig::new(2),
+        &DporConfig::new(1),
     )
     .unwrap();
     (
         (oracle_seen.into_inner(), oracle),
-        (dpor_seen.into_inner().unwrap(), dpor),
+        (dpor_seen.into_inner(), dpor),
     )
 }
 

@@ -2,10 +2,9 @@
 //! `explore_semi_sync_dpor` over §5's `RepeatedRounds` at n = 3, two
 //! rounds, one crash. Every `ExploreStats` field that is a function of
 //! the trace-class closure is recorded in
-//! `tests/fixtures/dpor/repeated_rounds_n3.stats` and must come out the
-//! same at one and at two workers. Left out are `steals` (timing),
-//! `workers` (the configuration) and `memo_bytes` (the size of the
-//! dedup structure, an implementation detail).
+//! `tests/fixtures/dpor/repeated_rounds_n3.stats`. Left out are `steals`
+//! (always 0) and `memo_bytes` (the size of the dedup structure, an
+//! implementation detail).
 //!
 //! Regenerate the golden with `REGEN_FIXTURES=1 cargo test --test
 //! dpor_explored_set`.
@@ -38,7 +37,7 @@ fn check(report: &SemiSyncReport<RepeatedRounds>) -> Result<(), String> {
         .map_err(|v| v.to_string())
 }
 
-fn explore(workers: usize) -> ExploreStats {
+fn explore() -> ExploreStats {
     let n = SystemSize::new(N).unwrap();
     let make = || {
         n.processes()
@@ -50,7 +49,7 @@ fn explore(workers: usize) -> ExploreStats {
         CRASHES,
         make,
         check,
-        &DporConfig::new(workers),
+        &DporConfig::new(1),
     )
     .unwrap_or_else(|err| panic!("consensus must hold in every class: {err}"))
 }
@@ -73,12 +72,11 @@ fn render(stats: &ExploreStats) -> String {
 fn repeated_rounds_explored_set_is_pinned() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/dpor/repeated_rounds_n3.stats");
-    let one = render(&explore(1));
+    let explored = render(&explore());
     if std::env::var_os("REGEN_FIXTURES").is_some() {
-        std::fs::write(&path, &one).unwrap();
+        std::fs::write(&path, &explored).unwrap();
     }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden ({e}); run with REGEN_FIXTURES=1"));
-    assert_eq!(golden, one, "1 worker: explored set moved");
-    assert_eq!(golden, render(&explore(2)), "2 workers: explored set moved");
+    assert_eq!(golden, explored, "explored set moved");
 }

