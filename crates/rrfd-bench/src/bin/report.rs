@@ -33,13 +33,17 @@ use rrfd_bench::{
     measure_conformance, measure_lattice, measure_throughput, quantile, registry,
     render_conformance_block, render_lattice_line, render_throughput_line,
 };
+use rrfd_core::task::{KSetAgreement, Value};
 use rrfd_core::{Engine, ProcessId, SystemSize};
 use rrfd_engine_pool::MixSpec;
 use rrfd_models::adversary::RandomAdversary;
 use rrfd_models::predicates::KUncertainty;
 use rrfd_obs::{json, Obs};
 use rrfd_protocols::kset::OneRoundKSet;
-use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
+use rrfd_protocols::semi_sync_consensus::RepeatedRounds;
+use rrfd_sims::dpor::{explore_semi_sync_dpor, explore_shared_mem_dpor, DporConfig};
+use rrfd_sims::explore::ExploreStats;
+use rrfd_sims::semi_sync::{SemiSyncReport, SemiSyncSim};
 use rrfd_sims::shared_mem::{Action, MemProcess, Observation, SharedMemSim};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -122,9 +126,50 @@ struct DporRow {
     p95_ns: u64,
 }
 
-/// Times the DPOR explorer on the [`RingFlood`] envelope, after pinning
-/// its class count: the ring has exactly 63 Mazurkiewicz classes, so any
-/// other count is a reduction bug.
+impl DporRow {
+    /// Runs `explore` once for its stats, asserting `classes` trace
+    /// classes (any other count is a reduction bug), then times it
+    /// `samples` times.
+    fn measure(samples: usize, classes: usize, explore: impl Fn() -> ExploreStats) -> Self {
+        let stats = explore();
+        assert_eq!(
+            stats.schedules as u64, stats.graphs_explored,
+            "every DPOR schedule is one maximal execution graph"
+        );
+        assert_eq!(stats.schedules, classes, "trace classes explored");
+        let times = time_samples(samples, || {
+            explore();
+        });
+        DporRow {
+            schedules: stats.schedules,
+            revisits: stats.revisits,
+            sleep_set_blocked: stats.sleep_set_blocked,
+            samples,
+            median_ns: quantile(&times, 0.5),
+            p95_ns: quantile(&times, 0.95),
+        }
+    }
+
+    /// The row's fields as JSON members, in [`DPOR_FIELDS`] order.
+    fn members(&self) -> String {
+        format!(
+            "\"schedules\": {}, \"revisits\": {}, \"sleep_set_blocked\": {}, \
+             \"samples\": {}, \"median_ns\": {}, \"p95_ns\": {}",
+            self.schedules,
+            self.revisits,
+            self.sleep_set_blocked,
+            self.samples,
+            self.median_ns,
+            self.p95_ns,
+        )
+    }
+}
+
+/// The integer fields of each row of the `dpor` section.
+const DPOR_FIELDS: &str = "schedules revisits sleep_set_blocked samples median_ns p95_ns";
+
+/// Times the DPOR explorer on the [`RingFlood`] envelope: exactly 63
+/// Mazurkiewicz classes, none with a crash.
 fn measure_dpor(samples: usize) -> DporRow {
     let size = n(6);
     let sim = SharedMemSim::new(size, 3);
@@ -133,26 +178,43 @@ fn measure_dpor(samples: usize) -> DporRow {
             .map(|id| RingFlood { id, n: 6, phase: 0 })
             .collect::<Vec<_>>()
     };
-    let ok = |_: &_| Ok(());
-
     let config = DporConfig::new(1);
-    let stats = explore_shared_mem_dpor(&sim, make, ok, &config).expect("dpor ring explore");
-    assert_eq!(
-        stats.schedules as u64, stats.graphs_explored,
-        "every DPOR schedule is one maximal execution graph"
-    );
-    assert_eq!(stats.schedules, 63, "the ring has exactly 63 trace classes");
-    let times = time_samples(samples, || {
-        explore_shared_mem_dpor(&sim, make, ok, &config).expect("dpor ring explore");
-    });
-    DporRow {
-        schedules: stats.schedules,
-        revisits: stats.revisits,
-        sleep_set_blocked: stats.sleep_set_blocked,
-        samples,
-        median_ns: quantile(&times, 0.5),
-        p95_ns: quantile(&times, 0.95),
-    }
+    DporRow::measure(samples, 63, || {
+        explore_shared_mem_dpor(&sim, make, |_| Ok(()), &config).expect("dpor ring explore")
+    })
+}
+
+/// Times the DPOR explorer on §5's two-step semi-synchronous consensus
+/// (`RepeatedRounds`, n = 3, two rounds, one crash), with termination and
+/// consensus checked on each of its 612 trace classes: the crash
+/// alternatives the ring row never offers.
+fn measure_dpor_semisync(samples: usize) -> DporRow {
+    const INPUTS: [Value; 3] = [4, 1, 9];
+    let size = n(3);
+    let sim = SemiSyncSim::new(size);
+    let make = || {
+        size.processes()
+            .map(|p| RepeatedRounds::new(size, p, INPUTS[p.index()], 2))
+            .collect::<Vec<_>>()
+    };
+    let check = |report: &SemiSyncReport<RepeatedRounds>| {
+        if !report.all_correct_decided() {
+            return Err("a correct process did not decide".to_owned());
+        }
+        let outputs: Vec<Option<Value>> = report
+            .outputs
+            .iter()
+            .map(|o| o.as_ref().map(|&(v, _)| v))
+            .collect();
+        KSetAgreement::consensus()
+            .check(&INPUTS, &outputs)
+            .map_err(|v| v.to_string())
+    };
+    let config = DporConfig::new(1);
+    DporRow::measure(samples, 612, || {
+        explore_semi_sync_dpor(&sim, 1, make, check, &config)
+            .unwrap_or_else(|err| panic!("semi-sync consensus must hold in every class: {err}"))
+    })
 }
 
 /// The host's parallelism control: two independent CPU-bound jobs
@@ -253,10 +315,13 @@ fn run_report(quick: bool) -> Result<String, String> {
         0.5,
     );
 
-    // The DPOR class explorer on the full-info ring.
+    // The DPOR class explorer on the full-info ring, then on §5's
+    // semi-sync consensus: one exploration of it takes a few
+    // milliseconds, so its row affords the experiments' sample count.
     let explore_samples = if quick { 3 } else { 7 };
-    eprintln!("measuring dpor explorer ({explore_samples} samples)...");
+    eprintln!("measuring dpor explorer ({explore_samples} and {samples} samples)...");
     let dpor = measure_dpor(explore_samples);
+    let dpor_semisync = measure_dpor_semisync(samples);
 
     eprintln!("measuring the host's parallelism control ({samples} samples per mode)...");
     let parallel_x100 = measure_parallel_x100(samples);
@@ -314,14 +379,9 @@ fn run_report(quick: bool) -> Result<String, String> {
          \"sharded_ns\": {sharded}}},\n"
     ));
     out.push_str(&format!(
-        "  \"dpor\": {{\"schedules\": {}, \"revisits\": {}, \"sleep_set_blocked\": {}, \
-         \"samples\": {}, \"median_ns\": {}, \"p95_ns\": {}}},\n",
-        dpor.schedules,
-        dpor.revisits,
-        dpor.sleep_set_blocked,
-        dpor.samples,
-        dpor.median_ns,
-        dpor.p95_ns,
+        "  \"dpor\": {{{}, \"semisync\": {{{}}}}},\n",
+        dpor.members(),
+        dpor_semisync.members(),
     ));
     out.push_str(&render_throughput_line(&throughput));
     out.push('\n');
@@ -336,10 +396,7 @@ fn run_report(quick: bool) -> Result<String, String> {
 /// The integer fields of the report's fixed sections.
 const SECTIONS: [(&str, &str); 4] = [
     ("overhead", "baseline_ns noop_ns sharded_ns"),
-    (
-        "dpor",
-        "schedules revisits sleep_set_blocked samples median_ns p95_ns",
-    ),
+    ("dpor", DPOR_FIELDS),
     (
         "throughput",
         "instances shards completed errored rounds batch_ns one_shard_ns instances_per_sec \
@@ -426,6 +483,13 @@ fn check_schema(text: &str) -> Result<(), String> {
             .ok_or_else(|| format!("missing object `{section}`"))?;
         integers(object, section, fields)?;
     }
+    // The ring row has no crashes; the semi-sync row is the one that
+    // exercises crash alternatives.
+    let semisync = root
+        .get("dpor")
+        .and_then(|dpor| dpor.get("semisync"))
+        .ok_or("dpor: missing object `semisync`")?;
+    integers(semisync, "dpor semisync", DPOR_FIELDS)?;
     let mix = root.get("throughput").and_then(|t| t.get("mix"));
     mix.and_then(json::Json::as_str)
         .ok_or("throughput: missing string `mix`")?;
@@ -632,6 +696,14 @@ mod tests {
             err.contains("host: missing integer `parallel_x100`"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_dpor_section_without_its_semisync_row_fails_its_schema() {
+        assert!(COMMITTED.contains("\"semisync\": {\"schedules\": 612, "));
+        let ring_only = COMMITTED.replace("\"semisync\": ", "\"semi\": ");
+        let err = check_schema(&ring_only).expect_err("the dpor section needs its semisync row");
+        assert!(err.contains("dpor: missing object `semisync`"), "{err}");
     }
 
     #[test]

@@ -407,13 +407,13 @@ impl Engine {
     {
         // start_traced always arms the builder; an absent trace would read
         // as aborted.
-        let aborted = || TraceBuilder::new(self.n).finish(TraceOutcome::Aborted);
         match self.start_traced(protocols, detector, model) {
             Ok(run) => {
                 let finished = run.run_to_completion();
-                (finished.result, finished.trace.unwrap_or_else(aborted))
+                let trace = finished.trace.unwrap_or_else(|| RunTrace::aborted(self.n));
+                (finished.result, trace)
             }
-            Err(err) => (Err(err), aborted()),
+            Err(err) => (Err(err), RunTrace::aborted(self.n)),
         }
     }
 

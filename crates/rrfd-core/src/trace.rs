@@ -143,6 +143,14 @@ impl RunTrace {
         pattern
     }
 
+    /// The trace of a run that ended before its first round: no rounds,
+    /// no decisions, outcome [`TraceOutcome::Aborted`]. Both engines'
+    /// `run_traced` return it for a run rejected before it started.
+    #[must_use]
+    pub fn aborted(n: SystemSize) -> Self {
+        TraceBuilder::new(n).finish(TraceOutcome::Aborted)
+    }
+
     /// A replayable certificate that `predicate` rejects `pattern` at
     /// round `rejected`: every earlier round as a normal round with the
     /// covering-maximal delivery `S(i,r) = S ∖ D(i,r)`, round `rejected`

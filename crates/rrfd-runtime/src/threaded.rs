@@ -15,8 +15,7 @@
 use crossbeam::channel::{self, Receiver, Sender};
 use rrfd_core::{
     Control, Delivery, Engine, EngineError, FaultDetector, IdSet, PatternViolation, ProcessId,
-    Round, RoundCore, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize, TraceBuilder,
-    TraceOutcome,
+    Round, RoundCore, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize,
 };
 use std::any::Any;
 use std::fmt;
@@ -444,9 +443,7 @@ impl ThreadedEngine {
     {
         let (result, trace) = self.run_inner(protocols, detector, model, true);
         // A run rejected before it started reads as aborted, as in-process.
-        let trace = trace.unwrap_or_else(|| {
-            TraceBuilder::new(self.engine.system_size()).finish(TraceOutcome::Aborted)
-        });
+        let trace = trace.unwrap_or_else(|| RunTrace::aborted(self.engine.system_size()));
         (result, trace)
     }
 
@@ -720,7 +717,7 @@ impl ThreadedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrfd_core::AnyPattern;
+    use rrfd_core::{AnyPattern, TraceOutcome};
     use rrfd_models::adversary::{NoFailures, RandomAdversary};
     use rrfd_models::predicates::KUncertainty;
 

@@ -151,18 +151,23 @@ fn set_bit(row: &mut [u64], i: usize) {
     row[i / 64] |= 1 << (i % 64);
 }
 
-/// The indices of the set bits of `row`, ascending.
-fn ones(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    row.iter().enumerate().flat_map(|(w, &word)| {
-        let mut rest = word;
-        std::iter::from_fn(move || {
-            (rest != 0).then(|| {
-                let b = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                w * 64 + b
-            })
-        })
-    })
+/// Clears `buf` and refills it with `len` copies of `value`, keeping its
+/// allocation.
+fn refill<V: Copy>(buf: &mut Vec<V>, len: usize, value: V) {
+    buf.clear();
+    buf.resize(len, value);
+}
+
+/// The working buffers of a linearization, kept by a caller that
+/// linearizes many runs so none allocates per run.
+#[derive(Debug, Default)]
+pub(crate) struct GraphScratch {
+    /// Each process's first unemitted event.
+    next: Vec<usize>,
+    /// The next event of each event's process.
+    after: Vec<usize>,
+    /// Emitted events, one bit each.
+    emitted: Vec<u64>,
 }
 
 /// A recorded execution with its happens-before order, built
@@ -180,6 +185,9 @@ pub struct ExecutionGraph {
     rows: Vec<u64>,
     /// Where each event's row starts in `rows`.
     row_start: Vec<usize>,
+    /// The reversible races, recorded by `push`: ordered by `j`, then
+    /// newest `i` first.
+    races: Vec<(usize, usize)>,
 }
 
 impl ExecutionGraph {
@@ -191,6 +199,7 @@ impl ExecutionGraph {
             events: Vec::new(),
             rows: Vec::new(),
             row_start: Vec::new(),
+            races: Vec::new(),
         }
     }
 
@@ -219,6 +228,7 @@ impl ExecutionGraph {
         self.events.clear();
         self.rows.clear();
         self.row_start.clear();
+        self.races.clear();
     }
 
     /// Event `k`'s strict-predecessor row.
@@ -231,7 +241,16 @@ impl ExecutionGraph {
     /// predecessors are its program-order predecessor and every earlier
     /// conflicting event of another process, each together with its own
     /// predecessors. Priors are scanned newest first, so a prior that is
-    /// already a predecessor brings nothing new and is skipped.
+    /// already a predecessor brings nothing new: the scan visits only
+    /// the priors whose bit is still clear, one row word at a time.
+    ///
+    /// The priors the scan adds are exactly the event's immediate
+    /// predecessors: a prior `i` with an intermediary `i →hb k` is
+    /// already covered when the scan reaches it, because `k`, or a newer
+    /// added prior that `k` precedes, was added first and brought `i`
+    /// along. The added priors of other processes are therefore the
+    /// event's reversible races ([`ExecutionGraph::reversible_races`]),
+    /// and are recorded as they are found.
     ///
     /// # Panics
     ///
@@ -248,15 +267,31 @@ impl ExecutionGraph {
         let start = self.rows.len();
         self.rows.resize(start + words(k), 0);
         let (earlier, row) = self.rows.split_at_mut(start);
-        for (m, prior) in self.events.iter().enumerate().rev() {
-            if bit(row, m) || !(prior.pid == pid || prior.access.conflicts(access)) {
-                continue;
+        for w in (0..row.len()).rev() {
+            // The priors of word `w` not yet covered; the last word holds
+            // only `k % 64` of them.
+            let priors = if (w + 1) * 64 > k {
+                (1 << (k % 64)) - 1
+            } else {
+                !0
+            };
+            let mut uncovered = priors & !row[w];
+            while uncovered != 0 {
+                let m = w * 64 + 63 - uncovered.leading_zeros() as usize;
+                uncovered &= !(1 << (m % 64));
+                let prior = &self.events[m];
+                if prior.pid == pid || prior.access.conflicts(access) {
+                    let from = self.row_start[m];
+                    for (x, &word) in row.iter_mut().zip(&earlier[from..from + words(m)]) {
+                        *x |= word;
+                    }
+                    set_bit(row, m);
+                    uncovered &= !row[w];
+                    if prior.pid != pid {
+                        self.races.push((m, k));
+                    }
+                }
             }
-            let from = self.row_start[m];
-            for (w, &word) in row.iter_mut().zip(&earlier[from..from + words(m)]) {
-                *w |= word;
-            }
-            set_bit(row, m);
         }
         self.row_start.push(start);
         self.events.push(ExecEvent { event, pid, access });
@@ -291,30 +326,42 @@ impl ExecutionGraph {
     /// [`ExecutionGraph::canonical_order`], written into `order` (cleared
     /// first) so a caller linearizing many runs reuses one buffer.
     pub fn canonical_order_into(&self, order: &mut Vec<usize>) {
+        self.canonical_order_with(order, &mut GraphScratch::default());
+    }
+
+    /// [`ExecutionGraph::canonical_order_into`] with its working buffers
+    /// in `scratch`, so a linearization allocates nothing once the
+    /// buffers have grown to the run's length.
+    pub(crate) fn canonical_order_with(&self, order: &mut Vec<usize>, scratch: &mut GraphScratch) {
         order.clear();
         let len = self.events.len();
         // `next[p]` is process p's first unemitted event and `after[m]`
         // the event of m's process that follows m (`len` for none).
-        let mut next = vec![len; self.n];
-        let mut after = vec![len; len];
+        let GraphScratch {
+            next,
+            after,
+            emitted,
+        } = scratch;
+        refill(next, self.n, len);
+        refill(after, len, len);
         for (m, event) in self.events.iter().enumerate().rev() {
             after[m] = std::mem::replace(&mut next[event.pid.index()], m);
         }
-        let mut emitted = vec![0u64; words(len)];
+        refill(emitted, words(len), 0);
         for _ in 0..len {
             let available = (0..self.n).find(|&p| {
                 next[p] < len
                     && self
                         .row(next[p])
                         .iter()
-                        .zip(&emitted)
+                        .zip(emitted.iter())
                         .all(|(&pred, &done)| pred & !done == 0)
             });
             let Some(p) = available else {
                 unreachable!("happens-before must stay acyclic");
             };
             let j = next[p];
-            set_bit(&mut emitted, j);
+            set_bit(emitted, j);
             order.push(j);
             next[p] = after[j];
         }
@@ -332,32 +379,15 @@ impl ExecutionGraph {
     /// is the same for every linearization of the class.
     #[must_use]
     pub fn reversible_races(&self) -> Vec<(usize, usize)> {
-        let mut races = Vec::new();
-        // Predecessors of `j`'s predecessors: exactly the events `i`
-        // with some `i →hb k →hb j`.
-        let mut mediated = vec![0u64; words(self.events.len())];
-        for (j, later) in self.events.iter().enumerate() {
-            let row = self.row(j);
-            let mediated = &mut mediated[..row.len()];
-            mediated.fill(0);
-            for k in ones(row) {
-                for (m, &word) in mediated.iter_mut().zip(self.row(k)) {
-                    *m |= word;
-                }
-            }
-            races.extend(
-                ones(row)
-                    .filter(|&i| {
-                        let earlier = &self.events[i];
-                        earlier.pid != later.pid
-                            && earlier.access.conflicts(later.access)
-                            && !bit(mediated, i)
-                    })
-                    .map(|i| (i, j)),
-            );
-        }
+        let mut races = self.races.clone();
         races.sort_unstable();
         races
+    }
+
+    /// [`ExecutionGraph::reversible_races`] as `push` recorded them:
+    /// ordered by `j`, then newest `i` first.
+    pub(crate) fn races(&self) -> &[(usize, usize)] {
+        &self.races
     }
 
     /// The process count this graph was built over.

@@ -31,13 +31,21 @@
 //!    budget and leaves the live set, a decision leaves the live set),
 //!    so the class is not replayed a second time to find them. Children
 //!    are derived from the canonical form, so they are a pure function
-//!    of the class.
+//!    of the class. The crashes offered at canonical depth `d` depend
+//!    only on the prefix `canon[..d]`, one revisit-tree node: the first
+//!    class whose canonical path passes through a node proposes that
+//!    node's crash alternatives and flags it, and later classes skip
+//!    them there, counting each as blocked, exactly as deduplicating it
+//!    would have.
 //! 4. Each child is located in the revisit tree relative to the class's
 //!    canonical path (a depth plus a short tail), and is queued only if
-//!    its end node was not queued before. Only fresh children are built
-//!    into prefixes; they are pushed onto one LIFO stack of work items,
-//!    which the search drains depth first in a plain loop on the calling
-//!    thread.
+//!    its end node was not queued before. Only fresh children are
+//!    copied onto the one LIFO stack of work items, which keeps every
+//!    prefix back to back in a single event buffer; the search drains
+//!    it depth first in a plain loop on the calling thread. The graph
+//!    records each run's reversible races while it is built, and the
+//!    graph, the linearization and the stack reuse their buffers from
+//!    item to item, so an item allocates nothing once they have grown.
 //!
 //! Because the explored set is the closure of a pure `children`
 //! function, every reported number is independent of the order items
@@ -112,6 +120,15 @@ struct StepTarget<X> {
     exec: X,
 }
 
+/// A step execution that packages its current state as a report without
+/// being consumed: it clones only what the report holds (outputs, the
+/// crashed set, the step total, the processes), not the rest of the
+/// execution. The explorer reports every fresh class this way.
+pub(crate) trait ReportInPlace: StepExecution {
+    /// The report [`StepExecution::into_report`] would return now.
+    fn report(&self) -> Self::Report;
+}
+
 impl<X: StepExecution<Footprint = Access>> StepTarget<X> {
     fn new(exec: X, crash_budget: usize) -> Self {
         StepTarget {
@@ -138,7 +155,7 @@ impl<X: Clone> Clone for StepTarget<X> {
     }
 }
 
-impl<X: StepExecution<Footprint = Access> + Clone> DporTarget for StepTarget<X> {
+impl<X: ReportInPlace<Footprint = Access> + Clone> DporTarget for StepTarget<X> {
     type Report = X::Report;
 
     fn n(&self) -> usize {
@@ -154,6 +171,14 @@ impl<X: StepExecution<Footprint = Access> + Clone> DporTarget for StepTarget<X> 
         if self.crash_budget > 0 && live.len() > 1 {
             out.extend(live.iter().map(StepEvent::Crash));
         }
+    }
+
+    /// Both targets enable one step per live process
+    /// ([`StepExecution::ENABLED_IS_LIVE`]), so the first option is the
+    /// smallest live process's step.
+    fn first_option(&self) -> Option<StepEvent> {
+        const { assert!(X::ENABLED_IS_LIVE) };
+        self.exec.live().min().map(StepEvent::Step)
     }
 
     /// Crashes are data nondeterminism: a maximal crash-free run has no
@@ -211,7 +236,7 @@ impl<X: StepExecution<Footprint = Access> + Clone> DporTarget for StepTarget<X> 
     }
 
     fn report(&self) -> X::Report {
-        self.exec.clone().into_report()
+        self.exec.report()
     }
 }
 

@@ -5,8 +5,18 @@
 //! The search is one depth-first loop on the calling thread: a LIFO
 //! stack of prefixes, one revisit tree, and one [`Scratch`] — the target
 //! state, rewound to the root per item, plus the graph and every buffer
-//! an item fills. An item therefore pays for its own events, not for
+//! an item fills. The stack keeps its prefixes back to back in one event
+//! buffer, and the linearization works in buffers the scratch keeps, so
+//! once the buffers have grown an item pays for its own events, not for
 //! allocation.
+//!
+//! Each piece of bookkeeping is done once. The crash alternatives a
+//! class offers at canonical depth `d` depend only on `canon[..d]`, the
+//! revisit-tree node `path[d]`; the first class whose canonical path
+//! passes through a node proposes them and flags the node, and every
+//! later class skips them there. A skipped alternative was queued by
+//! that first class, so it is counted as blocked, as the walk to its
+//! queued node would have counted it.
 //!
 //! # Why the result does not depend on traversal order
 //!
@@ -21,7 +31,7 @@
 //! classes, the one with the lexicographically smallest canonical key
 //! wins, not the one the search happened to reach first.
 
-use super::graph::{Access, ExecEvent, ExecutionGraph};
+use super::graph::{Access, ExecEvent, ExecutionGraph, GraphScratch};
 use crate::digest::{DigestWriter, StateKey};
 use crate::explore::{Counterexample, ExploreStats};
 use crate::step::StepEvent;
@@ -43,8 +53,10 @@ pub(crate) trait DporTarget: Sized + Clone {
     fn n(&self) -> usize;
     /// Writes the enabled events at this state into `out` (cleared
     /// first), in canonical (id) order; none exactly at complete runs.
-    /// The deterministic extension always applies the first.
     fn options(&self, out: &mut Vec<StepEvent>);
+    /// The first of [`DporTarget::options`], found without listing them:
+    /// the event the deterministic extension always applies.
+    fn first_option(&self) -> Option<StepEvent>;
     /// Called on the root state with a class's canonical linearization:
     /// pushes `(depth, event)` for every enabled event at each canonical
     /// depth that the deterministic extension would never pick and race
@@ -112,6 +124,10 @@ struct Node {
     queued: bool,
     /// The sequence is the canonical linearization of an explored class.
     class: bool,
+    /// The crash alternatives enabled after the sequence were proposed,
+    /// each as the sequence plus the crash, by an expanded class whose
+    /// canonical linearization starts with the sequence.
+    expanded: bool,
 }
 
 impl Node {
@@ -119,6 +135,7 @@ impl Node {
         children: Vec::new(),
         queued: false,
         class: false,
+        expanded: false,
     };
 }
 
@@ -180,6 +197,12 @@ impl RevisitTree {
         set(&mut self.nodes[end as usize].queued, &mut self.marks)
     }
 
+    /// Flags `node`'s crash alternatives as proposed. Returns whether
+    /// they were not proposed before.
+    fn expand(&mut self, node: u32) -> bool {
+        !std::mem::replace(&mut self.nodes[node as usize].expanded, true)
+    }
+
     /// Bytes the tree occupies: its nodes and their edges (every node
     /// but the root is one edge's target).
     fn bytes(&self) -> usize {
@@ -234,6 +257,42 @@ impl Proposals {
     }
 }
 
+/// The LIFO stack of work items: their prefixes back to back in one
+/// event buffer, so pushing a child copies its events and allocates
+/// nothing once the buffer has grown.
+#[derive(Debug)]
+struct WorkStack {
+    events: Vec<StepEvent>,
+    /// Where each item's prefix ends in `events`; it starts where the
+    /// item below it ends.
+    ends: Vec<usize>,
+}
+
+impl WorkStack {
+    /// A stack holding the empty prefix.
+    fn seeded() -> Self {
+        WorkStack {
+            events: Vec::new(),
+            ends: vec![0],
+        }
+    }
+
+    /// Pushes the prefix `head ++ tail`.
+    fn push(&mut self, head: &[StepEvent], tail: &[StepEvent]) {
+        self.events.extend_from_slice(head);
+        self.events.extend_from_slice(tail);
+        self.ends.push(self.events.len());
+    }
+
+    /// Pops the top item and returns where its prefix starts: the prefix
+    /// stays readable as `events[start..]` until the item truncates the
+    /// buffer to `start`, which it must do before pushing its children.
+    fn pop(&mut self) -> Option<usize> {
+        self.ends.pop()?;
+        Some(self.ends.last().copied().unwrap_or(0))
+    }
+}
+
 /// Runs the revisit closure from the empty prefix, depth first on the
 /// calling thread, and returns the search's stats or the minimal-class
 /// counterexample.
@@ -246,20 +305,7 @@ where
     T: DporTarget,
     F: Fn(&T::Report) -> Result<(), String>,
 {
-    let mut search = Search {
-        root,
-        check,
-        max_classes: config.max_schedules,
-        tree: RevisitTree::new(),
-        stats: ExploreStats::default(),
-        cex: None,
-    };
-    let mut scratch = Scratch::new(root);
-    let mut stack = vec![Vec::new()];
-    while let Some(prefix) = stack.pop() {
-        search.process(&mut scratch, &prefix, &mut stack);
-    }
-
+    let search = Search::run(root, check, config.max_schedules);
     let mut stats = search.stats;
     stats.memo_entries = search.tree.marks;
     stats.memo_bytes = search.tree.bytes();
@@ -279,12 +325,16 @@ struct Scratch<T: DporTarget> {
     /// The execution, rewound to the root per item.
     state: T,
     graph: ExecutionGraph,
-    options: Vec<StepEvent>,
+    /// The linearization's working buffers.
+    graph_scratch: GraphScratch,
     /// The canonical linearization, as indices into the graph's events.
     canon: Vec<usize>,
     canon_events: Vec<StepEvent>,
     /// Revisit-tree node after each canonical prefix.
     path: Vec<u32>,
+    /// Canonical position of each event (the inverse of `canon`).
+    pos: Vec<usize>,
+    races: Vec<(usize, usize)>,
     proposals: Proposals,
 }
 
@@ -293,10 +343,12 @@ impl<T: DporTarget> Scratch<T> {
         Scratch {
             state: root.clone(),
             graph: ExecutionGraph::new(root.n()),
-            options: Vec::new(),
+            graph_scratch: GraphScratch::default(),
             canon: Vec::new(),
             canon_events: Vec::new(),
             path: Vec::new(),
+            pos: Vec::new(),
+            races: Vec::new(),
             proposals: Proposals::new(),
         }
     }
@@ -321,38 +373,48 @@ struct Search<'s, T: DporTarget, F> {
     cex: Option<(StateKey, Box<Counterexample>)>,
 }
 
-impl<T, F> Search<'_, T, F>
+impl<'s, T, F> Search<'s, T, F>
 where
     T: DporTarget,
     F: Fn(&T::Report) -> Result<(), String>,
 {
-    /// Replays `prefix`, extends it deterministically to a maximal run,
-    /// deduplicates the resulting trace class, checks it, and pushes the
-    /// class's fresh revisits, derived from its canonical linearization,
-    /// onto `stack`.
-    fn process(
-        &mut self,
-        s: &mut Scratch<T>,
-        prefix: &[StepEvent],
-        stack: &mut Vec<Vec<StepEvent>>,
-    ) {
+    /// Drains the work stack from the empty prefix, depth first.
+    fn run(root: &'s T, check: &'s F, max_classes: usize) -> Self {
+        let mut search = Search {
+            root,
+            check,
+            max_classes,
+            tree: RevisitTree::new(),
+            stats: ExploreStats::default(),
+            cex: None,
+        };
+        let mut scratch = Scratch::new(root);
+        let mut stack = WorkStack::seeded();
+        while let Some(start) = stack.pop() {
+            search.process(&mut scratch, start, &mut stack);
+        }
+        search
+    }
+
+    /// Replays the popped prefix `stack.events[start..]`, extends it
+    /// deterministically to a maximal run, deduplicates the resulting
+    /// trace class, checks it, and pushes the class's fresh revisits,
+    /// derived from its canonical linearization, onto `stack`.
+    fn process(&mut self, s: &mut Scratch<T>, start: usize, stack: &mut WorkStack) {
         s.state.clone_from(self.root);
         s.graph.clear();
 
         // Replay the revisit prefix, recording footprints. The revisit
         // construction keeps prefixes enabled, and `apply_traced` fails
         // loudly on an event that is not.
-        for &event in prefix {
+        for &event in &stack.events[start..] {
             self.stats.decision_points += 1;
             s.apply(event);
         }
+        stack.events.truncate(start);
 
         // Deterministic extension: always the first enabled option.
-        loop {
-            s.state.options(&mut s.options);
-            let Some(&event) = s.options.first() else {
-                break;
-            };
+        while let Some(event) = s.state.first_option() {
             self.stats.decision_points += 1;
             s.apply(event);
         }
@@ -360,7 +422,8 @@ where
 
         // One representative per Mazurkiewicz class: the canonical
         // linearization's end node in the revisit tree is the class.
-        s.graph.canonical_order_into(&mut s.canon);
+        s.graph
+            .canonical_order_with(&mut s.canon, &mut s.graph_scratch);
         let events = s.graph.events();
         s.canon_events.clear();
         s.canon_events
@@ -397,18 +460,32 @@ where
         }
 
         s.proposals.clear();
-        race_reversal_prefixes(&s.graph, &s.canon, &mut s.proposals);
-        let proposals = &mut s.proposals;
+        race_reversal_prefixes(s);
+        let events = s.graph.events();
+        // Crash alternatives, proposed at the nodes no earlier class has
+        // expanded. They arrive depth by depth, so the node's flag is
+        // read (and set) at the first alternative of each depth.
+        let (tree, path, proposals) = (&mut self.tree, &s.path, &mut s.proposals);
+        let blocked = &mut self.stats.sleep_set_blocked;
+        let (mut at, mut fresh) = (None, false);
         self.root
             .alternatives(s.canon.iter().map(|&k| &events[k]), |depth, alt| {
-                proposals.push(depth, [alt])
+                if at != Some(depth) {
+                    at = Some(depth);
+                    fresh = tree.expand(path[depth]);
+                }
+                if fresh {
+                    proposals.push(depth, [alt]);
+                } else {
+                    *blocked += 1;
+                }
             });
         // Dedup proposed prefixes before they are queued; only fresh ones
-        // are built.
+        // are pushed.
         for (depth, tail) in s.proposals.iter() {
             if self.tree.mark_queued(&s.path, depth, tail) {
                 self.stats.revisits += 1;
-                stack.push([&s.canon_events[..depth], tail].concat());
+                stack.push(&s.canon_events[..depth], tail);
             } else {
                 self.stats.sleep_set_blocked += 1;
             }
@@ -436,19 +513,114 @@ fn choices<T: DporTarget>(root: &T, events: impl Iterator<Item = StepEvent>) -> 
 /// canonical coordinates: for a race `(i, j)` the child is everything
 /// canonically before `i`, then the events between them that do not
 /// causally depend on `i`, then `j` itself — the shortest enabled prefix
-/// in which `j` happens without `i` having happened.
-fn race_reversal_prefixes(graph: &ExecutionGraph, canon: &[usize], proposals: &mut Proposals) {
-    let mut pos = vec![0usize; canon.len()];
+/// in which `j` happens without `i` having happened. Proposals come in
+/// canonical order of `(i, j)`.
+fn race_reversal_prefixes<T: DporTarget>(s: &mut Scratch<T>) {
+    let Scratch {
+        graph,
+        canon,
+        pos,
+        races,
+        proposals,
+        ..
+    } = s;
+    pos.resize(canon.len(), 0);
     for (p, &orig) in canon.iter().enumerate() {
         pos[orig] = p;
     }
-    let mut races = graph.reversible_races();
-    races.sort_by_key(|&(i, j)| (pos[i], pos[j]));
-    for (i, j) in races {
+    races.clear();
+    races.extend_from_slice(graph.races());
+    // Pairs are distinct and `pos` is a bijection, so the keys are too.
+    races.sort_unstable_by_key(|&(i, j)| (pos[i], pos[j]));
+    for &(i, j) in races.iter() {
         let (ci, cj) = (pos[i], pos[j]);
         debug_assert!(ci < cj, "canonical order must linearize happens-before");
         let between = canon[ci + 1..cj].iter().filter(|&&k| !graph.hb(i, k));
         let tail = between.chain([&j]).map(|&k| graph.events()[k].event);
         proposals.push(ci, tail);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dpor::StepTarget;
+    use crate::semi_sync::{SemiSyncExecution, SemiSyncProcess, SemiSyncSim};
+    use rrfd_core::{Control, ProcessId, SystemSize};
+    use std::sync::Arc;
+
+    /// Broadcasts on its first step, then decides how many messages it
+    /// heard.
+    #[derive(Debug, Clone, Default)]
+    struct Count {
+        sent: bool,
+        heard: usize,
+    }
+
+    impl SemiSyncProcess for Count {
+        type Msg = ();
+        type Output = usize;
+        fn step(&mut self, received: &[(ProcessId, Arc<()>)]) -> (Option<()>, Control<usize>) {
+            self.heard += received.len();
+            if std::mem::replace(&mut self.sent, true) {
+                (None, Control::Decide(self.heard))
+            } else {
+                (Some(()), Control::Continue)
+            }
+        }
+    }
+
+    /// Skipping an expanded node's crash alternatives is sound only if
+    /// each of them is queued: walks the whole tree of a two-crash search
+    /// and, at every expanded node, replays its sequence and checks every
+    /// crash the fold offers there.
+    #[test]
+    fn every_expanded_node_has_its_crash_alternatives_queued() {
+        let n = SystemSize::new(3).unwrap();
+        let exec = SemiSyncExecution::start(&SemiSyncSim::new(n), vec![Count::default(); 3]);
+        let root = StepTarget::new(exec.unwrap(), 2);
+        let tree = Search::run(&root, &|_: &_| Ok(()), usize::MAX).tree;
+        let (mut expanded, mut offered) = (0, 0);
+        let mut walk = vec![(0u32, Vec::new())];
+        while let Some((node, seq)) = walk.pop() {
+            let entry = &tree.nodes[node as usize];
+            if entry.expanded {
+                expanded += 1;
+                let mut state = root.clone();
+                let mut events: Vec<ExecEvent> = seq
+                    .iter()
+                    .map(|&event: &StepEvent| ExecEvent {
+                        event,
+                        pid: event.pid(),
+                        access: state.apply_traced(event),
+                    })
+                    .collect();
+                // The fold offers depth `seq.len()`'s crashes when it
+                // reaches an event there; this one only closes the fold.
+                let p0 = ProcessId::new(0);
+                events.push(ExecEvent {
+                    event: StepEvent::Step(p0),
+                    pid: p0,
+                    access: Access::Local,
+                });
+                root.alternatives(events.iter(), |depth, alt| {
+                    if depth < seq.len() {
+                        return;
+                    }
+                    offered += 1;
+                    let child = entry.children.iter().find(|(e, _)| *e == alt);
+                    assert!(
+                        child.is_some_and(|&(_, c)| tree.nodes[c as usize].queued),
+                        "{seq:?} then {alt:?} is not queued"
+                    );
+                });
+            }
+            walk.extend(entry.children.iter().map(|&(event, child)| {
+                let mut seq = seq.clone();
+                seq.push(event);
+                (child, seq)
+            }));
+        }
+        assert!(expanded > 10 && offered > expanded, "{expanded} {offered}");
     }
 }

@@ -18,7 +18,7 @@
 //! simulator in `rrfd-protocols::semi_sync_consensus` and stress-tested
 //! against random schedules.
 
-use crate::dpor::Access;
+use crate::dpor::{Access, ReportInPlace};
 use crate::step::{self, StepEvent, StepExecution, StepScheduler};
 use rrfd_core::{Control, IdSet, ProcessId, SystemSize};
 use std::fmt;
@@ -340,6 +340,17 @@ impl<P: SemiSyncProcess> StepExecution for SemiSyncExecution<P> {
             crashed: self.crashed,
             total_steps: self.total_steps,
             processes: self.processes,
+        }
+    }
+}
+
+impl<P: SemiSyncProcess + Clone> ReportInPlace for SemiSyncExecution<P> {
+    fn report(&self) -> SemiSyncReport<P> {
+        SemiSyncReport {
+            outputs: self.outputs.clone(),
+            crashed: self.crashed,
+            total_steps: self.total_steps,
+            processes: self.processes.clone(),
         }
     }
 }

@@ -15,7 +15,7 @@
 //! deterministic given the scheduler, so any run can be replayed from a
 //! seed.
 
-use crate::dpor::Access;
+use crate::dpor::{Access, ReportInPlace};
 use crate::step::{self, StepEvent, StepExecution, StepScheduler};
 use rrfd_core::{IdSet, ProcessId, SystemSize};
 use std::fmt;
@@ -512,6 +512,23 @@ impl<P: MemProcess<V>, V: Clone> StepExecution for MemExecution<P, V> {
             crashed: self.crashed,
             steps: self.steps,
             processes: self.processes,
+            marker: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<P, V> ReportInPlace for MemExecution<P, V>
+where
+    P: MemProcess<V> + Clone,
+    P::Output: Clone,
+    V: Clone,
+{
+    fn report(&self) -> MemRunReport<P, V> {
+        MemRunReport {
+            outputs: self.outputs.clone(),
+            crashed: self.crashed,
+            steps: self.steps,
+            processes: self.processes.clone(),
             marker: std::marker::PhantomData,
         }
     }

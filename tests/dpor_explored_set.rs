@@ -1,12 +1,14 @@
 //! Pins the explored set of the `dpor_semisync` benchmark workload:
 //! `explore_semi_sync_dpor` over §5's `RepeatedRounds` at n = 3, two
-//! rounds, one crash. Every `ExploreStats` field that is a function of
-//! the trace-class closure is recorded in
-//! `tests/fixtures/dpor/repeated_rounds_n3.stats`. Left out are `steals`
-//! (always 0) and `memo_bytes` (the size of the dedup structure, an
-//! implementation detail).
+//! rounds, one crash; and of the same instance with a crash budget of 2,
+//! where crash alternatives are offered after an earlier crash too.
+//! Every `ExploreStats` field that is a function of the trace-class
+//! closure is recorded in `tests/fixtures/dpor/repeated_rounds_n3.stats`
+//! and `tests/fixtures/dpor/repeated_rounds_n3_f2.stats`. Left out are
+//! `steals` (always 0) and `memo_bytes` (the size of the dedup
+//! structure, an implementation detail).
 //!
-//! Regenerate the golden with `REGEN_FIXTURES=1 cargo test --test
+//! Regenerate the goldens with `REGEN_FIXTURES=1 cargo test --test
 //! dpor_explored_set`.
 
 use rrfd::core::task::{KSetAgreement, Value};
@@ -19,7 +21,6 @@ use std::path::PathBuf;
 
 const N: usize = 3;
 const ROUNDS: u32 = 2;
-const CRASHES: usize = 1;
 const INPUTS: [Value; N] = [4, 1, 9];
 
 /// Termination of every correct process and consensus on [`INPUTS`].
@@ -37,7 +38,7 @@ fn check(report: &SemiSyncReport<RepeatedRounds>) -> Result<(), String> {
         .map_err(|v| v.to_string())
 }
 
-fn explore() -> ExploreStats {
+fn explore(crashes: usize) -> ExploreStats {
     let n = SystemSize::new(N).unwrap();
     let make = || {
         n.processes()
@@ -46,7 +47,7 @@ fn explore() -> ExploreStats {
     };
     explore_semi_sync_dpor(
         &SemiSyncSim::new(n),
-        CRASHES,
+        crashes,
         make,
         check,
         &DporConfig::new(1),
@@ -68,15 +69,26 @@ fn render(stats: &ExploreStats) -> String {
     )
 }
 
-#[test]
-fn repeated_rounds_explored_set_is_pinned() {
+/// Compares the explored set under `crashes` with the golden `file`.
+fn assert_pinned(crashes: usize, file: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/dpor/repeated_rounds_n3.stats");
-    let explored = render(&explore());
+        .join("tests/fixtures/dpor")
+        .join(file);
+    let explored = render(&explore(crashes));
     if std::env::var_os("REGEN_FIXTURES").is_some() {
         std::fs::write(&path, &explored).unwrap();
     }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden ({e}); run with REGEN_FIXTURES=1"));
     assert_eq!(golden, explored, "explored set moved");
+}
+
+#[test]
+fn repeated_rounds_explored_set_is_pinned() {
+    assert_pinned(1, "repeated_rounds_n3.stats");
+}
+
+#[test]
+fn repeated_rounds_two_crash_explored_set_is_pinned() {
+    assert_pinned(2, "repeated_rounds_n3_f2.stats");
 }
