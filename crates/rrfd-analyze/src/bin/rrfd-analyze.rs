@@ -435,7 +435,7 @@ fn run_lint(args: &[String]) -> ExitCode {
     if report.is_clean(strict) {
         if !json {
             eprintln!(
-                "lint clean: {} finding(s) across 8 passes, all pinned or budgeted in {}",
+                "lint clean: {} finding(s) across 8 passes, all pinned in {}",
                 findings.len(),
                 allow_path.display()
             );

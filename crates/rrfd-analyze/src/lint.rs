@@ -15,20 +15,16 @@
 //!
 //! ```text
 //! round-closure crates/rrfd-core/src/engine.rs fp:1773953f5bcbc801  # the Delivery carrier
-//! panic-family  crates/rrfd-core/src/task.rs   2                    # legacy budget (count)
 //! ```
 //!
-//! A **fingerprinted** entry pins exactly one finding by its span
-//! fingerprint — a hash of the pass, path, and normalized text of the
-//! flagged line (plus an occurrence index), so it survives unrelated
-//! line insertions above it and *expires* the moment the flagged code
-//! changes. A **legacy budget** entry tolerates up to N otherwise
-//! unmatched findings of that pass in that file; budgets are kept for
-//! migration and tests, the committed `lint.allow` is all-fingerprint.
+//! Every entry pins exactly one finding by its span fingerprint — a
+//! hash of the pass, path, and normalized text of the flagged line
+//! (plus an occurrence index), so it survives unrelated line insertions
+//! above it and *expires* the moment the flagged code changes.
 //!
-//! Findings matching neither kind of entry are violations. Entries
-//! matching nothing are "unused" notices — and hard failures under
-//! `--strict` (the CI default), so the allowlist can only shrink.
+//! Findings no entry pins are violations. Entries matching nothing are
+//! "unused" notices — and hard failures under `--strict` (the CI
+//! default), so the allowlist can only shrink.
 
 use crate::passes::{self, Finding};
 use crate::workspace;
@@ -39,9 +35,6 @@ use std::path::Path;
 /// What an allowlist entry tolerates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AllowSpec {
-    /// Up to N findings of the pass in the file (legacy, line-count
-    /// style).
-    Budget(usize),
     /// Exactly the finding with this `fp:…` span fingerprint.
     Fingerprint(String),
 }
@@ -57,7 +50,7 @@ pub struct Allowance {
     pub spec: AllowSpec,
 }
 
-/// Parses an allowlist: one `<pass> <path> <fp:…|count>` entry per
+/// Parses an allowlist: one `<pass> <path> fp:<16 hex>` entry per
 /// line, `#` comments, blank lines ignored. Pass names must be
 /// registered passes.
 ///
@@ -81,14 +74,11 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<Allowance>, LineError> {
             }
             let path = tokens.next()?.to_owned();
             let spec = tokens.next()?;
-            let spec = if let Some(hex) = spec.strip_prefix("fp:") {
-                if hex.len() != 16 || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
-                    return None;
-                }
-                AllowSpec::Fingerprint(spec.to_owned())
-            } else {
-                AllowSpec::Budget(spec.parse().ok()?)
-            };
+            let hex = spec.strip_prefix("fp:")?;
+            if hex.len() != 16 || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
+                return None;
+            }
+            let spec = AllowSpec::Fingerprint(spec.to_owned());
             if tokens.next().is_some() {
                 return None;
             }
@@ -103,7 +93,7 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<Allowance>, LineError> {
             None => {
                 return Err(LineError::new(
                     line_no,
-                    format!("expected `<pass> <path> <fp:16-hex|count>`, got {line:?}"),
+                    format!("expected `<pass> <path> fp:<16 hex>`, got {line:?}"),
                 ))
             }
         }
@@ -114,11 +104,11 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<Allowance>, LineError> {
 /// The outcome of reconciling findings against an allowlist.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Findings exceeding their budget, or matched by no entry. Any
-    /// entry here means the pass fails.
+    /// Findings matched by no entry. Any entry here means the pass
+    /// fails.
     pub violations: Vec<String>,
-    /// Stale-allowlist observations: unused entries and under-used
-    /// budgets. Failures under `--strict`.
+    /// Stale-allowlist observations: entries matching no finding.
+    /// Failures under `--strict`.
     pub notices: Vec<String>,
 }
 
@@ -132,90 +122,29 @@ impl LintReport {
     }
 }
 
-/// Reconciles findings against the allowlist: fingerprint entries pin
-/// individual findings, budget entries cap the unmatched remainder.
+/// Reconciles findings against the allowlist: each entry pins one
+/// finding, and every finding left unpinned is a violation.
 #[must_use]
 pub fn reconcile(findings: &[Finding], allowances: &[Allowance]) -> LintReport {
     let mut report = LintReport::default();
-    let mut fp_used = vec![false; allowances.len()];
-    // Group findings by (pass, path), preserving first-seen order.
-    let mut groups: Vec<(&str, &str, Vec<&Finding>)> = Vec::new();
-    for finding in findings {
-        match groups
-            .iter_mut()
-            .find(|(k, p, _)| *k == finding.pass && *p == finding.path)
-        {
-            Some((_, _, list)) => list.push(finding),
-            None => groups.push((finding.pass, &finding.path, vec![finding])),
+    let mut used = vec![false; allowances.len()];
+    for f in findings {
+        let pinned = allowances.iter().zip(&used).position(|(a, &taken)| {
+            let AllowSpec::Fingerprint(fp) = &a.spec;
+            !taken && a.pass == f.pass && a.path == f.path && *fp == f.fingerprint
+        });
+        match pinned {
+            Some(i) => used[i] = true,
+            None => report.violations.push(f.to_string()),
         }
     }
-    for (pass, path, list) in &groups {
-        // Partition: fingerprint-pinned findings are allowed.
-        let mut residual: Vec<&Finding> = Vec::new();
-        for f in list {
-            let pinned = allowances.iter().enumerate().find(|(i, a)| {
-                !fp_used[*i]
-                    && a.pass == *pass
-                    && a.path == *path
-                    && a.spec == AllowSpec::Fingerprint(f.fingerprint.clone())
-            });
-            match pinned {
-                Some((i, _)) => fp_used[i] = true,
-                None => residual.push(f),
-            }
-        }
-        let budget = allowances
-            .iter()
-            .find(|a| a.pass == *pass && a.path == *path && matches!(a.spec, AllowSpec::Budget(_)))
-            .and_then(|a| match a.spec {
-                AllowSpec::Budget(b) => Some(b),
-                AllowSpec::Fingerprint(_) => None,
-            });
-        match budget {
-            None => {
-                for f in residual {
-                    report.violations.push(f.to_string());
-                }
-            }
-            Some(budget) if residual.len() > budget => {
-                report.violations.push(format!(
-                    "{path}: {} `{pass}` findings exceed the allowlisted budget of {budget}:",
-                    residual.len()
-                ));
-                for f in residual {
-                    report.violations.push(format!("  {f}"));
-                }
-            }
-            Some(budget) if residual.len() < budget => {
-                report.notices.push(format!(
-                    "{path}: only {} `{pass}` findings against a budget of {budget} — \
-                     ratchet the allowlist down",
-                    residual.len()
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    for (i, a) in allowances.iter().enumerate() {
-        match &a.spec {
-            AllowSpec::Fingerprint(fp) => {
-                if !fp_used[i] {
-                    report.notices.push(format!(
-                        "unused allowlist entry: {} {} {fp} — the pinned finding no \
-                         longer exists; prune it",
-                        a.pass, a.path
-                    ));
-                }
-            }
-            AllowSpec::Budget(b) => {
-                let used = groups.iter().any(|(k, p, _)| *k == a.pass && *p == a.path);
-                if !used {
-                    report
-                        .notices
-                        .push(format!("unused allowlist entry: {} {} {b}", a.pass, a.path));
-                }
-            }
-        }
+    for (a, _) in allowances.iter().zip(&used).filter(|(_, &taken)| !taken) {
+        let AllowSpec::Fingerprint(fp) = &a.spec;
+        report.notices.push(format!(
+            "unused allowlist entry: {} {} {fp} — the pinned finding no \
+             longer exists; prune it",
+            a.pass, a.path
+        ));
     }
     report
 }
@@ -302,12 +231,15 @@ mod tests {
         let entries = parse_allowlist(
             "# header comment\n\
              \n\
-             panic-family crates/rrfd-core/src/task.rs 2  # budget\n\
-             round-closure crates/rrfd-sims/src/digest.rs fp:0123456789abcdef\n",
+             panic-family crates/rrfd-core/src/task.rs fp:fedcba9876543210  # pin\n\
+             round-closure crates/rrfd-sims/src/step.rs fp:0123456789abcdef\n",
         )
         .unwrap();
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].spec, AllowSpec::Budget(2));
+        assert_eq!(
+            entries[0].spec,
+            AllowSpec::Fingerprint("fp:fedcba9876543210".to_owned())
+        );
         assert_eq!(
             entries[1].spec,
             AllowSpec::Fingerprint("fp:0123456789abcdef".to_owned())
@@ -362,49 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn budgets_keep_legacy_semantics() {
-        let f = vec![
-            finding("panic-family", "a.rs", "x.unwrap();", 0),
-            finding("panic-family", "a.rs", "x.unwrap();", 1),
-        ];
-        let budget = |b: usize| {
-            vec![Allowance {
-                pass: "panic-family".to_owned(),
-                path: "a.rs".to_owned(),
-                spec: AllowSpec::Budget(b),
-            }]
-        };
-        assert_eq!(reconcile(&f, &[]).violations.len(), 2);
-        let exact = reconcile(&f, &budget(2));
-        assert!(exact.is_clean(true), "{exact:?}");
-        let over = reconcile(&f, &budget(1));
-        assert!(!over.is_clean(false));
-        let under = reconcile(&f, &budget(5));
-        assert!(under.is_clean(false) && !under.is_clean(true));
-        assert!(under.notices[0].contains("ratchet"), "{under:?}");
-        let unused = reconcile(&[], &budget(1));
-        assert!(unused.notices[0].contains("unused"), "{unused:?}");
-    }
-
-    #[test]
-    fn fingerprints_and_budgets_compose() {
-        // One pinned finding plus one budgeted stranger: clean.
-        let f1 = finding("panic-family", "a.rs", "x.unwrap();", 0);
-        let f2 = finding("panic-family", "a.rs", "y.unwrap();", 0);
-        let allow = vec![
-            Allowance {
-                pass: "panic-family".to_owned(),
-                path: "a.rs".to_owned(),
-                spec: AllowSpec::Fingerprint(f1.fingerprint.clone()),
-            },
-            Allowance {
-                pass: "panic-family".to_owned(),
-                path: "a.rs".to_owned(),
-                spec: AllowSpec::Budget(1),
-            },
-        ];
-        let report = reconcile(&[f1, f2], &allow);
-        assert!(report.is_clean(true), "{report:?}");
+    fn count_entries_are_line_errors() {
+        let err = parse_allowlist(
+            "# the retired budget grammar\n\
+             panic-family a.rs fp:0123456789abcdef\n\
+             panic-family a.rs 2\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl StaggeredCrash {
         assert!(f_actual < n.get(), "at least one process must survive");
         StaggeredCrash { n, f_actual }
     }
-
-    /// The number of processes that actually crash.
-    #[must_use]
-    pub fn actual_failures(&self) -> usize {
-        self.f_actual
-    }
 }
 
 impl FaultDetector for StaggeredCrash {

@@ -65,15 +65,6 @@ impl Json {
         }
     }
 
-    /// The value as an `f64` number.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {

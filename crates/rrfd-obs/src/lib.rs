@@ -49,7 +49,7 @@ pub use clock::{Clock, LogicalClock, WallClock};
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_ROUNDS};
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_BOUNDS};
 pub use metric::MetricId;
-pub use recorder::{Entry, Labels, MetricValue, NoopRecorder, Recorder, ShardedRecorder, Snapshot};
+pub use recorder::{Entry, Labels, MetricValue, Recorder, ShardedRecorder, Snapshot};
 pub use span::{SpanKind, SpanPhase, SpanRecord};
 
 use std::sync::Arc;

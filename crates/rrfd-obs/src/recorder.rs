@@ -1,8 +1,8 @@
 //! Recorders: where metric samples go.
 //!
 //! The [`Recorder`] trait is the single sink interface; instrumented code
-//! holds it behind an [`crate::Obs`] handle. Two implementations ship:
-//! [`NoopRecorder`] (the disabled default) and [`ShardedRecorder`], a
+//! holds it behind an [`crate::Obs`] handle, and [`crate::Obs::noop`] is
+//! the disabled one. One implementation ships: [`ShardedRecorder`], a
 //! dense store. Registered metrics are interned into [`MetricId`]s, and
 //! each metric's slots sit in a table indexed by `(round, process)`, so
 //! recording a sample indexes arrays instead of hashing a string. The
@@ -188,19 +188,6 @@ pub trait Recorder: Send + Sync + std::fmt::Debug {
             self.record_span(*span);
         }
         buffer.clear();
-    }
-}
-
-/// The disabled recorder: drops everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn add(&self, _metric: &'static str, _labels: Labels, _delta: u64) {}
-    fn gauge(&self, _metric: &'static str, _labels: Labels, _value: i64) {}
-    fn observe(&self, _metric: &'static str, _labels: Labels, _value: u64) {}
-    fn snapshot(&self) -> Snapshot {
-        Snapshot::default()
     }
 }
 

@@ -221,13 +221,6 @@ impl AdoptCommitMachine {
         (Grade::Adopt, self.input)
     }
 
-    /// Every phase-1 proposal this process read (its own included once the
-    /// scan passes its own cell). The Theorem 4.3 host uses this to recover
-    /// a `p_j-alive` value after adopting `p_j-faulty`.
-    pub fn proposals_seen(&self) -> impl Iterator<Item = Value> + '_ {
-        self.seen_first.iter().copied()
-    }
-
     /// The input this machine proposed.
     #[must_use]
     pub fn input(&self) -> Value {

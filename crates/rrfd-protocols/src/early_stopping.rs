@@ -46,12 +46,6 @@ impl EarlyStoppingConsensus {
             decided: false,
         }
     }
-
-    /// The worst-case round bound, `f + 1`.
-    #[must_use]
-    pub fn worst_case_rounds(&self) -> u32 {
-        self.f as u32 + 1
-    }
 }
 
 impl RoundProtocol for EarlyStoppingConsensus {

@@ -189,13 +189,11 @@ impl RepeatedRounds {
         }
     }
 
+    /// Files this step's messages. Buffered early messages stay put:
+    /// `current_round` has not moved since they were filed.
     fn absorb(&mut self, received: &[(ProcessId, Arc<RoundBroadcast>)]) {
         for (_, msg) in received {
             self.note(**msg);
-        }
-        let pending = std::mem::take(&mut self.early);
-        for msg in pending {
-            self.note(msg);
         }
     }
 
@@ -249,11 +247,17 @@ impl SemiSyncProcess for RepeatedRounds {
         self.current_round += 1;
         self.step_in_round = 0;
         self.received.fill(None);
-        // Re-file buffered early messages for the new round.
-        let pending = std::mem::take(&mut self.early);
-        for msg in pending {
-            self.note(msg);
-        }
+        // File the new round's buffered messages; the rest stay in the
+        // same buffer.
+        let mut early = std::mem::take(&mut self.early);
+        early.retain(|&msg| {
+            let current = msg.round == self.current_round;
+            if current {
+                self.note(msg);
+            }
+            !current
+        });
+        self.early = early;
         (None, Control::Continue)
     }
 }

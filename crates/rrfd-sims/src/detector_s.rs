@@ -17,7 +17,6 @@
 //! construction, which is the E12 extraction check.
 
 use rand::rngs::StdRng;
-use rand::seq::IteratorRandom;
 use rand::{Rng, SeedableRng};
 use rrfd_core::{FaultDetector, FaultPattern, IdSet, ProcessId, Round, RoundFaults, SystemSize};
 
@@ -125,14 +124,6 @@ impl FaultDetector for SAugmentedSystem {
             .collect();
         RoundFaults::from_sets(self.n, sets)
     }
-}
-
-/// Picks a uniformly random immortal process — convenience for experiment
-/// sweeps that want the immortal hidden from the algorithm under test.
-#[must_use]
-pub fn random_immortal(n: SystemSize, seed: u64) -> ProcessId {
-    let mut rng = StdRng::seed_from_u64(seed);
-    n.processes().choose(&mut rng).expect("non-empty system")
 }
 
 #[cfg(test)]

@@ -54,7 +54,17 @@
 //! [`crate::trace::ScheduleTrace`]s.
 //!
 //! DPOR never digests *states*, only event sequences — so it soundly
-//! explores protocols with opaque oracle state.
+//! explores protocols with opaque oracle state. The counterexample key
+//! is the canonical linearization's trace lines, length-prefixed, as one
+//! byte string.
+//!
+//! Layout: [`graph`] records runs and linearizes them; the private
+//! `revisit` module holds the search, which runs directly on a step
+//! simulator's execution with a crash budget beside it. The two entry
+//! points below start an execution and search it, with a budget of 0 on
+//! shared memory and the caller's on semi-synchrony. A search that
+//! outgrows [`DporConfig::max_schedules`] or the simulator's step limit
+//! returns [`DporError::Budget`], not a panic.
 
 pub mod graph;
 mod revisit;
@@ -65,8 +75,8 @@ pub use revisit::DporError;
 use crate::explore::ExploreStats;
 use crate::semi_sync::{SemiSyncExecution, SemiSyncProcess, SemiSyncReport, SemiSyncSim};
 use crate::shared_mem::{MemExecution, MemProcess, MemRunReport, SharedMemSim};
-use crate::step::{StepEvent, StepExecution};
-use revisit::{drive_dpor, DporTarget};
+use crate::step::StepExecution;
+use revisit::Search;
 use rrfd_obs::Obs;
 
 /// Configuration of a DPOR exploration.
@@ -91,8 +101,9 @@ impl DporConfig {
         }
     }
 
-    /// Overrides the trace-class guard: the search panics once it has
-    /// explored more than `max` classes.
+    /// Overrides the trace-class guard: the search stops with
+    /// [`DporError::Budget`] once it has explored more than `max`
+    /// classes.
     #[must_use]
     pub fn max_schedules(mut self, max: usize) -> Self {
         self.max_schedules = max;
@@ -109,17 +120,6 @@ impl DporConfig {
     }
 }
 
-/// The one DPOR target: a step simulator's execution plus the crashes the
-/// adversary may still place. Shared memory explores with a budget of 0,
-/// so its only nondeterminism is scheduling order, fully covered by race
-/// reversals; its decisions report [`Access::Local`], which the crash fold
-/// in `alternatives` would not see leave the live set.
-struct StepTarget<X> {
-    n: usize,
-    crash_budget: usize,
-    exec: X,
-}
-
 /// A step execution that packages its current state as a report without
 /// being consumed: it clones only what the report holds (outputs, the
 /// crashed set, the step total, the processes), not the rest of the
@@ -127,117 +127,6 @@ struct StepTarget<X> {
 pub(crate) trait ReportInPlace: StepExecution {
     /// The report [`StepExecution::into_report`] would return now.
     fn report(&self) -> Self::Report;
-}
-
-impl<X: StepExecution<Footprint = Access>> StepTarget<X> {
-    fn new(exec: X, crash_budget: usize) -> Self {
-        StepTarget {
-            n: exec.live().len(),
-            crash_budget,
-            exec,
-        }
-    }
-}
-
-impl<X: Clone> Clone for StepTarget<X> {
-    fn clone(&self) -> Self {
-        StepTarget {
-            n: self.n,
-            crash_budget: self.crash_budget,
-            exec: self.exec.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.n = source.n;
-        self.crash_budget = source.crash_budget;
-        self.exec.clone_from(&source.exec);
-    }
-}
-
-impl<X: ReportInPlace<Footprint = Access> + Clone> DporTarget for StepTarget<X> {
-    type Report = X::Report;
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The execution's enabled events (a step per live process, in id
-    /// order), then (budget and liveness permitting) a crash of each live
-    /// process.
-    fn options(&self, out: &mut Vec<StepEvent>) {
-        self.exec.enabled(out);
-        let live = self.exec.live();
-        if self.crash_budget > 0 && live.len() > 1 {
-            out.extend(live.iter().map(StepEvent::Crash));
-        }
-    }
-
-    /// Both targets enable one step per live process
-    /// ([`StepExecution::ENABLED_IS_LIVE`]), so the first option is the
-    /// smallest live process's step.
-    fn first_option(&self) -> Option<StepEvent> {
-        const { assert!(X::ENABLED_IS_LIVE) };
-        self.exec.live().min().map(StepEvent::Step)
-    }
-
-    /// Crashes are data nondeterminism: a maximal crash-free run has no
-    /// crash event for a reversal to reposition, so each enabled crash is
-    /// branched on explicitly. Enabledness needs only the budget and the
-    /// live set, and footprints say exactly how each event moves them: a
-    /// `Crash` spends the budget and leaves `live`, a `Decide` or
-    /// `BroadcastDecide` leaves `live`, and nothing else touches either.
-    fn alternatives<'a>(
-        &self,
-        canon: impl Iterator<Item = &'a ExecEvent>,
-        mut push: impl FnMut(usize, StepEvent),
-    ) {
-        let mut live = self.exec.live();
-        let mut budget = self.crash_budget;
-        for (depth, event) in canon.enumerate() {
-            // Budget and live set only shrink: once crashes are disabled
-            // they stay disabled.
-            if budget == 0 || live.len() < 2 {
-                break;
-            }
-            for p in live {
-                push(depth, StepEvent::Crash(p));
-            }
-            match event.access {
-                Access::Crash => {
-                    budget -= 1;
-                    live.remove(event.pid);
-                }
-                Access::Decide | Access::BroadcastDecide => {
-                    live.remove(event.pid);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// A crash checks the conditions `options` offers crashes under; a
-    /// step of a process that is not live is rejected by the execution.
-    fn apply_traced(&mut self, event: StepEvent) -> Access {
-        if let StepEvent::Crash(_) = event {
-            assert!(
-                self.crash_budget > 0 && self.exec.live().len() > 1,
-                "DPOR only applies enabled events"
-            );
-            self.crash_budget -= 1;
-        }
-        match self.exec.apply(event) {
-            Ok(Some(access)) => access,
-            Ok(None) => unreachable!("DPOR only applies enabled events"),
-            Err(err) => {
-                panic!("exploration requires clean, terminating protocols: {err:?}")
-            }
-        }
-    }
-
-    fn report(&self) -> X::Report {
-        self.exec.report()
-    }
 }
 
 /// Explores one representative per Mazurkiewicz trace class of `sim`'s
@@ -256,14 +145,12 @@ impl<X: ReportInPlace<Footprint = Access> + Clone> DporTarget for StepTarget<X> 
 /// [`DporError::Counterexample`] carries the failing class with the
 /// smallest canonical key (a deterministic choice, independent of
 /// traversal order) as a replayable certificate;
-/// [`DporError::Misconfigured`] reports a process vector that does not
-/// match the system size.
-///
-/// # Panics
-///
-/// Panics past [`DporConfig::max_schedules`] explored trace classes, or
-/// when a protocol errors mid-run (explorations require clean,
-/// terminating protocols).
+/// [`DporError::Budget`] reports a search past
+/// [`DporConfig::max_schedules`] explored trace classes, or a run past
+/// the simulator's step limit; [`DporError::Misconfigured`] reports a
+/// process vector that does not match the system size, or any other
+/// simulator error a protocol causes mid-run, with the simulator's
+/// message.
 pub fn explore_shared_mem_dpor<V, P, G, F>(
     sim: &SharedMemSim,
     make: G,
@@ -279,7 +166,9 @@ where
 {
     let exec = MemExecution::start(sim, make())
         .map_err(|err| DporError::Misconfigured(err.to_string()))?;
-    drive_dpor(&StepTarget::new(exec, 0), &check, config)
+    // A budget of 0: scheduling order is the only nondeterminism, and
+    // race reversals cover it.
+    Search::run(&exec, 0, &check, config)?.finish()
 }
 
 /// Explores one representative per trace class of the semi-synchronous
@@ -290,10 +179,6 @@ where
 /// collapse into one class each.
 ///
 /// # Errors
-///
-/// As [`explore_shared_mem_dpor`].
-///
-/// # Panics
 ///
 /// As [`explore_shared_mem_dpor`].
 pub fn explore_semi_sync_dpor<P, G, F>(
@@ -310,13 +195,15 @@ where
 {
     let exec = SemiSyncExecution::start(sim, make())
         .map_err(|err| DporError::Misconfigured(err.to_string()))?;
-    drive_dpor(&StepTarget::new(exec, max_crashes), &check, config)
+    Search::run(&exec, max_crashes, &check, config)?.finish()
 }
 
 #[cfg(test)]
 mod tests {
+    use super::revisit::{apply_traced, crash_alternatives, options};
     use super::*;
     use crate::shared_mem::{Action, Observation};
+    use crate::step::StepEvent;
     use crate::trace::ScheduleReplay;
     use rrfd_core::{Control, ProcessId, SystemSize};
     use std::sync::Arc;
@@ -408,6 +295,28 @@ mod tests {
         let eight = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(8)).unwrap();
         assert_eq!(project(one), project(eight));
         assert_eq!((one.steals, eight.steals), (0, 0), "nothing is stolen");
+    }
+
+    /// Writes to a bank the system does not have.
+    #[derive(Debug, Clone)]
+    struct OutOfRange;
+
+    impl MemProcess<u64> for OutOfRange {
+        type Output = ();
+        fn step(&mut self, _obs: Observation<u64>) -> Action<u64, ()> {
+            Action::Write { bank: 1, value: 0 }
+        }
+    }
+
+    #[test]
+    fn simulator_errors_are_typed_not_panics() {
+        let sim = SharedMemSim::new(size(2), 1);
+        let make = || vec![OutOfRange, OutOfRange];
+        let err = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(1)).unwrap_err();
+        let DporError::Misconfigured(why) = err else {
+            panic!("expected a misconfiguration, got {err}");
+        };
+        assert!(why.contains("bank 1, which does not exist"), "{why}");
     }
 
     /// Three-process ring: write own value, read left neighbour.
@@ -554,17 +463,18 @@ mod tests {
     /// The oracle for the footprint fold: crash alternatives found by
     /// replaying `canon` from `root` and asking each reached state.
     fn replayed_alternatives(
-        root: &StepTarget<SemiSyncExecution<Hearer>>,
+        root: &SemiSyncExecution<Hearer>,
+        mut budget: usize,
         canon: &[StepEvent],
     ) -> Vec<(usize, StepEvent)> {
         let mut state = root.clone();
         let mut found = Vec::new();
         for (depth, &event) in canon.iter().enumerate() {
-            let live = state.exec.live();
-            if state.crash_budget > 0 && live.len() > 1 {
+            let live = state.live();
+            if budget > 0 && live.len() > 1 {
                 found.extend(live.iter().map(|p| (depth, StepEvent::Crash(p))));
             }
-            state.apply_traced(event);
+            apply_traced(&mut state, &mut budget, event).unwrap();
         }
         found
     }
@@ -576,25 +486,21 @@ mod tests {
         for n in 2..=4 {
             let sim = SemiSyncSim::new(size(n));
             for budget in 0..=2 {
-                let root = StepTarget {
-                    n,
-                    crash_budget: budget,
-                    exec: SemiSyncExecution::start(&sim, hearers(n)).unwrap(),
-                };
+                let root = SemiSyncExecution::start(&sim, hearers(n)).unwrap();
                 for seed in 0..32u64 {
                     // A random maximal run over every enabled option,
                     // crashes included.
                     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                    let mut state = root.clone();
+                    let (mut state, mut left) = (root.clone(), budget);
                     let mut graph = ExecutionGraph::new(n);
-                    let mut options = Vec::new();
+                    let mut enabled = Vec::new();
                     loop {
-                        state.options(&mut options);
-                        if options.is_empty() {
+                        options(&state, left, &mut enabled);
+                        if enabled.is_empty() {
                             break;
                         }
-                        let event = options[rng.gen_range(0..options.len())];
-                        let access = state.apply_traced(event);
+                        let event = enabled[rng.gen_range(0..enabled.len())];
+                        let access = apply_traced(&mut state, &mut left, event).unwrap();
                         graph.push(event, access);
                     }
                     let events = graph.events();
@@ -602,13 +508,14 @@ mod tests {
 
                     let canon = graph.canonical_order();
                     let mut folded = Vec::new();
-                    root.alternatives(canon.iter().map(|&k| &events[k]), |depth, alt| {
+                    let canon_events = canon.iter().map(|&k| &events[k]);
+                    crash_alternatives(root.live(), budget, canon_events, |depth, alt| {
                         folded.push((depth, alt));
                     });
                     let canon: Vec<StepEvent> = canon.iter().map(|&k| events[k].event).collect();
                     assert_eq!(
                         folded,
-                        replayed_alternatives(&root, &canon),
+                        replayed_alternatives(&root, budget, &canon),
                         "n={n} budget={budget} seed={seed}: {canon:?}"
                     );
                 }

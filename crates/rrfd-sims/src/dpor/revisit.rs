@@ -2,13 +2,18 @@
 //! processed to a maximal run, deduplicated by trace class, and expanded
 //! into race-reversal and crash-alternative revisits.
 //!
+//! The search runs directly on a step simulator's execution, with a
+//! crash budget beside it: the enabled options, the deterministic
+//! extension's first option, traced application and the crash
+//! alternatives' fold are the four free functions below.
+//!
 //! The search is one depth-first loop on the calling thread: a LIFO
-//! stack of prefixes, one revisit tree, and one [`Scratch`] — the target
-//! state, rewound to the root per item, plus the graph and every buffer
-//! an item fills. The stack keeps its prefixes back to back in one event
-//! buffer, and the linearization works in buffers the scratch keeps, so
-//! once the buffers have grown an item pays for its own events, not for
-//! allocation.
+//! stack of prefixes, one revisit tree, and one [`Scratch`] — the
+//! execution and its remaining crash budget, rewound to the root per
+//! item, plus the graph and every buffer an item fills. The stack keeps
+//! its prefixes back to back in one event buffer, and the linearization
+//! works in buffers the scratch keeps, so once the buffers have grown an
+//! item pays for its own events, not for allocation.
 //!
 //! Each piece of bookkeeping is done once. The crash alternatives a
 //! class offers at canonical depth `d` depend only on `canon[..d]`, the
@@ -32,54 +37,11 @@
 //! wins, not the one the search happened to reach first.
 
 use super::graph::{Access, ExecEvent, ExecutionGraph, GraphScratch};
-use crate::digest::{DigestWriter, StateKey};
+use super::{DporConfig, ReportInPlace};
 use crate::explore::{Counterexample, ExploreStats};
-use crate::step::StepEvent;
+use crate::step::{StepEvent, StepExecution};
 use crate::trace::ScheduleTrace;
-
-/// What the DPOR driver needs from an execution state: enabled options,
-/// reports, and traced application — every apply reports the [`Access`]
-/// footprint it left behind. No state digests: DPOR identifies classes by
-/// event sequences, so it works on protocols whose states are not
-/// soundly digestible.
-///
-/// `clone_from` should reuse the target's buffers: the search rewinds
-/// one state to the root with it before every item.
-pub(crate) trait DporTarget: Sized + Clone {
-    /// Completed-run report handed to the checker.
-    type Report;
-
-    /// Process count.
-    fn n(&self) -> usize;
-    /// Writes the enabled events at this state into `out` (cleared
-    /// first), in canonical (id) order; none exactly at complete runs.
-    fn options(&self, out: &mut Vec<StepEvent>);
-    /// The first of [`DporTarget::options`], found without listing them:
-    /// the event the deterministic extension always applies.
-    fn first_option(&self) -> Option<StepEvent>;
-    /// Called on the root state with a class's canonical linearization:
-    /// pushes `(depth, event)` for every enabled event at each canonical
-    /// depth that the deterministic extension would never pick and race
-    /// reversal can never surface, because runs that omit them contain
-    /// no inverted dependency — concretely, crashes: a maximal crash-free
-    /// run has no crash event to reverse into an earlier position. The
-    /// driver branches on each explicitly.
-    ///
-    /// The enabled set is folded from the events' footprints rather than
-    /// by replaying the linearization. The default offers none.
-    fn alternatives<'a>(
-        &self,
-        _canon: impl Iterator<Item = &'a ExecEvent>,
-        _push: impl FnMut(usize, StepEvent),
-    ) {
-    }
-    /// Applies an enabled event and reports its footprint. Replayed
-    /// prefixes are applied without listing the options first, so an
-    /// implementation must panic on an event that is not enabled.
-    fn apply_traced(&mut self, event: StepEvent) -> Access;
-    /// Packages the (final) state as a run report.
-    fn report(&self) -> Self::Report;
-}
+use rrfd_core::IdSet;
 
 /// Why a DPOR exploration did not return clean stats.
 #[derive(Debug, Clone)]
@@ -87,8 +49,14 @@ pub enum DporError {
     /// A class's run failed the check; carries the replayable
     /// certificate and the whole search's effort totals.
     Counterexample(Box<Counterexample>),
-    /// The instance could not be started (wrong process count).
+    /// The instance could not be started (wrong process count), or a
+    /// protocol made a run fail for a reason other than its step limit
+    /// (the simulator's message).
     Misconfigured(String),
+    /// The search outgrew a budget: more trace classes than
+    /// [`DporConfig::max_schedules`], or a run past the simulator's step
+    /// limit (the simulator's message).
+    Budget(String),
 }
 
 impl std::fmt::Display for DporError {
@@ -96,23 +64,25 @@ impl std::fmt::Display for DporError {
         match self {
             DporError::Counterexample(cex) => write!(f, "{cex}"),
             DporError::Misconfigured(why) => write!(f, "misconfigured exploration: {why}"),
+            DporError::Budget(why) => write!(f, "exploration budget exhausted: {why}"),
         }
     }
 }
 
 impl std::error::Error for DporError {}
 
-/// Digest of an event sequence through its trace-line encoding: the
-/// key of a failing class's canonical linearization, compared across
-/// failing classes to pick the counterexample.
-fn events_key(events: impl IntoIterator<Item = StepEvent>) -> StateKey {
-    let mut w = DigestWriter::new();
+/// The key of an event sequence: each event's trace line, prefixed with
+/// its length as a little-endian `u64` so that no two sequences share a
+/// key. Failing classes compare the keys of their canonical
+/// linearizations to pick the counterexample.
+fn events_key(events: &[StepEvent]) -> Vec<u8> {
+    let mut key = Vec::new();
     for event in events {
         let line = event.to_string();
-        w.write_len(line.len());
-        w.write_bytes(line.as_bytes());
+        key.extend_from_slice(&(line.len() as u64).to_le_bytes());
+        key.extend_from_slice(line.as_bytes());
     }
-    w.finish()
+    key
 }
 
 /// One node of the [`RevisitTree`]: the event sequence spelled by the
@@ -293,37 +263,107 @@ impl WorkStack {
     }
 }
 
-/// Runs the revisit closure from the empty prefix, depth first on the
-/// calling thread, and returns the search's stats or the minimal-class
-/// counterexample.
-pub(crate) fn drive_dpor<T, F>(
-    root: &T,
-    check: &F,
-    config: &super::DporConfig,
-) -> Result<ExploreStats, DporError>
-where
-    T: DporTarget,
-    F: Fn(&T::Report) -> Result<(), String>,
-{
-    let search = Search::run(root, check, config.max_schedules);
-    let mut stats = search.stats;
-    stats.memo_entries = search.tree.marks;
-    stats.memo_bytes = search.tree.bytes();
-    stats.record(&config.obs);
-    match search.cex {
-        Some((_, mut cex)) => {
-            cex.stats = stats;
-            Err(DporError::Counterexample(cex))
+/// The events enabled at `state` with `crash_budget` crashes left: the
+/// execution's steps, in id order, then (with another process live) a
+/// crash of each live process.
+pub(super) fn options<X: StepExecution>(state: &X, crash_budget: usize, out: &mut Vec<StepEvent>) {
+    state.enabled(out);
+    let live = state.live();
+    if crash_budget > 0 && live.len() > 1 {
+        out.extend(live.iter().map(StepEvent::Crash));
+    }
+}
+
+/// The first of [`options`], found without listing them: the event the
+/// deterministic extension always applies. Both explored executions
+/// enable one step per live process ([`StepExecution::ENABLED_IS_LIVE`]),
+/// so it is the smallest live process's step.
+fn first_option<X: StepExecution>(state: &X) -> Option<StepEvent> {
+    const { assert!(X::ENABLED_IS_LIVE) };
+    state.live().min().map(StepEvent::Step)
+}
+
+/// Applies an enabled event to `state`, spending `crash_budget` on a
+/// crash, and returns the footprint it left behind. A crash is checked
+/// against the conditions [`options`] offers crashes under; a step of a
+/// process that is not live is rejected by the execution.
+///
+/// # Errors
+///
+/// [`DporError::Budget`] when the run has reached the simulator's step
+/// limit, [`DporError::Misconfigured`] when the simulator rejects the
+/// step for any other reason.
+pub(super) fn apply_traced<X: StepExecution<Footprint = Access>>(
+    state: &mut X,
+    crash_budget: &mut usize,
+    event: StepEvent,
+) -> Result<Access, DporError> {
+    if let StepEvent::Crash(_) = event {
+        assert!(
+            *crash_budget > 0 && state.live().len() > 1,
+            "DPOR only applies enabled events"
+        );
+        *crash_budget -= 1;
+    }
+    state
+        .check_limit()
+        .map_err(|err| DporError::Budget(err.to_string()))?;
+    match state.apply(event) {
+        Ok(Some(access)) => Ok(access),
+        Ok(None) => unreachable!("DPOR only applies enabled events"),
+        Err(err) => Err(DporError::Misconfigured(err.to_string())),
+    }
+}
+
+/// The crash alternatives of a class, folded along its canonical
+/// linearization `canon` from the root's live set and crash budget:
+/// pushes `(depth, crash)` for every crash enabled at each canonical
+/// depth.
+///
+/// Crashes are data nondeterminism: a maximal crash-free run has no crash
+/// event for a reversal to reposition, and the deterministic extension
+/// never picks one, so each enabled crash is branched on explicitly.
+/// Enabledness needs only the budget and the live set, and footprints say
+/// how each event moves them: a `Crash` spends the budget and leaves the
+/// live set, a `Decide` or `BroadcastDecide` leaves the live set, and
+/// nothing else touches either. A shared-memory decision reports
+/// [`Access::Local`], which this fold does not see leave the live set;
+/// shared memory explores with a budget of 0, so it offers no crashes.
+pub(super) fn crash_alternatives<'a>(
+    mut live: IdSet,
+    mut crash_budget: usize,
+    canon: impl Iterator<Item = &'a ExecEvent>,
+    mut push: impl FnMut(usize, StepEvent),
+) {
+    for (depth, event) in canon.enumerate() {
+        // Budget and live set only shrink: once crashes are disabled
+        // they stay disabled.
+        if crash_budget == 0 || live.len() < 2 {
+            break;
         }
-        None => Ok(stats),
+        for p in live {
+            push(depth, StepEvent::Crash(p));
+        }
+        match event.access {
+            Access::Crash => {
+                crash_budget -= 1;
+                live.remove(event.pid);
+            }
+            Access::Decide | Access::BroadcastDecide => {
+                live.remove(event.pid);
+            }
+            _ => {}
+        }
     }
 }
 
 /// The state every item reuses. No field carries meaning from one item
 /// to the next: each is reset before it is read.
-struct Scratch<T: DporTarget> {
+struct Scratch<X> {
     /// The execution, rewound to the root per item.
-    state: T,
+    state: X,
+    /// The crashes the adversary may still place in `state`.
+    crash_budget: usize,
     graph: ExecutionGraph,
     /// The linearization's working buffers.
     graph_scratch: GraphScratch,
@@ -338,11 +378,12 @@ struct Scratch<T: DporTarget> {
     proposals: Proposals,
 }
 
-impl<T: DporTarget> Scratch<T> {
-    fn new(root: &T) -> Self {
+impl<X: StepExecution<Footprint = Access> + Clone> Scratch<X> {
+    fn new(root: &X) -> Self {
         Scratch {
             state: root.clone(),
-            graph: ExecutionGraph::new(root.n()),
+            crash_budget: 0,
+            graph: ExecutionGraph::new(root.live().len()),
             graph_scratch: GraphScratch::default(),
             canon: Vec::new(),
             canon_events: Vec::new(),
@@ -354,9 +395,10 @@ impl<T: DporTarget> Scratch<T> {
     }
 
     /// Applies `event` and records it.
-    fn apply(&mut self, event: StepEvent) {
-        let access = self.state.apply_traced(event);
+    fn apply(&mut self, event: StepEvent) -> Result<(), DporError> {
+        let access = apply_traced(&mut self.state, &mut self.crash_budget, event)?;
         self.graph.push(event, access);
+        Ok(())
     }
 }
 
@@ -364,26 +406,43 @@ impl<T: DporTarget> Scratch<T> {
 /// Stats are sums and maxima, and the counterexample is the failing
 /// class with the smallest canonical key, so the fold does not depend on
 /// the order items are processed in.
-struct Search<'s, T: DporTarget, F> {
-    root: &'s T,
+pub(super) struct Search<'s, X, F> {
+    /// The execution before any event.
+    root: &'s X,
+    /// The crashes the adversary may place in one run.
+    crash_budget: usize,
     check: &'s F,
-    max_classes: usize,
+    config: &'s DporConfig,
     tree: RevisitTree,
     stats: ExploreStats,
-    cex: Option<(StateKey, Box<Counterexample>)>,
+    cex: Option<(Vec<u8>, Box<Counterexample>)>,
 }
 
-impl<'s, T, F> Search<'s, T, F>
+impl<'s, X, F> Search<'s, X, F>
 where
-    T: DporTarget,
-    F: Fn(&T::Report) -> Result<(), String>,
+    X: ReportInPlace<Footprint = Access> + Clone,
+    F: Fn(&X::Report) -> Result<(), String>,
 {
-    /// Drains the work stack from the empty prefix, depth first.
-    fn run(root: &'s T, check: &'s F, max_classes: usize) -> Self {
+    /// Runs the revisit closure of `root` with up to `crash_budget`
+    /// crashes per run: drains the work stack from the empty prefix,
+    /// depth first on the calling thread.
+    ///
+    /// # Errors
+    ///
+    /// [`DporError::Budget`] past [`DporConfig::max_schedules`] classes
+    /// or the simulator's step limit, [`DporError::Misconfigured`] on any
+    /// other simulator error.
+    pub(super) fn run(
+        root: &'s X,
+        crash_budget: usize,
+        check: &'s F,
+        config: &'s DporConfig,
+    ) -> Result<Self, DporError> {
         let mut search = Search {
             root,
+            crash_budget,
             check,
-            max_classes,
+            config,
             tree: RevisitTree::new(),
             stats: ExploreStats::default(),
             cex: None,
@@ -391,17 +450,40 @@ where
         let mut scratch = Scratch::new(root);
         let mut stack = WorkStack::seeded();
         while let Some(start) = stack.pop() {
-            search.process(&mut scratch, start, &mut stack);
+            search.process(&mut scratch, start, &mut stack)?;
         }
-        search
+        Ok(search)
+    }
+
+    /// Records the search's totals under the configuration's
+    /// instrumentation handle and returns them, or the minimal-class
+    /// counterexample carrying them.
+    pub(super) fn finish(self) -> Result<ExploreStats, DporError> {
+        let mut stats = self.stats;
+        stats.memo_entries = self.tree.marks;
+        stats.memo_bytes = self.tree.bytes();
+        stats.record(&self.config.obs);
+        match self.cex {
+            Some((_, mut cex)) => {
+                cex.stats = stats;
+                Err(DporError::Counterexample(cex))
+            }
+            None => Ok(stats),
+        }
     }
 
     /// Replays the popped prefix `stack.events[start..]`, extends it
     /// deterministically to a maximal run, deduplicates the resulting
     /// trace class, checks it, and pushes the class's fresh revisits,
     /// derived from its canonical linearization, onto `stack`.
-    fn process(&mut self, s: &mut Scratch<T>, start: usize, stack: &mut WorkStack) {
+    fn process(
+        &mut self,
+        s: &mut Scratch<X>,
+        start: usize,
+        stack: &mut WorkStack,
+    ) -> Result<(), DporError> {
         s.state.clone_from(self.root);
+        s.crash_budget = self.crash_budget;
         s.graph.clear();
 
         // Replay the revisit prefix, recording footprints. The revisit
@@ -409,14 +491,14 @@ where
         // loudly on an event that is not.
         for &event in &stack.events[start..] {
             self.stats.decision_points += 1;
-            s.apply(event);
+            s.apply(event)?;
         }
         stack.events.truncate(start);
 
         // Deterministic extension: always the first enabled option.
-        while let Some(event) = s.state.first_option() {
+        while let Some(event) = first_option(&s.state) {
             self.stats.decision_points += 1;
-            s.apply(event);
+            s.apply(event)?;
         }
         self.stats.max_depth = self.stats.max_depth.max(s.graph.len());
 
@@ -431,32 +513,30 @@ where
         s.path.clear();
         if !self.tree.mark_class(&s.canon_events, &mut s.path) {
             self.stats.sleep_set_blocked += 1;
-            return;
+            return Ok(());
         }
         self.stats.schedules += 1;
         self.stats.graphs_explored += 1;
-        assert!(
-            self.stats.schedules <= self.max_classes,
-            "DPOR exploration exceeded max_schedules ({} trace classes)",
-            self.max_classes
-        );
+        let max_classes = self.config.max_schedules;
+        if self.stats.schedules > max_classes {
+            return Err(DporError::Budget(format!(
+                "more than max_schedules ({max_classes}) trace classes"
+            )));
+        }
 
         if let Err(message) = (self.check)(&s.state.report()) {
-            let key = events_key(s.canon_events.iter().copied());
-            if self
-                .cex
-                .as_ref()
-                .is_none_or(|(best, _)| key.bytes() < best.bytes())
-            {
+            let key = events_key(&s.canon_events);
+            if self.cex.as_ref().is_none_or(|(best, _)| key < *best) {
+                let run = events.iter().map(|e| e.event);
                 let cex = Box::new(Counterexample {
-                    choices: choices(self.root, events.iter().map(|e| e.event)),
-                    schedule: ScheduleTrace::from_events(events.iter().map(|e| e.event).collect()),
+                    choices: choices(self.root, self.crash_budget, run.clone())?,
+                    schedule: ScheduleTrace::from_events(run.collect()),
                     message,
                     stats: ExploreStats::default(), // overwritten with the totals
                 });
                 self.cex = Some((key, cex));
             }
-            return;
+            return Ok(());
         }
 
         s.proposals.clear();
@@ -468,18 +548,18 @@ where
         let (tree, path, proposals) = (&mut self.tree, &s.path, &mut s.proposals);
         let blocked = &mut self.stats.sleep_set_blocked;
         let (mut at, mut fresh) = (None, false);
-        self.root
-            .alternatives(s.canon.iter().map(|&k| &events[k]), |depth, alt| {
-                if at != Some(depth) {
-                    at = Some(depth);
-                    fresh = tree.expand(path[depth]);
-                }
-                if fresh {
-                    proposals.push(depth, [alt]);
-                } else {
-                    *blocked += 1;
-                }
-            });
+        let canon = s.canon.iter().map(|&k| &events[k]);
+        crash_alternatives(self.root.live(), self.crash_budget, canon, |depth, alt| {
+            if at != Some(depth) {
+                at = Some(depth);
+                fresh = tree.expand(path[depth]);
+            }
+            if fresh {
+                proposals.push(depth, [alt]);
+            } else {
+                *blocked += 1;
+            }
+        });
         // Dedup proposed prefixes before they are queued; only fresh ones
         // are pushed.
         for (depth, tail) in s.proposals.iter() {
@@ -490,21 +570,27 @@ where
                 self.stats.sleep_set_blocked += 1;
             }
         }
+        Ok(())
     }
 }
 
 /// The option index of each of `events` among the options enabled where
-/// it was applied, replayed from `root`: a counterexample's scheduler
-/// choices, computed only when a failing class becomes the one to report.
-fn choices<T: DporTarget>(root: &T, events: impl Iterator<Item = StepEvent>) -> Vec<usize> {
+/// it was applied, replayed from `root` with `crash_budget` crashes: a
+/// counterexample's scheduler choices, computed only when a failing class
+/// becomes the one to report.
+fn choices<X: StepExecution<Footprint = Access> + Clone>(
+    root: &X,
+    mut crash_budget: usize,
+    events: impl Iterator<Item = StepEvent>,
+) -> Result<Vec<usize>, DporError> {
     let mut state = root.clone();
-    let mut options = Vec::new();
+    let mut enabled = Vec::new();
     events
         .map(|event| {
-            state.options(&mut options);
-            let choice = options.iter().position(|&o| o == event);
-            state.apply_traced(event);
-            choice.unwrap_or_else(|| unreachable!("the run applied {event:?} while disabled"))
+            options(&state, crash_budget, &mut enabled);
+            let choice = enabled.iter().position(|&o| o == event);
+            apply_traced(&mut state, &mut crash_budget, event)?;
+            Ok(choice.unwrap_or_else(|| unreachable!("the run applied {event:?} while disabled")))
         })
         .collect()
 }
@@ -515,7 +601,7 @@ fn choices<T: DporTarget>(root: &T, events: impl Iterator<Item = StepEvent>) -> 
 /// causally depend on `i`, then `j` itself — the shortest enabled prefix
 /// in which `j` happens without `i` having happened. Proposals come in
 /// canonical order of `(i, j)`.
-fn race_reversal_prefixes<T: DporTarget>(s: &mut Scratch<T>) {
+fn race_reversal_prefixes<X>(s: &mut Scratch<X>) {
     let Scratch {
         graph,
         canon,
@@ -544,7 +630,6 @@ fn race_reversal_prefixes<T: DporTarget>(s: &mut Scratch<T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpor::StepTarget;
     use crate::semi_sync::{SemiSyncExecution, SemiSyncProcess, SemiSyncSim};
     use rrfd_core::{Control, ProcessId, SystemSize};
     use std::sync::Arc;
@@ -578,21 +663,24 @@ mod tests {
     fn every_expanded_node_has_its_crash_alternatives_queued() {
         let n = SystemSize::new(3).unwrap();
         let exec = SemiSyncExecution::start(&SemiSyncSim::new(n), vec![Count::default(); 3]);
-        let root = StepTarget::new(exec.unwrap(), 2);
-        let tree = Search::run(&root, &|_: &_| Ok(()), usize::MAX).tree;
+        let root = exec.unwrap();
+        let config = DporConfig::new(1).max_schedules(usize::MAX);
+        let tree = Search::run(&root, 2, &|_: &_| Ok(()), &config)
+            .unwrap()
+            .tree;
         let (mut expanded, mut offered) = (0, 0);
         let mut walk = vec![(0u32, Vec::new())];
         while let Some((node, seq)) = walk.pop() {
             let entry = &tree.nodes[node as usize];
             if entry.expanded {
                 expanded += 1;
-                let mut state = root.clone();
+                let (mut state, mut budget) = (root.clone(), 2);
                 let mut events: Vec<ExecEvent> = seq
                     .iter()
                     .map(|&event: &StepEvent| ExecEvent {
                         event,
                         pid: event.pid(),
-                        access: state.apply_traced(event),
+                        access: apply_traced(&mut state, &mut budget, event).unwrap(),
                     })
                     .collect();
                 // The fold offers depth `seq.len()`'s crashes when it
@@ -603,7 +691,7 @@ mod tests {
                     pid: p0,
                     access: Access::Local,
                 });
-                root.alternatives(events.iter(), |depth, alt| {
+                crash_alternatives(root.live(), 2, events.iter(), |depth, alt| {
                     if depth < seq.len() {
                         return;
                     }

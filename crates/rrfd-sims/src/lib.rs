@@ -32,8 +32,6 @@
 //! * [`explore`] — the explorer's result types: search-effort totals
 //!   ([`explore::ExploreStats`]) and replayable failing schedules
 //!   ([`explore::Counterexample`]).
-//! * [`digest`] — canonical byte encodings ([`digest::StateKey`]) that
-//!   key the DPOR explorer's counterexample choice.
 //! * [`trace`] — schedule capture ([`trace::Recording`]) and deterministic
 //!   replay ([`trace::ScheduleReplay`]) for the three step substrates, in
 //!   one `rrfd-sched v1` format, so any failing run — including every
@@ -48,7 +46,6 @@
 pub mod async_net;
 pub mod async_rounds;
 pub mod detector_s;
-pub mod digest;
 pub mod dpor;
 pub mod explore;
 pub mod instrument;

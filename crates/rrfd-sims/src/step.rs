@@ -15,7 +15,6 @@
 //! reports no footprint, so it has no DPOR target.
 
 use rrfd_core::{IdSet, ProcessId};
-use std::fmt;
 
 /// A scheduler decision: who steps next, which channel delivers next, or
 /// who crashes.
@@ -77,7 +76,7 @@ pub(crate) trait StepExecution {
     /// Completed-run report.
     type Report;
     /// Simulator error.
-    type Error: fmt::Debug;
+    type Error: std::error::Error;
     /// What an applied event reports about the shared state it touched:
     /// the DPOR footprint [`crate::dpor::Access`] on shared memory and
     /// semi-synchrony, nothing (`()`) on the network.

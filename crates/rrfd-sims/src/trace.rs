@@ -151,12 +151,6 @@ impl<S> Recording<S> {
         }
     }
 
-    /// The wrapped scheduler.
-    #[must_use]
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     /// The trace recorded so far.
     #[must_use]
     pub fn trace(&self) -> ScheduleTrace {

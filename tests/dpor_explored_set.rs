@@ -14,7 +14,7 @@
 use rrfd::core::task::{KSetAgreement, Value};
 use rrfd::core::SystemSize;
 use rrfd::protocols::semi_sync_consensus::RepeatedRounds;
-use rrfd::sims::dpor::{explore_semi_sync_dpor, DporConfig};
+use rrfd::sims::dpor::{explore_semi_sync_dpor, DporConfig, DporError};
 use rrfd::sims::explore::ExploreStats;
 use rrfd::sims::semi_sync::{SemiSyncReport, SemiSyncSim};
 use std::path::PathBuf;
@@ -38,21 +38,27 @@ fn check(report: &SemiSyncReport<RepeatedRounds>) -> Result<(), String> {
         .map_err(|v| v.to_string())
 }
 
-fn explore(crashes: usize) -> ExploreStats {
-    let n = SystemSize::new(N).unwrap();
+fn size() -> SystemSize {
+    SystemSize::new(N).unwrap()
+}
+
+fn explore_on(
+    sim: &SemiSyncSim,
+    crashes: usize,
+    config: &DporConfig,
+) -> Result<ExploreStats, DporError> {
+    let n = size();
     let make = || {
         n.processes()
             .map(|p| RepeatedRounds::new(n, p, INPUTS[p.index()], ROUNDS))
             .collect::<Vec<_>>()
     };
-    explore_semi_sync_dpor(
-        &SemiSyncSim::new(n),
-        crashes,
-        make,
-        check,
-        &DporConfig::new(1),
-    )
-    .unwrap_or_else(|err| panic!("consensus must hold in every class: {err}"))
+    explore_semi_sync_dpor(sim, crashes, make, check, config)
+}
+
+fn explore(crashes: usize) -> ExploreStats {
+    explore_on(&SemiSyncSim::new(size()), crashes, &DporConfig::new(1))
+        .unwrap_or_else(|err| panic!("consensus must hold in every class: {err}"))
 }
 
 fn render(stats: &ExploreStats) -> String {
@@ -91,4 +97,26 @@ fn repeated_rounds_explored_set_is_pinned() {
 #[test]
 fn repeated_rounds_two_crash_explored_set_is_pinned() {
     assert_pinned(2, "repeated_rounds_n3_f2.stats");
+}
+
+#[test]
+fn class_guard_is_a_budget_error() {
+    // The one-crash instance has 612 classes.
+    let config = DporConfig::new(1).max_schedules(10);
+    let err = explore_on(&SemiSyncSim::new(size()), 1, &config).unwrap_err();
+    let DporError::Budget(why) = err else {
+        panic!("expected a budget error, got {err}");
+    };
+    assert!(why.contains("max_schedules (10)"), "{why}");
+}
+
+#[test]
+fn step_limit_is_a_budget_error() {
+    // Every run takes at least 2 steps per round per surviving process.
+    let sim = SemiSyncSim::new(size()).max_steps(4);
+    let err = explore_on(&sim, 1, &DporConfig::new(1)).unwrap_err();
+    let DporError::Budget(why) = err else {
+        panic!("expected a budget error, got {err}");
+    };
+    assert!(why.contains("after 4 atomic steps"), "{why}");
 }

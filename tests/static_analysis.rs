@@ -209,7 +209,8 @@ fn malformed_allowlists_are_parse_errors() {
     // Missing column.
     assert!(lint::parse_allowlist("panic-family crates/x/src/a.rs\n").is_err());
     // Trailing junk.
-    let err = lint::parse_allowlist("# fine\npanic-family a.rs 1 extra\n").unwrap_err();
+    let err =
+        lint::parse_allowlist("# fine\npanic-family a.rs fp:0123456789abcdef extra\n").unwrap_err();
     assert_eq!(err.line, 2);
     // Comments and blanks are fine.
     assert!(lint::parse_allowlist("# only comments\n\n")
@@ -228,7 +229,7 @@ fn stale_allowlist_entries_are_notices_and_fail_strict() {
     let stale = Allowance {
         pass: "msg-clone".to_owned(),
         path: "crates/gone/src/lib.rs".to_owned(),
-        spec: AllowSpec::Budget(2),
+        spec: AllowSpec::Fingerprint("fp:00000000000000aa".to_owned()),
     };
 
     // Pin alone: clean even under strict.
@@ -238,7 +239,7 @@ fn stale_allowlist_entries_are_notices_and_fail_strict() {
     );
     assert!(report.is_clean(true), "{report:#?}");
 
-    // Pin plus a stale budget: clean lax, dirty strict.
+    // Pin plus a stale pin: clean lax, dirty strict.
     let report = lint::reconcile(std::slice::from_ref(&finding), &[pinned, stale]);
     assert!(report.violations.is_empty(), "{report:#?}");
     assert_eq!(report.notices.len(), 1, "{report:#?}");
