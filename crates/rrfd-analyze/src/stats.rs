@@ -340,7 +340,7 @@ fn render_metrics(snapshot: &Snapshot) -> String {
             MetricValue::Histogram(h) => {
                 histograms
                     .entry((entry.metric.as_str(), entry.labels.round))
-                    .and_modify(|acc| merge_histogram(acc, h))
+                    .and_modify(|acc| acc.merge(h))
                     .or_insert_with(|| h.clone());
             }
         }
@@ -421,16 +421,6 @@ fn render_metrics(snapshot: &Snapshot) -> String {
         }
     }
     out
-}
-
-/// Adds `other`'s observations into `acc`. Bucket bounds are fixed
-/// workspace-wide ([`rrfd_obs::BUCKET_BOUNDS`]), so merging is positional.
-fn merge_histogram(acc: &mut HistogramSnapshot, other: &HistogramSnapshot) {
-    for (slot, (_, count)) in acc.buckets.iter_mut().zip(&other.buckets) {
-        slot.1 += count;
-    }
-    acc.count += other.count;
-    acc.sum += other.sum;
 }
 
 #[cfg(test)]
@@ -516,8 +506,8 @@ c access loc=pattern rw=w
         obs.add(names::ENGINE_MESSAGES_EMITTED, Labels::round(2), 3);
         obs.add(names::ENGINE_DECISIONS, Labels::process_round(0, 2), 1);
         obs.add(names::ENGINE_DECISIONS, Labels::process_round(1, 2), 1);
-        obs.observe(names::ENGINE_HEARD_SIZE, Labels::process_round(0, 1), 2);
-        obs.observe(names::ENGINE_HEARD_SIZE, Labels::process_round(1, 1), 3);
+        obs.observe(names::ENGINE_SUSPICION_SIZE, Labels::process_round(0, 1), 1);
+        obs.observe(names::ENGINE_SUSPICION_SIZE, Labels::process_round(1, 1), 3);
         obs.gauge(names::SIM_SCHED_DEPTH, Labels::GLOBAL, 7);
         let jsonl = obs.snapshot().to_jsonl();
 
@@ -532,10 +522,11 @@ c access loc=pattern rw=w
             out.contains("total                       2                              6"),
             "{out}"
         );
-        // The two per-process heard histograms merge into one round-1 row
-        // (values 2 and 3 share the `le=4` bucket, so p50 = p95 = 4).
+        // The two per-process suspicion histograms merge into one round-1
+        // row; their values 1 and 3 sit in different buckets (`le=1`,
+        // `le=4`), so p50 = 1 and p95 = 4.
         assert!(
-            out.contains("engine_heard_size      1      2    4    4     2"),
+            out.contains("engine_suspicion_size      1      2    1    4     2"),
             "{out}"
         );
         assert!(out.contains("rrfd_sim_sched_depth = 7"), "{out}");

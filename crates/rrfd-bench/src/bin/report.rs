@@ -490,9 +490,21 @@ fn check_schema(text: &str) -> Result<(), String> {
         .and_then(|dpor| dpor.get("semisync"))
         .ok_or("dpor: missing object `semisync`")?;
     integers(semisync, "dpor semisync", DPOR_FIELDS)?;
-    let mix = root.get("throughput").and_then(|t| t.get("mix"));
-    mix.and_then(json::Json::as_str)
+    let throughput = root.get("throughput");
+    throughput
+        .and_then(|t| t.get("mix"))
+        .and_then(json::Json::as_str)
         .ok_or("throughput: missing string `mix`")?;
+    // A batch that completed instances ran rounds, so an empty merged
+    // round-latency histogram means the p99 source recorded nothing.
+    let field = |name| {
+        throughput
+            .and_then(|t| t.get(name))
+            .and_then(json::Json::as_u64)
+    };
+    if field("completed") > Some(0) && field("p99_round_ns") == Some(0) {
+        return Err("throughput: `p99_round_ns` is 0 although instances completed".to_owned());
+    }
     let conformance = root
         .get("conformance")
         .ok_or("missing object `conformance`")?;
@@ -685,6 +697,21 @@ mod tests {
         let dropped = without_line_containing(COMMITTED, "\"name\": \"e6\"");
         let err = check_schema(&dropped).expect_err("a dropped row must fail");
         assert!(err.contains("expected \"e6\""), "{err}");
+    }
+
+    #[test]
+    fn a_zero_p99_after_completed_instances_fails_its_schema() {
+        let p99 = COMMITTED
+            .find("\"p99_round_ns\": ")
+            .expect("the committed report has a p99");
+        let digits = COMMITTED[p99..].find(',').expect("the p99 is not last");
+        let zeroed = format!(
+            "{}\"p99_round_ns\": 0{}",
+            &COMMITTED[..p99],
+            &COMMITTED[p99 + digits..]
+        );
+        let err = check_schema(&zeroed).expect_err("a zero p99 must fail");
+        assert!(err.contains("`p99_round_ns` is 0"), "{err}");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! Runs `N` protocol instances of the weighted `--mix` (default: the
 //! five-class tenant mix of `MixSpec::DEFAULT_SPEC`) through the sharded
 //! batch pool on `S` shards and on one, then reports instances/sec, p99
-//! per-round step latency (from the pool's `rrfd_pool_round_latency_ns`
-//! histogram), and the speedup over one shard, plus a
+//! round latency (from the engine's `rrfd_engine_round_latency_ns`
+//! histogram, merged over rounds), and the speedup over one shard, plus a
 //! per-class zoo-conformance table (monitored / clean / worst surviving
 //! predicate, from a separate flight-armed conformance pass so monitor
 //! cost never pollutes the throughput number). When the `--out` report

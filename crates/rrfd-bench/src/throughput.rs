@@ -2,7 +2,7 @@
 //! `throughput` section.
 //!
 //! [`measure_throughput`] runs one mix twice through the sharded pool —
-//! an instrumented pass that fills the [`rrfd_obs`] per-step latency
+//! an instrumented pass that fills the engine's per-round latency
 //! histogram (for the p99), then an uninstrumented timed pass — and once
 //! more, uninstrumented, on a single shard, and reduces the three to a
 //! [`ThroughputRow`]: instances/sec, p99 round latency, and the speedup
@@ -11,7 +11,7 @@
 //! `BENCH_rrfd.json` cannot drift apart.
 
 use rrfd_engine_pool::{run_batch, MixSpec, PoolConfig};
-use rrfd_obs::{json, names, Labels, MetricValue, Obs};
+use rrfd_obs::{json, names, Obs};
 
 /// One throughput measurement, ready to print or serialize.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +34,9 @@ pub struct ThroughputRow {
     pub one_shard_ns: u64,
     /// `instances / batch_ns`, scaled to instances per second.
     pub instances_per_sec: u64,
-    /// p99 of one pool engine step (one instance, one round), in
-    /// wall nanoseconds, from the instrumented pass's histogram.
+    /// p99 of one engine round (one instance, one round), in wall
+    /// nanoseconds, from the instrumented pass's
+    /// `rrfd_engine_round_latency_ns` merged over its round labels.
     pub p99_round_ns: u64,
     /// `one_shard_ns * 100 / batch_ns` — `200` means `shards` shards
     /// retired the batch twice as fast as one.
@@ -54,19 +55,17 @@ pub fn measure_throughput(
 ) -> ThroughputRow {
     let clock = Obs::wall();
 
-    // Instrumented pass: fills the per-step latency histogram. Timed
+    // Instrumented pass: fills the per-round latency histogram. Timed
     // separately from the throughput pass so recorder and clock-read
     // overhead never pollutes the instances/sec number.
     let obs = Obs::wall();
     let instrumented = PoolConfig::new(shards).seed(seed).obs(obs.clone());
     let report = run_batch(mix, instances, &instrumented);
-    let p99_round_ns = match obs
+    let p99_round_ns = obs
         .snapshot()
-        .get(names::POOL_ROUND_LATENCY, Labels::GLOBAL)
-    {
-        Some(MetricValue::Histogram(h)) => h.quantile(0.99).unwrap_or(0),
-        _ => 0,
-    };
+        .histogram_total(names::ENGINE_ROUND_LATENCY)
+        .and_then(|h| h.quantile(0.99))
+        .unwrap_or(0);
 
     let start = clock.now_ns();
     let timed = run_batch(mix, instances, &PoolConfig::new(shards).seed(seed));

@@ -32,8 +32,6 @@ use std::fmt;
 const ROUNDS: MetricId = MetricId::of(names::ENGINE_ROUNDS);
 const MESSAGES_EMITTED: MetricId = MetricId::of(names::ENGINE_MESSAGES_EMITTED);
 const MESSAGES_RECEIVED: MetricId = MetricId::of(names::ENGINE_MESSAGES_RECEIVED);
-const DELIVERIES_SHARED: MetricId = MetricId::of(names::ENGINE_DELIVERIES_SHARED);
-const HEARD_SIZE: MetricId = MetricId::of(names::ENGINE_HEARD_SIZE);
 const SUSPICION_SIZE: MetricId = MetricId::of(names::ENGINE_SUSPICION_SIZE);
 const DECISIONS: MetricId = MetricId::of(names::ENGINE_DECISIONS);
 const VIOLATIONS: MetricId = MetricId::of(names::ENGINE_VIOLATIONS);
@@ -545,9 +543,9 @@ impl Engine {
         Ok(RoundCore {
             n: self.n,
             max_rounds: self.max_rounds,
-            // Room for two rounds: each records four samples per process
+            // Room for two rounds: each records two samples per process
             // plus three, and three spans plus one per decision.
-            obs: RunObs::with_capacity(self.obs.clone(), 2 * (4 * n + 3), 2 * 3 + n + 1),
+            obs: RunObs::with_capacity(self.obs.clone(), 2 * (2 * n + 3), 2 * 3 + n + 1),
             instance: self.instance,
             run_start_ns: self.obs.now_ns(),
             deliver_start_ns: 0,
@@ -795,8 +793,6 @@ where
                 let suspected = faults.of(p);
                 let heard = suspected.complement(self.n).len() as u64;
                 self.obs.add(MESSAGES_RECEIVED, labels, heard);
-                self.obs.add(DELIVERIES_SHARED, labels, heard);
-                self.obs.observe(HEARD_SIZE, labels, heard);
                 self.obs
                     .observe(SUSPICION_SIZE, labels, suspected.len() as u64);
             }

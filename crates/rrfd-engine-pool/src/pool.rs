@@ -48,7 +48,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 const INSTANCES: MetricId = MetricId::of(names::POOL_INSTANCES);
 const ERRORS: MetricId = MetricId::of(names::POOL_ERRORS);
 const ROUNDS: MetricId = MetricId::of(names::POOL_ROUNDS);
-const ROUND_LATENCY: MetricId = MetricId::of(names::POOL_ROUND_LATENCY);
 const BUFFER_REUSES: MetricId = MetricId::of(names::POOL_BUFFER_REUSES);
 
 /// The zoo resilience parameter pool conformance monitors use: every
@@ -284,10 +283,10 @@ impl PoolConfig {
     }
 
     /// Attaches an observability handle; the pool then records the
-    /// `rrfd_pool_*` metrics (instances, errors, rounds, per-step
-    /// latency histogram, buffer reuses) through it, and every
-    /// instance's engine records its rounds, spans, and latencies
-    /// through the same handle (spans stamped with the instance id).
+    /// `rrfd_pool_*` metrics (instances, errors, rounds, buffer reuses)
+    /// through it, and every instance's engine records its rounds,
+    /// spans, and round latencies through the same handle (spans
+    /// stamped with the instance id).
     #[must_use]
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -520,17 +519,8 @@ impl<C: InstanceClass> ClassLane<C> {
         if let Some(f) = shard.flight.as_mut() {
             f.note(format!("start instance {id} ({})", self.class.name()));
         }
-        // Steps run back to back, so one clock read ends a step and
-        // starts the next.
-        let mut last = shard.obs.now_ns();
         loop {
             let step = run.step();
-            if shard.obs.is_enabled() {
-                let now = shard.obs.now_ns();
-                let elapsed = now.saturating_sub(last);
-                shard.obs.observe(ROUND_LATENCY, Labels::GLOBAL, elapsed);
-                last = now;
-            }
             if let Some(f) = shard.flight.as_mut() {
                 f.step = f.step.saturating_add(1);
             }
@@ -851,8 +841,10 @@ mod tests {
             snap.counter_total(names::POOL_BUFFER_REUSES),
             instances - lanes.len() as u64
         );
-        let latency = snap.get(names::POOL_ROUND_LATENCY, Labels::GLOBAL);
-        assert!(latency.is_some(), "per-step latency histogram missing");
+        let latency = snap
+            .histogram_total(names::ENGINE_ROUND_LATENCY)
+            .expect("the engine times every round");
+        assert!(latency.count >= report.rounds);
     }
 
     #[test]

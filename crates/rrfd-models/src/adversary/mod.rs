@@ -11,10 +11,11 @@
 //!   Every predicate in [`crate::predicates`] implements [`SampleModel`]
 //!   with a *constructive* sampler (no rejection loops), so random runs are
 //!   cheap at any system size.
-//! * [`ScriptedDetector`] and [`NoFailures`] — deterministic detectors for
-//!   tests and hand-built executions.
+//! * [`NoFailures`] — the deterministic fault-free detector.
 //! * [`ReplayDetector`] — re-drives a captured [`rrfd_core::RunTrace`]
-//!   bit for bit, closing the capture → replay debugging loop.
+//!   bit for bit, closing the capture → replay debugging loop; built
+//!   [from rounds](ReplayDetector::from_rounds), it plays a hand-written
+//!   script for tests and hand-built executions.
 //! * [`SilencingCrash`] — the targeted worst-case adversary behind the
 //!   synchronous lower-bound experiment (E9): it silences `k` value-carrier
 //!   chains per round and defeats any ⌊f/k⌋-round k-set agreement protocol.
@@ -33,6 +34,6 @@ mod worst_case;
 
 pub use random::{RandomAdversary, SampleModel};
 pub use replay::ReplayDetector;
-pub use scripted::{NoFailures, RingMiss, ScriptedDetector};
+pub use scripted::{NoFailures, RingMiss};
 pub use silencer::SilencingCrash;
 pub use worst_case::{Partition, SpreadKUncertainty, StaggeredCrash};

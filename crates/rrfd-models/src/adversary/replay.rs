@@ -80,7 +80,24 @@ impl ReplayDetector {
         }
     }
 
-    /// Builds a detector from raw per-round suspicion sets.
+    /// Builds a detector from raw per-round suspicion sets: a script that
+    /// plays `rounds[r−1]` at round `r`, then reports no faults forever.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rrfd_core::{FaultDetector, FaultPattern, IdSet, ProcessId, Round, RoundFaults, SystemSize};
+    /// use rrfd_models::adversary::ReplayDetector;
+    ///
+    /// let n = SystemSize::new(3).unwrap();
+    /// let mut r1 = RoundFaults::none(n);
+    /// r1.set(ProcessId::new(0), IdSet::singleton(ProcessId::new(2)));
+    /// let mut det = ReplayDetector::from_rounds(n, vec![r1.clone()]);
+    ///
+    /// let history = FaultPattern::new(n);
+    /// assert_eq!(det.next_round(Round::new(1), &history), r1);
+    /// assert_eq!(det.next_round(Round::new(2), &history), RoundFaults::none(n));
+    /// ```
     ///
     /// # Panics
     ///

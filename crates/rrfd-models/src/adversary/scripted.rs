@@ -1,59 +1,8 @@
-//! Deterministic detectors: scripts, the fault-free detector, and the ring
-//! miss pattern of §2 item 4.
+//! Deterministic detectors: the fault-free detector and the ring miss
+//! pattern of §2 item 4. A fixed script of rounds is a
+//! [`super::ReplayDetector::from_rounds`].
 
 use rrfd_core::{FaultDetector, FaultPattern, IdSet, ProcessId, Round, RoundFaults, SystemSize};
-
-/// A detector that replays a fixed script of rounds, then reports no faults
-/// forever.
-///
-/// # Examples
-///
-/// ```
-/// use rrfd_core::{FaultDetector, FaultPattern, IdSet, ProcessId, Round, RoundFaults, SystemSize};
-/// use rrfd_models::adversary::ScriptedDetector;
-///
-/// let n = SystemSize::new(3).unwrap();
-/// let mut r1 = RoundFaults::none(n);
-/// r1.set(ProcessId::new(0), IdSet::singleton(ProcessId::new(2)));
-/// let mut det = ScriptedDetector::new(n, vec![r1.clone()]);
-///
-/// let history = FaultPattern::new(n);
-/// assert_eq!(det.next_round(Round::new(1), &history), r1);
-/// assert_eq!(det.next_round(Round::new(2), &history), RoundFaults::none(n));
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScriptedDetector {
-    n: SystemSize,
-    script: Vec<RoundFaults>,
-}
-
-impl ScriptedDetector {
-    /// Creates a detector that plays `script[r−1]` at round `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scripted round was built for a different system size.
-    #[must_use]
-    pub fn new(n: SystemSize, script: Vec<RoundFaults>) -> Self {
-        for rf in &script {
-            assert_eq!(rf.system_size(), n, "scripted round has wrong system size");
-        }
-        ScriptedDetector { n, script }
-    }
-}
-
-impl FaultDetector for ScriptedDetector {
-    fn system_size(&self) -> SystemSize {
-        self.n
-    }
-
-    fn next_round(&mut self, round: Round, _history: &FaultPattern) -> RoundFaults {
-        self.script
-            .get(round.index())
-            .cloned()
-            .unwrap_or_else(|| RoundFaults::none(self.n))
-    }
-}
 
 /// The benign detector: nobody is ever suspected. Legal in every model of
 /// the paper, and the baseline for failure-free measurements.
@@ -123,6 +72,7 @@ impl FaultDetector for RingMiss {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::ReplayDetector;
     use crate::predicates::AntiSymmetric;
     use crate::predicates::SomeoneTrustedByAll;
     use rrfd_core::RrfdPredicate;
@@ -133,10 +83,11 @@ mod tests {
 
     #[test]
     fn script_replays_then_goes_quiet() {
+        // A fixed script is a replay of its rounds.
         let size = n(3);
         let mut r1 = RoundFaults::none(size);
         r1.set(ProcessId::new(1), IdSet::singleton(ProcessId::new(0)));
-        let mut det = ScriptedDetector::new(size, vec![r1.clone()]);
+        let mut det = ReplayDetector::from_rounds(size, vec![r1.clone()]);
         let h = FaultPattern::new(size);
         assert_eq!(det.next_round(Round::new(1), &h), r1);
         assert_eq!(det.next_round(Round::new(5), &h), RoundFaults::none(size));
@@ -176,6 +127,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "wrong system size")]
     fn script_size_mismatch_is_caught() {
-        let _ = ScriptedDetector::new(n(3), vec![RoundFaults::none(n(4))]);
+        let _ = ReplayDetector::from_rounds(n(3), vec![RoundFaults::none(n(4))]);
     }
 }

@@ -152,6 +152,20 @@ impl HistogramSnapshot {
     pub fn mean(&self) -> Option<u64> {
         (self.count > 0).then(|| self.sum / self.count)
     }
+
+    /// Adds `other`'s observations into `self`, keeping the buckets
+    /// ascending and non-empty. Bucket bounds are fixed workspace-wide
+    /// ([`BUCKET_BOUNDS`]), so two snapshots merge bound by bound.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for &(bound, count) in &other.buckets {
+            match self.buckets.binary_search_by_key(&bound, |&(b, _)| b) {
+                Ok(at) => self.buckets[at].1 += count,
+                Err(at) => self.buckets.insert(at, (bound, count)),
+            }
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+    }
 }
 
 #[cfg(test)]

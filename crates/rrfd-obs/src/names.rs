@@ -7,6 +7,10 @@
 //! histograms. Labels are always the [`crate::Labels`] pair
 //! `(process, round)` — never free-form strings — which bounds
 //! cardinality at `n × rounds`.
+//!
+//! Each fact has one name: a value that another name already gives (a
+//! sum of sibling counters, a complement, a second timer on the same
+//! step) is derived from it, not recorded twice.
 
 // -- rrfd-core::RoundCore (every engine run, in-process or threaded) ---------
 
@@ -14,39 +18,30 @@
 pub const ENGINE_ROUNDS: &str = "rrfd_engine_rounds_total";
 /// Counter: messages emitted, per round (`n` per round, all processes).
 pub const ENGINE_MESSAGES_EMITTED: &str = "rrfd_engine_messages_emitted_total";
-/// Counter: messages received, per `(process, round)` — `|S(i,r)|`.
+/// Counter: messages received, per `(process, round)` — the heard-of set
+/// size `|S(i,r)|`, which is also every delivery served from the round's
+/// shared emission table.
 pub const ENGINE_MESSAGES_RECEIVED: &str = "rrfd_engine_messages_received_total";
 /// Histogram: suspicion-set size `|D(i,r)|`, per `(process, round)`.
+/// Every process emits every round, so `S(i,r) = S − D(i,r)` and each
+/// sample is `n −` the messages received at the same labels.
 pub const ENGINE_SUSPICION_SIZE: &str = "rrfd_engine_suspicion_size";
-/// Histogram: heard-of set size `|S(i,r)|`, per `(process, round)`.
-pub const ENGINE_HEARD_SIZE: &str = "rrfd_engine_heard_size";
 /// Counter: first decisions, per `(process, round)`.
 pub const ENGINE_DECISIONS: &str = "rrfd_engine_decisions_total";
-/// Histogram: round latency in clock ns, per round.
+/// Histogram: round latency in clock ns, per round. Merged over its
+/// round labels it is the pool's per-step latency: one pool step is one
+/// engine round.
 pub const ENGINE_ROUND_LATENCY: &str = "rrfd_engine_round_latency_ns";
 /// Counter: adversary violations caught by validation.
 pub const ENGINE_VIOLATIONS: &str = "rrfd_engine_violations_total";
-/// Counter: deliveries served from the round's shared emission table (no
-/// per-recipient payload clone), per `(process, round)`. On the zero-copy
-/// plane this equals messages received.
-pub const ENGINE_DELIVERIES_SHARED: &str = "rrfd_engine_deliveries_shared_total";
 
 // -- rrfd-runtime::ThreadedEngine transport (coordinator + threads) ---------
+//
+// Only what the core cannot see. The per-event counts (emits, gathers,
+// detects, deliveries, receives, decisions, state accesses) are the
+// `rrfd-events v1` log of an installed `EventSink`, which `rrfd-analyze
+// stats` tabulates per round.
 
-/// Counter: messages emitted by process threads, per `(process, round)`.
-pub const RUNTIME_MESSAGES_EMITTED: &str = "rrfd_runtime_messages_emitted_total";
-/// Counter: emissions gathered by the coordinator, per `(process, round)`.
-pub const RUNTIME_GATHERS: &str = "rrfd_runtime_gathers_total";
-/// Counter: detector consultations, per round.
-pub const RUNTIME_DETECTS: &str = "rrfd_runtime_detects_total";
-/// Counter: deliveries sent by the coordinator, per `(process, round)`.
-pub const RUNTIME_DELIVERIES: &str = "rrfd_runtime_deliveries_total";
-/// Counter: deliveries received by process threads, per `(process, round)`.
-pub const RUNTIME_MESSAGES_RECEIVED: &str = "rrfd_runtime_messages_received_total";
-/// Counter: decisions, per `(process, round)`.
-pub const RUNTIME_DECISIONS: &str = "rrfd_runtime_decisions_total";
-/// Counter: coordinator shared-state accesses.
-pub const RUNTIME_STATE_ACCESSES: &str = "rrfd_runtime_state_accesses_total";
 /// Counter: gather timeouts (a thread missed its emission window).
 pub const RUNTIME_GATHER_TIMEOUTS: &str = "rrfd_runtime_gather_timeouts_total";
 /// Counter: runs ending in `ThreadedError::WrongProcessCount`.
@@ -62,9 +57,8 @@ pub const RUNTIME_ERR_CHANNEL_CLOSED: &str = "rrfd_runtime_errors_channel_closed
 
 // -- rrfd-sims (adversarial schedulers + exhaustive exploration) ------------
 
-/// Counter: scheduler decisions taken, per stepped/crashed process.
-pub const SIM_SCHED_EVENTS: &str = "rrfd_sim_sched_events_total";
-/// Counter: step events, per process.
+/// Counter: step events, per process. Steps, crashes and deliveries
+/// together are every scheduler decision.
 pub const SIM_STEPS: &str = "rrfd_sim_steps_total";
 /// Counter: crash events, per process.
 pub const SIM_CRASHES: &str = "rrfd_sim_crashes_total";
@@ -77,7 +71,8 @@ pub const SIM_BRANCHING: &str = "rrfd_sim_branching";
 pub const SIM_SCHED_DEPTH: &str = "rrfd_sim_sched_depth";
 /// Counter: rounds run by the synchronous network simulator.
 pub const SIM_ROUNDS: &str = "rrfd_sim_rounds_total";
-/// Counter: schedules the explorer checked, one per trace class.
+/// Counter: schedules the explorer checked, one per trace class (so also
+/// the maximal execution graphs the DPOR explorer ran to completion).
 pub const EXPLORE_SCHEDULES: &str = "rrfd_explore_schedules_total";
 /// Counter: decision points (explored states) the explorer visited.
 pub const EXPLORE_DECISION_POINTS: &str = "rrfd_explore_decision_points_total";
@@ -87,9 +82,6 @@ pub const EXPLORE_MAX_DEPTH: &str = "rrfd_explore_max_depth";
 pub const EXPLORE_MEMO_ENTRIES: &str = "rrfd_explore_memo_entries";
 /// Gauge: bytes of the DPOR explorer's revisit tree.
 pub const EXPLORE_MEMO_BYTES: &str = "rrfd_explore_memo_bytes";
-/// Counter: maximal execution graphs the DPOR explorer ran to completion
-/// (one per Mazurkiewicz trace class reached).
-pub const EXPLORE_GRAPHS: &str = "rrfd_explore_graphs_total";
 /// Counter: race-reversal revisits the DPOR explorer scheduled.
 pub const EXPLORE_REVISITS: &str = "rrfd_explore_revisits_total";
 /// Counter: revisits suppressed by the DPOR explorer's sleep-set layer
@@ -109,9 +101,6 @@ pub const POOL_ERRORS: &str = "rrfd_pool_errors_total";
 /// shard (errored instances' partial rounds are not counted, matching
 /// the batch report's definition).
 pub const POOL_ROUNDS: &str = "rrfd_pool_rounds_total";
-/// Histogram: latency of one pool engine step (one instance, one round)
-/// in clock ns. The batch harness reports its p99.
-pub const POOL_ROUND_LATENCY: &str = "rrfd_pool_round_latency_ns";
 /// Counter: pool runs started on their lane's previous run's
 /// emission-table buffer instead of a fresh one, per shard.
 pub const POOL_BUFFER_REUSES: &str = "rrfd_pool_buffer_reuses_total";
@@ -157,30 +146,20 @@ pub const PRED_COMPILED_EVALS: &str = "rrfd_predicate_compiled_evals_total";
 /// recorders index per-metric tables by it instead of hashing strings.
 /// New names must be appended here too (a unit test checks that every
 /// constant of this module is listed exactly once).
-pub const ALL: [&str; 49] = [
+pub const ALL: [&str; 37] = [
     ENGINE_ROUNDS,
     ENGINE_MESSAGES_EMITTED,
     ENGINE_MESSAGES_RECEIVED,
     ENGINE_SUSPICION_SIZE,
-    ENGINE_HEARD_SIZE,
     ENGINE_DECISIONS,
     ENGINE_ROUND_LATENCY,
     ENGINE_VIOLATIONS,
-    ENGINE_DELIVERIES_SHARED,
-    RUNTIME_MESSAGES_EMITTED,
-    RUNTIME_GATHERS,
-    RUNTIME_DETECTS,
-    RUNTIME_DELIVERIES,
-    RUNTIME_MESSAGES_RECEIVED,
-    RUNTIME_DECISIONS,
-    RUNTIME_STATE_ACCESSES,
     RUNTIME_GATHER_TIMEOUTS,
     RUNTIME_ERR_WRONG_COUNT,
     RUNTIME_ERR_ROUND_LIMIT,
     RUNTIME_ERR_PROCESS_DIED,
     RUNTIME_ERR_PROCESS_PANICKED,
     RUNTIME_ERR_CHANNEL_CLOSED,
-    SIM_SCHED_EVENTS,
     SIM_STEPS,
     SIM_CRASHES,
     SIM_DELIVERIES,
@@ -192,13 +171,11 @@ pub const ALL: [&str; 49] = [
     EXPLORE_MAX_DEPTH,
     EXPLORE_MEMO_ENTRIES,
     EXPLORE_MEMO_BYTES,
-    EXPLORE_GRAPHS,
     EXPLORE_REVISITS,
     EXPLORE_SLEEP_BLOCKED,
     POOL_INSTANCES,
     POOL_ERRORS,
     POOL_ROUNDS,
-    POOL_ROUND_LATENCY,
     POOL_BUFFER_REUSES,
     POOL_SHARDS,
     CONF_ROUNDS,

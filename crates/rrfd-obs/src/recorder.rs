@@ -133,6 +133,25 @@ impl Snapshot {
             .sum()
     }
 
+    /// Every histogram row of `metric` merged into one, across all
+    /// labels; `None` when `metric` has no histogram row.
+    #[must_use]
+    pub fn histogram_total(&self, metric: &str) -> Option<HistogramSnapshot> {
+        let mut rows = self
+            .entries
+            .iter()
+            .filter(|e| e.metric == metric)
+            .filter_map(|e| match &e.value {
+                MetricValue::Histogram(h) => Some(h),
+                _ => None,
+            });
+        let mut total = rows.next()?.clone();
+        for h in rows {
+            total.merge(h);
+        }
+        Some(total)
+    }
+
     /// The distinct rounds (> 0) appearing in any row's labels, ascending.
     #[must_use]
     pub fn rounds(&self) -> Vec<u32> {
@@ -606,6 +625,19 @@ mod tests {
     }
 
     #[test]
+    fn histogram_totals_merge_every_label_set() {
+        let rec = ShardedRecorder::new();
+        rec.observe("h", Labels::round(1), 3);
+        rec.observe("h", Labels::round(2), 1);
+        rec.observe("h", Labels::round(2), 100);
+        rec.add("c", Labels::GLOBAL, 1);
+        let total = rec.snapshot().histogram_total("h").expect("two rows");
+        assert_eq!(total.buckets, vec![(1, 1), (4, 1), (256, 1)]);
+        assert_eq!((total.count, total.sum), (3, 104));
+        assert_eq!(rec.snapshot().histogram_total("c"), None);
+    }
+
+    #[test]
     fn kind_mismatch_is_ignored_not_fatal() {
         let rec = ShardedRecorder::new();
         rec.add("m", Labels::GLOBAL, 1);
@@ -741,7 +773,7 @@ mod tests {
         buffer.gauge(id, Labels::process(1), 1);
         buffer.gauge(id, Labels::process(1), 0);
         buffer.add(MetricId::of(names::CONF_ROUNDS), Labels::GLOBAL, 4);
-        buffer.observe(MetricId::of(names::POOL_ROUND_LATENCY), Labels::GLOBAL, 9);
+        buffer.observe(MetricId::of(names::ENGINE_ROUND_LATENCY), Labels::GLOBAL, 9);
         let batched = ShardedRecorder::new();
         batched.flush(&mut buffer);
         assert!(buffer.is_empty(), "flushing empties the buffer");
@@ -749,7 +781,7 @@ mod tests {
         single.gauge(names::CONF_SATISFIED, Labels::process(1), 1);
         single.gauge(names::CONF_SATISFIED, Labels::process(1), 0);
         single.add(names::CONF_ROUNDS, Labels::GLOBAL, 4);
-        single.observe(names::POOL_ROUND_LATENCY, Labels::GLOBAL, 9);
+        single.observe(names::ENGINE_ROUND_LATENCY, Labels::GLOBAL, 9);
         assert_eq!(batched.snapshot(), single.snapshot());
         assert_eq!(
             batched

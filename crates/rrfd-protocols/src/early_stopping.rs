@@ -159,7 +159,7 @@ mod tests {
         // Every legal crash pattern for (n = 3, f = 1) over 2 rounds and
         // (n = 3, f = 2) over 3 rounds: agreement among never-suspected
         // processes, by enumeration.
-        use rrfd_models::adversary::ScriptedDetector;
+        use rrfd_models::adversary::ReplayDetector;
         for (f, rounds) in [(1usize, 2u32), (2, 3)] {
             let size = n(3);
             let model = Crash::new(size, f);
@@ -167,7 +167,7 @@ mod tests {
             assert!(patterns.len() > 10);
             for pattern in &patterns {
                 let script: Vec<_> = pattern.iter().map(|(_, rf)| rf.clone()).collect();
-                let mut det = ScriptedDetector::new(size, script);
+                let mut det = ReplayDetector::from_rounds(size, script);
                 let r = check_run(size, f, &mut det, "exhaustive");
                 assert!(r <= rounds);
             }

@@ -182,7 +182,7 @@ mod tests {
         // legal 2-round crash pattern and check consensus among
         // never-suspected processes.
         use rrfd_core::task::Value;
-        use rrfd_models::adversary::ScriptedDetector;
+        use rrfd_models::adversary::ReplayDetector;
         use rrfd_models::enumerate::all_patterns;
 
         let size = n(3);
@@ -194,7 +194,7 @@ mod tests {
         assert!(patterns.len() > 10, "only {} patterns", patterns.len());
         for pattern in &patterns {
             let script: Vec<_> = pattern.iter().map(|(_, rf)| rf.clone()).collect();
-            let mut det = ScriptedDetector::new(size, script);
+            let mut det = ReplayDetector::from_rounds(size, script);
             let protos: Vec<_> = inputs.iter().map(|&v| FloodMin::new(v, budget)).collect();
             let report = Engine::new(size).run(protos, &mut det, &model).unwrap();
             let crashed = report.pattern.cumulative_union();

@@ -91,7 +91,7 @@ mod tests {
     use super::*;
     use rrfd_core::task::KSetAgreement;
     use rrfd_core::{IdSet, ProcessId, RoundFaults};
-    use rrfd_models::adversary::{NoFailures, RandomAdversary, ScriptedDetector};
+    use rrfd_models::adversary::{NoFailures, RandomAdversary, ReplayDetector};
 
     fn n(v: usize) -> SystemSize {
         SystemSize::new(v).unwrap()
@@ -117,7 +117,7 @@ mod tests {
         let ins = inputs(4);
         let contested = IdSet::singleton(ProcessId::new(0));
         let sets = vec![IdSet::empty(), contested, IdSet::empty(), contested];
-        let script = ScriptedDetector::new(size, vec![RoundFaults::from_sets(size, sets)]);
+        let script = ReplayDetector::from_rounds(size, vec![RoundFaults::from_sets(size, sets)]);
         let mut det = script;
         let decisions = one_round_kset(size, 2, &ins, &mut det).unwrap();
         // p0 and p2 decide v0; p1 and p3 decide v1: exactly 2 values.
@@ -158,7 +158,7 @@ mod tests {
             IdSet::empty(),
             IdSet::empty(),
         ];
-        let mut det = ScriptedDetector::new(size, vec![RoundFaults::from_sets(size, sets)]);
+        let mut det = ReplayDetector::from_rounds(size, vec![RoundFaults::from_sets(size, sets)]);
         let err = one_round_kset(size, 1, &ins, &mut det).unwrap_err();
         assert!(matches!(err, EngineError::Violation(_)));
     }
@@ -176,7 +176,7 @@ mod tests {
                 let mut rounds_checked = 0usize;
                 for round in all_first_rounds(KUncertainty::new(size, k)) {
                     rounds_checked += 1;
-                    let mut det = ScriptedDetector::new(size, vec![round.clone()]);
+                    let mut det = ReplayDetector::from_rounds(size, vec![round.clone()]);
                     let decisions = one_round_kset(size, k, &ins, &mut det)
                         .unwrap_or_else(|e| panic!("n={nv} k={k}: {e} on {round:?}"));
                     let outs: Vec<Option<Value>> = decisions.iter().map(|&d| Some(d)).collect();
@@ -200,7 +200,7 @@ mod tests {
                 .map(|i| (0..(i % k)).map(ProcessId::new).collect())
                 .collect();
             let round = RoundFaults::from_sets(size, sets);
-            let mut det = ScriptedDetector::new(size, vec![round]);
+            let mut det = ReplayDetector::from_rounds(size, vec![round]);
             let decisions = one_round_kset(size, k, &ins, &mut det).unwrap();
             let distinct: std::collections::BTreeSet<Value> = decisions.iter().copied().collect();
             assert_eq!(distinct.len(), k, "n={nv} k={k}: {decisions:?}");
@@ -223,7 +223,7 @@ mod tests {
         let mut violations = 0usize;
         for round in all_first_rounds(AsyncResilient::new(size, 1)) {
             let protos: Vec<OneRoundKSet> = ins.iter().map(|&v| OneRoundKSet::new(v)).collect();
-            let mut det = ScriptedDetector::new(size, vec![round]);
+            let mut det = ReplayDetector::from_rounds(size, vec![round]);
             let report = Engine::new(size)
                 .run(protos, &mut det, &AnyPattern::new(size))
                 .unwrap();

@@ -14,10 +14,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clock;
 mod sink;
 mod threaded;
 
-pub use clock::RoundClock;
 pub use sink::EventSink;
 pub use threaded::{ThreadedEngine, ThreadedError};

@@ -4,9 +4,8 @@
 //! thread record each channel send/receive, detector consultation, and
 //! shared-state access into it, as one [`EventLog`] (the `rrfd-events v1`
 //! capture format) for the happens-before race checker in
-//! `rrfd-analyze races`. The same events are counted as
-//! `rrfd_runtime_*` metrics on the engine's own `Obs` handle when that is
-//! enabled, so one run can feed both analyses.
+//! `rrfd-analyze races`; `rrfd-analyze stats` tabulates the same log per
+//! round, so the log is the one record of these events.
 //!
 //! An [`EventSink`] is a mutex around a log; the lock serializes
 //! *recording*, but the analysis derives ordering only from the semantic

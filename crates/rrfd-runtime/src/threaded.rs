@@ -23,7 +23,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
 use std::time::Duration;
 
-use crate::clock::RoundClock;
 use crate::sink::EventSink;
 use rrfd_core::{Actor, RtEventKind};
 use rrfd_models::conformance::ConformanceMonitor;
@@ -33,46 +32,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Channel pair used between the coordinator and process threads.
 type EmissionChannel<M, O> = (Sender<Notice<M, O>>, Receiver<Notice<M, O>>);
 type ReplyChannel<M> = (Sender<CoordReply<M>>, Receiver<CoordReply<M>>);
-
-/// Records one runtime event: into the event log when one is installed,
-/// and as its `rrfd_runtime_*` counter when `obs` is enabled, labelled
-/// by the process it concerns and its round.
-fn record_event(events: Option<&EventSink>, obs: &Obs, actor: Actor, kind: RtEventKind) {
-    if obs.is_enabled() {
-        let at = |p: ProcessId, round: Round| Labels::process_round(p.index(), round.get());
-        let counted = match (actor, &kind) {
-            (Actor::Process(p), &RtEventKind::Emit { round }) => {
-                Some((names::RUNTIME_MESSAGES_EMITTED, at(p, round)))
-            }
-            (_, &RtEventKind::Gather { from, round }) => {
-                Some((names::RUNTIME_GATHERS, at(from, round)))
-            }
-            (_, &RtEventKind::Detect { round }) => {
-                Some((names::RUNTIME_DETECTS, Labels::round(round.get())))
-            }
-            (_, &RtEventKind::Deliver { to, round }) => {
-                Some((names::RUNTIME_DELIVERIES, at(to, round)))
-            }
-            (Actor::Process(p), &RtEventKind::Receive { round }) => {
-                Some((names::RUNTIME_MESSAGES_RECEIVED, at(p, round)))
-            }
-            (Actor::Process(p), &RtEventKind::Decide { round }) => {
-                Some((names::RUNTIME_DECISIONS, at(p, round)))
-            }
-            (_, RtEventKind::Access { .. }) => {
-                Some((names::RUNTIME_STATE_ACCESSES, Labels::GLOBAL))
-            }
-            // Only process threads emit, receive and decide.
-            (Actor::Coordinator, _) => None,
-        };
-        if let Some((metric, labels)) = counted {
-            obs.add(metric, labels, 1);
-        }
-    }
-    if let Some(events) = events {
-        events.record(actor, kind);
-    }
-}
 
 /// What a process thread sends the coordinator: each round's emission,
 /// or the death notice of a thread whose `emit` or `deliver` panicked,
@@ -229,12 +188,10 @@ const DEFAULT_GATHER_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct ThreadedEngine {
     /// Size, round limit, `Obs` and instance of every run's core.
     engine: Engine,
-    /// Where the transport's `rrfd_runtime_*` counters go.
+    /// Where the transport's gather-timeout and error counters go.
     obs: Obs,
     gather_timeout: Duration,
-    clock: RoundClock,
     events: Option<EventSink>,
-    flight_rounds: u32,
     flight_dump: Arc<Mutex<Option<String>>>,
     conformance: Option<Arc<Mutex<ConformanceMonitor>>>,
 }
@@ -248,9 +205,7 @@ impl ThreadedEngine {
             engine: Engine::new(n),
             obs: Obs::noop(),
             gather_timeout: DEFAULT_GATHER_TIMEOUT,
-            clock: RoundClock::new(),
             events: None,
-            flight_rounds: DEFAULT_FLIGHT_ROUNDS as u32,
             flight_dump: Arc::new(Mutex::new(None)),
             conformance: None,
         }
@@ -285,10 +240,10 @@ impl ThreadedEngine {
 
     /// Attaches an observability handle. Each run's core records the round
     /// metrics and spans under the `rrfd_engine_*` names, as
-    /// `rrfd_core::Engine::obs` describes; the transport counts every
-    /// runtime event (the events an [`EventSink`] logs) under the
-    /// `rrfd_runtime_*` names, keyed by process and round, plus gather
-    /// timeouts and terminal errors.
+    /// `rrfd_core::Engine::obs` describes; the transport counts only what
+    /// the core cannot see, gather timeouts and terminal errors, under
+    /// the `rrfd_runtime_*` names. The runtime events themselves (sends,
+    /// receives, accesses) go to an [`EventSink`].
     #[must_use]
     pub fn obs(mut self, obs: Obs) -> Self {
         self.engine = self.engine.obs(obs.clone());
@@ -301,20 +256,6 @@ impl ThreadedEngine {
     #[must_use]
     pub fn instance(mut self, instance: u64) -> Self {
         self.engine = self.engine.instance(instance);
-        self
-    }
-
-    /// Overrides how many recent rounds the crash flight recorder retains
-    /// (default [`DEFAULT_FLIGHT_ROUNDS`]). `0` disables the recorder
-    /// entirely — no per-round notes are formatted.
-    ///
-    /// The flight recorder is always on otherwise: when a run ends in any
-    /// [`ThreadedError`], a post-mortem capture of the last K rounds (gathers,
-    /// suspicion sets, deliveries, decisions) is stashed for
-    /// [`ThreadedEngine::take_flight_dump`].
-    #[must_use]
-    pub fn flight_rounds(mut self, rounds: u32) -> Self {
-        self.flight_rounds = rounds;
         self
     }
 
@@ -331,8 +272,10 @@ impl ThreadedEngine {
     }
 
     /// Takes the post-mortem flight dump left by the most recent failed
-    /// run, if any. Runs that succeed leave nothing; a second take returns
-    /// `None` until another run fails.
+    /// run, if any: the last [`DEFAULT_FLIGHT_ROUNDS`] rounds' gathers,
+    /// suspicion sets, deliveries and decisions, which the always-on
+    /// flight recorder keeps. Runs that succeed leave nothing; a second
+    /// take returns `None` until another run fails.
     #[must_use]
     pub fn take_flight_dump(&self) -> Option<String> {
         self.flight_dump
@@ -341,29 +284,30 @@ impl ThreadedEngine {
             .take()
     }
 
-    /// Records one coordinator-side event.
+    /// Records one coordinator-side event into the event log, if one is
+    /// installed.
     fn record(&self, kind: RtEventKind) {
-        record_event(self.events.as_ref(), &self.obs, Actor::Coordinator, kind);
+        if let Some(events) = &self.events {
+            events.record(Actor::Coordinator, kind);
+        }
     }
 
     /// Records a coordinator write to the shared state at `loc`. The event
-    /// owns its location name, so it is only built when an event log or
-    /// an enabled `Obs` will see it.
+    /// owns its location name, so it is only built when an event log will
+    /// see it.
     fn record_write(&self, loc: &str) {
-        if self.events.is_some() || self.obs.is_enabled() {
-            self.record(RtEventKind::Access {
+        if let Some(events) = &self.events {
+            let access = RtEventKind::Access {
                 loc: loc.to_owned(),
                 write: true,
-            });
+            };
+            events.record(Actor::Coordinator, access);
         }
     }
 
     /// Stashes the flight recorder's post-mortem capture for
     /// [`ThreadedEngine::take_flight_dump`], keyed by the terminal error.
     fn stash_flight(&self, flight: &FlightRecorder, error: &ThreadedError) {
-        if self.flight_rounds == 0 {
-            return;
-        }
         *self
             .flight_dump
             .lock()
@@ -395,13 +339,6 @@ impl ThreadedEngine {
             ThreadedError::ChannelClosed => (names::RUNTIME_ERR_CHANNEL_CLOSED, Labels::GLOBAL),
         };
         self.obs.add(metric, labels, 1);
-    }
-
-    /// A clock observers can use to watch the run's progress from other
-    /// threads: back at round 0 when a run starts, finished when it ends.
-    #[must_use]
-    pub fn clock(&self) -> RoundClock {
-        self.clock.clone()
     }
 
     /// Runs the protocols on threads, coordinated by the calling thread.
@@ -467,8 +404,7 @@ impl ThreadedEngine {
         D: FaultDetector + ?Sized,
         Q: RrfdPredicate + ?Sized,
     {
-        self.clock.reset();
-        let mut flight = FlightRecorder::new(self.flight_rounds as usize);
+        let mut flight = FlightRecorder::new(DEFAULT_FLIGHT_ROUNDS);
         let mut core = match self
             .engine
             .round_core(protocols.len(), detector, model, traced)
@@ -489,9 +425,13 @@ impl ThreadedEngine {
             let emit_tx = emit_tx.clone();
             let (reply_tx, reply_rx): ReplyChannel<P::Msg> = channel::unbounded();
             reply_txs.push(reply_tx);
-            let (events, obs) = (self.events.clone(), self.obs.clone());
+            let events = self.events.clone();
             handles.push(thread::spawn(move || {
-                let record = |kind| record_event(events.as_ref(), &obs, Actor::Process(me), kind);
+                let record = |kind| {
+                    if let Some(events) = &events {
+                        events.record(Actor::Process(me), kind);
+                    }
+                };
                 // A panic in `emit` or `deliver` is caught here and sent
                 // as a death notice: the live peers' sender clones keep
                 // the channel open, so the coordinator would otherwise
@@ -563,7 +503,7 @@ impl ThreadedEngine {
     }
 
     /// Ends a run: a failed one counts its error and stashes its flight
-    /// dump, and the clock finishes either way.
+    /// dump.
     fn end_run<T>(
         &self,
         result: Result<T, ThreadedError>,
@@ -573,7 +513,6 @@ impl ThreadedEngine {
             self.record_error(error);
             self.stash_flight(flight, error);
         }
-        self.clock.finish();
         result
     }
 
@@ -596,7 +535,6 @@ impl ThreadedEngine {
         Q: RrfdPredicate,
     {
         let n = reply_txs.len();
-        let black_box = self.flight_rounds > 0;
         let mut round_no = 0;
         loop {
             round_no += 1;
@@ -613,17 +551,15 @@ impl ThreadedEngine {
                 let Ok(notice) = emit_rx.recv_timeout(self.gather_timeout) else {
                     self.obs
                         .add(names::RUNTIME_GATHER_TIMEOUTS, Labels::round(round_no), 1);
-                    if black_box {
-                        let missing: Vec<usize> = messages
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, m)| m.is_none().then_some(i))
-                            .collect();
-                        flight.note(
-                            round_no,
-                            format!("gather timeout; emissions missing from {missing:?}"),
-                        );
-                    }
+                    let missing: Vec<usize> = messages
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, m)| m.is_none().then_some(i))
+                        .collect();
+                    flight.note(
+                        round_no,
+                        format!("gather timeout; emissions missing from {missing:?}"),
+                    );
                     // A process whose emission is still missing this
                     // round is the dead one; if all slots are somehow
                     // filled, report the closed channel itself rather
@@ -638,12 +574,10 @@ impl ThreadedEngine {
                 let emission = match notice {
                     Ok(emission) => emission,
                     Err((process, message)) => {
-                        if black_box {
-                            flight.note(
-                                round_no,
-                                format!("p{} panicked: {message}", process.index()),
-                            );
-                        }
+                        flight.note(
+                            round_no,
+                            format!("p{} panicked: {message}", process.index()),
+                        );
                         return Err(ThreadedError::ProcessPanicked { process, message });
                     }
                 };
@@ -657,10 +591,7 @@ impl ThreadedEngine {
                     let decided_at = Round::new(round_no - 1);
                     if core.decide(emission.from, value, decided_at) {
                         self.record_write("decisions");
-                        if black_box {
-                            flight
-                                .note(round_no - 1, format!("p{} decided", emission.from.index()));
-                        }
+                        flight.note(round_no - 1, format!("p{} decided", emission.from.index()));
                     }
                 }
                 messages[emission.from.index()] = Some(emission.msg);
@@ -671,12 +602,10 @@ impl ThreadedEngine {
             }
             self.record(RtEventKind::Detect { round });
             let faults = core.detect(&span);
-            if black_box {
-                for i in 0..n {
-                    let suspected = faults.of(ProcessId::new(i));
-                    if !suspected.is_empty() {
-                        flight.note(round_no, format!("D(p{i}) = {suspected}"));
-                    }
+            for i in 0..n {
+                let suspected = faults.of(ProcessId::new(i));
+                if !suspected.is_empty() {
+                    flight.note(round_no, format!("D(p{i}) = {suspected}"));
                 }
             }
             if !core.admit(&faults, span) {
@@ -698,18 +627,13 @@ impl ThreadedEngine {
                     })
                     .is_err()
                 {
-                    if black_box {
-                        flight.note(round_no, format!("deliver to p{i} failed: thread gone"));
-                    }
+                    flight.note(round_no, format!("deliver to p{i} failed: thread gone"));
                     return Err(ThreadedError::ProcessDied { process: me });
                 }
             }
-            if black_box {
-                flight.note(round_no, format!("delivered shared table to {n} processes"));
-            }
+            flight.note(round_no, format!("delivered shared table to {n} processes"));
             self.record_write("pattern");
             core.close_round(faults, span);
-            self.clock.advance(round_no);
         }
     }
 }
@@ -1013,75 +937,6 @@ mod tests {
     }
 
     #[test]
-    fn events_and_metrics_are_captured_simultaneously() {
-        use rrfd_obs::{names, MetricValue, Obs};
-
-        let size = n(3);
-        let events = EventSink::new(size);
-        let obs = Obs::logical();
-        let protos: Vec<_> = (0..3)
-            .map(|i| SumAfter {
-                rounds: 2,
-                acc: 0,
-                me: i,
-            })
-            .collect();
-        ThreadedEngine::new(size)
-            .event_sink(events.clone())
-            .obs(obs.clone())
-            .run(protos, &mut NoFailures::new(size), &AnyPattern::new(size))
-            .unwrap();
-
-        // The event log captured the run...
-        let log = events.snapshot();
-        assert!(!log.is_empty());
-        // ...and every event surfaced as its counter, in the same counts.
-        let snap = obs.snapshot();
-        let mut expected = std::collections::BTreeMap::new();
-        for event in log.events() {
-            let metric = match event.kind {
-                RtEventKind::Emit { .. } => names::RUNTIME_MESSAGES_EMITTED,
-                RtEventKind::Gather { .. } => names::RUNTIME_GATHERS,
-                RtEventKind::Detect { .. } => names::RUNTIME_DETECTS,
-                RtEventKind::Deliver { .. } => names::RUNTIME_DELIVERIES,
-                RtEventKind::Receive { .. } => names::RUNTIME_MESSAGES_RECEIVED,
-                RtEventKind::Decide { .. } => names::RUNTIME_DECISIONS,
-                RtEventKind::Access { .. } => names::RUNTIME_STATE_ACCESSES,
-            };
-            *expected.entry(metric).or_insert(0u64) += 1;
-        }
-        assert_eq!(expected.len(), 7, "a healthy run exercises every event");
-        for (metric, count) in expected {
-            assert_eq!(snap.counter_total(metric), count, "{metric}");
-        }
-        assert_eq!(snap.counter_total(names::RUNTIME_DECISIONS), 3);
-        // Counters are keyed by the process an event concerns and its
-        // round; detects by round only.
-        let one = Some(&MetricValue::Counter(1));
-        assert_eq!(
-            snap.get(names::RUNTIME_MESSAGES_EMITTED, Labels::process_round(1, 2)),
-            one
-        );
-        assert_eq!(
-            snap.get(names::RUNTIME_GATHERS, Labels::process_round(2, 1)),
-            one
-        );
-        assert_eq!(
-            snap.get(names::RUNTIME_DELIVERIES, Labels::process_round(0, 1)),
-            one
-        );
-        assert_eq!(snap.get(names::RUNTIME_DETECTS, Labels::round(2)), one);
-        // The coordinator recorded wall latency for each completed round.
-        let latency_rounds = snap
-            .entries()
-            .iter()
-            .filter(|e| e.metric == names::ENGINE_ROUND_LATENCY)
-            .count();
-        assert!(latency_rounds >= 2, "{latency_rounds}");
-        assert_eq!(snap.counter_total(names::RUNTIME_GATHER_TIMEOUTS), 0);
-    }
-
-    #[test]
     fn terminal_errors_are_counted() {
         use rrfd_obs::Obs;
 
@@ -1117,7 +972,7 @@ mod tests {
                 me: i,
             })
             .collect();
-        let engine = ThreadedEngine::new(size).max_rounds(20).flight_rounds(4);
+        let engine = ThreadedEngine::new(size).max_rounds(20);
         let err = engine
             .run(protos, &mut NoFailures::new(size), &AnyPattern::new(size))
             .unwrap_err();
@@ -1125,10 +980,12 @@ mod tests {
         let dump = engine.take_flight_dump().expect("failed run leaves a dump");
         assert!(dump.starts_with("rrfd-flight v1\n"), "{dump}");
         assert!(dump.contains("no full decision after 20 rounds"), "{dump}");
-        // Only the last K=4 rounds are retained: 17..=20.
+        // Only the last K = DEFAULT_FLIGHT_ROUNDS = 8 rounds are
+        // retained: 13..=20.
+        assert_eq!(DEFAULT_FLIGHT_ROUNDS, 8);
         assert!(dump.contains("round 20:"), "{dump}");
-        assert!(dump.contains("round 17:"), "{dump}");
-        assert!(!dump.contains("round 16:"), "{dump}");
+        assert!(dump.contains("round 13:"), "{dump}");
+        assert!(!dump.contains("round 12:"), "{dump}");
         // Taking the dump drains it.
         assert!(engine.take_flight_dump().is_none());
     }
@@ -1171,87 +1028,5 @@ mod tests {
         assert!(verdict.rounds_observed >= 3);
         let strongest = verdict.strongest_satisfied().expect("zoo satisfied");
         assert_eq!(strongest.rank, 0);
-    }
-
-    #[test]
-    fn clock_restarts_with_every_run_and_finishes_on_every_exit() {
-        /// Records the shared clock's state at its round-1 emit.
-        struct Probe {
-            clock: RoundClock,
-            seen: Arc<Mutex<Vec<(bool, u32)>>>,
-        }
-        impl RoundProtocol for Probe {
-            type Msg = ();
-            type Output = ();
-            fn emit(&mut self, r: Round) {
-                if r == Round::FIRST {
-                    let state = (self.clock.is_finished(), self.clock.current_round());
-                    self.seen.lock().unwrap().push(state);
-                }
-            }
-            fn deliver(&mut self, d: Delivery<'_, ()>) -> Control<()> {
-                if d.round.get() >= 3 {
-                    Control::Decide(())
-                } else {
-                    Control::Continue
-                }
-            }
-        }
-
-        let size = n(2);
-        let engine = ThreadedEngine::new(size);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let probes = |count: usize| -> Vec<Probe> {
-            (0..count)
-                .map(|_| Probe {
-                    clock: engine.clock(),
-                    seen: Arc::clone(&seen),
-                })
-                .collect()
-        };
-        for _ in 0..2 {
-            let report = engine
-                .run(
-                    probes(2),
-                    &mut NoFailures::new(size),
-                    &AnyPattern::new(size),
-                )
-                .unwrap();
-            assert_eq!(report.rounds_executed, 3);
-            assert!(engine.clock().is_finished());
-        }
-        // Every process of both runs met a clock at round 0, unfinished.
-        assert_eq!(*seen.lock().unwrap(), vec![(false, 0); 4]);
-
-        // A run rejected before it starts finishes the clock too.
-        let fresh = ThreadedEngine::new(size);
-        let err = fresh
-            .run(
-                probes(1),
-                &mut NoFailures::new(size),
-                &AnyPattern::new(size),
-            )
-            .unwrap_err();
-        assert!(matches!(err, ThreadedError::WrongProcessCount { .. }));
-        assert!(fresh.clock().is_finished());
-    }
-
-    #[test]
-    fn clock_tracks_progress() {
-        let size = n(3);
-        let engine = ThreadedEngine::new(size);
-        let clock = engine.clock();
-        let protos: Vec<_> = (0..3)
-            .map(|i| SumAfter {
-                rounds: 5,
-                acc: 0,
-                me: i,
-            })
-            .collect();
-        let report = engine
-            .run(protos, &mut NoFailures::new(size), &AnyPattern::new(size))
-            .unwrap();
-        assert!(clock.is_finished());
-        assert!(clock.current_round() >= report.rounds_executed);
     }
 }

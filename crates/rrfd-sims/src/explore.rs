@@ -71,7 +71,6 @@ impl ExploreStats {
             Labels::GLOBAL,
             i64::try_from(self.memo_bytes).unwrap_or(i64::MAX),
         );
-        obs.add(names::EXPLORE_GRAPHS, Labels::GLOBAL, self.graphs_explored);
         obs.add(names::EXPLORE_REVISITS, Labels::GLOBAL, self.revisits);
         obs.add(
             names::EXPLORE_SLEEP_BLOCKED,

@@ -3,10 +3,9 @@
 //! [`Instrumented`] wraps any [`StepScheduler`] — on shared memory,
 //! semi-synchrony or the asynchronous network — and records every
 //! decision it makes into an [`Obs`] handle under the `rrfd_sim_*` names:
-//! one `rrfd_sim_sched_events` counter per decision (split into steps,
-//! crashes, and deliveries by event kind), a branching-factor histogram
-//! over the enabled events offered at each decision point, and a running
-//! schedule-depth gauge. The wrapper is transparent: it forwards the inner
+//! one count per decision under its event kind (steps, crashes,
+//! deliveries), a branching-factor histogram over the enabled events
+//! offered at each decision point, and a running schedule-depth gauge. The wrapper is transparent: it forwards the inner
 //! scheduler's choice unchanged, so instrumenting a run cannot alter it.
 
 use crate::step::{StepEvent, StepScheduler};
@@ -64,9 +63,7 @@ impl<S> Instrumented<S> {
             StepEvent::Crash(_) => names::SIM_CRASHES,
             StepEvent::Deliver { .. } => names::SIM_DELIVERIES,
         };
-        let labels = Labels::process(event.pid().index());
-        self.obs.add(names::SIM_SCHED_EVENTS, labels, 1);
-        self.obs.add(kind, labels, 1);
+        self.obs.add(kind, Labels::process(event.pid().index()), 1);
     }
 }
 
@@ -139,10 +136,10 @@ mod tests {
         assert_eq!(bare.outputs, instrumented.outputs);
 
         let snap = obs.snapshot();
-        let events = snap.counter_total(names::SIM_SCHED_EVENTS);
-        assert_eq!(events, wrapped.depth());
+        let events = wrapped.depth();
         assert_eq!(snap.counter_total(names::SIM_STEPS), events);
         assert_eq!(snap.counter_total(names::SIM_CRASHES), 0);
+        assert_eq!(snap.counter_total(names::SIM_DELIVERIES), 0);
         // Branching was observed once per decision.
         let branching = snap
             .get(names::SIM_BRANCHING, Labels::GLOBAL)

@@ -289,7 +289,6 @@ impl<P: SemiSyncProcess> StepExecution for SemiSyncExecution<P> {
     /// is what lets the explorer fold crash enabledness along a run from
     /// footprints alone.
     fn apply(&mut self, event: StepEvent) -> Result<Option<Access>, SemiSyncError> {
-        self.check_limit()?;
         self.events += 1;
         match event {
             StepEvent::Crash(p) => {

@@ -435,7 +435,6 @@ impl<P: MemProcess<V>, V: Clone> StepExecution for MemExecution<P, V> {
     /// so the footprint of a write names its own cell; a decision touches
     /// only process-local state.
     fn apply(&mut self, event: StepEvent) -> Result<Option<Access>, MemSimError> {
-        self.check_limit()?;
         self.events += 1;
         let live = self.live();
         match event {

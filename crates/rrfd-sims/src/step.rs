@@ -103,7 +103,10 @@ pub(crate) trait StepExecution {
     /// Applies one scheduler event and returns the footprint it left
     /// behind: two events of different processes whose footprints do not
     /// conflict commute. An event that is not enabled is counted toward
-    /// the event budget but otherwise ignored (`None`).
+    /// the event budget but otherwise ignored (`None`). It does not check
+    /// the budgets itself: every caller calls [`Self::check_limit`] first,
+    /// which is also how a step-limit error stays apart from the errors
+    /// `apply` reports.
     fn apply(&mut self, event: StepEvent) -> Result<Option<Self::Footprint>, Self::Error>;
     /// Packages the current state as a run report.
     fn into_report(self) -> Self::Report;

@@ -27,7 +27,7 @@ use rrfd::core::{
     AnyPattern, Control, Delivery, Engine, EngineError, FaultPattern, IdSet, KnowledgeProtocol,
     ProcessId, Round, RoundFaults, RoundProtocol, SystemSize,
 };
-use rrfd::models::adversary::{RandomAdversary, ScriptedDetector};
+use rrfd::models::adversary::{RandomAdversary, ReplayDetector};
 use rrfd::models::predicates::KUncertainty;
 use rrfd::runtime::ThreadedEngine;
 use rrfd::sims::async_net::{AsyncNetSim, AsyncProcess, Outbox};
@@ -160,12 +160,12 @@ fn planes_agree_on_adversary_violations() {
 
     let (shared, shared_trace) = Engine::new(sz).run_traced(
         sum_heard(4, 10),
-        &mut ScriptedDetector::new(sz, script.clone()),
+        &mut ReplayDetector::from_rounds(sz, script.clone()),
         &AnyPattern::new(sz),
     );
     let (cloned, cloned_trace) = ClonePlaneEngine::new(sz).run_traced(
         sum_heard(4, 10),
-        &mut ScriptedDetector::new(sz, script),
+        &mut ReplayDetector::from_rounds(sz, script),
         &AnyPattern::new(sz),
     );
 

@@ -90,7 +90,7 @@ proptest! {
         let replayed = observed_batch(replay.clone(), seed, instances);
         prop_assert!(replay.calls.load(Ordering::Relaxed) > 0);
         prop_assert!(batched.0.contains(names::CONF_STRONGEST));
-        prop_assert!(batched.0.contains(names::POOL_ROUND_LATENCY));
+        prop_assert!(batched.0.contains(names::ENGINE_ROUND_LATENCY));
         prop_assert_eq!(&batched.0, &replayed.0);
         prop_assert_eq!(&batched.1, &replayed.1);
     }

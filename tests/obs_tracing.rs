@@ -13,7 +13,7 @@
 use rrfd::core::{AnyPattern, Control, Delivery, Engine, Round, RoundProtocol, SystemSize};
 use rrfd::models::adversary::NoFailures;
 use rrfd::obs::span::to_chrome;
-use rrfd::obs::{json, Obs, SpanKind, SpanPhase};
+use rrfd::obs::{json, Obs, SpanKind, SpanPhase, DEFAULT_FLIGHT_ROUNDS};
 use rrfd::pool::{run_batch, MixSpec, PoolConfig};
 use rrfd::protocols::kset::FloodMin;
 use rrfd::runtime::{ThreadedEngine, ThreadedError as RunError};
@@ -138,7 +138,7 @@ fn noop_handle_retains_no_spans() {
 #[test]
 fn threaded_run_error_leaves_a_flight_dump_of_the_last_k_rounds() {
     let size = n(3);
-    let engine = ThreadedEngine::new(size).max_rounds(6).flight_rounds(3);
+    let engine = ThreadedEngine::new(size).max_rounds(12);
     let err = engine
         .run(
             vec![Stall, Stall, Stall],
@@ -148,24 +148,26 @@ fn threaded_run_error_leaves_a_flight_dump_of_the_last_k_rounds() {
         .unwrap_err();
     assert!(matches!(
         err,
-        RunError::RoundLimitExceeded { max_rounds: 6 }
+        RunError::RoundLimitExceeded { max_rounds: 12 }
     ));
 
     let dump = engine.take_flight_dump().expect("failed run leaves a dump");
     let mut lines = dump.lines();
     assert_eq!(lines.next(), Some("rrfd-flight v1"));
     assert!(
-        dump.contains("no full decision after 6 rounds"),
+        dump.contains("no full decision after 12 rounds"),
         "dump must name the terminal error:\n{dump}"
     );
-    // Last K = 3 rounds retained: 4, 5, 6 — earlier rounds evicted.
-    for r in [4, 5, 6] {
+    // Last K = DEFAULT_FLIGHT_ROUNDS = 8 rounds retained: 5..=12 —
+    // earlier rounds evicted.
+    assert_eq!(DEFAULT_FLIGHT_ROUNDS, 8);
+    for r in 5..=12 {
         assert!(
             dump.contains(&format!("round {r}:")),
             "missing round {r}:\n{dump}"
         );
     }
-    for r in [1, 2, 3] {
+    for r in 1..=4 {
         assert!(
             !dump.contains(&format!("round {r}:")),
             "round {r} should have been evicted:\n{dump}"
@@ -175,7 +177,7 @@ fn threaded_run_error_leaves_a_flight_dump_of_the_last_k_rounds() {
     assert!(engine.take_flight_dump().is_none());
 
     // …and a successful run leaves none.
-    let engine = ThreadedEngine::new(size).flight_rounds(3);
+    let engine = ThreadedEngine::new(size);
     engine
         .run(
             (0..3).map(|v| FloodMin::new(v, 2)).collect(),

@@ -24,7 +24,7 @@ use rrfd::core::{
     PatternViolation, ProcessId, ProgOp, ProgramBatch, Round, RoundFaults, RoundProfile,
     RoundProtocol, RrfdPredicate, SystemSize,
 };
-use rrfd::models::adversary::ScriptedDetector;
+use rrfd::models::adversary::ReplayDetector;
 use rrfd::models::enumerate::all_rounds;
 use rrfd::models::zoo::{zoo, SharedPredicate, ZOO_SIZE};
 use rrfd::runtime::{ThreadedEngine, ThreadedError};
@@ -355,7 +355,7 @@ fn assert_admission_matches_spec(
 
     let engine = Engine::new(n).max_rounds(rounds).run(
         idle(),
-        &mut ScriptedDetector::new(n, script.to_vec()),
+        &mut ReplayDetector::from_rounds(n, script.to_vec()),
         model,
     );
     match (&engine, &expected) {
@@ -366,7 +366,7 @@ fn assert_admission_matches_spec(
 
     let threaded = ThreadedEngine::new(n).max_rounds(rounds).run(
         idle(),
-        &mut ScriptedDetector::new(n, script.to_vec()),
+        &mut ReplayDetector::from_rounds(n, script.to_vec()),
         model,
     );
     match (&threaded, &expected) {

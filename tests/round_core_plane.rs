@@ -2,8 +2,10 @@
 //! `ThreadedEngine` drive the same `RoundCore`, so the same protocols,
 //! seeded adversary and model record the same round metrics and spans on
 //! both substrates — every `rrfd_engine_*` counter with the same total,
-//! and the same multiset of `(kind, round, process)` spans. Checked for a
-//! deciding run, a violating run and a round-limit run.
+//! every `rrfd_engine_*` histogram with the same count, the suspicion
+//! sizes with the same sum, and the same multiset of `(kind, round,
+//! process)` spans. Checked for a deciding run, a violating run and a
+//! round-limit run.
 
 use rrfd::core::{Engine, RoundProtocol, RrfdPredicate, SystemSize};
 use rrfd::models::adversary::{RandomAdversary, SampleModel};
@@ -24,6 +26,23 @@ fn engine_counters(obs: &Obs) -> Vec<(&'static str, u64)> {
         .filter(|name| name.starts_with("rrfd_engine_"))
         .map(|&name| (name, snapshot.counter_total(name)))
         .collect()
+}
+
+/// Every `rrfd_engine_*` histogram's observation count, merged over its
+/// labels, in registry order, and the sum of every suspicion-set size.
+/// With the received-message counter, the suspicion sizes carry the
+/// heard-of facts: `|S(i,r)| = n − |D(i,r)|`.
+fn engine_histograms(obs: &Obs) -> (Vec<(&'static str, u64)>, u64) {
+    let snapshot = obs.snapshot();
+    let counts = names::ALL
+        .iter()
+        .filter(|name| name.starts_with("rrfd_engine_"))
+        .filter_map(|&name| Some((name, snapshot.histogram_total(name)?.count)))
+        .collect();
+    let suspected = snapshot
+        .histogram_total(names::ENGINE_SUSPICION_SIZE)
+        .map_or(0, |h| h.sum);
+    (counts, suspected)
 }
 
 /// The recorded spans as a sorted `(kind, round, process)` multiset.
@@ -94,6 +113,14 @@ where
         "seed {seed}: the engine recorded no rounds"
     );
     assert_eq!(counters, engine_counters(&threaded_obs), "seed {seed}");
+    let histograms = engine_histograms(&engine_obs);
+    let recorded: Vec<&str> = histograms.0.iter().map(|&(name, _)| name).collect();
+    assert_eq!(
+        recorded,
+        [names::ENGINE_SUSPICION_SIZE, names::ENGINE_ROUND_LATENCY],
+        "seed {seed}"
+    );
+    assert_eq!(histograms, engine_histograms(&threaded_obs), "seed {seed}");
     assert_eq!(
         span_multiset(&engine_obs),
         span_multiset(&threaded_obs),
