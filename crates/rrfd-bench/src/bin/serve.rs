@@ -12,8 +12,9 @@
 //! round latency (from the engine's `rrfd_engine_round_latency_ns`
 //! histogram, merged over rounds), and the speedup over one shard, plus a
 //! per-class zoo-conformance table (monitored / clean / worst surviving
-//! predicate, from a separate flight-armed conformance pass so monitor
-//! cost never pollutes the throughput number). When the `--out` report
+//! predicate, from a separate conformance pass so monitor cost never
+//! pollutes the throughput number); the pass's first flight dump of an
+//! errored instance goes to stderr. When the `--out` report
 //! file (default `BENCH_rrfd.json`) exists, its `throughput` section is
 //! replaced with this measurement and the result is re-validated against
 //! the `rrfd-bench v1` schema reader; a missing file is a warning, not
@@ -118,8 +119,8 @@ fn main() -> ExitCode {
         speedup % 100
     );
 
-    // Conformance pass: a separate, smaller, flight-armed batch so the
-    // monitor never pollutes the throughput numbers above.
+    // Conformance pass: a separate, smaller batch so the monitor never
+    // pollutes the throughput numbers above.
     let conf_instances = instances.min(1_000);
     eprintln!("monitoring zoo conformance ({conf_instances} instances)...");
     let conformance = measure_conformance(&mix, conf_instances, shards, SEED);
@@ -140,7 +141,7 @@ fn main() -> ExitCode {
     }
     if !conformance.flight_dumps.is_empty() {
         eprintln!(
-            "{} shard flight dump(s) captured from mid-batch errors (first shown):",
+            "{} flight dump(s) of instances errored mid-batch (at most 8 per shard; first shown):",
             conformance.flight_dumps.len()
         );
         for line in conformance.flight_dumps[0].lines().take(6) {

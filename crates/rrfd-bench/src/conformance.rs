@@ -33,10 +33,10 @@ pub struct ConformanceSection {
     pub checked: u64,
     /// Per-class folded verdicts, in mix order.
     pub classes: Vec<ClassConformance>,
-    /// Post-mortem flight captures from shards whose instances errored
-    /// mid-batch (the pass runs with the flight recorder armed). Not
-    /// part of the rendered JSON block — `serve` surfaces these on
-    /// stderr.
+    /// The pass's `rrfd-flight v1` dumps, one per instance that errored
+    /// mid-batch (at most 8 per shard), each holding that instance's own
+    /// rounds. Not part of the rendered JSON block — `serve` surfaces
+    /// these on stderr.
     pub flight_dumps: Vec<String>,
 }
 
@@ -86,7 +86,6 @@ pub fn measure_conformance(
     let config = PoolConfig::new(shards)
         .seed(seed)
         .conformance(true)
-        .flight(true)
         .capture_traces(true)
         .keep_results(true);
     let report = run_batch(mix, instances, &config);
@@ -163,9 +162,8 @@ mod tests {
         for class in &section.classes {
             assert!(class.clean <= class.instances, "{class:?}");
         }
-        // The default mix's stall class errors mid-batch, and the pass
-        // runs with the flight recorder armed — the post-mortem dumps
-        // must have been captured.
+        // The default mix's stall class errors mid-batch, and every
+        // errored instance leaves a post-mortem dump.
         assert!(
             section
                 .flight_dumps

@@ -27,7 +27,7 @@ use crate::predicate::{validate_round, PatternViolation, RrfdPredicate};
 use crate::program::ProgramBatch;
 use crate::trace::{RunTrace, TraceBuilder, TraceOutcome};
 use rrfd_obs::{names, Labels, MetricId, Obs, RoundSpan, RunObs, SpanKind, SpanPhase, SpanRecord};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 const ROUNDS: MetricId = MetricId::of(names::ENGINE_ROUNDS);
 const MESSAGES_EMITTED: MetricId = MetricId::of(names::ENGINE_MESSAGES_EMITTED);
@@ -305,6 +305,18 @@ pub struct Engine {
 /// [`EngineError::RoundLimitExceeded`].
 pub const DEFAULT_MAX_ROUNDS: u32 = 10_000;
 
+/// How many of a run's most recent rounds its flight dump shows
+/// ([`RoundCore::flight_dump`]).
+pub const DEFAULT_FLIGHT_ROUNDS: usize = 8;
+
+/// The start of every `rrfd-flight v1` dump: the format line and the
+/// failure `reason`. On its own it is the dump of a run rejected before
+/// its [`RoundCore`] existed.
+#[must_use]
+pub fn flight_header(reason: &str) -> String {
+    format!("rrfd-flight v1\nreason: {reason}\n")
+}
+
 impl Engine {
     /// Creates an engine for a system of `n` processes with the default
     /// round limit.
@@ -418,8 +430,9 @@ impl Engine {
     /// Starts a resumable run: the returned [`EngineRun`] executes one
     /// round per [`EngineRun::step`] call instead of running to
     /// completion. The batch pool steps its runs this way so that it can
-    /// time each step; since runs own all their state, one thread may
-    /// also interleave any number of them.
+    /// render a failed run's flight dump ([`EngineRun::flight_dump`])
+    /// before dismantling it; since runs own all their state, one thread
+    /// may also interleave any number of them.
     ///
     /// Unlike [`Engine::run`], the run owns its detector and model (use
     /// `&mut D` / `&Q` via the blanket impls to borrow instead).
@@ -554,6 +567,7 @@ impl Engine {
             model,
             batch,
             pattern: FaultPattern::new(self.n),
+            rejected: None,
             decisions: vec![None; n],
             undecided: n,
             next_round: 1,
@@ -667,6 +681,8 @@ pub struct RoundCore<O, D, Q> {
     /// each round is admitted in `O(1)`, however long the run.
     batch: ProgramBatch,
     pattern: FaultPattern,
+    /// The round the model rejected, kept for the flight dump.
+    rejected: Option<RoundFaults>,
     decisions: Vec<Option<(O, Round)>>,
     undecided: usize,
     next_round: u32,
@@ -742,6 +758,7 @@ where
             if let Some(t) = self.trace.as_mut() {
                 t.record_violating_round(faults.clone());
             }
+            self.rejected = Some(faults.clone());
             let error = EngineError::Violation(violation.clone());
             self.finish(Some(Err(error)), TraceOutcome::Violation(violation));
             return false;
@@ -808,6 +825,44 @@ where
         self.end_round_span(round_no, span);
         self.next_round = round_no + 1;
         self.settle();
+    }
+
+    /// The run's result once finished; `None` while still running.
+    #[must_use]
+    pub fn outcome(&self) -> Option<&Result<RunReport<O>, EngineError>> {
+        self.done.as_ref()
+    }
+
+    /// Renders the run's post-mortem `rrfd-flight v1` dump: the
+    /// [`flight_header`] with `reason`, then its last
+    /// [`DEFAULT_FLIGHT_ROUNDS`] rounds — on a violation, the rejected
+    /// round last — each as a `round r:` line followed by one
+    /// `D(p_i) = {…}` line per non-empty suspicion set and one
+    /// `p_i decided` line per decision reached in that round. A run that
+    /// decided has handed its rounds to its report and renders none.
+    #[must_use]
+    pub fn flight_dump(&self, reason: &str) -> String {
+        let mut out = flight_header(reason);
+        let rounds = self.pattern.rounds() + usize::from(self.rejected.is_some());
+        let rejected = self
+            .rejected
+            .as_ref()
+            .map(|faults| (Round::new(self.next_round), faults));
+        let shown = self.pattern.iter().chain(rejected);
+        for (round, faults) in shown.skip(rounds.saturating_sub(DEFAULT_FLIGHT_ROUNDS)) {
+            let _ = writeln!(out, "round {round}:");
+            for (p, suspected) in faults.iter() {
+                if !suspected.is_empty() {
+                    let _ = writeln!(out, "  D({p}) = {suspected}");
+                }
+            }
+            for (i, decision) in self.decisions.iter().enumerate() {
+                if matches!(decision, Some((_, at)) if *at == round) {
+                    let _ = writeln!(out, "  p{i} decided");
+                }
+            }
+        }
+        out
     }
 
     /// Dismantles the run into its result and trace (when armed). A run
@@ -958,7 +1013,13 @@ where
     /// The run's result once finished; `None` while still running.
     #[must_use]
     pub fn outcome(&self) -> Option<&Result<RunReport<P::Output>, EngineError>> {
-        self.core.done.as_ref()
+        self.core.outcome()
+    }
+
+    /// The run's post-mortem flight dump; see [`RoundCore::flight_dump`].
+    #[must_use]
+    pub fn flight_dump(&self, reason: &str) -> String {
+        self.core.flight_dump(reason)
     }
 
     /// Steps the run until terminal (a no-op when already finished) and
@@ -1629,6 +1690,39 @@ mod tests {
         run.step();
         assert!(!run.core.obs.is_enabled(), "no buffer behind Obs::noop()");
         assert_eq!(run.core.obs.pending(), 0);
+    }
+
+    #[test]
+    fn flight_dump_shows_the_last_rounds_suspicions_and_decisions() {
+        let size = n(3);
+        let mut second = RoundFaults::none(size);
+        second.set(ProcessId::new(2), IdSet::singleton(ProcessId::new(0)));
+        let det = FixedDetector {
+            n: size,
+            per_round: vec![RoundFaults::none(size), second],
+        };
+        // p0 decides in round 1, p1 in round 2, p2 never: the run ends
+        // at its 9-round limit and the dump shows rounds 2..=9.
+        let protos = vec![
+            DecideAfter::new(1),
+            DecideAfter::new(2),
+            DecideAfter::new(99),
+        ];
+        let mut run = Engine::new(size)
+            .max_rounds(9)
+            .start(protos, det, AnyPattern::new(size))
+            .unwrap();
+        while run.step() == EngineStep::Running {}
+        let dump = run.flight_dump("limit");
+        let mut expected = format!(
+            "rrfd-flight v1\nreason: limit\nround 2:\n  D(p2) = {}\n  p1 decided\n",
+            IdSet::singleton(ProcessId::new(0))
+        );
+        for r in 3..=9 {
+            expected.push_str(&format!("round {r}:\n"));
+        }
+        assert_eq!(dump, expected);
+        assert_eq!(DEFAULT_FLIGHT_ROUNDS, 8);
     }
 
     #[test]

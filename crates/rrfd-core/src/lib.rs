@@ -25,7 +25,8 @@
 //!   loop from Section 1 of the paper, with mechanical validation of every
 //!   adversary move. [`RoundCore`] is that loop's round semantics without
 //!   a message transport: the in-process engine and the threaded runtime
-//!   both drive it.
+//!   both drive it, and a failed run's `rrfd-flight v1` dump
+//!   ([`RoundCore::flight_dump`]) is rendered from its record.
 //! * [`KnowledgeState`], [`KnowledgeMatrix`] — full-information runs and the
 //!   knowledge-spread arguments of §2 item 4.
 //! * [`RunTrace`], [`TraceBuilder`] — serializable records of whole runs
@@ -61,8 +62,9 @@ pub mod task;
 mod trace;
 
 pub use engine::{
-    Control, Delivery, Engine, EngineError, EngineRun, EngineStep, FaultDetector, FinishedRun,
-    RoundCore, RoundHook, RoundProtocol, RunReport, DEFAULT_MAX_ROUNDS,
+    flight_header, Control, Delivery, Engine, EngineError, EngineRun, EngineStep, FaultDetector,
+    FinishedRun, RoundCore, RoundHook, RoundProtocol, RunReport, DEFAULT_FLIGHT_ROUNDS,
+    DEFAULT_MAX_ROUNDS,
 };
 pub use events::{Actor, EventLog, RtEvent, RtEventKind};
 pub use full_info::{KnowledgeMatrix, KnowledgeProtocol, KnowledgeState};

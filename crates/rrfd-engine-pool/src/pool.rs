@@ -42,7 +42,7 @@ use rrfd_core::{
     RrfdPredicate, RunReport, RunTrace, SystemSize,
 };
 use rrfd_models::conformance::ConformanceMonitor;
-use rrfd_obs::{names, FlightRecorder, Labels, MetricId, Obs, RunObs, DEFAULT_FLIGHT_ROUNDS};
+use rrfd_obs::{names, Labels, MetricId, Obs, RunObs};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const INSTANCES: MetricId = MetricId::of(names::POOL_INSTANCES);
@@ -56,6 +56,10 @@ const BUFFER_REUSES: MetricId = MetricId::of(names::POOL_BUFFER_REUSES);
 /// their adversary actually was rather than by what the class's model
 /// permits.
 const CONF_ZOO_F: usize = 1;
+
+/// How many errored instances' flight dumps one shard keeps per batch: a
+/// stall-heavy mix errors by design.
+const SHARD_DUMPS: usize = 8;
 
 /// One tenant family a batch can run: how to build instance `id`'s
 /// protocols, adversary, and model predicate. Implementations must be
@@ -197,9 +201,10 @@ pub struct BatchReport {
     /// instances are omitted); empty unless [`PoolConfig::conformance`]
     /// was set.
     pub conformance: Vec<ClassConformance>,
-    /// Post-mortem flight captures from shards whose instances errored
-    /// mid-batch, in shard order (capped per shard); empty unless
-    /// [`PoolConfig::flight`] was set.
+    /// The `rrfd-flight v1` dumps of instances that errored mid-batch,
+    /// each rendered from the instance's own rounds
+    /// ([`rrfd_core::EngineRun::flight_dump`]), in shard order and at
+    /// most 8 per shard.
     pub flight_dumps: Vec<String>,
 }
 
@@ -211,7 +216,6 @@ pub struct PoolConfig {
     keep_results: bool,
     capture_traces: bool,
     conformance: bool,
-    flight: bool,
     obs: Obs,
 }
 
@@ -227,7 +231,6 @@ impl PoolConfig {
             keep_results: false,
             capture_traces: false,
             conformance: false,
-            flight: false,
             obs: Obs::noop(),
         }
     }
@@ -268,17 +271,6 @@ impl PoolConfig {
     #[must_use]
     pub fn conformance(mut self, conformance: bool) -> Self {
         self.conformance = conformance;
-        self
-    }
-
-    /// Arms the per-shard crash flight recorder: each shard keeps a
-    /// fixed-size ring of recent start/retirement notes and, when an
-    /// instance errors mid-batch, captures a post-mortem dump into
-    /// [`BatchReport::flight_dumps`] (capped per shard — a stall-heavy
-    /// mix errors by design).
-    #[must_use]
-    pub fn flight(mut self, flight: bool) -> Self {
-        self.flight = flight;
         self
     }
 
@@ -366,44 +358,13 @@ impl LaneConf {
     }
 }
 
-/// Per-shard crash flight recorder: a ring of recent start and
-/// retirement notes (keyed by the shard's step counter) plus the dumps
-/// captured when instances error.
-struct ShardFlight {
-    recorder: FlightRecorder,
-    step: u32,
-    dumps: Vec<String>,
-    dump_cap: usize,
-}
-
-impl ShardFlight {
-    fn new() -> Self {
-        ShardFlight {
-            recorder: FlightRecorder::new(DEFAULT_FLIGHT_ROUNDS),
-            step: 1,
-            dumps: Vec::new(),
-            dump_cap: 8,
-        }
-    }
-
-    fn note(&mut self, line: String) {
-        self.recorder.note(self.step, line);
-    }
-
-    fn capture(&mut self, reason: &str) {
-        if self.dumps.len() < self.dump_cap {
-            self.dumps.push(self.recorder.dump(reason));
-        }
-    }
-}
-
 /// What every lane of one shard shares: the shard's index, its buffered
-/// handle for the per-shard counters and step latencies, and its flight
-/// recorder.
+/// handle for the per-shard counters, and the flight dumps of its first
+/// [`SHARD_DUMPS`] errored instances.
 struct Shard {
     index: usize,
     obs: RunObs,
-    flight: Option<ShardFlight>,
+    dumps: Vec<String>,
 }
 
 /// One class's instances on one shard, and the state they reuse.
@@ -516,23 +477,21 @@ impl<C: InstanceClass> ClassLane<C> {
             lock(monitor).reset();
             run.set_round_hook(ConformanceMonitor::hook(monitor));
         }
-        if let Some(f) = shard.flight.as_mut() {
-            f.note(format!("start instance {id} ({})", self.class.name()));
-        }
-        loop {
-            let step = run.step();
-            if let Some(f) = shard.flight.as_mut() {
-                f.step = f.step.saturating_add(1);
-            }
-            if step == EngineStep::Finished {
-                break;
-            }
-        }
+        while run.step() == EngineStep::Running {}
         self.retire(id, run, shard);
     }
 
     fn retire(&mut self, id: u64, run: EngineRun<C::P, C::D, C::Q>, shard: &mut Shard) {
         let index = shard.index;
+        if let Some(Err(error)) = run.outcome() {
+            if shard.dumps.len() < SHARD_DUMPS {
+                let reason = format!(
+                    "instance {id} ({}) errored mid-batch on shard {index}: {error}",
+                    self.class.name()
+                );
+                shard.dumps.push(run.flight_dump(&reason));
+            }
+        }
         // Already finished: run_to_completion only dismantles.
         let finished = run.run_to_completion();
         match &finished.result {
@@ -545,27 +504,10 @@ impl<C: InstanceClass> ClassLane<C> {
                     Labels::process(index),
                     u64::from(report.rounds_executed),
                 );
-                if let Some(f) = shard.flight.as_mut() {
-                    f.note(format!(
-                        "instance {id} ({}) decided after {} rounds",
-                        self.class.name(),
-                        report.rounds_executed
-                    ));
-                }
             }
-            Err(error) => {
+            Err(_) => {
                 self.totals.errored += 1;
                 shard.obs.add(ERRORS, Labels::process(index), 1);
-                if let Some(f) = shard.flight.as_mut() {
-                    f.note(format!(
-                        "instance {id} ({}) errored: {error}",
-                        self.class.name()
-                    ));
-                    f.capture(&format!(
-                        "instance {id} ({}) errored mid-batch on shard {index}: {error}",
-                        self.class.name()
-                    ));
-                }
             }
         }
         let conformance = self.conformance.as_ref().map(|(monitor, names)| {
@@ -629,13 +571,13 @@ fn run_shard(
     for id in (index as u64..instances).step_by(config.shards) {
         per_class[mix.class_of(id)].push(id);
     }
-    // The shard's own samples (per-shard counters, step latencies) are
-    // buffered and flushed when the shard is done; each instance's engine
-    // run and conformance record flush their own buffers.
+    // The shard's own samples (the per-shard counters) are buffered and
+    // flushed when the shard is done; each instance's engine run and
+    // conformance record flush their own buffers.
     let mut shard = Shard {
         index,
         obs: RunObs::new(config.obs.clone()),
-        flight: config.flight.then(ShardFlight::new),
+        dumps: Vec::new(),
     };
     let seed = config.seed;
     let mut lanes = Vec::new();
@@ -653,8 +595,7 @@ fn run_shard(
         });
     }
     shard.obs.flush();
-    let dumps = shard.flight.map_or_else(Vec::new, |f| f.dumps);
-    (lanes, dumps)
+    (lanes, shard.dumps)
 }
 
 /// Runs `instances` instances of `mix` across the configured shards.
@@ -870,18 +811,26 @@ mod tests {
 
     #[test]
     fn erroring_instances_leave_flight_dumps() {
-        // Every stall instance errors, so the armed flight recorder
-        // must capture at least one dump per shard that saw one.
+        // Stall owns the even ids and errors after its 2-round budget;
+        // shard 0 runs every even id and keeps the dumps of its first 8,
+        // each the instance's own two rounds.
         let mix = MixSpec::parse("stall:n=3:rounds=2:w=1,kset:n=4:k=1:w=1").unwrap();
-        let report = run_batch(&mix, 20, &PoolConfig::new(2).flight(true));
-        assert!(report.errored > 0);
-        assert!(!report.flight_dumps.is_empty());
-        for dump in &report.flight_dumps {
-            assert!(dump.starts_with("rrfd-flight v1\n"), "{dump}");
-            assert!(dump.contains("errored mid-batch on shard"), "{dump}");
-        }
-        // Unarmed runs carry none.
-        let quiet = run_batch(&mix, 20, &PoolConfig::new(2));
+        let report = run_batch(&mix, 20, &PoolConfig::new(2));
+        assert_eq!(report.errored, 10);
+        let expected: Vec<String> = (0..8u64)
+            .map(|k| {
+                format!(
+                    "rrfd-flight v1\nreason: instance {} (stall) errored mid-batch on shard 0: \
+                     no full decision after 2 rounds\nround 1:\nround 2:\n",
+                    2 * k
+                )
+            })
+            .collect();
+        assert_eq!(report.flight_dumps, expected);
+        // A batch with no errored instance carries none.
+        let kset = MixSpec::parse("kset:n=4:k=1:w=1").unwrap();
+        let quiet = run_batch(&kset, 20, &PoolConfig::new(2));
+        assert_eq!(quiet.errored, 0);
         assert!(quiet.flight_dumps.is_empty());
     }
 

@@ -36,7 +36,6 @@
 mod buffer;
 mod clock;
 mod export;
-pub mod flight;
 mod hist;
 pub mod json;
 mod metric;
@@ -46,7 +45,6 @@ pub mod span;
 
 pub use buffer::{RunBuffer, RunObs, Sample, SampleValue};
 pub use clock::{Clock, LogicalClock, WallClock};
-pub use flight::{FlightRecorder, DEFAULT_FLIGHT_ROUNDS};
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_BOUNDS};
 pub use metric::MetricId;
 pub use recorder::{Entry, Labels, MetricValue, Recorder, ShardedRecorder, Snapshot};

@@ -14,8 +14,8 @@
 
 use crossbeam::channel::{self, Receiver, Sender};
 use rrfd_core::{
-    Control, Delivery, Engine, EngineError, FaultDetector, IdSet, PatternViolation, ProcessId,
-    Round, RoundCore, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize,
+    flight_header, Control, Delivery, Engine, EngineError, FaultDetector, IdSet, PatternViolation,
+    ProcessId, Round, RoundCore, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize,
 };
 use std::any::Any;
 use std::fmt;
@@ -26,7 +26,7 @@ use std::time::Duration;
 use crate::sink::EventSink;
 use rrfd_core::{Actor, RtEventKind};
 use rrfd_models::conformance::ConformanceMonitor;
-use rrfd_obs::{names, FlightRecorder, Labels, Obs, DEFAULT_FLIGHT_ROUNDS};
+use rrfd_obs::{names, Labels, Obs};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Channel pair used between the coordinator and process threads.
@@ -272,10 +272,10 @@ impl ThreadedEngine {
     }
 
     /// Takes the post-mortem flight dump left by the most recent failed
-    /// run, if any: the last [`DEFAULT_FLIGHT_ROUNDS`] rounds' gathers,
-    /// suspicion sets, deliveries and decisions, which the always-on
-    /// flight recorder keeps. Runs that succeed leave nothing; a second
-    /// take returns `None` until another run fails.
+    /// run, if any: the last [`rrfd_core::DEFAULT_FLIGHT_ROUNDS`] rounds'
+    /// suspicion sets and decisions, rendered from the run's core when
+    /// it failed ([`RoundCore::flight_dump`]). Runs that succeed leave
+    /// nothing; a second take returns `None` until another run fails.
     #[must_use]
     pub fn take_flight_dump(&self) -> Option<String> {
         self.flight_dump
@@ -305,13 +305,14 @@ impl ThreadedEngine {
         }
     }
 
-    /// Stashes the flight recorder's post-mortem capture for
-    /// [`ThreadedEngine::take_flight_dump`], keyed by the terminal error.
-    fn stash_flight(&self, flight: &FlightRecorder, error: &ThreadedError) {
+    /// Ends a failed run: counts its error and stashes its flight `dump`
+    /// for [`ThreadedEngine::take_flight_dump`].
+    fn fail(&self, error: &ThreadedError, dump: String) {
+        self.record_error(error);
         *self
             .flight_dump
             .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(flight.dump(&error.to_string()));
+            .unwrap_or_else(PoisonError::into_inner) = Some(dump);
     }
 
     /// Counts a terminal error under its `rrfd_runtime_errors_*` name; the
@@ -404,13 +405,16 @@ impl ThreadedEngine {
         D: FaultDetector + ?Sized,
         Q: RrfdPredicate + ?Sized,
     {
-        let mut flight = FlightRecorder::new(DEFAULT_FLIGHT_ROUNDS);
         let mut core = match self
             .engine
             .round_core(protocols.len(), detector, model, traced)
         {
             Ok(core) => core,
-            Err(error) => return (self.end_run(Err(error.into()), &flight), None),
+            Err(error) => {
+                let error = ThreadedError::from(error);
+                self.fail(&error, flight_header(&error.to_string()));
+                return (Err(error), None);
+            }
         };
         if let Some(monitor) = &self.conformance {
             core.set_round_hook(ConformanceMonitor::hook(monitor));
@@ -480,7 +484,7 @@ impl ThreadedEngine {
         }
         drop(emit_tx);
 
-        let transport = self.coordinate::<P, _, _>(&mut core, &emit_rx, &reply_txs, &mut flight);
+        let transport = self.coordinate::<P, _, _>(&mut core, &emit_rx, &reply_txs);
 
         // Stop every thread (ignore send failures: thread may be gone).
         for tx in &reply_txs {
@@ -492,28 +496,26 @@ impl ThreadedEngine {
             let joined = handle.join();
             debug_assert!(joined.is_ok(), "a process thread panicked past its catch");
         }
-        let (outcome, trace) = core.into_parts();
-        let result = match (transport, outcome) {
-            (Err(error), _) => Err(error),
-            (Ok(()), Some(outcome)) => outcome.map_err(ThreadedError::from),
+        let error = match (transport, core.outcome()) {
+            (Err(error), _) => Some(error),
+            (Ok(()), Some(Ok(_))) => None,
+            (Ok(()), Some(Err(error))) => Some(error.clone().into()),
             // Unreachable (`Ok` means the core finished); kept total.
-            (Ok(()), None) => Err(ThreadedError::ChannelClosed),
+            (Ok(()), None) => Some(ThreadedError::ChannelClosed),
         };
-        (self.end_run(result, &flight), trace)
-    }
-
-    /// Ends a run: a failed one counts its error and stashes its flight
-    /// dump.
-    fn end_run<T>(
-        &self,
-        result: Result<T, ThreadedError>,
-        flight: &FlightRecorder,
-    ) -> Result<T, ThreadedError> {
-        if let Err(error) = &result {
-            self.record_error(error);
-            self.stash_flight(flight, error);
+        // Only a failed run renders its dump, from the core's own record
+        // before the core is dismantled.
+        if let Some(error) = &error {
+            self.fail(error, core.flight_dump(&error.to_string()));
         }
-        result
+        let (outcome, trace) = core.into_parts();
+        let result = match (error, outcome) {
+            (Some(error), _) => Err(error),
+            (None, Some(Ok(report))) => Ok(report),
+            // Unreachable (no error means the core decided); kept total.
+            (None, _) => Err(ThreadedError::ChannelClosed),
+        };
+        (result, trace)
     }
 
     /// The coordinator loop, the transport around `core`: each round it
@@ -527,7 +529,6 @@ impl ThreadedEngine {
         core: &mut RoundCore<P::Output, D, Q>,
         emit_rx: &Receiver<Notice<P::Msg, P::Output>>,
         reply_txs: &[Sender<CoordReply<P::Msg>>],
-        flight: &mut FlightRecorder,
     ) -> Result<(), ThreadedError>
     where
         P: RoundProtocol,
@@ -551,15 +552,6 @@ impl ThreadedEngine {
                 let Ok(notice) = emit_rx.recv_timeout(self.gather_timeout) else {
                     self.obs
                         .add(names::RUNTIME_GATHER_TIMEOUTS, Labels::round(round_no), 1);
-                    let missing: Vec<usize> = messages
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, m)| m.is_none().then_some(i))
-                        .collect();
-                    flight.note(
-                        round_no,
-                        format!("gather timeout; emissions missing from {missing:?}"),
-                    );
                     // A process whose emission is still missing this
                     // round is the dead one; if all slots are somehow
                     // filled, report the closed channel itself rather
@@ -574,10 +566,6 @@ impl ThreadedEngine {
                 let emission = match notice {
                     Ok(emission) => emission,
                     Err((process, message)) => {
-                        flight.note(
-                            round_no,
-                            format!("p{} panicked: {message}", process.index()),
-                        );
                         return Err(ThreadedError::ProcessPanicked { process, message });
                     }
                 };
@@ -591,7 +579,6 @@ impl ThreadedEngine {
                     let decided_at = Round::new(round_no - 1);
                     if core.decide(emission.from, value, decided_at) {
                         self.record_write("decisions");
-                        flight.note(round_no - 1, format!("p{} decided", emission.from.index()));
                     }
                 }
                 messages[emission.from.index()] = Some(emission.msg);
@@ -602,12 +589,6 @@ impl ThreadedEngine {
             }
             self.record(RtEventKind::Detect { round });
             let faults = core.detect(&span);
-            for i in 0..n {
-                let suspected = faults.of(ProcessId::new(i));
-                if !suspected.is_empty() {
-                    flight.note(round_no, format!("D(p{i}) = {suspected}"));
-                }
-            }
             if !core.admit(&faults, span) {
                 return Ok(());
             }
@@ -627,11 +608,9 @@ impl ThreadedEngine {
                     })
                     .is_err()
                 {
-                    flight.note(round_no, format!("deliver to p{i} failed: thread gone"));
                     return Err(ThreadedError::ProcessDied { process: me });
                 }
             }
-            flight.note(round_no, format!("delivered shared table to {n} processes"));
             self.record_write("pattern");
             core.close_round(faults, span);
         }
@@ -641,7 +620,7 @@ impl ThreadedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrfd_core::{AnyPattern, TraceOutcome};
+    use rrfd_core::{AnyPattern, TraceOutcome, DEFAULT_FLIGHT_ROUNDS};
     use rrfd_models::adversary::{NoFailures, RandomAdversary};
     use rrfd_models::predicates::KUncertainty;
 
@@ -988,6 +967,42 @@ mod tests {
         assert!(!dump.contains("round 12:"), "{dump}");
         // Taking the dump drains it.
         assert!(engine.take_flight_dump().is_none());
+    }
+
+    #[test]
+    fn violating_round_ends_the_flight_dump() {
+        use rrfd_core::RoundFaults;
+        use rrfd_models::adversary::ReplayDetector;
+
+        // Round 1 leaves p2 in doubt (uncertainty 1 < k = 2); round 2
+        // also p1, which k-uncertainty rejects.
+        let size = n(3);
+        let set = |ids: &[usize]| -> IdSet { ids.iter().map(|&i| ProcessId::new(i)).collect() };
+        let round =
+            |d0: IdSet| RoundFaults::from_sets(size, vec![d0, IdSet::empty(), IdSet::empty()]);
+        let mut detector =
+            ReplayDetector::from_rounds(size, vec![round(set(&[2])), round(set(&[1, 2]))]);
+        let protos: Vec<_> = (0..3)
+            .map(|i| SumAfter {
+                rounds: 5,
+                acc: 0,
+                me: i,
+            })
+            .collect();
+        let engine = ThreadedEngine::new(size);
+        let err = engine
+            .run(protos, &mut detector, &KUncertainty::new(size, 2))
+            .unwrap_err();
+        assert!(matches!(err, ThreadedError::Violation(_)), "{err}");
+        let dump = engine.take_flight_dump().expect("failed run leaves a dump");
+        assert_eq!(
+            dump,
+            format!(
+                "rrfd-flight v1\nreason: {err}\nround 1:\n  D(p0) = {}\nround 2:\n  D(p0) = {}\n",
+                set(&[2]),
+                set(&[1, 2])
+            )
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! End-to-end tests for the causal tracing plane and the crash flight
-//! recorder:
+//! End-to-end tests for the causal tracing plane and the post-mortem
+//! flight dumps:
 //!
 //! * both engine substrates emit the same span hierarchy
 //!   (`run → round → phase`) through an attached `Obs`, exportable as
@@ -7,13 +7,15 @@
 //! * the no-op handle retains no spans (tracing is opt-in);
 //! * a threaded run that ends in a [`RunError`] leaves a post-mortem
 //!   flight dump covering the last K rounds — and only the last K;
-//! * a pool batch whose instances error mid-batch stashes per-shard
-//!   flight dumps in its report.
+//! * a pool batch whose instances error mid-batch carries one flight
+//!   dump per errored instance, holding that instance's own rounds.
 
-use rrfd::core::{AnyPattern, Control, Delivery, Engine, Round, RoundProtocol, SystemSize};
+use rrfd::core::{
+    AnyPattern, Control, Delivery, Engine, Round, RoundProtocol, SystemSize, DEFAULT_FLIGHT_ROUNDS,
+};
 use rrfd::models::adversary::NoFailures;
 use rrfd::obs::span::to_chrome;
-use rrfd::obs::{json, Obs, SpanKind, SpanPhase, DEFAULT_FLIGHT_ROUNDS};
+use rrfd::obs::{json, Obs, SpanKind, SpanPhase};
 use rrfd::pool::{run_batch, MixSpec, PoolConfig};
 use rrfd::protocols::kset::FloodMin;
 use rrfd::runtime::{ThreadedEngine, ThreadedError as RunError};
@@ -190,22 +192,42 @@ fn threaded_run_error_leaves_a_flight_dump_of_the_last_k_rounds() {
 
 #[test]
 fn pool_mid_batch_errors_stash_shard_flight_dumps() {
-    // The stall class errors every instance; with flight armed each
-    // shard must stash a post-mortem capture.
+    // The stall class errors every instance after its 4-round budget:
+    // each dump names one stall instance and holds its four rounds.
+    // Stall owns the even ids, so shard 0 errors all 15 and keeps 8.
     let mix = MixSpec::parse("stall:n=4:rounds=4:w=1,kset:n=4:k=2:w=1").unwrap();
-    let config = PoolConfig::new(2).seed(11).flight(true);
+    let config = PoolConfig::new(2).seed(11);
     let report = run_batch(&mix, 30, &config);
-    assert!(report.errored > 0, "stall class must error");
-    assert!(
-        !report.flight_dumps.is_empty(),
-        "mid-batch errors left no flight dump"
-    );
+    assert_eq!(report.errored, 15, "every stall instance errors");
+    assert_eq!(report.flight_dumps.len(), 8);
     for dump in &report.flight_dumps {
-        assert!(dump.starts_with("rrfd-flight v1"), "{dump}");
-        assert!(dump.contains("errored mid-batch"), "{dump}");
+        let mut lines = dump.lines();
+        assert_eq!(lines.next(), Some("rrfd-flight v1"));
+        let reason = lines.next().expect("reason line");
+        let rest = reason
+            .strip_prefix("reason: instance ")
+            .unwrap_or_else(|| panic!("{dump}"));
+        let (id, rest) = rest.split_once(' ').unwrap();
+        let id: u64 = id.parse().unwrap_or_else(|_| panic!("{dump}"));
+        assert_eq!(mix.class_of(id), 0, "instance {id} is not a stall one");
+        assert!(
+            rest.starts_with(&format!("(stall) errored mid-batch on shard {}: ", id % 2)),
+            "{dump}"
+        );
+        assert!(rest.ends_with("no full decision after 4 rounds"), "{dump}");
+        // Exactly one instance named, and only its own rounds.
+        assert_eq!(dump.matches("instance").count(), 1, "{dump}");
+        let rounds: Vec<&str> = lines.collect();
+        assert_eq!(
+            rounds,
+            ["round 1:", "round 2:", "round 3:", "round 4:"],
+            "{dump}"
+        );
     }
 
-    // Without the flag the pool formats nothing.
-    let report = run_batch(&mix, 30, &PoolConfig::new(2).seed(11));
+    // A batch in which no instance errors carries no dump.
+    let kset = MixSpec::parse("kset:n=4:k=2:w=1").unwrap();
+    let report = run_batch(&kset, 30, &PoolConfig::new(2).seed(11));
+    assert_eq!(report.errored, 0);
     assert!(report.flight_dumps.is_empty());
 }
