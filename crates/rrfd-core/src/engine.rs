@@ -25,7 +25,7 @@ use crate::idset::IdSet;
 use crate::pattern::{FaultPattern, RoundFaults};
 use crate::predicate::{validate_round, PatternViolation, RrfdPredicate};
 use crate::program::ProgramBatch;
-use crate::trace::{RunTrace, TraceBuilder, TraceOutcome};
+use crate::trace::{RunTrace, TraceOutcome};
 use rrfd_obs::{names, Labels, MetricId, Obs, RoundSpan, RunObs, SpanKind, SpanPhase, SpanRecord};
 use std::fmt::{self, Write as _};
 
@@ -201,16 +201,6 @@ impl<O: Clone> RunReport<O> {
             .iter()
             .map(|d| d.as_ref().map(|(v, _)| v.clone()))
             .collect()
-    }
-
-    /// The latest round at which any process decided, if all decided.
-    #[must_use]
-    pub fn decision_round(&self) -> Option<Round> {
-        self.decisions
-            .iter()
-            .map(|d| d.as_ref().map(|&(_, r)| r))
-            .collect::<Option<Vec<_>>>()
-            .and_then(|rs| rs.into_iter().max())
     }
 }
 
@@ -400,10 +390,11 @@ impl Engine {
             .result
     }
 
-    /// Like [`Engine::run`], but also records a [`RunTrace`] of everything
-    /// the adversary did — even (especially) when the run fails. The trace
-    /// can be serialized, diffed, and replayed bit-for-bit through a replay
-    /// detector, which is the debugging workflow for any failing run.
+    /// Like [`Engine::run`], but also renders the run's [`RunTrace`]
+    /// ([`RoundCore::trace`]) — even (especially) when the run fails. The
+    /// trace can be serialized, diffed, and replayed bit-for-bit through a
+    /// replay detector, which is the debugging workflow for any failing
+    /// run.
     pub fn run_traced<P, D, Q>(
         &self,
         protocols: Vec<P>,
@@ -415,13 +406,11 @@ impl Engine {
         D: FaultDetector + ?Sized,
         Q: RrfdPredicate + ?Sized,
     {
-        // start_traced always arms the builder; an absent trace would read
-        // as aborted.
-        match self.start_traced(protocols, detector, model) {
-            Ok(run) => {
-                let finished = run.run_to_completion();
-                let trace = finished.trace.unwrap_or_else(|| RunTrace::aborted(self.n));
-                (finished.result, trace)
+        match self.start(protocols, detector, model) {
+            Ok(mut run) => {
+                while run.step() == EngineStep::Running {}
+                let trace = run.trace();
+                (run.run_to_completion().result, trace)
             }
             Err(err) => (Err(err), RunTrace::aborted(self.n)),
         }
@@ -459,9 +448,9 @@ impl Engine {
         self.start_with(protocols, detector, model, false, Vec::new(), None)
     }
 
-    /// [`Engine::start`] with trace capture armed: the finished run's
-    /// [`FinishedRun::trace`] is `Some`, byte-identical to what
-    /// [`Engine::run_traced`] would have produced.
+    /// [`Engine::start`] for a run whose [`FinishedRun::trace`] is `Some`:
+    /// [`EngineRun::trace`] rendered as the run finishes, byte-identical
+    /// to what [`Engine::run_traced`] would have produced.
     ///
     /// # Errors
     ///
@@ -507,8 +496,7 @@ impl Engine {
     }
 
     /// Starts the [`RoundCore`] of a run of `processes` processes, for a
-    /// transport of its own (the threaded runtime's); `traced` arms trace
-    /// capture.
+    /// transport of its own (the threaded runtime's).
     ///
     /// # Errors
     ///
@@ -522,14 +510,13 @@ impl Engine {
         processes: usize,
         detector: D,
         model: Q,
-        traced: bool,
     ) -> Result<RoundCore<O, D, Q>, EngineError>
     where
         O: Clone,
         D: FaultDetector,
         Q: RrfdPredicate,
     {
-        self.core_with(processes, detector, model, traced, None)
+        self.core_with(processes, detector, model, None)
     }
 
     fn core_with<O, D, Q>(
@@ -537,7 +524,6 @@ impl Engine {
         processes: usize,
         detector: D,
         model: Q,
-        traced: bool,
         batch: Option<ProgramBatch>,
     ) -> Result<RoundCore<O, D, Q>, EngineError>
     where
@@ -571,8 +557,6 @@ impl Engine {
             decisions: vec![None; n],
             undecided: n,
             next_round: 1,
-            trace: traced.then(|| TraceBuilder::new(self.n)),
-            finished_trace: None,
             done: None,
         })
     }
@@ -591,13 +575,14 @@ impl Engine {
         D: FaultDetector,
         Q: RrfdPredicate,
     {
-        let core = self.core_with(protocols.len(), detector, model, traced, batch)?;
+        let core = self.core_with(protocols.len(), detector, model, batch)?;
         buffer.clear();
         buffer.reserve(self.n.get());
         Ok(EngineRun {
             core,
             protocols,
             messages: buffer,
+            traced,
         })
     }
 }
@@ -605,8 +590,8 @@ impl Engine {
 /// A per-round observation callback installed on a run's [`RoundCore`]
 /// (on an [`EngineRun`], via [`EngineRun::set_round_hook`]): called once
 /// per executed round with the validated (or, on the violation path,
-/// violating) suspicion sets — exactly the rounds a captured [`RunTrace`]
-/// would record. This is the seam the conformance monitor hangs off: the
+/// violating) suspicion sets — exactly the rounds the run's [`RunTrace`]
+/// shows. This is the seam the conformance monitor hangs off: the
 /// batch pool and the threaded runtime feed each run's monitor through it
 /// without the engine knowing what a predicate zoo is.
 pub struct RoundHook(Box<dyn FnMut(&RoundFaults) + Send>);
@@ -642,7 +627,7 @@ pub enum EngineStep {
 pub struct FinishedRun<O: Clone, M> {
     /// The run's outcome, exactly as [`Engine::run`] would report it.
     pub result: Result<RunReport<O>, EngineError>,
-    /// The captured trace when the run was started with
+    /// The run's trace ([`EngineRun::trace`]) when it was started with
     /// [`Engine::start_traced`]; `None` otherwise.
     pub trace: Option<RunTrace>,
     /// The run's emission-table buffer, cleared, for reuse via
@@ -655,8 +640,11 @@ pub struct FinishedRun<O: Clone, M> {
 
 /// The round semantics of one run, whatever carries its messages: the
 /// detector call, admission, the [`RoundHook`], the fault pattern,
-/// first-decision-wins, the round limit, the all-decided test, the
-/// [`RunTrace`] and the `rrfd_engine_*` metrics and spans.
+/// first-decision-wins, the round limit, the all-decided test and the
+/// `rrfd_engine_*` metrics and spans. Its record — the fault pattern,
+/// the rejected round, the first decisions and the result — is the one
+/// record of the run: its [`RunTrace`] ([`RoundCore::trace`]) and flight
+/// dump ([`RoundCore::flight_dump`]) are rendered from it.
 ///
 /// A transport drives each round as [`RoundCore::enter_round`] → (it
 /// gathers the emissions) → [`RoundCore::open_round`] →
@@ -680,14 +668,15 @@ pub struct RoundCore<O, D, Q> {
     /// The model's compiled program and the run's history registers:
     /// each round is admitted in `O(1)`, however long the run.
     batch: ProgramBatch,
+    /// The admitted rounds; moved into the report once every process
+    /// decided.
     pattern: FaultPattern,
-    /// The round the model rejected, kept for the flight dump.
+    /// The round the model rejected, kept as evidence.
     rejected: Option<RoundFaults>,
+    /// First decisions; moved into the report once every process decided.
     decisions: Vec<Option<(O, Round)>>,
     undecided: usize,
     next_round: u32,
-    trace: Option<TraceBuilder>,
-    finished_trace: Option<RunTrace>,
     done: Option<Result<RunReport<O>, EngineError>>,
 }
 
@@ -719,8 +708,7 @@ where
         }
         let max_rounds = self.max_rounds;
         if self.next_round > max_rounds {
-            let error = EngineError::RoundLimitExceeded { max_rounds };
-            self.finish(Some(Err(error)), TraceOutcome::RoundLimit { max_rounds });
+            self.finish(Some(Err(EngineError::RoundLimitExceeded { max_rounds })));
             return None;
         }
         Some(Round::new(self.next_round))
@@ -745,7 +733,7 @@ where
     }
 
     /// Validates the round's suspicion sets and opens its deliver phase.
-    /// A violating round is kept as evidence (trace, hook), the run
+    /// A violating round is kept as evidence (record, hook), the run
     /// finishes, and `false` tells the transport not to deliver.
     pub fn admit(&mut self, faults: &RoundFaults, span: RoundSpan) -> bool {
         if let Err(violation) = validate_round(&self.model, &mut self.batch, faults) {
@@ -755,12 +743,8 @@ where
                 hook(faults);
             }
             self.end_round_span(round_no, span);
-            if let Some(t) = self.trace.as_mut() {
-                t.record_violating_round(faults.clone());
-            }
             self.rejected = Some(faults.clone());
-            let error = EngineError::Violation(violation.clone());
-            self.finish(Some(Err(error)), TraceOutcome::Violation(violation));
+            self.finish(Some(Err(EngineError::Violation(violation))));
             return false;
         }
         self.deliver_start_ns = self.obs.now_ns();
@@ -776,9 +760,6 @@ where
         }
         *slot = Some((value, round));
         self.undecided -= 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.record_decision(me, round);
-        }
         self.obs
             .add(DECISIONS, Labels::process_round(me.index(), round.get()), 1);
         self.obs.close_span(
@@ -791,7 +772,7 @@ where
         true
     }
 
-    /// Closes the delivered round — metrics, trace, hook, pattern, span —
+    /// Closes the delivered round — metrics, hook, pattern, span —
     /// and finishes the run when every process has decided.
     pub fn close_round(&mut self, faults: RoundFaults, span: RoundSpan) {
         let round_no = self.next_round;
@@ -813,10 +794,6 @@ where
                 self.obs
                     .observe(SUSPICION_SIZE, labels, suspected.len() as u64);
             }
-        }
-        if let Some(t) = self.trace.as_mut() {
-            let heard = self.n.processes().map(|p| faults.of(p).complement(self.n));
-            t.record_round(&faults, heard.collect());
         }
         if let Some(RoundHook(hook)) = self.round_hook.as_mut() {
             hook(&faults);
@@ -865,14 +842,58 @@ where
         out
     }
 
-    /// Dismantles the run into its result and trace (when armed). A run
-    /// its transport left unfinished ends here: its trace seals as
-    /// [`TraceOutcome::Aborted`] and its result is `None`.
-    pub fn into_parts(mut self) -> (Option<Result<RunReport<O>, EngineError>>, Option<RunTrace>) {
+    /// Renders the run's `rrfd-trace v1` record from the core's own: an
+    /// `s` line of `S ∖ D(i,r)` per admitted round (every process emits
+    /// every round), the rejected round last with empty heard sets, each
+    /// process's first decision round, and the outcome the result maps
+    /// to — [`TraceOutcome::Aborted`] while the run is unfinished.
+    #[must_use]
+    pub fn trace(&self) -> RunTrace {
+        self.trace_of(self.done.as_ref())
+    }
+
+    /// [`RoundCore::trace`] with `done` standing for the run's result,
+    /// which the report holds with the pattern and decisions once every
+    /// process decided.
+    fn trace_of(&self, done: Option<&Result<RunReport<O>, EngineError>>) -> RunTrace {
+        let (pattern, decisions, outcome) = match done {
+            Some(Ok(report)) => (
+                &report.pattern,
+                &report.decisions,
+                TraceOutcome::Decided {
+                    rounds_executed: report.rounds_executed,
+                },
+            ),
+            Some(Err(error)) => (
+                &self.pattern,
+                &self.decisions,
+                match error {
+                    EngineError::Violation(violation) => TraceOutcome::Violation(violation.clone()),
+                    EngineError::RoundLimitExceeded { max_rounds } => TraceOutcome::RoundLimit {
+                        max_rounds: *max_rounds,
+                    },
+                    EngineError::WrongProcessCount { .. } => TraceOutcome::Aborted,
+                },
+            ),
+            None => (&self.pattern, &self.decisions, TraceOutcome::Aborted),
+        };
+        let decision_rounds = decisions.iter().map(|d| d.as_ref().map(|&(_, r)| r));
+        RunTrace::from_record(
+            self.n,
+            pattern.iter().map(|(_, faults)| faults),
+            self.rejected.as_ref(),
+            decision_rounds.collect(),
+            outcome,
+        )
+    }
+
+    /// Dismantles the run into its result. A run its transport left
+    /// unfinished ends here, with result `None`.
+    pub fn into_outcome(mut self) -> Option<Result<RunReport<O>, EngineError>> {
         if self.done.is_none() {
-            self.finish(None, TraceOutcome::Aborted);
+            self.finish(None);
         }
-        (self.done, self.finished_trace)
+        self.done
     }
 
     /// Finishes the run with a report when every process has decided.
@@ -886,7 +907,7 @@ where
             pattern: std::mem::replace(&mut self.pattern, FaultPattern::new(self.n)),
             rounds_executed,
         };
-        self.finish(Some(Ok(report)), TraceOutcome::Decided { rounds_executed });
+        self.finish(Some(Ok(report)));
         true
     }
 
@@ -904,13 +925,12 @@ where
         });
     }
 
-    /// Ends the run: closes its span, flushes its samples and seals its
-    /// trace with `outcome`; `result` is `None` for an aborted run.
-    fn finish(&mut self, result: Option<Result<RunReport<O>, EngineError>>, outcome: TraceOutcome) {
+    /// Ends the run: closes its span and flushes its samples; `result` is
+    /// `None` for an aborted run.
+    fn finish(&mut self, result: Option<Result<RunReport<O>, EngineError>>) {
         self.obs
             .close_span(self.instance, SpanKind::Run, 0, None, self.run_start_ns);
         self.obs.flush();
-        self.finished_trace = self.trace.take().map(|t| t.finish(outcome));
         self.done = result;
     }
 }
@@ -932,6 +952,9 @@ pub struct EngineRun<P: RoundProtocol, D, Q> {
     // rounds are allocation-free. Every recipient borrows this one table
     // through its `Delivery` view — no per-recipient clones.
     messages: Vec<Option<P::Msg>>,
+    /// Started with [`Engine::start_traced`]: the finished run carries
+    /// its trace.
+    traced: bool,
 }
 
 impl<P, D, Q> EngineRun<P, D, Q>
@@ -1022,16 +1045,24 @@ where
         self.core.flight_dump(reason)
     }
 
+    /// The run's trace so far; see [`RoundCore::trace`].
+    #[must_use]
+    pub fn trace(&self) -> RunTrace {
+        self.core.trace()
+    }
+
     /// Steps the run until terminal (a no-op when already finished) and
-    /// dismantles it into result, optional trace, and the reusable
-    /// emission-table buffer and compiled model.
+    /// dismantles it into result, trace (for a run started with
+    /// [`Engine::start_traced`]), and the reusable emission-table buffer
+    /// and compiled model.
     pub fn run_to_completion(mut self) -> FinishedRun<P::Output, P::Msg> {
         loop {
             if let Some(result) = self.core.done.take() {
+                let trace = self.traced.then(|| self.core.trace_of(Some(&result)));
                 self.messages.clear();
                 return FinishedRun {
                     result,
-                    trace: self.core.finished_trace,
+                    trace,
                     buffer: self.messages,
                     batch: self.core.batch,
                 };
@@ -1114,7 +1145,6 @@ mod tests {
             .unwrap();
         assert!(report.all_decided());
         assert_eq!(report.rounds_executed, 3);
-        assert_eq!(report.decision_round(), Some(Round::new(3)));
         assert_eq!(report.pattern.rounds(), 3);
         for d in report.outputs() {
             assert_eq!(d, Some(3));

@@ -29,9 +29,9 @@
 //!   ([`RoundCore::flight_dump`]) is rendered from its record.
 //! * [`KnowledgeState`], [`KnowledgeMatrix`] — full-information runs and the
 //!   knowledge-spread arguments of §2 item 4.
-//! * [`RunTrace`], [`TraceBuilder`] — serializable records of whole runs
-//!   (every `D(i,r)`, every `S(i,r)`, decisions, violations) for the
-//!   capture → replay debugging workflow.
+//! * [`RunTrace`] — serializable records of whole runs (every `D(i,r)`,
+//!   every `S(i,r)`, decisions, violations), rendered from a run's
+//!   [`RoundCore`], for the capture → replay debugging workflow.
 //! * [`EventLog`], [`RtEvent`] — runtime-level event records (channel
 //!   sends/receives, shared-state accesses) consumed by the happens-before
 //!   race checker in `rrfd-analyze`; [`lineformat`] holds the shared
@@ -76,4 +76,4 @@ pub use predicate::{
     ill_formed_process, validate_round, And, AnyPattern, Or, PatternViolation, RrfdPredicate,
 };
 pub use program::{HistoryCtx, PredicateProgram, ProgOp, ProgramBatch, RoundProfile};
-pub use trace::{ParseTraceError, RunTrace, TraceBuilder, TraceOutcome, TraceRound};
+pub use trace::{ParseTraceError, RunTrace, TraceOutcome, TraceRound};

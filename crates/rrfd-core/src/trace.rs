@@ -4,11 +4,13 @@
 //! per-round suspicion sets `D(i,r)`, the delivered-message summary `S(i,r)`
 //! (who each process actually heard from), per-process decision rounds, and
 //! how the run ended — full decision, predicate violation, or round-limit
-//! exhaustion. [`crate::Engine::run_traced`] and the threaded runtime's
-//! equivalent record one as they go, so a failing run is never an opaque
-//! assertion: the trace can be printed (stable text format, one value per
-//! line), parsed back, and re-driven bit-for-bit through any engine via a
-//! replay detector (`rrfd-models::adversary::ReplayDetector`).
+//! exhaustion. [`crate::RoundCore::trace`] renders one from the run's own
+//! record — its fault pattern, rejected round, first decisions and result
+//! — which every trace producer (both engines' `run_traced`, the batch
+//! pool) goes through, so a failing run is never an opaque assertion: the
+//! trace can be printed (stable text format, one value per line), parsed
+//! back, and re-driven bit-for-bit through any engine via a replay
+//! detector (`rrfd-models::adversary::ReplayDetector`).
 //!
 //! The text format is line-oriented and versioned:
 //!
@@ -96,8 +98,9 @@ impl fmt::Display for TraceOutcome {
     }
 }
 
-/// A complete record of one engine run. Build with [`TraceBuilder`] (the
-/// engines do this) or parse from the text format with [`str::parse`].
+/// A complete record of one engine run. Render one from a run with
+/// [`crate::RoundCore::trace`] (or [`crate::EngineRun::trace`]), or parse
+/// the text format with [`str::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunTrace {
     n: SystemSize,
@@ -148,7 +151,7 @@ impl RunTrace {
     /// `run_traced` return it for a run rejected before it started.
     #[must_use]
     pub fn aborted(n: SystemSize) -> Self {
-        TraceBuilder::new(n).finish(TraceOutcome::Aborted)
+        RunTrace::from_record(n, [], None, vec![None; n.get()], TraceOutcome::Aborted)
     }
 
     /// A replayable certificate that `predicate` rejects `pattern` at
@@ -161,91 +164,49 @@ impl RunTrace {
     #[must_use]
     pub fn predicate_rejection(pattern: &FaultPattern, rejected: Round, predicate: String) -> Self {
         let n = pattern.system_size();
-        let universe = IdSet::universe(n);
-        let mut builder = TraceBuilder::new(n);
-        for (r, faults) in pattern.iter().take_while(|&(r, _)| r <= rejected) {
-            if r < rejected {
-                let heard = n.processes().map(|i| universe - faults.of(i)).collect();
-                builder.record_round(faults, heard);
-            } else {
-                builder.record_violating_round(faults.clone());
-            }
-        }
-        builder.finish(TraceOutcome::Violation(
-            PatternViolation::PredicateRejected {
+        let admitted = pattern
+            .iter()
+            .take_while(|&(r, _)| r < rejected)
+            .map(|(_, faults)| faults);
+        RunTrace::from_record(
+            n,
+            admitted,
+            pattern.round(rejected),
+            vec![None; n.get()],
+            TraceOutcome::Violation(PatternViolation::PredicateRejected {
                 predicate,
                 round: rejected,
-            },
-        ))
+            }),
+        )
     }
 
-    /// The processes whose first decision landed in round `r`.
-    #[must_use]
-    pub fn deciders_at(&self, r: Round) -> IdSet {
-        self.decision_rounds
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| **d == Some(r))
-            .map(|(i, _)| ProcessId::new(i))
-            .collect()
-    }
-}
-
-/// Incrementally records a [`RunTrace`] while an engine runs.
-#[derive(Debug, Clone)]
-pub struct TraceBuilder {
-    n: SystemSize,
-    rounds: Vec<TraceRound>,
-    decision_rounds: Vec<Option<Round>>,
-}
-
-impl TraceBuilder {
-    /// Starts an empty trace for a system of `n` processes.
-    #[must_use]
-    pub fn new(n: SystemSize) -> Self {
-        TraceBuilder {
-            n,
-            rounds: Vec::new(),
-            decision_rounds: vec![None; n.get()],
-        }
-    }
-
-    /// Records a completed round: the adversary's sets plus what each
-    /// process heard. Takes the faults by reference — the engines keep
-    /// ownership for their own pattern bookkeeping, and only a recording
-    /// run pays for the copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `heard` is not one set per process.
-    pub fn record_round(&mut self, faults: &RoundFaults, heard: Vec<IdSet>) {
-        assert_eq!(heard.len(), self.n.get(), "one S(i,r) per process required");
-        self.rounds.push(TraceRound {
+    /// The trace of a run's record: its `admitted` rounds, in each of which
+    /// every process emitted, so `p_i` heard exactly `S(i,r) = S ∖ D(i,r)`
+    /// (the covering property); then the round the model `rejected`, if
+    /// any, which delivered nothing; each process's first decision round;
+    /// and how the run ended.
+    pub(crate) fn from_record<'a>(
+        n: SystemSize,
+        admitted: impl IntoIterator<Item = &'a RoundFaults>,
+        rejected: Option<&RoundFaults>,
+        decision_rounds: Vec<Option<Round>>,
+        outcome: TraceOutcome,
+    ) -> Self {
+        let mut rounds: Vec<TraceRound> = admitted
+            .into_iter()
+            .map(|faults| TraceRound {
+                heard: n.processes().map(|p| faults.of(p).complement(n)).collect(),
+                faults: faults.clone(),
+            })
+            .collect();
+        rounds.extend(rejected.map(|faults| TraceRound {
             faults: faults.clone(),
-            heard,
-        });
-    }
-
-    /// Records a round the engine rejected before delivery: the offending
-    /// `D` sets are kept (that is the evidence) with empty heard-sets.
-    pub fn record_violating_round(&mut self, faults: RoundFaults) {
-        let heard = vec![IdSet::empty(); self.n.get()];
-        self.rounds.push(TraceRound { faults, heard });
-    }
-
-    /// Records `process`'s first decision round; later calls are ignored,
-    /// matching the engines' "first decision wins".
-    pub fn record_decision(&mut self, process: ProcessId, round: Round) {
-        self.decision_rounds[process.index()].get_or_insert(round);
-    }
-
-    /// Seals the trace with its outcome.
-    #[must_use]
-    pub fn finish(self, outcome: TraceOutcome) -> RunTrace {
+            heard: vec![IdSet::empty(); n.get()],
+        }));
         RunTrace {
-            n: self.n,
-            rounds: self.rounds,
-            decision_rounds: self.decision_rounds,
+            n,
+            rounds,
+            decision_rounds,
             outcome,
         }
     }
@@ -393,7 +354,7 @@ impl FromStr for RunTrace {
         let n = SystemSize::new(n_val)
             .map_err(|e| ParseTraceError::new(lno, format!("bad system size: {e}")))?;
 
-        let mut builder = TraceBuilder::new(n);
+        let mut rounds: Vec<TraceRound> = Vec::new();
         let mut decision_rounds: Option<Vec<Option<Round>>> = None;
         let mut outcome: Option<TraceOutcome> = None;
         let mut pending_faults: Option<RoundFaults> = None;
@@ -405,7 +366,7 @@ impl FromStr for RunTrace {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("round ") {
-                if builder.rounds.len() != round_lines {
+                if rounds.len() != round_lines {
                     return Err(ParseTraceError::new(lno, "previous round is incomplete"));
                 }
                 round_lines += 1;
@@ -414,7 +375,7 @@ impl FromStr for RunTrace {
                     return Err(ParseTraceError::new(lno, expected));
                 }
             } else if let Some(rest) = line.strip_prefix("d ") {
-                if pending_faults.is_some() || builder.rounds.len() + 1 != round_lines {
+                if pending_faults.is_some() || rounds.len() + 1 != round_lines {
                     return Err(ParseTraceError::new(lno, "`d` line out of place"));
                 }
                 let sets = parse_set_line(rest, n, lno)?;
@@ -424,7 +385,7 @@ impl FromStr for RunTrace {
                     .take()
                     .ok_or_else(|| ParseTraceError::new(lno, "`s` line without `d` line"))?;
                 let heard = parse_set_line(rest, n, lno)?;
-                builder.record_round(&faults, heard);
+                rounds.push(TraceRound { faults, heard });
             } else if let Some(rest) = line.strip_prefix("decisions") {
                 if decision_rounds.is_some() {
                     return Err(ParseTraceError::new(lno, "repeated `decisions` line"));
@@ -465,15 +426,16 @@ impl FromStr for RunTrace {
             }
         }
 
-        if builder.rounds.len() != round_lines {
+        if rounds.len() != round_lines {
             return Err(ParseTraceError::new(0, "last round is incomplete"));
         }
-        let mut trace = builder
-            .finish(outcome.ok_or_else(|| ParseTraceError::new(0, "missing `outcome` line"))?);
-        if let Some(ds) = decision_rounds {
-            trace.decision_rounds = ds;
-        }
-        Ok(trace)
+        let outcome = outcome.ok_or_else(|| ParseTraceError::new(0, "missing `outcome` line"))?;
+        Ok(RunTrace {
+            n,
+            rounds,
+            decision_rounds: decision_rounds.unwrap_or_else(|| vec![None; n.get()]),
+            outcome,
+        })
     }
 }
 
@@ -491,20 +453,26 @@ mod tests {
 
     fn sample_trace() -> RunTrace {
         let size = n(3);
-        let mut builder = TraceBuilder::new(size);
         let mut r1 = RoundFaults::none(size);
         r1.set(ProcessId::new(1), ids(&[2]));
-        builder.record_round(&r1, vec![ids(&[0, 1, 2]), ids(&[0, 1]), ids(&[0, 1, 2])]);
-        builder.record_round(&RoundFaults::none(size), vec![ids(&[0, 1, 2]); 3]);
-        builder.record_decision(ProcessId::new(0), Round::new(1));
-        builder.record_decision(ProcessId::new(1), Round::new(2));
-        builder.record_decision(ProcessId::new(2), Round::new(2));
-        builder.finish(TraceOutcome::Decided { rounds_executed: 2 })
+        let decisions = [1, 2, 2].map(|r| Some(Round::new(r))).to_vec();
+        let outcome = TraceOutcome::Decided { rounds_executed: 2 };
+        RunTrace::from_record(
+            size,
+            [&r1, &RoundFaults::none(size)],
+            None,
+            decisions,
+            outcome,
+        )
     }
 
     #[test]
     fn round_trip_through_text() {
         let trace = sample_trace();
+        // Every process emitted, so p1 heard everyone but the p2 it
+        // suspected.
+        let heard = vec![ids(&[0, 1, 2]), ids(&[0, 1]), ids(&[0, 1, 2])];
+        assert_eq!(trace.rounds()[0].heard, heard);
         let text = trace.to_string();
         let parsed: RunTrace = text.parse().unwrap();
         assert_eq!(parsed, trace);
@@ -513,27 +481,22 @@ mod tests {
     #[test]
     fn violation_outcomes_round_trip() {
         let size = n(2);
-        let mut builder = TraceBuilder::new(size);
         let mut bad = RoundFaults::none(size);
         bad.set(ProcessId::new(0), IdSet::universe(size));
-        builder.record_violating_round(bad);
-        let trace = builder.finish(TraceOutcome::Violation(PatternViolation::IllFormed {
+        let ill_formed = TraceOutcome::Violation(PatternViolation::IllFormed {
             process: ProcessId::new(0),
             round: Round::new(1),
-        }));
-        let parsed: RunTrace = trace.to_string().parse().unwrap();
-        assert_eq!(parsed, trace);
-
-        let mut builder = TraceBuilder::new(size);
-        builder.record_violating_round(RoundFaults::none(size));
-        let trace = builder.finish(TraceOutcome::Violation(
-            PatternViolation::PredicateRejected {
-                predicate: "crash(f = 1, with spaces)".to_owned(),
-                round: Round::new(1),
-            },
-        ));
-        let parsed: RunTrace = trace.to_string().parse().unwrap();
-        assert_eq!(parsed, trace);
+        });
+        let rejected = TraceOutcome::Violation(PatternViolation::PredicateRejected {
+            predicate: "crash(f = 1, with spaces)".to_owned(),
+            round: Round::new(1),
+        });
+        for (faults, outcome) in [(bad, ill_formed), (RoundFaults::none(size), rejected)] {
+            let trace = RunTrace::from_record(size, [], Some(&faults), vec![None; 2], outcome);
+            assert_eq!(trace.rounds()[0].heard, vec![IdSet::empty(); 2]);
+            let parsed: RunTrace = trace.to_string().parse().unwrap();
+            assert_eq!(parsed, trace);
+        }
     }
 
     #[test]
@@ -542,7 +505,7 @@ mod tests {
             TraceOutcome::RoundLimit { max_rounds: 17 },
             TraceOutcome::Aborted,
         ] {
-            let trace = TraceBuilder::new(n(2)).finish(outcome.clone());
+            let trace = RunTrace::from_record(n(2), [], None, vec![None; 2], outcome.clone());
             let parsed: RunTrace = trace.to_string().parse().unwrap();
             assert_eq!(parsed.outcome(), &outcome);
         }
@@ -557,22 +520,6 @@ mod tests {
             pattern.of(ProcessId::new(1), Round::new(1)),
             Some(ids(&[2]))
         );
-    }
-
-    #[test]
-    fn deciders_at_groups_by_round() {
-        let trace = sample_trace();
-        assert_eq!(trace.deciders_at(Round::new(1)), ids(&[0]));
-        assert_eq!(trace.deciders_at(Round::new(2)), ids(&[1, 2]));
-    }
-
-    #[test]
-    fn first_decision_wins_in_builder() {
-        let mut builder = TraceBuilder::new(n(2));
-        builder.record_decision(ProcessId::new(0), Round::new(3));
-        builder.record_decision(ProcessId::new(0), Round::new(5));
-        let trace = builder.finish(TraceOutcome::Aborted);
-        assert_eq!(trace.decision_rounds()[0], Some(Round::new(3)));
     }
 
     #[test]

@@ -253,9 +253,10 @@ impl PoolConfig {
         self
     }
 
-    /// Captures a [`RunTrace`] per instance (implies the allocation
-    /// cost of tracing; intended for the differential suite, not for
-    /// throughput runs). Only observable through kept results.
+    /// Keeps a [`RunTrace`] per instance, rendered from its run's record
+    /// as it retires ([`rrfd_core::EngineRun::trace`]); traced lanes
+    /// recycle their buffers and compiled models like every other lane.
+    /// Only observable through kept results.
     #[must_use]
     pub fn capture_traces(mut self, capture: bool) -> Self {
         self.capture_traces = capture;
@@ -378,6 +379,8 @@ struct ClassLane<C: InstanceClass> {
     model: Option<C::Q>,
     batch: Option<ProgramBatch>,
     keep_results: bool,
+    /// Render each retiring run's trace: [`PoolConfig::capture_traces`]
+    /// with kept results, the only place a trace shows.
     capture_traces: bool,
     /// The lane's zoo monitor, when [`PoolConfig::conformance`] is on,
     /// shared with the current run's round hook and reset before each
@@ -415,7 +418,7 @@ impl<C: InstanceClass> ClassLane<C> {
             model: None,
             batch: None,
             keep_results: config.keep_results,
-            capture_traces: config.capture_traces,
+            capture_traces: config.capture_traces && config.keep_results,
             conformance,
             totals: LaneTotals {
                 class_index,
@@ -431,27 +434,22 @@ impl<C: InstanceClass> ClassLane<C> {
     /// Builds instance `id`, steps it to completion, and retires it.
     fn run(&mut self, id: u64, shard: &mut Shard) {
         let (protocols, detector, model) = self.class.build(id);
-        let started = if self.capture_traces {
-            // Tracing runs forgo reuse: the trace is the expensive part
-            // anyway, and the differential suite is the only consumer.
-            self.engine.start_traced(protocols, detector, model)
-        } else {
-            let buffer = std::mem::take(&mut self.spare);
-            if buffer.capacity() > 0 {
-                shard
-                    .obs
-                    .add(BUFFER_REUSES, Labels::process(shard.index), 1);
+        let buffer = std::mem::take(&mut self.spare);
+        if buffer.capacity() > 0 {
+            shard
+                .obs
+                .add(BUFFER_REUSES, Labels::process(shard.index), 1);
+        }
+        let batch = match self.batch.take() {
+            Some(batch) if self.model.as_ref() == Some(&model) => batch,
+            _ => {
+                self.model = Some(model.clone());
+                ProgramBatch::of(&model)
             }
-            let batch = match self.batch.take() {
-                Some(batch) if self.model.as_ref() == Some(&model) => batch,
-                _ => {
-                    self.model = Some(model.clone());
-                    ProgramBatch::of(&model)
-                }
-            };
-            self.engine
-                .start_recycled(protocols, detector, model, buffer, batch)
         };
+        let started = self
+            .engine
+            .start_recycled(protocols, detector, model, buffer, batch);
         let mut run = match started {
             Ok(run) => run,
             Err(error) => {
@@ -492,6 +490,7 @@ impl<C: InstanceClass> ClassLane<C> {
                 shard.dumps.push(run.flight_dump(&reason));
             }
         }
+        let trace = self.capture_traces.then(|| run.trace());
         // Already finished: run_to_completion only dismantles.
         let finished = run.run_to_completion();
         match &finished.result {
@@ -526,7 +525,7 @@ impl<C: InstanceClass> ClassLane<C> {
                 class: self.class.name(),
                 shard: index,
                 outcome: summarize(finished.result),
-                trace: finished.trace,
+                trace,
                 conformance,
             });
         }
@@ -762,30 +761,47 @@ mod tests {
         assert_eq!(report.errored, 20);
     }
 
-    #[test]
-    fn pool_metrics_are_recorded() {
+    const METRIC_SHARDS: usize = 2;
+    const METRIC_INSTANCES: u64 = 72;
+
+    /// Runs the metrics batch under `config` (plus an attached handle),
+    /// asserts that each lane (one class on one shard) started its first
+    /// instance on a fresh emission buffer and every later one on its
+    /// spare, and returns the report and the snapshot.
+    fn metrics_batch(config: PoolConfig) -> (BatchReport, rrfd_obs::Snapshot) {
         let obs = Obs::logical();
-        let (shards, instances) = (2usize, 72u64);
-        let config = PoolConfig::new(shards).obs(obs.clone());
-        let report = run_batch(&mix(), instances, &config);
+        let report = run_batch(&mix(), METRIC_INSTANCES, &config.obs(obs.clone()));
         let snap = obs.snapshot();
-        assert_eq!(snap.counter_total(names::POOL_INSTANCES), report.completed);
-        assert_eq!(snap.counter_total(names::POOL_ERRORS), report.errored);
-        assert_eq!(snap.counter_total(names::POOL_ROUNDS), report.rounds);
-        // Each lane (one class on one shard) starts its first instance on
-        // a fresh emission buffer and every later one on its spare.
         let mut lanes = std::collections::BTreeSet::new();
-        for id in 0..instances {
-            lanes.insert((id % shards as u64, mix().class_of(id)));
+        for id in 0..METRIC_INSTANCES {
+            lanes.insert((id % METRIC_SHARDS as u64, mix().class_of(id)));
         }
         assert_eq!(
             snap.counter_total(names::POOL_BUFFER_REUSES),
-            instances - lanes.len() as u64
+            METRIC_INSTANCES - lanes.len() as u64
         );
+        (report, snap)
+    }
+
+    #[test]
+    fn pool_metrics_are_recorded() {
+        let (report, snap) = metrics_batch(PoolConfig::new(METRIC_SHARDS));
+        assert_eq!(snap.counter_total(names::POOL_INSTANCES), report.completed);
+        assert_eq!(snap.counter_total(names::POOL_ERRORS), report.errored);
+        assert_eq!(snap.counter_total(names::POOL_ROUNDS), report.rounds);
         let latency = snap
             .histogram_total(names::ENGINE_ROUND_LATENCY)
             .expect("the engine times every round");
         assert!(latency.count >= report.rounds);
+    }
+
+    #[test]
+    fn traced_lanes_recycle_buffers_too() {
+        let config = PoolConfig::new(METRIC_SHARDS)
+            .keep_results(true)
+            .capture_traces(true);
+        let (report, _) = metrics_batch(config);
+        assert!(report.results.iter().all(|r| r.trace.is_some()));
     }
 
     #[test]

@@ -71,15 +71,6 @@ impl ReplayDetector {
         }
     }
 
-    /// Builds a detector that replays a recorded fault pattern.
-    #[must_use]
-    pub fn from_pattern(pattern: &FaultPattern) -> Self {
-        ReplayDetector {
-            n: pattern.system_size(),
-            rounds: pattern.iter().map(|(_, rf)| rf.clone()).collect(),
-        }
-    }
-
     /// Builds a detector from raw per-round suspicion sets: a script that
     /// plays `rounds[r−1]` at round `r`, then reports no faults forever.
     ///
@@ -108,13 +99,6 @@ impl ReplayDetector {
             assert_eq!(rf.system_size(), n, "recorded round has wrong system size");
         }
         ReplayDetector { n, rounds }
-    }
-
-    /// How many rounds of recording this detector can replay before it
-    /// falls back to reporting no faults.
-    #[must_use]
-    pub fn recorded_rounds(&self) -> usize {
-        self.rounds.len()
     }
 }
 
@@ -241,27 +225,9 @@ mod tests {
         let mut rf = RoundFaults::none(size);
         rf.set(ProcessId::new(0), IdSet::singleton(ProcessId::new(1)));
         let mut det = ReplayDetector::from_rounds(size, vec![rf.clone()]);
-        assert_eq!(det.recorded_rounds(), 1);
         let h = FaultPattern::new(size);
         assert_eq!(det.next_round(Round::new(1), &h), rf);
         assert_eq!(det.next_round(Round::new(2), &h), RoundFaults::none(size));
-    }
-
-    #[test]
-    fn from_pattern_matches_from_trace() {
-        let size = n(4);
-        let model = KUncertainty::new(size, 2);
-        let (_, trace) =
-            Engine::new(size).run_traced(protos(4), &mut RandomAdversary::new(model, 3), &model);
-        let mut a = ReplayDetector::from_trace(&trace);
-        let mut b = ReplayDetector::from_pattern(&trace.pattern());
-        let h = FaultPattern::new(size);
-        for r in 1..=trace.rounds().len() as u32 + 1 {
-            assert_eq!(
-                a.next_round(Round::new(r), &h),
-                b.next_round(Round::new(r), &h)
-            );
-        }
     }
 
     #[test]

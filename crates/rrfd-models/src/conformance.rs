@@ -14,9 +14,11 @@
 //! agreement on every substrate).
 //!
 //! A violation is not just a flag: [`ConformanceMonitor::certificate`]
-//! converts it into a replayable [`RunTrace`] whose final round is the
-//! violating one, so "this run left the crash model at round 7" ships
-//! with the evidence that reproduces it.
+//! converts it, with the run's own fault pattern, into a replayable
+//! [`RunTrace`] whose final round is the violating one, so "this run left
+//! the crash model at round 7" ships with the evidence that reproduces
+//! it. The monitor keeps no copy of the pattern: the run's record (its
+//! report, or its trace) already holds it.
 
 use crate::zoo::{compile_family, zoo, SharedPredicate, ZOO_STRENGTH_RANK};
 use rrfd_core::{
@@ -93,16 +95,14 @@ struct Family {
 /// one round of suspicions at a time.
 ///
 /// Cloning is cheap: the family and its compiled programs are shared,
-/// and only the per-run state (history, violations, history registers)
-/// is copied. Reusing one is cheaper still: [`ConformanceMonitor::reset`]
+/// and only the per-run state (violations, history registers) is
+/// copied. Reusing one is cheaper still: [`ConformanceMonitor::reset`]
 /// forgets the observed run but keeps every allocation, which is how the
 /// batch pool gives each lane one monitor for all its instances.
 #[derive(Clone)]
 pub struct ConformanceMonitor {
     family: Arc<Family>,
-    history: FaultPattern,
-    /// Per predicate: the round it first rejected (that round's faults
-    /// stay in the history, which the certificate replays).
+    /// Per predicate: the round it first rejected.
     violations: Vec<Option<Round>>,
     /// The compiled predicate plane: one program per predicate, batch-
     /// evaluated per round.
@@ -162,18 +162,16 @@ impl ConformanceMonitor {
         let batch = ProgramBatch::new(n, compile_family(&predicates));
         ConformanceMonitor {
             family: Arc::new(Family { predicates, ranks }),
-            history: FaultPattern::new(n),
             violations,
             batch,
         }
     }
 
-    /// Forgets the observed run — history, violations, history registers
-    /// and evaluation count — keeping the family and every allocation:
+    /// Forgets the observed run — violations, history registers and
+    /// evaluation count — keeping the family and every allocation:
     /// afterwards the monitor behaves exactly like a fresh one over the
     /// same family.
     pub fn reset(&mut self) {
-        self.history.clear();
         self.violations.fill(None);
         self.batch.reset();
     }
@@ -181,25 +179,26 @@ impl ConformanceMonitor {
     /// The system size being monitored.
     #[must_use]
     pub fn system_size(&self) -> SystemSize {
-        self.history.system_size()
+        self.batch.system_size()
     }
 
     /// Rounds observed so far.
     #[must_use]
     pub fn rounds_observed(&self) -> u32 {
-        self.history.rounds() as u32
+        self.batch.rounds()
     }
 
     /// Feeds one round of suspicions. Every still-live predicate is
     /// asked whether the round may extend the history; prefix-closedness
     /// makes re-checking violated predicates pointless, so they are
-    /// skipped. The round joins the history either way — the monitor
-    /// tracks the run that happened, not the run some model wanted.
+    /// skipped. The round joins the history registers either way — the
+    /// monitor tracks the run that happened, not the run some model
+    /// wanted.
     ///
     /// The live predicates are judged in one batch pass of their compiled
     /// programs over a shared [`RoundProfile`] (DESIGN.md §17).
     pub fn observe(&mut self, round: &RoundFaults) {
-        let round_no = Round::new(self.history.rounds() as u32 + 1);
+        let round_no = Round::new(self.batch.rounds() + 1);
         let mut live: u128 = 0;
         for (idx, violation) in self.violations.iter().enumerate() {
             if violation.is_none() {
@@ -214,7 +213,6 @@ impl ConformanceMonitor {
             rejected &= rejected - 1;
             self.violations[idx] = Some(round_no);
         }
-        self.history.push(round.clone());
     }
 
     /// The [`RoundHook`] that feeds `monitor` every round of a run. A
@@ -284,13 +282,24 @@ impl ConformanceMonitor {
     }
 
     /// A replayable certificate for predicate `idx`'s violation
-    /// ([`RunTrace::predicate_rejection`] over the observed history), or
-    /// `None` while it is still satisfied.
+    /// ([`RunTrace::predicate_rejection`] over `pattern`, the fault pattern
+    /// of the observed run — its report's, or its trace's, which includes
+    /// a rejected round), or `None` while it is still satisfied.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pattern` is shorter than the violation round: it is
+    /// not the pattern the monitor observed.
     #[must_use]
-    pub fn certificate(&self, idx: usize) -> Option<RunTrace> {
+    pub fn certificate(&self, idx: usize, pattern: &FaultPattern) -> Option<RunTrace> {
         let round = self.first_violation(idx)?;
+        assert!(
+            pattern.round(round).is_some(),
+            "the pattern has {} rounds, but predicate {idx} was violated at round {round}",
+            pattern.rounds()
+        );
         Some(RunTrace::predicate_rejection(
-            &self.history,
+            pattern,
             round,
             self.family.predicates[idx].name(),
         ))
@@ -403,17 +412,22 @@ mod tests {
     #[test]
     fn certificates_replay_to_the_recorded_rejection() {
         let mut mon = ConformanceMonitor::zoo(n3(), 1);
-        mon.observe(&suspect(0, 2));
-        mon.observe(&RoundFaults::none(n3()));
-        mon.observe(&suspect(0, 2)); // resurrection-then-resuspicion
+        let mut observed = FaultPattern::new(n3());
+        // Resurrection-then-resuspicion.
+        for round in [suspect(0, 2), RoundFaults::none(n3()), suspect(0, 2)] {
+            mon.observe(&round);
+            observed.push(round);
+        }
         let verdict = mon.verdict();
         let family = zoo(n3(), 1);
         for (idx, status) in verdict.statuses.iter().enumerate() {
             let Some(round) = status.first_violation else {
-                assert!(mon.certificate(idx).is_none());
+                assert!(mon.certificate(idx, &observed).is_none());
                 continue;
             };
-            let trace = mon.certificate(idx).expect("violated ⇒ certificate");
+            let trace = mon
+                .certificate(idx, &observed)
+                .expect("violated ⇒ certificate");
             // The trace's pattern is exactly the history prefix through
             // the violating round, and the predicate rejects it there.
             let pattern = trace.pattern();
@@ -426,6 +440,18 @@ mod tests {
             let reparsed: RunTrace = text.parse().expect("traces round-trip");
             assert_eq!(reparsed, trace);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "violated at round 2")]
+    fn certificates_need_the_observed_pattern() {
+        let mut mon = ConformanceMonitor::zoo(n3(), 1);
+        mon.observe(&suspect(0, 2));
+        mon.observe(&RoundFaults::none(n3()));
+        // Crash (zoo index 0) rejects the dropped suspicion at round 2.
+        let mut prefix = FaultPattern::new(n3());
+        prefix.push(suspect(0, 2));
+        let _ = mon.certificate(0, &prefix);
     }
 
     #[test]

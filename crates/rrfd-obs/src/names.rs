@@ -44,9 +44,9 @@ pub const ENGINE_VIOLATIONS: &str = "rrfd_engine_violations_total";
 
 /// Counter: gather timeouts (a thread missed its emission window).
 pub const RUNTIME_GATHER_TIMEOUTS: &str = "rrfd_runtime_gather_timeouts_total";
-/// Counter: runs ending in `ThreadedError::WrongProcessCount`.
+/// Counter: runs ending in `ThreadedError::Engine(EngineError::WrongProcessCount)`.
 pub const RUNTIME_ERR_WRONG_COUNT: &str = "rrfd_runtime_errors_wrong_process_count_total";
-/// Counter: runs ending in `ThreadedError::RoundLimitExceeded`.
+/// Counter: runs ending in `ThreadedError::Engine(EngineError::RoundLimitExceeded)`.
 pub const RUNTIME_ERR_ROUND_LIMIT: &str = "rrfd_runtime_errors_round_limit_total";
 /// Counter: runs ending in `ThreadedError::ProcessDied`, per process.
 pub const RUNTIME_ERR_PROCESS_DIED: &str = "rrfd_runtime_errors_process_died_total";

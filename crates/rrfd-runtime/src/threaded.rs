@@ -14,8 +14,8 @@
 
 use crossbeam::channel::{self, Receiver, Sender};
 use rrfd_core::{
-    flight_header, Control, Delivery, Engine, EngineError, FaultDetector, IdSet, PatternViolation,
-    ProcessId, Round, RoundCore, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize,
+    flight_header, Control, Delivery, Engine, EngineError, FaultDetector, IdSet, ProcessId, Round,
+    RoundCore, RoundProtocol, RrfdPredicate, RunReport, RunTrace, SystemSize,
 };
 use std::any::Any;
 use std::fmt;
@@ -64,20 +64,10 @@ enum CoordReply<M> {
 /// Errors from [`ThreadedEngine::run`].
 #[derive(Debug)]
 pub enum ThreadedError {
-    /// The adversary violated the model predicate (or well-formedness).
-    Violation(PatternViolation),
-    /// The protocol vector does not match the system size.
-    WrongProcessCount {
-        /// Instances supplied.
-        supplied: usize,
-        /// System size.
-        expected: usize,
-    },
-    /// The round budget elapsed before every process decided.
-    RoundLimitExceeded {
-        /// The configured limit.
-        max_rounds: u32,
-    },
+    /// The run's [`RoundCore`] ended it, exactly as the in-process
+    /// engine would have: an adversary violation, a protocol vector that
+    /// does not match the system size, or the round limit.
+    Engine(EngineError),
     /// A process's emission did not arrive within the gather timeout (a
     /// wedged thread), or its thread was gone when the coordinator
     /// delivered.
@@ -101,13 +91,7 @@ pub enum ThreadedError {
 impl fmt::Display for ThreadedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ThreadedError::Violation(v) => write!(f, "adversary violation: {v}"),
-            ThreadedError::WrongProcessCount { supplied, expected } => {
-                write!(f, "{supplied} protocols for a system of {expected}")
-            }
-            ThreadedError::RoundLimitExceeded { max_rounds } => {
-                write!(f, "no full decision after {max_rounds} rounds")
-            }
+            ThreadedError::Engine(error) => error.fmt(f),
             ThreadedError::ProcessDied { process } => {
                 write!(f, "thread of {process} terminated unexpectedly")
             }
@@ -128,15 +112,7 @@ impl std::error::Error for ThreadedError {}
 
 impl From<EngineError> for ThreadedError {
     fn from(error: EngineError) -> Self {
-        match error {
-            EngineError::Violation(v) => ThreadedError::Violation(v),
-            EngineError::WrongProcessCount { supplied, expected } => {
-                ThreadedError::WrongProcessCount { supplied, expected }
-            }
-            EngineError::RoundLimitExceeded { max_rounds } => {
-                ThreadedError::RoundLimitExceeded { max_rounds }
-            }
-        }
+        ThreadedError::Engine(error)
     }
 }
 
@@ -322,11 +298,11 @@ impl ThreadedEngine {
             return;
         }
         let (metric, labels) = match error {
-            ThreadedError::Violation(_) => return,
-            ThreadedError::WrongProcessCount { .. } => {
+            ThreadedError::Engine(EngineError::Violation(_)) => return,
+            ThreadedError::Engine(EngineError::WrongProcessCount { .. }) => {
                 (names::RUNTIME_ERR_WRONG_COUNT, Labels::GLOBAL)
             }
-            ThreadedError::RoundLimitExceeded { .. } => {
+            ThreadedError::Engine(EngineError::RoundLimitExceeded { .. }) => {
                 (names::RUNTIME_ERR_ROUND_LIMIT, Labels::GLOBAL)
             }
             ThreadedError::ProcessDied { process } => (
@@ -363,9 +339,10 @@ impl ThreadedEngine {
         self.run_inner(protocols, detector, model, false).0
     }
 
-    /// Like [`ThreadedEngine::run`], but also records a [`RunTrace`]: the
-    /// same capture format as the in-process engine, so a threaded run can
-    /// be replayed (bit-for-bit, via a replay detector) on either substrate.
+    /// Like [`ThreadedEngine::run`], but also renders the run's
+    /// [`RunTrace`] from its core ([`RoundCore::trace`]): the same trace
+    /// the in-process engine renders, so a threaded run can be replayed
+    /// (bit-for-bit, via a replay detector) on either substrate.
     pub fn run_traced<P, D, Q>(
         &self,
         protocols: Vec<P>,
@@ -387,7 +364,9 @@ impl ThreadedEngine {
 
     /// The shared run body: starts the run's core, spawns one thread per
     /// process, drives the core from the calling thread, then stops and
-    /// joins the threads.
+    /// joins the threads. A `traced` run's trace is rendered from its core
+    /// before the core is dismantled; a run rejected before it started
+    /// has none.
     fn run_inner<P, D, Q>(
         &self,
         protocols: Vec<P>,
@@ -405,10 +384,7 @@ impl ThreadedEngine {
         D: FaultDetector + ?Sized,
         Q: RrfdPredicate + ?Sized,
     {
-        let mut core = match self
-            .engine
-            .round_core(protocols.len(), detector, model, traced)
-        {
+        let mut core = match self.engine.round_core(protocols.len(), detector, model) {
             Ok(core) => core,
             Err(error) => {
                 let error = ThreadedError::from(error);
@@ -508,8 +484,8 @@ impl ThreadedEngine {
         if let Some(error) = &error {
             self.fail(error, core.flight_dump(&error.to_string()));
         }
-        let (outcome, trace) = core.into_parts();
-        let result = match (error, outcome) {
+        let trace = traced.then(|| core.trace());
+        let result = match (error, core.into_outcome()) {
             (Some(error), _) => Err(error),
             (None, Some(Ok(report))) => Ok(report),
             // Unreachable (no error means the core decided); kept total.
@@ -734,7 +710,10 @@ mod tests {
         let err = ThreadedEngine::new(size)
             .run(protos, &mut BadDetector(size), &AnyPattern::new(size))
             .unwrap_err();
-        assert!(matches!(err, ThreadedError::Violation(_)));
+        assert!(matches!(
+            err,
+            ThreadedError::Engine(EngineError::Violation(_))
+        ));
     }
 
     #[test]
@@ -778,7 +757,10 @@ mod tests {
             .max_rounds(4)
             .run(protos, &mut NoFailures::new(size), &AnyPattern::new(size))
             .unwrap_err();
-        assert!(matches!(err, ThreadedError::RoundLimitExceeded { .. }));
+        assert!(matches!(
+            err,
+            ThreadedError::Engine(EngineError::RoundLimitExceeded { .. })
+        ));
     }
 
     #[test]
@@ -933,7 +915,10 @@ mod tests {
             .obs(obs.clone())
             .run(protos, &mut NoFailures::new(size), &AnyPattern::new(size))
             .unwrap_err();
-        assert!(matches!(err, ThreadedError::RoundLimitExceeded { .. }));
+        assert!(matches!(
+            err,
+            ThreadedError::Engine(EngineError::RoundLimitExceeded { .. })
+        ));
         assert_eq!(
             obs.snapshot()
                 .counter_total(rrfd_obs::names::RUNTIME_ERR_ROUND_LIMIT),
@@ -955,7 +940,10 @@ mod tests {
         let err = engine
             .run(protos, &mut NoFailures::new(size), &AnyPattern::new(size))
             .unwrap_err();
-        assert!(matches!(err, ThreadedError::RoundLimitExceeded { .. }));
+        assert!(matches!(
+            err,
+            ThreadedError::Engine(EngineError::RoundLimitExceeded { .. })
+        ));
         let dump = engine.take_flight_dump().expect("failed run leaves a dump");
         assert!(dump.starts_with("rrfd-flight v1\n"), "{dump}");
         assert!(dump.contains("no full decision after 20 rounds"), "{dump}");
@@ -993,7 +981,10 @@ mod tests {
         let err = engine
             .run(protos, &mut detector, &KUncertainty::new(size, 2))
             .unwrap_err();
-        assert!(matches!(err, ThreadedError::Violation(_)), "{err}");
+        assert!(
+            matches!(err, ThreadedError::Engine(EngineError::Violation(_))),
+            "{err}"
+        );
         let dump = engine.take_flight_dump().expect("failed run leaves a dump");
         assert_eq!(
             dump,

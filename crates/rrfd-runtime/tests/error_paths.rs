@@ -3,7 +3,9 @@
 //! message when it panicked, after the gather timeout when it is wedged —
 //! instead of hanging the coordinator.
 
-use rrfd_core::{AnyPattern, Control, Delivery, ProcessId, Round, RoundProtocol, SystemSize};
+use rrfd_core::{
+    AnyPattern, Control, Delivery, EngineError, ProcessId, Round, RoundProtocol, SystemSize,
+};
 use rrfd_models::adversary::NoFailures;
 use rrfd_runtime::{ThreadedEngine, ThreadedError};
 use std::time::{Duration, Instant};
@@ -173,9 +175,9 @@ fn wrong_process_count_is_rejected_up_front() {
         .unwrap_err();
     assert!(matches!(
         err,
-        ThreadedError::WrongProcessCount {
+        ThreadedError::Engine(EngineError::WrongProcessCount {
             supplied: 1,
             expected: 3
-        }
+        })
     ));
 }

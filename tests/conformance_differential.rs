@@ -217,14 +217,19 @@ proptest! {
             reused.observe(&round);
         }
         reused.reset();
+        let mut observed = rrfd::core::FaultPattern::new(size);
         for round in rounds_of(size, &sparse(&run)) {
             fresh.observe(&round);
             reused.observe(&round);
+            observed.push(round);
         }
         prop_assert_eq!(reused.verdict(), fresh.verdict());
         prop_assert_eq!(reused.compiled_evals(), fresh.compiled_evals());
         for idx in 0..fresh.verdict().statuses.len() {
-            prop_assert_eq!(reused.certificate(idx), fresh.certificate(idx));
+            prop_assert_eq!(
+                reused.certificate(idx, &observed),
+                fresh.certificate(idx, &observed)
+            );
         }
         prop_assert_eq!(recorded(&reused), recorded(&fresh));
     }

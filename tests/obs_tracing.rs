@@ -11,7 +11,8 @@
 //!   dump per errored instance, holding that instance's own rounds.
 
 use rrfd::core::{
-    AnyPattern, Control, Delivery, Engine, Round, RoundProtocol, SystemSize, DEFAULT_FLIGHT_ROUNDS,
+    AnyPattern, Control, Delivery, Engine, EngineError, Round, RoundProtocol, SystemSize,
+    DEFAULT_FLIGHT_ROUNDS,
 };
 use rrfd::models::adversary::NoFailures;
 use rrfd::obs::span::to_chrome;
@@ -150,7 +151,7 @@ fn threaded_run_error_leaves_a_flight_dump_of_the_last_k_rounds() {
         .unwrap_err();
     assert!(matches!(
         err,
-        RunError::RoundLimitExceeded { max_rounds: 12 }
+        RunError::Engine(EngineError::RoundLimitExceeded { max_rounds: 12 })
     ));
 
     let dump = engine.take_flight_dump().expect("failed run leaves a dump");

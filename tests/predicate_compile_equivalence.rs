@@ -370,8 +370,10 @@ fn assert_admission_matches_spec(
         model,
     );
     match (&threaded, &expected) {
-        (Err(ThreadedError::Violation(got)), Some(want)) => assert_eq!(got, want),
-        (Err(ThreadedError::RoundLimitExceeded { .. }), None) => {}
+        (Err(ThreadedError::Engine(EngineError::Violation(got))), Some(want)) => {
+            assert_eq!(got, want);
+        }
+        (Err(ThreadedError::Engine(EngineError::RoundLimitExceeded { .. })), None) => {}
         (got, want) => panic!("{}: threaded {got:?}, spec {want:?}", model.name()),
     }
 }

@@ -7,7 +7,7 @@
 //! process)` spans. Checked for a deciding run, a violating run and a
 //! round-limit run.
 
-use rrfd::core::{Engine, RoundProtocol, RrfdPredicate, SystemSize};
+use rrfd::core::{Engine, EngineError, RoundProtocol, RrfdPredicate, SystemSize};
 use rrfd::models::adversary::{RandomAdversary, SampleModel};
 use rrfd::models::predicates::{Crash, KUncertainty};
 use rrfd::obs::{names, Obs, SpanKind};
@@ -152,7 +152,10 @@ fn a_violating_run_records_one_plane() {
     let protocols = || (0..4).map(|v| FloodMin::new(10 + v, 4)).collect::<Vec<_>>();
     let (outcome, _) = both_planes(protocols, Crash::new(size, 3), &Crash::new(size, 1), 0, 10);
     assert!(
-        matches!(outcome, Err(ThreadedError::Violation(_))),
+        matches!(
+            outcome,
+            Err(ThreadedError::Engine(EngineError::Violation(_)))
+        ),
         "{outcome:?}"
     );
 }
@@ -173,7 +176,9 @@ fn a_round_limit_run_records_one_plane() {
     assert!(
         matches!(
             outcome,
-            Err(ThreadedError::RoundLimitExceeded { max_rounds: 2 })
+            Err(ThreadedError::Engine(EngineError::RoundLimitExceeded {
+                max_rounds: 2
+            }))
         ),
         "{outcome:?}"
     );
