@@ -2,11 +2,13 @@
 //! times one cell of every entry of the experiment registry
 //! (`rrfd_bench::registry`: E1–E18, `explore`, `submodel` and the
 //! ablations) — the entry's timed row at seed 0, a point of its own
-//! table — as median / p95 wall nanoseconds, failing unless the entry's
-//! claim holds on every sample. One instrumented run captures each row's
-//! `rrfd_*` metric totals. Everything is written as `BENCH_rrfd.json`
-//! (format `rrfd-bench v1`), stamped once with the host's core count,
-//! its parallelism control and the build profile.
+//! table — as median / p95 wall nanoseconds over the same samples,
+//! failing unless the entry's claim holds on every sample. One
+//! instrumented run captures each row's `rrfd_*` metric totals.
+//! Everything is written as `BENCH_rrfd.json` (format `rrfd-bench v1`),
+//! stamped once with the host's core count, its parallelism control and
+//! the build profile, followed by the batch `throughput` and zoo
+//! `conformance` sections.
 //!
 //! ```text
 //! cargo run -p rrfd-bench --bin report --release -- \
@@ -18,33 +20,25 @@
 //! validates an existing report file against the `rrfd-bench v1` schema
 //! (via the dependency-free `rrfd_obs::json` reader) without running any
 //! workload: the host stamp must be present, and the `experiments` rows
-//! must be exactly the registry's entries, in order. The report also
-//! includes an `overhead` section comparing the same engine workload
-//! uninstrumented, with the no-op recorder, and with the sharded
-//! recorder — the "disabled instrumentation is free" claim as a number;
-//! `--assert-overhead X` turns that claim into an exit code by failing
-//! when the triple leaves the envelope (noop and sharded both within `X`×
-//! of baseline). A `conformance` section reports live zoo conformance at
-//! batch scale with every online verdict cross-checked against offline
-//! prefix replay.
+//! must be exactly the registry's entries, in order.
+//!
+//! Two checks read the generated rows. The shared-trie lattice must stay
+//! at least 10× faster than the per-pair search at depth 3
+//! (`ablation_lattice_pairwise_d3` against `ablation_lattice_compiled_d3`),
+//! or the report is not written. `--assert-overhead X` fails the run when
+//! the fully recorded engine run (`ablation_overhead_recorded`, recorder
+//! construction included) has a median above `X`× that of the same run
+//! with the no-op handle (`ablation_overhead_noop`).
 
 use rrfd_analyze::lattice::{zoo, Lattice};
+use rrfd_bench::args::{positive, take_flag, take_value};
 use rrfd_bench::{
-    measure_conformance, measure_lattice, measure_throughput, quantile, registry,
-    render_conformance_block, render_lattice_line, render_throughput_line,
+    measure_conformance, measure_throughput, quantile, registry, render_conformance_block,
+    render_throughput_line,
 };
-use rrfd_core::task::{KSetAgreement, Value};
-use rrfd_core::{Engine, ProcessId, SystemSize};
+use rrfd_core::SystemSize;
 use rrfd_engine_pool::MixSpec;
-use rrfd_models::adversary::RandomAdversary;
-use rrfd_models::predicates::KUncertainty;
 use rrfd_obs::{json, Obs};
-use rrfd_protocols::kset::OneRoundKSet;
-use rrfd_protocols::semi_sync_consensus::RepeatedRounds;
-use rrfd_sims::dpor::{explore_semi_sync_dpor, explore_shared_mem_dpor, DporConfig};
-use rrfd_sims::explore::ExploreStats;
-use rrfd_sims::semi_sync::{SemiSyncReport, SemiSyncSim};
-use rrfd_sims::shared_mem::{Action, MemProcess, Observation, SharedMemSim};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -57,14 +51,18 @@ const PROFILE: &str = if cfg!(debug_assertions) {
 } else {
     "release"
 };
-
-fn n(v: usize) -> SystemSize {
-    SystemSize::new(v).expect("valid size")
-}
-
-fn inputs(count: usize) -> Vec<u64> {
-    (0..count as u64).map(|i| 1000 + i).collect()
-}
+/// The rows `--assert-overhead` compares: the same engine run with the
+/// no-op handle and with a live recorder.
+const OVERHEAD_ROWS: [&str; 2] = ["ablation_overhead_noop", "ablation_overhead_recorded"];
+/// The rows of the depth-3 floor: the per-pair search and the shared-trie
+/// walk.
+const FLOOR_ROWS: [&str; 2] = [
+    "ablation_lattice_pairwise_d3",
+    "ablation_lattice_compiled_d3",
+];
+/// The integer fields of the `throughput` section.
+const THROUGHPUT_FIELDS: &str = "instances shards completed errored rounds batch_ns \
+     one_shard_ns instances_per_sec p99_round_ns speedup_x100";
 
 /// Times `run` `samples` times, returning sorted elapsed nanoseconds.
 fn time_samples(samples: usize, mut run: impl FnMut()) -> Vec<u64> {
@@ -79,144 +77,6 @@ fn time_samples(samples: usize, mut run: impl FnMut()) -> Vec<u64> {
     times
 }
 
-/// The DPOR workload: a full-information ring at `n = 6`.
-/// Each process floods its value through three write rounds (one SWMR
-/// bank per round), then reads its ring successor's final-round cell and
-/// decides on what it saw. The 30-event schedule tree is astronomically
-/// large (`30!/(5!)⁶` interleavings), but only the six write/read pairs
-/// on the last bank conflict — so the DPOR explorer collapses the whole
-/// tree into 63 Mazurkiewicz classes (the 2⁶ miss/see combinations minus
-/// the all-miss one, which the ring makes cyclically infeasible).
-#[derive(Debug, Clone)]
-struct RingFlood {
-    id: u8,
-    n: u8,
-    phase: u8,
-}
-
-impl MemProcess<u64> for RingFlood {
-    type Output = u64;
-    fn step(&mut self, obs: Observation<u64>) -> Action<u64, u64> {
-        self.phase += 1;
-        match obs {
-            Observation::Start => Action::Write {
-                bank: 0,
-                value: u64::from(self.id),
-            },
-            Observation::Written if self.phase <= 3 => Action::Write {
-                bank: usize::from(self.phase) - 1,
-                value: u64::from(self.id),
-            },
-            Observation::Written => Action::Read {
-                bank: 2,
-                owner: ProcessId::new(usize::from((self.id + 1) % self.n)),
-            },
-            Observation::Value(v) => Action::Decide(v.unwrap_or(u64::MAX)),
-            other => panic!("unexpected observation {other:?}"),
-        }
-    }
-}
-
-struct DporRow {
-    schedules: usize,
-    revisits: u64,
-    sleep_set_blocked: u64,
-    samples: usize,
-    median_ns: u64,
-    p95_ns: u64,
-}
-
-impl DporRow {
-    /// Runs `explore` once for its stats, asserting `classes` trace
-    /// classes (any other count is a reduction bug), then times it
-    /// `samples` times.
-    fn measure(samples: usize, classes: usize, explore: impl Fn() -> ExploreStats) -> Self {
-        let stats = explore();
-        assert_eq!(
-            stats.schedules as u64, stats.graphs_explored,
-            "every DPOR schedule is one maximal execution graph"
-        );
-        assert_eq!(stats.schedules, classes, "trace classes explored");
-        let times = time_samples(samples, || {
-            explore();
-        });
-        DporRow {
-            schedules: stats.schedules,
-            revisits: stats.revisits,
-            sleep_set_blocked: stats.sleep_set_blocked,
-            samples,
-            median_ns: quantile(&times, 0.5),
-            p95_ns: quantile(&times, 0.95),
-        }
-    }
-
-    /// The row's fields as JSON members, in [`DPOR_FIELDS`] order.
-    fn members(&self) -> String {
-        format!(
-            "\"schedules\": {}, \"revisits\": {}, \"sleep_set_blocked\": {}, \
-             \"samples\": {}, \"median_ns\": {}, \"p95_ns\": {}",
-            self.schedules,
-            self.revisits,
-            self.sleep_set_blocked,
-            self.samples,
-            self.median_ns,
-            self.p95_ns,
-        )
-    }
-}
-
-/// The integer fields of each row of the `dpor` section.
-const DPOR_FIELDS: &str = "schedules revisits sleep_set_blocked samples median_ns p95_ns";
-
-/// Times the DPOR explorer on the [`RingFlood`] envelope: exactly 63
-/// Mazurkiewicz classes, none with a crash.
-fn measure_dpor(samples: usize) -> DporRow {
-    let size = n(6);
-    let sim = SharedMemSim::new(size, 3);
-    let make = || {
-        (0..6u8)
-            .map(|id| RingFlood { id, n: 6, phase: 0 })
-            .collect::<Vec<_>>()
-    };
-    let config = DporConfig::new(1);
-    DporRow::measure(samples, 63, || {
-        explore_shared_mem_dpor(&sim, make, |_| Ok(()), &config).expect("dpor ring explore")
-    })
-}
-
-/// Times the DPOR explorer on §5's two-step semi-synchronous consensus
-/// (`RepeatedRounds`, n = 3, two rounds, one crash), with termination and
-/// consensus checked on each of its 612 trace classes: the crash
-/// alternatives the ring row never offers.
-fn measure_dpor_semisync(samples: usize) -> DporRow {
-    const INPUTS: [Value; 3] = [4, 1, 9];
-    let size = n(3);
-    let sim = SemiSyncSim::new(size);
-    let make = || {
-        size.processes()
-            .map(|p| RepeatedRounds::new(size, p, INPUTS[p.index()], 2))
-            .collect::<Vec<_>>()
-    };
-    let check = |report: &SemiSyncReport<RepeatedRounds>| {
-        if !report.all_correct_decided() {
-            return Err("a correct process did not decide".to_owned());
-        }
-        let outputs: Vec<Option<Value>> = report
-            .outputs
-            .iter()
-            .map(|o| o.as_ref().map(|&(v, _)| v))
-            .collect();
-        KSetAgreement::consensus()
-            .check(&INPUTS, &outputs)
-            .map_err(|v| v.to_string())
-    };
-    let config = DporConfig::new(1);
-    DporRow::measure(samples, 612, || {
-        explore_semi_sync_dpor(&sim, 1, make, check, &config)
-            .unwrap_or_else(|err| panic!("semi-sync consensus must hold in every class: {err}"))
-    })
-}
-
 /// The host's parallelism control: two independent CPU-bound jobs
 /// (`Lattice::compute_compiled(zoo(3, 1), 4)` each) run one after the
 /// other on one thread, against the same two on two threads, as the
@@ -224,8 +84,9 @@ fn measure_dpor_semisync(samples: usize) -> DporRow {
 /// parallel; near 100 it cannot, and no speedup the report shows for the
 /// pool's shards can exceed what the host allows.
 fn measure_parallel_x100(samples: usize) -> u64 {
+    let family = zoo(SystemSize::new(3).expect("3 is a valid size"), 1);
     let job = || {
-        std::hint::black_box(Lattice::compute_compiled(&zoo(n(3), 1), 4));
+        std::hint::black_box(Lattice::compute_compiled(&family, 4));
     };
     let serial = time_samples(samples, || {
         job();
@@ -291,45 +152,12 @@ fn run_report(quick: bool) -> Result<String, String> {
         });
     }
 
-    // Overhead triple: the same engine workload uninstrumented, with the
-    // no-op handle, and with the sharded recorder.
-    eprintln!("measuring recorder overhead ({samples} samples per mode)...");
-    let engine_workload = |obs: Option<Obs>| {
-        let size = n(8);
-        let model = KUncertainty::new(size, 2);
-        let protos: Vec<_> = inputs(8).iter().map(|&v| OneRoundKSet::new(v)).collect();
-        let mut adv = RandomAdversary::new(model, SEED);
-        let mut engine = Engine::new(size);
-        if let Some(obs) = obs {
-            engine = engine.obs(obs);
-        }
-        engine.run(protos, &mut adv, &model).expect("overhead run");
-    };
-    let baseline = quantile(&time_samples(samples, || engine_workload(None)), 0.5);
-    let noop = quantile(
-        &time_samples(samples, || engine_workload(Some(Obs::noop()))),
-        0.5,
-    );
-    let sharded = quantile(
-        &time_samples(samples, || engine_workload(Some(Obs::logical()))),
-        0.5,
-    );
-
-    // The DPOR class explorer on the full-info ring, then on §5's
-    // semi-sync consensus: one exploration of it takes a few
-    // milliseconds, so its row affords the experiments' sample count.
-    let explore_samples = if quick { 3 } else { 7 };
-    eprintln!("measuring dpor explorer ({explore_samples} and {samples} samples)...");
-    let dpor = measure_dpor(explore_samples);
-    let dpor_semisync = measure_dpor_semisync(samples);
-
     eprintln!("measuring the host's parallelism control ({samples} samples per mode)...");
     let parallel_x100 = measure_parallel_x100(samples);
 
     // Batch throughput: the sharded pool against its own one-shard run on
     // the default tenant mix, on at most 4 shards and never more shards
-    // than the host has cores. `serve` re-measures this section at
-    // arbitrary scale and splices it back in.
+    // than the host has cores.
     let tp_shards = cores.min(4);
     let tp_instances = if quick { 2_000 } else { 10_000 };
     eprintln!("measuring batch throughput ({tp_instances} instances, {tp_shards} shards)...");
@@ -340,12 +168,6 @@ fn run_report(quick: bool) -> Result<String, String> {
     let conf_instances = if quick { 200 } else { 1_000 };
     eprintln!("measuring zoo conformance ({conf_instances} monitored instances)...");
     let conformance = measure_conformance(&MixSpec::default_mix(), conf_instances, tp_shards, SEED);
-
-    // Compiled predicate plane: the shared-trie lattice against the
-    // per-pair search, and per-round conformance cost. Asserts its own
-    // speedup floor (10x at depth 3).
-    eprintln!("measuring compiled-plane lattice speedups...");
-    let lattice = measure_lattice(quick);
 
     let mut out = String::new();
     out.push_str("{\n");
@@ -374,40 +196,13 @@ fn run_report(quick: bool) -> Result<String, String> {
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"overhead\": {{\"baseline_ns\": {baseline}, \"noop_ns\": {noop}, \
-         \"sharded_ns\": {sharded}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"dpor\": {{{}, \"semisync\": {{{}}}}},\n",
-        dpor.members(),
-        dpor_semisync.members(),
-    ));
     out.push_str(&render_throughput_line(&throughput));
     out.push('\n');
     out.push_str(&render_conformance_block(&conformance));
     out.push('\n');
-    out.push_str(&render_lattice_line(&lattice));
-    out.push('\n');
     out.push_str("}\n");
     Ok(out)
 }
-
-/// The integer fields of the report's fixed sections.
-const SECTIONS: [(&str, &str); 4] = [
-    ("overhead", "baseline_ns noop_ns sharded_ns"),
-    ("dpor", DPOR_FIELDS),
-    (
-        "throughput",
-        "instances shards completed errored rounds batch_ns one_shard_ns instances_per_sec \
-         p99_round_ns speedup_x100",
-    ),
-    (
-        "lattice",
-        "n f pairwise_depth3_ns compiled_depth3_ns speedup_x100 depth4_cold_ns \
-         conformance_compiled_ns_per_round",
-    ),
-];
 
 /// Checks that `object` carries every one of the space-separated
 /// `fields` as an integer.
@@ -477,31 +272,17 @@ fn check_schema(text: &str) -> Result<(), String> {
              registry's entries, in order"
         ));
     }
-    for (section, fields) in SECTIONS {
-        let object = root
-            .get(section)
-            .ok_or_else(|| format!("missing object `{section}`"))?;
-        integers(object, section, fields)?;
-    }
-    // The ring row has no crashes; the semi-sync row is the one that
-    // exercises crash alternatives.
-    let semisync = root
-        .get("dpor")
-        .and_then(|dpor| dpor.get("semisync"))
-        .ok_or("dpor: missing object `semisync`")?;
-    integers(semisync, "dpor semisync", DPOR_FIELDS)?;
-    let throughput = root.get("throughput");
+    let throughput = root
+        .get("throughput")
+        .ok_or("missing object `throughput`")?;
+    integers(throughput, "throughput", THROUGHPUT_FIELDS)?;
     throughput
-        .and_then(|t| t.get("mix"))
+        .get("mix")
         .and_then(json::Json::as_str)
         .ok_or("throughput: missing string `mix`")?;
     // A batch that completed instances ran rounds, so an empty merged
     // round-latency histogram means the p99 source recorded nothing.
-    let field = |name| {
-        throughput
-            .and_then(|t| t.get(name))
-            .and_then(json::Json::as_u64)
-    };
+    let field = |name| throughput.get(name).and_then(json::Json::as_u64);
     if field("completed") > Some(0) && field("p99_round_ns") == Some(0) {
         return Err("throughput: `p99_round_ns` is 0 although instances completed".to_owned());
     }
@@ -537,35 +318,51 @@ fn check_schema(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Asserts the report's overhead triple sits inside the envelope:
-/// `noop_ns` within `factor`× of `baseline_ns` (disabled instrumentation
-/// must be near-free; `factor` is slack for nanosecond-scale timer
-/// noise), and `sharded_ns` within `factor`× too (the live recorder
-/// buffers a run's samples and applies them to its dense store in one
-/// flush, so a fully recorded run — recorder construction included —
-/// stays within a small multiple of the bare one).
-fn assert_overhead(text: &str, factor: u64) -> Result<(), String> {
+/// The `median_ns` of the rows `names` of the report `text`.
+fn medians(text: &str, names: [&str; 2]) -> Result<[u64; 2], String> {
     let root = json::parse(text).map_err(|e| e.to_string())?;
-    let overhead = root.get("overhead").ok_or("missing object `overhead`")?;
-    let field = |name: &str| {
-        overhead
-            .get(name)
+    let rows = root
+        .get("experiments")
+        .and_then(json::Json::as_array)
+        .ok_or("missing array field `experiments`")?;
+    let median = |name: &str| {
+        let row = rows
+            .iter()
+            .find(|row| row.get("name").and_then(json::Json::as_str) == Some(name));
+        row.and_then(|row| row.get("median_ns"))
             .and_then(json::Json::as_u64)
-            .ok_or_else(|| format!("overhead: missing integer `{name}`"))
+            .ok_or_else(|| format!("missing row `{name}`"))
     };
-    let baseline = field("baseline_ns")?.max(1);
-    let noop = field("noop_ns")?;
-    let sharded = field("sharded_ns")?;
-    if noop > baseline * factor {
+    Ok([median(names[0])?, median(names[1])?])
+}
+
+/// The compiled plane's floor: the shared-trie walk at depth 3 at least
+/// 10× faster than the per-pair search, so a regression that melts the
+/// ratio fails report generation instead of shipping a slower plane.
+fn check_floor(text: &str) -> Result<(), String> {
+    let [pairwise, compiled] = medians(text, FLOOR_ROWS)?;
+    let speedup_x100 = pairwise * 100 / compiled.max(1);
+    if speedup_x100 < 1_000 {
+        let [pairwise_row, compiled_row] = FLOOR_ROWS;
         return Err(format!(
-            "noop recorder overhead out of envelope: {noop}ns vs {baseline}ns baseline \
-             (allowed {factor}x)"
+            "compiled depth-3 lattice fell under the 10x floor: {pairwise_row} {pairwise}ns vs \
+             {compiled_row} {compiled}ns ({speedup_x100}/100x)"
         ));
     }
-    if sharded > baseline * factor {
+    Ok(())
+}
+
+/// Fails when the recorded engine run's median exceeds `factor`× the
+/// no-op run's: the live recorder buffers a run's samples and applies
+/// them in one flush, so a fully recorded run, recorder construction
+/// included, stays within a small multiple of the bare one.
+fn assert_overhead(text: &str, factor: u64) -> Result<(), String> {
+    let [noop, recorded] = medians(text, OVERHEAD_ROWS)?;
+    if recorded > noop.max(1) * factor {
+        let [noop_row, recorded_row] = OVERHEAD_ROWS;
         return Err(format!(
-            "sharded recorder overhead out of envelope: {sharded}ns vs {baseline}ns baseline \
-             (allowed {factor}x)"
+            "recorder overhead out of envelope: {recorded_row} {recorded}ns vs {noop_row} \
+             {noop}ns (allowed {factor}x)"
         ));
     }
     Ok(())
@@ -573,23 +370,6 @@ fn assert_overhead(text: &str, factor: u64) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let take_flag = |args: &mut Vec<String>, flag: &str| match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    };
-    let take_value = |args: &mut Vec<String>, flag: &str| match args.iter().position(|a| a == flag)
-    {
-        Some(i) if i + 1 < args.len() => {
-            args.remove(i);
-            Some(args.remove(i))
-        }
-        Some(_) => Some(String::new()),
-        None => None,
-    };
-
     let quick = take_flag(&mut args, "--quick");
     let check = take_value(&mut args, "--check-schema");
     let assert_factor = take_value(&mut args, "--assert-overhead");
@@ -602,15 +382,15 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let assert_factor: Option<u64> = match assert_factor {
-        Some(v) => match v.parse() {
-            Ok(f) if f > 0 => Some(f),
-            _ => {
-                eprintln!("--assert-overhead needs a positive integer factor, got {v:?}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
+    let assert_factor: Option<u64> = match assert_factor
+        .map(|v| positive("--assert-overhead", &v))
+        .transpose()
+    {
+        Ok(factor) => factor,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
 
     if let Some(path) = check {
@@ -648,6 +428,10 @@ fn main() -> ExitCode {
         eprintln!("internal error: generated report fails its own schema");
         return ExitCode::FAILURE;
     }
+    if let Err(e) = check_floor(&report) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     if let Err(e) = std::fs::write(&out, &report) {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
@@ -658,7 +442,7 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("overhead triple within the {factor}x envelope");
+        eprintln!("recorder overhead within the {factor}x envelope");
     }
     ExitCode::SUCCESS
 }
@@ -694,9 +478,87 @@ mod tests {
 
     #[test]
     fn a_report_missing_one_row_fails_its_schema() {
-        let dropped = without_line_containing(COMMITTED, "\"name\": \"e6\"");
-        let err = check_schema(&dropped).expect_err("a dropped row must fail");
-        assert!(err.contains("expected \"e6\""), "{err}");
+        let rows = [
+            "e6",
+            "ablation_dpor_semisync",
+            "ablation_lattice_pairwise_d3",
+            "ablation_conformance_zoo_x1000",
+            "ablation_overhead_noop",
+        ];
+        for name in rows {
+            let dropped = without_line_containing(COMMITTED, &format!("\"name\": \"{name}\""));
+            let err = check_schema(&dropped).expect_err("a dropped row must fail");
+            assert!(err.contains(&format!("expected \"{name}\"")), "{err}");
+        }
+    }
+
+    /// The committed report with the `median_ns` of row `name` set to
+    /// `median`.
+    fn with_median(name: &str, median: u64) -> String {
+        let lines = COMMITTED.lines().map(|line| {
+            if !line.contains(&format!("\"name\": \"{name}\"")) {
+                return line.to_owned();
+            }
+            let at = line.find("\"median_ns\": ").expect("a row has a median");
+            let digits = line[at..].find(',').expect("the median is not last");
+            format!(
+                "{}\"median_ns\": {median}{}",
+                &line[..at],
+                &line[at + digits..]
+            )
+        });
+        lines.collect::<Vec<_>>().join("\n")
+    }
+
+    #[test]
+    fn the_committed_report_passes_its_overhead_and_floor_checks() {
+        assert_overhead(COMMITTED, 4).expect("committed overhead within 4x");
+        check_floor(COMMITTED).expect("committed lattice above the 10x floor");
+    }
+
+    #[test]
+    fn a_recorded_run_above_the_factor_fails_the_overhead_check() {
+        let [noop, _] = medians(COMMITTED, OVERHEAD_ROWS).expect("committed overhead rows");
+        let slow = with_median("ablation_overhead_recorded", noop * 4 + 1);
+        let err = assert_overhead(&slow, 4).expect_err("a 4x+ recorder must fail");
+        for row in OVERHEAD_ROWS {
+            assert!(err.contains(row), "{err}");
+        }
+        assert_overhead(&with_median("ablation_overhead_recorded", noop * 4), 4)
+            .expect("exactly 4x is within the envelope");
+    }
+
+    #[test]
+    fn a_report_without_its_overhead_rows_fails_the_overhead_check() {
+        let renamed = COMMITTED.replace("\"ablation_overhead_", "\"ablation_gone_");
+        let err = assert_overhead(&renamed, 4).expect_err("missing rows must fail");
+        assert!(
+            err.contains("missing row `ablation_overhead_noop`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_compiled_lattice_under_the_floor_fails_its_check() {
+        let [pairwise, _] = medians(COMMITTED, FLOOR_ROWS).expect("committed floor rows");
+        let slow = with_median("ablation_lattice_compiled_d3", pairwise / 10 + 1);
+        let err = check_floor(&slow).expect_err("a sub-10x walk must fail");
+        assert!(err.contains("under the 10x floor"), "{err}");
+    }
+
+    #[test]
+    fn the_committed_dpor_rows_carry_their_class_counts() {
+        let root = json::parse(COMMITTED).expect("committed BENCH_rrfd.json parses");
+        let rows = root.get("experiments").and_then(json::Json::as_array);
+        let schedules = |name: &str| {
+            let mut rows = rows.into_iter().flatten();
+            let row = rows.find(|row| row.get("name").and_then(json::Json::as_str) == Some(name));
+            let metrics = row.and_then(|row| row.get("metrics"));
+            let total = metrics.and_then(|m| m.get("rrfd_explore_schedules_total"));
+            total.and_then(json::Json::as_u64)
+        };
+        assert_eq!(schedules("ablation_dpor_ring"), Some(63));
+        assert_eq!(schedules("ablation_dpor_semisync"), Some(612));
     }
 
     #[test]
@@ -723,14 +585,6 @@ mod tests {
             err.contains("host: missing integer `parallel_x100`"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn a_dpor_section_without_its_semisync_row_fails_its_schema() {
-        assert!(COMMITTED.contains("\"semisync\": {\"schedules\": 612, "));
-        let ring_only = COMMITTED.replace("\"semisync\": ", "\"semi\": ");
-        let err = check_schema(&ring_only).expect_err("the dpor section needs its semisync row");
-        assert!(err.contains("dpor: missing object `semisync`"), "{err}");
     }
 
     #[test]

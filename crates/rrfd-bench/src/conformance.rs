@@ -110,8 +110,8 @@ pub fn measure_conformance(
 }
 
 /// Renders the section as the report's multi-line `"conformance"` block
-/// (two-space indent, trailing comma, matching the `rrfd-bench v1`
-/// layout).
+/// (two-space indent and no trailing comma: the last section of the
+/// `rrfd-bench v1` layout).
 #[must_use]
 pub fn render_conformance_block(section: &ConformanceSection) -> String {
     let mut out = String::new();
@@ -140,7 +140,7 @@ pub fn render_conformance_block(section: &ConformanceSection) -> String {
             },
         ));
     }
-    out.push_str("  ]},");
+    out.push_str("  ]}");
     out
 }
 
@@ -179,8 +179,7 @@ mod tests {
         let mix = MixSpec::default_mix();
         let section = measure_conformance(&mix, 30, 2, 7);
         let block = render_conformance_block(&section);
-        // Strip the layout's trailing comma and parse the object.
-        let object = block.trim_end().trim_end_matches(',').trim_start();
+        let object = block.trim();
         let object = object.trim_start_matches("\"conformance\": ");
         let parsed = json::parse(object).expect("block parses");
         assert_eq!(

@@ -5,12 +5,13 @@
 //! which `experiments` renders into `EXPERIMENTS.md` and `report` times;
 //! of [`stats`], the one quantile definition all bench binaries share; of
 //! [`throughput`], the batch-throughput harness behind `--bin serve` and
-//! the report's `throughput` section; and of
+//! the report's `throughput` section; of
 //! [`conformance`], the zoo-conformance measurement behind the report's
-//! `conformance` section and its online/offline differential check.
+//! `conformance` section and its online/offline differential check; and
+//! of [`args`], the flag parsing the binaries share.
 
+pub mod args;
 pub mod conformance;
-pub mod lattice;
 pub mod registry;
 pub mod stats;
 pub mod throughput;
@@ -18,8 +19,5 @@ pub mod throughput;
 pub use conformance::{
     measure_conformance, offline_conformance, render_conformance_block, ConformanceSection,
 };
-pub use lattice::{measure_lattice, render_lattice_line, LatticeSection};
 pub use stats::quantile;
-pub use throughput::{
-    measure_throughput, render_throughput_line, splice_throughput, ThroughputRow,
-};
+pub use throughput::{measure_throughput, render_throughput_line, ThroughputRow};

@@ -17,16 +17,17 @@
 //! and no block; they are timed and checked like any other entry.
 
 use rrfd_analyze::blocks::{block_names, splice_block};
-use rrfd_analyze::lattice;
+use rrfd_analyze::lattice::{self, implies, zoo, Lattice};
 use rrfd_core::task::{AdoptCommitSpec, Grade, KSetAgreement, Value};
 use rrfd_core::{
     validate_round, AnyPattern, Control, Delivery, Engine, FaultDetector, FaultPattern, IdSet,
     InvalidSystemSize, KnowledgeProtocol, ProcessId, ProgramBatch, Round, RoundFaults,
-    RoundProtocol, RrfdPredicate, SystemSize,
+    RoundProtocol, RrfdPredicate, RunReport, SystemSize,
 };
 use rrfd_models::adversary::{
     NoFailures, RandomAdversary, RingMiss, SampleModel, SilencingCrash, StaggeredCrash,
 };
+use rrfd_models::conformance::ConformanceMonitor;
 use rrfd_models::predicates::{
     AntiSymmetric, AsyncResilient, Crash, DetectorS, EventuallyStrong, IdenticalViews,
     KUncertainty, SendOmission, Snapshot, Swmr, SystemB,
@@ -50,11 +51,11 @@ use rrfd_runtime::ThreadedEngine;
 use rrfd_sims::async_net::AsyncNetSim;
 use rrfd_sims::async_rounds::RoundedAsync;
 use rrfd_sims::detector_s::SAugmentedSystem;
-use rrfd_sims::dpor::{explore_shared_mem_dpor, DporConfig};
+use rrfd_sims::dpor::{explore_semi_sync_dpor, explore_shared_mem_dpor, DporConfig};
 use rrfd_sims::explore::ExploreStats;
 use rrfd_sims::instrument::Instrumented;
-use rrfd_sims::semi_sync::SemiSyncSim;
-use rrfd_sims::shared_mem::{MemRunReport, SharedMemSim};
+use rrfd_sims::semi_sync::{SemiSyncReport, SemiSyncSim};
+use rrfd_sims::shared_mem::{Action, MemProcess, MemRunReport, Observation, SharedMemSim};
 use rrfd_sims::step::RandomScheduler;
 use rrfd_sims::sync_net::{RandomCrash, RandomOmission, SyncNetSim};
 use std::collections::BTreeSet;
@@ -66,7 +67,7 @@ use Val::{All, Count, Max, Mean, Note, Sum, Text};
 /// Seeds of a sampled row, unless its experiment says otherwise.
 const SEEDS: u64 = 50;
 
-/// How many times an `_x1000` ablation validates its round per run, so a
+/// How many times an `_x1000` ablation repeats its body per run, so a
 /// nanosecond-scale body is timed well above the clock's resolution.
 const MICRO_LOOPS: usize = 1000;
 
@@ -415,6 +416,8 @@ pub fn all() -> Vec<Experiment> {
         failure_free("ablation_compact", compact),
     ];
     let blocks = blocks.map(|entry| entry());
+    let ablations = ablations.into_iter().chain(dpor());
+    let ablations = ablations.chain(lattice_ablations()).chain(overhead());
     blocks.into_iter().chain(ablations).collect()
 }
 
@@ -564,11 +567,8 @@ fn e2() -> Experiment {
 fn e3() -> Experiment {
     let rows = [(4usize, 1usize), (8, 2), (8, 4), (16, 3), (32, 5), (64, 8)].map(|(nv, k)| {
         row(SEEDS, &[&nv, &k, &SEEDS], move |seed, obs| {
-            let (size, ins, task) = (n(nv)?, inputs(nv), KSetAgreement::new(k));
-            let model = KUncertainty::new(size, k);
-            let protos = ins.iter().map(|&v| OneRoundKSet::new(v)).collect();
-            let mut adv = RandomAdversary::new(model, seed);
-            let report = engine(size, obs).run(protos, &mut adv, &model)?;
+            let (ins, task) = (inputs(nv), KSetAgreement::new(k));
+            let report = kset_round(nv, k, seed, obs)?;
             let (outs, rounds) = (report.outputs(), report.rounds_executed);
             let distinct = outs.iter().flatten().collect::<BTreeSet<_>>().len();
             let bad = task.check_terminating(&ins, &outs).is_err();
@@ -581,6 +581,23 @@ fn e3() -> Experiment {
     let header = "| n | k | runs | rounds to decide | max distinct decisions | task violations |\n\
                   |---|---|------|------------------|------------------------|-----------------|";
     Experiment::new("e3", 1, title, claim).table(header, rows)
+}
+
+/// Theorem 3.1's run: [`OneRoundKSet`] on the engine at `nv` processes
+/// with [`inputs`], against a random `k`-uncertainty adversary from `seed`,
+/// recording into `obs`. E3 checks its decisions; the overhead ablations
+/// time it.
+fn kset_round(
+    nv: usize,
+    k: usize,
+    seed: u64,
+    obs: &Obs,
+) -> Result<RunReport<Value>, Box<dyn Error>> {
+    let size = n(nv)?;
+    let model = KUncertainty::new(size, k);
+    let protos = inputs(nv).into_iter().map(OneRoundKSet::new).collect();
+    let mut adv = RandomAdversary::new(model, seed);
+    Ok(engine(size, obs).run(protos, &mut adv, &model)?)
 }
 
 fn e4() -> Experiment {
@@ -1072,4 +1089,198 @@ where
         done(Vec::new(), report.all_decided())
     });
     Experiment::ablation(name, "every process decides in a failure-free run", cell)
+}
+
+/// A full-information ring at n = 6. Each process floods its value
+/// through three write rounds (one SWMR bank per round), then reads its
+/// ring successor's final-round cell and decides on what it saw. The
+/// 30-event schedule tree is astronomically large (`30!/(5!)⁶`
+/// interleavings), but only the six write/read pairs on the last bank
+/// conflict — so the DPOR explorer collapses the whole tree into 63
+/// Mazurkiewicz classes (the 2⁶ miss/see combinations minus the all-miss
+/// one, which the ring makes cyclically infeasible).
+#[derive(Debug, Clone)]
+struct RingFlood {
+    id: u8,
+    phase: u8,
+}
+
+impl MemProcess<u64> for RingFlood {
+    type Output = u64;
+    fn step(&mut self, obs: Observation<u64>) -> Action<u64, u64> {
+        // Steps 1–3 write banks 0–2, step 4 reads, step 5 decides.
+        self.phase += 1;
+        match obs {
+            Observation::Value(v) => Action::Decide(v.unwrap_or(u64::MAX)),
+            _ if self.phase <= 3 => Action::Write {
+                bank: usize::from(self.phase) - 1,
+                value: u64::from(self.id),
+            },
+            _ => Action::Read {
+                bank: 2,
+                owner: ProcessId::new(usize::from((self.id + 1) % 6)),
+            },
+        }
+    }
+}
+
+/// A DPOR ablation's values: its search effort, holding when the explorer
+/// found exactly `count` trace classes, each one maximal execution graph.
+/// Any other count is a reduction bug.
+fn classes(stats: ExploreStats, count: usize, obs: &Obs) -> CellOutcome {
+    let holds = stats.schedules == count && stats.schedules as u64 == stats.graphs_explored;
+    Ok(CellResult {
+        holds,
+        ..effort(stats, obs)?
+    })
+}
+
+/// The DPOR explorer on [`RingFlood`], which has no crash, and on §5's
+/// two-step semi-synchronous consensus (`RepeatedRounds`, n = 3, two
+/// rounds, one crash) with termination and consensus checked per class:
+/// the crash alternatives the ring never offers.
+fn dpor() -> [Experiment; 2] {
+    let ring = row(1, &[], |_, obs| {
+        let sim = SharedMemSim::new(n(6)?, 3);
+        let make = || {
+            (0..6)
+                .map(|id| RingFlood { id, phase: 0 })
+                .collect::<Vec<_>>()
+        };
+        let stats = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(1));
+        classes(stats.map_err(|e| e.to_string())?, 63, obs)
+    });
+    let semisync = row(1, &[], |_, obs| {
+        const INPUTS: [Value; 3] = [4, 1, 9];
+        let size = n(3)?;
+        let make = || each(size, |p| RepeatedRounds::new(size, p, INPUTS[p.index()], 2));
+        let check = |report: &SemiSyncReport<RepeatedRounds>| {
+            if !report.all_correct_decided() {
+                return Err("a correct process did not decide".to_owned());
+            }
+            let task = KSetAgreement::consensus();
+            task.check(&INPUTS, &decided(&report.outputs))
+                .map_err(|v| v.to_string())
+        };
+        let sim = SemiSyncSim::new(size);
+        let stats = explore_semi_sync_dpor(&sim, 1, make, check, &DporConfig::new(1));
+        classes(stats.map_err(|e| e.to_string())?, 612, obs)
+    });
+    [
+        Experiment::ablation(
+            "ablation_dpor_ring",
+            "the ring flood has exactly 63 trace classes, one execution graph each",
+            ring,
+        ),
+        Experiment::ablation(
+            "ablation_dpor_semisync",
+            "semi-sync consensus holds in each of exactly 612 trace classes",
+            semisync,
+        ),
+    ]
+}
+
+/// A clean crash at n processes: process n − 1 is suspected by everyone
+/// else from round 2 on, for `rounds` rounds.
+fn crash_stream(size: SystemSize, rounds: usize) -> Vec<RoundFaults> {
+    let crashed = IdSet::singleton(ProcessId::new(size.get() - 1));
+    let round = |r| match r {
+        0 => RoundFaults::none(size),
+        _ => RoundFaults::from_sets(size, each(size, |i| crashed - IdSet::singleton(i))),
+    };
+    (0..rounds).map(round).collect()
+}
+
+/// §2's submodel ordering over `zoo(3, 1)`: the per-pair [`implies`]
+/// search at depth 3 against the shared-trie [`Lattice::compute_compiled`]
+/// walk at depths 3 and 4, and [`MICRO_LOOPS`] fresh conformance monitors
+/// over the zoo on a 24-round crash stream (per-round cost: the median
+/// over 24,000). Zoo members 0 and 1 are crash and send-omission.
+fn lattice_ablations() -> [Experiment; 4] {
+    let pairwise = row(1, &[], |_, _| {
+        let family = zoo(n(3)?, 1);
+        let compiled = Lattice::compute_compiled(&family, 3);
+        let mut agree = true;
+        for (i, a) in family.iter().enumerate() {
+            for (j, b) in family.iter().enumerate() {
+                let holds = i == j || implies(a.as_ref(), b.as_ref(), 3).is_ok();
+                agree &= holds == compiled.implies_at(i, j);
+            }
+        }
+        done(Vec::new(), agree)
+    });
+    let compiled = |depth| {
+        row(1, &[], move |_, _| {
+            let lattice = Lattice::compute_compiled(&zoo(n(3)?, 1), depth);
+            done(
+                Vec::new(),
+                lattice.implies_at(0, 1) && !lattice.implies_at(1, 0),
+            )
+        })
+    };
+    let conformance = row(1, &[], |_, _| {
+        let (size, mut holds) = (n(3)?, true);
+        let stream = crash_stream(size, 24);
+        for _ in 0..MICRO_LOOPS {
+            let mut monitor = ConformanceMonitor::zoo(size, 1);
+            for round in &stream {
+                monitor.observe(round);
+            }
+            holds &= monitor.first_violation(0).is_none();
+        }
+        done(Vec::new(), holds)
+    });
+    let ordered = "the compiled lattice orders crash strictly below send-omission";
+    [
+        Experiment::ablation(
+            "ablation_lattice_pairwise_d3",
+            "the per-pair search agrees with the compiled walk on every depth-3 pair",
+            pairwise,
+        ),
+        Experiment::ablation("ablation_lattice_compiled_d3", ordered, compiled(3)),
+        Experiment::ablation("ablation_lattice_compiled_d4", ordered, compiled(4)),
+        Experiment::ablation(
+            "ablation_conformance_zoo_x1000",
+            "the crash model admits the crash stream on every pass",
+            conformance,
+        ),
+    ]
+}
+
+/// The recorder-overhead pair: e3's run at n = 8, k = 2, recording into
+/// the cell's handle (the report times it with the no-op one) and into a
+/// fresh logical recorder built per run. Both check only that the run
+/// decided, so the two medians differ by the recorder alone.
+fn overhead() -> [Experiment; 2] {
+    let claim = "every process decides in the one round";
+    let noop = row(1, &[], |seed, obs| {
+        done(Vec::new(), kset_round(8, 2, seed, obs)?.all_decided())
+    });
+    let recorded = row(1, &[], |seed, _| {
+        let report = kset_round(8, 2, seed, &Obs::logical())?;
+        done(Vec::new(), report.all_decided())
+    });
+    [
+        Experiment::ablation("ablation_overhead_noop", claim, noop),
+        Experiment::ablation("ablation_overhead_recorded", claim, recorded),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn conformance_stream_is_admissible_for_the_crash_model() {
+        let size = n(3).expect("valid size");
+        let mut monitor = ConformanceMonitor::zoo(size, 1);
+        for round in &crash_stream(size, 8) {
+            monitor.observe(round);
+        }
+        let verdict = monitor.verdict();
+        assert!(
+            verdict.strongest_satisfied().is_some(),
+            "the stream must keep at least one model alive"
+        );
+    }
 }

@@ -7,8 +7,9 @@
 //! more, uninstrumented, on a single shard, and reduces the three to a
 //! [`ThroughputRow`]: instances/sec, p99 round latency, and the speedup
 //! of `shards` shards over one shard of the same pool. Both bench
-//! binaries consume the same row, so `serve` output and
-//! `BENCH_rrfd.json` cannot drift apart.
+//! binaries measure through this one function: `serve` prints the row,
+//! and `report` writes it as the `throughput` section of
+//! `BENCH_rrfd.json`.
 
 use rrfd_engine_pool::{run_batch, MixSpec, PoolConfig};
 use rrfd_obs::{json, names, Obs};
@@ -123,21 +124,6 @@ pub fn render_throughput_line(row: &ThroughputRow) -> String {
     )
 }
 
-/// Replaces the `"throughput"` line of a rendered `rrfd-bench v1`
-/// report with `line`. Errors when the text has no such line (not a v1
-/// report).
-pub fn splice_throughput(report_text: &str, line: &str) -> Result<String, String> {
-    let mut lines: Vec<&str> = report_text.lines().collect();
-    let i = lines
-        .iter()
-        .position(|l| l.trim_start().starts_with("\"throughput\":"))
-        .ok_or("no `throughput` section to anchor on")?;
-    lines[i] = line;
-    let mut out = lines.join("\n");
-    out.push('\n');
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,36 +142,5 @@ mod tests {
             row.p99_round_ns > 0,
             "instrumented pass must fill the histogram"
         );
-    }
-
-    fn sample_row() -> ThroughputRow {
-        ThroughputRow {
-            mix: "kset:n=4:k=1:w=1".to_owned(),
-            instances: 10,
-            shards: 2,
-            completed: 10,
-            errored: 0,
-            rounds: 10,
-            batch_ns: 500,
-            one_shard_ns: 1500,
-            instances_per_sec: 20_000_000,
-            p99_round_ns: 40,
-            speedup_x100: 300,
-        }
-    }
-
-    #[test]
-    fn splice_replaces_existing_section() {
-        let report = "{\n  \"throughput\": {\"old\": 1},\n  \"lattice\": {}\n}\n";
-        let line = render_throughput_line(&sample_row());
-        let updated = splice_throughput(report, &line).unwrap();
-        assert!(updated.contains("\"speedup_x100\": 300"));
-        assert!(!updated.contains("\"old\": 1"));
-        assert_eq!(updated.lines().count(), report.lines().count());
-    }
-
-    #[test]
-    fn splice_rejects_unanchored_text() {
-        assert!(splice_throughput("not a report\n", "x").is_err());
     }
 }

@@ -200,7 +200,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::revisit::{apply_traced, crash_alternatives, options};
+    use super::revisit::{apply_traced, crash_alternatives};
     use super::*;
     use crate::shared_mem::{Action, Observation};
     use crate::step::StepEvent;
@@ -210,6 +210,17 @@ mod tests {
 
     fn size(n: usize) -> SystemSize {
         SystemSize::new(n).unwrap()
+    }
+
+    /// The events enabled at `state` with `crash_budget` crashes left: the
+    /// execution's steps, in id order, then (with another process live) a
+    /// crash of each live process.
+    fn options<X: StepExecution>(state: &X, crash_budget: usize, out: &mut Vec<StepEvent>) {
+        state.enabled(out);
+        let live = state.live();
+        if crash_budget > 0 && live.len() > 1 {
+            out.extend(live.iter().map(StepEvent::Crash));
+        }
     }
 
     /// Writes `me + 1` to bank 0, reads the other's cell, decides on it:

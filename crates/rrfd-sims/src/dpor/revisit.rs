@@ -263,19 +263,8 @@ impl WorkStack {
     }
 }
 
-/// The events enabled at `state` with `crash_budget` crashes left: the
-/// execution's steps, in id order, then (with another process live) a
-/// crash of each live process.
-pub(super) fn options<X: StepExecution>(state: &X, crash_budget: usize, out: &mut Vec<StepEvent>) {
-    state.enabled(out);
-    let live = state.live();
-    if crash_budget > 0 && live.len() > 1 {
-        out.extend(live.iter().map(StepEvent::Crash));
-    }
-}
-
-/// The first of [`options`], found without listing them: the event the
-/// deterministic extension always applies. Both explored executions
+/// The first enabled event, found without listing the options: the event
+/// the deterministic extension always applies. Both explored executions
 /// enable one step per live process ([`StepExecution::ENABLED_IS_LIVE`]),
 /// so it is the smallest live process's step.
 fn first_option<X: StepExecution>(state: &X) -> Option<StepEvent> {
@@ -284,9 +273,9 @@ fn first_option<X: StepExecution>(state: &X) -> Option<StepEvent> {
 }
 
 /// Applies an enabled event to `state`, spending `crash_budget` on a
-/// crash, and returns the footprint it left behind. A crash is checked
-/// against the conditions [`options`] offers crashes under; a step of a
-/// process that is not live is rejected by the execution.
+/// crash, and returns the footprint it left behind. A crash needs budget
+/// left and another process live; a step of a process that is not live
+/// is rejected by the execution.
 ///
 /// # Errors
 ///
@@ -527,10 +516,9 @@ where
         if let Err(message) = (self.check)(&s.state.report()) {
             let key = events_key(&s.canon_events);
             if self.cex.as_ref().is_none_or(|(best, _)| key < *best) {
-                let run = events.iter().map(|e| e.event);
+                let run = events.iter().map(|e| e.event).collect();
                 let cex = Box::new(Counterexample {
-                    choices: choices(self.root, self.crash_budget, run.clone())?,
-                    schedule: ScheduleTrace::from_events(run.collect()),
+                    schedule: ScheduleTrace::from_events(run),
                     message,
                     stats: ExploreStats::default(), // overwritten with the totals
                 });
@@ -572,27 +560,6 @@ where
         }
         Ok(())
     }
-}
-
-/// The option index of each of `events` among the options enabled where
-/// it was applied, replayed from `root` with `crash_budget` crashes: a
-/// counterexample's scheduler choices, computed only when a failing class
-/// becomes the one to report.
-fn choices<X: StepExecution<Footprint = Access> + Clone>(
-    root: &X,
-    mut crash_budget: usize,
-    events: impl Iterator<Item = StepEvent>,
-) -> Result<Vec<usize>, DporError> {
-    let mut state = root.clone();
-    let mut enabled = Vec::new();
-    events
-        .map(|event| {
-            options(&state, crash_budget, &mut enabled);
-            let choice = enabled.iter().position(|&o| o == event);
-            apply_traced(&mut state, &mut crash_budget, event)?;
-            Ok(choice.unwrap_or_else(|| unreachable!("the run applied {event:?} while disabled")))
-        })
-        .collect()
 }
 
 /// Revisit prefixes from the class's reversible races, computed in

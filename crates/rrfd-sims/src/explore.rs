@@ -80,13 +80,11 @@ impl ExploreStats {
     }
 }
 
-/// A failing schedule found during exploration: its decision indices, the
-/// concrete event sequence they produced (replayable through
-/// [`crate::trace::ScheduleReplay`]), and the checker's complaint.
+/// A failing schedule found during exploration: its concrete event
+/// sequence (replayable through [`crate::trace::ScheduleReplay`]), the
+/// checker's complaint, and the search's effort.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
-    /// Decision indices into each choice point's option list.
-    pub choices: Vec<usize>,
     /// The concrete schedule, serializable and replayable.
     pub schedule: ScheduleTrace,
     /// What the checker reported.
@@ -99,7 +97,6 @@ pub struct Counterexample {
 impl fmt::Display for Counterexample {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "schedule check failed: {}", self.message)?;
-        writeln!(f, "scheduler choices: {:?}", self.choices)?;
         write!(f, "replayable schedule:\n{}", self.schedule)
     }
 }

@@ -309,7 +309,6 @@ fn dpor_results_are_worker_count_independent() {
         format!("{:?}", projection(&first.stats)),
         "stats projection must not change between runs"
     );
-    assert_eq!(second.choices, first.choices);
     assert_eq!(second.message, first.message);
     assert_eq!(second.schedule.to_string(), first.schedule.to_string());
     assert_eq!(first.stats.steals, 0);

@@ -92,7 +92,6 @@ fn walk<R>(
 
         if let Err(message) = check(&report) {
             return Err(Box::new(Counterexample {
-                choices: full,
                 schedule,
                 message,
                 stats,
@@ -355,7 +354,7 @@ mod tests {
         assert_eq!(cex.stats.schedules, 1);
         assert_eq!(cex.stats.decision_points, 6);
         assert_eq!(cex.stats.max_depth, 6, "partial depth must be folded in");
-        assert_eq!(cex.stats.max_depth, cex.choices.len());
+        assert_eq!(cex.stats.max_depth, cex.schedule.len());
     }
 
     #[test]
