@@ -237,7 +237,7 @@ impl Lattice {
             seen: std::collections::HashSet::new(),
         };
         let root = walker.intern(base_ctx.clone());
-        walker.walk(root, all_mask, 0);
+        walker.walk(root, all_mask);
         let TrieWalker {
             pending, refuted, ..
         } = walker;
@@ -548,12 +548,13 @@ struct RegisterFile {
     succ: Vec<Option<u32>>,
 }
 
-/// The depth-first shared-trie walk behind [`Lattice::compute_compiled`]:
-/// one traversal of the jointly-legal prefix trie decides every still-open
-/// implication pair at once. A node is its depth, its legality mask and
-/// the id of its register file; it applies each of the file's moves and
-/// expands each distinct child once. Witnesses are *not* collected here —
-/// refuted pairs are re-derived canonically by [`WitnessSearch`] afterwards.
+/// The level-synchronous shared-trie walk behind
+/// [`Lattice::compute_compiled`]: one breadth-first traversal of the
+/// jointly-legal prefix trie decides every still-open implication pair at
+/// once. A state is a legality mask and the id of a register file; it is
+/// expanded once, at the least depth it is reached, by applying each of
+/// the file's moves. Witnesses are *not* collected here — refuted pairs
+/// are re-derived canonically by [`WitnessSearch`] afterwards.
 struct TrieWalker<'a> {
     profiles: &'a [RoundProfile],
     programs: &'a [PredicateProgram],
@@ -571,8 +572,8 @@ struct TrieWalker<'a> {
     files: Vec<RegisterFile>,
     /// Register key to id.
     ids: std::collections::HashMap<(u32, IdSet, IdSet, Vec<IdSet>), u32>,
-    /// `(depth, legal, id)` of every node already visited.
-    seen: std::collections::HashSet<(u32, u128, u32)>,
+    /// `(legal, id)` of every state already queued, at any depth.
+    seen: std::collections::HashSet<(u128, u32)>,
 }
 
 impl TrieWalker<'_> {
@@ -662,40 +663,48 @@ impl TrieWalker<'_> {
         }
     }
 
-    /// Visits one trie node: judges every legal predicate on each move of
-    /// register file `id` (recording refutations of open pairs), then
-    /// recurses into the extensions that can still decide something.
-    /// Recursion depth is bounded by `max_rounds`.
-    fn walk(&mut self, id: u32, legal: u128, depth: u32) {
-        let targets = self.open_targets(legal);
-        if depth >= self.max_rounds || targets == 0 {
-            return;
-        }
-        // Pending pairs only shrink as the DFS proceeds, so a state seen
-        // before was explored with at least today's open pairs: skipping
-        // the revisit cannot lose a refutation.
-        if !self.seen.insert((depth, legal, id)) {
-            return;
-        }
-        let expand = depth + 1 < self.max_rounds;
+    /// Walks the trie level by level from `(root, legal)`: judges every
+    /// legal predicate on each move of a state's register file (recording
+    /// refutations of open pairs) and queues its unseen children that can
+    /// still decide something, up to `max_rounds` levels. A state is
+    /// expanded once, at its least depth, which loses nothing: pending
+    /// pairs only shrink, and a shallower copy reaches every state a
+    /// deeper one could, with rounds to spare.
+    fn walk(&mut self, root: u32, legal: u128) {
+        self.seen.insert((legal, root));
+        let mut frontier = vec![(root, legal)];
+        let mut next = Vec::new();
         // Children as (union id, legality). Absorbing a round reads only
-        // its union, so a child is determined by (union, legality) and each
-        // distinct one is expanded once.
+        // its union, so a child is determined by (union, legality).
         let mut children: Vec<(usize, u128)> = Vec::new();
-        for m in 0..self.files[id as usize].moves.len() {
-            let (adm, union) = self.files[id as usize].moves[m];
-            self.refute(legal, targets, adm);
-            let child = legal & adm;
-            if expand && !children.contains(&(union, child)) {
-                children.push((union, child));
+        for depth in 0..self.max_rounds {
+            let expand = depth + 1 < self.max_rounds;
+            for &(id, legal) in &frontier {
+                let targets = self.open_targets(legal);
+                if targets == 0 {
+                    continue;
+                }
+                children.clear();
+                for m in 0..self.files[id as usize].moves.len() {
+                    let (adm, union) = self.files[id as usize].moves[m];
+                    self.refute(legal, targets, adm);
+                    let child = legal & adm;
+                    if expand && !children.contains(&(union, child)) {
+                        children.push((union, child));
+                    }
+                }
+                for &(union, child) in &children {
+                    if self.open_targets(child) == 0 {
+                        continue;
+                    }
+                    let succ = self.successor(id, union);
+                    if self.seen.insert((child, succ)) {
+                        next.push((succ, child));
+                    }
+                }
             }
-        }
-        for (union, child) in children {
-            if self.open_targets(child) == 0 {
-                continue;
-            }
-            let next = self.successor(id, union);
-            self.walk(next, child, depth + 1);
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
         }
     }
 }
@@ -928,36 +937,52 @@ mod tests {
     #[test]
     fn compiled_walk_matches_the_legacy_matrix_and_rendering() {
         // The per-pair search is `implies` on every ordered pair; the
-        // shared-trie walk must reproduce its verdicts and witnesses.
+        // shared-trie walk must reproduce its verdicts and witnesses at
+        // every depth.
         let n = n3();
         let family = zoo(n, 1);
-        let compiled = Lattice::compute_compiled(&family, 2);
-        for i in 0..family.len() {
-            for j in 0..family.len() {
-                let per_pair = if i == j {
-                    Ok(())
-                } else {
-                    implies(family[i].as_ref(), family[j].as_ref(), 2)
-                };
-                assert_eq!(compiled.implies_at(i, j), per_pair.is_ok(), "({i},{j})");
-                let Err(expected) = per_pair else {
-                    continue;
-                };
-                let cex = compiled
-                    .counterexample(i, j)
-                    .expect("every refuted pair carries a witness");
-                assert_eq!(cex.pattern, expected.pattern, "({i},{j})");
-                assert!(
-                    family[i].admits_pattern(&cex.pattern),
-                    "({i},{j}): witness must be legal for the antecedent"
-                );
-                assert!(
-                    !family[j].admits_pattern(&cex.pattern),
-                    "({i},{j}): witness must refute the consequent"
-                );
-                assert_eq!(cex.rejected_round.get() as usize, cex.pattern.rounds());
+        for depth in 1..=3 {
+            let compiled = Lattice::compute_compiled(&family, depth);
+            for i in 0..family.len() {
+                for j in 0..family.len() {
+                    let per_pair = if i == j {
+                        Ok(())
+                    } else {
+                        implies(family[i].as_ref(), family[j].as_ref(), depth)
+                    };
+                    let at = format!("depth {depth}, ({i},{j})");
+                    assert_eq!(compiled.implies_at(i, j), per_pair.is_ok(), "{at}");
+                    let Err(expected) = per_pair else {
+                        continue;
+                    };
+                    let cex = compiled
+                        .counterexample(i, j)
+                        .expect("every refuted pair carries a witness");
+                    assert_eq!(cex.pattern, expected.pattern, "{at}");
+                    assert!(
+                        family[i].admits_pattern(&cex.pattern),
+                        "{at}: witness must be legal for the antecedent"
+                    );
+                    assert!(
+                        !family[j].admits_pattern(&cex.pattern),
+                        "{at}: witness must refute the consequent"
+                    );
+                    assert_eq!(cex.rejected_round.get() as usize, cex.pattern.rounds());
+                }
             }
         }
+    }
+
+    #[test]
+    fn zoo_matrix_saturates_before_depth_eight() {
+        // The walk's last queued level on zoo(3, 1) is depth 5, so a
+        // deeper bound refutes nothing new. Only the matrices are
+        // compared: the header names the bound, and witnesses are the
+        // per-pair search's, which may change with it.
+        let family = zoo(n3(), 1);
+        let shallow = Lattice::compute_compiled(&family, 8);
+        let deep = Lattice::compute_compiled(&family, 12);
+        assert_eq!(shallow.matrix, deep.matrix);
     }
 
     #[test]

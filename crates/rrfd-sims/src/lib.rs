@@ -25,8 +25,8 @@
 //!   loop.
 //! * [`detector_s`] — the S-augmented asynchronous system of §2 item 6.
 //! * [`dpor`] — the schedule explorer: dynamic partial-order reduction over
-//!   execution graphs (events partially ordered by happens-before, via
-//!   [`rrfd_core::hb`] vector clocks), exploring one representative per
+//!   execution graphs (events partially ordered by happens-before, one bit
+//!   row per event in [`dpor::graph`]), exploring one representative per
 //!   Mazurkiewicz trace class, in one depth-first loop. It turns sampled
 //!   tests on small instances into proofs-by-enumeration.
 //! * [`explore`] — the explorer's result types: search-effort totals
